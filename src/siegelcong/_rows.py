@@ -6,6 +6,11 @@ large for the int64 fast path).  Rows carry no ring metadata; every helper
 takes the ring explicitly.  Convolutions over F_p accumulate unreduced in
 int64 and reduce once at the end; `FpRing.fits64` guarantees no overflow for
 the row lengths used in this package.
+
+Siegel products use `convolve` only on their direct-loop path: over Z, Q,
+primes p >= 2^21 and boxes past the FFT exactness bound of
+`siegel.siegel_mul`.  Inside that bound the product runs an FFT over whole
+n-slices and does not call these helpers.
 """
 
 from __future__ import annotations

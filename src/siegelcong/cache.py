@@ -1,8 +1,9 @@
 """Disk cache for generator expansions, keyed by (name, ring, precision).
 
 Files are gzip-compressed JSON with a fixed timestamp and sorted keys, so
-two cold runs of the same computation produce byte-identical files.  Writes
-go through a temporary file and an atomic rename.
+two cold runs of the same computation produce byte-identical files.  The
+document is streamed one n-row at a time, never built whole in memory.
+Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -50,19 +51,34 @@ class DiskCache:
     def store(self, name, form):
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            doc = dict(form.to_json(), name=name, format=_FORMAT)
-            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as raw:
                     with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:
-                        gz.write(payload)
+                        _write_doc(gz, name, form)
                 os.replace(tmp, self._path(name, form.ring, form.prec))
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         except OSError as exc:
             raise CacheIOError(f"cannot write cache under {self.root}: {exc}") from exc
+
+
+def _write_doc(gz, name, form):
+    """Write the form's JSON document one n-row at a time.
+
+    The bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    of the whole document; "coeffs" sorts before every other key.
+    """
+    gz.write(b'{"coeffs":[')
+    sep = b""
+    for n in range(form.prec + 1):
+        coeffs = form.coeff_rows(n)
+        if coeffs:
+            gz.write(sep + json.dumps(coeffs, separators=(",", ":"))[1:-1].encode("ascii"))
+            sep = b","
+    rest = dict(form.json_header(), name=name, format=_FORMAT)
+    gz.write(b"]," + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:].encode("ascii"))
 
 
 def _form_from_doc(doc):

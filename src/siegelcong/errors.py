@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: usage / parse / invalid argument -> 1,
-insufficient precision -> 2, cache I/O -> 3.
+The CLI maps these onto exit codes: usage / parse / invalid argument and
+any other error here -> 1, insufficient precision -> 2, cache I/O -> 3.
+Exit code 4 is not an exception: `table` returns it when a regenerated row
+differs from the shipped expected table (see TABLE_MISMATCH in cli.py).
 """
 
 
@@ -40,3 +42,7 @@ class NotInRingError(SiegelCongError):
 
 class CacheIOError(SiegelCongError, OSError):
     """The expansion cache could not be read or written."""
+
+
+class InconsistentVerdictError(SiegelCongError):
+    """Certificates for two residues in one Legendre class disagree."""

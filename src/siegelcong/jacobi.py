@@ -12,7 +12,7 @@ immutable values; every operation returns a new form.
 The finite zero test mod p routes through the weak-form decomposition and a
 level-1 Sturm check on each component.  There is no published Sturm-type
 bound at the Jacobi level; this reduction is this library's own construction
-(see README).
+(see jac_zero_test and zero_test_required_prec).
 """
 
 from __future__ import annotations

@@ -53,6 +53,25 @@ def test_table_small(capsys):
     assert "MATCH" in err
 
 
+def test_table_mismatch_exit_code(capsys, monkeypatch):
+    from siegelcong import cli
+    doc = cli._expected_table()
+    for row in doc["rows"]:
+        if row["form"] == "chi12":
+            for c in row["congruences"]:
+                if c["p"] == 5:
+                    c["holds"] = [1]
+    monkeypatch.setattr(cli, "_expected_table", lambda: doc)
+    code, out, err = run(capsys, "table", "--max-prime", "5")
+    assert code == cli.TABLE_MISMATCH == 4
+    doc = json.loads(out)
+    assert doc["all_match"] is False
+    rows = doc["rows"]
+    assert [r["status"] for r in rows].count("MISMATCH") == 1
+    assert rows[0]["form"] == "chi12" and rows[0]["status"] == "MISMATCH"
+    assert "MISMATCH" in err
+
+
 def test_sieve_verify_against(capsys):
     code, out, _ = run(capsys, "sieve", "chi10^2", "--p", "5", "--s", "0",
                        "--verify-against",

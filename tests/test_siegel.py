@@ -1,13 +1,17 @@
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from siegelcong.errors import (InvalidArgumentError, NotInRingError,
-                               PrecisionError)
+from siegelcong import siegel
+from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError,
+                               NotInRingError, PrecisionError,
+                               SiegelCongError)
 from siegelcong.jacobi import heat, jacobi_cusp, jacobi_eisenstein
 from siegelcong.qexp import eisenstein_q
-from siegelcong.ring import legendre, ring_from_tag
+from siegelcong.ring import is_prime, legendre, ring_from_tag
 from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
                                MatrixIndexT, SiegelFormSeries,
                                congruence_scan, decompose_mod_p, dyadic_trace,
@@ -204,6 +208,110 @@ def test_e4_squared_constant(int_gens):
     assert sq.a(0, 0, 0) == 1
 
 
+# -- the FFT product kernel against the direct loop ------------------------------------
+
+KERNEL_PRIMES = [5, 7, 23, 2097143]
+
+
+def _random_form(ring, prec, seed, density, extreme):
+    """Random residues on the stored support: no Siegel symmetry, some zero rows."""
+    rng = np.random.default_rng(seed)
+    p = ring.p
+    form = SiegelFormSeries.zero(ring, None, prec)
+    for line in form.tables:
+        for m, row in enumerate(line):
+            if rng.random() < density:
+                if extreme:
+                    vals = rng.choice([0, 1, (p - 1) // 2, (p + 1) // 2, p - 1], len(row))
+                else:
+                    vals = rng.integers(0, p, len(row))
+                line[m] = vals.astype(np.int64)
+    return form
+
+
+def _constant_form(ring, prec, v):
+    form = SiegelFormSeries.zero(ring, None, prec)
+    for line in form.tables:
+        for row in line:
+            row[:] = v
+    return form
+
+
+def _assert_same_tables(got, want):
+    assert len(got) == len(want)
+    for gline, wline in zip(got, want):
+        assert len(gline) == len(wline)
+        for g, w in zip(gline, wline):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+
+
+def _largest_fft_prime(prec):
+    """The largest prime whose products at this box still run the FFT kernel."""
+    t = (prec + 1) ** 2 * (2 * prec + 1)
+    p = min(2 * isqrt(siegel._FFT_LIMIT // t) + 1, (1 << 21) - 1)
+    while not (is_prime(p) and siegel._fft_exact(ring_from_tag(f"fp:{p}"), prec)):
+        p -= 2
+    return p
+
+
+@pytest.fixture()
+def fft_calls(monkeypatch):
+    calls = []
+
+    def spy(F, G, prec):
+        calls.append(prec)
+        return kernel(F, G, prec)
+    kernel = siegel._mul_fft
+    monkeypatch.setattr(siegel, "_mul_fft", spy)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(KERNEL_PRIMES), fprec=st.integers(0, 10),
+       gprec=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.3, 1.0]), extreme=st.booleans(),
+       square=st.booleans())
+def test_siegel_mul_kernel_matches_loop(p, fprec, gprec, seed, density, extreme, square):
+    ring = ring_from_tag(f"fp:{p}")
+    F = _random_form(ring, fprec, seed, density, extreme)
+    G = F if square else _random_form(ring, gprec, seed + 1, density, extreme)
+    prec = min(F.prec, G.prec)
+    # p = 2097143 is inside the exactness bound only at box 0
+    assert siegel._fft_exact(ring, prec) == (p < 2097143 or prec == 0)
+    got = siegel_mul(F, G)
+    assert got.prec == prec
+    _assert_same_tables(got.tables, siegel._mul_loop(F, G, prec))
+
+
+@pytest.mark.parametrize("prec", [0, 10])
+def test_siegel_mul_kernel_at_exactness_bound(prec, fft_calls):
+    p = _largest_fft_prime(prec)
+    assert p == (2097143 if prec == 0 else 41603)
+    ring = ring_from_tag(f"fp:{p}")
+    F = _constant_form(ring, prec, (p - 1) // 2)
+    G = _constant_form(ring, prec, (p - 1) // 2)
+    want = siegel._mul_loop(F, G, prec)
+    _assert_same_tables(siegel_mul(F, F).tables, want)
+    _assert_same_tables(siegel_mul(F, G).tables, want)
+    assert fft_calls == [prec, prec]
+
+
+def test_siegel_mul_outside_bound_takes_loop(fft_calls):
+    p, prec = _largest_fft_prime(10), 11
+    ring = ring_from_tag(f"fp:{p}")
+    assert not siegel._fft_exact(ring, prec)
+    F = _constant_form(ring, prec, (p - 1) // 2)
+    prod = siegel_mul(F, F)
+    assert fft_calls == []
+    rng = random.Random(5)
+    for _ in range(15):
+        n, m = rng.randrange(prec + 1), rng.randrange(prec + 1)
+        b = isqrt(4 * n * m)
+        r = rng.randrange(-b, b + 1)
+        assert prod.a(n, r, m) == _product_oracle(F, F, n, r, m) % p
+
+
 def test_targeted_mul_matches_full(int_gens):
     E4, c12 = int_gens["E4"], int_gens["chi12"]
     full = siegel_mul(E4, c12)
@@ -275,6 +383,20 @@ def test_scan_constant_on_legendre_classes(ctx7):
         for b2 in range(1, 7):
             if legendre(b1, 7) == legendre(b2, 7):
                 assert certs[b1].verdict == certs[b2].verdict
+
+
+def test_scan_rejects_split_legendre_class(monkeypatch):
+    def stub(F, p, b, label=""):
+        fails = b == 4          # 1 and 4 are both squares mod 5
+        return CongruenceCertificate(form=label, p=p, b=b,
+                                     verdict="fails" if fails else "holds",
+                                     G_weight=0, sturm_bound=0, classes_checked=0,
+                                     witness=(1, 1, 1) if fails else None,
+                                     method="stub")
+    monkeypatch.setattr(siegel, "siegel_congruence", stub)
+    with pytest.raises(InconsistentVerdictError, match="b=1,4") as info:
+        congruence_scan(None, 5, include_zero=False)
+    assert isinstance(info.value, SiegelCongError)
 
 
 def test_criterion_agrees_with_direct_scan(ctx5):
