@@ -4,6 +4,13 @@ Covers the weak index-1 generators built from theta quotients, holomorphic
 index-1 generators, products, the heat operator, mod-p filtrations and heat
 cycles, and the finite congruence criteria.
 
+Index-1 generators: the coefficients of an index-1 form, weak or holomorphic,
+depend only on D = 4n - r^2 (Eichler-Zagier, The Theory of Jacobi Forms,
+Thm 2.2).  So phi_{-2,1}, phi_{0,1}, E_{4,1}, E_{6,1}, phi_{10,1} and
+phi_{12,1} are each computed as two q-series, their zeta^0 and zeta^1
+columns, and the rows are filled from those once; a runtime guard requires
+the zeta^2 and zeta^3 columns to agree with them (see weak_generators).
+
 Storage: a form of index m and precision N keeps a dense row for every
 0 <= n <= N over the full admissible range |r| <= isqrt(4nm + m^2); for
 holomorphic forms the entries with 4nm - r^2 < 0 are zero.  Forms are
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -302,164 +310,161 @@ def heat_iterate(phi, times):
     return phi
 
 
-# -- weak index-1 generators -----------------------------------------------------
+# -- index-1 generators -------------------------------------------------------------
 #
-# Both generators come from theta quotients.  All intermediate work is done
-# column-major (per zeta-power q-series), because every division involved is
-# by a pure q-series.
+# Every division in the theta quotients is by a pure q-series, so a zeta-column of
+# a generator needs only the same column of its numerator (see weak_generators).
 
-def _theta_pair_columns(prec, sign, ring):
-    """Columns of (sum_j s^j q^{j(j+1)/2} zeta^j)^2 with s = -1 or +1."""
-    terms = []
-    j = 0
-    while j * (j + 1) // 2 <= prec:
-        t = j * (j + 1) // 2
-        # j and -j-1 share the same triangular exponent
-        terms.append((t, j, sign ** (j % 2)))
-        terms.append((t, -j - 1, sign ** ((j + 1) % 2)))
-        j += 1
-    cols = {}
-    for q1, r1, s1 in terms:
-        for q2, r2, s2 in terms:
-            q = q1 + q2
-            if q > prec:
-                continue
-            col = cols.setdefault(r1 + r2, rows.zeros(ring, prec + 1))
-            col[q] = ring.add(col[q] if not isinstance(ring, FpRing) else int(col[q]),
-                              ring.from_int(s1 * s2))
-    return cols
+def _tri(j):
+    return j * (j + 1) // 2
 
 
-def _theta3_sq_columns(qprec, ring):
-    """Columns of (sum_j Q^{j^2} zeta^j)^2 in the half-integral variable Q."""
-    terms = [(0, 0)]
-    j = 1
-    while j * j <= qprec:
-        terms.append((j * j, j))
-        terms.append((j * j, -j))
-        j += 1
-    cols = {}
-    for q1, r1 in terms:
-        for q2, r2 in terms:
-            q = q1 + q2
-            if q > qprec:
-                continue
-            col = cols.setdefault(r1 + r2, rows.zeros(ring, qprec + 1))
-            col[q] = ring.add(col[q] if not isinstance(ring, FpRing) else int(col[q]),
-                              ring.one)
-    return cols
+def _square(j):
+    return j * j
 
 
-def _columns_to_form(ring, cols, prec, weight, index):
-    """Materialize columns into row storage, checking the weak support bound."""
-    rl = []
-    for n in range(prec + 1):
-        b = rbound(index, n)
-        row = rows.zeros(ring, 2 * b + 1)
-        rl.append(row)
-    for r, col in cols.items():
-        for n in range(prec + 1):
-            v = col[n]
-            vz = ring.is_zero(int(v) if isinstance(ring, FpRing) else v)
-            b = rbound(index, n)
-            if abs(r) > b:
-                if not vz:
-                    raise ArithmeticDomainError(
-                        f"coefficient at (n={n}, r={r}) violates the weak support bound")
-                continue
-            rl[n][b + r] = v
-    return JacobiFormSeries(ring, weight, index, rl, weak=True)
+def _theta_square_column(c, n, sign, expo):
+    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} sign^j x^{expo(j)} zeta^j)^2, as ints.
+
+    The terms j and c - j meet at zeta^c, so this is one sum over j with
+    O(sqrt n) terms.
+    """
+    out = [0] * n
+    s = sign ** (c % 2)
+    reach = isqrt(2 * n) + 2
+    for j in range(-reach, reach + 1):
+        e = expo(j) + expo(c - j)
+        if e < n:
+            out[e] += s
+    return out
 
 
-def _col_convolve(ring, cols, series_row, prec):
-    return {r: rows.convolve_trunc(ring, col, series_row, prec + 1)
-            for r, col in cols.items()}
+def _theta_square_at_one(ring, n, expo):
+    """(sum_{j in Z} x^{expo(j)})^2 to n terms: the theta square at zeta = 1."""
+    theta = [0] * n
+    reach = isqrt(2 * n) + 2
+    for j in range(-reach, reach + 1):
+        if expo(j) < n:
+            theta[expo(j)] += 1
+    theta = rows.from_ints(ring, theta)
+    return rows.convolve_trunc(ring, theta, theta, n)
 
 
-def _weak_generators_impl(prec, ring):
+def _column_factors(prec, ring):
+    """The q-series that map theta-square columns to generator columns.
+
+    1/eta^6 for weight -2; for weight 0, 1/S2(q, 1) for piece 1 and, per
+    zeta-parity, the factor of the folded theta_3^2 column for pieces 2+3.
+    """
+    n = prec + 1
+    inv_eta6 = eta_pow6(prec, ring).inverse().coeffs
+    inv_s2 = rows.invert_series(ring, _theta_square_at_one(ring, n, _tri), n)
+    # pieces 2+3 combined: 2(Ee - Oo)/(e^2 - o^2) over Q = q^{1/2}, where e and
+    # o are the even and odd Q-powers of theta_3(Q)^2 reindexed to integral q
+    t3 = _theta_square_at_one(ring, 2 * n, _square)
+    e_q, o_q = t3[0::2], t3[1::2]
+    denom = rows.sub(ring, rows.convolve_trunc(ring, e_q, e_q, n),
+                     _shift_row(ring, rows.convolve_trunc(ring, o_q, o_q, n), 1, n))
+    inv_denom = rows.invert_series(ring, denom, n)
+    even = rows.scale(ring, rows.convolve_trunc(ring, e_q, inv_denom, n), ring.from_int(2))
+    odd = rows.scale(ring, _shift_row(ring, rows.convolve_trunc(ring, o_q, inv_denom, n), 1, n),
+                     ring.from_int(-2))
+    return inv_eta6, inv_s2, (even, odd)
+
+
+def _weak_column(c, prec, ring, factors):
+    """The zeta^c columns of phi_{-2,1} and phi_{0,1}, to q^prec."""
+    n = prec + 1
+    inv_eta6, inv_s2, folded = factors
     # weight -2: zeta * theta_red^2 / eta^6  (fractional powers cancel)
-    th2 = _theta_pair_columns(prec, -1, ring)
-    eta6_inv = eta_pow6(prec, ring).inverse().coeffs
-    cols_m2 = _col_convolve(ring, th2, eta6_inv, prec)
-    cols_m2 = {r + 1: col for r, col in cols_m2.items()}
-    w_m2 = _columns_to_form(ring, cols_m2, prec, -2, 1)
-
+    th2 = rows.from_ints(ring, _theta_square_column(c - 1, n, -1, _tri))
+    wm2 = rows.convolve_trunc(ring, th2, inv_eta6, n)
     # weight 0, piece 1: zeta * S2 / S2(q, 1) from the even theta pair
-    s2 = _theta_pair_columns(prec, +1, ring)
-    s2_at_1 = rows.zeros(ring, prec + 1)
-    for col in s2.values():
-        rows.add_into(ring, s2_at_1, 0, col)
-    s2_at_1 = rows.normalize(ring, s2_at_1)
-    inv_s2 = rows.invert_series(ring, s2_at_1, prec + 1)
-    a2 = _col_convolve(ring, s2, inv_s2, prec)
-    a2 = {r + 1: col for r, col in a2.items()}
+    s2 = rows.from_ints(ring, _theta_square_column(c - 1, n, 1, _tri))
+    a2 = rows.convolve_trunc(ring, s2, inv_s2, n)
+    # pieces 2+3: odd zeta-powers must sit on odd Q-powers, even on even
+    par = c % 2
+    t3 = _theta_square_column(c, 2 * n, 1, _square)
+    if any(t3[1 - par::2]):
+        raise ArithmeticDomainError("theta square breaks the parity coupling")
+    a34 = rows.convolve_trunc(ring, rows.from_ints(ring, t3[par::2]), folded[par], n)
+    return wm2, rows.scale(ring, rows.add(ring, a2, a34), ring.from_int(4))
 
-    # weight 0, pieces 2+3 combined: 2(Ee - Oo)/(e^2 - o^2) over Q = q^{1/2};
-    # even zeta-powers live on even Q-powers, odd on odd, so everything
-    # reindexes to integral q.
-    qprec = 2 * prec + 1
-    t3 = _theta3_sq_columns(qprec, ring)
-    t3_at_1 = rows.zeros(ring, qprec + 1)
-    for col in t3.values():
-        rows.add_into(ring, t3_at_1, 0, col)
-    t3_at_1 = rows.normalize(ring, t3_at_1)
-    half = rows.aslist(ring, t3_at_1)
-    e_q = _pack_row(ring, [half[2 * t] for t in range(prec + 1)])
-    o_q = _pack_row(ring, [half[2 * t + 1] for t in range(prec + 1)])
-    ee = rows.convolve_trunc(ring, e_q, e_q, prec + 1)
-    oo = rows.convolve_trunc(ring, o_q, o_q, prec + 1)
-    denom = rows.sub(ring, ee, _shift_row(ring, oo, 1, prec + 1))
-    inv_denom = rows.invert_series(ring, denom, prec + 1)
-    a34 = {}
-    for r, col in t3.items():
-        par = r % 2
-        vals = rows.aslist(ring, col)
-        for t, v in enumerate(vals):
-            # odd zeta-powers must sit on odd Q-powers, even on even
-            if (t - par) % 2 and not ring.is_zero(v):
-                raise ArithmeticDomainError("theta square breaks the parity coupling")
-        folded = _pack_row(ring, [vals[2 * t + par] for t in range((qprec - par) // 2 + 1)])
-        base = e_q if par == 0 else o_q
-        num = rows.convolve_trunc(ring, folded, base, prec + 1)
-        if par == 1:
-            num = rows.neg(ring, _shift_row(ring, num, 1, prec + 1))
-        num = rows.scale(ring, num, ring.from_int(2))
-        a34[r] = rows.convolve_trunc(ring, num, inv_denom, prec + 1)
 
-    cols0 = {}
-    for src in (a2, a34):
-        for r, col in src.items():
-            if r in cols0:
-                cols0[r] = rows.add(ring, cols0[r], col)
-            else:
-                cols0[r] = rows.copy(ring, col)
-    cols0 = {r: rows.scale(ring, col, ring.from_int(4)) for r, col in cols0.items()}
-    w_0 = _columns_to_form(ring, cols0, prec, 0, 1)
-    return w_m2, w_0
+@lru_cache(maxsize=1)
+def _weak_columns(prec, ring):
+    """((h_0, h_1) of phi_{-2,1}, (h_0, h_1) of phi_{0,1}), each of length prec + 1.
+
+    Guard: the zeta^2 and zeta^3 columns are built the same way and must be
+    h_0 and h_1 moved down one and two rows with zeros above, since
+    c(n, 2) = c(n - 1, 0) and c(n, 3) = c(n - 2, 1); that also checks
+    c = 0 at D < -1 in those columns.  Z is computed over Q and cast back,
+    which checks integrality.  The last result is kept, so the four
+    generators of one box share it; its columns are read-only.
+    """
+    if isinstance(ring, IntRing):
+        return tuple(tuple(tuple(ring.from_rational(v) for v in h) for h in gen)
+                     for gen in _weak_columns(prec, ring_from_tag("rat")))
+    n = prec + 1
+    factors = _column_factors(prec, ring)
+    cols = [_weak_column(c, prec, ring, factors) for c in range(4)]
+    gens = []
+    for g in range(2):
+        h0, h1, h2, h3 = (col[g] for col in cols)
+        if not (rows.eq(ring, h2, _shift_row(ring, h0, 1, n))
+                and rows.eq(ring, h3, _shift_row(ring, h1, 2, n))):
+            raise ArithmeticDomainError(
+                "zeta^2 and zeta^3 columns break the index-1 discriminant law")
+        gens.append(tuple(_read_only(h) for h in (h0, h1)))
+    return tuple(gens)
+
+
+def _read_only(row):
+    if isinstance(row, np.ndarray):
+        row.flags.writeable = False
+        return row
+    return tuple(row)
 
 
 def _shift_row(ring, row, k, n):
     out = rows.zeros(ring, n)
-    src = row[:max(0, n - k)]
-    rows.add_into(ring, out, k, src)
+    rows.add_into(ring, out, k, row[:max(0, n - k)])
     return rows.normalize(ring, out)
 
 
-def _pack_row(ring, vals):
+def _index1_form(ring, weight, cols, weak):
+    """The index-1 form with zeta^0 and zeta^1 columns cols, rows filled once."""
+    prec = len(cols[0]) - 1
     if isinstance(ring, FpRing) and ring.fits64:
-        return np.array([int(v) % ring.p for v in vals], dtype=np.int64)
-    return list(vals)
+        h = np.stack(cols)
+        rl = []
+        for n in range(prec + 1):
+            r = np.arange(-rbound(1, n), rbound(1, n) + 1)
+            rl.append(h[r & 1, n - r * r // 4])
+    else:
+        rl = [[cols[r & 1][n - r * r // 4]
+               for r in range(-rbound(1, n), rbound(1, n) + 1)] for n in range(prec + 1)]
+    return JacobiFormSeries(ring, weight, 1, rl, weak=weak)
 
 
 _weak_cache = {}
 
 
 def weak_generators(prec, ring):
-    """The weak index-1 generators of weights -2 and 0.
+    """The weak index-1 generators phi_{-2,1} and phi_{0,1} of weights -2 and 0.
 
     q^0 rows are (zeta - 2 + zeta^{-1}) and (zeta + 10 + zeta^{-1}); all
-    coefficients are integral.  Exact rings are computed through exact
-    rationals and cast, which verifies integrality on the fly.
+    coefficients are integral.  An index-1 form has c(n, r) depending only on
+    D = 4n - r^2, which also fixes r mod 2 (Eichler-Zagier, The Theory of
+    Jacobi Forms, Thm 2.2; the proof uses only the elliptic transformation
+    law, so weak forms are covered).  Each generator is therefore built from
+    its zeta^0 and zeta^1 theta-quotient columns h_0, h_1 alone, as
+    c(n, r) = h_{r mod 2}[n - floor(r^2/4)], the entry with the same D.  A
+    runtime guard builds the zeta^2 and zeta^3 columns as well and raises
+    ArithmeticDomainError unless they are h_0 and h_1 moved down one and two
+    rows.  Exact rings are computed through exact rationals and cast, which
+    verifies integrality.  Results are memoized per ring; a precision below
+    one already built is a truncation of it.
     """
     key = (ring.tag, prec)
     hit = _weak_cache.get(key)
@@ -471,61 +476,42 @@ def weak_generators(prec, ring):
             out = (val[0].truncate(prec), val[1].truncate(prec))
             _weak_cache[key] = out
             return out
-    if isinstance(ring, (IntRing,)):
-        a, b = weak_generators(prec, ring_from_tag("rat"))
-        out = (_cast_form(a, ring), _cast_form(b, ring))
-    else:
-        out = _weak_generators_impl(prec, ring)
+    wm2, w0 = _weak_columns(prec, ring)
+    out = (_index1_form(ring, -2, wm2, weak=True), _index1_form(ring, 0, w0, weak=True))
     _weak_cache[key] = out
     return out
 
 
-def _cast_form(phi, ring):
-    rl = []
-    for row in phi.rows:
-        rl.append([ring.from_rational(Fraction(v)) for v in row])
-    return JacobiFormSeries(ring, phi.weight, phi.index, rl, weak=phi.weak)
-
-
-def _scale_divexact(phi, d):
-    ring = phi.ring
-    dd = ring.from_int(d)
-    rl = []
-    for row in phi.rows:
-        vals = rows.aslist(ring, row)
-        rl.append([ring.divexact(v, dd) for v in vals])
-    if isinstance(ring, FpRing):
-        rl = [rows.from_ints(ring, r) for r in rl]
-    return JacobiFormSeries(ring, phi.weight, phi.index, rl, weak=phi.weak)
-
-
 def jacobi_eisenstein(k, prec, ring):
-    """Holomorphic index-1 Eisenstein series of weight 4 or 6, c(0,0) = 1."""
+    """Holomorphic index-1 Eisenstein series of weight 4 or 6, c(0,0) = 1.
+
+    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1})/12 and
+    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1})/12, taken column by column.
+    """
     if k not in (4, 6):
         raise InvalidArgumentError(f"jacobi_eisenstein supports k in (4, 6), got {k}")
-    w_m2, w_0 = weak_generators(prec, ring)
+    wm2, w0 = _weak_columns(prec, ring)
     e4 = eisenstein_q(4, prec, ring)
     e6 = eisenstein_q(6, prec, ring)
-    if k == 4:
-        num = qseries_times_jacobi(e4, w_0) - qseries_times_jacobi(e6, w_m2)
-    else:
-        num = qseries_times_jacobi(e6, w_0) - qseries_times_jacobi(e4 * e4, w_m2)
-    out = _scale_divexact(num, 12)
-    out.weight = k
-    out.weak = False
-    return out
+    f, g = (e4, e6) if k == 4 else (e6, e4 * e4)
+    twelve = ring.from_int(12)
+    cols = []
+    for h0, hm2 in zip(w0, wm2):
+        num = rows.sub(ring, rows.convolve_trunc(ring, f.coeffs, h0, prec + 1),
+                       rows.convolve_trunc(ring, g.coeffs, hm2, prec + 1))
+        col = [ring.divexact(v, twelve) for v in rows.aslist(ring, num)]
+        cols.append(rows.from_ints(ring, col) if isinstance(ring, FpRing) else col)
+    return _index1_form(ring, k, cols, weak=False)
 
 
 def jacobi_cusp(k, prec, ring):
     """The index-1 cusp generators Delta*phi_{-2,1} (k=10), Delta*phi_{0,1} (k=12)."""
     if k not in (10, 12):
         raise InvalidArgumentError(f"jacobi_cusp supports k in (10, 12), got {k}")
-    w_m2, w_0 = weak_generators(prec, ring)
-    d = delta_q(prec, ring)
-    out = qseries_times_jacobi(d, w_m2 if k == 10 else w_0)
-    out.weight = k
-    out.weak = False
-    return out
+    wm2, w0 = _weak_columns(prec, ring)
+    d = delta_q(prec, ring).coeffs
+    cols = [rows.convolve_trunc(ring, d, h, prec + 1) for h in (wm2 if k == 10 else w0)]
+    return _index1_form(ring, k, cols, weak=False)
 
 
 # -- decomposition over the weak generators ----------------------------------------

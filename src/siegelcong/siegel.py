@@ -224,12 +224,18 @@ class SiegelFormSeries:
     def coeff_rows(self, n):
         """[n, r, m, token] for the nonzero A(n, r, m) with m >= n, r >= 0."""
         out = []
+        ring = self.ring
         for m in range(n, self.prec + 1):
             b = self.rb(n, m)
+            if isinstance(ring, FpRing) and ring.fits64:
+                half = self.tables[n][m][b:]
+                nz = np.flatnonzero(half % ring.p)
+                out.extend([n, r, m, v] for r, v in zip(nz.tolist(), half[nz].tolist()))
+                continue
             for r in range(b + 1):
                 v = self.a(n, r, m)
-                if not self.ring.is_zero(self.ring.from_int(v) if isinstance(self.ring, FpRing) else v):
-                    out.append([n, r, m, self.ring.to_token(v)])
+                if not ring.is_zero(ring.from_int(v) if isinstance(ring, FpRing) else v):
+                    out.append([n, r, m, ring.to_token(v)])
         return out
 
     def json_header(self):
@@ -911,6 +917,9 @@ def search_congruences(max_weight, max_prime, cache=None, progress=None):
     """
     from .ring import is_prime
     results = []
+    # small-window contexts per (p, box), shared across weights; full-bound
+    # ones are not shared, as they would keep large-box monomials alive
+    contexts = {}
     primes = [p for p in range(5, max_prime + 1) if is_prime(p)]
     for k in range(10, max_weight + 1, 2):
         monos = [e for e in weight_monomials(k) if e[2] + e[3] >= 1]
@@ -923,15 +932,18 @@ def search_congruences(max_weight, max_prime, cache=None, progress=None):
                 results.append({"weight": k, "p": p,
                                 "status": "excluded-by-nonexistence"})
                 continue
-            results.extend(_search_cell(k, p, monos, cache))
+            results.extend(_search_cell(k, p, monos, cache, contexts))
     return results
 
 
-def _search_cell(k, p, monos, cache):
+def _search_cell(k, p, monos, cache, contexts):
     full_bound = (k + (p + 1) * (p + 1) // 2) // 3
     small_bound = min(full_bound, max(k // 3, 6) + 3)
     ring = ring_from_tag(f"fp:{p}")
-    ctx = GeneratorContext(ring, max(small_bound // 2, 2), cache)
+    box = max(small_bound // 2, 2)
+    ctx = contexts.get((p, box))
+    if ctx is None:
+        ctx = contexts[(p, box)] = GeneratorContext(ring, box, cache)
     cols = [ctx.monomial(*e) for e in monos]
     out = []
     full_ctx = None

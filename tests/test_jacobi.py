@@ -4,8 +4,11 @@ from math import isqrt
 
 import pytest
 
-from siegelcong.errors import (DecompositionError, InvalidArgumentError,
-                               PrecisionError)
+import allcolumn_oracle
+from siegelcong import _rows as rows
+from siegelcong import jacobi
+from siegelcong.errors import (ArithmeticDomainError, DecompositionError,
+                               InvalidArgumentError, PrecisionError)
 from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, heat,
                                heat_cycle, heat_cycle_required_prec,
                                heat_iterate, holo_basis, jac_congruence,
@@ -125,6 +128,56 @@ def test_weak_generators_match_oracle():
         for r in range(-w2.rb(n), w2.rb(n) + 1):
             assert w2.c(n, r) == om2.get((n, r), 0), (n, r)
             assert w0.c(n, r) == o0.get((n, r), 0), (n, r)
+
+
+# -- the two-column construction against the all-column oracle ---------------------
+
+def _assert_same_form(got, want):
+    assert ((got.weight, got.index, got.prec, got.weak)
+            == (want.weight, want.index, want.prec, want.weak))
+    for n, (a, b) in enumerate(zip(got.rows, want.rows)):
+        assert rows.aslist(got.ring, a) == rows.aslist(want.ring, b), n
+
+
+@pytest.mark.parametrize("tag,prec", [(tag, prec)
+                                      for tag in ("fp:5", "fp:7", "fp:2097143", "fp:2097169")
+                                      for prec in (1, 2, 5, 40)]
+                         + [(tag, prec) for tag in ("int", "rat") for prec in (1, 2, 5, 12)])
+def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
+    ring = ring_from_tag(tag)
+    monkeypatch.setattr(jacobi, "_weak_cache", {})
+    for got, want in zip(weak_generators(prec, ring),
+                         allcolumn_oracle.weak_generators(prec, ring)):
+        _assert_same_form(got, want)
+    for k in (4, 6):
+        _assert_same_form(jacobi_eisenstein(k, prec, ring),
+                          allcolumn_oracle.jacobi_eisenstein(k, prec, ring))
+    for k in (10, 12):
+        _assert_same_form(jacobi_cusp(k, prec, ring),
+                          allcolumn_oracle.jacobi_cusp(k, prec, ring))
+
+
+@pytest.mark.parametrize("tag", ["fp:7", "rat"])
+@pytest.mark.parametrize("gen", [0, 1])
+@pytest.mark.parametrize("row", [0, 6])
+def test_corrupt_zeta2_column_is_rejected(monkeypatch, tag, gen, row):
+    ring = ring_from_tag(tag)
+    build = jacobi._weak_column
+
+    def corrupt(c, prec, ring, factors):
+        cols = list(build(c, prec, ring, factors))
+        if c == 2:
+            bump = rows.from_ints(ring, [int(i == row) for i in range(prec + 1)])
+            cols[gen] = rows.add(ring, cols[gen], bump)
+        return tuple(cols)
+
+    monkeypatch.setattr(jacobi, "_weak_column", corrupt)
+    monkeypatch.setattr(jacobi, "_weak_cache", {})
+    jacobi._weak_columns.cache_clear()
+    with pytest.raises(ArithmeticDomainError):
+        weak_generators(6, ring)
+    with pytest.raises(ArithmeticDomainError):
+        jacobi_cusp(12, 6, ring)
 
 
 def test_weak_generator_rows():

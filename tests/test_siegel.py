@@ -474,3 +474,24 @@ def test_json_dump_shape(int_gens):
     assert doc["kind"] == "siegel" and doc["weight"] == 12
     assert all(r >= 0 and n <= m for n, r, m, _ in doc["coeffs"])
     assert [1, 1, 1, 1] in doc["coeffs"]
+
+
+def test_search_shares_small_windows_per_prime(monkeypatch):
+    made = []
+    init = GeneratorContext.__init__
+
+    def counting_init(self, ring, prec, cache=None):
+        made.append((ring.p, prec))
+        init(self, ring, prec, cache)
+
+    monkeypatch.setattr(GeneratorContext, "__init__", counting_init)
+    shared = siegel.search_congruences(16, 7)
+    n_shared = len(made)
+    cell = siegel._search_cell
+    monkeypatch.setattr(siegel, "_search_cell",
+                        lambda k, p, monos, cache, contexts: cell(k, p, monos, cache, {}))
+    made.clear()
+    assert shared == siegel.search_congruences(16, 7)
+    assert n_shared < len(made)
+    hit = [c for c in shared if c["p"] == 7 and c["status"] == "congruence"]
+    assert [(c["weight"], c["holds_b"]) for c in hit] == [(16, [3, 5, 6])]
