@@ -24,6 +24,7 @@ bound at the Jacobi level; this reduction is this library's own construction
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ import numpy as np
 from . import _rows as rows
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
-from .linalg import FpMatrix, kernel_basis, membership, rref
+from .linalg import FpMatrix, kernel_basis, rref
 from .qexp import QSeries, delta_q, eisenstein_q, elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim
 from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
 
@@ -664,14 +665,18 @@ _mono_cache = {}
 
 
 def _weak_monomial(gens, j, i, prec):
+    """w_{-2}^j w_0^i to q^prec; memoized per (ring, j, i) at the largest
+    precision built, smaller precisions are truncations of it."""
     w_m2, w_0 = gens
-    key = (w_m2.ring.tag, prec, j, i)
+    key = (w_m2.ring.tag, j, i)
     hit = _mono_cache.get(key)
-    if hit is not None:
-        return hit
-    if j == 0 and i == 0:
+    if hit is not None and hit.prec >= prec:
+        return hit.truncate(prec)
+    if j + i == 0:
         out = JacobiFormSeries.zero(w_m2.ring, 0, 0, prec)
         out.rows[0][0] = w_m2.ring.one
+    elif j + i == 1:
+        out = (w_m2 if j else w_0).truncate(prec)
     elif j > 0:
         out = jac_mul(_weak_monomial(gens, j - 1, i, prec), w_m2.truncate(prec))
     else:
@@ -799,25 +804,63 @@ def nonexistence_applies(k, m, p, b, phi, gens=None):
 _holo_cache = {}
 
 
-def _holo_keys(index, prec):
-    return [(n, r) for n in range(prec + 1) for r in range(rbound(index, n) + 1)]
+def _dtype(ring):
+    """Coefficient dtype of the dense filtration layer: int64 for fits64 primes."""
+    return np.int64 if ring.fits64 else object
+
+
+def _packed_keys(m, prec):
+    """n and r of the keys (n, r), 0 <= r <= rbound(m, n), in _form_vector order."""
+    widths = [rbound(m, n) + 1 for n in range(prec + 1)]
+    return np.repeat(np.arange(prec + 1), widths), np.concatenate([np.arange(w) for w in widths])
 
 
 def _form_vector(phi, prec):
-    out = []
-    for n in range(prec + 1):
-        for r in range(rbound(phi.index, n) + 1):
-            out.append(phi.c(n, r))
-    return out
+    """c(n, r) of phi at the packed keys of _packed_keys(phi.index, prec)."""
+    return np.concatenate([row[rbound(phi.index, n):] for n, row in enumerate(phi.rows[:prec + 1])],
+                          dtype=_dtype(phi.ring))
+
+
+def _shift_index(ns, rs):
+    """Gather index for q^s times a form, s = 0..prec: entry [s, key] points
+    into the form's packed vector with one zero appended."""
+    width = np.bincount(ns)
+    start = np.cumsum(width) - width
+    src = ns - np.arange(len(width))[:, None]       # the q-row n - s a key reads
+    ok = (src >= 0) & (rs < width[src.clip(0)])
+    return np.where(ok, start[src.clip(0)] + rs, len(ns))
+
+
+class HoloBasis(Sequence):
+    """The echelon basis holo_basis returns: read-only rows over the packed keys
+    of _packed_keys and their pivot columns.  Item i is built as a form when read."""
+
+    def __init__(self, ring, weight, index, prec, rows, pivots):
+        self.ring, self.weight, self.index, self.prec = ring, weight, index, prec
+        self.rows, self.pivots = rows, np.array(pivots, dtype=np.intp)
+        self.rows.flags.writeable = self.pivots.flags.writeable = False
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def __getitem__(self, i):
+        return _form_from_vector(self.ring, self.weight, self.index, self.prec, self.rows[i])
 
 
 def holo_basis(k, m, prec, p):
     """Echelonized mod-p basis of the holomorphic weight-k, index-m space.
 
-    Assembles all weak combinations with components in the weight-(k+2j)
-    monomial bases and imposes the finitely many vanishing conditions at
-    negative discriminants; the surviving combinations are row reduced over
-    the stored coefficient window.
+    The candidates f * w_{-2}^j w_0^{m-j}, f in mk_basis(k + 2j), form one
+    matrix C over the packed keys (n, r), r >= 0: for each weak monomial,
+    F @ (the monomial moved down s = 0..prec q-rows), F the matrix of those f.
+    The kernel of C's columns with 4nm - r^2 < 0 gives the holomorphic
+    combinations, whose rows are row reduced.  The echelon rows and pivots are
+    memoized per (k, m, prec, p), read-only; a form is built from a row only
+    when the item is read.
+
+    Exactness: an int64 product of residues with inner length L is exact while
+    L (p - 1)^2 < 2^63, which holds for every fits64 prime (p < 2^21) at any
+    window below 2^21 rows; larger primes multiply Python ints (dtype=object).
     """
     key = (k, m, prec, p)
     hit = _holo_cache.get(key)
@@ -825,57 +868,43 @@ def holo_basis(k, m, prec, p):
         return hit
     ring = ring_from_tag(f"fp:{p}")
     gens = weak_generators(prec, ring)
-    cands = []
+    dtype = _dtype(ring)
+    ns, rs = _packed_keys(m, prec)
+    shift = _shift_index(ns, rs)
+    blocks = []
     for j in range(m + 1):
         w = k + 2 * j
-        if w < 0 or w == 2 or w % 2:
-            continue
-        basis = mk_basis(w, prec, ring)
-        if not basis:
-            continue
-        mono = _weak_monomial(gens, j, m - j, prec)
-        for f in basis:
-            cands.append(qseries_times_jacobi(f, mono))
-    if not cands:
-        _holo_cache[key] = []
-        return []
-    neg_keys = [(n, r) for n in range(prec + 1)
-                for r in range(isqrt(4 * n * m) + 1, rbound(m, n) + 1)
-                if 4 * n * m - r * r < 0]
-    vecs = []
-    if neg_keys:
-        mat = FpMatrix(p, [[c.c(n, r) for c in cands] for (n, r) in neg_keys])
-        combos = kernel_basis(mat)
-    else:
-        combos = [[1 if i == j else 0 for i in range(len(cands))] for j in range(len(cands))]
-    if not combos:
-        _holo_cache[key] = []
-        return []
-    keys = _holo_keys(m, prec)
-    rowsmat = []
-    for combo in combos:
-        acc = None
-        for x, cand in zip(combo, cands):
-            if x % p == 0:
-                continue
-            term = cand.scale(x)
-            acc = term if acc is None else _combine(acc, term, 1, k)
-        rowsmat.append(_form_vector(acc, prec))
-    red, rank, _ = rref(FpMatrix(p, rowsmat))
-    out = []
-    for vec in red.tolist()[:rank]:
-        out.append(_form_from_vector(ring, k, m, prec, keys, vec))
+        basis = [] if w % 2 else mk_basis(w, prec, ring)
+        if basis:
+            f = np.array([b.coeff_list() for b in basis], dtype=dtype)
+            mono = np.append(_form_vector(_weak_monomial(gens, j, m - j, prec), prec), 0)
+            blocks.append(f @ mono[shift] % p)
+    out = HoloBasis(ring, k, m, prec, np.zeros((0, len(ns)), dtype), [])
+    if blocks:
+        cand = np.concatenate(blocks)
+        combos = kernel_basis(FpMatrix(p, cand[:, 4 * ns * m < rs * rs].T))
+        if combos:
+            red, rank, pivots = rref(FpMatrix(p, np.array(combos, dtype=dtype) @ cand % p))
+            out = HoloBasis(ring, k, m, prec, red.data[:rank].astype(dtype), pivots)
     _holo_cache[key] = out
     return out
 
 
-def _form_from_vector(ring, k, m, prec, keys, vec):
-    phi = JacobiFormSeries.zero(ring, k, m, prec, weak=False)
-    for (n, r), v in zip(keys, vec):
-        b = rbound(m, n)
-        phi.rows[n][b + r] = v % ring.p
-        phi.rows[n][b - r] = v % ring.p
-    return phi
+def _form_from_vector(ring, k, m, prec, vec):
+    """The form with c(n, r) = c(n, -r) = vec at the packed key (n, r)."""
+    rl, start = [], 0
+    for n in range(prec + 1):
+        half = [int(x) for x in vec[start:start + rbound(m, n) + 1]]
+        rl.append(rows.from_ints(ring, half[:0:-1] + half))
+        start += len(half)
+    return JacobiFormSeries(ring, k, m, rl)
+
+
+def _filtration_window(kp, m, p):
+    """Rows filtration decides membership on at candidate weight kp: the
+    candidate-space dimension bound plus m + 6, or 0 if that bound is 0."""
+    udim = sum(mk_dim(kp + 2 * j, p) for j in range(m + 1))
+    return udim + m + 1 + 5 if udim else 0
 
 
 def filtration(phi):
@@ -883,7 +912,10 @@ def filtration(phi):
     holomorphic space contains phi mod p.  Returns -inf for the zero form.
 
     Membership is decided on a window widened beyond the candidate-space
-    dimension to guard against truncation false-positives.
+    dimension to guard against truncation false-positives, by reduction
+    against the memoized echelon rows R of holo_basis with pivots piv: the
+    packed vector v is in the span iff (v - v[piv] @ R) % p is zero.  The
+    product is exact under the int64 bound stated in holo_basis.
     """
     if not isinstance(phi.ring, FpRing):
         raise InvalidArgumentError("filtration needs a prime-field form")
@@ -896,19 +928,17 @@ def filtration(phi):
     if not cands:
         cands = [k]
     for kp in cands:
-        udim = sum(mk_dim(kp + 2 * j, p) for j in range(m + 1)
-                   if kp + 2 * j >= 0 and (kp + 2 * j) % 2 == 0)
-        if udim == 0:
+        win = _filtration_window(kp, m, p)
+        if not win:
             continue
-        win = udim + m + 1 + 5
         if phi.prec < win:
             raise PrecisionError(f"filtration at candidate weight {kp} needs precision {win}",
                                  required=win, available=phi.prec)
         basis = holo_basis(kp, m, win, p)
         if not basis:
             continue
-        vec = _form_vector(phi, win)
-        if membership(vec, [_form_vector(f, win) for f in basis], p):
+        v = _form_vector(phi, win) % p
+        if not np.any((v - v[basis.pivots] @ basis.rows) % p):
             return kp
     raise InvalidArgumentError(
         f"form is not in the holomorphic mod-{p} span at any weight <= {k}")
@@ -918,9 +948,7 @@ def filtration_required_prec(k, m, p):
     """Precision sufficient for every filtration call on weights <= k."""
     best = 0
     for kp in range(k % (p - 1), k + 1, p - 1):
-        udim = sum(mk_dim(kp + 2 * j, p) for j in range(m + 1)
-                   if kp + 2 * j >= 0 and (kp + 2 * j) % 2 == 0)
-        best = max(best, udim + m + 1 + 5)
+        best = max(best, _filtration_window(kp, m, p), m + 1 + 5)
     return best
 
 

@@ -1,8 +1,9 @@
 """Dense linear algebra over prime fields F_p.
 
 Plain Gauss-Jordan elimination on numpy int64 matrices with entries kept in
-[0, p).  Matrices here are at most a few hundred rows/columns, so nothing
-fancier is warranted.  All functions are pure; `FpMatrix` values are treated
+[0, p).  A product of two residues must fit in int64, so `FpMatrix` refuses
+p > MAX_P = isqrt(2^63 - 1).  Matrices here are at most a few hundred
+rows/columns, so nothing fancier is warranted.  All functions are pure; `FpMatrix` values are treated
 as immutable once built.
 """
 
@@ -13,6 +14,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .ring import require_odd_prime
 
+MAX_P = 3037000499
+
 
 class FpMatrix:
     """Row-major matrix over F_p with canonical entries in [0, p)."""
@@ -21,6 +24,8 @@ class FpMatrix:
 
     def __init__(self, p, data):
         require_odd_prime(p)
+        if p > MAX_P:
+            raise InvalidArgumentError(f"F_p matrices need p <= {MAX_P}, got {p}")
         self.p = p
         arr = np.array(data, dtype=np.int64)
         if arr.ndim == 1:

@@ -222,51 +222,30 @@ def eta_pow6(prec, ring):
     return QSeries(ring, six)
 
 
-# -- weight-k monomial bases -----------------------------------------------------
+# -- weight-k bases ---------------------------------------------------------------
 
-def _weight_monomials(k):
-    """Exponent triples (a, b, c) with 4a + 6b + 12c = k."""
+def _triangular_exponents(k):
+    """(a, b, c) with 4a + 6b = k - 12c != 2 and a minimal: one triple per c."""
     out = []
     for c in range(k // 12 + 1):
         rem = k - 12 * c
-        for b in range(rem // 6 + 1):
-            rest = rem - 6 * b
-            if rest % 4 == 0:
-                out.append((rest // 4, b, c))
+        if rem != 2:
+            a = {0: 0, 4: 1, 2: 2}[rem % 6]
+            out.append((a, (rem - 4 * a) // 6, c))
     return out
-
-
-def _rref_exact(mat):
-    """Gauss-Jordan over Q on a list-of-lists of Fractions; returns (rows, pivots)."""
-    mat = [list(r) for r in mat]
-    nrows, ncols = len(mat), len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        sel = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:len(pivots)], pivots
 
 
 def mk_basis(k, prec, ring):
     """Echelonized basis of the weight-k level-1 space over `ring`.
 
-    The span of the monomials E4^a E6^b Delta^c with 4a + 6b + 12c = k is row
-    reduced so pivot columns strictly increase and pivots equal 1.  The length
-    of the result is the dimension of the space; this is computed from the
-    rank, not from a closed formula.
+    Reduces Delta^c E4^a E6^b, one for each c with 4a + 6b = k - 12c != 2
+    and a minimal.  Each has integer coefficients and leading term 1*q^c, so
+    the set is a basis of M_k (Serre, A Course in Arithmetic, VII §3.2, Thm 4)
+    whose Z-span holds every monomial E4^a E6^b Delta^c of weight k; its
+    reduced echelon form is the one of all those monomials, over Q and over
+    every F_p.  Unit leading terms make the reduction a back substitution
+    without division.  Pivot columns strictly increase and pivots equal 1;
+    the length of the result is the dimension of the space.
     """
     if k % 2:
         raise InvalidArgumentError(f"odd weight {k} not supported")
@@ -274,35 +253,24 @@ def mk_basis(k, prec, ring):
         return []
     if k == 0:
         return [QSeries.const(ring, 1, prec, weight=0)]
-    monos = _weight_monomials(k)
-    if not monos:
+    tri = _triangular_exponents(k)
+    if not tri:
         return []
     upper = k // 12 + 1
     if prec < upper:
         raise PrecisionError(f"mk_basis({k}) needs precision >= {upper}",
                              required=upper, available=prec)
-    amax = max(a for a, _, _ in monos)
-    bmax = max(b for _, b, _ in monos)
-    cmax = max(c for _, _, c in monos)
-    e4 = eisenstein_q(4, prec, ring)
-    e6 = eisenstein_q(6, prec, ring)
-    dl = delta_q(prec, ring) if cmax else None
-    pw4 = _power_chain(e4, amax, ring, prec)
-    pw6 = _power_chain(e6, bmax, ring, prec)
-    pwd = _power_chain(dl, cmax, ring, prec) if cmax else [QSeries.const(ring, 1, prec)]
-    series = [pw4[a] * pw6[b] * pwd[c] for a, b, c in monos]
-    if isinstance(ring, FpRing):
-        from .linalg import FpMatrix, rref
-        mat = FpMatrix(ring.p, [s.coeff_list() for s in series])
-        red, rank, _ = rref(mat)
-        return [QSeries.from_ints(ring, row, weight=k) for row in red.tolist()[:rank]]
-    frows = [[Fraction(v) for v in s.coeff_list()] for s in series]
-    red, pivots = _rref_exact(frows)
-    out = []
-    for row in red:
-        vals = [ring.from_rational(v) for v in row]
-        out.append(QSeries(ring, vals, weight=k))
-    return out
+    pw4 = _power_chain(eisenstein_q(4, prec, ring), 2, ring, prec)
+    pw6 = _power_chain(eisenstein_q(6, prec, ring), max(b for _, b, _ in tri), ring, prec)
+    pwd = _power_chain(delta_q(prec, ring), tri[-1][2], ring, prec)
+    rl = [(pw4[a] * pw6[b] * pwd[c]).coeffs for a, b, c in tri]
+    # clear pivot column c_j above row j, last row first
+    for j in range(len(tri) - 1, 0, -1):
+        for i in range(j):
+            x = rl[i][tri[j][2]]
+            if x:
+                rl[i] = rows.sub(ring, rl[i], rows.scale(ring, rl[j], x))
+    return [QSeries(ring, r, weight=k) for r in rl]
 
 
 def _power_chain(f, emax, ring, prec):
@@ -312,21 +280,15 @@ def _power_chain(f, emax, ring, prec):
     return chain
 
 
-@lru_cache(maxsize=None)
-def _mk_dim_cached(k, tag):
-    ring = ring_from_tag(tag)
-    return len(mk_basis(k, k // 12 + 2 if k > 0 else 1, ring))
-
-
 def mk_dim(k, p=None):
-    """Dimension of the weight-k level-1 space, via the rank of the monomial span.
-
-    Over a prime field the rank agrees with the rational one because the
-    echelonized integral basis has unit pivots.
+    """Dimension of the weight-k level-1 space: the size of mk_basis's
+    triangular basis, one element per c with k - 12c != 2 (Serre, A Course in
+    Arithmetic, VII §3.2, Thm 4).  Its unit leading terms make the count the
+    same over Q and over every F_p, so p does not change the result.
     """
     if k < 0 or k % 2:
         return 0
-    return _mk_dim_cached(k, f"fp:{p}" if p is not None else "rat")
+    return len(_triangular_exponents(k))
 
 
 def elliptic_sturm_zero(f, k):

@@ -1,0 +1,136 @@
+"""All-monomial level-1 bases and per-form holomorphic Jacobi bases, kept as test oracles.
+
+`mk_basis` row reduces every monomial E4^a E6^b Delta^c of weight k, not only
+the triangular set `siegelcong.qexp.mk_basis` uses.  `holo_basis` builds each
+candidate f * w_{-2}^j w_0^{m-j} as a form with `qseries_times_jacobi`, reads
+every coefficient one by one, imposes the negative-discriminant conditions
+and assembles the surviving combinations form by form; `filtration` decides
+membership with `linalg.membership`.  None of them uses the packed-key
+matrices of `siegelcong.jacobi`.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+from siegelcong.jacobi import JacobiFormSeries, jac_mul, qseries_times_jacobi, rbound, weak_generators
+from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
+from siegelcong.qexp import QSeries, delta_q, eisenstein_q
+from siegelcong.ring import FpRing, ring_from_tag
+
+
+def weight_monomials(k):
+    """Exponent triples (a, b, c) with 4a + 6b + 12c = k."""
+    out = []
+    for c in range(k // 12 + 1):
+        rem = k - 12 * c
+        for b in range(rem // 6 + 1):
+            rest = rem - 6 * b
+            if rest % 4 == 0:
+                out.append((rest // 4, b, c))
+    return out
+
+
+def rref_exact(mat):
+    """Gauss-Jordan over Q on a list-of-lists of Fractions; returns (rows, pivots)."""
+    mat = [list(r) for r in mat]
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        sel = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:len(pivots)], pivots
+
+
+def mk_basis(k, prec, ring):
+    """Reduced echelon basis of the span of every weight-k monomial."""
+    if k < 0:
+        return []
+    monos = weight_monomials(k)
+    if not monos:
+        return []
+    e4, e6, dl = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring), delta_q(prec, ring)
+    series = [e4.pow(a) * e6.pow(b) * dl.pow(c) for a, b, c in monos]
+    if isinstance(ring, FpRing):
+        red, rank, _ = rref(FpMatrix(ring.p, [s.coeff_list() for s in series]))
+        return [QSeries.from_ints(ring, row, weight=k) for row in red.tolist()[:rank]]
+    red, _ = rref_exact([[Fraction(v) for v in s.coeff_list()] for s in series])
+    return [QSeries(ring, [ring.from_rational(v) for v in row], weight=k) for row in red]
+
+
+def _monomial(gens, j, i, prec):
+    out = JacobiFormSeries.zero(gens[0].ring, 0, 0, prec)
+    out.rows[0][0] = gens[0].ring.one
+    for g in [gens[0]] * j + [gens[1]] * i:
+        out = jac_mul(out, g.truncate(prec))
+    return out
+
+
+def form_vector(phi, prec):
+    return [phi.c(n, r) for n in range(prec + 1) for r in range(rbound(phi.index, n) + 1)]
+
+
+def holo_basis(k, m, prec, p):
+    """The forms of the echelonized holomorphic weight-k, index-m basis mod p."""
+    ring = ring_from_tag(f"fp:{p}")
+    gens = weak_generators(prec, ring)
+    cands = []
+    for j in range(m + 1):
+        w = k + 2 * j
+        if w < 0 or w % 2:
+            continue
+        mono = _monomial(gens, j, m - j, prec)
+        cands += [qseries_times_jacobi(f, mono) for f in mk_basis(w, prec, ring)]
+    if not cands:
+        return []
+    neg_keys = [(n, r) for n in range(prec + 1)
+                for r in range(isqrt(4 * n * m) + 1, rbound(m, n) + 1) if 4 * n * m < r * r]
+    if neg_keys:
+        combos = kernel_basis(FpMatrix(p, [[c.c(n, r) for c in cands] for n, r in neg_keys]))
+    else:
+        combos = [[int(i == j) for i in range(len(cands))] for j in range(len(cands))]
+    if not combos:
+        return []
+    vecs = []
+    for combo in combos:
+        acc = JacobiFormSeries.zero(ring, k, m, prec)
+        for x, cand in zip(combo, cands):
+            acc = acc + cand.scale(x)
+        vecs.append(form_vector(acc, prec))
+    red, rank, _ = rref(FpMatrix(p, vecs))
+    out = []
+    for vec in red.tolist()[:rank]:
+        phi = JacobiFormSeries.zero(ring, k, m, prec)
+        for (n, r), v in zip([(n, r) for n in range(prec + 1) for r in range(rbound(m, n) + 1)], vec):
+            b = rbound(m, n)
+            phi.rows[n][b + r] = phi.rows[n][b - r] = v
+        out.append(phi)
+    return out
+
+
+def filtration(phi):
+    """Least k' = k mod (p-1), k' <= k, with phi in the weight-k' basis on the
+    window dim + m + 6, or None when there is none."""
+    p, k, m = phi.ring.p, phi.weight, phi.index
+    ring = phi.ring
+    for kp in range(k % (p - 1), k + 1, p - 1):
+        udim = sum(len(mk_basis(w, w // 12 + 2, ring)) for w in range(kp, kp + 2 * m + 1, 2))
+        if udim == 0:
+            continue
+        win = udim + m + 6
+        basis = holo_basis(kp, m, win, p)
+        if basis and membership(form_vector(phi, win), [form_vector(f, win) for f in basis], p):
+            return kp
+    return None

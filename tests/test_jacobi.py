@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 import allcolumn_oracle
+import filtration_oracle
 from siegelcong import _rows as rows
 from siegelcong import jacobi
 from siegelcong.errors import (ArithmeticDomainError, DecompositionError,
@@ -326,6 +327,21 @@ def test_weak_decompose_round_trip():
             assert want.coeff_list() == got.coeff_list()
 
 
+def test_weak_monomials_are_memoized_at_the_largest_precision(monkeypatch):
+    gens = weak_generators(12, FP7)
+    monkeypatch.setattr(jacobi, "_mono_cache", {})
+    calls = []
+    real = jacobi.jac_mul
+    monkeypatch.setattr(jacobi, "jac_mul", lambda a, b: calls.append(1) or real(a, b))
+    assert jacobi._weak_monomial(gens, 1, 0, 12) == gens[0] and not calls
+    assert jacobi._weak_monomial(gens, 0, 1, 12) == gens[1] and not calls
+    big = jacobi._weak_monomial(gens, 1, 2, 12)
+    assert big == real(real(gens[0], gens[1]), gens[1]) and len(calls) == 2
+    assert jacobi._weak_monomial(gens, 1, 2, 12) == big and len(calls) == 2
+    assert jacobi._weak_monomial(gens, 1, 2, 6) == big.truncate(6) and len(calls) == 2
+    assert set(jacobi._mono_cache) == {("fp:7", 1, 0), ("fp:7", 0, 1), ("fp:7", 0, 2), ("fp:7", 1, 2)}
+
+
 def test_weak_decompose_rejects_garbage():
     p10 = jacobi_cusp(10, 8, FP7).copy()
     p10.rows[2][1] = (p10.rows[2][1] + 1) % 7   # break one coefficient
@@ -383,6 +399,64 @@ def test_filtration_drop_detects_lower_weight():
     f = qseries_times_jacobi(eisenstein_q(4, 40, FP5), e41)
     f.weight = 8
     assert filtration(f) == 4
+
+
+@pytest.mark.parametrize("p", [5, 7, 17])
+def test_holo_basis_matches_per_form_oracle(p):
+    for m in (1, 2):
+        for k in range(-2, 41):
+            win = jacobi._filtration_window(k, m, p) or m + 6
+            got = holo_basis(k, m, win, p)
+            want = filtration_oracle.holo_basis(k, m, win, p)
+            assert len(got) == len(want), (k, m, p)
+            for f, g in zip(got, want):
+                assert f == g and f.weight == g.weight == k and not f.weak
+
+
+@pytest.mark.parametrize("p", [5, 7, 17])
+def test_filtration_matches_oracle_on_random_span_elements(p):
+    rng = random.Random(p)
+    ring = ring_from_tag(f"fp:{p}")
+    for m in (1, 2):
+        for k in rng.sample(range(4, 41, 2), 3):
+            prec = jacobi.filtration_required_prec(k + p - 1, m, p)
+            basis = filtration_oracle.holo_basis(k, m, prec, p)
+            phi = JacobiFormSeries.zero(ring, k, m, prec)
+            while phi.is_zero_window():
+                for f in basis:
+                    phi = phi + f.scale(rng.randrange(p))
+            raised = qseries_times_jacobi(eisenstein_q(p - 1, prec, ring), phi)
+            for form in (phi, raised):
+                assert filtration(form) == filtration_oracle.filtration(form), (k, m, form.weight)
+
+
+@pytest.mark.parametrize("p", [2097169, 3037000493])
+def test_dense_filtration_at_a_list_row_prime(p):
+    ring = ring_from_tag(f"fp:{p}")
+    assert len(holo_basis(10, 1, 14, p)) == 2
+    assert filtration(jacobi_cusp(12, 20, ring)) == 12
+    assert filtration(jacobi_eisenstein(4, 20, ring)) == 4
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_heat_cycle_filtrations_hold_at_the_original_weight(p):
+    """phi == E_{p-1}^s psi at phi's weight k for each heat iterate phi of
+    phi_{12,1}, where psi is rebuilt from the reduction coordinates v[piv]
+    that put phi in the weight-k' span and s = (k - k')/(p - 1)."""
+    ring = ring_from_tag(f"fp:{p}")
+    phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, p), ring)
+    for _ in range(1, p):
+        phi = heat(phi)
+        k, kp = phi.weight, filtration(phi)
+        win = jacobi._filtration_window(kp, 1, p)
+        basis = holo_basis(kp, 1, win, p)
+        psi = JacobiFormSeries.zero(ring, kp, 1, win)
+        for f, c in zip(basis, jacobi._form_vector(phi, win)[basis.pivots]):
+            psi = psi + f.scale(int(c))
+        assert not psi.is_zero_window()
+        lift = qseries_times_jacobi(eisenstein_q(p - 1, win, ring).pow((k - kp) // (p - 1)), psi)
+        assert lift.weight == k
+        assert jac_zero_test(phi.truncate(win) - lift)
 
 
 # -- heat cycles -----------------------------------------------------------------------------

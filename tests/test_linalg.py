@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from siegelcong.linalg import (FpMatrix, kernel_basis, kernel_dim, membership,
-                               rank, rref, solve)
+from siegelcong.errors import InvalidArgumentError
+from siegelcong.linalg import (MAX_P, FpMatrix, kernel_basis, kernel_dim,
+                               membership, rank, rref, solve)
 
 
 def test_rref_identity():
@@ -84,3 +85,17 @@ def test_membership():
 def test_membership_empty_basis():
     assert membership([0, 0], [], 5)
     assert not membership([1, 0], [], 5)
+
+
+def test_primes_past_the_int64_product_bound_are_refused():
+    # row 2 is twice row 1 mod p; int64 residue products used to wrap here
+    p = 1099511627791
+    with pytest.raises(InvalidArgumentError):
+        rank(FpMatrix(p, [[p - 2, 1], [p - 4, 2]]))
+    with pytest.raises(InvalidArgumentError):
+        membership([2 * (p - 2) % p, 2], [[p - 2, 1]], p)
+    p = 3037000493                      # the largest prime <= MAX_P
+    assert p <= MAX_P
+    assert rank(FpMatrix(p, [[p - 2, 1], [p - 4, 2]])) == 1
+    assert membership([2 * (p - 2) % p, 2], [[p - 2, 1]], p)
+    assert not membership([1, 1], [[p - 2, 1]], p)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import filtration_oracle
 from siegelcong.errors import (ArithmeticDomainError, InvalidArgumentError,
                                PrecisionError, RingMismatchError)
 from siegelcong.linalg import FpMatrix, solve
@@ -158,6 +159,20 @@ def test_mk_dim_matches_classical_formula():
         want = 0 if k < 0 else k // 12 + (0 if k % 12 == 2 else 1)
         assert mk_dim(k) == want
         assert mk_dim(k, 7) == want
+
+
+@pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:17", "fp:2097169", "int", "rat"])
+def test_mk_basis_matches_all_monomial_oracle(tag):
+    ring = ring_from_tag(tag)
+    for k in range(-2, 41, 2):
+        for prec in (k // 12 + 1, k // 12 + 6):
+            got = mk_basis(k, prec, ring)
+            want = filtration_oracle.mk_basis(k, prec, ring)
+            assert [f.coeff_list() for f in got] == [f.coeff_list() for f in want], (k, prec)
+            assert [type(v) for f in got for v in f.coeff_list()] == \
+                [type(v) for f in want for v in f.coeff_list()]
+            assert all(f.weight == k for f in got)
+            assert len(got) == mk_dim(k) == mk_dim(k, 7)
 
 
 def test_mk_basis_insufficient_precision():
