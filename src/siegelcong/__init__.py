@@ -19,7 +19,7 @@ from .siegel import (CongruenceCertificate, GeneratorContext, MatrixIndexT,
                      dyadic_trace, enumerate_reduced, fourier_jacobi,
                      igusa_generators, maass_lift, reduce_T,
                      search_congruences, siegel_congruence, siegel_mul,
-                     sieve, sturm_zero, targeted_mul, theta_operator,
+                     sieve, sturm_zero, theta_operator,
                      verify_combination, weight_monomials)
 from .expr import parse, to_text, weight, evaluate
 

@@ -166,24 +166,12 @@ def invert_series(ring, a, n):
     return out
 
 
-def dot_overlap(ring, a, ashift, b, bshift, r):
-    """Sum over r1 of a[r1 - ashift] * b[(r - r1) - bshift].
-
-    a is indexed by r1 in [ashift, ashift + len(a)), b by r2 likewise; the
-    helper evaluates the r-th coefficient of the Laurent product.
-    """
-    lo = max(ashift, r - bshift - len(b) + 1)
-    hi = min(ashift + len(a) - 1, r - bshift)
-    if lo > hi:
-        return ring.zero
-    if _np(ring):
-        seg_a = a[lo - ashift:hi - ashift + 1]
-        seg_b = b[r - hi - bshift:r - lo - bshift + 1][::-1]
-        return int(np.dot(seg_a, seg_b)) % ring.p
-    acc = ring.zero
-    for r1 in range(lo, hi + 1):
-        acc = ring.add(acc, ring.mul(a[r1 - ashift], b[r - r1 - bshift]))
-    return acc
+def read_only(row):
+    """The row made immutable: a non-writeable array, or a tuple."""
+    if isinstance(row, np.ndarray):
+        row.flags.writeable = False
+        return row
+    return tuple(row)
 
 
 def reduce_row(ring, row, fp):

@@ -1,9 +1,19 @@
 """Disk cache for generator expansions, keyed by (name, ring, precision).
 
-Files are gzip-compressed JSON with a fixed timestamp and sorted keys, so
-two cold runs of the same computation produce byte-identical files.  The
-document is streamed one n-row at a time, never built whole in memory.
-Writes go through a temporary file and an atomic rename.
+A file is one gzip-compressed JSON document of format 2, written at gzip
+level 6 with a fixed timestamp and sorted keys, so two cold runs of the same
+computation produce byte-identical files.  The document is
+
+    {"format": 2, "name": ..., "prec": N, "ring": tag,
+     "rows": [...], "weight": k}
+
+where "rows" lists, for every (n, m) with n <= m <= N in (n, m) order, the
+dense half row A(n, 0, m), ..., A(n, isqrt(4nm), m) of ring tokens, zeros
+included; the other half and (m, n) follow by symmetry.  The format is part
+of the file name (`.v2.json.gz`), so files of another format are never
+opened: they are misses.  The document is streamed one n-row at a time,
+never built whole in memory.  Writes go through a temporary file and an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -12,14 +22,21 @@ import gzip
 import json
 import os
 import tempfile
+import zlib
+from math import isqrt
 from pathlib import Path
 
+import numpy as np
+
+from . import _rows as rows
 from .errors import CacheIOError
 from .ring import FpRing, ring_from_tag
 from .siegel import SiegelFormSeries
 
 ENV_VAR = "CONGRUENCE_CACHE_DIR"
-_FORMAT = 1
+_FORMAT = 2
+_LEVEL = 6
+_JSON = {"separators": (",", ":"), "sort_keys": True}
 
 
 def default_cache_dir():
@@ -32,20 +49,27 @@ class DiskCache:
 
     def _path(self, name, ring, prec):
         tag = ring.tag.replace(":", "_")
-        return self.root / f"{name}__{tag}__N{prec}.json.gz"
+        return self.root / f"{name}__{tag}__N{prec}.v{_FORMAT}.json.gz"
 
     def load(self, name, ring, prec):
-        """The cached expansion, or None on a miss; corrupt files raise."""
+        """The cached expansion, or None on a miss.
+
+        A file that cannot be read back (truncated, not gzip, not JSON, a
+        header other than the request, a wrong row count or row length)
+        raises CacheIOError.
+        """
         path = self._path(name, ring, prec)
         if not path.exists():
             return None
         try:
             with gzip.open(path, "rt", encoding="ascii") as fh:
                 doc = json.load(fh)
-            if doc.get("format") != _FORMAT or doc.get("name") != name:
-                raise ValueError("format/name mismatch")
+            head = {"format": _FORMAT, "name": name, "prec": prec, "ring": ring.tag}
+            if not isinstance(doc, dict) or any(doc.get(k) != v for k, v in head.items()):
+                raise ValueError("header does not match the request")
             return _form_from_doc(doc)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError,
+                OverflowError) as exc:
             raise CacheIOError(f"unreadable cache file {path}: {exc}") from exc
 
     def store(self, name, form):
@@ -54,7 +78,8 @@ class DiskCache:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as raw:
-                    with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:
+                    with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_LEVEL,
+                                       mtime=0) as gz:
                         _write_doc(gz, name, form)
                 os.replace(tmp, self._path(name, form.ring, form.prec))
             finally:
@@ -68,26 +93,40 @@ def _write_doc(gz, name, form):
     """Write the form's JSON document one n-row at a time.
 
     The bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    of the whole document; "coeffs" sorts before every other key.
+    of the whole document; "rows" sorts between "ring" and "weight".
     """
-    gz.write(b'{"coeffs":[')
-    sep = b""
+    ring = form.ring
+    head = {"format": _FORMAT, "name": name, "prec": form.prec, "ring": ring.tag}
+    gz.write(json.dumps(head, **_JSON)[:-1].encode("ascii") + b',"rows":[')
     for n in range(form.prec + 1):
-        coeffs = form.coeff_rows(n)
-        if coeffs:
-            gz.write(sep + json.dumps(coeffs, separators=(",", ":"))[1:-1].encode("ascii"))
-            sep = b","
-    rest = dict(form.json_header(), name=name, format=_FORMAT)
-    gz.write(b"]," + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:].encode("ascii"))
+        line = form.tables[n]
+        halves = [line[m][isqrt(4 * n * m):] for m in range(n, form.prec + 1)]
+        if isinstance(ring, FpRing) and ring.fits64:
+            halves = [h.tolist() for h in halves]
+        else:
+            halves = [[ring.to_token(v) for v in h] for h in halves]
+        gz.write((b"," if n else b"") + json.dumps(halves, **_JSON)[1:-1].encode("ascii"))
+    gz.write(b'],"weight":' + json.dumps(form.weight).encode("ascii") + b"}")
 
 
 def _form_from_doc(doc):
     ring = ring_from_tag(doc["ring"])
-    form = SiegelFormSeries.zero(ring, doc["weight"], doc["prec"])
-    for n, r, m, tok in doc["coeffs"]:
-        v = ring.from_token(tok)
-        for (nn, mm) in {(n, m), (m, n)}:
-            b = SiegelFormSeries.rb(nn, mm)
-            form.tables[nn][mm][b + r] = v
-            form.tables[nn][mm][b - r] = v
-    return form
+    prec = doc["prec"]
+    halves = doc["rows"]
+    keys = [(n, m) for n in range(prec + 1) for m in range(n, prec + 1)]
+    if len(halves) != len(keys):
+        raise ValueError(f"{len(halves)} rows for box {prec}")
+    dense = isinstance(ring, FpRing) and ring.fits64
+    tab = [[None] * (prec + 1) for _ in range(prec + 1)]
+    for (n, m), toks in zip(keys, halves):
+        if len(toks) != isqrt(4 * n * m) + 1:
+            raise ValueError(f"row ({n}, {m}) has {len(toks)} entries")
+        if dense:
+            half = np.array(toks, dtype=np.int64)
+            row = np.concatenate([half[:0:-1], half])
+        else:
+            half = [ring.from_token(t) for t in toks]
+            row = half[:0:-1] + half
+        tab[n][m] = row
+        tab[m][n] = rows.copy(ring, row) if m != n else row
+    return SiegelFormSeries(ring, doc["weight"], prec, tab)

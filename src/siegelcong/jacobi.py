@@ -416,15 +416,8 @@ def _weak_columns(prec, ring):
                 and rows.eq(ring, h3, _shift_row(ring, h1, 2, n))):
             raise ArithmeticDomainError(
                 "zeta^2 and zeta^3 columns break the index-1 discriminant law")
-        gens.append(tuple(_read_only(h) for h in (h0, h1)))
+        gens.append(tuple(rows.read_only(h) for h in (h0, h1)))
     return tuple(gens)
-
-
-def _read_only(row):
-    if isinstance(row, np.ndarray):
-        row.flags.writeable = False
-        return row
-    return tuple(row)
 
 
 def _shift_row(ring, row, k, n):

@@ -260,10 +260,8 @@ def mk_basis(k, prec, ring):
     if prec < upper:
         raise PrecisionError(f"mk_basis({k}) needs precision >= {upper}",
                              required=upper, available=prec)
-    pw4 = _power_chain(eisenstein_q(4, prec, ring), 2, ring, prec)
-    pw6 = _power_chain(eisenstein_q(6, prec, ring), max(b for _, b, _ in tri), ring, prec)
-    pwd = _power_chain(delta_q(prec, ring), tri[-1][2], ring, prec)
-    rl = [(pw4[a] * pw6[b] * pwd[c]).coeffs for a, b, c in tri]
+    pw4, pw6, pwd = _power_chains(ring, prec, (2, max(b for _, b, _ in tri), tri[-1][2]))
+    rl = [(pw4[a].truncate(prec) * pw6[b] * pwd[c]).coeffs for a, b, c in tri]
     # clear pivot column c_j above row j, last row first
     for j in range(len(tri) - 1, 0, -1):
         for i in range(j):
@@ -273,11 +271,34 @@ def mk_basis(k, prec, ring):
     return [QSeries(ring, r, weight=k) for r in rl]
 
 
-def _power_chain(f, emax, ring, prec):
-    chain = [QSeries.const(ring, 1, prec, weight=0)]
-    for _ in range(emax):
-        chain.append(chain[-1] * f)
-    return chain
+_chain_memo = {}
+
+
+def _power_chains(ring, prec, emax):
+    """The chains [f^0, ..., f^e] for (f, e) in zip((E4, E6, Delta), emax).
+
+    They are memoized in one entry: the last ring at the largest precision
+    asked of it, so a smaller precision is served by the longer series (the
+    caller truncates) and a chain grows when a larger power is asked for.
+    The stored series are read-only.
+    """
+    hit = _chain_memo.get(ring.tag)
+    if hit is None or hit[0] < prec:
+        one = _read_only(QSeries.const(ring, 1, prec, weight=0))
+        gens = (eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring), delta_q(prec, ring))
+        hit = (prec, [[one, _read_only(f)] for f in gens])
+        _chain_memo.clear()
+        _chain_memo[ring.tag] = hit
+    chains = hit[1]
+    for chain, e in zip(chains, emax):
+        while len(chain) <= e:
+            chain.append(_read_only(chain[-1] * chain[1]))
+    return chains
+
+
+def _read_only(f):
+    f.coeffs = rows.read_only(f.coeffs)
+    return f
 
 
 def mk_dim(k, p=None):

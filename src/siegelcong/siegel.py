@@ -238,13 +238,10 @@ class SiegelFormSeries:
                     out.append([n, r, m, ring.to_token(v)])
         return out
 
-    def json_header(self):
-        return {"kind": "siegel", "ring": self.ring.tag, "weight": self.weight,
-                "prec": self.prec}
-
     def to_json(self):
         coeffs = [c for n in range(self.prec + 1) for c in self.coeff_rows(n)]
-        return dict(self.json_header(), coeffs=coeffs)
+        return {"kind": "siegel", "ring": self.ring.tag, "weight": self.weight,
+                "prec": self.prec, "coeffs": coeffs}
 
     # -- structural checks (test helpers) ---------------------------------------
     def check_symmetries(self):
@@ -516,35 +513,6 @@ def _mul_loop(F, G, prec):
                     rows.add_into(ring, acc, off, conv)
             tab[n][m] = rows.normalize(ring, acc)
     return tab
-
-
-def targeted_mul(F, G, targets):
-    """Coefficients of F*G at the requested triples only.
-
-    Returns a dict keyed by (n, r, m).  Raises when a target exceeds the box.
-    """
-    if F.ring != G.ring:
-        raise RingMismatchError(f"{F.ring.tag} vs {G.ring.tag}")
-    ring = F.ring
-    prec = min(F.prec, G.prec)
-    out = {}
-    for t in targets:
-        n, r, m = t.key() if isinstance(t, MatrixIndexT) else t
-        if n > prec or m > prec:
-            raise PrecisionError(f"target ({n},{r},{m}) outside box {prec}",
-                                 required=max(n, m), available=prec)
-        acc = ring.zero if not isinstance(ring, FpRing) else 0
-        for n1 in range(n + 1):
-            for m1 in range(m + 1):
-                a = F.tables[n1][m1]
-                b = G.tables[n - n1][m - m1]
-                v = rows.dot_overlap(ring, a, -isqrt(4 * n1 * m1),
-                                     b, -isqrt(4 * (n - n1) * (m - m1)), r)
-                acc = ring.add(acc, v)
-        if isinstance(ring, FpRing):
-            acc = acc % ring.p
-        out[(n, r, m)] = acc
-    return out
 
 
 def theta_operator(F, j=1):

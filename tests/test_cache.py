@@ -5,22 +5,35 @@ import json
 import pytest
 
 from siegelcong.cache import _FORMAT, DiskCache
+from siegelcong.errors import CacheIOError
 from siegelcong.ring import ring_from_tag
 from siegelcong.siegel import GeneratorContext, SiegelFormSeries
 
 
-def _whole_document_bytes(name, form):
-    """The file as built from one in-memory JSON document (the reference)."""
-    doc = dict(form.to_json(), name=name, format=_FORMAT)
+def _document(name, form):
+    """The form's format-2 document, read one coefficient at a time."""
+    ring = form.ring
+    halves = [[ring.to_token(form.a(n, r, m)) for r in range(SiegelFormSeries.rb(n, m) + 1)]
+              for n in range(form.prec + 1) for m in range(n, form.prec + 1)]
+    return {"format": _FORMAT, "name": name, "prec": form.prec, "ring": ring.tag,
+            "rows": halves, "weight": form.weight}
+
+
+def _gzip_bytes(doc):
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
+    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=6, mtime=0) as gz:
         gz.write(payload)
     return buf.getvalue()
 
 
+def _whole_document_bytes(name, form):
+    """The file as built from one in-memory JSON document (the reference)."""
+    return _gzip_bytes(_document(name, form))
+
+
 def _coeffs_by_accessor(form):
-    """The document's coefficient list read one coefficient at a time."""
+    """to_json's coefficient list read one coefficient at a time."""
     ring = form.ring
     out = []
     for n in range(form.prec + 1):
@@ -45,3 +58,71 @@ def test_store_streams_the_reference_bytes(tmp_path, tag, prec):
         stored = cache._path(name, ring, prec).read_bytes()
         assert stored == _whole_document_bytes(name, form)
         assert cache.load(name, ring, prec) == form
+
+
+INT = ring_from_tag("int")
+
+
+@pytest.fixture()
+def stored_chi10(tmp_path):
+    """A cache holding chi10 over Z at box 3, and the form."""
+    form = GeneratorContext(INT, 3).generator("chi10")
+    cache = DiskCache(tmp_path)
+    cache.store("chi10", form)
+    return cache, form
+
+
+def test_load_round_trip_keeps_rows_independent(stored_chi10):
+    cache, form = stored_chi10
+    got = cache.load("chi10", INT, 3)
+    assert got == form and got.weight == 10
+    got.tables[1][2][0] += 1
+    assert got.tables[2][1][0] == form.tables[2][1][0]
+
+
+def test_format_1_file_is_a_miss(stored_chi10, tmp_path):
+    cache, form = stored_chi10
+    cache._path("chi10", INT, 3).unlink()
+    old = dict(form.to_json(), name="chi10", format=1)
+    (tmp_path / "chi10__int__N3.json.gz").write_bytes(_gzip_bytes(old))
+    assert cache.load("chi10", INT, 3) is None
+
+
+def _truncate(data):
+    return data[:len(data) // 2]
+
+
+def _garble(data):
+    mid = len(data) // 2
+    return data[:mid] + bytes(b ^ 0xFF for b in data[mid:mid + 16]) + data[mid + 16:]
+
+
+@pytest.mark.parametrize("damage", [_truncate, _garble, lambda data: b"not gzip"])
+def test_damaged_file_raises(stored_chi10, damage):
+    cache, _ = stored_chi10
+    path = cache._path("chi10", INT, 3)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CacheIOError):
+        cache.load("chi10", INT, 3)
+
+
+@pytest.mark.parametrize("malform", [
+    lambda doc: doc["rows"].pop(),
+    lambda doc: doc["rows"].append([0]),
+    lambda doc: doc["rows"][-1].append(0),
+    lambda doc: doc["rows"][2].pop(),
+    lambda doc: doc.update(ring="fp:7"),
+    lambda doc: doc.update(prec=4),
+    lambda doc: doc.update(name="chi12"),
+    lambda doc: doc.update(format=1),
+    lambda doc: doc["rows"].__setitem__(0, 5),
+    lambda doc: doc.pop("weight"),
+], ids=["row-count-low", "row-count-high", "row-long", "row-short",
+        "ring", "prec", "name", "format", "row-not-a-list", "no-weight"])
+def test_malformed_document_raises(stored_chi10, malform):
+    cache, form = stored_chi10
+    doc = _document("chi10", form)
+    malform(doc)
+    cache._path("chi10", INT, 3).write_bytes(_gzip_bytes(doc))
+    with pytest.raises(CacheIOError):
+        cache.load("chi10", INT, 3)

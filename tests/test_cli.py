@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from siegelcong import siegel
 from siegelcong.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_cache")
@@ -158,7 +159,7 @@ def test_exit_code_cache_io(capsys, tmp_path):
     assert code == 3 and "cache" in err.lower()
 
 
-def test_cache_determinism_and_hits(capsys, tmp_path):
+def test_cache_determinism_and_hits(capsys, tmp_path, monkeypatch):
     d1, d2 = tmp_path / "c1", tmp_path / "c2"
     code1, out1, _ = run(capsys, "check", "chi12", "--p", "5", "--b", "1",
                          "--cache-dir", str(d1))
@@ -169,7 +170,21 @@ def test_cache_determinism_and_hits(capsys, tmp_path):
     assert files1 == sorted(f.name for f in d2.iterdir())
     for name in files1:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-    # warm run gives the same answer
+    # warm run reads every generator from the cache and gives the same answer
+    def rebuild(*args):
+        raise AssertionError("generators rebuilt on a warm cache")
+    monkeypatch.setattr(siegel, "igusa_generators", rebuild)
     code3, out3, _ = run(capsys, "check", "chi12", "--p", "5", "--b", "1",
                          "--cache-dir", str(d1))
     assert code3 == 0 and out3 == out1
+
+
+def test_truncated_cache_file_exit_code(capsys, tmp_path):
+    d = tmp_path / "c"
+    argv = ("check", "chi12", "--p", "5", "--b", "1", "--cache-dir", str(d))
+    assert run(capsys, *argv)[0] == 0
+    for f in d.iterdir():
+        data = f.read_bytes()
+        f.write_bytes(data[:len(data) // 2])
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "cache" in err.lower()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import filtration_oracle
+from siegelcong import qexp
 from siegelcong.errors import (ArithmeticDomainError, InvalidArgumentError,
                                PrecisionError, RingMismatchError)
 from siegelcong.linalg import FpMatrix, solve
@@ -173,6 +174,38 @@ def test_mk_basis_matches_all_monomial_oracle(tag):
                 [type(v) for f in want for v in f.coeff_list()]
             assert all(f.weight == k for f in got)
             assert len(got) == mk_dim(k) == mk_dim(k, 7)
+
+
+def test_mk_basis_memoizes_power_chains(monkeypatch):
+    weights = range(4, 61, 2)
+    want = {(k, prec): [f.coeff_list() for f in filtration_oracle.mk_basis(k, prec, FP7)]
+            for prec in (20, 13, 5) for k in weights if prec > k // 12}
+    calls = []
+    for name in ("eisenstein_q", "delta_q"):
+        def counted(*args, _fn=getattr(qexp, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(qexp, name, counted)
+    monkeypatch.setattr(qexp, "_chain_memo", {})
+    for k in weights:
+        mk_basis(k, 20, FP7)
+    built = len(calls)
+    assert calls.count("delta_q") == 1 and built > 1
+    # every weight at a smaller precision is a truncation of the chains at q^20,
+    # and a caller writing into its basis does not write into the memo
+    mine = mk_basis(24, 20, FP7)
+    mine[0].coeffs[:] = 0
+    for (k, prec), rows in want.items():
+        assert [f.coeff_list() for f in mk_basis(k, prec, FP7)] == rows, (k, prec)
+    assert len(calls) == built
+    # a larger precision or another ring replaces the single entry once
+    mk_basis(12, 21, FP7)
+    mk_basis(40, 21, FP7)
+    assert len(calls) == 2 * built and calls.count("delta_q") == 2
+    mk_basis(12, 21, FP11)
+    assert calls.count("delta_q") == 3 and list(qexp._chain_memo) == ["fp:11"]
+    prec, chains = qexp._chain_memo["fp:11"]
+    assert prec == 21 and not any(f.coeffs.flags.writeable for c in chains for f in c)
 
 
 def test_mk_basis_insufficient_precision():

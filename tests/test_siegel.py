@@ -18,9 +18,9 @@ from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
                                enumerate_reduced, fourier_jacobi,
                                igusa_generators, maass_lift, reduce_T,
                                siegel_congruence, siegel_direct_scan,
-                               siegel_mul, sturm_zero, targeted_mul,
-                               theta_operator, verify_combination,
-                               weight_monomials)
+                               siegel_mul, sturm_zero, theta_operator,
+                               verify_combination, weight_monomials)
+from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
 FP5 = ring_from_tag("fp:5")
