@@ -166,6 +166,30 @@ def invert_series(ring, a, n):
     return out
 
 
+def to_tokens(ring, row):
+    """The row as JSON tokens, `ring.to_token` of each entry."""
+    if _np(ring):
+        return row.tolist()
+    return [ring.to_token(v) for v in row]
+
+
+def from_tokens(ring, toks):
+    """The row read back from `to_tokens`; over F_p a token that is not an
+    int in [0, p) raises ValueError."""
+    if not isinstance(ring, FpRing):
+        return [ring.from_token(t) for t in toks]
+    if not all(type(t) is int and 0 <= t < ring.p for t in toks):
+        raise ValueError(f"a token is not a residue mod {ring.p}")
+    return np.array(toks, dtype=np.int64) if _np(ring) else list(toks)
+
+
+def mirror(ring, half):
+    """The symmetric row [h_k, ..., h_1, h_0, h_1, ..., h_k] of its half h."""
+    if _np(ring):
+        return np.concatenate([half[:0:-1], half])
+    return half[:0:-1] + half
+
+
 def read_only(row):
     """The row made immutable: a non-writeable array, or a tuple."""
     if isinstance(row, np.ndarray):

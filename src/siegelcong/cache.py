@@ -23,14 +23,11 @@ import json
 import os
 import tempfile
 import zlib
-from math import isqrt
 from pathlib import Path
-
-import numpy as np
 
 from . import _rows as rows
 from .errors import CacheIOError
-from .ring import FpRing, ring_from_tag
+from .ring import ring_from_tag
 from .siegel import SiegelFormSeries
 
 ENV_VAR = "CONGRUENCE_CACHE_DIR"
@@ -100,11 +97,8 @@ def _write_doc(gz, name, form):
     gz.write(json.dumps(head, **_JSON)[:-1].encode("ascii") + b',"rows":[')
     for n in range(form.prec + 1):
         line = form.tables[n]
-        halves = [line[m][isqrt(4 * n * m):] for m in range(n, form.prec + 1)]
-        if isinstance(ring, FpRing) and ring.fits64:
-            halves = [h.tolist() for h in halves]
-        else:
-            halves = [[ring.to_token(v) for v in h] for h in halves]
+        halves = [rows.to_tokens(ring, line[m][SiegelFormSeries.rb(n, m):])
+                  for m in range(n, form.prec + 1)]
         gz.write((b"," if n else b"") + json.dumps(halves, **_JSON)[1:-1].encode("ascii"))
     gz.write(b'],"weight":' + json.dumps(form.weight).encode("ascii") + b"}")
 
@@ -116,17 +110,11 @@ def _form_from_doc(doc):
     keys = [(n, m) for n in range(prec + 1) for m in range(n, prec + 1)]
     if len(halves) != len(keys):
         raise ValueError(f"{len(halves)} rows for box {prec}")
-    dense = isinstance(ring, FpRing) and ring.fits64
     tab = [[None] * (prec + 1) for _ in range(prec + 1)]
     for (n, m), toks in zip(keys, halves):
-        if len(toks) != isqrt(4 * n * m) + 1:
+        if len(toks) != SiegelFormSeries.rb(n, m) + 1:
             raise ValueError(f"row ({n}, {m}) has {len(toks)} entries")
-        if dense:
-            half = np.array(toks, dtype=np.int64)
-            row = np.concatenate([half[:0:-1], half])
-        else:
-            half = [ring.from_token(t) for t in toks]
-            row = half[:0:-1] + half
+        row = rows.mirror(ring, rows.from_tokens(ring, toks))
         tab[n][m] = row
         tab[m][n] = rows.copy(ring, row) if m != n else row
     return SiegelFormSeries(ring, doc["weight"], prec, tab)

@@ -271,25 +271,23 @@ def mk_basis(k, prec, ring):
     return [QSeries(ring, r, weight=k) for r in rl]
 
 
-_chain_memo = {}
+_chains = None  # (ring tag, prec, [E4 chain, E6 chain, Delta chain]), or None
 
 
 def _power_chains(ring, prec, emax):
     """The chains [f^0, ..., f^e] for (f, e) in zip((E4, E6, Delta), emax).
 
-    They are memoized in one entry: the last ring at the largest precision
-    asked of it, so a smaller precision is served by the longer series (the
-    caller truncates) and a chain grows when a larger power is asked for.
-    The stored series are read-only.
+    One entry is kept: the last ring at the largest precision asked of it,
+    so a smaller precision is served by the longer series (the caller
+    truncates) and a chain grows when a larger power is asked for.  The
+    stored series are read-only.
     """
-    hit = _chain_memo.get(ring.tag)
-    if hit is None or hit[0] < prec:
+    global _chains
+    if _chains is None or _chains[0] != ring.tag or _chains[1] < prec:
         one = _read_only(QSeries.const(ring, 1, prec, weight=0))
         gens = (eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring), delta_q(prec, ring))
-        hit = (prec, [[one, _read_only(f)] for f in gens])
-        _chain_memo.clear()
-        _chain_memo[ring.tag] = hit
-    chains = hit[1]
+        _chains = (ring.tag, prec, [[one, _read_only(f)] for f in gens])
+    chains = _chains[2]
     for chain, e in zip(chains, emax):
         while len(chain) <= e:
             chain.append(_read_only(chain[-1] * chain[1]))

@@ -106,6 +106,16 @@ def test_damaged_file_raises(stored_chi10, damage):
         cache.load("chi10", INT, 3)
 
 
+@pytest.fixture(params=["int", "fp:17", "fp:2097169"])
+def stored_any(tmp_path, request):
+    """A cache holding chi10 at box 3 over Z, over F_17 (int64 rows) and over
+    F_2097169 (list rows), and the form."""
+    form = GeneratorContext(ring_from_tag(request.param), 3).generator("chi10")
+    cache = DiskCache(tmp_path)
+    cache.store("chi10", form)
+    return cache, form
+
+
 @pytest.mark.parametrize("malform", [
     lambda doc: doc["rows"].pop(),
     lambda doc: doc["rows"].append([0]),
@@ -117,12 +127,29 @@ def test_damaged_file_raises(stored_chi10, damage):
     lambda doc: doc.update(format=1),
     lambda doc: doc["rows"].__setitem__(0, 5),
     lambda doc: doc.pop("weight"),
+    lambda doc: doc["rows"][3].__setitem__(0, "x"),
 ], ids=["row-count-low", "row-count-high", "row-long", "row-short",
-        "ring", "prec", "name", "format", "row-not-a-list", "no-weight"])
-def test_malformed_document_raises(stored_chi10, malform):
-    cache, form = stored_chi10
+        "ring", "prec", "name", "format", "row-not-a-list", "no-weight", "token-not-a-number"])
+def test_malformed_document_raises(stored_any, malform):
+    cache, form = stored_any
     doc = _document("chi10", form)
     malform(doc)
-    cache._path("chi10", INT, 3).write_bytes(_gzip_bytes(doc))
+    cache._path("chi10", form.ring, 3).write_bytes(_gzip_bytes(doc))
     with pytest.raises(CacheIOError):
-        cache.load("chi10", INT, 3)
+        cache.load("chi10", form.ring, 3)
+
+
+@pytest.mark.parametrize("tag", ["fp:17", "fp:2097169"])
+@pytest.mark.parametrize("token", [-1, "p", 2**40, 2**70, 1.0, True, "3", [3]])
+def test_token_outside_the_residues_raises(tmp_path, tag, token):
+    ring = ring_from_tag(tag)
+    form = GeneratorContext(ring, 3).generator("chi10")
+    doc = _document("chi10", form)
+    doc["rows"][4][1] = ring.p if token == "p" else token
+    cache = DiskCache(tmp_path)
+    cache._path("chi10", ring, 3).write_bytes(_gzip_bytes(doc))
+    with pytest.raises(CacheIOError):
+        cache.load("chi10", ring, 3)
+    doc["rows"][4][1] = ring.p - 1
+    cache._path("chi10", ring, 3).write_bytes(_gzip_bytes(doc))
+    assert cache.load("chi10", ring, 3).a(1, 1, 1) == ring.p - 1

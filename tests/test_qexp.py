@@ -186,7 +186,7 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(qexp, name, counted)
-    monkeypatch.setattr(qexp, "_chain_memo", {})
+    monkeypatch.setattr(qexp, "_chains", None)
     for k in weights:
         mk_basis(k, 20, FP7)
     built = len(calls)
@@ -203,9 +203,9 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
     mk_basis(40, 21, FP7)
     assert len(calls) == 2 * built and calls.count("delta_q") == 2
     mk_basis(12, 21, FP11)
-    assert calls.count("delta_q") == 3 and list(qexp._chain_memo) == ["fp:11"]
-    prec, chains = qexp._chain_memo["fp:11"]
-    assert prec == 21 and not any(f.coeffs.flags.writeable for c in chains for f in c)
+    assert calls.count("delta_q") == 3
+    tag, prec, chains = qexp._chains
+    assert (tag, prec) == ("fp:11", 21) and not any(f.coeffs.flags.writeable for c in chains for f in c)
 
 
 def test_mk_basis_insufficient_precision():
