@@ -9,11 +9,14 @@ computation produce byte-identical files.  The document is
 
 where "rows" lists, for every (n, m) with n <= m <= N in (n, m) order, the
 dense half row A(n, 0, m), ..., A(n, isqrt(4nm), m) of ring tokens, zeros
-included; the other half and (m, n) follow by symmetry.  The format is part
-of the file name (`.v2.json.gz`), so files of another format are never
-opened: they are misses.  The document is streamed one n-row at a time,
-never built whole in memory.  Writes go through a temporary file and an
-atomic rename.
+included; the other half and (m, n) follow by symmetry.  Read in order,
+the rows are the form's coefficient vector (see siegelcong.siegel): each
+row is one slice of it, int64 over F_p with p < 2^21 and object otherwise.
+The format is part of the file name (`.v2.json.gz`), so files of another
+format are never opened: they are misses.  The document is streamed one
+n-row at a time, never built whole in memory.  Writes go through a
+temporary file and an atomic rename, and the file gets the mode a plain
+open() would give it under the process umask.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import tempfile
 import zlib
 from pathlib import Path
 
-from . import _rows as rows
+import numpy as np
+
 from .errors import CacheIOError
-from .ring import ring_from_tag
-from .siegel import SiegelFormSeries
+from .ring import FpRing, ring_from_tag
+from .siegel import SiegelFormSeries, box_index, tokens
 
 ENV_VAR = "CONGRUENCE_CACHE_DIR"
 _FORMAT = 2
@@ -74,6 +78,9 @@ class DiskCache:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(tmp, 0o666 & ~umask)
                 with os.fdopen(fd, "wb") as raw:
                     with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_LEVEL,
                                        mtime=0) as gz:
@@ -92,13 +99,14 @@ def _write_doc(gz, name, form):
     The bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":"))
     of the whole document; "rows" sorts between "ring" and "weight".
     """
-    ring = form.ring
-    head = {"format": _FORMAT, "name": name, "prec": form.prec, "ring": ring.tag}
+    idx = box_index(form.prec)
+    head = {"format": _FORMAT, "name": name, "prec": form.prec, "ring": form.ring.tag}
     gz.write(json.dumps(head, **_JSON)[:-1].encode("ascii") + b',"rows":[')
     for n in range(form.prec + 1):
-        line = form.tables[n]
-        halves = [rows.to_tokens(ring, line[m][SiegelFormSeries.rb(n, m):])
-                  for m in range(n, form.prec + 1)]
+        lo, hi = idx.nstart[n], idx.nstart[n + 1]
+        toks = tokens(form.ring, form.coeffs[lo:hi])
+        cuts = (idx.offset[n, n:] - lo).tolist() + [hi - lo]
+        halves = [toks[a:b] for a, b in zip(cuts, cuts[1:])]
         gz.write((b"," if n else b"") + json.dumps(halves, **_JSON)[1:-1].encode("ascii"))
     gz.write(b'],"weight":' + json.dumps(form.weight).encode("ascii") + b"}")
 
@@ -107,14 +115,15 @@ def _form_from_doc(doc):
     ring = ring_from_tag(doc["ring"])
     prec = doc["prec"]
     halves = doc["rows"]
-    keys = [(n, m) for n in range(prec + 1) for m in range(n, prec + 1)]
-    if len(halves) != len(keys):
+    widths = box_index(prec).widths.tolist()
+    if len(halves) != len(widths):
         raise ValueError(f"{len(halves)} rows for box {prec}")
-    tab = [[None] * (prec + 1) for _ in range(prec + 1)]
-    for (n, m), toks in zip(keys, halves):
-        if len(toks) != SiegelFormSeries.rb(n, m) + 1:
-            raise ValueError(f"row ({n}, {m}) has {len(toks)} entries")
-        row = rows.mirror(ring, rows.from_tokens(ring, toks))
-        tab[n][m] = row
-        tab[m][n] = rows.copy(ring, row) if m != n else row
-    return SiegelFormSeries(ring, doc["weight"], prec, tab)
+    if any(len(toks) != w for toks, w in zip(halves, widths)):
+        raise ValueError("a row length does not match its (n, m)")
+    toks = [t for row in halves for t in row]
+    if isinstance(ring, FpRing):
+        if not all(type(t) is int and 0 <= t < ring.p for t in toks):
+            raise ValueError(f"a token is not a residue mod {ring.p}")
+    else:
+        toks = [ring.from_token(t) for t in toks]
+    return SiegelFormSeries(ring, doc["weight"], prec, np.array(toks, dtype=ring.dtype))

@@ -25,9 +25,9 @@ from .jacobi import (JacobiFormSeries, heat_cycle, heat_cycle_required_prec,
                      qseries_times_jacobi)
 from .qexp import delta_q, eisenstein_q
 from .ring import FpRing, ring_from_tag
-from .siegel import (GeneratorContext, congruence_required_prec,
+from .siegel import (GeneratorContext, class_values, congruence_required_prec,
                      congruence_scan, search_congruences, siegel_congruence,
-                     sieve as siegel_sieve, enumerate_reduced)
+                     sieve as siegel_sieve)
 
 TABLE_MISMATCH = 4
 
@@ -146,7 +146,6 @@ def _eval_mod_p(args, text, p, b=0):
     form = exprmod.evaluate(node, ctx)
     if not isinstance(ring, FpRing):
         form = form.reduce_mod(p)
-        form.weight = k
     return node, k, form, ctx
 
 
@@ -250,8 +249,8 @@ def cmd_sieve(args):
             part = part.reduce_mod(p)
             other = other.reduce_mod(p)
         bound = k_after // 3
-        agree = all((part.a_T(t) - other.a_T(t)) % p == 0
-                    for t in enumerate_reduced(min(bound, 2 * prec)))
+        window = min(bound, 2 * prec)
+        agree = not ((class_values(part, window) - class_values(other, window)) % p).any()
         _emit(args, {"form": exprmod.to_text(node), "p": p, "s": s,
                      "verify_against": exprmod.to_text(node2),
                      "weight": k_after, "bound": bound, "match": agree})

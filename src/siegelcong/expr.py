@@ -205,10 +205,9 @@ def to_text(node):
 
 
 def evaluate(node, ctx):
-    """Evaluate over a GeneratorContext; the result carries the tree's weight."""
-    form = _eval(node, ctx)
-    form.weight = weight(node)
-    return form
+    """Evaluate over a GeneratorContext; the result carries the tree's weight,
+    which every node builds its form with."""
+    return _eval(node, ctx)
 
 
 def _eval(node, ctx):

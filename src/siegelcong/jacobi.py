@@ -70,7 +70,7 @@ class JacobiFormSeries:
 
     def copy(self):
         return JacobiFormSeries(self.ring, self.weight, self.index,
-                                [rows.copy(self.ring, r) for r in self.rows],
+                                [r.copy() for r in self.rows],
                                 weak=self.weak)
 
     # -- access -------------------------------------------------------------
@@ -150,19 +150,8 @@ class JacobiFormSeries:
     # -- specializations --------------------------------------------------------
     def z_restrict(self):
         """The weight-k modular form phi(tau, 0): row sums as a QSeries."""
-        ring = self.ring
-        vals = []
-        for row in self.rows:
-            if isinstance(ring, FpRing) and ring.fits64:
-                vals.append(int(row.sum()) % ring.p)
-            else:
-                acc = ring.zero
-                for v in row:
-                    acc = ring.add(acc, v)
-                vals.append(acc)
-        if isinstance(ring, FpRing):
-            return QSeries.from_ints(ring, vals, weight=self.weight)
-        return QSeries(ring, vals, weight=self.weight)
+        vals = np.array([row.sum() for row in self.rows], dtype=self.ring.dtype)
+        return QSeries(self.ring, self.ring.canonical(vals), weight=self.weight)
 
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
@@ -174,7 +163,7 @@ class JacobiFormSeries:
         for n in range(self.prec + 1):
             for r in range(self.rb(n) + 1):
                 v = self.c(n, r)
-                if not self.ring.is_zero(v if not isinstance(self.ring, FpRing) else v):
+                if not self.ring.is_zero(v):
                     coeffs.append([n, r, self.ring.to_token(v)])
         return {"kind": "jacobi", "ring": self.ring.tag, "weight": self.weight,
                 "index": self.index, "prec": self.prec, "coeffs": coeffs}
@@ -238,7 +227,7 @@ def jac_mul(a, b):
             # centered alignment: conv center = rb_a(n1) + rb_b(n-n1) <= bo
             off = bo - (a.rb(n1) + b.rb(n - n1))
             rows.add_into(ring, acc, off, conv)
-        out.append(rows.normalize(ring, acc))
+        out.append(ring.canonical(acc))
     return JacobiFormSeries(ring, w, m, out, weak=a.weak or b.weak)
 
 
@@ -251,32 +240,20 @@ def qseries_times_jacobi(f, phi):
     w = None
     if f.weight is not None and phi.weight is not None:
         w = f.weight + phi.weight
-    if isinstance(ring, FpRing) and ring.fits64:
-        # column-major: each zeta-power is one q-convolution
-        big = rbound(phi.index, prec)
-        dense = np.zeros((prec + 1, 2 * big + 1), dtype=np.int64)
-        for n in range(prec + 1):
-            b = phi.rb(n)
-            dense[n, big - b:big + b + 1] = phi.rows[n][:2 * b + 1]
-        fv = f.coeffs[:prec + 1]
-        for c in range(2 * big + 1):
-            col = dense[:, c]
-            if not np.any(col):
-                continue
-            dense[:, c] = np.convolve(fv, col)[:prec + 1] % ring.p
-        out = [dense[n, big - phi.rb(n):big + phi.rb(n) + 1].copy()
-               for n in range(prec + 1)]
-        return JacobiFormSeries(ring, w, phi.index, out, weak=phi.weak)
-    out = [rows.zeros(ring, 2 * phi.rb(n) + 1) for n in range(prec + 1)]
-    for j in range(prec + 1):
-        fj = f.coeffs[j]
-        if ring.is_zero(int(fj) if isinstance(ring, FpRing) else fj):
+    # column-major: each zeta-power is one q-convolution
+    big = rbound(phi.index, prec)
+    dense = np.full((prec + 1, 2 * big + 1), ring.zero, dtype=ring.dtype)
+    for n in range(prec + 1):
+        b = phi.rb(n)
+        dense[n, big - b:big + b + 1] = phi.rows[n][:2 * b + 1]
+    fv = f.coeffs[:prec + 1]
+    for c in range(2 * big + 1):
+        col = dense[:, c]
+        if not np.any(col):
             continue
-        for n in range(j, prec + 1):
-            src = rows.scale(ring, phi.rows[n - j], fj if not isinstance(ring, FpRing) else int(fj))
-            off = phi.rb(n) - phi.rb(n - j)
-            rows.add_into(ring, out[n], off, src)
-    out = [rows.normalize(ring, r) for r in out]
+        dense[:, c] = ring.canonical(np.convolve(fv, col)[:prec + 1])
+    out = [dense[n, big - phi.rb(n):big + phi.rb(n) + 1].copy()
+           for n in range(prec + 1)]
     return JacobiFormSeries(ring, w, phi.index, out, weak=phi.weak)
 
 
@@ -291,14 +268,8 @@ def heat(phi):
     out = []
     for n in range(phi.prec + 1):
         b = phi.rb(n)
-        if isinstance(ring, FpRing) and ring.fits64:
-            mult = np.array([(4 * n * m - r * r) % ring.p for r in range(-b, b + 1)],
-                            dtype=np.int64)
-            out.append(phi.rows[n] * mult % ring.p)
-        else:
-            row = [ring.mul(v, ring.from_int(4 * n * m - r * r))
-                   for r, v in zip(range(-b, b + 1), phi.rows[n])]
-            out.append(row)
+        r = np.arange(-b, b + 1)
+        out.append(ring.canonical(phi.rows[n] * (4 * n * m - r * r).astype(ring.dtype)))
     w = phi.weight
     if w is not None and isinstance(ring, FpRing):
         w = w + ring.p + 1
@@ -404,8 +375,8 @@ def _weak_columns(prec, ring):
     generators of one box share it; its columns are read-only.
     """
     if isinstance(ring, IntRing):
-        return tuple(tuple(tuple(ring.from_rational(v) for v in h) for h in gen)
-                     for gen in _weak_columns(prec, ring_from_tag("rat")))
+        return tuple(tuple(rows.read_only(rows.from_ints(ring, [ring.from_rational(v) for v in h]))
+                           for h in gen) for gen in _weak_columns(prec, ring_from_tag("rat")))
     n = prec + 1
     factors = _column_factors(prec, ring)
     cols = [_weak_column(c, prec, ring, factors) for c in range(4)]
@@ -423,21 +394,16 @@ def _weak_columns(prec, ring):
 def _shift_row(ring, row, k, n):
     out = rows.zeros(ring, n)
     rows.add_into(ring, out, k, row[:max(0, n - k)])
-    return rows.normalize(ring, out)
+    return ring.canonical(out)
 
 
 def _index1_form(ring, weight, cols, weak):
     """The index-1 form with zeta^0 and zeta^1 columns cols, rows filled once."""
-    prec = len(cols[0]) - 1
-    if isinstance(ring, FpRing) and ring.fits64:
-        h = np.stack(cols)
-        rl = []
-        for n in range(prec + 1):
-            r = np.arange(-rbound(1, n), rbound(1, n) + 1)
-            rl.append(h[r & 1, n - r * r // 4])
-    else:
-        rl = [[cols[r & 1][n - r * r // 4]
-               for r in range(-rbound(1, n), rbound(1, n) + 1)] for n in range(prec + 1)]
+    h = np.array(cols, dtype=ring.dtype)
+    rl = []
+    for n in range(h.shape[1]):
+        r = np.arange(-rbound(1, n), rbound(1, n) + 1)
+        rl.append(h[r & 1, n - r * r // 4])
     return JacobiFormSeries(ring, weight, 1, rl, weak=weak)
 
 
@@ -493,8 +459,7 @@ def jacobi_eisenstein(k, prec, ring):
     for h0, hm2 in zip(w0, wm2):
         num = rows.sub(ring, rows.convolve_trunc(ring, f.coeffs, h0, prec + 1),
                        rows.convolve_trunc(ring, g.coeffs, hm2, prec + 1))
-        col = [ring.divexact(v, twelve) for v in rows.aslist(ring, num)]
-        cols.append(rows.from_ints(ring, col) if isinstance(ring, FpRing) else col)
+        cols.append([ring.divexact(v, twelve) for v in rows.aslist(ring, num)])
     return _index1_form(ring, k, cols, weak=False)
 
 
@@ -525,13 +490,13 @@ def _divide_by_weak_m2(psi, w_m2):
                                 mu - 1, prec, weak=True)
     for n in range(prec + 1):
         bt = psi.rb(n)
-        t = rows.copy(ring, psi.rows[n])
+        t = psi.rows[n].copy()
         for i in range(1, n + 1):
             conv = rows.convolve(ring, w_m2.rows[i], out.rows[n - i])
             off = bt - (w_m2.rb(i) + rbound(mu - 1, n - i))
             neg = rows.neg(ring, conv)
             rows.add_into(ring, t, off, neg)
-        t = rows.normalize(ring, t)
+        t = ring.canonical(t)
         # t spans r in [-bt, bt]; quotient row spans [-bt+1, bt-1] before clipping
         u = _div_by_sq(ring, t)
         bo = out.rb(n)
@@ -544,7 +509,7 @@ def _divide_by_weak_m2(psi, w_m2):
                 raise DecompositionError(
                     f"row q^{n}: quotient support |r|={abs(r)} exceeds index-{mu-1} bound")
             row[bo + r] = v
-        out.rows[n] = rows.normalize(ring, row)
+        out.rows[n] = ring.canonical(row)
     return out
 
 
@@ -569,9 +534,7 @@ def _div_by_sq(ring, t):
     chk2 = ring.sub(vals[lt - 1], um1)
     if not (ring.is_zero(chk1) and ring.is_zero(chk2)):
         raise DecompositionError("division by the weak generator left a residual")
-    if isinstance(ring, FpRing):
-        return rows.from_ints(ring, [v % ring.p for v in u])
-    return u
+    return np.array(u, dtype=ring.dtype)
 
 
 def weak_decompose(phi, gens=None):
@@ -621,7 +584,7 @@ def weak_decompose(phi, gens=None):
 
 def _cast_form_rat(phi):
     rat = ring_from_tag("rat")
-    rl = [[Fraction(v) for v in row] for row in phi.rows]
+    rl = [np.array([Fraction(v) for v in row.tolist()], dtype=object) for row in phi.rows]
     return JacobiFormSeries(rat, phi.weight, phi.index, rl, weak=phi.weak)
 
 
@@ -636,9 +599,7 @@ def _index0_to_qseries(phi):
                 raise DecompositionError("index-0 residue carries zeta-dependence; "
                                          "input not in the weak span")
         vals.append(row[mid])
-    if isinstance(ring, FpRing):
-        return QSeries.from_ints(ring, vals, weight=phi.weight)
-    return QSeries(ring, vals, weight=phi.weight)
+    return QSeries(ring, np.array(vals, dtype=ring.dtype), weight=phi.weight)
 
 
 def reconstruct_weak(fs, index, gens):
@@ -797,11 +758,6 @@ def nonexistence_applies(k, m, p, b, phi, gens=None):
 _holo_cache = {}
 
 
-def _dtype(ring):
-    """Coefficient dtype of the dense filtration layer: int64 for fits64 primes."""
-    return np.int64 if ring.fits64 else object
-
-
 def _packed_keys(m, prec):
     """n and r of the keys (n, r), 0 <= r <= rbound(m, n), in _form_vector order."""
     widths = [rbound(m, n) + 1 for n in range(prec + 1)]
@@ -811,7 +767,7 @@ def _packed_keys(m, prec):
 def _form_vector(phi, prec):
     """c(n, r) of phi at the packed keys of _packed_keys(phi.index, prec)."""
     return np.concatenate([row[rbound(phi.index, n):] for n, row in enumerate(phi.rows[:prec + 1])],
-                          dtype=_dtype(phi.ring))
+                          dtype=phi.ring.dtype)
 
 
 def _shift_index(ns, rs):
@@ -861,7 +817,7 @@ def holo_basis(k, m, prec, p):
         return hit
     ring = ring_from_tag(f"fp:{p}")
     gens = weak_generators(prec, ring)
-    dtype = _dtype(ring)
+    dtype = ring.dtype
     ns, rs = _packed_keys(m, prec)
     shift = _shift_index(ns, rs)
     blocks = []

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from . import _rows as rows
 from .errors import (ArithmeticDomainError, InvalidArgumentError,
                      PrecisionError, RingMismatchError)
@@ -28,7 +30,7 @@ class QSeries:
 
     def __init__(self, ring, coeffs, weight=None):
         self.ring = ring
-        self.coeffs = coeffs
+        self.coeffs = np.asarray(coeffs, dtype=ring.dtype)
         self.prec = len(coeffs) - 1
         self.weight = weight
         if self.prec < 0:
@@ -188,11 +190,7 @@ def eisenstein_q(k, prec, ring):
     scale = Fraction(-2 * k) / bernoulli(k)
     c = ring.from_rational(scale)
     sig = _sigma_table(k - 1, prec)
-    if isinstance(ring, FpRing):
-        ints = [1] + [c * (s % ring.p) % ring.p for s in sig[1:]]
-        return QSeries.from_ints(ring, ints, weight=k)
-    vals = [ring.one] + [ring.mul(c, ring.from_int(s)) for s in sig[1:]]
-    return QSeries(ring, vals, weight=k)
+    return QSeries(ring, [ring.one] + [ring.mul(c, ring.from_int(s)) for s in sig[1:]], weight=k)
 
 
 def delta_q(prec, ring):
@@ -202,10 +200,8 @@ def delta_q(prec, ring):
     e4 = eisenstein_q(4, prec, ring)
     e6 = eisenstein_q(6, prec, ring)
     num = e4 * e4 * e4 - e6 * e6
-    out = [ring.divexact(v, ring.from_int(1728)) for v in num.coeff_list()]
-    if isinstance(ring, FpRing):
-        return QSeries.from_ints(ring, out, weight=12)
-    return QSeries(ring, out, weight=12)
+    return QSeries(ring, [ring.divexact(v, ring.from_int(1728)) for v in num.coeff_list()],
+                   weight=12)
 
 
 def eta_pow6(prec, ring):

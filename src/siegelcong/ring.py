@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ArithmeticDomainError, InvalidArgumentError
 
 ExactRat = Fraction
@@ -158,10 +160,13 @@ class Ring:
 
     Elements are plain ints (int / prime fields) or Fractions (rat); the
     ring object only carries the operations.  Subclasses are immutable and
-    hashable, equality is by tag.
+    hashable, equality is by tag.  Coefficient vectors of the series types
+    are numpy arrays of dtype `dtype`: object here, int64 over F_p with
+    p < 2^21.
     """
 
     tag = "?"
+    dtype = object
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.tag == other.tag
@@ -213,6 +218,11 @@ class Ring:
 
     def is_unit(self, a):
         raise NotImplementedError
+
+    def canonical(self, vec):
+        """A numpy vector of elements in canonical form: vec itself here,
+        a new array reduced into [0, p) over F_p."""
+        return vec
 
     def pow(self, a, e):
         r = self.one
@@ -306,6 +316,7 @@ class FpRing(Ring):
         # numpy int64 rows are safe as long as accumulated convolutions of
         # residues cannot overflow; tiny table-checking primes always fit.
         self.fits64 = p < (1 << 21)
+        self.dtype = np.int64 if self.fits64 else object
 
     def from_int(self, a):
         return int(a) % self.p
@@ -336,6 +347,9 @@ class FpRing(Ring):
 
     def is_unit(self, a):
         return a % self.p != 0
+
+    def canonical(self, vec):
+        return vec % self.p
 
     def pow(self, a, e):
         return pow(a, e, self.p)

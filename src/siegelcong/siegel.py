@@ -1,15 +1,22 @@
 """Degree-2 Siegel modular forms as truncated triple series.
 
-A form of precision N stores A(n, r, m) for all 0 <= n, m <= N and
-|r| <= isqrt(4nm) (the semipositive support).  The canonical stored key is
-raw (unreduced); binary-form reduction happens at query time for the
-Sturm-type verifier and certificates.
+A form of box N has coefficients A(n, r, m) on the semipositive support
+0 <= n, m <= N, |r| <= isqrt(4nm).  A(n, r, m) = A(m, r, n) = A(n, -r, m)
+for every form here, so only the half support n <= m, 0 <= r <= isqrt(4nm)
+is stored: one flat vector `coeffs`, ordered by n, then m, then r, which is
+the row order of cache format 2.  Over F_p with p < 2^21 the vector is
+int64 with residues in [0, p); over Z, Q and larger primes it has dtype
+object and holds Python ints, Fractions or residues.  Every operation is a
+numpy expression on that vector, reduced mod p only over F_p; the index
+arrays of each box (BoxIndex) are built once and memoized.
 
 Key facts used throughout: the generalized theta operator acts diagonally
 (multiplication by det T), so its congruence criterion reduces to testing
 coefficients on reduced matrices up to the dyadic-trace Sturm bound without
 ever materializing the auxiliary form G; products of truncated expansions
-are exact on the stored box because the support is semipositive.
+are exact on the stored box because the support is semipositive.  Every such
+test reads its coefficients with one gather at the reduced classes
+(class_values).
 
 Products (siegel_mul) take one of two paths, chosen from the ring and the
 box alone: over F_p with p < 2^21 and ((p-1)/2)^2 (N+1)^2 (2N+1) <= 2^40 an
@@ -21,15 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
-from . import _rows as rows
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      NotInRingError, PrecisionError, RingMismatchError)
 from .jacobi import JacobiFormSeries, jacobi_cusp, jacobi_eisenstein, rbound
-from .linalg import FpMatrix, solve
+from .linalg import FpMatrix, kernel_basis, solve
 from .qexp import bernoulli
 from .ring import FpRing, legendre, ring_from_tag
 
@@ -70,25 +77,14 @@ def reduce_T(T):
     n, r, m = (T.n, T.r, T.m) if isinstance(T, MatrixIndexT) else T
     if n < 0 or m < 0 or 4 * n * m - r * r < 0:
         raise InvalidArgumentError(f"matrix ({n},{r},{m}) is not semipositive even")
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise InvalidArgumentError("reduction failed to terminate")
+    # each step swaps n > m or translates r into (-n, n]; n never grows
+    while n and not (-n < r <= n <= m):
         if n > m:
             n, m = m, n
-        if n == 0:
-            r = 0
-            break
-        if not (-n < r <= n):
+        else:
             t = (n - r) // (2 * n)
-            m = m + r * t + n * t * t
-            r = r + 2 * t * n
-            continue
-        if m < n:
-            continue
-        break
-    return MatrixIndexT(n, abs(r), m)
+            m, r = m + r * t + n * t * t, r + 2 * t * n
+    return MatrixIndexT(n, abs(r) if n else 0, m)
 
 
 def dyadic_trace(T):
@@ -98,39 +94,128 @@ def dyadic_trace(T):
     return 2 * T.n + 2 * T.m - abs(T.r)
 
 
+@lru_cache(maxsize=32)
+def reduced_classes(wmax):
+    """Read-only arrays n, r, m, det of the reduced classes with dyadic trace
+    <= wmax, rank <= 1 included, sorted by (w, n, r, m)."""
+    if wmax < 0:
+        raise InvalidArgumentError("wmax must be >= 0")
+    keys = [(0, 0, m) for m in range(wmax // 2 + 1)]
+    keys += [(n, r, m) for n in range(1, wmax // 3 + 1) for r in range(n + 1)
+             for m in range(n, (wmax + r - 2 * n) // 2 + 1)]
+    n, r, m = np.array(keys, dtype=np.int64).T
+    order = np.lexsort((m, r, n, 2 * n + 2 * m - r))
+    out = tuple(a[order] for a in (n, r, m, 4 * n * m - r * r))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def enumerate_reduced(wmax):
     """All reduced classes with dyadic trace <= wmax, rank <= 1 included.
 
     Sorted by (w, n, r, m); no duplicates.
     """
-    if wmax < 0:
-        raise InvalidArgumentError("wmax must be >= 0")
-    out = [MatrixIndexT(0, 0, m) for m in range(wmax // 2 + 1)]
-    for n in range(1, wmax // 3 + 1):
-        for r in range(n + 1):
-            top = (wmax + r - 2 * n) // 2
-            for m in range(n, top + 1):
-                out.append(MatrixIndexT(n, r, m))
-    out.sort(key=lambda t: (dyadic_trace(t), t.n, t.r, t.m))
-    return out
+    n, r, m, _ = reduced_classes(wmax)
+    return [MatrixIndexT(*t) for t in zip(n.tolist(), r.tolist(), m.tolist())]
+
+
+class BoxIndex:
+    """Read-only index arrays of the half support of one box, in vector order.
+
+    n, r, m, det and gcd = gcd(n, r, m) hold one entry per stored key.
+    offset[n, m] = offset[m, n] is the position of A(min, 0, max), so
+    A(n, r, m) sits at offset[n, m] + |r|; widths lists isqrt(4nm) + 1 for
+    the (n, m) pairs with n <= m in vector order, and nstart[n] is where the
+    keys of q-degree n begin (nstart[N + 1] is the length).  The keys of a
+    smaller box M are the keys with m <= M, in the same order.
+    """
+
+    def __init__(self, prec):
+        self.prec = prec
+        lo, hi = np.triu_indices(prec + 1)
+        self.widths = np.array([isqrt(4 * a * b) + 1 for a, b in zip(lo.tolist(), hi.tolist())])
+        starts = np.cumsum(self.widths) - self.widths
+        self.size = int(self.widths.sum())
+        self.offset = np.zeros((prec + 1, prec + 1), dtype=np.int64)
+        self.offset[lo, hi] = self.offset[hi, lo] = starts
+        self.nstart = np.append(np.diagonal(self.offset), self.size)
+        self.n = np.repeat(lo, self.widths)
+        self.m = np.repeat(hi, self.widths)
+        self.r = np.arange(self.size) - np.repeat(starts, self.widths)
+        self.det = 4 * self.n * self.m - self.r * self.r
+        self.gcd = np.gcd(np.gcd(self.n, self.r), self.m)
+        for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r,
+                  self.det, self.gcd):
+            a.flags.writeable = False
+
+    @cached_property
+    def slices(self):
+        """(start, pos, src): n-slice i of the full support, as an
+        (N+1) x (4N+1) array with A(i, r, m) at row m, column 2N + r, takes
+        entry src[k] of the half vector to flat position pos[k] for
+        start[i] <= k < start[i + 1]."""
+        big, width = 2 * self.prec, 4 * self.prec + 1
+        n, r, m = self.n, self.r, self.m
+        # A(n, r, m) sits in slice n at (m, +-r) and in slice m at (n, +-r)
+        sl = np.concatenate([n, n, m, m])
+        pos = np.concatenate([m * width + big + r, m * width + big - r,
+                              n * width + big + r, n * width + big - r])
+        src = np.tile(np.arange(self.size), 4)
+        keep = np.concatenate([r >= 0, r > 0, n != m, (n != m) & (r > 0)])
+        order = np.argsort(sl[keep], kind="stable")
+        start = np.searchsorted(sl[keep][order], np.arange(self.prec + 2))
+        out = (start, pos[keep][order], src[keep][order])
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+
+@lru_cache(maxsize=4)
+def box_index(prec):
+    """The BoxIndex of box prec, memoized for the last few boxes."""
+    return BoxIndex(prec)
+
+
+def _zeros(ring, size):
+    return np.full(size, ring.zero, dtype=ring.dtype)
+
+
+def _per_det(det, fn, dtype):
+    """fn(d) at each entry d of det, evaluated once per distinct value."""
+    values, inverse = np.unique(det, return_inverse=True)
+    return np.array([fn(d) for d in values.tolist()], dtype=dtype)[inverse]
+
+
+def _pairs(prec):
+    """The (n, m) pairs with n <= m <= prec, in vector order."""
+    return zip(*(a.tolist() for a in np.triu_indices(prec + 1)))
 
 
 class SiegelFormSeries:
-    """Truncated expansion sum A(n, r, m) q^n zeta^r q'^m of even weight k."""
+    """Truncated expansion sum A(n, r, m) q^n zeta^r q'^m of even weight k.
 
-    __slots__ = ("ring", "weight", "prec", "tables")
+    coeffs is the half-support vector described in the module docstring.
+    """
 
-    def __init__(self, ring, weight, prec, tables):
+    __slots__ = ("ring", "weight", "prec", "coeffs")
+
+    def __init__(self, ring, weight, prec, coeffs):
         self.ring = ring
         self.weight = weight
         self.prec = prec
-        self.tables = tables
+        self.coeffs = coeffs
+
+    @classmethod
+    def constant(cls, ring, weight, prec, v):
+        """The form with A(0, 0, 0) = v and every other coefficient zero."""
+        vec = _zeros(ring, box_index(prec).size)
+        vec[0] = ring.from_int(v) if isinstance(v, int) else v
+        return cls(ring, weight, prec, vec)
 
     @classmethod
     def zero(cls, ring, weight, prec):
-        tab = [[rows.zeros(ring, 2 * isqrt(4 * n * m) + 1) for m in range(prec + 1)]
-               for n in range(prec + 1)]
-        return cls(ring, weight, prec, tab)
+        return cls.constant(ring, weight, prec, 0)
 
     @staticmethod
     def rb(n, m):
@@ -143,10 +228,9 @@ class SiegelFormSeries:
         if n > self.prec or m > self.prec:
             raise PrecisionError(f"triple ({n},{r},{m}) beyond box {self.prec}",
                                  required=max(n, m), available=self.prec)
-        b = self.rb(n, m)
-        if abs(r) > b:
+        if abs(r) > self.rb(n, m):
             return self.ring.zero
-        v = self.tables[n][m][b + r]
+        v = self.coeffs[box_index(self.prec).offset[n, m] + abs(r)]
         return int(v) if isinstance(self.ring, FpRing) else v
 
     def a_T(self, T):
@@ -157,37 +241,39 @@ class SiegelFormSeries:
 
     def __eq__(self, other):
         return (isinstance(other, SiegelFormSeries) and self.ring == other.ring
-                and self.prec == other.prec
-                and all(rows.eq(self.ring, self.tables[n][m], other.tables[n][m])
-                        for n in range(self.prec + 1) for m in range(self.prec + 1)))
+                and self.prec == other.prec and np.array_equal(self.coeffs, other.coeffs))
 
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
-        return min(self.prec, other.prec)
+    def at_box(self, prec):
+        """The coefficient vector truncated to box prec <= self.prec."""
+        if prec == self.prec:
+            return self.coeffs
+        return self.coeffs[box_index(self.prec).m <= prec]
+
+    def _derived(self, vec, weight, prec=None):
+        """A form over the same ring from the fresh vector vec."""
+        prec = self.prec if prec is None else prec
+        return SiegelFormSeries(self.ring, weight, prec, self.ring.canonical(vec))
 
     def _map2(self, other, fn, weight):
-        prec = self._check(other)
-        tab = [[fn(self.tables[n][m], other.tables[n][m]) for m in range(prec + 1)]
-               for n in range(prec + 1)]
-        return SiegelFormSeries(self.ring, weight, prec, tab)
+        if self.ring != other.ring:
+            raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
+        prec = min(self.prec, other.prec)
+        return self._derived(fn(self.at_box(prec), other.at_box(prec)), weight, prec)
 
     def __add__(self, other):
         w = self.weight if self.weight == other.weight else None
-        return self._map2(other, lambda a, b: rows.add(self.ring, a, b), w)
+        return self._map2(other, np.add, w)
 
     def __sub__(self, other):
         w = self.weight if self.weight == other.weight else None
-        return self._map2(other, lambda a, b: rows.sub(self.ring, a, b), w)
+        return self._map2(other, np.subtract, w)
 
     def scale(self, c):
         c = self.ring.from_int(c) if isinstance(c, int) else c
-        tab = [[rows.scale(self.ring, row, c) for row in line] for line in self.tables]
-        return SiegelFormSeries(self.ring, self.weight, self.prec, tab)
+        return self._derived(self.coeffs * c, self.weight)
 
     def __neg__(self):
-        tab = [[rows.neg(self.ring, row) for row in line] for line in self.tables]
-        return SiegelFormSeries(self.ring, self.weight, self.prec, tab)
+        return self._derived(-self.coeffs, self.weight)
 
     def __mul__(self, other):
         if isinstance(other, SiegelFormSeries):
@@ -196,93 +282,58 @@ class SiegelFormSeries:
 
     __rmul__ = __mul__
 
-    def set_constant(self, v):
-        """Replace A(0, 0, 0); used to pin the Eisenstein normalization."""
-        self.tables[0][0][0] = self.ring.from_int(v) if isinstance(v, int) else v
-
     def is_zero_window(self):
-        return all(rows.is_zero(self.ring, self.tables[n][m])
-                   for n in range(self.prec + 1) for m in range(self.prec + 1))
+        return not np.any(self.coeffs != 0)
 
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
-        tab = [[rows.reduce_row(self.ring, row, fp) for row in line] for line in self.tables]
-        return SiegelFormSeries(fp, self.weight, self.prec, tab)
+        if isinstance(self.ring, FpRing) and self.ring.p != p:
+            raise RingMismatchError(f"cannot reduce {self.ring.tag} coefficients mod {p}")
+        vec = np.array([self.ring.reduce(v, p) for v in self.coeffs.tolist()], dtype=fp.dtype)
+        return SiegelFormSeries(fp, self.weight, self.prec, vec)
 
     def support_dets(self):
         """Sorted determinants carried by nonzero stored coefficients."""
-        dets = set()
-        for n in range(self.prec + 1):
-            for m in range(self.prec + 1):
-                b = self.rb(n, m)
-                for r in range(-b, b + 1):
-                    v = self.tables[n][m][b + r]
-                    if not self.ring.is_zero(int(v) if isinstance(self.ring, FpRing) else v):
-                        dets.add(4 * n * m - r * r)
-        return sorted(dets)
+        return np.unique(box_index(self.prec).det[self.coeffs != 0]).tolist()
 
     def coeff_rows(self, n):
         """[n, r, m, token] for the nonzero A(n, r, m) with m >= n, r >= 0."""
-        out = []
-        ring = self.ring
-        for m in range(n, self.prec + 1):
-            b = self.rb(n, m)
-            if isinstance(ring, FpRing) and ring.fits64:
-                half = self.tables[n][m][b:]
-                nz = np.flatnonzero(half % ring.p)
-                out.extend([n, r, m, v] for r, v in zip(nz.tolist(), half[nz].tolist()))
-                continue
-            for r in range(b + 1):
-                v = self.a(n, r, m)
-                if not ring.is_zero(ring.from_int(v) if isinstance(ring, FpRing) else v):
-                    out.append([n, r, m, ring.to_token(v)])
-        return out
+        idx = box_index(self.prec)
+        block = slice(idx.nstart[n], idx.nstart[n + 1])
+        nz = np.flatnonzero(self.coeffs[block] != 0)
+        toks = tokens(self.ring, self.coeffs[block][nz])
+        return [[n, r, m, t] for r, m, t in zip(idx.r[block][nz].tolist(),
+                                                 idx.m[block][nz].tolist(), toks)]
 
     def to_json(self):
         coeffs = [c for n in range(self.prec + 1) for c in self.coeff_rows(n)]
         return {"kind": "siegel", "ring": self.ring.tag, "weight": self.weight,
                 "prec": self.prec, "coeffs": coeffs}
 
-    # -- structural checks (test helpers) ---------------------------------------
-    def check_symmetries(self):
-        """A(n,r,m) == A(m,r,n) == A(n,-r,m) on the full window."""
-        for n in range(self.prec + 1):
-            for m in range(self.prec + 1):
-                b = self.rb(n, m)
-                for r in range(b + 1):
-                    if not self.ring.is_zero(self.ring.sub(self.a(n, r, m), self.a(m, r, n))):
-                        return False
-                    if not self.ring.is_zero(self.ring.sub(self.a(n, r, m), self.a(n, -r, m))):
-                        return False
-        return True
 
-    def check_unimodular_moves(self):
-        """Spot the translation move A(n,r,m) == A(n, r+2n, m+r+n) inside the window."""
-        for n in range(self.prec + 1):
-            for m in range(self.prec + 1):
-                b = self.rb(n, m)
-                for r in range(-b, b + 1):
-                    n2, r2, m2 = n, r + 2 * n, m + r + n
-                    if m2 < 0 or m2 > self.prec or abs(r2) > self.rb(n2, m2):
-                        continue
-                    if not self.ring.is_zero(self.ring.sub(self.a(n, r, m), self.a(n2, r2, m2))):
-                        return False
-        return True
+def tokens(ring, vec):
+    """The entries of a coefficient vector as JSON tokens (ring.to_token)."""
+    if vec.dtype == object:
+        return [ring.to_token(v) for v in vec]
+    return vec.tolist()
+
+
+def class_values(F, wmax):
+    """A(T) at the reduced classes of reduced_classes(wmax), in their order:
+    one gather.  F's box must cover wmax // 2."""
+    n, r, m, _ = reduced_classes(wmax)
+    return F.coeffs[box_index(F.prec).offset[n, m] + r]
 
 
 # -- lifts and generators ------------------------------------------------------------
 
-def _divisor_lists(n):
-    divs = [[] for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        for k in range(d, n + 1, d):
-            divs[k].append(d)
-    return divs
-
-
 def maass_lift(phi, prec):
     """Lift an index-1 Jacobi form: A(n,r,m) = sum_{d | (n,r,m)} d^{k-1} c(nm/d^2, r/d).
 
+    An index-1 coefficient depends only on D = 4n - r^2 (Eichler-Zagier,
+    The Theory of Jacobi Forms, Thm 2.2), and c(nm/d^2, r/d) has
+    D = det/d^2, so A = sum_{d | gcd} d^{k-1} C[det/d^2] with C read from
+    the zeta^0 and zeta^1 coefficients of phi: one masked gather per d.
     A(0,0,0) is set to zero; pinning the constant of a non-cuspidal lift is
     the caller's concern (see igusa_generators).  Requires q-precision at
     least prec^2 on the input.
@@ -293,42 +344,17 @@ def maass_lift(phi, prec):
         raise PrecisionError(f"lift to box {prec} needs q-precision {prec * prec}",
                              required=prec * prec, available=phi.prec)
     ring = phi.ring
-    k = phi.weight
-    fp = isinstance(ring, FpRing)
-    if fp:
-        dpow = [0] + [pow(d, k - 1, ring.p) for d in range(1, prec + 1)]
-    else:
-        dpow = [ring.zero] + [ring.from_int(d ** (k - 1)) for d in range(1, prec + 1)]
-    divs = _divisor_lists(prec)
-    out = SiegelFormSeries.zero(ring, k, prec)
-    jrows = phi.rows
-    jrb = [rbound(1, n) for n in range(phi.prec + 1)]
-    for n in range(prec + 1):
-        for m in range(n, prec + 1):
-            b = isqrt(4 * n * m)
-            row = out.tables[n][m]
-            for r in range(b + 1):
-                g = gcd(gcd(n, r), m)
-                if g == 0:
-                    continue
-                if fp:
-                    val = 0
-                    for d in divs[g]:
-                        nn = n * m // (d * d)
-                        rr = r // d
-                        val += dpow[d] * int(jrows[nn][jrb[nn] + rr])
-                    val %= ring.p
-                else:
-                    val = ring.zero
-                    for d in divs[g]:
-                        nn = n * m // (d * d)
-                        rr = r // d
-                        val = ring.add(val, ring.mul(dpow[d], jrows[nn][jrb[nn] + rr]))
-                row[b + r] = val
-                row[b - r] = val
-            if m != n:
-                out.tables[m][n] = rows.copy(ring, row)
-    return out
+    cols = np.array([[phi.c(n, r) for n in range(prec * prec + 1)] for r in (0, 1)],
+                    dtype=ring.dtype)
+    D = np.arange(4 * prec * prec + 1)
+    C = cols[(D % 4 == 3).astype(int), (D + 3) // 4]     # D = 4n - r^2 with r in {0, 1}
+    idx = box_index(prec)
+    out = _zeros(ring, idx.size)
+    for d in range(1, prec + 1):
+        keys = np.flatnonzero((idx.gcd % d == 0) & (idx.gcd > 0))
+        dpow = ring.pow(ring.from_int(d), phi.weight - 1)
+        out[keys] += dpow * C[idx.det[keys] // (d * d)]
+    return SiegelFormSeries(ring, phi.weight, prec, ring.canonical(out))
 
 
 _GENERATOR_WEIGHTS = {"E4": 4, "E6": 6, "chi10": 10, "chi12": 12}
@@ -345,15 +371,11 @@ def igusa_generators(prec, ring):
     out = {}
     for name, k in _GENERATOR_WEIGHTS.items():
         if name.startswith("E"):
-            jac = jacobi_eisenstein(k, qprec, ring)
-            lift = maass_lift(jac, prec)
-            lift = lift.scale(ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
-            lift.set_constant(1)
+            lift = maass_lift(jacobi_eisenstein(k, qprec, ring), prec)
+            out[name] = SiegelFormSeries.constant(ring, k, prec, 1) \
+                + lift.scale(ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
         else:
-            jac = jacobi_cusp(k, qprec, ring)
-            lift = maass_lift(jac, prec)
-        lift.weight = k
-        out[name] = lift
+            out[name] = maass_lift(jacobi_cusp(k, qprec, ring), prec)
     return out
 
 
@@ -362,15 +384,13 @@ def fourier_jacobi(F, m):
     if m < 0 or m > F.prec:
         raise PrecisionError(f"slice index {m} outside box {F.prec}",
                              required=m, available=F.prec)
-    ring = F.ring
+    offset = box_index(F.prec).offset
     rl = []
     for n in range(F.prec + 1):
-        b = rbound(m, n)
-        row = rows.zeros(ring, 2 * b + 1)
-        bs = SiegelFormSeries.rb(n, m)
-        rows.add_into(ring, row, b - bs, F.tables[n][m])
-        rl.append(rows.normalize(ring, row))
-    return JacobiFormSeries(ring, F.weight, m, rl, weak=False)
+        pad = _zeros(F.ring, rbound(m, n) - F.rb(n, m))
+        half = F.coeffs[offset[n, m]:offset[n, m] + F.rb(n, m) + 1]
+        rl.append(np.concatenate([pad, half[:0:-1], half, pad]))
+    return JacobiFormSeries(F.ring, F.weight, m, rl, weak=False)
 
 
 # -- products -------------------------------------------------------------------------
@@ -398,17 +418,18 @@ def siegel_mul(F, G):
     T = (N+1)^2 (2N+1).  Residues are centred in [-h, h].  T bounds the
     terms in any output coefficient ((n+1)(m+1) pairs (n1, m1), each
     overlapping in at most 2N+1 values of r1), so every exact output is at
-    most h^2 T in absolute value.  T also bounds the stored coefficients of
-    one factor, so ||F||_2 ||G||_2 <= h^2 T.  The rounding error of an FFT
-    convolution is at most about c log2(L) eps ||F||_2 ||G||_2, with
-    eps = 2^-53, L the transform size (about (2N+1)(4N+1), see _mul_fft)
-    and c about 13 (Percival, Math. Comp. 72, 2003).  Since p >= 5 gives
-    h >= 2, the bound itself keeps N below 5200 and log2 L below 29, so
-    the error is under 13 * 29 / 2^13 < 0.05, a tenth of the 1/2 that
-    rounding to the nearest integer allows.  Measured on factors with every entry (p-1)/2 at the
-    bound, boxes 4 to 40, the largest error was 1.2e-4.  Every other
-    product (Z, Q, larger p, boxes past the bound) runs the direct loop,
-    which the FFT path matches bit for bit.
+    most h^2 T in absolute value.  T also bounds the coefficients on the
+    full support of one factor, so ||F||_2 ||G||_2 <= h^2 T.  The rounding
+    error of an FFT convolution is at most about c log2(L) eps
+    ||F||_2 ||G||_2, with eps = 2^-53, L the transform size (about
+    (2N+1)(4N+1), see _mul_fft) and c about 13 (Percival, Math. Comp. 72,
+    2003).  Since p >= 5 gives h >= 2, the bound itself keeps N below 5200
+    and log2 L below 29, so the error is under 13 * 29 / 2^13 < 0.05, a
+    tenth of the 1/2 that rounding to the nearest integer allows.  Measured
+    on factors with every entry (p-1)/2 at the bound, boxes 4 to 40, the
+    largest error was 1.2e-4.  Every other product (Z, Q, larger p, boxes
+    past the bound) runs the direct loop, which the FFT path matches bit
+    for bit.
     """
     if F.ring != G.ring:
         raise RingMismatchError(f"{F.ring.tag} vs {G.ring.tag}")
@@ -421,14 +442,16 @@ def siegel_mul(F, G):
 
 
 def _mul_fft(F, G, prec):
-    """Product tables over F_p by FFT; exact when _fft_exact holds.
+    """Product vector over F_p by FFT; exact when _fft_exact holds.
 
-    Each n-slice is packed into an (N+1) x (4N+1) array with r at offset 2N
-    and transformed at the least 5-smooth sizes (fast for numpy.fft) of at
-    least 2N+1 in m and 4N+1 in r: m1 + m2 <= 2N never wraps, and
+    Each n-slice of the full support is packed into an (N+1) x (4N+1) array
+    with r at offset 2N (BoxIndex.slices) and transformed at the least
+    5-smooth sizes (fast for numpy.fft) of at least 2N+1 in m and 4N+1 in
+    r: m1 + m2 <= 2N never wraps, and
     |r1 + r2| <= 2 sqrt(n1 m1) + 2 sqrt(n2 m2) <= 2 sqrt(nm) <= 2N
     (Cauchy-Schwarz), so the cyclic wrap in r never lands on a stored
-    coefficient.  The n-convolution is a sum of spectrum products.  Two
+    coefficient.  The n-convolution is a sum of spectrum products, and
+    each output slice n gives back only its keys with m >= n, r >= 0.  Two
     slices n1, n2 >= N//2 + 1 never meet in the box (n1 + n2 > N), so the
     sum runs in three passes (low x low, low x high, high x low) that each
     hold the spectra of half the slices of each factor; each pass sums a
@@ -437,36 +460,36 @@ def _mul_fft(F, G, prec):
     from numpy import fft
 
     p, big = F.ring.p, 2 * prec
+    idx = box_index(prec)
+    start, pos, src = idx.slices
     shape = (_fft_len(big + 1), _fft_len(2 * big + 1))
-    widths = [[isqrt(4 * n * m) for m in range(prec + 1)] for n in range(prec + 1)]
-    tab = SiegelFormSeries.zero(F.ring, None, prec).tables
+    out = np.zeros(idx.size, dtype=np.int64)
 
     def spectra(form, ns):
-        out = np.empty((len(ns), shape[0], shape[1] // 2 + 1), dtype=complex)
-        packed = np.zeros((prec + 1, 2 * big + 1))
+        vec = form.at_box(prec)
+        centred = np.where(vec > p // 2, vec - p, vec).astype(float)   # residues in [-h, h]
+        spec = np.empty((len(ns), shape[0], shape[1] // 2 + 1), dtype=complex)
+        packed = np.zeros((prec + 1) * (2 * big + 1))
         for i, n in enumerate(ns):
             packed[:] = 0
-            for m, b in enumerate(widths[n]):
-                packed[m, big - b:big + b + 1] = form.tables[n][m]
-            packed -= p * np.rint(packed / p)       # residues into [-h, h]
-            out[i] = fft.rfft2(packed, s=shape)
-        return out
+            packed[pos[start[n]:start[n + 1]]] = centred[src[start[n]:start[n + 1]]]
+            spec[i] = fft.rfft2(packed.reshape(prec + 1, 2 * big + 1), s=shape)
+        return spec
 
     def add(fs, f0, gs, g0):
-        """Add the products of F slices f0 + i and G slices g0 + j into tab."""
+        """Add the products of F slices f0 + i and G slices g0 + j into out."""
         for n in range(f0 + g0, prec + 1):
             d = n - f0 - g0
             lo, hi = max(0, d - len(gs) + 1), min(len(fs), d + 1)
             if lo >= hi:
                 continue
             acc = np.einsum("ijk,ijk->jk", fs[lo:hi], gs[d - hi + 1:d - lo + 1][::-1])
-            vals = fft.irfft2(acc, s=shape)[:prec + 1]
-            # the product's r sits at (4N + r) mod shape[1]; move it to 2N + r
-            ints = np.roll(np.rint(vals).astype(np.int64), -big, axis=1)
-            for m, b in enumerate(widths[n]):
-                row = tab[n][m]
-                row += ints[m, big - b:big + b + 1]
-                row %= p
+            vals = fft.irfft2(acc, s=shape)
+            # the product's r sits at column (4N + r) mod shape[1]
+            keys = slice(idx.nstart[n], idx.nstart[n + 1])
+            cols = (2 * big + idx.r[keys]) % shape[1]
+            out[keys] += np.rint(vals[idx.m[keys], cols]).astype(np.int64)
+            out[keys] %= p
 
     half = prec // 2 + 1
     low, high = range(half), range(half, prec + 1)
@@ -475,7 +498,7 @@ def _mul_fft(F, G, prec):
     add(fl, 0, spectra(G, high), half)
     del fl
     add(spectra(F, high), half, spectra(G, low), 0)
-    return tab
+    return out
 
 
 def _fft_len(n):
@@ -490,29 +513,38 @@ def _fft_len(n):
         n += 1
 
 
+def _full_rows(vec, idx):
+    """rows[n][m]: A(n, r, m) for r = -isqrt(4nm)..isqrt(4nm), None when zero."""
+    rows = [[None] * (idx.prec + 1) for _ in range(idx.prec + 1)]
+    for n, m in _pairs(idx.prec):
+        half = vec[idx.offset[n, m]:idx.offset[n, m] + isqrt(4 * n * m) + 1]
+        if np.any(half != 0):
+            rows[n][m] = rows[m][n] = np.concatenate([half[:0:-1], half])
+    return rows
+
+
 def _mul_loop(F, G, prec):
-    """Product tables by direct row convolution, over any ring."""
+    """Product vector by direct row convolution, over any ring.
+
+    Only the stored outputs (n <= m, r >= 0) are computed.
+    """
     ring = F.ring
-    fnz = [[not rows.is_zero(ring, F.tables[n][m]) for m in range(prec + 1)]
-           for n in range(prec + 1)]
-    gnz = [[not rows.is_zero(ring, G.tables[n][m]) for m in range(prec + 1)]
-           for n in range(prec + 1)]
-    tab = SiegelFormSeries.zero(ring, None, prec).tables
-    for n in range(prec + 1):
-        for m in range(prec + 1):
-            bo = isqrt(4 * n * m)
-            acc = tab[n][m]
-            for n1 in range(n + 1):
-                frow_line = F.tables[n1]
-                fnz_line = fnz[n1]
-                for m1 in range(m + 1):
-                    if not (fnz_line[m1] and gnz[n - n1][m - m1]):
-                        continue
-                    conv = rows.convolve(ring, frow_line[m1], G.tables[n - n1][m - m1])
-                    off = bo - (isqrt(4 * n1 * m1) + isqrt(4 * (n - n1) * (m - m1)))
-                    rows.add_into(ring, acc, off, conv)
-            tab[n][m] = rows.normalize(ring, acc)
-    return tab
+    idx = box_index(prec)
+    frows, grows = _full_rows(F.at_box(prec), idx), _full_rows(G.at_box(prec), idx)
+    out = _zeros(ring, idx.size)
+    for n, m in _pairs(prec):
+        bo = isqrt(4 * n * m)
+        acc = _zeros(ring, 2 * bo + 1)
+        for n1 in range(n + 1):
+            for m1 in range(m + 1):
+                a, b = frows[n1][m1], grows[n - n1][m - m1]
+                if a is None or b is None:
+                    continue
+                conv = ring.canonical(np.convolve(a, b))
+                off = bo - (len(a) + len(b)) // 2 + 1
+                acc[off:off + len(conv)] += conv
+        out[idx.offset[n, m]:idx.offset[n, m] + bo + 1] = acc[bo:]
+    return ring.canonical(out)
 
 
 def theta_operator(F, j=1):
@@ -524,24 +556,11 @@ def theta_operator(F, j=1):
     if j < 0:
         raise InvalidArgumentError("iterate count must be >= 0")
     ring = F.ring
-    fp = isinstance(ring, FpRing) and ring.fits64
-    tab = []
-    for n in range(F.prec + 1):
-        line = []
-        for m in range(F.prec + 1):
-            b = SiegelFormSeries.rb(n, m)
-            if fp:
-                mult = np.array([pow((4 * n * m - r * r) % ring.p, j, ring.p)
-                                 for r in range(-b, b + 1)], dtype=np.int64)
-                line.append(F.tables[n][m] * mult % ring.p)
-            else:
-                line.append([ring.mul(v, ring.pow(ring.from_int(4 * n * m - r * r), j))
-                             for r, v in zip(range(-b, b + 1), F.tables[n][m])])
-        tab.append(line)
+    mult = _per_det(box_index(F.prec).det, lambda d: ring.pow(ring.from_int(d), j), ring.dtype)
     w = F.weight
     if w is not None and isinstance(ring, FpRing):
         w = w + j * (ring.p + 1)
-    return SiegelFormSeries(ring, w, F.prec, tab)
+    return F._derived(F.coeffs * mult, w)
 
 
 # -- the Sturm-type verifier and congruence certificates --------------------------------
@@ -552,6 +571,15 @@ class SturmReport:
     bound: int
     classes_checked: int
     witness: tuple | None
+
+
+def _witness(F, wmax, mask):
+    """The first (n, r, m) among the reduced classes of wmax selected by mask
+    where F does not vanish, or None."""
+    hit = np.flatnonzero(class_values(F, wmax)[mask])
+    if not len(hit):
+        return None
+    return tuple(int(a[mask][hit[0]]) for a in reduced_classes(wmax)[:3])
 
 
 def sturm_zero(F, k_eff):
@@ -568,11 +596,8 @@ def sturm_zero(F, k_eff):
     if F.prec < need:
         raise PrecisionError(f"Sturm bound {bound} needs box precision {need}",
                              required=need, available=F.prec)
-    classes = enumerate_reduced(bound)
-    for t in classes:
-        if F.a_T(t) % F.ring.p:
-            return SturmReport(False, bound, len(classes), t.key())
-    return SturmReport(True, bound, len(classes), None)
+    witness = _witness(F, bound, slice(None))
+    return SturmReport(witness is None, bound, len(reduced_classes(bound)[0]), witness)
 
 
 @dataclass
@@ -608,6 +633,11 @@ def congruence_required_prec(k, p, b):
     return (k + p * p - 1) // 3 // 2
 
 
+def _legendre_mask(det, p, eps):
+    """det entries d with legendre(d, p) == eps."""
+    return _per_det(det % p, lambda d: legendre(d, p), np.int64) == eps
+
+
 def siegel_congruence(F, p, b, label=""):
     """Certificate for the congruence of F at b mod p.
 
@@ -624,34 +654,21 @@ def siegel_congruence(F, p, b, label=""):
     b %= p
     if b:
         g_weight = k + (p + 1) * (p + 1) // 2
-        target = legendre(b, p)
         method = "theta-criterion"
-
-        def matches(det):
-            return legendre(det, p) == target
     else:
         g_weight = k + p * p - 1
         method = "sieve-identity"
-
-        def matches(det):
-            return det % p == 0
     bound = g_weight // 3
     need = bound // 2
     if F.prec < need:
         raise PrecisionError(f"certificate at (p={p}, b={b}) needs box precision {need}",
                              required=need, available=F.prec)
-    checked = 0
-    witness = None
-    for t in enumerate_reduced(bound):
-        if not matches(t.det):
-            continue
-        checked += 1
-        if witness is None and F.a_T(t) % p:
-            witness = t.key()
+    mask = _legendre_mask(reduced_classes(bound)[3], p, legendre(b, p))
+    witness = _witness(F, bound, mask)
     return CongruenceCertificate(form=label, p=p, b=b,
                                  verdict="fails" if witness else "holds",
                                  G_weight=g_weight, sturm_bound=bound,
-                                 classes_checked=checked, witness=witness,
+                                 classes_checked=int(mask.sum()), witness=witness,
                                  method=method)
 
 
@@ -670,26 +687,6 @@ def congruence_scan(F, p, label="", include_zero=True):
     return out
 
 
-def siegel_direct_scan(F, p, b):
-    """Exhaustive necessary-condition scan of all stored coefficients.
-
-    Returns (clean, witness): the first raw triple with det = b mod p whose
-    coefficient does not vanish mod p, in (n, m, r) scan order.
-    """
-    b %= p
-    for n in range(F.prec + 1):
-        for m in range(F.prec + 1):
-            bb = SiegelFormSeries.rb(n, m)
-            for r in range(-bb, bb + 1):
-                if (4 * n * m - r * r) % p != b:
-                    continue
-                v = F.a(n, r, m)
-                vv = v % p if isinstance(F.ring, FpRing) else F.ring.reduce(v, p)
-                if vv:
-                    return False, (n, r, m)
-    return True, None
-
-
 # -- the Legendre-class sieve ------------------------------------------------------------
 
 def sieve(F, p, s):
@@ -704,43 +701,18 @@ def sieve(F, p, s):
     fp = isinstance(ring, FpRing)
     if fp and ring.p != p:
         raise InvalidArgumentError(f"form lives over {ring.tag}, sieve asked for p={p}")
-    half = (p - 1) // 2
-    tab = []
-    for n in range(F.prec + 1):
-        line = []
-        for m in range(F.prec + 1):
-            b = SiegelFormSeries.rb(n, m)
-            vals = rows.aslist(ring, F.tables[n][m])
-            outrow = rows.zeros(ring, 2 * b + 1)
-            for idx, v in enumerate(vals):
-                r = idx - b
-                det = 4 * n * m - r * r
-                if fp:
-                    wfull = pow(det % p, p - 1, p)
-                    whalf = pow(det % p, half, p)
-                    if s == 0:
-                        mult = (1 - wfull) % p
-                    elif s == 1:
-                        mult = (wfull + whalf) * pow(2, p - 2, p) % p
-                    else:
-                        mult = (wfull - whalf) * pow(2, p - 2, p) % p
-                    outrow[idx] = v * mult % p
-                else:
-                    dfull = ring.pow(ring.from_int(det), p - 1)
-                    dhalf = ring.pow(ring.from_int(det), half)
-                    if s == 0:
-                        mult = ring.sub(ring.one, dfull)
-                    elif s == 1:
-                        mult = ring.divexact(ring.add(dfull, dhalf), ring.from_int(2))
-                    else:
-                        mult = ring.divexact(ring.sub(dfull, dhalf), ring.from_int(2))
-                    outrow[idx] = ring.mul(v, mult)
-            line.append(outrow)
-        tab.append(line)
+
+    def mult(det):
+        dfull = ring.pow(ring.from_int(det), p - 1)
+        if s == 0:
+            return ring.sub(ring.one, dfull)
+        dhalf = ring.pow(ring.from_int(det), (p - 1) // 2)
+        part = ring.add(dfull, dhalf) if s == 1 else ring.sub(dfull, dhalf)
+        return ring.divexact(part, ring.from_int(2))
     w = F.weight
     if w is not None and fp:
         w = w + p * p - 1
-    return SiegelFormSeries(ring, w, F.prec, tab)
+    return F._derived(F.coeffs * _per_det(box_index(F.prec).det, mult, ring.dtype), w)
 
 
 # -- monomial evaluation and mod-p decompositions ---------------------------------------
@@ -749,7 +721,8 @@ class GeneratorContext:
     """Shared generator tables at one (ring, box) plus memoized monomials.
 
     The optional cache object (see siegelcong.cache) persists generator
-    expansions across runs; products are only memoized in-process.
+    expansions across runs; products are only memoized in-process.  The
+    coefficient vectors of generators and monomials are read-only.
     """
 
     def __init__(self, ring, prec, cache=None):
@@ -774,6 +747,8 @@ class GeneratorContext:
                         if name not in loaded:
                             self.cache.store(name, form)
                 loaded = computed
+            for form in loaded.values():
+                form.coeffs.flags.writeable = False
             self._gens = loaded
         return self._gens
 
@@ -784,9 +759,7 @@ class GeneratorContext:
             raise InvalidArgumentError(f"unknown generator {name!r}") from None
 
     def constant(self, v):
-        form = SiegelFormSeries.zero(self.ring, 0, self.prec)
-        form.set_constant(v)
-        return form
+        return SiegelFormSeries.constant(self.ring, 0, self.prec, v)
 
     def monomial(self, a, b, c, d):
         """E4^a E6^b chi10^c chi12^d, memoized by exponent."""
@@ -797,12 +770,14 @@ class GeneratorContext:
         if key == (0, 0, 0, 0):
             out = self.constant(1)
         else:
-            for name, expo, drop in (("E4", a, (1, 0, 0, 0)), ("E6", b, (0, 1, 0, 0)),
-                                     ("chi10", c, (0, 0, 1, 0)), ("chi12", d, (0, 0, 0, 1))):
-                if expo > 0:
-                    prev = self.monomial(a - drop[0], b - drop[1], c - drop[2], d - drop[3])
-                    out = siegel_mul(prev, self.generator(name))
+            for i, name in enumerate(_GENERATOR_WEIGHTS):
+                if key[i] > 0:
+                    rest = key[:i] + (key[i] - 1,) + key[i + 1:]
+                    out = self.generator(name)
+                    if any(rest):
+                        out = siegel_mul(self.monomial(*rest), out)
                     break
+        out.coeffs.flags.writeable = False
         self._mono[key] = out
         return out
 
@@ -827,6 +802,12 @@ class Decomposition:
     bound: int
 
 
+def _class_matrix(forms, wmax, mask=None):
+    """Column j holds class_values(forms[j], wmax), restricted to mask."""
+    cols = [class_values(f, wmax) for f in forms]
+    return np.stack(cols if mask is None else [c[mask] for c in cols], axis=1)
+
+
 def decompose_mod_p(F, k, ctx):
     """One expression of F mod p in the weight-k generator monomials.
 
@@ -846,11 +827,8 @@ def decompose_mod_p(F, k, ctx):
     if F.prec < need or ctx.prec < need:
         raise PrecisionError(f"decomposition at weight {k} needs box {need}",
                              required=need, available=min(F.prec, ctx.prec))
-    classes = enumerate_reduced(bound)
-    cols = [ctx.monomial(*e) for e in monos]
-    mat = FpMatrix(p, [[col.a_T(t) for col in cols] for t in classes])
-    vec = [F.a_T(t) for t in classes]
-    sol = solve(mat, vec)
+    mat = FpMatrix(p, _class_matrix([ctx.monomial(*e) for e in monos], bound))
+    sol = solve(mat, class_values(F, bound))
     if sol is None:
         raise NotInRingError(f"form is not a weight-{k} monomial combination mod {p}")
     particular, kernel = sol
@@ -918,28 +896,22 @@ def _search_cell(k, p, monos, cache, contexts):
     for eps in (1, -1):
         cell = {"weight": k, "p": p, "legendre_class": eps,
                 "holds_b": sorted(b for b in range(1, p) if legendre(b, p) == eps)}
-        targets = [t for t in enumerate_reduced(small_bound)
-                   if legendre(t.det, p) == eps]
-        from .linalg import kernel_basis
-        mat = FpMatrix(p, [[c.a_T(t) for c in cols] for t in targets])
-        if not kernel_basis(mat):
+        mask = _legendre_mask(reduced_classes(small_bound)[3], p, eps)
+        if not kernel_basis(FpMatrix(p, _class_matrix(cols, small_bound, mask))):
             cell.update(status="none")
             out.append(cell)
             continue
         if full_ctx is None:
             full_ctx = GeneratorContext(ring, max(full_bound // 2, 2), cache)
             full_cols = [full_ctx.monomial(*e) for e in monos]
-        targets = [t for t in enumerate_reduced(full_bound)
-                   if legendre(t.det, p) == eps]
-        mat = FpMatrix(p, [[c.a_T(t) for c in full_cols] for t in targets])
-        kern = kernel_basis(mat)
+            # a direction vanishing inside the weight-k window is zero mod p
+            ident = _class_matrix(full_cols, k // 3)
+        mask = _legendre_mask(reduced_classes(full_bound)[3], p, eps)
+        kern = kernel_basis(FpMatrix(p, _class_matrix(full_cols, full_bound, mask)))
         forms = []
         degenerate = 0
-        ident = enumerate_reduced(k // 3)
         for vec in kern:
-            # a direction vanishing inside the weight-k window is zero mod p
-            if all(sum(x * c.a_T(t) for x, c in zip(vec, full_cols)) % p == 0
-                   for t in ident):
+            if not np.any(ident.dot(vec) % p):
                 degenerate += 1
                 continue
             terms = [monomial_text(e, coef=x) for x, e in zip(vec, monos) if x % p]
@@ -969,10 +941,7 @@ def verify_combination(F, combo, k, ctx):
     for e in combo:
         if 4 * e[0] + 6 * e[1] + 10 * e[2] + 12 * e[3] != k:
             raise InvalidArgumentError(f"monomial {e} does not have weight {k}")
-    for t in enumerate_reduced(bound):
-        acc = 0
-        for e, coef in combo.items():
-            acc += coef * ctx.monomial(*e).a_T(t)
-        if (acc - F.a_T(t)) % p:
-            return False
-    return True
+    acc = -class_values(F, bound)
+    for e, coef in combo.items():
+        acc = (acc + coef % p * class_values(ctx.monomial(*e), bound)) % p
+    return not np.any(acc % p)

@@ -87,7 +87,7 @@ def _col_convolve(ring, cols, series_row, prec):
 def _shift_row(ring, row, k, n):
     out = rows.zeros(ring, n)
     rows.add_into(ring, out, k, row[:max(0, n - k)])
-    return rows.normalize(ring, out)
+    return ring.canonical(out)
 
 
 def _pack_row(ring, vals):
@@ -109,7 +109,7 @@ def _weak_generators_fields(prec, ring):
     s2_at_1 = rows.zeros(ring, prec + 1)
     for col in s2.values():
         rows.add_into(ring, s2_at_1, 0, col)
-    s2_at_1 = rows.normalize(ring, s2_at_1)
+    s2_at_1 = ring.canonical(s2_at_1)
     inv_s2 = rows.invert_series(ring, s2_at_1, prec + 1)
     a2 = _col_convolve(ring, s2, inv_s2, prec)
     a2 = {r + 1: col for r, col in a2.items()}
@@ -120,7 +120,7 @@ def _weak_generators_fields(prec, ring):
     t3_at_1 = rows.zeros(ring, qprec + 1)
     for col in t3.values():
         rows.add_into(ring, t3_at_1, 0, col)
-    t3_at_1 = rows.normalize(ring, t3_at_1)
+    t3_at_1 = ring.canonical(t3_at_1)
     half = rows.aslist(ring, t3_at_1)
     e_q = _pack_row(ring, [half[2 * t] for t in range(prec + 1)])
     o_q = _pack_row(ring, [half[2 * t + 1] for t in range(prec + 1)])
@@ -146,7 +146,7 @@ def _weak_generators_fields(prec, ring):
     cols0 = {}
     for src in (a2, a34):
         for r, col in src.items():
-            cols0[r] = rows.add(ring, cols0[r], col) if r in cols0 else rows.copy(ring, col)
+            cols0[r] = rows.add(ring, cols0[r], col) if r in cols0 else col.copy()
     cols0 = {r: rows.scale(ring, col, ring.from_int(4)) for r, col in cols0.items()}
     return w_m2, _columns_to_form(ring, cols0, prec, 0, 1)
 

@@ -34,6 +34,13 @@ def dot_overlap(ring, a, ashift, b, bshift, r):
     return acc
 
 
+def _row(F, n, m):
+    """A(n, r, m) for |r| <= isqrt(4nm), read one coefficient at a time."""
+    b = isqrt(4 * n * m)
+    vals = [F.a(n, r, m) for r in range(-b, b + 1)]
+    return np.array(vals, dtype=np.int64) if isinstance(F.ring, FpRing) and F.ring.fits64 else vals
+
+
 def targeted_mul(F, G, targets):
     """Coefficients of F*G at the requested triples only.
 
@@ -52,8 +59,8 @@ def targeted_mul(F, G, targets):
         acc = ring.zero if not isinstance(ring, FpRing) else 0
         for n1 in range(n + 1):
             for m1 in range(m + 1):
-                a = F.tables[n1][m1]
-                b = G.tables[n - n1][m - m1]
+                a = _row(F, n1, m1)
+                b = _row(G, n - n1, m - m1)
                 v = dot_overlap(ring, a, -isqrt(4 * n1 * m1),
                                 b, -isqrt(4 * (n - n1) * (m - m1)), r)
                 acc = ring.add(acc, v)

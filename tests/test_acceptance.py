@@ -125,9 +125,7 @@ def test_criterion_6_nagaoka_instances():
 
 
 def _const_one(ring, weight, prec):
-    f = SiegelFormSeries.zero(ring, weight, prec)
-    f.set_constant(1)
-    return f
+    return SiegelFormSeries.constant(ring, weight, prec, 1)
 
 
 def test_criterion_7_sieve_suite(ctx5):

@@ -1,7 +1,9 @@
 import gzip
 import io
 import json
+import os
 
+import numpy as np
 import pytest
 
 from siegelcong.cache import _FORMAT, DiskCache
@@ -76,8 +78,17 @@ def test_load_round_trip_keeps_rows_independent(stored_chi10):
     cache, form = stored_chi10
     got = cache.load("chi10", INT, 3)
     assert got == form and got.weight == 10
-    got.tables[1][2][0] += 1
-    assert got.tables[2][1][0] == form.tables[2][1][0]
+    assert not np.shares_memory(got.coeffs, form.coeffs)
+
+
+def test_store_honours_the_umask(tmp_path):
+    form = GeneratorContext(INT, 2).generator("chi10")
+    old = os.umask(0o022)
+    try:
+        DiskCache(tmp_path).store("chi10", form)
+    finally:
+        os.umask(old)
+    assert [p.stat().st_mode & 0o777 for p in tmp_path.iterdir()] == [0o644]
 
 
 def test_format_1_file_is_a_miss(stored_chi10, tmp_path):

@@ -188,3 +188,18 @@ def test_truncated_cache_file_exit_code(capsys, tmp_path):
         f.write_bytes(data[:len(data) // 2])
     code, _, err = run(capsys, *argv)
     assert code == 3 and "cache" in err.lower()
+
+
+def test_import_builds_nothing_heavy():
+    """Importing the CLI (setup_s in the benchmark) loads no numpy.fft and
+    builds no per-box index arrays."""
+    import subprocess
+    import sys
+    code = ("import sys, siegelcong.cli\n"
+            "from siegelcong import siegel\n"
+            "print('numpy.fft' in sys.modules, siegel.box_index.cache_info().currsize,"
+            " siegel.reduced_classes.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "0", "0"]

@@ -118,3 +118,11 @@ def test_evaluate_is_ring_homomorphism(ctx5):
 def test_pow_zero_is_one(ctx5):
     form = evaluate(parse("chi10^0"), ctx5)
     assert form.a(0, 0, 0) == 1
+
+
+def test_evaluate_builds_every_table_row_at_its_weight():
+    from siegelcong.cli import TABLE_ROWS
+    ctx = GeneratorContext(FP5, 2)
+    for text, _ in TABLE_ROWS:
+        node = parse(text)
+        assert evaluate(node, ctx).weight == weight(node), text

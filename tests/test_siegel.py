@@ -17,9 +17,10 @@ from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
                                congruence_scan, decompose_mod_p, dyadic_trace,
                                enumerate_reduced, fourier_jacobi,
                                igusa_generators, maass_lift, reduce_T,
-                               siegel_congruence, siegel_direct_scan,
-                               siegel_mul, sturm_zero, theta_operator,
-                               verify_combination, weight_monomials)
+                               siegel_congruence, siegel_mul, sturm_zero,
+                               theta_operator, verify_combination,
+                               weight_monomials)
+from siegel_checks import check_unimodular_moves, siegel_direct_scan
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
@@ -141,8 +142,7 @@ def test_igusa_generators(int_gens):
     assert c12.a(1, 1, 1) == 1 and c10.a(1, 1, 1) == 1
     assert c10.a(1, 0, 1) == -2
     for g in int_gens.values():
-        assert g.check_symmetries()
-        assert g.check_unimodular_moves()
+        assert check_unimodular_moves(g)
 
 
 def test_fourier_jacobi_slices(int_gens):
@@ -214,36 +214,26 @@ KERNEL_PRIMES = [5, 7, 23, 2097143]
 
 
 def _random_form(ring, prec, seed, density, extreme):
-    """Random residues on the stored support: no Siegel symmetry, some zero rows."""
+    """Random residues on the stored half support, some (n, m) rows zero."""
     rng = np.random.default_rng(seed)
     p = ring.p
-    form = SiegelFormSeries.zero(ring, None, prec)
-    for line in form.tables:
-        for m, row in enumerate(line):
-            if rng.random() < density:
-                if extreme:
-                    vals = rng.choice([0, 1, (p - 1) // 2, (p + 1) // 2, p - 1], len(row))
-                else:
-                    vals = rng.integers(0, p, len(row))
-                line[m] = vals.astype(np.int64)
-    return form
+    idx = siegel.box_index(prec)
+    if extreme:
+        vals = rng.choice([0, 1, (p - 1) // 2, (p + 1) // 2, p - 1], idx.size)
+    else:
+        vals = rng.integers(0, p, idx.size)
+    # one draw per (n, m) row, read at the row's first key
+    keep = (rng.random(idx.size) < density)[idx.offset[idx.n, idx.m]]
+    return SiegelFormSeries(ring, None, prec, np.where(keep, vals, 0).astype(np.int64))
 
 
 def _constant_form(ring, prec, v):
-    form = SiegelFormSeries.zero(ring, None, prec)
-    for line in form.tables:
-        for row in line:
-            row[:] = v
-    return form
+    return SiegelFormSeries(ring, None, prec, np.full(siegel.box_index(prec).size, v))
 
 
-def _assert_same_tables(got, want):
-    assert len(got) == len(want)
-    for gline, wline in zip(got, want):
-        assert len(gline) == len(wline)
-        for g, w in zip(gline, wline):
-            assert g.dtype == w.dtype == np.int64
-            assert np.array_equal(g, w)
+def _assert_same_vector(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def _largest_fft_prime(prec):
@@ -281,7 +271,7 @@ def test_siegel_mul_kernel_matches_loop(p, fprec, gprec, seed, density, extreme,
     assert siegel._fft_exact(ring, prec) == (p < 2097143 or prec == 0)
     got = siegel_mul(F, G)
     assert got.prec == prec
-    _assert_same_tables(got.tables, siegel._mul_loop(F, G, prec))
+    _assert_same_vector(got.coeffs, siegel._mul_loop(F, G, prec))
 
 
 @pytest.mark.parametrize("prec", [0, 10])
@@ -292,8 +282,8 @@ def test_siegel_mul_kernel_at_exactness_bound(prec, fft_calls):
     F = _constant_form(ring, prec, (p - 1) // 2)
     G = _constant_form(ring, prec, (p - 1) // 2)
     want = siegel._mul_loop(F, G, prec)
-    _assert_same_tables(siegel_mul(F, F).tables, want)
-    _assert_same_tables(siegel_mul(F, G).tables, want)
+    _assert_same_vector(siegel_mul(F, F).coeffs, want)
+    _assert_same_vector(siegel_mul(F, G).coeffs, want)
     assert fft_calls == [prec, prec]
 
 
@@ -463,8 +453,9 @@ def test_decompose_e4_squared():
 def test_decompose_rejects_foreign_vector():
     ctx = GeneratorContext(FP7, 2)
     # A(0,0,0) = 0 forces the zero combination, but A(0,0,1) = 1 contradicts it
-    bogus = SiegelFormSeries.zero(FP7, 8, 2)
-    bogus.tables[0][1][0] = 1
+    vec = np.zeros(siegel.box_index(2).size, dtype=np.int64)
+    vec[siegel.box_index(2).offset[0, 1]] = 1
+    bogus = SiegelFormSeries(FP7, 8, 2, vec)
     with pytest.raises(NotInRingError):
         decompose_mod_p(bogus, 8, ctx)
 
@@ -495,3 +486,21 @@ def test_search_shares_small_windows_per_prime(monkeypatch):
     assert n_shared < len(made)
     hit = [c for c in shared if c["p"] == 7 and c["status"] == "congruence"]
     assert [(c["weight"], c["holds_b"]) for c in hit] == [(16, [3, 5, 6])]
+
+
+def test_monomial_of_one_generator_is_the_generator(monkeypatch):
+    ctx = GeneratorContext(FP7, 2)
+    ctx.generators()
+    calls = []
+    mul = siegel.siegel_mul
+    monkeypatch.setattr(siegel, "siegel_mul", lambda F, G: calls.append(1) or mul(F, G))
+    for i, name in enumerate(("E4", "E6", "chi10", "chi12")):
+        assert ctx.monomial(*(int(j == i) for j in range(4))) is ctx.generator(name)
+    assert calls == []
+
+
+def test_memoized_forms_are_read_only():
+    ctx = GeneratorContext(FP7, 2)
+    for form in (ctx.generator("E4"), ctx.monomial(0, 0, 0, 0), ctx.monomial(2, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            form.coeffs[0] = 3
