@@ -5,10 +5,11 @@ F_p with p < 2^21, holding residues in [0, p), and object over Z, Q and
 larger primes, holding Python ints, Fractions or residues.  The Siegel
 coefficient vector of siegelcong.siegel uses the same dtypes.  Rows carry
 no ring metadata; every helper takes the ring explicitly and is one numpy
-expression, reduced mod p over F_p by `ring.canonical`.  Convolutions over
-F_p accumulate unreduced in int64 and reduce once at the end;
-`FpRing.fits64` guarantees no overflow for the row lengths used in this
-package.
+path for both dtypes, reduced mod p over F_p by `ring.canonical`; only
+`convolve_trunc` branches on the dtype, to skip zero products of Python
+objects.  Convolutions over F_p accumulate unreduced in int64 and reduce
+once at the end; `FpRing.fits64` guarantees no overflow for the row
+lengths used in this package.
 """
 
 from __future__ import annotations
@@ -70,10 +71,17 @@ def convolve(ring, a, b):
 
 def convolve_trunc(ring, a, b, n):
     """First n coefficients of the product of two series rows."""
+    a, b = np.asarray(a[:n], dtype=ring.dtype), np.asarray(b[:n], dtype=ring.dtype)
     out = zeros(ring, n)
-    if min(len(a), len(b), n):
-        full = convolve(ring, np.asarray(a[:n], dtype=ring.dtype),
-                        np.asarray(b[:n], dtype=ring.dtype))
+    if a.dtype == object:
+        # Python-object products are the cost: skip a's zeros (theta series
+        # are sparse) and every product past q^(n-1)
+        for i in np.flatnonzero(a):
+            seg = b[:n - i]
+            out[i:i + len(seg)] += a[i] * seg
+        return ring.canonical(out)
+    if len(a) and len(b):
+        full = convolve(ring, a, b)
         out[:min(n, len(full))] = full[:n]
     return out
 

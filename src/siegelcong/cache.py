@@ -78,7 +78,7 @@ class DiskCache:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
-                umask = os.umask(0)
+                umask = os.umask(0)         # os.umask cannot only read: set it back
                 os.umask(umask)
                 os.chmod(tmp, 0o666 & ~umask)
                 with os.fdopen(fd, "wb") as raw:

@@ -59,11 +59,6 @@ class MatrixIndexT:
             return self.r == 0 and self.m >= 0
         return 0 <= self.r <= self.n <= self.m
 
-    @property
-    def w(self):
-        """Dyadic trace 2n + 2m - |r|; meaningful for reduced matrices."""
-        return dyadic_trace(self)
-
     def key(self):
         return (self.n, self.r, self.m)
 
