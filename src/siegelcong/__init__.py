@@ -4,8 +4,8 @@ with decision procedures for Ramanujan-type congruences mod p >= 5."""
 from .errors import (ArithmeticDomainError, CacheIOError, DecompositionError,
                      InvalidArgumentError, NotInRingError, PrecisionError,
                      RingMismatchError, SiegelCongError)
-from .ring import (ExactRat, FpRing, IntRing, PrimeFieldElem, RatRing,
-                   is_prime, legendre, reduce_rational, ring_from_tag)
+from .ring import (FpRing, IntRing, RatRing, is_prime, legendre, reduce_rational,
+                   ring_from_tag)
 from .qexp import (QSeries, bernoulli, delta_q, eisenstein_q,
                    elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim)
 from .jacobi import (HeatCycleReport, JacobiCongruence, JacobiFormSeries,

@@ -20,9 +20,8 @@ from . import expr as exprmod
 from .cache import DiskCache, default_cache_dir
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
-from .jacobi import (JacobiFormSeries, heat_cycle, heat_cycle_required_prec,
-                     jacobi_cusp, jacobi_eisenstein, jac_mul,
-                     qseries_times_jacobi)
+from .jacobi import (heat_cycle, heat_cycle_required_prec, jacobi_cusp,
+                     jacobi_eisenstein, jac_mul, qseries_times_jacobi)
 from .qexp import delta_q, eisenstein_q
 from .ring import FpRing, ring_from_tag
 from .siegel import (GeneratorContext, class_values, congruence_required_prec,
@@ -249,8 +248,10 @@ def cmd_sieve(args):
             part = part.reduce_mod(p)
             other = other.reduce_mod(p)
         bound = k_after // 3
-        window = min(bound, 2 * prec)
-        agree = not ((class_values(part, window) - class_values(other, window)) % p).any()
+        if ctx.prec < bound // 2:
+            raise PrecisionError(f"verification at bound {bound} needs box precision {bound // 2}",
+                                 required=bound // 2, available=ctx.prec)
+        agree = not ((class_values(part, bound) - class_values(other, bound)) % p).any()
         _emit(args, {"form": exprmod.to_text(node), "p": p, "s": s,
                      "verify_against": exprmod.to_text(node2),
                      "weight": k_after, "bound": bound, "match": agree})

@@ -8,13 +8,23 @@ Index-1 generators: the coefficients of an index-1 form, weak or holomorphic,
 depend only on D = 4n - r^2 (Eichler-Zagier, The Theory of Jacobi Forms,
 Thm 2.2).  So phi_{-2,1}, phi_{0,1}, E_{4,1}, E_{6,1}, phi_{10,1} and
 phi_{12,1} are each computed as two q-series, their zeta^0 and zeta^1
-columns, and the rows are filled from those once; a runtime guard requires
-the zeta^2 and zeta^3 columns to agree with them (see weak_generators).
+columns, and the coefficient vector is gathered from those once; a runtime
+guard requires the zeta^2 and zeta^3 columns to agree with them (see
+weak_generators).
 
-Storage: a form of index m and precision N keeps a dense row for every
-0 <= n <= N over the full admissible range |r| <= isqrt(4nm + m^2); for
-holomorphic forms the entries with 4nm - r^2 < 0 are zero.  Forms are
-immutable values; every operation returns a new form.
+Storage: c(n, -r) = c(n, r) for every even-weight form, so a form of index
+m and precision N stores only the half support 0 <= n <= N,
+0 <= r <= rbound(m, n) = isqrt(4nm + m^2): one flat vector `coeffs`, ordered
+by n, then r, which is also the order of to_json.  The vector of a smaller
+precision is a prefix of it.  Over F_p with p < 2^21 the vector is int64
+with residues in [0, p); over Z, Q and larger primes it has dtype object and
+holds Python ints, Fractions or residues.  Every operation is a numpy
+expression on that vector, reduced mod p only over F_p, with the index
+arrays of each (index, precision) built once and shared by every live form
+of that shape (JacobiIndex); the products convolve full rows gathered from
+it.  For holomorphic forms
+the entries with 4nm - r^2 < 0 are zero.  Forms are immutable values: every
+operation returns a new form, and memoized forms are read-only.
 
 The finite zero test mod p routes through the weak-form decomposition and a
 level-1 Sturm check on each component.  There is no published Sturm-type
@@ -24,19 +34,20 @@ bound at the Jacobi level; this reduction is this library's own construction
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
 
-from . import _rows as rows
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
 from .linalg import FpMatrix, kernel_basis, rref
-from .qexp import QSeries, delta_q, eisenstein_q, elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim
+from .qexp import (QSeries, convolve_trunc, delta_q, eisenstein_q, elliptic_sturm_zero,
+                   eta_pow6, invert_series, mk_basis, mk_dim)
 from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
 
 NEG_INF = float("-inf")
@@ -47,31 +58,102 @@ def rbound(index, n):
     return isqrt(4 * n * index + index * index)
 
 
+class JacobiIndex:
+    """Read-only index arrays of the half support of index m to q^prec, in vector order.
+
+    bound[n] = rbound(m, n) and start[n] is where the keys (n, r),
+    0 <= r <= bound[n], of q^n begin (start[prec + 1] is the length), so
+    c(n, r) sits at start[n] + |r| and the vector of a precision N <= prec
+    is the prefix up to start[N + 1].  n, r and D = 4nm - r^2, one entry
+    per key, are built on first use.
+    """
+
+    def __init__(self, m, prec):
+        self.m = m
+        self.bound = np.array([rbound(m, n) for n in range(prec + 1)])
+        self.start = np.append(0, np.cumsum(self.bound + 1))
+        self.size = int(self.start[-1])
+        self.bound.flags.writeable = self.start.flags.writeable = False
+
+    @cached_property
+    def n(self):
+        return _read_only(np.repeat(np.arange(len(self.bound)), self.bound + 1))
+
+    @cached_property
+    def r(self):
+        r = np.arange(self.size)
+        r -= self.start[self.n]
+        return _read_only(r)
+
+    @cached_property
+    def D(self):
+        # in place: at the lift's q-precision (900 at box 30) a temporary is
+        # 0.3 MB, and each one shows in the peak RSS
+        D = self.n * (4 * self.m)
+        D -= self.r * self.r
+        return _read_only(D)
+
+    @cached_property
+    def _full(self):
+        """The gather index of the full rows and the cuts between them."""
+        width = 2 * self.bound + 1
+        cuts = np.cumsum(width)
+        n = np.repeat(np.arange(len(width)), width)
+        r = np.arange(cuts[-1]) - (cuts - width)[n] - self.bound[n]
+        return self.start[n] + np.abs(r), cuts[:-1]
+
+    def full_rows(self, vec):
+        """The rows c(n, r), r = -bound[n]..bound[n], of the vector vec, one
+        array per n: the products convolve these."""
+        gather, cuts = self._full
+        return np.split(vec[gather], cuts)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+_indexes = weakref.WeakValueDictionary()
+
+
+def jacobi_index(m, prec):
+    """The JacobiIndex of index m and precision prec.  Every form holds its
+    own and the memo keeps one only while a form does, so the large index of
+    a Maass lift's q-precision goes with the forms that needed it."""
+    idx = _indexes.get((m, prec))
+    if idx is None:
+        idx = _indexes[m, prec] = JacobiIndex(m, prec)
+    return idx
+
+
 class JacobiFormSeries:
-    """Truncated expansion sum_{n,r} c(n, r) q^n zeta^r of weight k, index m."""
+    """Truncated expansion sum_{n,r} c(n, r) q^n zeta^r of weight k, index m.
 
-    __slots__ = ("ring", "weight", "index", "prec", "weak", "rows")
+    coeffs is the half-support vector described in the module docstring.
+    """
 
-    def __init__(self, ring, weight, index, row_list, weak=False):
+    __slots__ = ("ring", "weight", "index", "prec", "coeffs", "weak", "idx")
+
+    def __init__(self, ring, weight, index, prec, coeffs, weak=False):
         if index < 0:
             raise InvalidArgumentError(f"index must be >= 0, got {index}")
+        self.idx = jacobi_index(index, prec)
+        if len(coeffs) != self.idx.size:
+            raise InvalidArgumentError(
+                f"{len(coeffs)} coefficients for index {index} and precision {prec}")
         self.ring = ring
         self.weight = weight
         self.index = index
-        self.rows = row_list
-        self.prec = len(row_list) - 1
+        self.prec = prec
+        self.coeffs = coeffs
         self.weak = weak
 
     # -- construction -----------------------------------------------------
     @classmethod
     def zero(cls, ring, weight, index, prec, weak=False):
-        rl = [rows.zeros(ring, 2 * rbound(index, n) + 1) for n in range(prec + 1)]
-        return cls(ring, weight, index, rl, weak=weak)
-
-    def copy(self):
-        return JacobiFormSeries(self.ring, self.weight, self.index,
-                                [r.copy() for r in self.rows],
-                                weak=self.weak)
+        return cls(ring, weight, index, prec, ring.zeros(jacobi_index(index, prec).size),
+                   weak=weak)
 
     # -- access -------------------------------------------------------------
     def rb(self, n):
@@ -84,30 +166,33 @@ class JacobiFormSeries:
         if n > self.prec:
             raise PrecisionError(f"row q^{n} beyond precision {self.prec}",
                                  required=n, available=self.prec)
-        b = self.rb(n)
-        if abs(r) > b:
+        if abs(r) > self.rb(n):
             return self.ring.zero
-        v = self.rows[n][b + r]
+        v = self.coeffs[self.idx.start[n] + abs(r)]
         return int(v) if isinstance(self.ring, FpRing) else v
 
     def is_zero_window(self):
-        return all(rows.is_zero(self.ring, row) for row in self.rows)
+        return not np.any(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, JacobiFormSeries) and self.ring == other.ring
                 and self.index == other.index and self.prec == other.prec
-                and all(rows.eq(self.ring, a, b) for a, b in zip(self.rows, other.rows)))
+                and not np.any(self.ring.canonical(self.coeffs - other.coeffs)))
 
     def __repr__(self):
         return (f"JacobiFormSeries({self.ring.tag}, k={self.weight}, m={self.index}, "
                 f"N={self.prec}, weak={self.weak})")
 
+    def at_prec(self, prec):
+        """The coefficient vector truncated to precision prec <= self.prec: a prefix."""
+        return self.coeffs[:self.idx.start[prec + 1]]
+
     def truncate(self, prec):
         if prec > self.prec:
             raise PrecisionError("cannot extend a truncated form",
                                  required=prec, available=self.prec)
-        return JacobiFormSeries(self.ring, self.weight, self.index,
-                                self.rows[:prec + 1], weak=self.weak)
+        return JacobiFormSeries(self.ring, self.weight, self.index, prec,
+                                self.at_prec(prec), weak=self.weak)
 
     # -- ring-level arithmetic ------------------------------------------------
     def _check(self, other):
@@ -118,27 +203,18 @@ class JacobiFormSeries:
         return min(self.prec, other.prec)
 
     def __add__(self, other):
-        n = self._check(other)
-        w = self.weight if self.weight == other.weight else None
-        rl = [rows.add(self.ring, self.rows[i], other.rows[i]) for i in range(n + 1)]
-        return JacobiFormSeries(self.ring, w, self.index, rl,
-                                weak=self.weak or other.weak)
+        return _combine(self, other, 1, self.weight if self.weight == other.weight else None)
 
     def __sub__(self, other):
-        n = self._check(other)
-        w = self.weight if self.weight == other.weight else None
-        rl = [rows.sub(self.ring, self.rows[i], other.rows[i]) for i in range(n + 1)]
-        return JacobiFormSeries(self.ring, w, self.index, rl,
-                                weak=self.weak or other.weak)
+        return _combine(self, other, -1, self.weight if self.weight == other.weight else None)
 
     def scale(self, c):
         c = self.ring.from_int(c) if isinstance(c, int) else c
-        rl = [rows.scale(self.ring, r, c) for r in self.rows]
-        return JacobiFormSeries(self.ring, self.weight, self.index, rl, weak=self.weak)
+        return JacobiFormSeries(self.ring, self.weight, self.index, self.prec,
+                                self.ring.canonical(self.coeffs * c), weak=self.weak)
 
     def __neg__(self):
-        rl = [rows.neg(self.ring, r) for r in self.rows]
-        return JacobiFormSeries(self.ring, self.weight, self.index, rl, weak=self.weak)
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, JacobiFormSeries):
@@ -149,33 +225,27 @@ class JacobiFormSeries:
 
     # -- specializations --------------------------------------------------------
     def z_restrict(self):
-        """The weight-k modular form phi(tau, 0): row sums as a QSeries."""
-        vals = np.array([row.sum() for row in self.rows], dtype=self.ring.dtype)
+        """The weight-k modular form phi(tau, 0) = sum_r c(n, r): c(n, 0) plus
+        twice the c(n, r) with r > 0, as a QSeries."""
+        idx = self.idx
+        twice = np.where(idx.r > 0, 2, 1).astype(self.ring.dtype)
+        vals = np.add.reduceat(self.coeffs * twice, idx.start[:-1])
         return QSeries(self.ring, self.ring.canonical(vals), weight=self.weight)
 
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
-        rl = [rows.reduce_row(self.ring, r, fp) for r in self.rows]
-        return JacobiFormSeries(fp, self.weight, self.index, rl, weak=self.weak)
+        return JacobiFormSeries(fp, self.weight, self.index, self.prec,
+                                self.ring.reduce_vector(self.coeffs, fp), weak=self.weak)
 
     def to_json(self):
-        coeffs = []
-        for n in range(self.prec + 1):
-            for r in range(self.rb(n) + 1):
-                v = self.c(n, r)
-                if not self.ring.is_zero(v):
-                    coeffs.append([n, r, self.ring.to_token(v)])
+        idx = self.idx
+        nz = np.flatnonzero(self.coeffs != 0)
+        toks = [self.ring.to_token(v) for v in self.coeffs[nz].tolist()]
+        coeffs = [[n, r, t] for n, r, t in zip(idx.n[nz].tolist(), idx.r[nz].tolist(), toks)]
         return {"kind": "jacobi", "ring": self.ring.tag, "weight": self.weight,
                 "index": self.index, "prec": self.prec, "coeffs": coeffs}
 
     # -- structural checks (used heavily by the tests) ---------------------------
-    def check_symmetry(self):
-        for n in range(self.prec + 1):
-            for r in range(1, self.rb(n) + 1):
-                if not self.ring.is_zero(self.ring.sub(self.c(n, r), self.c(n, -r))):
-                    return False
-        return True
-
     def check_transformation_law(self):
         """c(n, r) == c(n + r + m, r + 2m) wherever both keys are stored."""
         m = self.index
@@ -188,14 +258,8 @@ class JacobiFormSeries:
         return True
 
     def check_holomorphic_support(self):
-        m = self.index
-        for n in range(self.prec + 1):
-            for r in range(isqrt(4 * n * m) + 1, self.rb(n) + 1):
-                if 4 * n * m - r * r < 0:
-                    if not (self.ring.is_zero(self.c(n, r))
-                            and self.ring.is_zero(self.c(n, -r))):
-                        return False
-        return True
+        """c(n, r) == 0 wherever 4nm - r^2 < 0."""
+        return not np.any(self.coeffs[self.idx.D < 0])
 
 
 def _combine(a, b, coef_b, weight):
@@ -203,36 +267,42 @@ def _combine(a, b, coef_b, weight):
     n = a._check(b)
     ring = a.ring
     cb = ring.from_int(coef_b) if isinstance(coef_b, int) else coef_b
-    rl = [rows.add(ring, a.rows[i], rows.scale(ring, b.rows[i], cb)) for i in range(n + 1)]
-    return JacobiFormSeries(ring, weight, a.index, rl, weak=a.weak or b.weak)
+    vec = ring.canonical(a.at_prec(n) + b.at_prec(n) * cb)
+    return JacobiFormSeries(ring, weight, a.index, n, vec, weak=a.weak or b.weak)
 
 
 # -- products ---------------------------------------------------------------------
 
 def jac_mul(a, b):
-    """Two-variable Cauchy product; weights and indices add, precision is min."""
+    """Two-variable Cauchy product; weights and indices add, precision is min.
+
+    Row n of the product is the sum over n1 of the convolutions of the full
+    rows n1 of a and n - n1 of b, all centred at r = 0; only its r >= 0 half
+    is kept.
+    """
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring.tag} vs {b.ring.tag}")
     ring = a.ring
     prec = min(a.prec, b.prec)
     m = a.index + b.index
     w = a.weight + b.weight if a.weight is not None and b.weight is not None else None
+    arows, brows = a.idx.full_rows(a.coeffs), b.idx.full_rows(b.coeffs)
     out = []
     for n in range(prec + 1):
         bo = rbound(m, n)
-        acc = rows.zeros(ring, 2 * bo + 1)
+        acc = ring.zeros(2 * bo + 1)
         for n1 in range(n + 1):
-            r1, r2 = a.rows[n1], b.rows[n - n1]
-            conv = rows.convolve(ring, r1, r2)
-            # centered alignment: conv center = rb_a(n1) + rb_b(n-n1) <= bo
-            off = bo - (a.rb(n1) + b.rb(n - n1))
-            rows.add_into(ring, acc, off, conv)
-        out.append(ring.canonical(acc))
-    return JacobiFormSeries(ring, w, m, out, weak=a.weak or b.weak)
+            conv = ring.canonical(np.convolve(arows[n1], brows[n - n1]))
+            off = bo - len(conv) // 2     # rbound(a) + rbound(b) <= rbound(a + b)
+            acc[off:off + len(conv)] += conv
+        out.append(acc[bo:])
+    return JacobiFormSeries(ring, w, m, prec, ring.canonical(np.concatenate(out)),
+                            weak=a.weak or b.weak)
 
 
 def qseries_times_jacobi(f, phi):
-    """Multiply a one-variable series into a Jacobi form (q-direction only)."""
+    """Multiply a one-variable series into a Jacobi form (q-direction only):
+    each zeta-power r >= 0 is one q-convolution."""
     if f.ring != phi.ring:
         raise RingMismatchError(f"{f.ring.tag} vs {phi.ring.tag}")
     ring = phi.ring
@@ -240,21 +310,15 @@ def qseries_times_jacobi(f, phi):
     w = None
     if f.weight is not None and phi.weight is not None:
         w = f.weight + phi.weight
-    # column-major: each zeta-power is one q-convolution
-    big = rbound(phi.index, prec)
-    dense = np.full((prec + 1, 2 * big + 1), ring.zero, dtype=ring.dtype)
-    for n in range(prec + 1):
-        b = phi.rb(n)
-        dense[n, big - b:big + b + 1] = phi.rows[n][:2 * b + 1]
+    idx = jacobi_index(phi.index, prec)
+    dense = ring.zeros((prec + 1, int(idx.bound[-1]) + 1))
+    dense[idx.n, idx.r] = phi.at_prec(prec)
     fv = f.coeffs[:prec + 1]
-    for c in range(2 * big + 1):
+    for c in range(dense.shape[1]):
         col = dense[:, c]
-        if not np.any(col):
-            continue
-        dense[:, c] = ring.canonical(np.convolve(fv, col)[:prec + 1])
-    out = [dense[n, big - phi.rb(n):big + phi.rb(n) + 1].copy()
-           for n in range(prec + 1)]
-    return JacobiFormSeries(ring, w, phi.index, out, weak=phi.weak)
+        if np.any(col):
+            dense[:, c] = ring.canonical(np.convolve(fv, col)[:prec + 1])
+    return JacobiFormSeries(ring, w, phi.index, prec, dense[idx.n, idx.r], weak=phi.weak)
 
 
 def heat(phi):
@@ -264,16 +328,11 @@ def heat(phi):
     weight of the image); over exact rings the annotation is left unchanged.
     """
     ring = phi.ring
-    m = phi.index
-    out = []
-    for n in range(phi.prec + 1):
-        b = phi.rb(n)
-        r = np.arange(-b, b + 1)
-        out.append(ring.canonical(phi.rows[n] * (4 * n * m - r * r).astype(ring.dtype)))
+    vec = ring.canonical(phi.coeffs * phi.idx.D.astype(ring.dtype))
     w = phi.weight
     if w is not None and isinstance(ring, FpRing):
         w = w + ring.p + 1
-    return JacobiFormSeries(ring, w, m, out, weak=phi.weak)
+    return JacobiFormSeries(ring, w, phi.index, phi.prec, vec, weak=phi.weak)
 
 
 def heat_iterate(phi, times):
@@ -295,8 +354,8 @@ def _square(j):
     return j * j
 
 
-def _theta_square_column(c, n, sign, expo):
-    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} sign^j x^{expo(j)} zeta^j)^2, as ints.
+def _theta_square_column(ring, c, n, sign, expo):
+    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} sign^j x^{expo(j)} zeta^j)^2.
 
     The terms j and c - j meet at zeta^c, so this is one sum over j with
     O(sqrt n) terms.
@@ -308,7 +367,7 @@ def _theta_square_column(c, n, sign, expo):
         e = expo(j) + expo(c - j)
         if e < n:
             out[e] += s
-    return out
+    return np.array([ring.from_int(v) for v in out], dtype=ring.dtype)
 
 
 def _theta_square_at_one(ring, n, expo):
@@ -318,8 +377,8 @@ def _theta_square_at_one(ring, n, expo):
     for j in range(-reach, reach + 1):
         if expo(j) < n:
             theta[expo(j)] += 1
-    theta = rows.from_ints(ring, theta)
-    return rows.convolve_trunc(ring, theta, theta, n)
+    theta = np.array([ring.from_int(v) for v in theta], dtype=ring.dtype)
+    return convolve_trunc(ring, theta, theta, n)
 
 
 def _column_factors(prec, ring):
@@ -330,17 +389,19 @@ def _column_factors(prec, ring):
     """
     n = prec + 1
     inv_eta6 = eta_pow6(prec, ring).inverse().coeffs
-    inv_s2 = rows.invert_series(ring, _theta_square_at_one(ring, n, _tri), n)
+    inv_s2 = invert_series(ring, _theta_square_at_one(ring, n, _tri), n)
     # pieces 2+3 combined: 2(Ee - Oo)/(e^2 - o^2) over Q = q^{1/2}, where e and
-    # o are the even and odd Q-powers of theta_3(Q)^2 reindexed to integral q
+    # o are the even and odd Q-powers of theta_3(Q)^2 reindexed to integral q;
+    # np.append(zero, x)[:n] is q * x
     t3 = _theta_square_at_one(ring, 2 * n, _square)
     e_q, o_q = t3[0::2], t3[1::2]
-    denom = rows.sub(ring, rows.convolve_trunc(ring, e_q, e_q, n),
-                     _shift_row(ring, rows.convolve_trunc(ring, o_q, o_q, n), 1, n))
-    inv_denom = rows.invert_series(ring, denom, n)
-    even = rows.scale(ring, rows.convolve_trunc(ring, e_q, inv_denom, n), ring.from_int(2))
-    odd = rows.scale(ring, _shift_row(ring, rows.convolve_trunc(ring, o_q, inv_denom, n), 1, n),
-                     ring.from_int(-2))
+    zero = ring.zeros(1)
+    denom = ring.canonical(convolve_trunc(ring, e_q, e_q, n)
+                           - np.append(zero, convolve_trunc(ring, o_q, o_q, n))[:n])
+    inv_denom = invert_series(ring, denom, n)
+    even = ring.canonical(convolve_trunc(ring, e_q, inv_denom, n) * ring.from_int(2))
+    odd = ring.canonical(np.append(zero, convolve_trunc(ring, o_q, inv_denom, n))[:n]
+                         * ring.from_int(-2))
     return inv_eta6, inv_s2, (even, odd)
 
 
@@ -349,18 +410,16 @@ def _weak_column(c, prec, ring, factors):
     n = prec + 1
     inv_eta6, inv_s2, folded = factors
     # weight -2: zeta * theta_red^2 / eta^6  (fractional powers cancel)
-    th2 = rows.from_ints(ring, _theta_square_column(c - 1, n, -1, _tri))
-    wm2 = rows.convolve_trunc(ring, th2, inv_eta6, n)
+    wm2 = convolve_trunc(ring, _theta_square_column(ring, c - 1, n, -1, _tri), inv_eta6, n)
     # weight 0, piece 1: zeta * S2 / S2(q, 1) from the even theta pair
-    s2 = rows.from_ints(ring, _theta_square_column(c - 1, n, 1, _tri))
-    a2 = rows.convolve_trunc(ring, s2, inv_s2, n)
+    a2 = convolve_trunc(ring, _theta_square_column(ring, c - 1, n, 1, _tri), inv_s2, n)
     # pieces 2+3: odd zeta-powers must sit on odd Q-powers, even on even
     par = c % 2
-    t3 = _theta_square_column(c, 2 * n, 1, _square)
-    if any(t3[1 - par::2]):
+    t3 = _theta_square_column(ring, c, 2 * n, 1, _square)
+    if np.any(t3[1 - par::2]):
         raise ArithmeticDomainError("theta square breaks the parity coupling")
-    a34 = rows.convolve_trunc(ring, rows.from_ints(ring, t3[par::2]), folded[par], n)
-    return wm2, rows.scale(ring, rows.add(ring, a2, a34), ring.from_int(4))
+    a34 = convolve_trunc(ring, t3[par::2], folded[par], n)
+    return wm2, ring.canonical((a2 + a34) * ring.from_int(4))
 
 
 @lru_cache(maxsize=1)
@@ -375,36 +434,37 @@ def _weak_columns(prec, ring):
     generators of one box share it; its columns are read-only.
     """
     if isinstance(ring, IntRing):
-        return tuple(tuple(rows.read_only(rows.from_ints(ring, [ring.from_rational(v) for v in h]))
+        gens = tuple(tuple(np.array([ring.from_rational(v) for v in h], dtype=ring.dtype)
                            for h in gen) for gen in _weak_columns(prec, ring_from_tag("rat")))
-    n = prec + 1
-    factors = _column_factors(prec, ring)
-    cols = [_weak_column(c, prec, ring, factors) for c in range(4)]
-    gens = []
-    for g in range(2):
-        h0, h1, h2, h3 = (col[g] for col in cols)
-        if not (rows.eq(ring, h2, _shift_row(ring, h0, 1, n))
-                and rows.eq(ring, h3, _shift_row(ring, h1, 2, n))):
-            raise ArithmeticDomainError(
-                "zeta^2 and zeta^3 columns break the index-1 discriminant law")
-        gens.append(tuple(rows.read_only(h) for h in (h0, h1)))
-    return tuple(gens)
-
-
-def _shift_row(ring, row, k, n):
-    out = rows.zeros(ring, n)
-    rows.add_into(ring, out, k, row[:max(0, n - k)])
-    return ring.canonical(out)
+    else:
+        n = prec + 1
+        factors = _column_factors(prec, ring)
+        cols = [_weak_column(c, prec, ring, factors) for c in range(4)]
+        gens = tuple((cols[0][g], cols[1][g]) for g in range(2))
+        for g in range(2):
+            for k in (1, 2):
+                moved = np.append(ring.zeros(k), cols[k - 1][g])[:n]
+                if not np.array_equal(cols[k + 1][g], moved):
+                    raise ArithmeticDomainError(
+                        "zeta^2 and zeta^3 columns break the index-1 discriminant law")
+    for gen in gens:
+        for h in gen:
+            h.flags.writeable = False
+    return gens
 
 
 def _index1_form(ring, weight, cols, weak):
-    """The index-1 form with zeta^0 and zeta^1 columns cols, rows filled once."""
+    """The index-1 form with zeta^0 and zeta^1 columns cols: one gather by D.
+
+    The discriminants come from an index of its own, dropped after the
+    gather, so that the form's index (which a Maass lift keeps alive while
+    it runs) builds no per-key arrays.
+    """
     h = np.array(cols, dtype=ring.dtype)
-    rl = []
-    for n in range(h.shape[1]):
-        r = np.arange(-rbound(1, n), rbound(1, n) + 1)
-        rl.append(h[r & 1, n - r * r // 4])
-    return JacobiFormSeries(ring, weight, 1, rl, weak=weak)
+    prec = h.shape[1] - 1
+    D = np.arange(-1, 4 * prec + 1)
+    C = h[(D % 4 == 3).astype(int), (D + 1) // 4]        # C[D + 1], D = 4n - r^2 >= -1
+    return JacobiFormSeries(ring, weight, 1, prec, C[JacobiIndex(1, prec).D + 1], weak=weak)
 
 
 _weak_cache = {}
@@ -423,8 +483,8 @@ def weak_generators(prec, ring):
     runtime guard builds the zeta^2 and zeta^3 columns as well and raises
     ArithmeticDomainError unless they are h_0 and h_1 moved down one and two
     rows.  Exact rings are computed through exact rationals and cast, which
-    verifies integrality.  Results are memoized per ring; a precision below
-    one already built is a truncation of it.
+    verifies integrality.  Results are memoized per ring and read-only; a
+    precision below one already built is a truncation of it.
     """
     key = (ring.tag, prec)
     hit = _weak_cache.get(key)
@@ -438,6 +498,8 @@ def weak_generators(prec, ring):
             return out
     wm2, w0 = _weak_columns(prec, ring)
     out = (_index1_form(ring, -2, wm2, weak=True), _index1_form(ring, 0, w0, weak=True))
+    for f in out:
+        f.coeffs.flags.writeable = False
     _weak_cache[key] = out
     return out
 
@@ -457,9 +519,9 @@ def jacobi_eisenstein(k, prec, ring):
     twelve = ring.from_int(12)
     cols = []
     for h0, hm2 in zip(w0, wm2):
-        num = rows.sub(ring, rows.convolve_trunc(ring, f.coeffs, h0, prec + 1),
-                       rows.convolve_trunc(ring, g.coeffs, hm2, prec + 1))
-        cols.append([ring.divexact(v, twelve) for v in rows.aslist(ring, num)])
+        num = (convolve_trunc(ring, f.coeffs, h0, prec + 1)
+               - convolve_trunc(ring, g.coeffs, hm2, prec + 1))
+        cols.append([ring.divexact(v, twelve) for v in ring.canonical(num).tolist()])
     return _index1_form(ring, k, cols, weak=False)
 
 
@@ -469,7 +531,7 @@ def jacobi_cusp(k, prec, ring):
         raise InvalidArgumentError(f"jacobi_cusp supports k in (10, 12), got {k}")
     wm2, w0 = _weak_columns(prec, ring)
     d = delta_q(prec, ring).coeffs
-    cols = [rows.convolve_trunc(ring, d, h, prec + 1) for h in (wm2 if k == 10 else w0)]
+    cols = [convolve_trunc(ring, d, h, prec + 1) for h in (wm2 if k == 10 else w0)]
     return _index1_form(ring, k, cols, weak=False)
 
 
@@ -479,62 +541,41 @@ def _divide_by_weak_m2(psi, w_m2):
     """Exact division by the weight -2 generator; index drops by one.
 
     Row-by-row synthetic division by the leading row zeta - 2 + zeta^{-1} =
-    zeta^{-1} (zeta - 1)^2; any residual means the input was not divisible.
+    zeta^{-1} (zeta - 1)^2, on full rows; any residual, or a quotient row
+    wider than the index-(m-1) bound, means the input was not divisible.
     """
     ring = psi.ring
     mu = psi.index
     if mu < 1:
         raise DecompositionError("cannot divide an index-0 form by the weak generator")
     prec = min(psi.prec, w_m2.prec)
-    out = JacobiFormSeries.zero(ring, None if psi.weight is None else psi.weight + 2,
-                                mu - 1, prec, weak=True)
+    trows, wrows = psi.idx.full_rows(psi.coeffs), w_m2.idx.full_rows(w_m2.coeffs)
+    quot = []
     for n in range(prec + 1):
-        bt = psi.rb(n)
-        t = psi.rows[n].copy()
+        t = trows[n]
         for i in range(1, n + 1):
-            conv = rows.convolve(ring, w_m2.rows[i], out.rows[n - i])
-            off = bt - (w_m2.rb(i) + rbound(mu - 1, n - i))
-            neg = rows.neg(ring, conv)
-            rows.add_into(ring, t, off, neg)
-        t = ring.canonical(t)
-        # t spans r in [-bt, bt]; quotient row spans [-bt+1, bt-1] before clipping
-        u = _div_by_sq(ring, t)
-        bo = out.rb(n)
-        row = rows.zeros(ring, 2 * bo + 1)
-        for idx, v in enumerate(rows.aslist(ring, u)):
-            r = idx - (bt - 1)
-            if ring.is_zero(v):
-                continue
-            if abs(r) > bo:
-                raise DecompositionError(
-                    f"row q^{n}: quotient support |r|={abs(r)} exceeds index-{mu-1} bound")
-            row[bo + r] = v
-        out.rows[n] = ring.canonical(row)
-    return out
+            conv = ring.canonical(np.convolve(wrows[i], quot[n - i]))
+            off = (len(t) - len(conv)) // 2
+            t[off:off + len(conv)] -= conv
+        # t spans r in [-bt, bt]; the quotient row u spans [-bt+1, bt-1]
+        u = _div_by_sq(ring, ring.canonical(t))
+        cut = (len(u) - 1) // 2 - rbound(mu - 1, n)
+        if np.any(u[:cut]) or np.any(u[len(u) - cut:]):
+            raise DecompositionError(
+                f"row q^{n}: quotient support exceeds the index-{mu - 1} bound")
+        quot.append(u[cut:len(u) - cut])
+    vec = np.concatenate([row[len(row) // 2:] for row in quot])
+    return JacobiFormSeries(ring, None if psi.weight is None else psi.weight + 2,
+                            mu - 1, prec, vec, weak=True)
 
 
 def _div_by_sq(ring, t):
-    """Divide the centered Laurent row t by [1, -2, 1]; error on any remainder."""
-    lt = len(t)
-    if lt < 3:
-        if rows.is_zero(ring, t):
-            return rows.zeros(ring, 1)
-        raise DecompositionError("row too short to be divisible")
-    vals = rows.aslist(ring, t)
-    u = [ring.zero] * (lt - 2)
-    prev2 = prev = ring.zero
-    for i in range(lt - 2):
-        v = ring.add(vals[i], ring.sub(ring.mul(ring.from_int(2), prev), prev2))
-        u[i] = v
-        prev2, prev = prev, v
-    # t[lt-2] = -2 u[lt-3] + u[lt-4] and t[lt-1] = u[lt-3] must close exactly
-    um1 = u[lt - 3] if lt >= 3 else ring.zero
-    um2 = u[lt - 4] if lt >= 4 else ring.zero
-    chk1 = ring.sub(vals[lt - 2], ring.sub(um2, ring.mul(ring.from_int(2), um1)))
-    chk2 = ring.sub(vals[lt - 1], um1)
-    if not (ring.is_zero(chk1) and ring.is_zero(chk2)):
+    """Divide the centered Laurent row t by [1, -2, 1] = (1 - x)^2, that is,
+    take two running sums; error on any remainder."""
+    u = ring.canonical(np.cumsum(np.cumsum(t)))
+    if np.any(u[-2:]):
         raise DecompositionError("division by the weak generator left a residual")
-    return np.array(u, dtype=ring.dtype)
+    return u[:-2]
 
 
 def weak_decompose(phi, gens=None):
@@ -555,58 +596,35 @@ def weak_decompose(phi, gens=None):
     if phi.weight is None:
         raise InvalidArgumentError("weak_decompose needs a weight annotation")
     if m == 0:
-        f = _index0_to_qseries(phi)
-        return [f]
+        return [QSeries(ring, phi.coeffs, weight=phi.weight)]
     if gens is None:
         gens = weak_generators(phi.prec, ring)
-    w_m2, w_0 = gens
+    w_m2 = gens[0]
     if w_m2.prec < phi.prec:
         raise PrecisionError("generator precision below form precision",
                              required=phi.prec, available=w_m2.prec)
-    pow0 = [JacobiFormSeries.zero(ring, 0, 0, phi.prec)]
-    pow0[0].rows[0][0] = ring.one
-    for _ in range(m):
-        pow0.append(jac_mul(pow0[-1], w_0.truncate(phi.prec)))
     fs = []
     cur = phi
     inv12 = ring.inv(ring.from_int(12))
     for mu in range(m, 0, -1):
-        f = cur.z_restrict()
-        f = f.scale(ring.pow(inv12, mu))
-        f.weight = cur.weight
+        f = cur.z_restrict().scale(ring.pow(inv12, mu))
         fs.append(f)
-        rem = cur - qseries_times_jacobi(f, pow0[mu])
-        rem.weight = cur.weight
+        rem = cur - qseries_times_jacobi(f, _weak_monomial(gens, 0, mu, phi.prec))
         cur = _divide_by_weak_m2(rem, w_m2.truncate(phi.prec))
-    fs.append(_index0_to_qseries(cur))
+    fs.append(QSeries(ring, cur.coeffs, weight=cur.weight))   # index 0: c(n, 0) only
     return fs
 
 
 def _cast_form_rat(phi):
-    rat = ring_from_tag("rat")
-    rl = [np.array([Fraction(v) for v in row.tolist()], dtype=object) for row in phi.rows]
-    return JacobiFormSeries(rat, phi.weight, phi.index, rl, weak=phi.weak)
-
-
-def _index0_to_qseries(phi):
-    ring = phi.ring
-    vals = []
-    for n in range(phi.prec + 1):
-        row = rows.aslist(ring, phi.rows[n])
-        mid = phi.rb(n)
-        for idx, v in enumerate(row):
-            if idx != mid and not ring.is_zero(v):
-                raise DecompositionError("index-0 residue carries zeta-dependence; "
-                                         "input not in the weak span")
-        vals.append(row[mid])
-    return QSeries(ring, np.array(vals, dtype=ring.dtype), weight=phi.weight)
+    vec = np.array([Fraction(v) for v in phi.coeffs.tolist()], dtype=object)
+    return JacobiFormSeries(ring_from_tag("rat"), phi.weight, phi.index, phi.prec, vec,
+                            weak=phi.weak)
 
 
 def reconstruct_weak(fs, index, gens):
     """Inverse of weak_decompose: sum f_j w{-2}^j w{0}^{m-j}."""
     w_m2, w_0 = gens
     prec = min(min(f.prec for f in fs), w_m2.prec)
-    ring = w_m2.ring
     acc = None
     for j, f in enumerate(fs):
         mono = _weak_monomial(gens, j, index - j, prec)
@@ -620,21 +638,25 @@ _mono_cache = {}
 
 def _weak_monomial(gens, j, i, prec):
     """w_{-2}^j w_0^i to q^prec; memoized per (ring, j, i) at the largest
-    precision built, smaller precisions are truncations of it."""
+    precision built, smaller precisions are truncations of it.  The memoized
+    vectors are read-only."""
     w_m2, w_0 = gens
-    key = (w_m2.ring.tag, j, i)
+    ring = w_m2.ring
+    key = (ring.tag, j, i)
     hit = _mono_cache.get(key)
     if hit is not None and hit.prec >= prec:
         return hit.truncate(prec)
     if j + i == 0:
-        out = JacobiFormSeries.zero(w_m2.ring, 0, 0, prec)
-        out.rows[0][0] = w_m2.ring.one
+        one = ring.zeros(prec + 1)
+        one[0] = ring.one
+        out = JacobiFormSeries(ring, 0, 0, prec, one)
     elif j + i == 1:
         out = (w_m2 if j else w_0).truncate(prec)
     elif j > 0:
         out = jac_mul(_weak_monomial(gens, j - 1, i, prec), w_m2.truncate(prec))
     else:
         out = jac_mul(_weak_monomial(gens, j, i - 1, prec), w_0.truncate(prec))
+    out.coeffs.flags.writeable = False
     _mono_cache[key] = out
     return out
 
@@ -728,20 +750,21 @@ def jac_congruence(phi, b, gens=None):
 def jac_direct_scan(phi, p, b):
     """Necessary-condition scan of the stored window.
 
-    Returns (clean, witness): witness is the first stored (n, r) with
-    discriminant congruent to b and a nonvanishing coefficient mod p.
+    Returns (clean, witness): witness is the first stored (n, r), r >= 0, in
+    vector order with discriminant congruent to b and a nonvanishing
+    coefficient mod p.
     """
-    m = phi.index
-    b %= p
-    for n in range(phi.prec + 1):
-        for r in range(phi.rb(n) + 1):
-            if (4 * n * m - r * r) % p != b:
-                continue
-            v = phi.c(n, r)
-            vv = v % p if isinstance(phi.ring, FpRing) else phi.ring.reduce(v, p)
-            if vv:
-                return False, (n, r)
-    return True, None
+    idx = phi.idx
+    keys = np.flatnonzero(idx.D % p == b % p)
+    vals = phi.coeffs[keys]
+    if isinstance(phi.ring, FpRing):
+        vals = vals % p
+    else:
+        vals = np.array([phi.ring.reduce(v, p) for v in vals.tolist()], dtype=object)
+    hit = keys[np.flatnonzero(vals != 0)]
+    if not len(hit):
+        return True, None
+    return False, (int(idx.n[hit[0]]), int(idx.r[hit[0]]))
 
 
 def nonexistence_applies(k, m, p, b, phi, gens=None):
@@ -758,54 +781,40 @@ def nonexistence_applies(k, m, p, b, phi, gens=None):
 _holo_cache = {}
 
 
-def _packed_keys(m, prec):
-    """n and r of the keys (n, r), 0 <= r <= rbound(m, n), in _form_vector order."""
-    widths = [rbound(m, n) + 1 for n in range(prec + 1)]
-    return np.repeat(np.arange(prec + 1), widths), np.concatenate([np.arange(w) for w in widths])
-
-
-def _form_vector(phi, prec):
-    """c(n, r) of phi at the packed keys of _packed_keys(phi.index, prec)."""
-    return np.concatenate([row[rbound(phi.index, n):] for n, row in enumerate(phi.rows[:prec + 1])],
-                          dtype=phi.ring.dtype)
-
-
-def _shift_index(ns, rs):
+def _shift_index(idx):
     """Gather index for q^s times a form, s = 0..prec: entry [s, key] points
-    into the form's packed vector with one zero appended."""
-    width = np.bincount(ns)
-    start = np.cumsum(width) - width
-    src = ns - np.arange(len(width))[:, None]       # the q-row n - s a key reads
-    ok = (src >= 0) & (rs < width[src.clip(0)])
-    return np.where(ok, start[src.clip(0)] + rs, len(ns))
+    into the form's vector with one zero appended."""
+    src = idx.n - np.arange(len(idx.bound))[:, None]       # the q-row n - s a key reads
+    ok = (src >= 0) & (idx.r <= idx.bound[src.clip(0)])
+    return np.where(ok, idx.start[src.clip(0)] + idx.r, idx.size)
 
 
 class HoloBasis(Sequence):
-    """The echelon basis holo_basis returns: read-only rows over the packed keys
-    of _packed_keys and their pivot columns.  Item i is built as a form when read."""
+    """The echelon basis holo_basis returns: a read-only matrix whose row i is
+    the coefficient vector of basis form i, and its pivot columns.  Item i is
+    the form on row i."""
 
-    def __init__(self, ring, weight, index, prec, rows, pivots):
+    def __init__(self, ring, weight, index, prec, matrix, pivots):
         self.ring, self.weight, self.index, self.prec = ring, weight, index, prec
-        self.rows, self.pivots = rows, np.array(pivots, dtype=np.intp)
-        self.rows.flags.writeable = self.pivots.flags.writeable = False
+        self.matrix, self.pivots = matrix, np.array(pivots, dtype=np.intp)
+        self.matrix.flags.writeable = self.pivots.flags.writeable = False
 
     def __len__(self):
         return len(self.pivots)
 
     def __getitem__(self, i):
-        return _form_from_vector(self.ring, self.weight, self.index, self.prec, self.rows[i])
+        return JacobiFormSeries(self.ring, self.weight, self.index, self.prec, self.matrix[i])
 
 
 def holo_basis(k, m, prec, p):
     """Echelonized mod-p basis of the holomorphic weight-k, index-m space.
 
     The candidates f * w_{-2}^j w_0^{m-j}, f in mk_basis(k + 2j), form one
-    matrix C over the packed keys (n, r), r >= 0: for each weak monomial,
-    F @ (the monomial moved down s = 0..prec q-rows), F the matrix of those f.
-    The kernel of C's columns with 4nm - r^2 < 0 gives the holomorphic
-    combinations, whose rows are row reduced.  The echelon rows and pivots are
-    memoized per (k, m, prec, p), read-only; a form is built from a row only
-    when the item is read.
+    matrix C over the keys (n, r), r >= 0, of the coefficient vector: for
+    each weak monomial, F @ (the monomial moved down s = 0..prec q-rows), F
+    the matrix of those f.  The kernel of C's columns with 4nm - r^2 < 0
+    gives the holomorphic combinations, whose rows are row reduced.  The
+    echelon rows and pivots are memoized per (k, m, prec, p), read-only.
 
     Exactness: an int64 product of residues with inner length L is exact while
     L (p - 1)^2 < 2^63, which holds for every fits64 prime (p < 2^21) at any
@@ -818,35 +827,25 @@ def holo_basis(k, m, prec, p):
     ring = ring_from_tag(f"fp:{p}")
     gens = weak_generators(prec, ring)
     dtype = ring.dtype
-    ns, rs = _packed_keys(m, prec)
-    shift = _shift_index(ns, rs)
+    idx = jacobi_index(m, prec)
+    shift = _shift_index(idx)
     blocks = []
     for j in range(m + 1):
         w = k + 2 * j
         basis = [] if w % 2 else mk_basis(w, prec, ring)
         if basis:
             f = np.array([b.coeff_list() for b in basis], dtype=dtype)
-            mono = np.append(_form_vector(_weak_monomial(gens, j, m - j, prec), prec), 0)
+            mono = np.append(_weak_monomial(gens, j, m - j, prec).coeffs, 0)
             blocks.append(f @ mono[shift] % p)
-    out = HoloBasis(ring, k, m, prec, np.zeros((0, len(ns)), dtype), [])
+    out = HoloBasis(ring, k, m, prec, np.zeros((0, idx.size), dtype), [])
     if blocks:
         cand = np.concatenate(blocks)
-        combos = kernel_basis(FpMatrix(p, cand[:, 4 * ns * m < rs * rs].T))
+        combos = kernel_basis(FpMatrix(p, cand[:, idx.D < 0].T))
         if combos:
             red, rank, pivots = rref(FpMatrix(p, np.array(combos, dtype=dtype) @ cand % p))
             out = HoloBasis(ring, k, m, prec, red.data[:rank].astype(dtype), pivots)
     _holo_cache[key] = out
     return out
-
-
-def _form_from_vector(ring, k, m, prec, vec):
-    """The form with c(n, r) = c(n, -r) = vec at the packed key (n, r)."""
-    rl, start = [], 0
-    for n in range(prec + 1):
-        half = [int(x) for x in vec[start:start + rbound(m, n) + 1]]
-        rl.append(rows.from_ints(ring, half[:0:-1] + half))
-        start += len(half)
-    return JacobiFormSeries(ring, k, m, rl)
 
 
 def _filtration_window(kp, m, p):
@@ -863,7 +862,7 @@ def filtration(phi):
     Membership is decided on a window widened beyond the candidate-space
     dimension to guard against truncation false-positives, by reduction
     against the memoized echelon rows R of holo_basis with pivots piv: the
-    packed vector v is in the span iff (v - v[piv] @ R) % p is zero.  The
+    vector v is in the span iff (v - v[piv] @ R) % p is zero.  The
     product is exact under the int64 bound stated in holo_basis.
     """
     if not isinstance(phi.ring, FpRing):
@@ -886,8 +885,8 @@ def filtration(phi):
         basis = holo_basis(kp, m, win, p)
         if not basis:
             continue
-        v = _form_vector(phi, win) % p
-        if not np.any((v - v[basis.pivots] @ basis.rows) % p):
+        v = phi.at_prec(win)
+        if not np.any((v - v[basis.pivots] @ basis.matrix) % p):
             return kp
     raise InvalidArgumentError(
         f"form is not in the holomorphic mod-{p} span at any weight <= {k}")

@@ -7,6 +7,16 @@ weight-k spaces, and the finite level-1 zero test mod p.
 Precision contract: a series of precision N stores coefficients for the
 exponents 0..N inclusive; every binary operation returns the minimum of the
 operand precisions and never extrapolates.
+
+Storage: the coefficients are one numpy vector of dtype `ring.dtype`, as are
+the Jacobi and Siegel coefficient vectors of siegelcong.jacobi and
+siegelcong.siegel: int64 over F_p with p < 2^21, holding residues in [0, p),
+and object over Z, Q and larger primes, holding Python ints, Fractions or
+residues.  Every operation is one numpy expression for both dtypes, reduced
+mod p only over F_p (`ring.canonical`).  The series products here
+(convolve_trunc, invert_series) serve the Jacobi layer too.  Over F_p they
+accumulate unreduced in int64 and reduce once at the end; `FpRing.fits64`
+guarantees no overflow for the lengths used in this package.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from math import comb
 
 import numpy as np
 
-from . import _rows as rows
 from .errors import (ArithmeticDomainError, InvalidArgumentError,
                      PrecisionError, RingMismatchError)
 from .ring import FpRing, RatRing, ring_from_tag
@@ -39,17 +48,18 @@ class QSeries:
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_ints(cls, ring, ints, weight=None):
-        return cls(ring, rows.from_ints(ring, ints), weight=weight)
+        return cls(ring, np.array([ring.from_int(x) for x in ints], dtype=ring.dtype),
+                   weight=weight)
 
     @classmethod
     def zero(cls, ring, prec, weight=None):
-        return cls(ring, rows.zeros(ring, prec + 1), weight=weight)
+        return cls(ring, ring.zeros(prec + 1), weight=weight)
 
     @classmethod
     def const(cls, ring, value, prec, weight=0):
-        row = rows.zeros(ring, prec + 1)
-        row[0] = ring.from_int(value) if isinstance(value, int) else value
-        return cls(ring, row, weight=weight)
+        vec = ring.zeros(prec + 1)
+        vec[0] = ring.from_int(value) if isinstance(value, int) else value
+        return cls(ring, vec, weight=weight)
 
     # -- access ---------------------------------------------------------------
     def coeff(self, n):
@@ -62,7 +72,7 @@ class QSeries:
         return int(v) if isinstance(self.ring, FpRing) else v
 
     def coeff_list(self):
-        return rows.aslist(self.ring, self.coeffs)
+        return self.coeffs.tolist()
 
     def truncate(self, prec):
         if prec > self.prec:
@@ -72,12 +82,12 @@ class QSeries:
 
     def is_zero(self, upto=None):
         upto = self.prec if upto is None else min(upto, self.prec)
-        return rows.is_zero(self.ring, self.coeffs[:upto + 1])
+        return not np.any(self.ring.canonical(self.coeffs[:upto + 1]))
 
     def __eq__(self, other):
         return (isinstance(other, QSeries) and self.ring == other.ring
                 and self.prec == other.prec
-                and rows.eq(self.ring, self.coeffs, other.coeffs))
+                and not np.any(self.ring.canonical(self.coeffs - other.coeffs)))
 
     def __repr__(self):
         head = ", ".join(str(v) for v in self.coeff_list()[:6])
@@ -92,15 +102,17 @@ class QSeries:
     def __add__(self, other):
         n = self._check(other)
         w = self.weight if self.weight == other.weight else None
-        return QSeries(self.ring, rows.add(self.ring, self.coeffs[:n + 1], other.coeffs[:n + 1]), weight=w)
+        return QSeries(self.ring, self.ring.canonical(self.coeffs[:n + 1] + other.coeffs[:n + 1]),
+                       weight=w)
 
     def __sub__(self, other):
         n = self._check(other)
         w = self.weight if self.weight == other.weight else None
-        return QSeries(self.ring, rows.sub(self.ring, self.coeffs[:n + 1], other.coeffs[:n + 1]), weight=w)
+        return QSeries(self.ring, self.ring.canonical(self.coeffs[:n + 1] - other.coeffs[:n + 1]),
+                       weight=w)
 
     def __neg__(self):
-        return QSeries(self.ring, rows.neg(self.ring, self.coeffs), weight=self.weight)
+        return QSeries(self.ring, self.ring.canonical(-self.coeffs), weight=self.weight)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -108,7 +120,7 @@ class QSeries:
             w = None
             if self.weight is not None and other.weight is not None:
                 w = self.weight + other.weight
-            out = rows.convolve_trunc(self.ring, self.coeffs, other.coeffs, n + 1)
+            out = convolve_trunc(self.ring, self.coeffs, other.coeffs, n + 1)
             return QSeries(self.ring, out, weight=w)
         return self.scale(other)
 
@@ -116,7 +128,7 @@ class QSeries:
 
     def scale(self, c):
         c = self.ring.from_int(c) if isinstance(c, int) else c
-        return QSeries(self.ring, rows.scale(self.ring, self.coeffs, c), weight=self.weight)
+        return QSeries(self.ring, self.ring.canonical(self.coeffs * c), weight=self.weight)
 
     def inverse(self, prec=None):
         """Multiplicative inverse; the constant term must be a unit."""
@@ -124,15 +136,14 @@ class QSeries:
         if n > self.prec:
             raise PrecisionError("cannot invert beyond stored precision",
                                  required=n, available=self.prec)
-        out = rows.invert_series(self.ring, self.coeffs, n + 1)
+        out = invert_series(self.ring, self.coeffs, n + 1)
         w = -self.weight if self.weight is not None else None
         return QSeries(self.ring, out, weight=w)
 
     def pow(self, e):
         if e < 0:
             raise InvalidArgumentError("negative powers: invert first")
-        w = None if self.weight is None else self.weight * e
-        result = QSeries.const(self.ring, 1, self.prec)
+        result = QSeries.const(self.ring, 1, self.prec, weight=None if self.weight is None else 0)
         base = self
         while e:
             if e & 1:
@@ -140,17 +151,51 @@ class QSeries:
             e >>= 1
             if e:
                 base = base * base
-        result.weight = w
         return result
 
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
-        return QSeries(fp, rows.reduce_row(self.ring, self.coeffs, fp), weight=self.weight)
+        return QSeries(fp, self.ring.reduce_vector(self.coeffs, fp), weight=self.weight)
 
     def to_json(self):
         return {"kind": "qseries", "ring": self.ring.tag, "weight": self.weight,
                 "prec": self.prec,
                 "coeffs": [self.ring.to_token(v) for v in self.coeff_list()]}
+
+
+# -- series products -------------------------------------------------------------
+
+def convolve_trunc(ring, a, b, n):
+    """First n coefficients of the product of two series vectors."""
+    a, b = np.asarray(a[:n], dtype=ring.dtype), np.asarray(b[:n], dtype=ring.dtype)
+    out = ring.zeros(n)
+    if a.dtype == object:
+        # Python-object products are the cost: skip a's zeros (theta series
+        # are sparse) and every product past q^(n-1)
+        for i in np.flatnonzero(a):
+            seg = b[:n - i]
+            out[i:i + len(seg)] += a[i] * seg
+    elif len(a) and len(b):
+        full = np.convolve(a, b)[:n]
+        out[:len(full)] = full
+    return ring.canonical(out)
+
+
+def invert_series(ring, a, n):
+    """First n coefficients of 1/a; a[0] must be a unit."""
+    head = a[:1].tolist()
+    if not head or ring.is_zero(head[0]):
+        raise ArithmeticDomainError("constant term of series is zero; cannot invert")
+    inv0 = ring.inv(head[0])
+    out = ring.zeros(n)
+    out[0] = inv0
+    arev = ring.canonical(np.asarray(a[1:n], dtype=ring.dtype)[::-1])
+    la = len(arev)
+    for k in range(1, n):
+        lo = max(0, k - la)
+        acc = ring.canonical(np.dot(arev[la - k + lo:], out[lo:k]))
+        out[k] = ring.neg(ring.mul(inv0, acc))
+    return out
 
 
 # -- standard generators -------------------------------------------------------
@@ -209,12 +254,12 @@ def eta_pow6(prec, ring):
 
     Computed as the square of the eta^3 series sum (-1)^j (2j+1) q^{j(j+1)/2}.
     """
-    cube = rows.zeros(ring, prec + 1)
+    cube = ring.zeros(prec + 1)
     j = 0
     while j * (j + 1) // 2 <= prec:
         cube[j * (j + 1) // 2] = ring.from_int((2 * j + 1) * (-1) ** j)
         j += 1
-    six = rows.convolve_trunc(ring, cube, cube, prec + 1)
+    six = convolve_trunc(ring, cube, cube, prec + 1)
     return QSeries(ring, six)
 
 
@@ -263,7 +308,7 @@ def mk_basis(k, prec, ring):
         for i in range(j):
             x = rl[i][tri[j][2]]
             if x:
-                rl[i] = rows.sub(ring, rl[i], rows.scale(ring, rl[j], x))
+                rl[i] = ring.canonical(rl[i] - rl[j] * x)
     return [QSeries(ring, r, weight=k) for r in rl]
 
 
@@ -291,7 +336,7 @@ def _power_chains(ring, prec, emax):
 
 
 def _read_only(f):
-    f.coeffs = rows.read_only(f.coeffs)
+    f.coeffs.flags.writeable = False
     return f
 
 

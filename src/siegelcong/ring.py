@@ -9,14 +9,11 @@ so they are safe to share between concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArithmeticDomainError, InvalidArgumentError
-
-ExactRat = Fraction
+from .errors import ArithmeticDomainError, InvalidArgumentError, RingMismatchError
 
 # Witness set sufficient for deterministic Miller-Rabin below 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -61,84 +58,6 @@ def legendre(a, p):
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-@dataclass(frozen=True)
-class PrimeFieldElem:
-    """Canonical residue in [0, p) for an odd prime p >= 5.
-
-    Immutable; all arithmetic returns new elements.  Mixed arithmetic with
-    ``int`` coerces the integer into F_p.
-    """
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        require_odd_prime(self.p, minimum=5)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElem):
-            if other.p != self.p:
-                raise ArithmeticDomainError(f"mixed primes {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElem(self.p, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElem(self.p, -self.value)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PrimeFieldElem(self.p, pow(self.value, e, self.p))
-
-    def inverse(self):
-        if self.value == 0:
-            raise ArithmeticDomainError(f"0 is not invertible in F_{self.p}")
-        return PrimeFieldElem(self.p, pow(self.value, self.p - 2, self.p))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * PrimeFieldElem(self.p, v).inverse()
-
-    def is_zero(self):
-        return self.value == 0
-
-    def legendre(self):
-        return legendre(self.value, self.p)
 
 
 def reduce_rational(x, p):
@@ -216,13 +135,14 @@ class Ring:
     def is_zero(self, a):
         return a == self.zero
 
-    def is_unit(self, a):
-        raise NotImplementedError
-
     def canonical(self, vec):
         """A numpy vector of elements in canonical form: vec itself here,
         a new array reduced into [0, p) over F_p."""
         return vec
+
+    def zeros(self, shape):
+        """A new array of zeros of dtype `dtype`."""
+        return np.full(shape, self.zero, dtype=self.dtype)
 
     def pow(self, a, e):
         r = self.one
@@ -234,6 +154,10 @@ class Ring:
     def reduce(self, a, p):
         """Residue of a in [0, p); the map is a ring homomorphism."""
         raise NotImplementedError
+
+    def reduce_vector(self, vec, fp):
+        """The entries of vec reduced into the prime field fp, as a vector."""
+        return np.array([self.reduce(v, fp.p) for v in vec.tolist()], dtype=fp.dtype)
 
     def to_token(self, a):
         """JSON-friendly rendering (ints in decimal, rationals as 'n/d')."""
@@ -268,9 +192,6 @@ class IntRing(Ring):
             raise ArithmeticDomainError(f"{a} is not divisible by {b}")
         return q
 
-    def is_unit(self, a):
-        return a in (1, -1)
-
     def reduce(self, a, p):
         return a % p
 
@@ -291,9 +212,6 @@ class RatRing(Ring):
 
     def divexact(self, a, b):
         return Fraction(a) / Fraction(b)
-
-    def is_unit(self, a):
-        return a != 0
 
     def reduce(self, a, p):
         return reduce_rational(Fraction(a), p)
@@ -345,9 +263,6 @@ class FpRing(Ring):
     def is_zero(self, a):
         return a % self.p == 0
 
-    def is_unit(self, a):
-        return a % self.p != 0
-
     def canonical(self, vec):
         return vec % self.p
 
@@ -358,6 +273,11 @@ class FpRing(Ring):
         if p != self.p:
             raise ArithmeticDomainError(f"cannot reduce F_{self.p} values mod {p}")
         return a % p
+
+    def reduce_vector(self, vec, fp):
+        if fp.p != self.p:
+            raise RingMismatchError(f"cannot reduce {self.tag} coefficients mod {fp.p}")
+        return super().reduce_vector(vec, fp)
 
     def legendre(self, a):
         return legendre(a, self.p)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      NotInRingError, PrecisionError, RingMismatchError)
-from .jacobi import JacobiFormSeries, jacobi_cusp, jacobi_eisenstein, rbound
+from .jacobi import JacobiFormSeries, jacobi_cusp, jacobi_eisenstein, jacobi_index
 from .linalg import FpMatrix, kernel_basis, solve
 from .qexp import bernoulli
 from .ring import FpRing, legendre, ring_from_tag
@@ -172,10 +172,6 @@ def box_index(prec):
     return BoxIndex(prec)
 
 
-def _zeros(ring, size):
-    return np.full(size, ring.zero, dtype=ring.dtype)
-
-
 def _per_det(det, fn, dtype):
     """fn(d) at each entry d of det, evaluated once per distinct value."""
     values, inverse = np.unique(det, return_inverse=True)
@@ -204,7 +200,7 @@ class SiegelFormSeries:
     @classmethod
     def constant(cls, ring, weight, prec, v):
         """The form with A(0, 0, 0) = v and every other coefficient zero."""
-        vec = _zeros(ring, box_index(prec).size)
+        vec = ring.zeros(box_index(prec).size)
         vec[0] = ring.from_int(v) if isinstance(v, int) else v
         return cls(ring, weight, prec, vec)
 
@@ -282,10 +278,7 @@ class SiegelFormSeries:
 
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
-        if isinstance(self.ring, FpRing) and self.ring.p != p:
-            raise RingMismatchError(f"cannot reduce {self.ring.tag} coefficients mod {p}")
-        vec = np.array([self.ring.reduce(v, p) for v in self.coeffs.tolist()], dtype=fp.dtype)
-        return SiegelFormSeries(fp, self.weight, self.prec, vec)
+        return SiegelFormSeries(fp, self.weight, self.prec, self.ring.reduce_vector(self.coeffs, fp))
 
     def support_dets(self):
         """Sorted determinants carried by nonzero stored coefficients."""
@@ -331,7 +324,8 @@ def maass_lift(phi, prec):
     the zeta^0 and zeta^1 coefficients of phi: one masked gather per d.
     A(0,0,0) is set to zero; pinning the constant of a non-cuspidal lift is
     the caller's concern (see igusa_generators).  Requires q-precision at
-    least prec^2 on the input.
+    least prec^2 on the input.  C[D] is c((D + 3) // 4, D mod 4 == 3), read
+    from phi's vector with one gather.
     """
     if phi.index != 1:
         raise InvalidArgumentError("maass_lift expects an index-1 Jacobi form")
@@ -339,12 +333,10 @@ def maass_lift(phi, prec):
         raise PrecisionError(f"lift to box {prec} needs q-precision {prec * prec}",
                              required=prec * prec, available=phi.prec)
     ring = phi.ring
-    cols = np.array([[phi.c(n, r) for n in range(prec * prec + 1)] for r in (0, 1)],
-                    dtype=ring.dtype)
     D = np.arange(4 * prec * prec + 1)
-    C = cols[(D % 4 == 3).astype(int), (D + 3) // 4]     # D = 4n - r^2 with r in {0, 1}
+    C = phi.coeffs[phi.idx.start[(D + 3) // 4] + (D % 4 == 3)]    # D = 4n - r^2, r in {0, 1}
     idx = box_index(prec)
-    out = _zeros(ring, idx.size)
+    out = ring.zeros(idx.size)
     for d in range(1, prec + 1):
         keys = np.flatnonzero((idx.gcd % d == 0) & (idx.gcd > 0))
         dpow = ring.pow(ring.from_int(d), phi.weight - 1)
@@ -375,17 +367,16 @@ def igusa_generators(prec, ring):
 
 
 def fourier_jacobi(F, m):
-    """The index-m slice: a Jacobi form with c(n, r) = A(n, r, m)."""
+    """The index-m slice: a Jacobi form with c(n, r) = A(n, r, m), zero where
+    4nm - r^2 < 0; one gather from F's vector."""
     if m < 0 or m > F.prec:
         raise PrecisionError(f"slice index {m} outside box {F.prec}",
                              required=m, available=F.prec)
-    offset = box_index(F.prec).offset
-    rl = []
-    for n in range(F.prec + 1):
-        pad = _zeros(F.ring, rbound(m, n) - F.rb(n, m))
-        half = F.coeffs[offset[n, m]:offset[n, m] + F.rb(n, m) + 1]
-        rl.append(np.concatenate([pad, half[:0:-1], half, pad]))
-    return JacobiFormSeries(F.ring, F.weight, m, rl, weak=False)
+    idx = jacobi_index(m, F.prec)
+    inside = idx.D >= 0
+    vec = F.ring.zeros(idx.size)
+    vec[inside] = F.coeffs[box_index(F.prec).offset[idx.n[inside], m] + idx.r[inside]]
+    return JacobiFormSeries(F.ring, F.weight, m, F.prec, vec, weak=False)
 
 
 # -- products -------------------------------------------------------------------------
@@ -526,10 +517,10 @@ def _mul_loop(F, G, prec):
     ring = F.ring
     idx = box_index(prec)
     frows, grows = _full_rows(F.at_box(prec), idx), _full_rows(G.at_box(prec), idx)
-    out = _zeros(ring, idx.size)
+    out = ring.zeros(idx.size)
     for n, m in _pairs(prec):
         bo = isqrt(4 * n * m)
-        acc = _zeros(ring, 2 * bo + 1)
+        acc = ring.zeros(2 * bo + 1)
         for n1 in range(n + 1):
             for m1 in range(m + 1):
                 a, b = frows[n1][m1], grows[n - n1][m - m1]

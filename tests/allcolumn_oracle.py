@@ -5,7 +5,9 @@ Builds phi_{-2,1} and phi_{0,1} from the same theta quotients as
 square and divides each one separately, then checks the weak support bound
 coefficient by coefficient.  It does not use that c(n, r) depends only on
 4n - r^2, so it checks the two-column construction independently of that
-shortcut.  The Eisenstein and cusp generators multiply whole forms with
+shortcut.  It keeps every row over the full range -b <= r <= b and checks
+that each is symmetric before it stores the r >= 0 half as a form.  The
+Eisenstein and cusp generators multiply whole forms with
 `qseries_times_jacobi` and divide by 12 coefficient by coefficient.
 """
 
@@ -13,10 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from siegelcong import _rows as rows
 from siegelcong.errors import ArithmeticDomainError
 from siegelcong.jacobi import JacobiFormSeries, qseries_times_jacobi, rbound
-from siegelcong.qexp import delta_q, eisenstein_q, eta_pow6
+from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q, eta_pow6, invert_series
 from siegelcong.ring import FpRing, IntRing, ring_from_tag
 
 
@@ -36,7 +37,7 @@ def _theta_pair_columns(prec, sign, ring):
             q = q1 + q2
             if q > prec:
                 continue
-            col = cols.setdefault(r1 + r2, rows.zeros(ring, prec + 1))
+            col = cols.setdefault(r1 + r2, ring.zeros(prec + 1))
             col[q] = ring.add(col[q] if not isinstance(ring, FpRing) else int(col[q]),
                               ring.from_int(s1 * s2))
     return cols
@@ -56,15 +57,16 @@ def _theta3_sq_columns(qprec, ring):
             q = q1 + q2
             if q > qprec:
                 continue
-            col = cols.setdefault(r1 + r2, rows.zeros(ring, qprec + 1))
+            col = cols.setdefault(r1 + r2, ring.zeros(qprec + 1))
             col[q] = ring.add(col[q] if not isinstance(ring, FpRing) else int(col[q]),
                               ring.one)
     return cols
 
 
 def _columns_to_form(ring, cols, prec, weight, index):
-    """Materialize columns into row storage, checking the weak support bound."""
-    rl = [rows.zeros(ring, 2 * rbound(index, n) + 1) for n in range(prec + 1)]
+    """Materialize columns into full rows, checking the weak support bound and
+    the symmetry c(n, -r) = c(n, r)."""
+    rl = [ring.zeros(2 * rbound(index, n) + 1) for n in range(prec + 1)]
     for r, col in cols.items():
         for n in range(prec + 1):
             v = col[n]
@@ -76,18 +78,21 @@ def _columns_to_form(ring, cols, prec, weight, index):
                         f"coefficient at (n={n}, r={r}) violates the weak support bound")
                 continue
             rl[n][b + r] = v
-    return JacobiFormSeries(ring, weight, index, rl, weak=True)
+    for n, row in enumerate(rl):
+        assert row.tolist() == row[::-1].tolist(), f"row q^{n} is not symmetric"
+    half = np.concatenate([row[rbound(index, n):] for n, row in enumerate(rl)])
+    return JacobiFormSeries(ring, weight, index, prec, half, weak=True)
 
 
 def _col_convolve(ring, cols, series_row, prec):
-    return {r: rows.convolve_trunc(ring, col, series_row, prec + 1)
+    return {r: convolve_trunc(ring, col, series_row, prec + 1)
             for r, col in cols.items()}
 
 
 def _shift_row(ring, row, k, n):
-    out = rows.zeros(ring, n)
-    rows.add_into(ring, out, k, row[:max(0, n - k)])
-    return ring.canonical(out)
+    out = ring.zeros(n)
+    out[k:] = row[:max(0, n - k)]
+    return out
 
 
 def _pack_row(ring, vals):
@@ -106,63 +111,61 @@ def _weak_generators_fields(prec, ring):
 
     # weight 0, piece 1: zeta * S2 / S2(q, 1) from the even theta pair
     s2 = _theta_pair_columns(prec, +1, ring)
-    s2_at_1 = rows.zeros(ring, prec + 1)
+    s2_at_1 = ring.zeros(prec + 1)
     for col in s2.values():
-        rows.add_into(ring, s2_at_1, 0, col)
+        s2_at_1 += col
     s2_at_1 = ring.canonical(s2_at_1)
-    inv_s2 = rows.invert_series(ring, s2_at_1, prec + 1)
+    inv_s2 = invert_series(ring, s2_at_1, prec + 1)
     a2 = _col_convolve(ring, s2, inv_s2, prec)
     a2 = {r + 1: col for r, col in a2.items()}
 
     # weight 0, pieces 2+3 combined: 2(Ee - Oo)/(e^2 - o^2) over Q = q^{1/2}
     qprec = 2 * prec + 1
     t3 = _theta3_sq_columns(qprec, ring)
-    t3_at_1 = rows.zeros(ring, qprec + 1)
+    t3_at_1 = ring.zeros(qprec + 1)
     for col in t3.values():
-        rows.add_into(ring, t3_at_1, 0, col)
+        t3_at_1 += col
     t3_at_1 = ring.canonical(t3_at_1)
-    half = rows.aslist(ring, t3_at_1)
+    half = t3_at_1.tolist()
     e_q = _pack_row(ring, [half[2 * t] for t in range(prec + 1)])
     o_q = _pack_row(ring, [half[2 * t + 1] for t in range(prec + 1)])
-    ee = rows.convolve_trunc(ring, e_q, e_q, prec + 1)
-    oo = rows.convolve_trunc(ring, o_q, o_q, prec + 1)
-    denom = rows.sub(ring, ee, _shift_row(ring, oo, 1, prec + 1))
-    inv_denom = rows.invert_series(ring, denom, prec + 1)
+    ee = convolve_trunc(ring, e_q, e_q, prec + 1)
+    oo = convolve_trunc(ring, o_q, o_q, prec + 1)
+    denom = ring.canonical(ee - _shift_row(ring, oo, 1, prec + 1))
+    inv_denom = invert_series(ring, denom, prec + 1)
     a34 = {}
     for r, col in t3.items():
         par = r % 2
-        vals = rows.aslist(ring, col)
+        vals = col.tolist()
         for t, v in enumerate(vals):
             if (t - par) % 2 and not ring.is_zero(v):
                 raise ArithmeticDomainError("theta square breaks the parity coupling")
         folded = _pack_row(ring, [vals[2 * t + par] for t in range((qprec - par) // 2 + 1)])
         base = e_q if par == 0 else o_q
-        num = rows.convolve_trunc(ring, folded, base, prec + 1)
+        num = convolve_trunc(ring, folded, base, prec + 1)
         if par == 1:
-            num = rows.neg(ring, _shift_row(ring, num, 1, prec + 1))
-        num = rows.scale(ring, num, ring.from_int(2))
-        a34[r] = rows.convolve_trunc(ring, num, inv_denom, prec + 1)
+            num = ring.canonical(-_shift_row(ring, num, 1, prec + 1))
+        num = ring.canonical(num * ring.from_int(2))
+        a34[r] = convolve_trunc(ring, num, inv_denom, prec + 1)
 
     cols0 = {}
     for src in (a2, a34):
         for r, col in src.items():
-            cols0[r] = rows.add(ring, cols0[r], col) if r in cols0 else col.copy()
-    cols0 = {r: rows.scale(ring, col, ring.from_int(4)) for r, col in cols0.items()}
+            cols0[r] = ring.canonical(cols0[r] + col) if r in cols0 else col.copy()
+    cols0 = {r: ring.canonical(col * ring.from_int(4)) for r, col in cols0.items()}
     return w_m2, _columns_to_form(ring, cols0, prec, 0, 1)
 
 
 def _cast_form(phi, ring):
-    rl = [[ring.from_rational(Fraction(v)) for v in row] for row in phi.rows]
-    return JacobiFormSeries(ring, phi.weight, phi.index, rl, weak=phi.weak)
+    vec = np.array([ring.from_rational(Fraction(v)) for v in phi.coeffs.tolist()], dtype=ring.dtype)
+    return JacobiFormSeries(ring, phi.weight, phi.index, phi.prec, vec, weak=phi.weak)
 
 
 def _scale_divexact(phi, d, weight):
     ring = phi.ring
     dd = ring.from_int(d)
-    rl = [[ring.divexact(v, dd) for v in rows.aslist(ring, row)] for row in phi.rows]
-    if isinstance(ring, FpRing):
-        rl = [rows.from_ints(ring, r) for r in rl]
-    return JacobiFormSeries(ring, weight, phi.index, rl, weak=False)
+    vec = np.array([ring.divexact(v, dd) for v in phi.coeffs.tolist()], dtype=ring.dtype)
+    return JacobiFormSeries(ring, weight, phi.index, phi.prec, vec, weak=False)
 
 
 def weak_generators(prec, ring):
@@ -187,4 +190,4 @@ def jacobi_eisenstein(k, prec, ring):
 def jacobi_cusp(k, prec, ring):
     w_m2, w_0 = weak_generators(prec, ring)
     out = qseries_times_jacobi(delta_q(prec, ring), w_m2 if k == 10 else w_0)
-    return JacobiFormSeries(ring, k, 1, out.rows, weak=False)
+    return JacobiFormSeries(ring, k, 1, out.prec, out.coeffs, weak=False)

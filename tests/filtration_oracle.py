@@ -12,6 +12,8 @@ matrices of `siegelcong.jacobi`.
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from siegelcong.jacobi import JacobiFormSeries, jac_mul, qseries_times_jacobi, rbound, weak_generators
 from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
 from siegelcong.qexp import QSeries, delta_q, eisenstein_q
@@ -72,7 +74,7 @@ def mk_basis(k, prec, ring):
 
 def _monomial(gens, j, i, prec):
     out = JacobiFormSeries.zero(gens[0].ring, 0, 0, prec)
-    out.rows[0][0] = gens[0].ring.one
+    out.coeffs[0] = gens[0].ring.one
     for g in [gens[0]] * j + [gens[1]] * i:
         out = jac_mul(out, g.truncate(prec))
     return out
@@ -110,14 +112,9 @@ def holo_basis(k, m, prec, p):
             acc = acc + cand.scale(x)
         vecs.append(form_vector(acc, prec))
     red, rank, _ = rref(FpMatrix(p, vecs))
-    out = []
-    for vec in red.tolist()[:rank]:
-        phi = JacobiFormSeries.zero(ring, k, m, prec)
-        for (n, r), v in zip([(n, r) for n in range(prec + 1) for r in range(rbound(m, n) + 1)], vec):
-            b = rbound(m, n)
-            phi.rows[n][b + r] = phi.rows[n][b - r] = v
-        out.append(phi)
-    return out
+    # form_vector lists the keys (n, r >= 0) in the order of JacobiFormSeries.coeffs
+    return [JacobiFormSeries(ring, k, m, prec, np.array([ring.from_int(v) for v in vec], dtype=ring.dtype))
+            for vec in red.tolist()[:rank]]
 
 
 def filtration(phi):

@@ -82,6 +82,23 @@ def test_sieve_verify_against(capsys):
     assert doc["match"] is True and doc["weight"] == 44
 
 
+def test_sieve_verify_against_reads_the_odd_bound(capsys, monkeypatch):
+    from siegelcong import cli
+    windows = []
+    real = cli.class_values
+    monkeypatch.setattr(cli, "class_values", lambda F, w: windows.append(w) or real(F, w))
+    code, out, _ = run(capsys, "sieve", "chi10", "--p", "5", "--s", "0",
+                       "--verify-against", "chi10*E4^6")
+    assert code == 0 and json.loads(out)["bound"] == 11
+    assert windows == [11, 11]
+
+
+def test_sieve_verify_against_needs_the_box_of_its_bound(capsys):
+    code, _, err = run(capsys, "sieve", "chi10", "--p", "5", "--s", "0",
+                       "--verify-against", "chi10*E4^6", "--prec", "2")
+    assert code == 2 and "insufficient precision" in err
+
+
 def test_sieve_dump(capsys):
     code, out, _ = run(capsys, "sieve", "chi12", "--p", "5", "--s", "-1", "--prec", "3")
     assert code == 0

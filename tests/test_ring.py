@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from siegelcong.errors import ArithmeticDomainError, InvalidArgumentError
-from siegelcong.ring import (FpRing, PrimeFieldElem, is_prime, legendre,
-                             reduce_rational, ring_from_tag)
+from siegelcong.ring import FpRing, is_prime, legendre, reduce_rational, ring_from_tag
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
 
@@ -43,29 +42,6 @@ def test_legendre_euler_criterion(p):
         assert legendre(a, p) % p == e
 
 
-def test_prime_field_inverse():
-    assert PrimeFieldElem(7, 3).inverse().value == 5
-    with pytest.raises(ArithmeticDomainError):
-        PrimeFieldElem(7, 0).inverse()
-
-
-def test_prime_field_requires_p_at_least_5():
-    with pytest.raises(InvalidArgumentError):
-        PrimeFieldElem(3, 1)
-    with pytest.raises(InvalidArgumentError):
-        PrimeFieldElem(9, 1)
-
-
-@given(st.sampled_from(PRIMES), st.integers(), st.integers(), st.integers())
-def test_prime_field_axioms(p, a, b, c):
-    x, y, z = (PrimeFieldElem(p, v) for v in (a, b, c))
-    assert (x + y).value == (a + b) % p
-    assert (x * (y + z)).value == (x * y + x * z).value
-    assert (x - x).value == 0
-    if x.value:
-        assert (x * x.inverse()).value == 1
-
-
 def test_reduce_examples():
     assert reduce_rational(Fraction(1, 12), 5) == 3
     with pytest.raises(ArithmeticDomainError):
@@ -87,10 +63,9 @@ def test_ring_from_tag():
     assert ring_from_tag("int").tag == "int"
     assert ring_from_tag("rat").tag == "rat"
     assert isinstance(ring_from_tag("fp:11"), FpRing)
-    with pytest.raises(InvalidArgumentError):
-        ring_from_tag("fp:6")
-    with pytest.raises(InvalidArgumentError):
-        ring_from_tag("gf2")
+    for bad in ("fp:6", "fp:3", "fp:9", "gf2"):
+        with pytest.raises(InvalidArgumentError):
+            ring_from_tag(bad)
 
 
 def test_fp_ring_ops():

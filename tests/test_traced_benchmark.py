@@ -1,0 +1,37 @@
+"""The traced benchmark still wraps the entry points it names.
+
+perfbench/spans.py replaces functions by module and name, and its hooks read
+some of their parameters by name (prec, k, m, prec, p, F, G, mat), so a
+rename breaks `perfbench/run.py --trace 1`.  This runs spans.py on two small
+commands, one on each side of the engine, and compares it with the plain CLI.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv,layer", [
+    (["check", "E4*chi12", "--p", "5", "--b", "1"], "siegel.siegel_mul"),
+    (["heat-cycle", "--weight", "10", "--index", "1", "--p", "5", "--form", "phi10_1"],
+     "jacobi.holo_basis"),
+])
+def test_traced_run_matches_the_cli(tmp_path, argv, layer):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*cmd, cache):
+        return subprocess.run([sys.executable, *cmd, *argv, "--cache-dir", str(tmp_path / cache)],
+                              capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+
+    plain = run("-m", "siegelcong.cli", cache="plain")
+    spans = tmp_path / "spans.json"
+    traced = run(str(ROOT / "perfbench" / "spans.py"), str(spans), "--", cache="traced")
+    assert plain.returncode == 0 and traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["times"][layer]["calls"] > 0
