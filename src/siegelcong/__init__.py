@@ -21,6 +21,6 @@ from .siegel import (CongruenceCertificate, GeneratorContext, MatrixIndexT,
                      search_congruences, siegel_congruence, siegel_mul,
                      sieve, sturm_zero, theta_operator,
                      verify_combination, weight_monomials)
-from .expr import parse, to_text, weight, evaluate
+from .expr import Expr, evaluate, parse
 
 __version__ = "0.1.0"

@@ -20,13 +20,13 @@ from . import expr as exprmod
 from .cache import DiskCache, default_cache_dir
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
-from .jacobi import (heat_cycle, heat_cycle_required_prec, jacobi_cusp,
+from .jacobi import (criterion_weight, heat_cycle, heat_cycle_required_prec, jacobi_cusp,
                      jacobi_eisenstein, jac_mul, qseries_times_jacobi)
 from .qexp import delta_q, eisenstein_q
 from .ring import FpRing, ring_from_tag
-from .siegel import (GeneratorContext, class_values, congruence_required_prec,
-                     congruence_scan, search_congruences, siegel_congruence,
-                     sieve as siegel_sieve)
+from .siegel import (GeneratorContext, congruence_required_prec, congruence_scan,
+                     search_congruences, siegel_congruence, sieve as siegel_sieve,
+                     sturm_zero)
 
 TABLE_MISMATCH = 4
 
@@ -135,17 +135,22 @@ def _eval_mod_p(args, text, p, b=0):
     """Evaluate an expression over fp:p (or reduce an exact evaluation).
 
     b picks the certificate whose Sturm bound the default box must cover;
-    b = 0 gives the largest one.
+    b = 0 gives the largest one.  The congruence criteria assume F != 0 mod
+    p, so a form that is zero on the Sturm bound of its own weight is
+    refused.
     """
-    node = exprmod.parse(text)
-    k = exprmod.weight(node)
+    e = exprmod.parse(text)
     ring = ring_from_tag(args.ring) if args.ring else ring_from_tag(f"fp:{p}")
-    prec = args.prec if args.prec is not None else congruence_required_prec(k, p, b)
-    ctx = _context(args, prec, ring=ring)
-    form = exprmod.evaluate(node, ctx)
+    if isinstance(ring, FpRing) and ring.p != p:
+        raise InvalidArgumentError(f"ring {ring.tag} does not match p = {p}")
+    prec = args.prec if args.prec is not None else congruence_required_prec(e.weight, p, b)
+    form = exprmod.evaluate(e, _context(args, prec, ring=ring))
     if not isinstance(ring, FpRing):
         form = form.reduce_mod(p)
-    return node, k, form, ctx
+    if sturm_zero(form, e.weight).is_zero:
+        raise InvalidArgumentError(f"{e.text} is zero mod {p} on the Sturm bound of weight "
+                                   f"{e.weight}; the congruence criteria assume F != 0 mod p")
+    return e, form
 
 
 def _emit(args, doc, csv_rows=None, csv_header=None):
@@ -178,8 +183,8 @@ def cmd_gens(args):
 def cmd_check(args):
     p = args.p
     _check_prime(p)
-    node, k, form, _ = _eval_mod_p(args, args.expr, p, b=args.b)
-    cert = siegel_congruence(form, p, args.b, label=exprmod.to_text(node))
+    e, form = _eval_mod_p(args, args.expr, p, b=args.b)
+    cert = siegel_congruence(form, p, args.b, label=e.text)
     _emit(args, cert.to_json())
     return 0
 
@@ -187,9 +192,8 @@ def cmd_check(args):
 def cmd_scan(args):
     p = args.p
     _check_prime(p)
-    node, k, form, _ = _eval_mod_p(args, args.expr, p,
-                                   b=1 if args.skip_zero else 0)
-    certs = congruence_scan(form, p, label=exprmod.to_text(node),
+    e, form = _eval_mod_p(args, args.expr, p, b=1 if args.skip_zero else 0)
+    certs = congruence_scan(form, p, label=e.text,
                             include_zero=not args.skip_zero)
     doc = {str(b): c.to_json() for b, c in sorted(certs.items())}
     rows = [(b, c.verdict, "" if not c.witness else " ".join(map(str, c.witness)))
@@ -212,7 +216,7 @@ def cmd_table(args):
         for p in primes:
             if args.max_prime is not None and p > args.max_prime:
                 continue
-            node, k, form, _ = _eval_mod_p(args, text, p, b=1)
+            _, form = _eval_mod_p(args, text, p, b=1)
             certs = congruence_scan(form, p, label=text, include_zero=False)
             holds = sorted(b for b, c in certs.items() if c.holds)
             want = expected[(text, p)]
@@ -229,34 +233,25 @@ def cmd_sieve(args):
     p = args.p
     _check_prime(p)
     s = {"0": 0, "+1": 1, "-1": -1}[args.s]
-    node = exprmod.parse(args.expr)
-    k = exprmod.weight(node)
-    k_after = k + p * p - 1
+    e = exprmod.parse(args.expr)
+    k_after = criterion_weight(e.weight, p, 0)
     ring = ring_from_tag(args.ring) if args.ring else ring_from_tag(f"fp:{p}")
-    prec = args.prec if args.prec is not None else (k_after // 3) // 2
+    prec = args.prec if args.prec is not None else congruence_required_prec(e.weight, p, 0)
     ctx = _context(args, prec, ring=ring)
-    form = exprmod.evaluate(node, ctx)
-    part = siegel_sieve(form, p, s)
+    part = siegel_sieve(exprmod.evaluate(e, ctx), p, s)
     if args.verify_against:
-        node2 = exprmod.parse(args.verify_against)
-        k2 = exprmod.weight(node2)
-        if k2 != k_after:
-            raise InvalidArgumentError(
-                f"verification target has weight {k2}, the sieve lives in weight {k_after}")
-        other = exprmod.evaluate(node2, ctx)
+        target = exprmod.parse(args.verify_against)
+        if target.weight != k_after:
+            raise InvalidArgumentError(f"verification target has weight {target.weight}, "
+                                       f"the sieve lives in weight {k_after}")
+        diff = part - exprmod.evaluate(target, ctx)
         if not isinstance(ring, FpRing):
-            part = part.reduce_mod(p)
-            other = other.reduce_mod(p)
-        bound = k_after // 3
-        if ctx.prec < bound // 2:
-            raise PrecisionError(f"verification at bound {bound} needs box precision {bound // 2}",
-                                 required=bound // 2, available=ctx.prec)
-        agree = not ((class_values(part, bound) - class_values(other, bound)) % p).any()
-        _emit(args, {"form": exprmod.to_text(node), "p": p, "s": s,
-                     "verify_against": exprmod.to_text(node2),
-                     "weight": k_after, "bound": bound, "match": agree})
+            diff = diff.reduce_mod(p)
+        rep = sturm_zero(diff, k_after)
+        _emit(args, {"form": e.text, "p": p, "s": s, "verify_against": target.text,
+                     "weight": k_after, "bound": rep.bound, "match": rep.is_zero})
         return 0
-    _emit(args, dict(part.to_json(), sieve_class=s, base_form=exprmod.to_text(node)))
+    _emit(args, dict(part.to_json(), sieve_class=s, base_form=e.text))
     return 0
 
 

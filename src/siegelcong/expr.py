@@ -1,6 +1,6 @@
 """Expression language over the generators E4, E6, chi10, chi12.
 
-Grammar (weights checked after parsing; addition needs equal weights):
+Grammar (addition needs equal weights, checked at each '+' and '-'):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor | factor)*     -- adjacency multiplies
@@ -9,6 +9,11 @@ Grammar (weights checked after parsing; addition needs equal weights):
 
 Identifiers are greedy: ``E4chi12`` lexes as one unknown name, while
 ``E4 chi12`` and ``E4*chi12`` both multiply.
+
+One pass over the tokens gives an Expr: the polynomial, its weight and a
+canonical text.  The text keeps the parse-tree shape (a right operand of
+'*' that is itself a product, and a right operand of '+' or '-' that is a
+sum, stay in parentheses), so parse(e.text) == e.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .siegel import _GENERATOR_WEIGHTS, siegel_mul
+from .siegel import _GENERATOR_WEIGHTS
 
 ATOM_WEIGHTS = dict(_GENERATOR_WEIGHTS)
+_ONE = (0, 0, 0, 0)
 
 
 class ParseError(InvalidArgumentError):
@@ -33,26 +39,10 @@ class WeightMismatchError(InvalidArgumentError):
 
 
 @dataclass(frozen=True)
-class Name:
-    name: str
-
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str              # '+', '-', '*'
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
+class Expr:
+    poly: dict       # {(a, b, c, d): nonzero int}, the coefficient of E4^a E6^b chi10^c chi12^d
+    weight: int
+    text: str
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)"
@@ -79,6 +69,42 @@ def tokenize(text):
     return out
 
 
+def _add(f, g, sign):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _pow(f, n):
+    out = {_ONE: 1}
+    while n:
+        if n & 1:
+            out = _mul(out, f)
+        n >>= 1
+        if n:
+            f = _mul(f, f)
+    return out
+
+
+# Each parser method returns (poly, weight, text, level), where level is
+# 4 for a name or number, 3 for a power, 2 for a product and 1 for a sum or
+# difference.  An operand below the least level its place allows is
+# parenthesized: 4 for a base, 2 for a left factor or a right summand, 3 for
+# a right factor.
+def _wrap(text, level, least):
+    return f"({text})" if level < least else text
+
+
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
@@ -98,139 +124,67 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse_expr(self):
-        node = self.parse_term()
+        poly, w, text, level = self.parse_term()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = BinOp(val, node, self.parse_term())
-            else:
-                return node
+            if not (kind == "op" and val in "+-"):
+                return poly, w, text, level
+            self.next()
+            rpoly, rw, rtext, rlevel = self.parse_term()
+            if w != rw:
+                raise WeightMismatchError(f"weight mismatch in {val!r}: {w} vs {rw}")
+            text = f"{text} {val} {_wrap(rtext, rlevel, 2)}"
+            poly, level = _add(poly, rpoly, 1 if val == "+" else -1), 1
 
     def parse_term(self):
-        node = self.parse_factor()
+        poly, w, text, level = self.parse_factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                node = BinOp("*", node, self.parse_factor())
-            elif kind in ("ident", "num") or (kind == "op" and val == "("):
-                node = BinOp("*", node, self.parse_factor())
-            else:
-                return node
+            elif not (kind in ("ident", "num") or (kind == "op" and val == "(")):
+                return poly, w, text, level
+            rpoly, rw, rtext, rlevel = self.parse_factor()
+            text = f"{_wrap(text, level, 2)}*{_wrap(rtext, rlevel, 3)}"
+            poly, w, level = _mul(poly, rpoly), w + rw, 2
 
     def parse_factor(self):
-        node = self.parse_atom()
+        poly, w, text, level = self.parse_atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
             k2, v2, pos = self.next()
             if k2 != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            node = Pow(node, v2)
-        return node
+            poly, w, text, level = _pow(poly, v2), w * v2, f"{_wrap(text, level, 4)}^{v2}", 3
+        return poly, w, text, level
 
     def parse_atom(self):
         kind, val, pos = self.next()
         if kind == "ident":
             if val not in ATOM_WEIGHTS:
                 raise ParseError(f"unknown generator {val!r}", pos)
-            return Name(val)
+            e = tuple(int(name == val) for name in ATOM_WEIGHTS)
+            return {e: 1}, ATOM_WEIGHTS[val], val, 4
         if kind == "num":
-            return Num(val)
+            return ({_ONE: val} if val else {}), 0, str(val), 4
         if kind == "op" and val == "(":
-            node = self.parse_expr()
+            out = self.parse_expr()
             self.expect_op(")")
-            return node
+            return out
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
 def parse(text):
     """Parse an expression; syntax errors carry the offending position."""
     p = _Parser(tokenize(text))
-    node = p.parse_expr()
+    poly, w, text, _ = p.parse_expr()
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
-    weight(node)
-    return node
+    return Expr(poly, w, text)
 
 
-def weight(node):
-    """The (even) weight of the expression; mismatched sums raise."""
-    if isinstance(node, Name):
-        return ATOM_WEIGHTS[node.name]
-    if isinstance(node, Num):
-        return 0
-    if isinstance(node, Pow):
-        return weight(node.base) * node.exp
-    if node.op == "*":
-        return weight(node.lhs) + weight(node.rhs)
-    wl, wr = weight(node.lhs), weight(node.rhs)
-    if wl != wr:
-        raise WeightMismatchError(f"weight mismatch in {node.op!r}: {wl} vs {wr}")
-    return wl
-
-
-def _level(node):
-    if isinstance(node, (Name, Num)):
-        return 3
-    if isinstance(node, Pow):
-        return 2
-    return 1 if node.op in "+-" else 2 if node.op == "*" else 1
-
-
-def to_text(node):
-    """Canonical rendering; parse(to_text(e)) == e."""
-    if isinstance(node, Name):
-        return node.name
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Pow):
-        base = to_text(node.base)
-        if _level(node.base) < 3:
-            base = f"({base})"
-        return f"{base}^{node.exp}"
-    l, r = to_text(node.lhs), to_text(node.rhs)
-    if node.op == "*":
-        if _level(node.lhs) < 2:
-            l = f"({l})"
-        # parenthesize same-level right children so the tree shape survives
-        if _level(node.rhs) < 2 or (isinstance(node.rhs, BinOp) and node.rhs.op == "*"):
-            r = f"({r})"
-        return f"{l}*{r}"
-    if _level(node.rhs) <= 1:
-        r = f"({r})"
-    return f"{l} {node.op} {r}"
-
-
-def evaluate(node, ctx):
-    """Evaluate over a GeneratorContext; the result carries the tree's weight,
-    which every node builds its form with."""
-    return _eval(node, ctx)
-
-
-def _eval(node, ctx):
-    if isinstance(node, Name):
-        return ctx.generator(node.name)
-    if isinstance(node, Num):
-        return ctx.constant(node.value)
-    if isinstance(node, Pow):
-        if node.exp == 0:
-            return ctx.constant(1)
-        base = _eval(node.base, ctx)
-        out = base
-        for _ in range(node.exp - 1):
-            out = siegel_mul(out, base)
-        return out
-    lhs = _eval(node.lhs, ctx)
-    rhs = _eval(node.rhs, ctx)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if isinstance(node.lhs, Num):
-        return rhs.scale(node.lhs.value)
-    if isinstance(node.rhs, Num):
-        return lhs.scale(node.rhs.value)
-    return siegel_mul(lhs, rhs)
+def evaluate(e, ctx):
+    """The form of e over a GeneratorContext, at e's weight."""
+    return ctx.evaluate(e.poly, e.weight)

@@ -710,6 +710,13 @@ class JacobiCongruence:
                 "criterion_weight": self.criterion_weight, "method": self.method}
 
 
+def criterion_weight(k, p, b):
+    """Weight of the form whose vanishing mod p decides the congruence of a
+    weight-k form at b: k + (p+1)^2/2 for b != 0 mod p (heat and theta
+    criteria), k + p^2 - 1 for b = 0 (heat-cycle closure, sieve identity)."""
+    return k + (p + 1) * (p + 1) // 2 if b % p else k + p * p - 1
+
+
 def jac_congruence(phi, b, gens=None):
     """Decide the Ramanujan-type congruence of phi at b mod p.
 
@@ -722,12 +729,8 @@ def jac_congruence(phi, b, gens=None):
     p = phi.ring.p
     k, m = phi.weight, phi.index
     b %= p
-    if b:
-        kz = k + (p + 1) * (p + 1) // 2
-        method = "heat-criterion"
-    else:
-        kz = k + p * p - 1
-        method = "heat-cycle-closure"
+    kz = criterion_weight(k, p, b)
+    method = "heat-criterion" if b else "heat-cycle-closure"
     need = zero_test_required_prec(kz, m)
     if phi.prec < need:
         raise PrecisionError(f"congruence test needs precision {need}",

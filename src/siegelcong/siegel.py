@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      NotInRingError, PrecisionError, RingMismatchError)
-from .jacobi import JacobiFormSeries, jacobi_cusp, jacobi_eisenstein, jacobi_index
+from .jacobi import (JacobiFormSeries, criterion_weight, jacobi_cusp, jacobi_eisenstein,
+                     jacobi_index)
 from .linalg import FpMatrix, kernel_basis, solve
 from .qexp import bernoulli
 from .ring import FpRing, legendre, ring_from_tag
@@ -559,31 +560,37 @@ class SturmReport:
     witness: tuple | None
 
 
-def _witness(F, wmax, mask):
-    """The first (n, r, m) among the reduced classes of wmax selected by mask
-    where F does not vanish, or None."""
-    hit = np.flatnonzero(class_values(F, wmax)[mask])
-    if not len(hit):
-        return None
-    return tuple(int(a[mask][hit[0]]) for a in reduced_classes(wmax)[:3])
+def _sturm_bound(weight, prec):
+    """The dyadic-trace Sturm bound weight // 3; PrecisionError unless box
+    prec covers it (never silently narrowed)."""
+    bound = weight // 3
+    if prec < bound // 2:
+        raise PrecisionError(f"Sturm bound {bound} of weight {weight} needs box precision "
+                             f"{bound // 2}", required=bound // 2, available=prec)
+    return bound
+
+
+def _scan(F, weight, eps=None):
+    """The zero test mod p behind every verdict: A(T) at the reduced classes
+    T within the Sturm bound of weight (only those with legendre(det T, p)
+    == eps when eps is given), and the first (n, r, m) where it does not
+    vanish."""
+    if not isinstance(F.ring, FpRing):
+        raise InvalidArgumentError("a Sturm scan needs a prime-field form")
+    bound = _sturm_bound(weight, F.prec)
+    classes, values = reduced_classes(bound), class_values(F, bound)
+    if eps is not None:
+        mask = _legendre_mask(classes[3], F.ring.p, eps)
+        classes, values = [a[mask] for a in classes], values[mask]
+    hit = np.flatnonzero(values)
+    witness = tuple(int(a[hit[0]]) for a in classes[:3]) if len(hit) else None
+    return SturmReport(witness is None, bound, len(values), witness)
 
 
 def sturm_zero(F, k_eff):
-    """Finite zero test mod p at effective weight k_eff.
-
-    True iff A(T) vanishes for every reduced T with dyadic trace at most
-    k_eff / 3.  Errors out (never silently narrows the bound) when the box
-    does not cover the enumeration.
-    """
-    if not isinstance(F.ring, FpRing):
-        raise InvalidArgumentError("sturm_zero needs a prime-field form")
-    bound = k_eff // 3
-    need = bound // 2
-    if F.prec < need:
-        raise PrecisionError(f"Sturm bound {bound} needs box precision {need}",
-                             required=need, available=F.prec)
-    witness = _witness(F, bound, slice(None))
-    return SturmReport(witness is None, bound, len(reduced_classes(bound)[0]), witness)
+    """Finite zero test mod p at effective weight k_eff: A(T) vanishes on
+    every reduced T with dyadic trace at most k_eff / 3."""
+    return _scan(F, k_eff)
 
 
 @dataclass
@@ -614,9 +621,7 @@ class CongruenceCertificate:
 
 def congruence_required_prec(k, p, b):
     """Box size sufficient for the certificate at (k, p, b)."""
-    if b % p:
-        return (k + (p + 1) * (p + 1) // 2) // 3 // 2
-    return (k + p * p - 1) // 3 // 2
+    return criterion_weight(k, p, b) // 3 // 2
 
 
 def _legendre_mask(det, p, eps):
@@ -636,40 +641,27 @@ def siegel_congruence(F, p, b, label=""):
         raise InvalidArgumentError(f"siegel_congruence needs a form over fp:{p}")
     if F.weight is None:
         raise InvalidArgumentError("form needs a weight annotation")
-    k = F.weight
     b %= p
-    if b:
-        g_weight = k + (p + 1) * (p + 1) // 2
-        method = "theta-criterion"
-    else:
-        g_weight = k + p * p - 1
-        method = "sieve-identity"
-    bound = g_weight // 3
-    need = bound // 2
-    if F.prec < need:
-        raise PrecisionError(f"certificate at (p={p}, b={b}) needs box precision {need}",
-                             required=need, available=F.prec)
-    mask = _legendre_mask(reduced_classes(bound)[3], p, legendre(b, p))
-    witness = _witness(F, bound, mask)
+    g_weight = criterion_weight(F.weight, p, b)
+    rep = _scan(F, g_weight, legendre(b, p))
     return CongruenceCertificate(form=label, p=p, b=b,
-                                 verdict="fails" if witness else "holds",
-                                 G_weight=g_weight, sturm_bound=bound,
-                                 classes_checked=int(mask.sum()), witness=witness,
-                                 method=method)
+                                 verdict="holds" if rep.is_zero else "fails",
+                                 G_weight=g_weight, sturm_bound=rep.bound,
+                                 classes_checked=rep.classes_checked, witness=rep.witness,
+                                 method="theta-criterion" if b else "sieve-identity")
 
 
 def congruence_scan(F, p, label="", include_zero=True):
     """Certificates for every residue b; verdicts are constant on each
     nonzero Legendre class (InconsistentVerdictError otherwise)."""
-    out = {}
-    for b in range(0 if include_zero else 1, p):
-        out[b] = siegel_congruence(F, p, b, label=label)
-    for b1 in range(1, p):
-        for b2 in range(b1 + 1, p):
-            if legendre(b1, p) == legendre(b2, p):
-                if out.get(b1) and out.get(b2) and out[b1].verdict != out[b2].verdict:
-                    raise InconsistentVerdictError(
-                        f"verdicts differ inside one Legendre class: b={b1},{b2}")
+    out = {b: siegel_congruence(F, p, b, label=label)
+           for b in range(0 if include_zero else 1, p)}
+    for eps in (1, -1):
+        cls = [b for b in range(1, p) if legendre(b, p) == eps]
+        odd = [b for b in cls if out[b].verdict != out[cls[0]].verdict]
+        if odd:
+            raise InconsistentVerdictError(
+                f"verdicts differ inside one Legendre class: b={cls[0]},{odd[0]}")
     return out
 
 
@@ -697,7 +689,7 @@ def sieve(F, p, s):
         return ring.divexact(part, ring.from_int(2))
     w = F.weight
     if w is not None and fp:
-        w = w + p * p - 1
+        w = criterion_weight(w, p, 0)
     return F._derived(F.coeffs * _per_det(box_index(F.prec).det, mult, ring.dtype), w)
 
 
@@ -744,8 +736,15 @@ class GeneratorContext:
         except KeyError:
             raise InvalidArgumentError(f"unknown generator {name!r}") from None
 
-    def constant(self, v):
-        return SiegelFormSeries.constant(self.ring, 0, self.prec, v)
+    def evaluate(self, poly, weight):
+        """sum of coef * monomial(*e) over poly {e: coef}, a form of the given
+        weight (every monomial must have it)."""
+        out = SiegelFormSeries.zero(self.ring, weight, self.prec)
+        for e, coef in poly.items():
+            if 4 * e[0] + 6 * e[1] + 10 * e[2] + 12 * e[3] != weight:
+                raise InvalidArgumentError(f"monomial {e} does not have weight {weight}")
+            out = out + self.monomial(*e).scale(coef)
+        return out
 
     def monomial(self, a, b, c, d):
         """E4^a E6^b chi10^c chi12^d, memoized by exponent."""
@@ -754,7 +753,7 @@ class GeneratorContext:
         if hit is not None:
             return hit
         if key == (0, 0, 0, 0):
-            out = self.constant(1)
+            out = SiegelFormSeries.constant(self.ring, 0, self.prec, 1)
         else:
             for i, name in enumerate(_GENERATOR_WEIGHTS):
                 if key[i] > 0:
@@ -798,9 +797,11 @@ def decompose_mod_p(F, k, ctx):
     """One expression of F mod p in the weight-k generator monomials.
 
     Matches the coefficients on every reduced class within the weight-k
-    Sturm bound; mod-p relations between the generators make the solution
-    non-unique, so the kernel dimension is reported alongside a particular
-    solution.  Raises NotInRingError when no combination matches.
+    Sturm bound.  For p >= 5 the weight-k monomials are linearly independent
+    mod p (Nagaoka, Math. Z. 2000: the kernel of reduction mod p is
+    generated by E_{p-1} - 1, so it holds no nonzero form of a single
+    weight), so the solution is unique and kernel_dim is 0; it is reported
+    as a check.  Raises NotInRingError when no combination matches.
     """
     if not isinstance(F.ring, FpRing):
         raise InvalidArgumentError("decompose_mod_p needs a prime-field form")
@@ -808,11 +809,7 @@ def decompose_mod_p(F, k, ctx):
     monos = weight_monomials(k)
     if not monos:
         raise NotInRingError(f"no generator monomials in weight {k}")
-    bound = k // 3
-    need = bound // 2
-    if F.prec < need or ctx.prec < need:
-        raise PrecisionError(f"decomposition at weight {k} needs box {need}",
-                             required=need, available=min(F.prec, ctx.prec))
+    bound = _sturm_bound(k, min(F.prec, ctx.prec))
     mat = FpMatrix(p, _class_matrix([ctx.monomial(*e) for e in monos], bound))
     sol = solve(mat, class_values(F, bound))
     if sol is None:
@@ -869,7 +866,7 @@ def search_congruences(max_weight, max_prime, cache=None, progress=None):
 
 
 def _search_cell(k, p, monos, cache, contexts):
-    full_bound = (k + (p + 1) * (p + 1) // 2) // 3
+    full_bound = criterion_weight(k, p, 1) // 3
     small_bound = min(full_bound, max(k // 3, 6) + 3)
     ring = ring_from_tag(f"fp:{p}")
     box = max(small_bound // 2, 2)
@@ -916,18 +913,4 @@ def verify_combination(F, combo, k, ctx):
 
     combo maps exponent tuples (a, b, c, d) to integer coefficients.
     """
-    if not isinstance(F.ring, FpRing):
-        raise InvalidArgumentError("verify_combination needs a prime-field form")
-    p = F.ring.p
-    bound = k // 3
-    need = bound // 2
-    if F.prec < need or ctx.prec < need:
-        raise PrecisionError(f"verification at weight {k} needs box {need}",
-                             required=need, available=min(F.prec, ctx.prec))
-    for e in combo:
-        if 4 * e[0] + 6 * e[1] + 10 * e[2] + 12 * e[3] != k:
-            raise InvalidArgumentError(f"monomial {e} does not have weight {k}")
-    acc = -class_values(F, bound)
-    for e, coef in combo.items():
-        acc = (acc + coef % p * class_values(ctx.monomial(*e), bound)) % p
-    return not np.any(acc % p)
+    return sturm_zero(ctx.evaluate(combo, k) - F, k).is_zero

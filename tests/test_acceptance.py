@@ -36,12 +36,10 @@ def _holds(certs):
 
 
 def _build_row(text, p, include_zero):
-    node = parse(text)
-    from siegelcong.expr import weight
-    k = weight(node)
-    prec = congruence_required_prec(k, p, 0 if include_zero else 1)
+    e = parse(text)
+    prec = congruence_required_prec(e.weight, p, 0 if include_zero else 1)
     ctx = GeneratorContext(ring_from_tag(f"fp:{p}"), prec)
-    form = evaluate(node, ctx)
+    form = evaluate(e, ctx)
     certs = congruence_scan(form, p, label=text, include_zero=include_zero)
     return form, certs
 

@@ -83,20 +83,52 @@ def test_sieve_verify_against(capsys):
 
 
 def test_sieve_verify_against_reads_the_odd_bound(capsys, monkeypatch):
-    from siegelcong import cli
     windows = []
-    real = cli.class_values
-    monkeypatch.setattr(cli, "class_values", lambda F, w: windows.append(w) or real(F, w))
+    real = siegel.class_values
+    monkeypatch.setattr(siegel, "class_values", lambda F, w: windows.append(w) or real(F, w))
     code, out, _ = run(capsys, "sieve", "chi10", "--p", "5", "--s", "0",
                        "--verify-against", "chi10*E4^6")
     assert code == 0 and json.loads(out)["bound"] == 11
-    assert windows == [11, 11]
+    assert windows == [11]          # one read of the difference of the two forms
 
 
 def test_sieve_verify_against_needs_the_box_of_its_bound(capsys):
     code, _, err = run(capsys, "sieve", "chi10", "--p", "5", "--s", "0",
                        "--verify-against", "chi10*E4^6", "--prec", "2")
     assert code == 2 and "insufficient precision" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "E4 - E4", "--p", "5", "--b", "1"],
+    ["check", "5*E4*chi12", "--p", "5", "--b", "1"],
+    ["scan", "5*E4*chi12", "--p", "5"],
+    ["scan", "E4 - E4", "--p", "7", "--skip-zero"],
+])
+def test_zero_form_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "is zero mod" in err
+
+
+def test_ring_of_another_prime_is_refused(capsys):
+    code, out, err = run(capsys, "check", "7*chi12", "--p", "5", "--b", "1", "--ring", "fp:7")
+    assert code == 1 and out == "" and "does not match p = 5" in err
+
+
+def test_form_zero_mod_another_prime_gets_a_certificate(capsys):
+    code, out, _ = run(capsys, "check", "5*E4*chi12", "--p", "7", "--b", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "fails" and doc["witness"] == [1, 0, 1]
+
+
+def test_no_table_row_is_zero_mod_its_primes():
+    from siegelcong.cli import TABLE_ROWS
+    from siegelcong.expr import evaluate, parse
+    from siegelcong.ring import ring_from_tag
+    for text, primes in TABLE_ROWS:
+        e = parse(text)
+        for p in primes:
+            ctx = siegel.GeneratorContext(ring_from_tag(f"fp:{p}"), e.weight // 3 // 2)
+            assert not siegel.sturm_zero(evaluate(e, ctx), e.weight).is_zero, (text, p)
 
 
 def test_sieve_dump(capsys):

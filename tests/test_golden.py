@@ -26,6 +26,14 @@ RINGS = ["int", "rat", "fp:7", "fp:2097169"]
      "sieve_chi10_p7_minus1_fp7.json"),
     (["sieve", "chi10", "--p", "5", "--s", "+1", "--ring", "int"],
      "sieve_chi10_p5_plus1_int.json"),
+    # certificates and a sieve check, over int64 (fp) and object (int, rat) vectors
+    (["sieve", "chi10", "--p", "5", "--s", "0", "--verify-against", "chi10*E4^6",
+      "--ring", "rat"], "sieve_chi10_p5_s0_verify_rat.json"),
+    (["scan", "E4*chi12 - E6*chi10", "--p", "7"], "scan_e4chi12_minus_e6chi10_p7.json"),
+    (["check", "E4*chi12", "--p", "5", "--b", "2", "--ring", "rat"],
+     "check_e4chi12_p5_b2_rat.json"),
+    (["check", "(E4^3 - E6^2)*chi10", "--p", "5", "--b", "1", "--ring", "int"],
+     "check_delta_chi10_p5_b1_int.json"),
 ])
 def test_sieve_stdout(capsys, tmp_path, argv, name):
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
