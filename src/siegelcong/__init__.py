@@ -11,7 +11,7 @@ from .qexp import (QSeries, bernoulli, delta_q, eisenstein_q,
 from .jacobi import (HeatCycleReport, JacobiCongruence, JacobiFormSeries,
                      filtration, heat, heat_cycle, heat_cycle_required_prec,
                      holo_basis, jac_congruence, jac_direct_scan, jac_mul,
-                     jac_zero_test, jacobi_cusp, jacobi_eisenstein,
+                     index1_columns, jac_zero_test, jacobi_cusp, jacobi_eisenstein,
                      nonexistence_applies, qseries_times_jacobi,
                      reconstruct_weak, weak_decompose, weak_generators)
 from .siegel import (CongruenceCertificate, GeneratorContext, MatrixIndexT,

@@ -45,4 +45,5 @@ class CacheIOError(SiegelCongError, OSError):
 
 
 class InconsistentVerdictError(SiegelCongError):
-    """Certificates for two residues in one Legendre class disagree."""
+    """Certificates for two residues in one Legendre class disagree, or a
+    search kernel holds a combination that vanishes on the weight window."""

@@ -1,16 +1,18 @@
 """Jacobi forms of even weight as truncated two-variable (q, zeta) series.
 
-Covers the weak index-1 generators built from theta quotients, holomorphic
-index-1 generators, products, the heat operator, mod-p filtrations and heat
-cycles, and the finite congruence criteria.
+Covers the index-1 generators, products, the heat operator, mod-p
+filtrations and heat cycles, and the finite congruence criteria.
 
 Index-1 generators: the coefficients of an index-1 form, weak or holomorphic,
 depend only on D = 4n - r^2 (Eichler-Zagier, The Theory of Jacobi Forms,
 Thm 2.2).  So phi_{-2,1}, phi_{0,1}, E_{4,1}, E_{6,1}, phi_{10,1} and
 phi_{12,1} are each computed as two q-series, their zeta^0 and zeta^1
-columns, and the coefficient vector is gathered from those once; a runtime
-guard requires the zeta^2 and zeta^3 columns to agree with them (see
-weak_generators).
+columns (index1_columns): phi_{-2,1} from the theta quotient
+zeta theta^2 / eta^6, with a runtime guard that its zeta^2 and zeta^3
+columns agree with them, phi_{0,1} as the heat image of phi_{-2,1}, and the
+holomorphic four from those two (see _weak_columns).  A form's coefficient
+vector is gathered from its columns once; the Maass lift reads the columns
+directly (siegel.maass_lift).
 
 Storage: c(n, -r) = c(n, r) for every even-weight form, so a form of index
 m and precision N stores only the half support 0 <= n <= N,
@@ -46,8 +48,8 @@ import numpy as np
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
 from .linalg import FpMatrix, kernel_basis, rref
-from .qexp import (QSeries, convolve_trunc, delta_q, eisenstein_q, elliptic_sturm_zero,
-                   eta_pow6, invert_series, mk_basis, mk_dim)
+from .qexp import (QSeries, _sigma_table, convolve_trunc, delta_q, eisenstein_q,
+                   elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim)
 from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
 
 NEG_INF = float("-inf")
@@ -87,11 +89,7 @@ class JacobiIndex:
 
     @cached_property
     def D(self):
-        # in place: at the lift's q-precision (900 at box 30) a temporary is
-        # 0.3 MB, and each one shows in the peak RSS
-        D = self.n * (4 * self.m)
-        D -= self.r * self.r
-        return _read_only(D)
+        return _read_only(self.n * (4 * self.m) - self.r * self.r)
 
     @cached_property
     def _full(self):
@@ -119,8 +117,7 @@ _indexes = weakref.WeakValueDictionary()
 
 def jacobi_index(m, prec):
     """The JacobiIndex of index m and precision prec.  Every form holds its
-    own and the memo keeps one only while a form does, so the large index of
-    a Maass lift's q-precision goes with the forms that needed it."""
+    own and the memo keeps one only while a form does."""
     idx = _indexes.get((m, prec))
     if idx is None:
         idx = _indexes[m, prec] = JacobiIndex(m, prec)
@@ -245,22 +242,6 @@ class JacobiFormSeries:
         return {"kind": "jacobi", "ring": self.ring.tag, "weight": self.weight,
                 "index": self.index, "prec": self.prec, "coeffs": coeffs}
 
-    # -- structural checks (used heavily by the tests) ---------------------------
-    def check_transformation_law(self):
-        """c(n, r) == c(n + r + m, r + 2m) wherever both keys are stored."""
-        m = self.index
-        for n in range(self.prec + 1):
-            for r in range(-self.rb(n), self.rb(n) + 1):
-                n2, r2 = n + r + m, r + 2 * m
-                if 0 <= n2 <= self.prec and abs(r2) <= self.rb(n2):
-                    if not self.ring.is_zero(self.ring.sub(self.c(n, r), self.c(n2, r2))):
-                        return False
-        return True
-
-    def check_holomorphic_support(self):
-        """c(n, r) == 0 wherever 4nm - r^2 < 0."""
-        return not np.any(self.coeffs[self.idx.D < 0])
-
 
 def _combine(a, b, coef_b, weight):
     """a + coef_b * b with an explicit result weight (mod-p cross-weight sums)."""
@@ -342,129 +323,101 @@ def heat_iterate(phi, times):
 
 
 # -- index-1 generators -------------------------------------------------------------
-#
-# Every division in the theta quotients is by a pure q-series, so a zeta-column of
-# a generator needs only the same column of its numerator (see weak_generators).
 
-def _tri(j):
-    return j * (j + 1) // 2
-
-
-def _square(j):
-    return j * j
-
-
-def _theta_square_column(ring, c, n, sign, expo):
-    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} sign^j x^{expo(j)} zeta^j)^2.
+def _theta_square_column(ring, c, n):
+    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} (-1)^j x^{j(j+1)/2} zeta^j)^2.
 
     The terms j and c - j meet at zeta^c, so this is one sum over j with
     O(sqrt n) terms.
     """
     out = [0] * n
-    s = sign ** (c % 2)
+    s = (-1) ** (c % 2)
     reach = isqrt(2 * n) + 2
     for j in range(-reach, reach + 1):
-        e = expo(j) + expo(c - j)
+        e = (j * (j + 1) + (c - j) * (c - j + 1)) // 2
         if e < n:
             out[e] += s
     return np.array([ring.from_int(v) for v in out], dtype=ring.dtype)
-
-
-def _theta_square_at_one(ring, n, expo):
-    """(sum_{j in Z} x^{expo(j)})^2 to n terms: the theta square at zeta = 1."""
-    theta = [0] * n
-    reach = isqrt(2 * n) + 2
-    for j in range(-reach, reach + 1):
-        if expo(j) < n:
-            theta[expo(j)] += 1
-    theta = np.array([ring.from_int(v) for v in theta], dtype=ring.dtype)
-    return convolve_trunc(ring, theta, theta, n)
-
-
-def _column_factors(prec, ring):
-    """The q-series that map theta-square columns to generator columns.
-
-    1/eta^6 for weight -2; for weight 0, 1/S2(q, 1) for piece 1 and, per
-    zeta-parity, the factor of the folded theta_3^2 column for pieces 2+3.
-    """
-    n = prec + 1
-    inv_eta6 = eta_pow6(prec, ring).inverse().coeffs
-    inv_s2 = invert_series(ring, _theta_square_at_one(ring, n, _tri), n)
-    # pieces 2+3 combined: 2(Ee - Oo)/(e^2 - o^2) over Q = q^{1/2}, where e and
-    # o are the even and odd Q-powers of theta_3(Q)^2 reindexed to integral q;
-    # np.append(zero, x)[:n] is q * x
-    t3 = _theta_square_at_one(ring, 2 * n, _square)
-    e_q, o_q = t3[0::2], t3[1::2]
-    zero = ring.zeros(1)
-    denom = ring.canonical(convolve_trunc(ring, e_q, e_q, n)
-                           - np.append(zero, convolve_trunc(ring, o_q, o_q, n))[:n])
-    inv_denom = invert_series(ring, denom, n)
-    even = ring.canonical(convolve_trunc(ring, e_q, inv_denom, n) * ring.from_int(2))
-    odd = ring.canonical(np.append(zero, convolve_trunc(ring, o_q, inv_denom, n))[:n]
-                         * ring.from_int(-2))
-    return inv_eta6, inv_s2, (even, odd)
-
-
-def _weak_column(c, prec, ring, factors):
-    """The zeta^c columns of phi_{-2,1} and phi_{0,1}, to q^prec."""
-    n = prec + 1
-    inv_eta6, inv_s2, folded = factors
-    # weight -2: zeta * theta_red^2 / eta^6  (fractional powers cancel)
-    wm2 = convolve_trunc(ring, _theta_square_column(ring, c - 1, n, -1, _tri), inv_eta6, n)
-    # weight 0, piece 1: zeta * S2 / S2(q, 1) from the even theta pair
-    a2 = convolve_trunc(ring, _theta_square_column(ring, c - 1, n, 1, _tri), inv_s2, n)
-    # pieces 2+3: odd zeta-powers must sit on odd Q-powers, even on even
-    par = c % 2
-    t3 = _theta_square_column(ring, c, 2 * n, 1, _square)
-    if np.any(t3[1 - par::2]):
-        raise ArithmeticDomainError("theta square breaks the parity coupling")
-    a34 = convolve_trunc(ring, t3[par::2], folded[par], n)
-    return wm2, ring.canonical((a2 + a34) * ring.from_int(4))
 
 
 @lru_cache(maxsize=1)
 def _weak_columns(prec, ring):
     """((h_0, h_1) of phi_{-2,1}, (h_0, h_1) of phi_{0,1}), each of length prec + 1.
 
-    Guard: the zeta^2 and zeta^3 columns are built the same way and must be
-    h_0 and h_1 moved down one and two rows with zeros above, since
-    c(n, 2) = c(n - 1, 0) and c(n, 3) = c(n - 2, 1); that also checks
-    c = 0 at D < -1 in those columns.  Z is computed over Q and cast back,
-    which checks integrality.  The last result is kept, so the four
+    phi_{-2,1} = zeta theta^2 / eta^6, theta = sum_j (-1)^j q^{j(j+1)/2}
+    zeta^j (the fractional q-powers cancel), so its zeta^c column is the
+    zeta^(c-1) column of theta^2 over eta^6.  Guard: the zeta^2 and zeta^3
+    columns are built the same way and must be h_0 and h_1 moved down one
+    and two rows with zeros above, since c(n, 2) = c(n - 1, 0) and
+    c(n, 3) = c(n - 2, 1); that also checks c = 0 at D < -1 there.
+
+    phi_{0,1} is the heat image -6 L phi_{-2,1} - 5 E_2 phi_{-2,1}, with L
+    the heat operator of `heat` and E_2 = 1 - 24 sum sigma_1(n) q^n: the
+    modified heat operator maps J^weak_{-2,1} into J^weak_{0,1}, which
+    phi_{0,1} spans (M_2 = 0; Eichler-Zagier, The Theory of Jacobi Forms,
+    Sec. 9), and the q^0 rows fix the constants.  Column by column,
+    h_r -> -6 (4n - r) h_r - 5 E_2 h_r.  Every coefficient is integral, so
+    each ring computes in itself.  The last result is kept, so the four
     generators of one box share it; its columns are read-only.
     """
-    if isinstance(ring, IntRing):
-        gens = tuple(tuple(np.array([ring.from_rational(v) for v in h], dtype=ring.dtype)
-                           for h in gen) for gen in _weak_columns(prec, ring_from_tag("rat")))
-    else:
-        n = prec + 1
-        factors = _column_factors(prec, ring)
-        cols = [_weak_column(c, prec, ring, factors) for c in range(4)]
-        gens = tuple((cols[0][g], cols[1][g]) for g in range(2))
-        for g in range(2):
-            for k in (1, 2):
-                moved = np.append(ring.zeros(k), cols[k - 1][g])[:n]
-                if not np.array_equal(cols[k + 1][g], moved):
-                    raise ArithmeticDomainError(
-                        "zeta^2 and zeta^3 columns break the index-1 discriminant law")
-    for gen in gens:
-        for h in gen:
-            h.flags.writeable = False
-    return gens
+    n = prec + 1
+    inv_eta6 = eta_pow6(prec, ring).inverse().coeffs
+    cols = [convolve_trunc(ring, _theta_square_column(ring, c - 1, n), inv_eta6, n)
+            for c in range(4)]
+    for k in (1, 2):
+        if not np.array_equal(cols[k + 1], np.append(ring.zeros(k), cols[k - 1])[:n]):
+            raise ArithmeticDomainError(
+                "zeta^2 and zeta^3 columns break the index-1 discriminant law")
+    e2 = np.array([ring.one] + [ring.from_int(-24 * s) for s in _sigma_table(1, prec)[1:]],
+                  dtype=ring.dtype)
+    w0 = (ring.canonical(h * (-6 * (4 * np.arange(n) - r)).astype(ring.dtype)
+                         - convolve_trunc(ring, e2, h, n) * ring.from_int(5))
+          for r, h in enumerate(cols[:2]))
+    return tuple(_read_only(h) for h in cols[:2]), tuple(_read_only(h) for h in w0)
+
+
+def index1_columns(k, prec, ring):
+    """The zeta^0 and zeta^1 columns (h_0, h_1), each of length prec + 1, of
+    the index-1 generator of weight k: phi_{-2,1} (k = -2), phi_{0,1} (0),
+    E_{4,1} (4), E_{6,1} (6), phi_{10,1} (10) or phi_{12,1} (12).
+
+    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1})/12,
+    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1})/12, phi_{10,1} = Delta
+    phi_{-2,1} and phi_{12,1} = Delta phi_{0,1}, each taken column by
+    column.  The weak columns are read-only.
+    """
+    wm2, w0 = _weak_columns(prec, ring)
+    n = prec + 1
+    if k in (-2, 0):
+        return wm2 if k == -2 else w0
+    if k in (4, 6):
+        e4, e6 = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring)
+        f, g = (e4, e6) if k == 4 else (e6, e4 * e4)
+        twelve = ring.from_int(12)
+        nums = (convolve_trunc(ring, f.coeffs, h0, n) - convolve_trunc(ring, g.coeffs, hm2, n)
+                for h0, hm2 in zip(w0, wm2))
+        return tuple(np.array([ring.divexact(v, twelve) for v in ring.canonical(num).tolist()],
+                              dtype=ring.dtype) for num in nums)
+    if k in (10, 12):
+        d = delta_q(prec, ring).coeffs
+        return tuple(convolve_trunc(ring, d, h, n) for h in (wm2 if k == 10 else w0))
+    raise InvalidArgumentError(f"no index-1 generator of weight {k}")
+
+
+def discriminant_series(cols, dmax):
+    """C[D + 1] for D = -1..dmax, where C[D] is the coefficient at
+    discriminant D = 4n - r^2 of the index-1 form with zeta^0 and zeta^1
+    columns cols: c(n, r) with r in {0, 1}, one gather.  Entries at
+    D = 1, 2 mod 4, which no key has, are junk."""
+    D = np.arange(-1, dmax + 1)
+    return np.asarray(cols)[(D % 4 == 3).astype(int), (D + 1) // 4]
 
 
 def _index1_form(ring, weight, cols, weak):
-    """The index-1 form with zeta^0 and zeta^1 columns cols: one gather by D.
-
-    The discriminants come from an index of its own, dropped after the
-    gather, so that the form's index (which a Maass lift keeps alive while
-    it runs) builds no per-key arrays.
-    """
-    h = np.array(cols, dtype=ring.dtype)
-    prec = h.shape[1] - 1
-    D = np.arange(-1, 4 * prec + 1)
-    C = h[(D % 4 == 3).astype(int), (D + 1) // 4]        # C[D + 1], D = 4n - r^2 >= -1
-    return JacobiFormSeries(ring, weight, 1, prec, C[JacobiIndex(1, prec).D + 1], weak=weak)
+    """The index-1 form with zeta^0 and zeta^1 columns cols: one gather by D."""
+    prec = len(cols[0]) - 1
+    vec = discriminant_series(cols, 4 * prec)[jacobi_index(1, prec).D + 1]
+    return JacobiFormSeries(ring, weight, 1, prec, vec, weak=weak)
 
 
 _weak_cache = {}
@@ -478,13 +431,10 @@ def weak_generators(prec, ring):
     D = 4n - r^2, which also fixes r mod 2 (Eichler-Zagier, The Theory of
     Jacobi Forms, Thm 2.2; the proof uses only the elliptic transformation
     law, so weak forms are covered).  Each generator is therefore built from
-    its zeta^0 and zeta^1 theta-quotient columns h_0, h_1 alone, as
-    c(n, r) = h_{r mod 2}[n - floor(r^2/4)], the entry with the same D.  A
-    runtime guard builds the zeta^2 and zeta^3 columns as well and raises
-    ArithmeticDomainError unless they are h_0 and h_1 moved down one and two
-    rows.  Exact rings are computed through exact rationals and cast, which
-    verifies integrality.  Results are memoized per ring and read-only; a
-    precision below one already built is a truncation of it.
+    its zeta^0 and zeta^1 columns h_0, h_1 alone (see _weak_columns), as
+    c(n, r) = h_{r mod 2}[n - floor(r^2/4)], the entry with the same D.
+    Results are memoized per ring and read-only; a precision below one
+    already built is a truncation of it.
     """
     key = (ring.tag, prec)
     hit = _weak_cache.get(key)
@@ -496,8 +446,7 @@ def weak_generators(prec, ring):
             out = (val[0].truncate(prec), val[1].truncate(prec))
             _weak_cache[key] = out
             return out
-    wm2, w0 = _weak_columns(prec, ring)
-    out = (_index1_form(ring, -2, wm2, weak=True), _index1_form(ring, 0, w0, weak=True))
+    out = tuple(_index1_form(ring, k, index1_columns(k, prec, ring), weak=True) for k in (-2, 0))
     for f in out:
         f.coeffs.flags.writeable = False
     _weak_cache[key] = out
@@ -505,34 +454,18 @@ def weak_generators(prec, ring):
 
 
 def jacobi_eisenstein(k, prec, ring):
-    """Holomorphic index-1 Eisenstein series of weight 4 or 6, c(0,0) = 1.
-
-    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1})/12 and
-    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1})/12, taken column by column.
-    """
+    """Holomorphic index-1 Eisenstein series of weight 4 or 6, c(0,0) = 1
+    (see index1_columns)."""
     if k not in (4, 6):
         raise InvalidArgumentError(f"jacobi_eisenstein supports k in (4, 6), got {k}")
-    wm2, w0 = _weak_columns(prec, ring)
-    e4 = eisenstein_q(4, prec, ring)
-    e6 = eisenstein_q(6, prec, ring)
-    f, g = (e4, e6) if k == 4 else (e6, e4 * e4)
-    twelve = ring.from_int(12)
-    cols = []
-    for h0, hm2 in zip(w0, wm2):
-        num = (convolve_trunc(ring, f.coeffs, h0, prec + 1)
-               - convolve_trunc(ring, g.coeffs, hm2, prec + 1))
-        cols.append([ring.divexact(v, twelve) for v in ring.canonical(num).tolist()])
-    return _index1_form(ring, k, cols, weak=False)
+    return _index1_form(ring, k, index1_columns(k, prec, ring), weak=False)
 
 
 def jacobi_cusp(k, prec, ring):
     """The index-1 cusp generators Delta*phi_{-2,1} (k=10), Delta*phi_{0,1} (k=12)."""
     if k not in (10, 12):
         raise InvalidArgumentError(f"jacobi_cusp supports k in (10, 12), got {k}")
-    wm2, w0 = _weak_columns(prec, ring)
-    d = delta_q(prec, ring).coeffs
-    cols = [convolve_trunc(ring, d, h, prec + 1) for h in (wm2 if k == 10 else w0)]
-    return _index1_form(ring, k, cols, weak=False)
+    return _index1_form(ring, k, index1_columns(k, prec, ring), weak=False)
 
 
 # -- decomposition over the weak generators ----------------------------------------
@@ -578,7 +511,7 @@ def _div_by_sq(ring, t):
     return u[:-2]
 
 
-def weak_decompose(phi, gens=None):
+def weak_decompose(phi):
     """Components f_0..f_m with phi = sum f_j w{-2}^j w{0}^{m-j}.
 
     Uses the z = 0 specialization (the weight -2 generator vanishes there and
@@ -597,12 +530,7 @@ def weak_decompose(phi, gens=None):
         raise InvalidArgumentError("weak_decompose needs a weight annotation")
     if m == 0:
         return [QSeries(ring, phi.coeffs, weight=phi.weight)]
-    if gens is None:
-        gens = weak_generators(phi.prec, ring)
-    w_m2 = gens[0]
-    if w_m2.prec < phi.prec:
-        raise PrecisionError("generator precision below form precision",
-                             required=phi.prec, available=w_m2.prec)
+    gens = weak_generators(phi.prec, ring)
     fs = []
     cur = phi
     inv12 = ring.inv(ring.from_int(12))
@@ -610,7 +538,7 @@ def weak_decompose(phi, gens=None):
         f = cur.z_restrict().scale(ring.pow(inv12, mu))
         fs.append(f)
         rem = cur - qseries_times_jacobi(f, _weak_monomial(gens, 0, mu, phi.prec))
-        cur = _divide_by_weak_m2(rem, w_m2.truncate(phi.prec))
+        cur = _divide_by_weak_m2(rem, gens[0])
     fs.append(QSeries(ring, cur.coeffs, weight=cur.weight))   # index 0: c(n, 0) only
     return fs
 
@@ -668,7 +596,7 @@ def zero_test_required_prec(weight, index):
     return (weight + 2 * index) // 12 + index + 1
 
 
-def jac_zero_test(phi, gens=None):
+def jac_zero_test(phi):
     """True iff phi == 0 mod p, for phi in the weak span at its annotated weight.
 
     Decomposes over the weak generators and runs the level-1 Sturm test on
@@ -682,7 +610,7 @@ def jac_zero_test(phi, gens=None):
     if phi.prec < need:
         raise PrecisionError(f"zero test at weight {k}, index {m} needs precision {need}",
                              required=need, available=phi.prec)
-    fs = weak_decompose(phi, gens=gens)
+    fs = weak_decompose(phi)
     for j, f in enumerate(fs):
         w = k + 2 * j
         if w >= 4 or w == 0:
@@ -717,7 +645,7 @@ def criterion_weight(k, p, b):
     return k + (p + 1) * (p + 1) // 2 if b % p else k + p * p - 1
 
 
-def jac_congruence(phi, b, gens=None):
+def jac_congruence(phi, b):
     """Decide the Ramanujan-type congruence of phi at b mod p.
 
     For b not divisible by p this tests the (p+1)/2-fold heat iterate against
@@ -742,7 +670,7 @@ def jac_congruence(phi, b, gens=None):
     else:
         lp = heat_iterate(phi, p - 1)
         combo = _combine(lp, phi, p - 1, kz)  # lp - phi
-    holds = jac_zero_test(combo, gens=gens)
+    holds = jac_zero_test(combo)
     witness = None
     if not holds:
         _, witness = jac_direct_scan(phi, p, b)
@@ -770,13 +698,13 @@ def jac_direct_scan(phi, p, b):
     return False, (int(idx.n[hit[0]]), int(idx.r[hit[0]]))
 
 
-def nonexistence_applies(k, m, p, b, phi, gens=None):
+def nonexistence_applies(k, m, p, b, phi):
     """Hypotheses of the non-existence criterion: k >= 4, b != 0, p > k, p ∤ m,
     and the heat image of phi is nonzero mod p.  When true, jac_congruence
     must report a failure."""
     if k < 4 or b % p == 0 or p <= k or m % p == 0:
         return False
-    return not jac_zero_test(heat(phi), gens=gens)
+    return not jac_zero_test(heat(phi))
 
 
 # -- holomorphic bases, filtrations, heat cycles --------------------------------------
@@ -929,7 +857,7 @@ def heat_cycle_required_prec(k, m, p):
     return need
 
 
-def heat_cycle(phi, gens=None):
+def heat_cycle(phi):
     """Filtrations, high points, low points and fall sizes of the heat cycle.
 
     Refuses to interpret the cycle when p divides the index (the filtration
@@ -945,7 +873,7 @@ def heat_cycle(phi, gens=None):
         rep.status = "theory-silent"
         return rep
     it = heat(phi)
-    if jac_zero_test(it, gens=gens):
+    if jac_zero_test(it):
         rep.status = "degenerate"
         return rep
     oms = []

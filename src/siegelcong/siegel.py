@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      NotInRingError, PrecisionError, RingMismatchError)
-from .jacobi import (JacobiFormSeries, criterion_weight, jacobi_cusp, jacobi_eisenstein,
-                     jacobi_index)
+from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
+                     index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis, solve
 from .qexp import bernoulli
 from .ring import FpRing, legendre, ring_from_tag
@@ -316,33 +316,31 @@ def class_values(F, wmax):
 
 # -- lifts and generators ------------------------------------------------------------
 
-def maass_lift(phi, prec):
-    """Lift an index-1 Jacobi form: A(n,r,m) = sum_{d | (n,r,m)} d^{k-1} c(nm/d^2, r/d).
+def maass_lift(ring, k, cols, prec):
+    """Lift the index-1 Jacobi form of weight k with zeta^0 and zeta^1
+    columns cols (jacobi.index1_columns) to box prec:
+    A(n,r,m) = sum_{d | (n,r,m)} d^{k-1} c(nm/d^2, r/d).
 
     An index-1 coefficient depends only on D = 4n - r^2 (Eichler-Zagier,
     The Theory of Jacobi Forms, Thm 2.2), and c(nm/d^2, r/d) has
-    D = det/d^2, so A = sum_{d | gcd} d^{k-1} C[det/d^2] with C read from
-    the zeta^0 and zeta^1 coefficients of phi: one masked gather per d.
+    D = det/d^2, so A = sum_{d | gcd} d^{k-1} C[det/d^2] with C the
+    discriminant series of the columns: one masked gather per d.
     A(0,0,0) is set to zero; pinning the constant of a non-cuspidal lift is
-    the caller's concern (see igusa_generators).  Requires q-precision at
-    least prec^2 on the input.  C[D] is c((D + 3) // 4, D mod 4 == 3), read
-    from phi's vector with one gather.
+    the caller's concern (see igusa_generators).  Requires columns to
+    q^(prec^2).
     """
-    if phi.index != 1:
-        raise InvalidArgumentError("maass_lift expects an index-1 Jacobi form")
-    if phi.prec < prec * prec:
+    have = min(len(h) for h in cols) - 1
+    if have < prec * prec:
         raise PrecisionError(f"lift to box {prec} needs q-precision {prec * prec}",
-                             required=prec * prec, available=phi.prec)
-    ring = phi.ring
-    D = np.arange(4 * prec * prec + 1)
-    C = phi.coeffs[phi.idx.start[(D + 3) // 4] + (D % 4 == 3)]    # D = 4n - r^2, r in {0, 1}
+                             required=prec * prec, available=have)
+    C = discriminant_series([h[:prec * prec + 1] for h in cols], 4 * prec * prec)[1:]
     idx = box_index(prec)
     out = ring.zeros(idx.size)
     for d in range(1, prec + 1):
         keys = np.flatnonzero((idx.gcd % d == 0) & (idx.gcd > 0))
-        dpow = ring.pow(ring.from_int(d), phi.weight - 1)
+        dpow = ring.pow(ring.from_int(d), k - 1)
         out[keys] += dpow * C[idx.det[keys] // (d * d)]
-    return SiegelFormSeries(ring, phi.weight, prec, ring.canonical(out))
+    return SiegelFormSeries(ring, k, prec, ring.canonical(out))
 
 
 _GENERATOR_WEIGHTS = {"E4": 4, "E6": 6, "chi10": 10, "chi12": 12}
@@ -353,17 +351,16 @@ def igusa_generators(prec, ring):
 
     chi10 and chi12 are lifts of the index-1 cusp generators, normalized by
     A(1,1,1) = 1; E4 and E6 are (-2k/B_k)-scaled lifts of the index-1
-    Eisenstein series with the constant term pinned to 1.
+    Eisenstein series with the constant term pinned to 1.  Each lift reads
+    the generator's two columns to q^(prec^2); no Jacobi form is built.
     """
-    qprec = prec * prec
     out = {}
     for name, k in _GENERATOR_WEIGHTS.items():
+        lift = maass_lift(ring, k, index1_columns(k, prec * prec, ring), prec)
         if name.startswith("E"):
-            lift = maass_lift(jacobi_eisenstein(k, qprec, ring), prec)
-            out[name] = SiegelFormSeries.constant(ring, k, prec, 1) \
+            lift = SiegelFormSeries.constant(ring, k, prec, 1) \
                 + lift.scale(ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
-        else:
-            out[name] = maass_lift(jacobi_cusp(k, qprec, ring), prec)
+        out[name] = lift
     return out
 
 
@@ -887,23 +884,23 @@ def _search_cell(k, p, monos, cache, contexts):
         if full_ctx is None:
             full_ctx = GeneratorContext(ring, max(full_bound // 2, 2), cache)
             full_cols = [full_ctx.monomial(*e) for e in monos]
-            # a direction vanishing inside the weight-k window is zero mod p
             ident = _class_matrix(full_cols, k // 3)
         mask = _legendre_mask(reduced_classes(full_bound)[3], p, eps)
         kern = kernel_basis(FpMatrix(p, _class_matrix(full_cols, full_bound, mask)))
         forms = []
-        degenerate = 0
         for vec in kern:
+            # the weight-k monomials are independent mod p (see decompose_mod_p),
+            # so no nonzero combination vanishes on the weight-k window
             if not np.any(ident.dot(vec) % p):
-                degenerate += 1
-                continue
+                raise InconsistentVerdictError(
+                    f"a weight-{k} combination vanishes mod {p} on the weight-{k} window")
             terms = [monomial_text(e, coef=x) for x, e in zip(vec, monos) if x % p]
             forms.append(" + ".join(terms))
         if forms:
             cell.update(status="congruence", dim=len(forms), forms=forms,
-                        degenerate_directions=degenerate, sturm_bound=full_bound)
+                        sturm_bound=full_bound)
         else:
-            cell.update(status="none", degenerate_directions=degenerate)
+            cell.update(status="none")
         out.append(cell)
     return out
 

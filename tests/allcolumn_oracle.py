@@ -1,11 +1,12 @@
 """All-column construction of the index-1 generators, kept as a test oracle.
 
-Builds phi_{-2,1} and phi_{0,1} from the same theta quotients as
-`siegelcong.jacobi`, but materializes every zeta-column of every theta
-square and divides each one separately, then checks the weak support bound
-coefficient by coefficient.  It does not use that c(n, r) depends only on
-4n - r^2, so it checks the two-column construction independently of that
-shortcut.  It keeps every row over the full range -b <= r <= b and checks
+Builds phi_{-2,1} from the same theta quotient as `siegelcong.jacobi` and
+phi_{0,1} from theta quotients that `siegelcong.jacobi` does not use (it
+takes phi_{0,1} as a heat image of phi_{-2,1}).  It materializes every
+zeta-column of every theta square and divides each one separately, then
+checks the weak support bound coefficient by coefficient.  It does not use
+that c(n, r) depends only on 4n - r^2, so it checks the two-column
+construction independently of that shortcut.  It keeps every row over the full range -b <= r <= b and checks
 that each is symmetric before it stores the r >= 0 half as a form.  The
 Eisenstein and cusp generators multiply whole forms with
 `qseries_times_jacobi` and divide by 12 coefficient by coefficient.

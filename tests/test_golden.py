@@ -54,10 +54,13 @@ def test_heat_cycle_stdout(capsys, tmp_path, argv, name):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("tag", RINGS)
-def test_gens_cache_files(capsys, tmp_path, tag):
-    assert main(["gens", "--ring", tag, "--prec", "3", "--cache-dir", str(tmp_path)]) == 0
-    want = GOLDEN / f"gens_prec3_{tag.replace(':', '_')}"
+# box 3 over every ring; the exact rings again at q-precision 100 and 36
+@pytest.mark.parametrize("tag,prec", [pytest.param(tag, 3, id=tag) for tag in RINGS]
+                         + [pytest.param("int", 10, id="int-prec10"),
+                            pytest.param("rat", 6, id="rat-prec6")])
+def test_gens_cache_files(capsys, tmp_path, tag, prec):
+    assert main(["gens", "--ring", tag, "--prec", str(prec), "--cache-dir", str(tmp_path)]) == 0
+    want = GOLDEN / f"gens_prec{prec}_{tag.replace(':', '_')}"
     got = sorted(p.name for p in tmp_path.iterdir())
     assert got == sorted(p.name for p in want.iterdir()) and len(got) == 4
     for name in got:

@@ -9,7 +9,8 @@ from siegelcong import siegel
 from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError,
                                NotInRingError, PrecisionError,
                                SiegelCongError)
-from siegelcong.jacobi import heat, jacobi_cusp, jacobi_eisenstein
+from siegelcong import jacobi
+from siegelcong.jacobi import heat, index1_columns, jacobi_cusp, jacobi_eisenstein
 from siegelcong.qexp import eisenstein_q
 from siegelcong.ring import is_prime, legendre, ring_from_tag
 from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
@@ -121,7 +122,7 @@ def test_enumerate_reduced_vs_oracle():
 
 def test_maass_lift_formula():
     phi = jacobi_cusp(10, 16, INT)
-    F = maass_lift(phi, 4)
+    F = maass_lift(INT, 10, index1_columns(10, 16, INT), 4)
     assert F.a(1, 1, 1) == phi.c(1, 1)
     assert F.a(2, 0, 2) == phi.c(4, 0) + 2 ** 9 * phi.c(1, 0)
     assert F.a(1, 0, 1) == -2
@@ -130,7 +131,28 @@ def test_maass_lift_formula():
 
 def test_maass_lift_needs_precision():
     with pytest.raises(PrecisionError):
-        maass_lift(jacobi_cusp(10, 8, INT), 4)
+        maass_lift(INT, 10, index1_columns(10, 15, INT), 4)
+    h0, h1 = index1_columns(10, 16, INT)
+    with pytest.raises(PrecisionError):
+        maass_lift(INT, 10, (h0, h1[:16]), 4)
+    assert maass_lift(INT, 10, (h0, h1), 4) == maass_lift(INT, 10, index1_columns(10, 20, INT), 4)
+
+
+def test_igusa_generators_build_no_jacobi_form(monkeypatch):
+    built = []
+    init = jacobi.JacobiFormSeries.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[:4])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi.JacobiFormSeries, "__init__", counting_init)
+    for tag in ("int", "fp:7"):
+        gens = igusa_generators(4, ring_from_tag(tag))
+        assert gens["chi10"].a(1, 1, 1) == 1
+    assert built == []
+    jacobi_cusp(10, 4, INT)                    # the counter does see a form
+    assert built == [(INT, 10, 1, 4)]
 
 
 def test_igusa_generators(int_gens):
@@ -162,7 +184,7 @@ def test_lift_slice_round_trip(int_gens):
     for name, k in (("E4", 4), ("E6", 6), ("chi10", 10), ("chi12", 12)):
         builder = jacobi_eisenstein if k in (4, 6) else jacobi_cusp
         phi = builder(k, 16, INT)
-        F = maass_lift(phi, 4)
+        F = maass_lift(INT, k, index1_columns(k, 16, INT), 4)
         got = fourier_jacobi(F, 1)
         for n in range(5):
             for r in range(-got.rb(n), got.rb(n) + 1):
@@ -486,6 +508,21 @@ def test_search_shares_small_windows_per_prime(monkeypatch):
     assert n_shared < len(made)
     hit = [c for c in shared if c["p"] == 7 and c["status"] == "congruence"]
     assert [(c["weight"], c["holds_b"]) for c in hit] == [(16, [3, 5, 6])]
+
+
+def test_search_refuses_a_combination_vanishing_on_the_weight_window(monkeypatch):
+    cells = siegel.search_congruences(12, 5)
+    assert [c["forms"] for c in cells if c["status"] == "congruence"] == [["chi12"]]
+    assert all("degenerate_directions" not in c for c in cells)
+    matrix = siegel._class_matrix
+
+    def vanishing_on_weight_window(forms, wmax, mask=None):
+        out = matrix(forms, wmax, mask)
+        return out * 0 if wmax == 12 // 3 else out
+
+    monkeypatch.setattr(siegel, "_class_matrix", vanishing_on_weight_window)
+    with pytest.raises(InconsistentVerdictError, match="weight-12 window"):
+        siegel.search_congruences(12, 5)
 
 
 def test_monomial_of_one_generator_is_the_generator(monkeypatch):

@@ -2,8 +2,8 @@
 
 perfbench/spans.py replaces functions by module and name, and its hooks read
 some of their parameters by name (prec, k, m, prec, p, F, G, mat), so a
-rename breaks `perfbench/run.py --trace 1`.  This runs spans.py on two small
-commands, one on each side of the engine, and compares it with the plain CLI.
+rename breaks `perfbench/run.py --trace 1`.  This runs spans.py on small
+commands on each side of the engine and compares it with the plain CLI.
 """
 
 import json
@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
     (["check", "E4*chi12", "--p", "5", "--b", "1"], "siegel.siegel_mul"),
     (["heat-cycle", "--weight", "10", "--index", "1", "--p", "5", "--form", "phi10_1"],
      "jacobi.holo_basis"),
+    (["check", "chi12", "--p", "5", "--b", "1"], "siegel.maass_lift"),
 ])
 def test_traced_run_matches_the_cli(tmp_path, argv, layer):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
