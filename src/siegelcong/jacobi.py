@@ -386,6 +386,8 @@ def index1_columns(k, prec, ring):
     phi_{-2,1} and phi_{12,1} = Delta phi_{0,1}, each taken column by
     column.  The weak columns are read-only.
     """
+    if k not in (-2, 0, 4, 6, 10, 12):
+        raise InvalidArgumentError(f"no index-1 generator of weight {k}")
     wm2, w0 = _weak_columns(prec, ring)
     n = prec + 1
     if k in (-2, 0):
@@ -398,10 +400,8 @@ def index1_columns(k, prec, ring):
                 for h0, hm2 in zip(w0, wm2))
         return tuple(np.array([ring.divexact(v, twelve) for v in ring.canonical(num).tolist()],
                               dtype=ring.dtype) for num in nums)
-    if k in (10, 12):
-        d = delta_q(prec, ring).coeffs
-        return tuple(convolve_trunc(ring, d, h, n) for h in (wm2 if k == 10 else w0))
-    raise InvalidArgumentError(f"no index-1 generator of weight {k}")
+    d = delta_q(prec, ring).coeffs
+    return tuple(convolve_trunc(ring, d, h, n) for h in (wm2 if k == 10 else w0))
 
 
 def discriminant_series(cols, dmax):

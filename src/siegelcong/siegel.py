@@ -333,7 +333,8 @@ def maass_lift(ring, k, cols, prec):
     if have < prec * prec:
         raise PrecisionError(f"lift to box {prec} needs q-precision {prec * prec}",
                              required=prec * prec, available=have)
-    C = discriminant_series([h[:prec * prec + 1] for h in cols], 4 * prec * prec)[1:]
+    h = np.array([h[:prec * prec + 1] for h in cols], dtype=ring.dtype)
+    C = discriminant_series(h, 4 * prec * prec)[1:]
     idx = box_index(prec)
     out = ring.zeros(idx.size)
     for d in range(1, prec + 1):

@@ -159,8 +159,8 @@ def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
                           allcolumn_oracle.jacobi_cusp(k, prec, ring))
 
 
-# gen 0 is phi_{-2,1}, the one generator whose zeta^2 column is built; phi_{0,1}
-# is its heat image
+# gen 0 is phi_{-2,1}, the one generator whose zeta^2 column is built (phi_{0,1}
+# is its heat image); the parameter keeps the ids of the cases
 @pytest.mark.parametrize("tag", ["fp:7", "rat"])
 @pytest.mark.parametrize("gen", [0])
 @pytest.mark.parametrize("row", [0, 6])
@@ -249,6 +249,13 @@ def test_jacobi_eisenstein_rows():
     for f in (e41, e61):
         assert check_holomorphic_support(f)
         assert check_transformation_law(f)
+
+
+@pytest.mark.parametrize("build,k", [(jacobi_eisenstein, 10), (jacobi_cusp, 4),
+                                     (jacobi.index1_columns, 8)])
+def test_index1_builders_refuse_other_weights(build, k):
+    with pytest.raises(InvalidArgumentError):
+        build(k, 4, INT)
 
 
 def test_jacobi_cusp_rows():
