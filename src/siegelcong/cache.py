@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheIOError
-from .ring import FpRing, ring_from_tag
+from .ring import ring_from_tag
 from .siegel import SiegelFormSeries, box_index, tokens
 
 ENV_VAR = "CONGRUENCE_CACHE_DIR"
@@ -56,8 +56,8 @@ class DiskCache:
         """The cached expansion, or None on a miss.
 
         A file that cannot be read back (truncated, not gzip, not JSON, a
-        header other than the request, a wrong row count or row length)
-        raises CacheIOError.
+        header other than the request, a wrong row count or row length, a
+        token that ring.to_token does not write) raises CacheIOError.
         """
         path = self._path(name, ring, prec)
         if not path.exists():
@@ -70,7 +70,7 @@ class DiskCache:
                 raise ValueError("header does not match the request")
             return _form_from_doc(doc)
         except (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError,
-                OverflowError) as exc:
+                OverflowError, ZeroDivisionError) as exc:
             raise CacheIOError(f"unreadable cache file {path}: {exc}") from exc
 
     def store(self, name, form):
@@ -120,10 +120,5 @@ def _form_from_doc(doc):
         raise ValueError(f"{len(halves)} rows for box {prec}")
     if any(len(toks) != w for toks, w in zip(halves, widths)):
         raise ValueError("a row length does not match its (n, m)")
-    toks = [t for row in halves for t in row]
-    if isinstance(ring, FpRing):
-        if not all(type(t) is int and 0 <= t < ring.p for t in toks):
-            raise ValueError(f"a token is not a residue mod {ring.p}")
-    else:
-        toks = [ring.from_token(t) for t in toks]
+    toks = [ring.from_token(t) for row in halves for t in row]
     return SiegelFormSeries(ring, doc["weight"], prec, np.array(toks, dtype=ring.dtype))

@@ -17,13 +17,13 @@ import sys
 from importlib import resources
 
 from . import expr as exprmod
-from .cache import DiskCache, default_cache_dir
+from .cache import DiskCache
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
 from .jacobi import (criterion_weight, heat_cycle, heat_cycle_required_prec, jacobi_cusp,
                      jacobi_eisenstein, jac_mul, qseries_times_jacobi)
 from .qexp import delta_q, eisenstein_q
-from .ring import FpRing, ring_from_tag
+from .ring import FpRing, is_prime, ring_from_tag
 from .siegel import (GeneratorContext, congruence_required_prec, congruence_scan,
                      search_congruences, siegel_congruence, sieve as siegel_sieve,
                      sturm_zero)
@@ -50,6 +50,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _prec(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     top = _ArgumentParser(prog="siegelcong",
                           description="Ramanujan-type congruences for degree-2 "
@@ -60,8 +66,8 @@ def build_parser():
         if ring:
             p.add_argument("--ring", default=None,
                            help="coefficient ring: int, rat, or fp:<p>")
-        p.add_argument("--prec", type=int, default=None,
-                       help="override the auto-derived precision")
+        p.add_argument("--prec", type=_prec, default=None,
+                       help="override the auto-derived precision (at least 1)")
         p.add_argument("--out", choices=("json", "csv"), default="json")
         p.add_argument("--cache-dir", default=None,
                        help=f"cache directory (default: $CONGRUENCE_CACHE_DIR or .cache)")
@@ -121,14 +127,13 @@ def build_parser():
     return top
 
 
-def _context(args, prec, ring=None):
-    ring = ring if ring is not None else ring_from_tag(args.ring or "int")
-    if args.prec is not None:
-        prec = args.prec
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache = DiskCache(args.cache_dir if args.cache_dir else default_cache_dir())
-    return GeneratorContext(ring, prec, cache)
+def _cache(args):
+    return None if args.no_cache else DiskCache(args.cache_dir or None)
+
+
+def _context(args, prec, ring):
+    """The generator context over ring at box prec, or at --prec when given."""
+    return GeneratorContext(ring, args.prec or prec, _cache(args))
 
 
 def _eval_mod_p(args, text, p, b=0):
@@ -140,11 +145,10 @@ def _eval_mod_p(args, text, p, b=0):
     refused.
     """
     e = exprmod.parse(text)
-    ring = ring_from_tag(args.ring) if args.ring else ring_from_tag(f"fp:{p}")
+    ring = ring_from_tag(args.ring or f"fp:{p}")
     if isinstance(ring, FpRing) and ring.p != p:
         raise InvalidArgumentError(f"ring {ring.tag} does not match p = {p}")
-    prec = args.prec if args.prec is not None else congruence_required_prec(e.weight, p, b)
-    form = exprmod.evaluate(e, _context(args, prec, ring=ring))
+    form = exprmod.evaluate(e, _context(args, congruence_required_prec(e.weight, p, b), ring))
     if not isinstance(ring, FpRing):
         form = form.reduce_mod(p)
     if sturm_zero(form, e.weight).is_zero:
@@ -167,15 +171,12 @@ def _emit(args, doc, csv_rows=None, csv_header=None):
 
 
 def cmd_gens(args):
-    ring = ring_from_tag(args.ring or "int")
-    prec = args.prec if args.prec is not None else 4
-    ctx = _context(args, prec, ring=ring)
+    ctx = _context(args, 4, ring_from_tag(args.ring or "int"))
     doc = {}
     for name in ("E4", "E6", "chi10", "chi12"):
         form = ctx.generator(name)
-        dump = form.to_json()
         doc[name] = {"weight": form.weight, "prec": form.prec,
-                     "nonzero": len(dump["coeffs"]), "ring": form.ring.tag}
+                     "nonzero": len(form.to_json()["coeffs"]), "ring": form.ring.tag}
     _emit(args, doc)
     return 0
 
@@ -235,9 +236,8 @@ def cmd_sieve(args):
     s = {"0": 0, "+1": 1, "-1": -1}[args.s]
     e = exprmod.parse(args.expr)
     k_after = criterion_weight(e.weight, p, 0)
-    ring = ring_from_tag(args.ring) if args.ring else ring_from_tag(f"fp:{p}")
-    prec = args.prec if args.prec is not None else congruence_required_prec(e.weight, p, 0)
-    ctx = _context(args, prec, ring=ring)
+    ring = ring_from_tag(args.ring or f"fp:{p}")
+    ctx = _context(args, congruence_required_prec(e.weight, p, 0), ring)
     part = siegel_sieve(exprmod.evaluate(e, ctx), p, s)
     if args.verify_against:
         target = exprmod.parse(args.verify_against)
@@ -300,8 +300,7 @@ def cmd_heat_cycle(args):
     p = args.p
     _check_prime(p)
     ring = ring_from_tag(f"fp:{p}")
-    prec = args.prec if args.prec is not None else heat_cycle_required_prec(
-        args.weight, args.index, p)
+    prec = args.prec or heat_cycle_required_prec(args.weight, args.index, p)
     form = build_named_jacobi(args.form, prec, ring)
     if form.weight != args.weight or form.index != args.index:
         raise InvalidArgumentError(
@@ -313,11 +312,8 @@ def cmd_heat_cycle(args):
 
 
 def cmd_search(args):
-    cache = None
-    if not args.no_cache:
-        cache = DiskCache(args.cache_dir if args.cache_dir else default_cache_dir())
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    found = search_congruences(args.max_weight, args.max_prime, cache=cache,
+    found = search_congruences(args.max_weight, args.max_prime, cache=_cache(args),
                                progress=progress)
     hits = [c for c in found if c.get("status") == "congruence"]
     doc = {"max_weight": args.max_weight, "max_prime": args.max_prime,
@@ -329,7 +325,6 @@ def cmd_search(args):
 
 
 def _check_prime(p):
-    from .ring import is_prime
     if p < 5 or not is_prime(p):
         raise InvalidArgumentError(f"p must be a prime >= 5, got {p}")
 

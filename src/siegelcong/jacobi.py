@@ -39,7 +39,6 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
@@ -521,7 +520,9 @@ def weak_decompose(phi):
     need not be integral, but are always p-integral alongside phi.
     """
     if isinstance(phi.ring, IntRing):
-        phi = _cast_form_rat(phi)
+        rat = ring_from_tag("rat")
+        phi = JacobiFormSeries(rat, phi.weight, phi.index, phi.prec,
+                               rat.from_integers(phi.coeffs, 1), weak=phi.weak)
     ring = phi.ring
     if not isinstance(ring, (RatRing, FpRing)):
         raise InvalidArgumentError("weak_decompose needs a field-like ring (rat or fp)")
@@ -541,12 +542,6 @@ def weak_decompose(phi):
         cur = _divide_by_weak_m2(rem, gens[0])
     fs.append(QSeries(ring, cur.coeffs, weight=cur.weight))   # index 0: c(n, 0) only
     return fs
-
-
-def _cast_form_rat(phi):
-    vec = np.array([Fraction(v) for v in phi.coeffs.tolist()], dtype=object)
-    return JacobiFormSeries(ring_from_tag("rat"), phi.weight, phi.index, phi.prec, vec,
-                            weak=phi.weak)
 
 
 def reconstruct_weak(fs, index, gens):

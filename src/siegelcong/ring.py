@@ -10,6 +10,7 @@ so they are safe to share between concurrent readers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -145,10 +146,8 @@ class Ring:
         return np.full(shape, self.zero, dtype=self.dtype)
 
     def pow(self, a, e):
-        r = self.one
-        for _ in range(e):
-            r = self.mul(r, a)
-        return r
+        """a^e for an integer e >= 0."""
+        return a ** e
 
     # -- reduction into a prime field ---------------------------------------
     def reduce(self, a, p):
@@ -159,12 +158,24 @@ class Ring:
         """The entries of vec reduced into the prime field fp, as a vector."""
         return np.array([self.reduce(v, fp.p) for v in vec.tolist()], dtype=fp.dtype)
 
+    # -- integer lifts of vectors (the exact products of siegel.siegel_mul) --
+    def to_integers(self, vec):
+        """(ints, d): ints = d * vec, a vector of integers, for an integer d >= 1."""
+        return vec, 1
+
+    def from_integers(self, ints, d):
+        """The vector ints / d in this ring, of dtype `dtype`."""
+        return ints
+
     def to_token(self, a):
         """JSON-friendly rendering (ints in decimal, rationals as 'n/d')."""
         return int(a)
 
     def from_token(self, t):
-        return self.from_int(int(t))
+        """The element t stands for; ValueError unless to_token writes t."""
+        if type(t) is not int or self.from_int(t) != t:
+            raise ValueError(f"{t!r} is not a token of {self.tag}")
+        return t
 
 
 class IntRing(Ring):
@@ -216,12 +227,21 @@ class RatRing(Ring):
     def reduce(self, a, p):
         return reduce_rational(Fraction(a), p)
 
+    def to_integers(self, vec):
+        d = lcm(*(x.denominator for x in vec.tolist()))
+        return np.array([x.numerator * (d // x.denominator) for x in vec.tolist()], dtype=object), d
+
+    def from_integers(self, ints, d):
+        return np.array([Fraction(v, d) for v in ints.tolist()], dtype=object)
+
     def to_token(self, a):
         a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def from_token(self, t):
-        return Fraction(str(t))
+        if type(t) is not str or self.to_token(Fraction(t)) != t:
+            raise ValueError(f"{t!r} is not a token of {self.tag}")
+        return Fraction(t)
 
 
 class FpRing(Ring):
@@ -268,6 +288,12 @@ class FpRing(Ring):
 
     def pow(self, a, e):
         return pow(a, e, self.p)
+
+    def to_integers(self, vec):
+        return np.where(vec > self.p // 2, vec - self.p, vec), 1     # residues in [-h, h]
+
+    def from_integers(self, ints, d):
+        return (ints * pow(d, -1, self.p) % self.p).astype(self.dtype)
 
     def reduce(self, a, p):
         if p != self.p:

@@ -18,10 +18,9 @@ are exact on the stored box because the support is semipositive.  Every such
 test reads its coefficients with one gather at the reduced classes
 (class_values).
 
-Products (siegel_mul) take one of two paths, chosen from the ring and the
-box alone: over F_p with p < 2^21 and ((p-1)/2)^2 (N+1)^2 (2N+1) <= 2^40 an
-exact float64 FFT convolution of whole n-slices; over Z, Q, larger primes
-and boxes past that bound the direct row-by-row loop.
+Products (siegel_mul) have one kernel, an exact float64 FFT convolution of
+whole n-slices modulo a prime: the prime p itself over F_p when p is small
+enough for the box, else integer lifts modulo a few primes joined by CRT.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, log2, prod
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis, solve
 from .qexp import bernoulli
-from .ring import FpRing, legendre, ring_from_tag
+from .ring import FpRing, RatRing, is_prime, legendre, ring_from_tag
 
 
 @dataclass(frozen=True)
@@ -179,11 +178,6 @@ def _per_det(det, fn, dtype):
     return np.array([fn(d) for d in values.tolist()], dtype=dtype)[inverse]
 
 
-def _pairs(prec):
-    """The (n, m) pairs with n <= m <= prec, in vector order."""
-    return zip(*(a.tolist() for a in np.triu_indices(prec + 1)))
-
-
 class SiegelFormSeries:
     """Truncated expansion sum A(n, r, m) q^n zeta^r q'^m of even weight k.
 
@@ -224,9 +218,6 @@ class SiegelFormSeries:
             return self.ring.zero
         v = self.coeffs[box_index(self.prec).offset[n, m] + abs(r)]
         return int(v) if isinstance(self.ring, FpRing) else v
-
-    def a_T(self, T):
-        return self.a(T.n, T.r, T.m)
 
     def __repr__(self):
         return f"SiegelFormSeries({self.ring.tag}, k={self.weight}, N={self.prec})"
@@ -354,7 +345,12 @@ def igusa_generators(prec, ring):
     A(1,1,1) = 1; E4 and E6 are (-2k/B_k)-scaled lifts of the index-1
     Eisenstein series with the constant term pinned to 1.  Each lift reads
     the generator's two columns to q^(prec^2); no Jacobi form is built.
+    Every coefficient is an integer (the columns, the lifts and the scales
+    240 and -504), so over Q they are built over Z and cast once.
     """
+    if isinstance(ring, RatRing):
+        return {name: SiegelFormSeries(ring, F.weight, prec, ring.from_integers(F.coeffs, 1))
+                for name, F in igusa_generators(prec, ring_from_tag("int")).items()}
     out = {}
     for name, k in _GENERATOR_WEIGHTS.items():
         lift = maass_lift(ring, k, index1_columns(k, prec * prec, ring), prec)
@@ -380,54 +376,84 @@ def fourier_jacobi(F, m):
 
 # -- products -------------------------------------------------------------------------
 
-# Bound on ((p-1)/2)^2 (N+1)^2 (2N+1) under which the FFT product is exact.
+# Bound on ((q-1)/2)^2 (N+1)^2 (2N+1) under which an FFT product mod q is exact.
 _FFT_LIMIT = 1 << 40
 
 
-def _fft_exact(ring, prec):
-    """True when siegel_mul over `ring` at box `prec` runs the FFT kernel."""
-    if not (isinstance(ring, FpRing) and ring.fits64):
-        return False
-    h = (ring.p - 1) // 2
-    return h * h * (prec + 1) ** 2 * (2 * prec + 1) <= _FFT_LIMIT
+def _qmax(prec):
+    """The largest odd q with ((q-1)/2)^2 (N+1)^2 (2N+1) <= _FFT_LIMIT at box N = prec."""
+    return 2 * isqrt(_FFT_LIMIT // ((prec + 1) ** 2 * (2 * prec + 1))) + 1
 
 
 def siegel_mul(F, G):
-    """Three-variable Cauchy product, exact on the shared box.
+    """Three-variable Cauchy product, exact on the shared box N.
 
     Semipositivity of the support forces both q- and q'-degrees of the
     factors below those of the output, so no out-of-box terms are lost.
 
-    Over F_p with p < 2^21 the product is a float64 FFT convolution when
-    h^2 T <= 2^40, with h = (p-1)/2, N the shared box and
-    T = (N+1)^2 (2N+1).  Residues are centred in [-h, h].  T bounds the
-    terms in any output coefficient ((n+1)(m+1) pairs (n1, m1), each
-    overlapping in at most 2N+1 values of r1), so every exact output is at
-    most h^2 T in absolute value.  T also bounds the coefficients on the
-    full support of one factor, so ||F||_2 ||G||_2 <= h^2 T.  The rounding
-    error of an FFT convolution is at most about c log2(L) eps
-    ||F||_2 ||G||_2, with eps = 2^-53, L the transform size (about
-    (2N+1)(4N+1), see _mul_fft) and c about 13 (Percival, Math. Comp. 72,
-    2003).  Since p >= 5 gives h >= 2, the bound itself keeps N below 5200
-    and log2 L below 29, so the error is under 13 * 29 / 2^13 < 0.05, a
-    tenth of the 1/2 that rounding to the nearest integer allows.  Measured
-    on factors with every entry (p-1)/2 at the bound, boxes 4 to 40, the
-    largest error was 1.2e-4.  Every other product (Z, Q, larger p, boxes
-    past the bound) runs the direct loop, which the FFT path matches bit
-    for bit.
+    The one kernel is a float64 FFT product modulo an odd prime q
+    (_mul_fft), exact when h^2 T <= 2^40 (q <= _qmax(N)), with residues
+    centred in [-h, h], h = (q-1)/2 and T = (N+1)^2 (2N+1).  T bounds the
+    terms of an output coefficient ((n+1)(m+1) pairs (n1, m1), each meeting
+    in at most 2N+1 values of r1), so every exact output is at most h^2 T in
+    absolute value, and the full support of one factor, so
+    ||F||_2 ||G||_2 <= h^2 T.  The rounding error of an FFT convolution is
+    at most about 13 log2(L) 2^-53 ||F||_2 ||G||_2, L the transform size
+    (Percival, Math. Comp. 72, 2003); q >= 5 keeps N below 5200 and log2 L
+    below 29, so for every modulus the error is under 13 * 29 / 2^13 < 0.05,
+    a tenth of what rounding allows (measured at the bound with all-h
+    factors, boxes 4 to 40: 1.2e-4).
+
+    The ring decides only the moduli: p itself over F_p with p <= _qmax(N).
+    Every other ring lifts both vectors to integers f, g (Ring.to_integers)
+    and multiplies them modulo the largest primes q <= _qmax(N) until their
+    product M exceeds 2 T max|f| max|g| (_moduli); CRT joins the residues
+    into the centred integers in (-M/2, M/2), which are the exact products,
+    and Ring.from_integers maps them back.
     """
     if F.ring != G.ring:
         raise RingMismatchError(f"{F.ring.tag} vs {G.ring.tag}")
-    prec = min(F.prec, G.prec)
-    w = None
-    if F.weight is not None and G.weight is not None:
-        w = F.weight + G.weight
-    mul = _mul_fft if _fft_exact(F.ring, prec) else _mul_loop
-    return SiegelFormSeries(F.ring, w, prec, mul(F, G, prec))
+    ring, prec = F.ring, min(F.prec, G.prec)
+    w = F.weight + G.weight if F.weight is not None and G.weight is not None else None
+    f = F.at_box(prec)
+    g = f if G is F else G.at_box(prec)
+    if isinstance(ring, FpRing) and ring.p <= _qmax(prec):
+        return SiegelFormSeries(ring, w, prec, _mul_fft(f, g, ring.p, prec))
+    (a, da), (b, db) = ring.to_integers(f), ring.to_integers(g)
+    t = (prec + 1) ** 2 * (2 * prec + 1)
+    primes = _moduli(prec, 2 * t * int(np.abs(a).max()) * int(np.abs(b).max()))
+    residues = [_mul_fft(a % q, b % q, q, prec) for q in primes]
+    return SiegelFormSeries(ring, w, prec, ring.from_integers(_crt(residues, primes), da * db))
 
 
-def _mul_fft(F, G, prec):
-    """Product vector over F_p by FFT; exact when _fft_exact holds.
+def _moduli(prec, bound):
+    """The largest primes 5 <= q <= _qmax(prec), descending, until there is
+    one and their product exceeds bound; InvalidArgumentError if all fall short."""
+    primes, have, q = [], 1, _qmax(prec)
+    while have <= max(bound, 1):
+        if q < 5:
+            raise InvalidArgumentError(
+                f"an exact product at box {prec} needs {log2(bound):.0f} bits of moduli; the "
+                f"{len(primes)} primes inside the FFT exactness bound give {log2(have):.0f}")
+        if is_prime(q):
+            primes.append(q)
+            have *= q
+        q -= 2
+    return primes
+
+
+def _crt(residues, primes):
+    """The integers x with |x| < M/2, M the product of primes, and
+    x = residues[i] mod primes[i]."""
+    m = prod(primes)
+    x = sum(r.astype(object) * (m // q * pow(m // q, -1, q)) for r, q in zip(residues, primes))
+    x %= m
+    return np.where(x > m // 2, x - m, x)
+
+
+def _mul_fft(f, g, q, prec):
+    """The product of the half vectors f and g, residues mod q at box prec,
+    as residues in [0, q); exact when q <= _qmax(prec).  g may be f itself.
 
     Each n-slice of the full support is packed into an (N+1) x (4N+1) array
     with r at offset 2N (BoxIndex.slices) and transformed at the least
@@ -442,47 +468,44 @@ def _mul_fft(F, G, prec):
     hold the spectra of half the slices of each factor; each pass sums a
     subset of the terms, so the exactness bound covers it.
     """
-    from numpy import fft
-
-    p, big = F.ring.p, 2 * prec
+    big = 2 * prec
     idx = box_index(prec)
     start, pos, src = idx.slices
     shape = (_fft_len(big + 1), _fft_len(2 * big + 1))
     out = np.zeros(idx.size, dtype=np.int64)
 
-    def spectra(form, ns):
-        vec = form.at_box(prec)
-        centred = np.where(vec > p // 2, vec - p, vec).astype(float)   # residues in [-h, h]
+    def spectra(vec, ns):
+        centred = np.where(vec > q // 2, vec - q, vec).astype(float)   # residues in [-h, h]
         spec = np.empty((len(ns), shape[0], shape[1] // 2 + 1), dtype=complex)
         packed = np.zeros((prec + 1) * (2 * big + 1))
         for i, n in enumerate(ns):
             packed[:] = 0
             packed[pos[start[n]:start[n + 1]]] = centred[src[start[n]:start[n + 1]]]
-            spec[i] = fft.rfft2(packed.reshape(prec + 1, 2 * big + 1), s=shape)
+            spec[i] = np.fft.rfft2(packed.reshape(prec + 1, 2 * big + 1), s=shape)
         return spec
 
     def add(fs, f0, gs, g0):
-        """Add the products of F slices f0 + i and G slices g0 + j into out."""
+        """Add the products of f slices f0 + i and g slices g0 + j into out."""
         for n in range(f0 + g0, prec + 1):
             d = n - f0 - g0
             lo, hi = max(0, d - len(gs) + 1), min(len(fs), d + 1)
             if lo >= hi:
                 continue
             acc = np.einsum("ijk,ijk->jk", fs[lo:hi], gs[d - hi + 1:d - lo + 1][::-1])
-            vals = fft.irfft2(acc, s=shape)
+            vals = np.fft.irfft2(acc, s=shape)
             # the product's r sits at column (4N + r) mod shape[1]
             keys = slice(idx.nstart[n], idx.nstart[n + 1])
             cols = (2 * big + idx.r[keys]) % shape[1]
             out[keys] += np.rint(vals[idx.m[keys], cols]).astype(np.int64)
-            out[keys] %= p
+            out[keys] %= q
 
     half = prec // 2 + 1
     low, high = range(half), range(half, prec + 1)
-    fl = spectra(F, low)
-    add(fl, 0, fl if G is F else spectra(G, low), 0)
-    add(fl, 0, spectra(G, high), half)
+    fl = spectra(f, low)
+    add(fl, 0, fl if g is f else spectra(g, low), 0)
+    add(fl, 0, spectra(g, high), half)
     del fl
-    add(spectra(F, high), half, spectra(G, low), 0)
+    add(spectra(f, high), half, spectra(g, low), 0)
     return out
 
 
@@ -496,40 +519,6 @@ def _fft_len(n):
         if k == 1:
             return n
         n += 1
-
-
-def _full_rows(vec, idx):
-    """rows[n][m]: A(n, r, m) for r = -isqrt(4nm)..isqrt(4nm), None when zero."""
-    rows = [[None] * (idx.prec + 1) for _ in range(idx.prec + 1)]
-    for n, m in _pairs(idx.prec):
-        half = vec[idx.offset[n, m]:idx.offset[n, m] + isqrt(4 * n * m) + 1]
-        if np.any(half != 0):
-            rows[n][m] = rows[m][n] = np.concatenate([half[:0:-1], half])
-    return rows
-
-
-def _mul_loop(F, G, prec):
-    """Product vector by direct row convolution, over any ring.
-
-    Only the stored outputs (n <= m, r >= 0) are computed.
-    """
-    ring = F.ring
-    idx = box_index(prec)
-    frows, grows = _full_rows(F.at_box(prec), idx), _full_rows(G.at_box(prec), idx)
-    out = ring.zeros(idx.size)
-    for n, m in _pairs(prec):
-        bo = isqrt(4 * n * m)
-        acc = ring.zeros(2 * bo + 1)
-        for n1 in range(n + 1):
-            for m1 in range(m + 1):
-                a, b = frows[n1][m1], grows[n - n1][m - m1]
-                if a is None or b is None:
-                    continue
-                conv = ring.canonical(np.convolve(a, b))
-                off = bo - (len(a) + len(b)) // 2 + 1
-                acc[off:off + len(conv)] += conv
-        out[idx.offset[n, m]:idx.offset[n, m] + bo + 1] = acc[bo:]
-    return ring.canonical(out)
 
 
 def theta_operator(F, j=1):
@@ -842,7 +831,6 @@ def search_congruences(max_weight, max_prime, cache=None, progress=None):
     small-window kernel (a necessary condition) prunes the rest before the
     full bound is materialized.
     """
-    from .ring import is_prime
     results = []
     # small-window contexts per (p, box), shared across weights; full-bound
     # ones are not shared, as they would keep large-box monomials alive

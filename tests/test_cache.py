@@ -164,3 +164,23 @@ def test_token_outside_the_residues_raises(tmp_path, tag, token):
     doc["rows"][4][1] = ring.p - 1
     cache._path("chi10", ring, 3).write_bytes(_gzip_bytes(doc))
     assert cache.load("chi10", ring, 3).a(1, 1, 1) == ring.p - 1
+
+
+@pytest.mark.parametrize("tag,token", [
+    ("int", 240.7), ("int", 240.0), ("int", True), ("int", "240"), ("int", None), ("int", [240]),
+    ("rat", 240.7), ("rat", "240.7"), ("rat", "2/4"), ("rat", 240), ("rat", "240/1"),
+    ("rat", "1/0"), ("rat", " 240"), ("rat", "+240"), ("rat", "-0"), ("rat", True), ("rat", "x"),
+])
+def test_token_the_writer_does_not_write_raises(tmp_path, tag, token):
+    ring = ring_from_tag(tag)
+    form = GeneratorContext(ring, 3).generator("chi10")
+    doc = _document("chi10", form)
+    doc["rows"][4][1] = token
+    cache = DiskCache(tmp_path)
+    cache._path("chi10", ring, 3).write_bytes(_gzip_bytes(doc))
+    with pytest.raises(CacheIOError):
+        cache.load("chi10", ring, 3)
+    value = ring.divexact(ring.from_int(-7), ring.from_int(1 if tag == "int" else 3))
+    doc["rows"][4][1] = ring.to_token(value)
+    cache._path("chi10", ring, 3).write_bytes(_gzip_bytes(doc))
+    assert cache.load("chi10", ring, 3).a(1, 1, 1) == value

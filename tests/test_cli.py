@@ -195,6 +195,20 @@ def test_exit_code_usage_error(capsys):
     assert code == 1 and "usage" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gens", "--prec", "-1"],
+    ["sieve", "chi10", "--p", "5", "--s", "0", "--prec", "-1"],
+    ["check", "chi12", "--p", "13", "--b", "0", "--prec", "-3"],
+    ["heat-cycle", "--weight", "12", "--index", "1", "--p", "17", "--form", "phi12_1",
+     "--prec", "-2"],
+    ["gens", "--prec", "0"],
+])
+def test_prec_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: argument --prec: expected an integer >= 1, got {argv[-1]!r}\n"
+
+
 def test_exit_code_precision(capsys):
     code, _, err = run(capsys, "check", "chi12", "--p", "5", "--b", "1", "--prec", "1")
     assert code == 2 and "precision" in err.lower()

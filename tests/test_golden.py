@@ -34,6 +34,11 @@ RINGS = ["int", "rat", "fp:7", "fp:2097169"]
      "check_e4chi12_p5_b2_rat.json"),
     (["check", "(E4^3 - E6^2)*chi10", "--p", "5", "--b", "1", "--ring", "int"],
      "check_delta_chi10_p5_b1_int.json"),
+    # exact products lifted to integers and joined by CRT: box 30 over Z, box 8 over Q
+    (["check", "E4^2*chi10 + 7*E6*chi12", "--p", "17", "--b", "3", "--ring", "int"],
+     "check_e4sq_chi10_7e6chi12_p17_b3_int.json"),
+    (["check", "E4^2*chi10 + 7*E6*chi12", "--p", "7", "--b", "1", "--ring", "rat"],
+     "check_e4sq_chi10_7e6chi12_p7_b1_rat.json"),
 ])
 def test_sieve_stdout(capsys, tmp_path, argv, name):
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 import random
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError,
 from siegelcong import jacobi
 from siegelcong.jacobi import heat, index1_columns, jacobi_cusp, jacobi_eisenstein
 from siegelcong.qexp import eisenstein_q
-from siegelcong.ring import is_prime, legendre, ring_from_tag
+from siegelcong.ring import FpRing, is_prime, legendre, ring_from_tag
 from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
                                MatrixIndexT, SiegelFormSeries,
                                congruence_scan, decompose_mod_p, dyadic_trace,
@@ -21,6 +22,7 @@ from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
                                siegel_congruence, siegel_mul, sturm_zero,
                                theta_operator, verify_combination,
                                weight_monomials)
+from mul_loop_oracle import mul_loop
 from siegel_checks import check_unimodular_moves, siegel_direct_scan
 from targeted_oracle import targeted_mul
 
@@ -230,39 +232,58 @@ def test_e4_squared_constant(int_gens):
     assert sq.a(0, 0, 0) == 1
 
 
-# -- the FFT product kernel against the direct loop ------------------------------------
+# -- the product kernel against the direct loop -----------------------------------------
 
-KERNEL_PRIMES = [5, 7, 23, 2097143]
+# fp:2097143 is inside the exactness bound only at box 0, fp:2097169 at no box,
+# and "outside" is the least prime past the bound at the drawn box
+KERNEL_RINGS = ["fp:5", "fp:7", "fp:23", "fp:2097143", "fp:2097169", "int", "rat", "outside"]
+
+
+def _kernel_ring(tag, prec):
+    if tag != "outside":
+        return ring_from_tag(tag)
+    p = siegel._qmax(prec) + 2
+    while not is_prime(p):
+        p += 2
+    return ring_from_tag(f"fp:{p}")
 
 
 def _random_form(ring, prec, seed, density, extreme):
-    """Random residues on the stored half support, some (n, m) rows zero."""
-    rng = np.random.default_rng(seed)
-    p = ring.p
-    idx = siegel.box_index(prec)
-    if extreme:
-        vals = rng.choice([0, 1, (p - 1) // 2, (p + 1) // 2, p - 1], idx.size)
+    """Random coefficients on the stored half support, some (n, m) rows zero:
+    residues over F_p, integers up to 2^80 in absolute value over Z, and
+    such integers over random denominators over Q."""
+    rng = random.Random(seed)
+    size = siegel.box_index(prec).size
+    if isinstance(ring, FpRing):
+        p = ring.p
+        lo, hi, pool = 0, p - 1, [0, 1, (p - 1) // 2, (p + 1) // 2, p - 1]
     else:
-        vals = rng.integers(0, p, idx.size)
-    # one draw per (n, m) row, read at the row's first key
-    keep = (rng.random(idx.size) < density)[idx.offset[idx.n, idx.m]]
-    return SiegelFormSeries(ring, None, prec, np.where(keep, vals, 0).astype(np.int64))
+        big = 1 << 80
+        lo, hi, pool = -big, big, [0, 1, -1, big, -big]
+    vals = [rng.choice(pool) if extreme else rng.randint(lo, hi) for _ in range(size)]
+    if ring.tag == "rat":
+        vals = [Fraction(v, rng.randint(1, 60)) for v in vals]
+    # one draw per (n, m) row
+    widths = siegel.box_index(prec).widths
+    keep = np.repeat([rng.random() < density for _ in widths], widths)
+    vec = np.where(keep, np.array(vals, dtype=object), ring.zero)
+    return SiegelFormSeries(ring, None, prec, vec.astype(ring.dtype))
 
 
 def _constant_form(ring, prec, v):
     return SiegelFormSeries(ring, None, prec, np.full(siegel.box_index(prec).size, v))
 
 
-def _assert_same_vector(got, want):
-    assert got.dtype == want.dtype == np.int64
+def _assert_same_vector(got, want, ring):
+    assert got.dtype == want.dtype == ring.dtype
     assert np.array_equal(got, want)
+    assert [type(v) for v in got.tolist()] == [type(v) for v in want.tolist()]
 
 
 def _largest_fft_prime(prec):
-    """The largest prime whose products at this box still run the FFT kernel."""
-    t = (prec + 1) ** 2 * (2 * prec + 1)
-    p = min(2 * isqrt(siegel._FFT_LIMIT // t) + 1, (1 << 21) - 1)
-    while not (is_prime(p) and siegel._fft_exact(ring_from_tag(f"fp:{p}"), prec)):
+    """The largest prime whose products at this box take the single-modulus kernel."""
+    p = siegel._qmax(prec)
+    while not is_prime(p):
         p -= 2
     return p
 
@@ -271,29 +292,29 @@ def _largest_fft_prime(prec):
 def fft_calls(monkeypatch):
     calls = []
 
-    def spy(F, G, prec):
-        calls.append(prec)
-        return kernel(F, G, prec)
+    def spy(f, g, q, prec):
+        calls.append((q, prec))
+        return kernel(f, g, q, prec)
     kernel = siegel._mul_fft
     monkeypatch.setattr(siegel, "_mul_fft", spy)
     return calls
 
 
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(KERNEL_PRIMES), fprec=st.integers(0, 10),
+@settings(max_examples=80, deadline=None)
+@given(tag=st.sampled_from(KERNEL_RINGS), fprec=st.integers(0, 10),
        gprec=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1),
        density=st.sampled_from([0.3, 1.0]), extreme=st.booleans(),
        square=st.booleans())
-def test_siegel_mul_kernel_matches_loop(p, fprec, gprec, seed, density, extreme, square):
-    ring = ring_from_tag(f"fp:{p}")
+def test_siegel_mul_kernel_matches_loop(tag, fprec, gprec, seed, density, extreme, square):
+    prec = fprec if square else min(fprec, gprec)
+    ring = _kernel_ring(tag, prec)
     F = _random_form(ring, fprec, seed, density, extreme)
     G = F if square else _random_form(ring, gprec, seed + 1, density, extreme)
-    prec = min(F.prec, G.prec)
-    # p = 2097143 is inside the exactness bound only at box 0
-    assert siegel._fft_exact(ring, prec) == (p < 2097143 or prec == 0)
+    single = isinstance(ring, FpRing) and ring.p <= siegel._qmax(prec)
+    assert single == (tag in ("fp:5", "fp:7", "fp:23") or (tag == "fp:2097143" and prec == 0))
     got = siegel_mul(F, G)
     assert got.prec == prec
-    _assert_same_vector(got.coeffs, siegel._mul_loop(F, G, prec))
+    _assert_same_vector(got.coeffs, mul_loop(F, G, prec), ring)
 
 
 @pytest.mark.parametrize("prec", [0, 10])
@@ -303,25 +324,71 @@ def test_siegel_mul_kernel_at_exactness_bound(prec, fft_calls):
     ring = ring_from_tag(f"fp:{p}")
     F = _constant_form(ring, prec, (p - 1) // 2)
     G = _constant_form(ring, prec, (p - 1) // 2)
-    want = siegel._mul_loop(F, G, prec)
-    _assert_same_vector(siegel_mul(F, F).coeffs, want)
-    _assert_same_vector(siegel_mul(F, G).coeffs, want)
-    assert fft_calls == [prec, prec]
+    want = mul_loop(F, G, prec)
+    _assert_same_vector(siegel_mul(F, F).coeffs, want, ring)
+    _assert_same_vector(siegel_mul(F, G).coeffs, want, ring)
+    assert fft_calls == [(p, prec)] * 2
 
 
-def test_siegel_mul_outside_bound_takes_loop(fft_calls):
+def test_siegel_mul_outside_bound_lifts_to_integers(fft_calls):
     p, prec = _largest_fft_prime(10), 11
     ring = ring_from_tag(f"fp:{p}")
-    assert not siegel._fft_exact(ring, prec)
-    F = _constant_form(ring, prec, (p - 1) // 2)
+    assert p > siegel._qmax(prec)
+    h = (p - 1) // 2
+    F = _constant_form(ring, prec, h)
     prod = siegel_mul(F, F)
-    assert fft_calls == []
+    primes = siegel._moduli(prec, 2 * h * h * (prec + 1) ** 2 * (2 * prec + 1))
+    assert len(primes) == 3 and fft_calls == [(q, prec) for q in primes]
+    assert all(5 <= q <= siegel._qmax(prec) and is_prime(q) for q in primes)
+    _assert_same_vector(prod.coeffs, mul_loop(F, F, prec), ring)
     rng = random.Random(5)
     for _ in range(15):
         n, m = rng.randrange(prec + 1), rng.randrange(prec + 1)
         b = isqrt(4 * n * m)
         r = rng.randrange(-b, b + 1)
         assert prod.a(n, r, m) == _product_oracle(F, F, n, r, m) % p
+
+
+@pytest.mark.parametrize("short", [False, True])
+def test_siegel_mul_at_the_crt_bound(monkeypatch, short):
+    """At box 0, T = 1 and the one output is max|f| max|g| T itself: the
+    moduli exceed twice it, and a CRT one prime short gets it wrong."""
+    if short:
+        moduli = siegel._moduli
+        monkeypatch.setattr(siegel, "_moduli", lambda prec, bound: moduli(prec, bound)[:-1])
+    F = SiegelFormSeries.constant(INT, 4, 0, 1 << 100)
+    G = SiegelFormSeries.constant(INT, 6, 0, -(1 << 100))
+    assert (siegel_mul(F, G).a(0, 0, 0) == -(1 << 200)) != short
+
+
+def test_siegel_mul_takes_moduli_past_twice_the_output():
+    """An output -v^2 with M/2 < v^2 < M, M the product of the ten largest
+    primes at box 0, needs an eleventh: residues mod M centre it wrongly."""
+    primes, q = [], siegel._qmax(0)
+    while len(primes) < 10:
+        if is_prime(q):
+            primes.append(q)
+        q -= 2
+    v = isqrt(3 * prod(primes) // 4)
+    F = SiegelFormSeries.constant(INT, 4, 0, v)
+    assert siegel._moduli(0, 2 * v * v)[:10] == primes
+    assert siegel_mul(F, -F).a(0, 0, 0) == -v * v
+
+
+def test_siegel_mul_refuses_past_the_prime_supply(monkeypatch):
+    monkeypatch.setattr(siegel, "_FFT_LIMIT", 9 * 45)     # box 2 has T = 45, so q <= 7
+    assert siegel._qmax(2) == 7
+    F = SiegelFormSeries.constant(INT, 4, 2, 1 << 10)
+    with pytest.raises(InvalidArgumentError, match=r"box 2 needs 26 bits.* 2 primes .* give 5$"):
+        siegel_mul(F, F)
+    small = SiegelFormSeries.constant(FP5, 4, 2, 3)
+    assert siegel_mul(small, small).a(0, 0, 0) == 4
+
+
+@pytest.mark.parametrize("prec,count,bits", [(30, 1075, 12270), (160, 127, 997)])
+def test_prime_supply(prec, count, bits):
+    with pytest.raises(InvalidArgumentError, match=fr" {count} primes .* give {bits}$"):
+        siegel._moduli(prec, 1 << 20000)
 
 
 def test_targeted_mul_matches_full(int_gens):
@@ -374,7 +441,7 @@ def test_siegel_congruence_chi12_mod5(ctx5):
     assert cert.verdict == "fails" and cert.witness is not None
     t = MatrixIndexT(*cert.witness)
     assert legendre(t.det, 5) == legendre(2, 5)
-    assert c12.a_T(t) % 5 != 0
+    assert c12.a(t.n, t.r, t.m) % 5 != 0
     assert cert.G_weight == 12 + 18 and cert.sturm_bound == 10
 
 
