@@ -46,9 +46,10 @@ import numpy as np
 
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
-from .linalg import FpMatrix, kernel_basis, rref
-from .qexp import (QSeries, _sigma_table, convolve_trunc, delta_q, eisenstein_q,
-                   elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim)
+from .linalg import FpMatrix, rref
+from .qexp import (MEMO_BYTES, BoundedMemo, QSeries, _sigma_table, array_bytes,
+                   convolve_trunc, delta_q, eisenstein_q, elliptic_sturm_zero, eta_pow6,
+                   mk_basis, mk_dim)
 from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
 
 NEG_INF = float("-inf")
@@ -419,7 +420,11 @@ def _index1_form(ring, weight, cols, weak):
     return JacobiFormSeries(ring, weight, 1, prec, vec, weak=weak)
 
 
-_weak_cache = {}
+def _forms_bytes(forms):
+    return array_bytes(f.coeffs for f in forms)
+
+
+_weak_cache = BoundedMemo(MEMO_BYTES, _forms_bytes)
 
 
 def weak_generators(prec, ring):
@@ -432,23 +437,16 @@ def weak_generators(prec, ring):
     law, so weak forms are covered).  Each generator is therefore built from
     its zeta^0 and zeta^1 columns h_0, h_1 alone (see _weak_columns), as
     c(n, r) = h_{r mod 2}[n - floor(r^2/4)], the entry with the same D.
-    Results are memoized per ring and read-only; a precision below one
-    already built is a truncation of it.
+    Results are memoized per ring at the largest precision built, in a
+    BoundedMemo, and read-only; a smaller precision is a truncation.
     """
-    key = (ring.tag, prec)
-    hit = _weak_cache.get(key)
-    if hit is not None:
-        return hit
-    # reuse a longer cached expansion when one exists
-    for (tag, p2), val in _weak_cache.items():
-        if tag == ring.tag and p2 > prec:
-            out = (val[0].truncate(prec), val[1].truncate(prec))
-            _weak_cache[key] = out
-            return out
+    hit = _weak_cache.get(ring.tag)
+    if hit is not None and hit[0].prec >= prec:
+        return hit if hit[0].prec == prec else tuple(f.truncate(prec) for f in hit)
     out = tuple(_index1_form(ring, k, index1_columns(k, prec, ring), weak=True) for k in (-2, 0))
     for f in out:
         f.coeffs.flags.writeable = False
-    _weak_cache[key] = out
+    _weak_cache[ring.tag] = out
     return out
 
 
@@ -556,13 +554,13 @@ def reconstruct_weak(fs, index, gens):
     return acc
 
 
-_mono_cache = {}
+_mono_cache = BoundedMemo(MEMO_BYTES, lambda f: _forms_bytes([f]))
 
 
 def _weak_monomial(gens, j, i, prec):
     """w_{-2}^j w_0^i to q^prec; memoized per (ring, j, i) at the largest
-    precision built, smaller precisions are truncations of it.  The memoized
-    vectors are read-only."""
+    precision built, in a BoundedMemo, smaller precisions are truncations of
+    it.  The memoized vectors are read-only."""
     w_m2, w_0 = gens
     ring = w_m2.ring
     key = (ring.tag, j, i)
@@ -704,7 +702,7 @@ def nonexistence_applies(k, m, p, b, phi):
 
 # -- holomorphic bases, filtrations, heat cycles --------------------------------------
 
-_holo_cache = {}
+_holo_cache = BoundedMemo(MEMO_BYTES, lambda b: array_bytes([b.matrix]))
 
 
 def _shift_index(idx):
@@ -739,12 +737,15 @@ def holo_basis(k, m, prec, p):
     matrix C over the keys (n, r), r >= 0, of the coefficient vector: for
     each weak monomial, F @ (the monomial moved down s = 0..prec q-rows), F
     the matrix of those f.  The kernel of C's columns with 4nm - r^2 < 0
-    gives the holomorphic combinations, whose rows are row reduced.  The
-    echelon rows and pivots are memoized per (k, m, prec, p), read-only.
+    gives the holomorphic combinations (_holomorphic_rows), whose rows are
+    row reduced (_echelon).  The echelon rows and pivots are memoized per
+    (k, m, prec, p) in a BoundedMemo, read-only.
 
-    Exactness: an int64 product of residues with inner length L is exact while
-    L (p - 1)^2 < 2^63, which holds for every fits64 prime (p < 2^21) at any
-    window below 2^21 rows; larger primes multiply Python ints (dtype=object).
+    Exactness: products of residue matrices run in float64 BLAS while
+    L (p - 1)^2 < 2^53, L the inner length, and in int64 otherwise, which is
+    exact while L (p - 1)^2 < 2^63: for every fits64 prime (p < 2^21) at any
+    window below 2^21 rows.  Larger primes multiply Python ints
+    (dtype=object).  See _mul_mod.
     """
     key = (k, m, prec, p)
     hit = _holo_cache.get(key)
@@ -760,18 +761,62 @@ def holo_basis(k, m, prec, p):
         w = k + 2 * j
         basis = [] if w % 2 else mk_basis(w, prec, ring)
         if basis:
-            f = np.array([b.coeff_list() for b in basis], dtype=dtype)
+            f = np.array([b.coeffs for b in basis], dtype=dtype)
             mono = np.append(_weak_monomial(gens, j, m - j, prec).coeffs, 0)
-            blocks.append(f @ mono[shift] % p)
+            blocks.append(_mul_mod(f, mono[shift], p))
     out = HoloBasis(ring, k, m, prec, np.zeros((0, idx.size), dtype), [])
     if blocks:
-        cand = np.concatenate(blocks)
-        combos = kernel_basis(FpMatrix(p, cand[:, idx.D < 0].T))
-        if combos:
-            red, rank, pivots = rref(FpMatrix(p, np.array(combos, dtype=dtype) @ cand % p))
-            out = HoloBasis(ring, k, m, prec, red.data[:rank].astype(dtype), pivots)
+        hol = _holomorphic_rows(np.concatenate(blocks), idx.D < 0, p)
+        if len(hol):
+            # the pivots are expected on the rows the zero test reads (_echelon checks)
+            rows = min(zero_test_required_prec(k, m), prec + 1)
+            red, pivots = _echelon(hol, int(idx.start[max(rows, 0)]), p)
+            out = HoloBasis(ring, k, m, prec, red.astype(dtype), pivots)
     _holo_cache[key] = out
     return out
+
+
+def _mul_mod(a, b, p):
+    """a @ b mod p for matrices of residues mod p, exactly: in float64 BLAS
+    while L (p - 1)^2 < 2^53 (L the inner length), else in a's dtype."""
+    if a.dtype == object or b.dtype == object or a.shape[1] * (p - 1) ** 2 >= 2 ** 53:
+        return a @ b % p
+    return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
+
+
+def _holomorphic_rows(cand, neg, p):
+    """A basis of the rows x @ cand, x in the kernel of cand's columns neg.
+
+    With R the echelon form of those columns, pivots P and free rows F, the
+    kernel vector of free row f is e_f - sum_i R[i, f] e_{P_i}
+    (linalg.kernel_basis), so the rows are cand[F] - R[:, F]^T @ cand[P]:
+    one product of the constraint rank, not of the row count.
+    """
+    red, rank, piv = rref(FpMatrix(p, cand[:, neg].T))
+    free = np.setdiff1d(np.arange(len(cand)), piv)
+    coef = red.data[:rank][:, free].T
+    return (cand[free] - _mul_mod(coef.astype(cand.dtype), cand[piv], p)) % p
+
+
+def _echelon(a, width, p):
+    """(R, pivots): the reduced echelon form of the residue matrix a, rank rows.
+
+    When the columns outnumber twice width + rows, a pivot prefix is tried
+    first: [a[:, :width] | I] is reduced to [R_w | T], and T @ a is the
+    echelon form of a if its rows past the prefix rank r are zero, since the
+    echelon form of a row space is unique.  Then R is (T @ a)[:r]; otherwise
+    all of a is reduced.
+    """
+    rows, cols = a.shape
+    if 2 * (width + rows) <= cols:
+        aug = np.concatenate([a[:, :width], np.eye(rows, dtype=a.dtype)], axis=1)
+        red, _, piv = rref(FpMatrix(p, aug))
+        r = sum(c < width for c in piv)
+        full = _mul_mod(red.data[:, width:].astype(a.dtype), a, p)
+        if not np.any(full[r:]):
+            return full[:r], piv[:r]
+    red, rank, piv = rref(FpMatrix(p, a))
+    return red.data[:rank], piv
 
 
 def _filtration_window(kp, m, p):
@@ -781,15 +826,27 @@ def _filtration_window(kp, m, p):
     return udim + m + 1 + 5 if udim else 0
 
 
-def filtration(phi):
+def filtration(phi, hint=None):
     """The mod-p filtration: least k' = k mod (p-1), 0 <= k' <= k, whose
     holomorphic space contains phi mod p.  Returns -inf for the zero form.
 
-    Membership is decided on a window widened beyond the candidate-space
-    dimension to guard against truncation false-positives, by reduction
-    against the memoized echelon rows R of holo_basis with pivots piv: the
-    vector v is in the span iff (v - v[piv] @ R) % p is zero.  The
-    product is exact under the int64 bound stated in holo_basis.
+    Membership is monotone in k' (PAPER.md, "Filtration and heat cycle":
+    E_{p-1} = 1 mod p), so the least member is found by bisection over the
+    candidates k'.  The candidate at or below `hint` is probed first and the
+    one below it second; heat_cycle passes the step-law bound
+    Omega(L^(i-1) phi) + p + 1, which makes a typical step two tests.  Any
+    hint, or none, gives the same result; a wrong one costs only tests.  The
+    top candidate k, whose window and basis are the largest, is tested only
+    when every candidate below it fails.
+
+    Membership at k' is decided on a window widened beyond the
+    candidate-space dimension to guard against truncation false-positives,
+    by reduction against the memoized echelon rows R of holo_basis with
+    pivots piv: the vector v is in the span iff (v - v[piv] @ R) % p is
+    zero.  The product is exact under the int64 bound stated in holo_basis.
+    A candidate whose window exceeds phi's precision ends the search with a
+    PrecisionError, as a scan from the bottom would reach it: the search runs
+    over the candidates below the first such one.
     """
     if not isinstance(phi.ring, FpRing):
         raise InvalidArgumentError("filtration needs a prime-field form")
@@ -797,25 +854,48 @@ def filtration(phi):
     if phi.is_zero_window():
         return NEG_INF
     k, m = phi.weight, phi.index
-    base = k % (p - 1)
-    cands = list(range(base, k + 1, p - 1))
-    if not cands:
-        cands = [k]
-    for kp in cands:
-        win = _filtration_window(kp, m, p)
-        if not win:
-            continue
-        if phi.prec < win:
-            raise PrecisionError(f"filtration at candidate weight {kp} needs precision {win}",
-                                 required=win, available=phi.prec)
-        basis = holo_basis(kp, m, win, p)
+    cands = list(range(k % (p - 1), k + 1, p - 1)) or [k]
+    wins = [_filtration_window(kp, m, p) for kp in cands]
+    short = next((i for i, win in enumerate(wins) if win > phi.prec), len(cands))
+
+    def member(i):
+        basis = holo_basis(cands[i], m, wins[i], p) if wins[i] else ()
         if not basis:
-            continue
-        v = phi.at_prec(win)
-        if not np.any((v - v[basis.pivots] @ basis.matrix) % p):
-            return kp
+            return False
+        v = phi.at_prec(wins[i])
+        return not np.any((v - v[basis.pivots] @ basis.matrix) % p)
+
+    first = _least_member(short, member, None if hint is None else sum(kp <= hint for kp in cands) - 1)
+    if first is not None:
+        return cands[first]
+    if short < len(cands):
+        raise PrecisionError(f"filtration at candidate weight {cands[short]} needs precision "
+                             f"{wins[short]}", required=wins[short], available=phi.prec)
     raise InvalidArgumentError(
         f"form is not in the holomorphic mod-{p} span at any weight <= {k}")
+
+
+def _least_member(n, member, hint):
+    """Least i < n with member(i), or None, for a monotone predicate member.
+
+    hint, if in range, is probed first and hint - 1 second; then the rest is
+    bisected.  Index n - 1 is tested only when every index below it fails.
+    """
+    lo, hi, known = 0, n - 1, False     # the answer, if any, is in [lo, hi]
+    if hint is not None:
+        for i in (hint, hint - 1):
+            if lo <= i < hi:
+                if member(i):
+                    hi, known = i, True
+                else:
+                    lo = i + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if member(mid):
+            hi, known = mid, True
+        else:
+            lo = mid + 1
+    return hi if n and (known or member(hi)) else None
 
 
 def filtration_required_prec(k, m, p):
@@ -853,7 +933,14 @@ def heat_cycle_required_prec(k, m, p):
 
 
 def heat_cycle(phi):
-    """Filtrations, high points, low points and fall sizes of the heat cycle.
+    """Filtrations, high points, low points and fall sizes of the heat cycle
+    (PAPER.md, "Filtration and heat cycle").
+
+    Omega(L^i phi) is found by filtration's bisection, probed first at the
+    step-law bound Omega(L^(i-1) phi) + p + 1.  The weak monomials are built
+    once at phi's precision, so every window reads a truncation of them.  At
+    each high point the fall law is checked: Omega(L^(i+1) phi) =
+    Omega(L^i phi) + p + 1 - s (p - 1) for a whole s, the fall.
 
     Refuses to interpret the cycle when p divides the index (the filtration
     step law degenerates there): the report is returned with status
@@ -871,10 +958,13 @@ def heat_cycle(phi):
     if jac_zero_test(it):
         rep.status = "degenerate"
         return rep
+    gens = weak_generators(phi.prec, phi.ring)
+    for j in range(m + 1):          # every window's monomials are truncations of these
+        _weak_monomial(gens, j, m - j, phi.prec)
     oms = []
     cur = it
     for i in range(1, p):
-        oms.append(filtration(cur))
+        oms.append(filtration(cur, oms[-1] + p + 1 if oms else None))
         if i < p - 1:
             cur = heat(cur)
     rep.filtrations = oms

@@ -2,7 +2,8 @@
 
 Provides the `QSeries` value type, the generators E4, E6, Delta and the
 eta-power series used by the Jacobi layer, echelonized monomial bases of the
-weight-k spaces, and the finite level-1 zero test mod p.
+weight-k spaces, the finite level-1 zero test mod p, and `BoundedMemo`, the
+byte-bounded memo that this module and the Jacobi layer keep their results in.
 
 Precision contract: a series of precision N stores coefficients for the
 exponents 0..N inclusive; every binary operation returns the minimum of the
@@ -276,6 +277,58 @@ def _triangular_exponents(k):
     return out
 
 
+class BoundedMemo:
+    """A least-recently-used memo holding at most `limit` bytes of values.
+
+    size(value) gives the bytes a value holds (see array_bytes).  Inserting
+    evicts the least recently used entries until the total is within the
+    limit again; the entry just inserted always stays, even when it alone is
+    larger.  Lookups use `get` and inserts item assignment, so a plain dict
+    can stand in for a memo, unbounded (tests do).  Every memo of the
+    Jacobi layer is one of these, with the same MEMO_BYTES bound.
+    """
+
+    def __init__(self, limit, size):
+        self.limit, self.size = limit, size
+        self.nbytes = 0
+        self._items = {}          # key -> (value, bytes), least recently used first
+
+    def get(self, key, default=None):
+        hit = self._items.pop(key, None)
+        if hit is None:
+            return default
+        self._items[key] = hit
+        return hit[0]
+
+    def __setitem__(self, key, value):
+        old = self._items.pop(key, None)
+        if old is not None:
+            self.nbytes -= old[1]
+        nbytes = self.size(value)
+        self._items[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > self.limit and len(self._items) > 1:
+            self.nbytes -= self._items.pop(next(iter(self._items)))[1]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+MEMO_BYTES = 16 << 20
+
+
+def array_bytes(arrays):
+    """Bytes held by numpy arrays, counting an object entry as 64 bytes (its
+    pointer and a small Python number), so bounds over Z and Q are rough."""
+    return sum(a.size * 64 if a.dtype == object else a.nbytes for a in arrays)
+
+
+_bases = BoundedMemo(MEMO_BYTES, lambda rows: array_bytes(f.coeffs for f in rows))
+
+
 def mk_basis(k, prec, ring):
     """Echelonized basis of the weight-k level-1 space over `ring`.
 
@@ -287,6 +340,14 @@ def mk_basis(k, prec, ring):
     every F_p.  Unit leading terms make the reduction a back substitution
     without division.  Pivot columns strictly increase and pivots equal 1;
     the length of the result is the dimension of the space.
+
+    Bases are memoized per (ring, k) at the largest precision built, in a
+    BoundedMemo, and a smaller precision is served by truncation.  That is
+    exact: the back substitution reads and clears only the pivot columns
+    c <= k/12 < prec, and row operations commute with truncation.  The
+    filtration walk of PAPER.md ("Filtration and heat cycle") asks for the
+    same bases at many windows.  The returned coefficient vectors are
+    read-only.
     """
     if k % 2:
         raise InvalidArgumentError(f"odd weight {k} not supported")
@@ -301,15 +362,19 @@ def mk_basis(k, prec, ring):
     if prec < upper:
         raise PrecisionError(f"mk_basis({k}) needs precision >= {upper}",
                              required=upper, available=prec)
-    pw4, pw6, pwd = _power_chains(ring, prec, (2, max(b for _, b, _ in tri), tri[-1][2]))
-    rl = [(pw4[a].truncate(prec) * pw6[b] * pwd[c]).coeffs for a, b, c in tri]
-    # clear pivot column c_j above row j, last row first
-    for j in range(len(tri) - 1, 0, -1):
-        for i in range(j):
-            x = rl[i][tri[j][2]]
-            if x:
-                rl[i] = ring.canonical(rl[i] - rl[j] * x)
-    return [QSeries(ring, r, weight=k) for r in rl]
+    key = (ring.tag, k)
+    rows = _bases.get(key)
+    if rows is None or rows[0].prec < prec:
+        pw4, pw6, pwd = _power_chains(ring, prec, (2, max(b for _, b, _ in tri), tri[-1][2]))
+        rl = [(pw4[a].truncate(prec) * pw6[b] * pwd[c]).coeffs for a, b, c in tri]
+        # clear pivot column c_j above row j, last row first
+        for j in range(len(tri) - 1, 0, -1):
+            for i in range(j):
+                x = rl[i][tri[j][2]]
+                if x:
+                    rl[i] = ring.canonical(rl[i] - rl[j] * x)
+        rows = _bases[key] = [_read_only(QSeries(ring, r, weight=k)) for r in rl]
+    return [f.truncate(prec) for f in rows]
 
 
 _chains = None  # (ring tag, prec, [E4 chain, E6 chain, Delta chain]), or None

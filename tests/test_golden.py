@@ -53,6 +53,11 @@ def test_sieve_stdout(capsys, tmp_path, argv, name):
      "heat_cycle_w16_m1_p13.json"),
     (["heat-cycle", "--weight", "22", "--index", "2", "--p", "7", "--form", "phi10_1*phi12_1"],
      "heat_cycle_w22_m2_p7.json"),
+    # longer filtration walks: 22 iterates at index 1, and index 2 at p = 13
+    (["heat-cycle", "--weight", "12", "--index", "1", "--p", "23", "--form", "phi12_1"],
+     "heat_cycle_w12_m1_p23.json"),
+    (["heat-cycle", "--weight", "14", "--index", "2", "--p", "13", "--form", "E4_1*phi10_1"],
+     "heat_cycle_w14_m2_p13.json"),
 ])
 def test_heat_cycle_stdout(capsys, tmp_path, argv, name):
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0

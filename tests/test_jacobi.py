@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -9,7 +10,7 @@ import filtration_oracle
 from jacobi_checks import check_holomorphic_support, check_transformation_law
 import numpy as np
 
-from siegelcong import jacobi
+from siegelcong import jacobi, qexp
 from siegelcong.errors import (ArithmeticDomainError, DecompositionError,
                                InvalidArgumentError, PrecisionError)
 from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, heat,
@@ -20,7 +21,7 @@ from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, heat,
                                nonexistence_applies, qseries_times_jacobi,
                                reconstruct_weak, weak_decompose,
                                weak_generators, zero_test_required_prec)
-from siegelcong.qexp import QSeries, delta_q, eisenstein_q, mk_basis
+from siegelcong.qexp import BoundedMemo, QSeries, delta_q, eisenstein_q, mk_basis
 from siegelcong.ring import ring_from_tag
 
 INT = ring_from_tag("int")
@@ -450,6 +451,122 @@ def test_filtration_matches_oracle_on_random_span_elements(p):
             raised = qseries_times_jacobi(eisenstein_q(p - 1, prec, ring), phi)
             for form in (phi, raised):
                 assert filtration(form) == filtration_oracle.filtration(form), (k, m, form.weight)
+
+
+def _oracle_filtration_memoized(monkeypatch):
+    """filtration_oracle.filtration with its per-form bases built once per key."""
+    monkeypatch.setattr(filtration_oracle, "holo_basis", lru_cache(None)(filtration_oracle.holo_basis))
+    monkeypatch.setattr(filtration_oracle, "mk_basis", lru_cache(None)(filtration_oracle.mk_basis))
+    return filtration_oracle.filtration
+
+
+@pytest.mark.parametrize("p", [5, 7, 17])
+def test_bisection_matches_the_linear_scan_for_every_hint(monkeypatch, p):
+    """Span elements raised by E_{p-1}^s sit s candidates above their
+    filtration; the bisection finds it whatever hint it is given."""
+    oracle = _oracle_filtration_memoized(monkeypatch)
+    rng = random.Random(100 + p)
+    ring = ring_from_tag(f"fp:{p}")
+    for m in (1, 2):
+        for k in rng.sample(range(4, 25, 2), 2):
+            prec = jacobi.filtration_required_prec(k + 3 * (p - 1), m, p)
+            basis = filtration_oracle.holo_basis(k, m, prec, p)
+            phi = JacobiFormSeries.zero(ring, k, m, prec)
+            while phi.is_zero_window():
+                for f in basis:
+                    phi = phi + f.scale(rng.randrange(p))
+            ep = eisenstein_q(p - 1, prec, ring)
+            for s in range(4):
+                form = qseries_times_jacobi(ep.pow(s), phi)
+                want = oracle(form)
+                assert form.weight == k + s * (p - 1)
+                for hint in (None, want, want - 2 * (p - 1), -10, want + p - 1,
+                             form.weight + 5 * (p - 1), want + 1, want - 1, NEG_INF):
+                    assert filtration(form, hint) == want, (k, m, s, hint)
+
+
+def test_least_member_never_tests_the_top_unless_it_is_the_answer():
+    for n in range(9):
+        for first in range(n + 1):               # first == n: no member
+            for hint in [None, *range(-2, n + 2)]:
+                tested = []
+                got = jacobi._least_member(n, lambda i: tested.append(i) or i >= first, hint)
+                assert got == (first if first < n else None), (n, first, hint)
+                assert len(set(tested)) == len(tested)
+                if first < n - 1:
+                    assert n - 1 not in tested, (n, first, hint)
+
+
+def test_filtration_keeps_the_scan_errors():
+    """Precision short for a candidate below the answer, and no span at all,
+    fail as a scan from the bottom fails."""
+    e41 = jacobi_eisenstein(4, 40, FP5)
+    raised = qseries_times_jacobi(eisenstein_q(4, 40, FP5).pow(6), heat(e41))
+    raised = JacobiFormSeries(FP5, raised.weight, 1, 9, raised.at_prec(9))
+    # the candidates 2 and 6 fit in 9 rows, the answer 10 needs 10
+    assert [jacobi._filtration_window(kp, 1, 5) for kp in (2, 6, 10)] == [8, 9, 10]
+    with pytest.raises(PrecisionError) as err:
+        filtration(raised, hint=raised.weight)
+    assert (err.value.required, err.value.available) == (10, 9)
+    weak = weak_generators(40, FP5)[1]       # phi_{0,1}: not holomorphic
+    with pytest.raises(InvalidArgumentError):
+        filtration(JacobiFormSeries(FP5, 8, 1, 40, weak.coeffs))
+
+
+@pytest.mark.parametrize("k,m,p,form", [(12, 1, 17, "phi12_1"), (14, 2, 11, "E4_1*phi10_1")])
+def test_heat_cycle_filtrations_match_the_oracle(monkeypatch, k, m, p, form):
+    from siegelcong.cli import build_named_jacobi
+    oracle = _oracle_filtration_memoized(monkeypatch)
+    ring = ring_from_tag(f"fp:{p}")
+    phi = build_named_jacobi(form, heat_cycle_required_prec(k, m, p), ring)
+    rep = heat_cycle(phi)
+    assert rep.status == "ok" and len(rep.filtrations) == p - 1
+    for om in rep.filtrations:
+        phi = heat(phi)
+        assert om == oracle(phi)
+
+
+def test_heat_cycle_builds_each_basis_once(monkeypatch):
+    """On the (12, 1, 17) heat cycle: at most 40 holomorphic bases, and no
+    level-1 basis built twice at one (ring, k, prec)."""
+    built = []
+
+    class Recording(BoundedMemo):
+        def __setitem__(self, key, value):
+            built.append((*key, value[0].prec))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(qexp, "_bases", Recording(qexp.MEMO_BYTES, qexp._bases.size))
+    monkeypatch.setattr(jacobi, "_holo_cache", BoundedMemo(qexp.MEMO_BYTES, jacobi._holo_cache.size))
+    calls = []
+    real = jacobi.holo_basis
+    monkeypatch.setattr(jacobi, "holo_basis", lambda k, m, prec, p: calls.append((k, m, prec, p))
+                        or real(k, m, prec, p))
+    phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, 17), ring_from_tag("fp:17"))
+    assert heat_cycle(phi).filtrations[:3] == [30, 48, 66]
+    assert len(set(calls)) <= 40 and len(calls) <= 40
+    assert built and len(set(built)) == len(built)
+
+
+def test_jacobi_memos_are_bounded():
+    for memo in (jacobi._weak_cache, jacobi._mono_cache, jacobi._holo_cache, qexp._bases):
+        assert isinstance(memo, BoundedMemo) and memo.limit == qexp.MEMO_BYTES
+
+
+def test_weak_memos_evict_and_rebuild_the_same_forms(monkeypatch):
+    gens = weak_generators(12, FP7)
+    want = [jacobi._weak_monomial(gens, j, 3 - j, 12) for j in range(4)]
+    small = BoundedMemo(2 * want[0].coeffs.nbytes, jacobi._mono_cache.size)
+    monkeypatch.setattr(jacobi, "_mono_cache", small)
+    for _ in range(2):
+        for j in range(4):
+            assert jacobi._weak_monomial(gens, j, 3 - j, 12) == want[j]
+            assert small.nbytes <= small.limit and len(small) <= 2
+    monkeypatch.setattr(jacobi, "_weak_cache", BoundedMemo(1, jacobi._weak_cache.size))
+    for tag in ("fp:7", "fp:5", "fp:7"):
+        w = weak_generators(10, ring_from_tag(tag))
+        assert list(jacobi._weak_cache) == [tag] and w[0].prec == 10
+        assert not w[0].coeffs.flags.writeable
 
 
 @pytest.mark.parametrize("p", [2097169, 3037000493])

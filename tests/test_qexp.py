@@ -187,14 +187,15 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(qexp, name, counted)
     monkeypatch.setattr(qexp, "_chains", None)
+    monkeypatch.setattr(qexp, "_bases", {})
     for k in weights:
         mk_basis(k, 20, FP7)
     built = len(calls)
     assert calls.count("delta_q") == 1 and built > 1
-    # every weight at a smaller precision is a truncation of the chains at q^20,
-    # and a caller writing into its basis does not write into the memo
-    mine = mk_basis(24, 20, FP7)
-    mine[0].coeffs[:] = 0
+    # every weight at a smaller precision is a truncation of the bases at q^20,
+    # and a caller cannot write into the memoized basis it is handed
+    with pytest.raises(ValueError):
+        mk_basis(24, 20, FP7)[0].coeffs[:] = 0
     for (k, prec), rows in want.items():
         assert [f.coeff_list() for f in mk_basis(k, prec, FP7)] == rows, (k, prec)
     assert len(calls) == built
@@ -206,6 +207,61 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
     assert calls.count("delta_q") == 3
     tag, prec, chains = qexp._chains
     assert (tag, prec) == ("fp:11", 21) and not any(f.coeffs.flags.writeable for c in chains for f in c)
+
+
+def _fresh_basis(monkeypatch, k, prec, ring):
+    with monkeypatch.context() as mp:
+        mp.setattr(qexp, "_bases", {})
+        mp.setattr(qexp, "_chains", None)
+        return mk_basis(k, prec, ring)
+
+
+@pytest.mark.parametrize("tag", ["fp:7", "fp:2097169", "int", "rat"])
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_memoized_mk_basis_equals_a_fresh_build(monkeypatch, tag, order):
+    ring = ring_from_tag(tag)
+    precs = [4, 9, 20] if order == "rising" else [20, 9, 4]
+    monkeypatch.setattr(qexp, "_bases", qexp.BoundedMemo(qexp.MEMO_BYTES, qexp._bases.size))
+    for prec in precs + precs[::-1]:
+        for k in range(4, 41, 2):
+            got = mk_basis(k, prec, ring)
+            want = _fresh_basis(monkeypatch, k, prec, ring)
+            assert [f.coeff_list() for f in got] == [f.coeff_list() for f in want], (k, prec)
+            assert [type(v) for f in got for v in f.coeff_list()] == \
+                [type(v) for f in want for v in f.coeff_list()]
+            assert all(f.prec == prec and f.weight == k for f in got)
+            assert not any(f.coeffs.flags.writeable for f in got)
+    # one entry per weight, at the largest precision asked
+    assert {key: qexp._bases.get(key)[0].prec for key in list(qexp._bases)} \
+        == {(tag, k): 20 for k in range(4, 41, 2)}
+
+
+def test_mk_basis_memo_evicts_to_its_bound(monkeypatch):
+    row = 8 * 21                                  # one int64 row at q^20
+    memo = qexp.BoundedMemo(4 * row, qexp._bases.size)
+    monkeypatch.setattr(qexp, "_bases", memo)
+    # dim M_k = 2, 2, 3, 3, 1 and 1
+    for k, kept in ((12, [12]), (16, [12, 16]), (24, [24]), (28, [28]), (4, [28, 4])):
+        mk_basis(k, 20, FP7)
+        assert list(memo) == [("fp:7", w) for w in kept] and memo.nbytes <= memo.limit
+    mk_basis(28, 10, FP7)                         # a hit makes 28 the most recent
+    mk_basis(6, 20, FP7)
+    assert list(memo) == [("fp:7", 28), ("fp:7", 6)] and memo.nbytes == 4 * row
+    assert mk_basis(4, 20, FP7)[0].coeff_list() == _fresh_basis(monkeypatch, 4, 20, FP7)[0].coeff_list()
+
+
+def test_bounded_memo_keeps_recent_entries_within_the_limit():
+    memo = qexp.BoundedMemo(10, len)
+    memo["a"] = "xxxx"
+    memo["b"] = "xxxx"
+    assert memo.get("a") == "xxxx"                 # "a" is now the most recent
+    memo["c"] = "xxxx"
+    assert list(memo) == ["a", "c"] and memo.nbytes == 8 and "b" not in memo
+    memo["a"] = "x"                                # replacing an entry resizes it
+    assert memo.nbytes == 5 and list(memo) == ["c", "a"]
+    memo["d"] = "x" * 20                           # alone over the limit: kept alone
+    assert list(memo) == ["d"] and memo.nbytes == 20 and len(memo) == 1
+    assert memo.get("a") is None and memo.get("a", 0) == 0
 
 
 def test_mk_basis_insufficient_precision():
