@@ -317,6 +317,8 @@ class BoundedMemo:
         return len(self._items)
 
 
+# per memo; in the index-2, p = 31 heat cycle a 64 MiB bound added no hits
+# and raised peak RSS from 134 to 199 MB
 MEMO_BYTES = 16 << 20
 
 
