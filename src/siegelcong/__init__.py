@@ -6,14 +6,13 @@ from .errors import (ArithmeticDomainError, CacheIOError, DecompositionError,
                      RingMismatchError, SiegelCongError)
 from .ring import (FpRing, IntRing, RatRing, is_prime, legendre, reduce_rational,
                    ring_from_tag)
-from .qexp import (QSeries, bernoulli, delta_q, eisenstein_q,
-                   elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim)
+from .qexp import bernoulli, delta_q, eisenstein_q, eta_pow6, mk_basis, mk_dim
 from .jacobi import (HeatCycleReport, JacobiCongruence, JacobiFormSeries,
                      filtration, heat, heat_cycle, heat_cycle_required_prec,
                      holo_basis, jac_congruence, jac_direct_scan, jac_mul,
                      index1_columns, jac_zero_test, jacobi_cusp, jacobi_eisenstein,
                      nonexistence_applies, qseries_times_jacobi,
-                     reconstruct_weak, weak_decompose, weak_generators)
+                     weak_decompose, weak_generators)
 from .siegel import (CongruenceCertificate, GeneratorContext, MatrixIndexT,
                      SiegelFormSeries, congruence_scan, decompose_mod_p,
                      dyadic_trace, enumerate_reduced, fourier_jacobi,

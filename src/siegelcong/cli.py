@@ -22,7 +22,7 @@ from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
 from .jacobi import (criterion_weight, heat_cycle, heat_cycle_required_prec, jacobi_cusp,
                      jacobi_eisenstein, jac_mul, qseries_times_jacobi)
-from .qexp import delta_q, eisenstein_q
+from .qexp import convolve_trunc, delta_q, eisenstein_q
 from .ring import FpRing, is_prime, ring_from_tag
 from .siegel import (GeneratorContext, congruence_required_prec, congruence_scan,
                      search_congruences, siegel_congruence, sieve as siegel_sieve,
@@ -260,40 +260,48 @@ _JACOBI_ATOMS = {"E4_1": ("jac", 4), "E6_1": ("jac", 6),
                  "E4": ("ell", 4), "E6": ("ell", 6), "Delta": ("ell", 12)}
 
 
+def _form_factors(text):
+    """The atoms of a --form product, each repeated by its exponent.
+
+    Grammar: factor ('*' factor)*, factor := atom ('^' uint)?, over the
+    tokens of the expression language (expr.tokenize).
+    """
+    toks = iter(exprmod.tokenize(text))
+    out = []
+    while True:
+        _, atom, pos = next(toks)
+        if atom not in _JACOBI_ATOMS:
+            raise exprmod.ParseError(f"expected a Jacobi factor ({', '.join(_JACOBI_ATOMS)})", pos)
+        kind, tok, pos = next(toks)
+        exp = 1
+        if tok == "^":
+            kind, exp, pos = next(toks)
+            if kind != "num":
+                raise exprmod.ParseError("expected an unsigned exponent after '^'", pos)
+            kind, tok, pos = next(toks)
+        out += [atom] * exp
+        if kind == "end":
+            return out
+        if tok != "*":
+            raise exprmod.ParseError("expected '*' between factors", pos)
+
+
 def build_named_jacobi(name, prec, ring):
-    """Build the Jacobi form named by a '*'-separated product expression."""
-    factors = []
-    for part in name.split("*"):
-        part = part.strip()
-        if "^" in part:
-            base, _, e = part.partition("^")
-            try:
-                exp = int(e)
-            except ValueError:
-                raise InvalidArgumentError(f"bad exponent in {part!r}") from None
-        else:
-            base, exp = part, 1
-        if base not in _JACOBI_ATOMS or exp < 0:
-            raise InvalidArgumentError(
-                f"unknown Jacobi factor {part!r} (atoms: {', '.join(_JACOBI_ATOMS)})")
-        factors.extend([base] * exp)
-    if not factors:
-        raise InvalidArgumentError("empty form name")
-    jac = None
-    ell = None
-    for base in factors:
-        kind, k = _JACOBI_ATOMS[base]
+    """Build the Jacobi form named by a --form product (see _form_factors)."""
+    jac = ell = None
+    ell_weight = 0
+    for atom in _form_factors(name):
+        kind, k = _JACOBI_ATOMS[atom]
         if kind == "jac":
             built = (jacobi_eisenstein if k in (4, 6) else jacobi_cusp)(k, prec, ring)
             jac = built if jac is None else jac_mul(jac, built)
         else:
             built = delta_q(prec, ring) if k == 12 else eisenstein_q(k, prec, ring)
-            ell = built if ell is None else ell * built
+            ell = built if ell is None else convolve_trunc(ring, ell, built, prec + 1)
+            ell_weight += k
     if jac is None:
         raise InvalidArgumentError("form must contain at least one index-1 factor")
-    if ell is not None:
-        jac = qseries_times_jacobi(ell, jac)
-    return jac
+    return jac if ell is None else qseries_times_jacobi(ell, ell_weight, jac)
 
 
 def cmd_heat_cycle(args):

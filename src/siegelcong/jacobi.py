@@ -47,8 +47,8 @@ import numpy as np
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
 from .linalg import FpMatrix, rref
-from .qexp import (MEMO_BYTES, BoundedMemo, QSeries, _sigma_table, array_bytes,
-                   convolve_trunc, delta_q, eisenstein_q, elliptic_sturm_zero, eta_pow6,
+from .qexp import (MEMO_BYTES, BoundedMemo, _read_only, _sigma_table, array_bytes,
+                   convolve_trunc, delta_q, eisenstein_q, eta_pow6, invert_series,
                    mk_basis, mk_dim)
 from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
 
@@ -105,11 +105,6 @@ class JacobiIndex:
         array per n: the products convolve these."""
         gather, cuts = self._full
         return np.split(vec[gather], cuts)
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
 
 
 _indexes = weakref.WeakValueDictionary()
@@ -222,12 +217,11 @@ class JacobiFormSeries:
 
     # -- specializations --------------------------------------------------------
     def z_restrict(self):
-        """The weight-k modular form phi(tau, 0) = sum_r c(n, r): c(n, 0) plus
-        twice the c(n, r) with r > 0, as a QSeries."""
+        """The coefficient vector of the weight-k modular form
+        phi(tau, 0) = sum_r c(n, r): c(n, 0) plus twice the c(n, r) with r > 0."""
         idx = self.idx
         twice = np.where(idx.r > 0, 2, 1).astype(self.ring.dtype)
-        vals = np.add.reduceat(self.coeffs * twice, idx.start[:-1])
-        return QSeries(self.ring, self.ring.canonical(vals), weight=self.weight)
+        return self.ring.canonical(np.add.reduceat(self.coeffs * twice, idx.start[:-1]))
 
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
@@ -281,24 +275,22 @@ def jac_mul(a, b):
                             weak=a.weak or b.weak)
 
 
-def qseries_times_jacobi(f, phi):
-    """Multiply a one-variable series into a Jacobi form (q-direction only):
-    each zeta-power r >= 0 is one q-convolution."""
-    if f.ring != phi.ring:
-        raise RingMismatchError(f"{f.ring.tag} vs {phi.ring.tag}")
+def qseries_times_jacobi(f, k, phi):
+    """Multiply the coefficient vector f of an elliptic modular form of
+    weight k into a Jacobi form (q-direction only): each zeta-power r >= 0 is
+    one q-convolution.  The precision is the smaller of the two."""
     ring = phi.ring
-    prec = min(f.prec, phi.prec)
-    w = None
-    if f.weight is not None and phi.weight is not None:
-        w = f.weight + phi.weight
+    if f.dtype != ring.dtype:
+        raise RingMismatchError(f"a {f.dtype} vector and a {ring.tag} form")
+    prec = min(len(f) - 1, phi.prec)
+    w = None if phi.weight is None else k + phi.weight
     idx = jacobi_index(phi.index, prec)
     dense = ring.zeros((prec + 1, int(idx.bound[-1]) + 1))
     dense[idx.n, idx.r] = phi.at_prec(prec)
-    fv = f.coeffs[:prec + 1]
     for c in range(dense.shape[1]):
         col = dense[:, c]
         if np.any(col):
-            dense[:, c] = ring.canonical(np.convolve(fv, col)[:prec + 1])
+            dense[:, c] = ring.canonical(np.convolve(f[:prec + 1], col)[:prec + 1])
     return JacobiFormSeries(ring, w, phi.index, prec, dense[idx.n, idx.r], weak=phi.weak)
 
 
@@ -307,6 +299,7 @@ def heat(phi):
 
     Over a prime field the weight annotation increases by p + 1 (the mod-p
     weight of the image); over exact rings the annotation is left unchanged.
+    The operator L of PAPER.md, "Heat criterion".
     """
     ring = phi.ring
     vec = ring.canonical(phi.coeffs * phi.idx.D.astype(ring.dtype))
@@ -357,11 +350,15 @@ def _weak_columns(prec, ring):
     phi_{0,1} spans (M_2 = 0; Eichler-Zagier, The Theory of Jacobi Forms,
     Sec. 9), and the q^0 rows fix the constants.  Column by column,
     h_r -> -6 (4n - r) h_r - 5 E_2 h_r.  Every coefficient is integral, so
-    each ring computes in itself.  The last result is kept, so the four
-    generators of one box share it; its columns are read-only.
+    Z and F_p compute in themselves and Q casts the columns over Z once
+    (Fraction arithmetic would be the cost).  The last result is kept, so
+    the four generators of one box share it; its columns are read-only.
     """
+    if isinstance(ring, RatRing):
+        return tuple(tuple(_read_only(ring.from_integers(h, 1)) for h in pair)
+                     for pair in _weak_columns(prec, ring_from_tag("int")))
     n = prec + 1
-    inv_eta6 = eta_pow6(prec, ring).inverse().coeffs
+    inv_eta6 = invert_series(ring, eta_pow6(prec, ring), n)
     cols = [convolve_trunc(ring, _theta_square_column(ring, c - 1, n), inv_eta6, n)
             for c in range(4)]
     for k in (1, 2):
@@ -384,7 +381,8 @@ def index1_columns(k, prec, ring):
     E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1})/12,
     E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1})/12, phi_{10,1} = Delta
     phi_{-2,1} and phi_{12,1} = Delta phi_{0,1}, each taken column by
-    column.  The weak columns are read-only.
+    column.  The weak columns are read-only.  PAPER.md, "Index-1 generators
+    and the lift".
     """
     if k not in (-2, 0, 4, 6, 10, 12):
         raise InvalidArgumentError(f"no index-1 generator of weight {k}")
@@ -394,13 +392,13 @@ def index1_columns(k, prec, ring):
         return wm2 if k == -2 else w0
     if k in (4, 6):
         e4, e6 = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring)
-        f, g = (e4, e6) if k == 4 else (e6, e4 * e4)
+        f, g = (e4, e6) if k == 4 else (e6, convolve_trunc(ring, e4, e4, n))
         twelve = ring.from_int(12)
-        nums = (convolve_trunc(ring, f.coeffs, h0, n) - convolve_trunc(ring, g.coeffs, hm2, n)
+        nums = (convolve_trunc(ring, f, h0, n) - convolve_trunc(ring, g, hm2, n)
                 for h0, hm2 in zip(w0, wm2))
         return tuple(np.array([ring.divexact(v, twelve) for v in ring.canonical(num).tolist()],
                               dtype=ring.dtype) for num in nums)
-    d = delta_q(prec, ring).coeffs
+    d = delta_q(prec, ring)
     return tuple(convolve_trunc(ring, d, h, n) for h in (wm2 if k == 10 else w0))
 
 
@@ -509,7 +507,9 @@ def _div_by_sq(ring, t):
 
 
 def weak_decompose(phi):
-    """Components f_0..f_m with phi = sum f_j w{-2}^j w{0}^{m-j}.
+    """Components f_0..f_m with phi = sum f_j w{-2}^j w{0}^{m-j}: the
+    coefficient vectors, of length phi.prec + 1, of elliptic modular forms,
+    f_j of weight k + 2j for phi of weight k.
 
     Uses the z = 0 specialization (the weight -2 generator vanishes there and
     the weight 0 one restricts to the constant 12) followed by exact division,
@@ -528,30 +528,18 @@ def weak_decompose(phi):
     if phi.weight is None:
         raise InvalidArgumentError("weak_decompose needs a weight annotation")
     if m == 0:
-        return [QSeries(ring, phi.coeffs, weight=phi.weight)]
+        return [phi.coeffs]
     gens = weak_generators(phi.prec, ring)
     fs = []
     cur = phi
     inv12 = ring.inv(ring.from_int(12))
     for mu in range(m, 0, -1):
-        f = cur.z_restrict().scale(ring.pow(inv12, mu))
+        f = ring.canonical(cur.z_restrict() * ring.pow(inv12, mu))
         fs.append(f)
-        rem = cur - qseries_times_jacobi(f, _weak_monomial(gens, 0, mu, phi.prec))
+        rem = cur - qseries_times_jacobi(f, cur.weight, _weak_monomial(gens, 0, mu, phi.prec))
         cur = _divide_by_weak_m2(rem, gens[0])
-    fs.append(QSeries(ring, cur.coeffs, weight=cur.weight))   # index 0: c(n, 0) only
+    fs.append(cur.coeffs)   # index 0: c(n, 0) only
     return fs
-
-
-def reconstruct_weak(fs, index, gens):
-    """Inverse of weak_decompose: sum f_j w{-2}^j w{0}^{m-j}."""
-    w_m2, w_0 = gens
-    prec = min(min(f.prec for f in fs), w_m2.prec)
-    acc = None
-    for j, f in enumerate(fs):
-        mono = _weak_monomial(gens, j, index - j, prec)
-        term = qseries_times_jacobi(f.truncate(prec), mono)
-        acc = term if acc is None else _combine(acc, term, 1, None)
-    return acc
 
 
 _mono_cache = BoundedMemo(MEMO_BYTES, lambda f: _forms_bytes([f]))
@@ -593,8 +581,10 @@ def jac_zero_test(phi):
     """True iff phi == 0 mod p, for phi in the weak span at its annotated weight.
 
     Decomposes over the weak generators and runs the level-1 Sturm test on
-    every component at its own weight; components at weights with no forms
-    must vanish identically on the window.
+    every component f_j at its own weight w = k + 2j: a form of M_w is zero
+    mod p iff its coefficients of q^0..q^floor(w/12) are (the triangular
+    basis of mk_basis has its pivots there).  Components at weights with no
+    forms must vanish identically on the window.
     """
     if not isinstance(phi.ring, FpRing):
         raise InvalidArgumentError("jac_zero_test needs a prime-field form")
@@ -603,13 +593,10 @@ def jac_zero_test(phi):
     if phi.prec < need:
         raise PrecisionError(f"zero test at weight {k}, index {m} needs precision {need}",
                              required=need, available=phi.prec)
-    fs = weak_decompose(phi)
-    for j, f in enumerate(fs):
+    for j, f in enumerate(weak_decompose(phi)):
         w = k + 2 * j
-        if w >= 4 or w == 0:
-            if not elliptic_sturm_zero(f, w):
-                return False
-        elif not f.is_zero():
+        upto = w // 12 + 1 if mk_dim(w) else len(f)
+        if np.any(f[:upto]):
             return False
     return True
 
@@ -634,7 +621,8 @@ class JacobiCongruence:
 def criterion_weight(k, p, b):
     """Weight of the form whose vanishing mod p decides the congruence of a
     weight-k form at b: k + (p+1)^2/2 for b != 0 mod p (heat and theta
-    criteria), k + p^2 - 1 for b = 0 (heat-cycle closure, sieve identity)."""
+    criteria), k + p^2 - 1 for b = 0 (heat-cycle closure, sieve identity).
+    PAPER.md, "One criterion weight"."""
     return k + (p + 1) * (p + 1) // 2 if b % p else k + p * p - 1
 
 
@@ -643,7 +631,7 @@ def jac_congruence(phi, b):
 
     For b not divisible by p this tests the (p+1)/2-fold heat iterate against
     the Legendre-signed single iterate; for b == 0 it compares the (p-1)-fold
-    iterate with phi itself.
+    iterate with phi itself (PAPER.md, "Heat criterion").
     """
     if not isinstance(phi.ring, FpRing):
         raise InvalidArgumentError("jac_congruence needs a prime-field form")
@@ -694,7 +682,7 @@ def jac_direct_scan(phi, p, b):
 def nonexistence_applies(k, m, p, b, phi):
     """Hypotheses of the non-existence criterion: k >= 4, b != 0, p > k, p ∤ m,
     and the heat image of phi is nonzero mod p.  When true, jac_congruence
-    must report a failure."""
+    must report a failure (PAPER.md, "Non-existence criterion")."""
     if k < 4 or b % p == 0 or p <= k or m % p == 0:
         return False
     return not jac_zero_test(heat(phi))
@@ -758,10 +746,8 @@ def holo_basis(k, m, prec, p):
     shift = _shift_index(idx)
     blocks = []
     for j in range(m + 1):
-        w = k + 2 * j
-        basis = [] if w % 2 else mk_basis(w, prec, ring)
-        if basis:
-            f = np.array([b.coeffs for b in basis], dtype=dtype)
+        f = mk_basis(k + 2 * j, prec, ring)
+        if len(f):
             mono = np.append(_weak_monomial(gens, j, m - j, prec).coeffs, 0)
             blocks.append(_mul_mod(f, mono[shift], p))
     out = HoloBasis(ring, k, m, prec, np.zeros((0, idx.size), dtype), [])

@@ -1,23 +1,20 @@
 """Truncated q-expansions of level-1 elliptic modular forms.
 
-Provides the `QSeries` value type, the generators E4, E6, Delta and the
-eta-power series used by the Jacobi layer, echelonized monomial bases of the
-weight-k spaces, the finite level-1 zero test mod p, and `BoundedMemo`, the
-byte-bounded memo that this module and the Jacobi layer keep their results in.
+Provides the generators E4, E6, Delta and the eta-power series used by the
+Jacobi layer, echelonized monomial bases of the weight-k spaces, and
+`BoundedMemo`, the byte-bounded memo that this module and the Jacobi layer
+keep their results in.
 
-Precision contract: a series of precision N stores coefficients for the
-exponents 0..N inclusive; every binary operation returns the minimum of the
-operand precisions and never extrapolates.
-
-Storage: the coefficients are one numpy vector of dtype `ring.dtype`, as are
-the Jacobi and Siegel coefficient vectors of siegelcong.jacobi and
-siegelcong.siegel: int64 over F_p with p < 2^21, holding residues in [0, p),
-and object over Z, Q and larger primes, holding Python ints, Fractions or
-residues.  Every operation is one numpy expression for both dtypes, reduced
-mod p only over F_p (`ring.canonical`).  The series products here
-(convolve_trunc, invert_series) serve the Jacobi layer too.  Over F_p they
-accumulate unreduced in int64 and reduce once at the end; `FpRing.fits64`
-guarantees no overflow for the lengths used in this package.
+Storage: a series of precision N is a 1-D numpy vector of the N + 1
+coefficients of q^0..q^N, of dtype `ring.dtype`, as are the Jacobi and
+Siegel coefficient vectors of siegelcong.jacobi and siegelcong.siegel: int64
+over F_p with p < 2^21, holding residues in [0, p), and object over Z, Q and
+larger primes, holding Python ints, Fractions or residues.  Every operation
+is one numpy expression for both dtypes, reduced mod p only over F_p
+(`ring.canonical`).  The series products (convolve_trunc, invert_series)
+serve the Jacobi layer too.  Over F_p they accumulate unreduced in int64
+and reduce once at the end; `FpRing.fits64` guarantees no overflow for the
+lengths used in this package.
 """
 
 from __future__ import annotations
@@ -28,140 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (ArithmeticDomainError, InvalidArgumentError,
-                     PrecisionError, RingMismatchError)
-from .ring import FpRing, RatRing, ring_from_tag
-
-
-class QSeries:
-    """One-variable truncated power series over a coefficient ring."""
-
-    __slots__ = ("ring", "prec", "coeffs", "weight")
-
-    def __init__(self, ring, coeffs, weight=None):
-        self.ring = ring
-        self.coeffs = np.asarray(coeffs, dtype=ring.dtype)
-        self.prec = len(coeffs) - 1
-        self.weight = weight
-        if self.prec < 0:
-            raise InvalidArgumentError("a QSeries needs at least its constant term")
-
-    # -- construction ---------------------------------------------------------
-    @classmethod
-    def from_ints(cls, ring, ints, weight=None):
-        return cls(ring, np.array([ring.from_int(x) for x in ints], dtype=ring.dtype),
-                   weight=weight)
-
-    @classmethod
-    def zero(cls, ring, prec, weight=None):
-        return cls(ring, ring.zeros(prec + 1), weight=weight)
-
-    @classmethod
-    def const(cls, ring, value, prec, weight=0):
-        vec = ring.zeros(prec + 1)
-        vec[0] = ring.from_int(value) if isinstance(value, int) else value
-        return cls(ring, vec, weight=weight)
-
-    # -- access ---------------------------------------------------------------
-    def coeff(self, n):
-        if n < 0:
-            return self.ring.zero
-        if n > self.prec:
-            raise PrecisionError(f"coefficient q^{n} beyond precision {self.prec}",
-                                 required=n, available=self.prec)
-        v = self.coeffs[n]
-        return int(v) if isinstance(self.ring, FpRing) else v
-
-    def coeff_list(self):
-        return self.coeffs.tolist()
-
-    def truncate(self, prec):
-        if prec > self.prec:
-            raise PrecisionError(f"cannot extend precision {self.prec} to {prec}",
-                                 required=prec, available=self.prec)
-        return QSeries(self.ring, self.coeffs[:prec + 1], weight=self.weight)
-
-    def is_zero(self, upto=None):
-        upto = self.prec if upto is None else min(upto, self.prec)
-        return not np.any(self.ring.canonical(self.coeffs[:upto + 1]))
-
-    def __eq__(self, other):
-        return (isinstance(other, QSeries) and self.ring == other.ring
-                and self.prec == other.prec
-                and not np.any(self.ring.canonical(self.coeffs - other.coeffs)))
-
-    def __repr__(self):
-        head = ", ".join(str(v) for v in self.coeff_list()[:6])
-        return f"QSeries({self.ring.tag}, N={self.prec}, [{head}, ...])"
-
-    # -- arithmetic -------------------------------------------------------------
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
-        return min(self.prec, other.prec)
-
-    def __add__(self, other):
-        n = self._check(other)
-        w = self.weight if self.weight == other.weight else None
-        return QSeries(self.ring, self.ring.canonical(self.coeffs[:n + 1] + other.coeffs[:n + 1]),
-                       weight=w)
-
-    def __sub__(self, other):
-        n = self._check(other)
-        w = self.weight if self.weight == other.weight else None
-        return QSeries(self.ring, self.ring.canonical(self.coeffs[:n + 1] - other.coeffs[:n + 1]),
-                       weight=w)
-
-    def __neg__(self):
-        return QSeries(self.ring, self.ring.canonical(-self.coeffs), weight=self.weight)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            n = self._check(other)
-            w = None
-            if self.weight is not None and other.weight is not None:
-                w = self.weight + other.weight
-            out = convolve_trunc(self.ring, self.coeffs, other.coeffs, n + 1)
-            return QSeries(self.ring, out, weight=w)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        c = self.ring.from_int(c) if isinstance(c, int) else c
-        return QSeries(self.ring, self.ring.canonical(self.coeffs * c), weight=self.weight)
-
-    def inverse(self, prec=None):
-        """Multiplicative inverse; the constant term must be a unit."""
-        n = self.prec if prec is None else prec
-        if n > self.prec:
-            raise PrecisionError("cannot invert beyond stored precision",
-                                 required=n, available=self.prec)
-        out = invert_series(self.ring, self.coeffs, n + 1)
-        w = -self.weight if self.weight is not None else None
-        return QSeries(self.ring, out, weight=w)
-
-    def pow(self, e):
-        if e < 0:
-            raise InvalidArgumentError("negative powers: invert first")
-        result = QSeries.const(self.ring, 1, self.prec, weight=None if self.weight is None else 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def reduce_mod(self, p):
-        fp = ring_from_tag(f"fp:{p}")
-        return QSeries(fp, self.ring.reduce_vector(self.coeffs, fp), weight=self.weight)
-
-    def to_json(self):
-        return {"kind": "qseries", "ring": self.ring.tag, "weight": self.weight,
-                "prec": self.prec,
-                "coeffs": [self.ring.to_token(v) for v in self.coeff_list()]}
+from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
 
 
 # -- series products -------------------------------------------------------------
@@ -236,18 +100,20 @@ def eisenstein_q(k, prec, ring):
     scale = Fraction(-2 * k) / bernoulli(k)
     c = ring.from_rational(scale)
     sig = _sigma_table(k - 1, prec)
-    return QSeries(ring, [ring.one] + [ring.mul(c, ring.from_int(s)) for s in sig[1:]], weight=k)
+    return np.array([ring.one] + [ring.mul(c, ring.from_int(s)) for s in sig[1:]],
+                    dtype=ring.dtype)
 
 
 def delta_q(prec, ring):
     """The discriminant cusp form Delta = (E4^3 - E6^2)/1728, leading q^1."""
     if prec < 1:
         raise InvalidArgumentError("Delta needs precision >= 1")
-    e4 = eisenstein_q(4, prec, ring)
-    e6 = eisenstein_q(6, prec, ring)
-    num = e4 * e4 * e4 - e6 * e6
-    return QSeries(ring, [ring.divexact(v, ring.from_int(1728)) for v in num.coeff_list()],
-                   weight=12)
+    n = prec + 1
+    e4, e6 = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring)
+    num = ring.canonical(convolve_trunc(ring, convolve_trunc(ring, e4, e4, n), e4, n)
+                         - convolve_trunc(ring, e6, e6, n))
+    return np.array([ring.divexact(v, ring.from_int(1728)) for v in num.tolist()],
+                    dtype=ring.dtype)
 
 
 def eta_pow6(prec, ring):
@@ -260,14 +126,16 @@ def eta_pow6(prec, ring):
     while j * (j + 1) // 2 <= prec:
         cube[j * (j + 1) // 2] = ring.from_int((2 * j + 1) * (-1) ** j)
         j += 1
-    six = convolve_trunc(ring, cube, cube, prec + 1)
-    return QSeries(ring, six)
+    return convolve_trunc(ring, cube, cube, prec + 1)
 
 
 # -- weight-k bases ---------------------------------------------------------------
 
 def _triangular_exponents(k):
-    """(a, b, c) with 4a + 6b = k - 12c != 2 and a minimal: one triple per c."""
+    """(a, b, c) with 4a + 6b = k - 12c != 2 and a minimal: one triple per c,
+    none for odd or negative k."""
+    if k % 2:
+        return []
     out = []
     for c in range(k // 12 + 1):
         rem = k - 12 * c
@@ -328,11 +196,13 @@ def array_bytes(arrays):
     return sum(a.size * 64 if a.dtype == object else a.nbytes for a in arrays)
 
 
-_bases = BoundedMemo(MEMO_BYTES, lambda rows: array_bytes(f.coeffs for f in rows))
+_bases = BoundedMemo(MEMO_BYTES, lambda rows: array_bytes([rows]))
 
 
 def mk_basis(k, prec, ring):
-    """Echelonized basis of the weight-k level-1 space over `ring`.
+    """Echelonized basis of the weight-k level-1 space over `ring`: a
+    read-only matrix of dtype `ring.dtype` with prec + 1 columns, one row
+    per basis form.
 
     Reduces Delta^c E4^a E6^b, one for each c with 4a + 6b = k - 12c != 2
     and a minimal.  Each has integer coefficients and leading term 1*q^c, so
@@ -341,42 +211,38 @@ def mk_basis(k, prec, ring):
     reduced echelon form is the one of all those monomials, over Q and over
     every F_p.  Unit leading terms make the reduction a back substitution
     without division.  Pivot columns strictly increase and pivots equal 1;
-    the length of the result is the dimension of the space.
+    the number of rows is the dimension of the space, 0 at odd, negative
+    and weight 2.
 
     Bases are memoized per (ring, k) at the largest precision built, in a
-    BoundedMemo, and a smaller precision is served by truncation.  That is
-    exact: the back substitution reads and clears only the pivot columns
-    c <= k/12 < prec, and row operations commute with truncation.  The
-    filtration walk of PAPER.md ("Filtration and heat cycle") asks for the
-    same bases at many windows.  The returned coefficient vectors are
-    read-only.
+    BoundedMemo, and a smaller precision is served as a column slice (a
+    view) of the stored matrix.  That is exact: the back substitution reads
+    and clears only the pivot columns c <= k/12 < prec, and row operations
+    commute with truncation.  The filtration walk of PAPER.md ("Filtration
+    and heat cycle") asks for the same bases at many windows.
     """
-    if k % 2:
-        raise InvalidArgumentError(f"odd weight {k} not supported")
-    if k < 0:
-        return []
-    if k == 0:
-        return [QSeries.const(ring, 1, prec, weight=0)]
     tri = _triangular_exponents(k)
     if not tri:
-        return []
+        return _read_only(ring.zeros((0, prec + 1)))
     upper = k // 12 + 1
     if prec < upper:
         raise PrecisionError(f"mk_basis({k}) needs precision >= {upper}",
                              required=upper, available=prec)
     key = (ring.tag, k)
     rows = _bases.get(key)
-    if rows is None or rows[0].prec < prec:
+    if rows is None or rows.shape[1] <= prec:
+        n = prec + 1
         pw4, pw6, pwd = _power_chains(ring, prec, (2, max(b for _, b, _ in tri), tri[-1][2]))
-        rl = [(pw4[a].truncate(prec) * pw6[b] * pwd[c]).coeffs for a, b, c in tri]
+        rows = np.stack([convolve_trunc(ring, convolve_trunc(ring, pw4[a], pw6[b], n), pwd[c], n)
+                         for a, b, c in tri])
         # clear pivot column c_j above row j, last row first
         for j in range(len(tri) - 1, 0, -1):
             for i in range(j):
-                x = rl[i][tri[j][2]]
+                x = rows[i, tri[j][2]]
                 if x:
-                    rl[i] = ring.canonical(rl[i] - rl[j] * x)
-        rows = _bases[key] = [_read_only(QSeries(ring, r, weight=k)) for r in rl]
-    return [f.truncate(prec) for f in rows]
+                    rows[i] = ring.canonical(rows[i] - rows[j] * x)
+        rows = _bases[key] = _read_only(rows)
+    return rows[:, :prec + 1]
 
 
 _chains = None  # (ring tag, prec, [E4 chain, E6 chain, Delta chain]), or None
@@ -388,23 +254,24 @@ def _power_chains(ring, prec, emax):
     One entry is kept: the last ring at the largest precision asked of it,
     so a smaller precision is served by the longer series (the caller
     truncates) and a chain grows when a larger power is asked for.  The
-    stored series are read-only.
+    stored vectors are read-only.
     """
     global _chains
     if _chains is None or _chains[0] != ring.tag or _chains[1] < prec:
-        one = _read_only(QSeries.const(ring, 1, prec, weight=0))
+        one = ring.zeros(prec + 1)
+        one[0] = ring.one
         gens = (eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring), delta_q(prec, ring))
-        _chains = (ring.tag, prec, [[one, _read_only(f)] for f in gens])
+        _chains = (ring.tag, prec, [[_read_only(one), _read_only(f)] for f in gens])
     chains = _chains[2]
     for chain, e in zip(chains, emax):
         while len(chain) <= e:
-            chain.append(_read_only(chain[-1] * chain[1]))
+            chain.append(_read_only(convolve_trunc(ring, chain[-1], chain[1], len(chain[1]))))
     return chains
 
 
-def _read_only(f):
-    f.coeffs.flags.writeable = False
-    return f
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def mk_dim(k, p=None):
@@ -413,23 +280,4 @@ def mk_dim(k, p=None):
     Arithmetic, VII §3.2, Thm 4).  Its unit leading terms make the count the
     same over Q and over every F_p, so p does not change the result.
     """
-    if k < 0 or k % 2:
-        return 0
     return len(_triangular_exponents(k))
-
-
-def elliptic_sturm_zero(f, k):
-    """Finite zero test mod p for f in the weight-k level-1 space.
-
-    True iff f == 0 mod p, decided by vanishing of the coefficients
-    0..floor(k/12).  Requires f over a prime field and enough precision.
-    """
-    if not isinstance(f.ring, FpRing):
-        raise InvalidArgumentError("elliptic_sturm_zero needs a prime-field series")
-    if k < 0 or k % 2:
-        raise InvalidArgumentError(f"not a valid level-1 even weight: {k}")
-    bound = k // 12
-    if f.prec < bound:
-        raise PrecisionError(f"Sturm test at weight {k} needs precision >= {bound}",
-                             required=bound, available=f.prec)
-    return f.is_zero(upto=bound)

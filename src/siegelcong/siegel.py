@@ -318,7 +318,7 @@ def maass_lift(ring, k, cols, prec):
     discriminant series of the columns: one masked gather per d.
     A(0,0,0) is set to zero; pinning the constant of a non-cuspidal lift is
     the caller's concern (see igusa_generators).  Requires columns to
-    q^(prec^2).
+    q^(prec^2).  PAPER.md, "Index-1 generators and the lift".
     """
     have = min(len(h) for h in cols) - 1
     if have < prec * prec:
@@ -622,7 +622,8 @@ def siegel_congruence(F, p, b, label=""):
     The theta operator is diagonal, so the auxiliary form vanishes iff A(T)
     vanishes on every reduced class in the Sturm bound whose determinant has
     the Legendre class of b (b nonzero), or is divisible by p (b = 0, via
-    the sieve identity).  F must already live over F_p.
+    the sieve identity).  F must already live over F_p.  PAPER.md, "Theta
+    criterion" and "Sieve identity".
     """
     if not isinstance(F.ring, FpRing) or F.ring.p != p:
         raise InvalidArgumentError(f"siegel_congruence needs a form over fp:{p}")
@@ -658,7 +659,8 @@ def sieve(F, p, s):
     """Project F onto the part with legendre(det T, p) = s, s in {0, +1, -1}.
 
     F0 = F - D^{p-1}F, F(+/-1) = (D^{p-1}F +/- D^{(p-1)/2}F)/2; the three
-    parts sum back to F coefficientwise over any ring.
+    parts sum back to F coefficientwise over any ring (PAPER.md, "Sieve
+    identity").
     """
     if s not in (0, 1, -1):
         raise InvalidArgumentError(f"sieve class must be 0, +1 or -1, got {s}")

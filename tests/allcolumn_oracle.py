@@ -105,7 +105,7 @@ def _pack_row(ring, vals):
 def _weak_generators_fields(prec, ring):
     # weight -2: zeta * theta_red^2 / eta^6  (fractional powers cancel)
     th2 = _theta_pair_columns(prec, -1, ring)
-    eta6_inv = eta_pow6(prec, ring).inverse().coeffs
+    eta6_inv = invert_series(ring, eta_pow6(prec, ring), prec + 1)
     cols_m2 = _col_convolve(ring, th2, eta6_inv, prec)
     cols_m2 = {r + 1: col for r, col in cols_m2.items()}
     w_m2 = _columns_to_form(ring, cols_m2, prec, -2, 1)
@@ -182,13 +182,14 @@ def jacobi_eisenstein(k, prec, ring):
     e4 = eisenstein_q(4, prec, ring)
     e6 = eisenstein_q(6, prec, ring)
     if k == 4:
-        num = qseries_times_jacobi(e4, w_0) - qseries_times_jacobi(e6, w_m2)
+        num = qseries_times_jacobi(e4, 4, w_0) - qseries_times_jacobi(e6, 6, w_m2)
     else:
-        num = qseries_times_jacobi(e6, w_0) - qseries_times_jacobi(e4 * e4, w_m2)
+        e4sq = convolve_trunc(ring, e4, e4, prec + 1)
+        num = qseries_times_jacobi(e6, 6, w_0) - qseries_times_jacobi(e4sq, 8, w_m2)
     return _scale_divexact(num, 12, k)
 
 
 def jacobi_cusp(k, prec, ring):
     w_m2, w_0 = weak_generators(prec, ring)
-    out = qseries_times_jacobi(delta_q(prec, ring), w_m2 if k == 10 else w_0)
+    out = qseries_times_jacobi(delta_q(prec, ring), 12, w_m2 if k == 10 else w_0)
     return JacobiFormSeries(ring, k, 1, out.prec, out.coeffs, weak=False)

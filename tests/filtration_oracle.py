@@ -16,7 +16,7 @@ import numpy as np
 
 from siegelcong.jacobi import JacobiFormSeries, jac_mul, qseries_times_jacobi, rbound, weak_generators
 from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
-from siegelcong.qexp import QSeries, delta_q, eisenstein_q
+from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q
 from siegelcong.ring import FpRing, ring_from_tag
 
 
@@ -56,20 +56,34 @@ def rref_exact(mat):
     return mat[:len(pivots)], pivots
 
 
+def power(ring, f, e):
+    """f^e for a coefficient vector f, to its precision, one product at a time."""
+    out = ring.zeros(len(f))
+    out[0] = ring.one
+    for _ in range(e):
+        out = convolve_trunc(ring, out, f, len(f))
+    return out
+
+
 def mk_basis(k, prec, ring):
-    """Reduced echelon basis of the span of every weight-k monomial."""
+    """Reduced echelon basis of the span of every weight-k monomial, as a
+    list of coefficient vectors."""
     if k < 0:
         return []
     monos = weight_monomials(k)
     if not monos:
         return []
     e4, e6, dl = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring), delta_q(prec, ring)
-    series = [e4.pow(a) * e6.pow(b) * dl.pow(c) for a, b, c in monos]
+    n = prec + 1
+    series = [convolve_trunc(ring, convolve_trunc(ring, power(ring, e4, a), power(ring, e6, b), n),
+                             power(ring, dl, c), n) for a, b, c in monos]
     if isinstance(ring, FpRing):
-        red, rank, _ = rref(FpMatrix(ring.p, [s.coeff_list() for s in series]))
-        return [QSeries.from_ints(ring, row, weight=k) for row in red.tolist()[:rank]]
-    red, _ = rref_exact([[Fraction(v) for v in s.coeff_list()] for s in series])
-    return [QSeries(ring, [ring.from_rational(v) for v in row], weight=k) for row in red]
+        red, rank, _ = rref(FpMatrix(ring.p, [s.tolist() for s in series]))
+        rows = [[ring.from_int(v) for v in row] for row in red.tolist()[:rank]]
+    else:
+        red, _ = rref_exact([[Fraction(v) for v in s.tolist()] for s in series])
+        rows = [[ring.from_rational(v) for v in row] for row in red]
+    return [np.array(row, dtype=ring.dtype) for row in rows]
 
 
 def _monomial(gens, j, i, prec):
@@ -94,7 +108,7 @@ def holo_basis(k, m, prec, p):
         if w < 0 or w % 2:
             continue
         mono = _monomial(gens, j, m - j, prec)
-        cands += [qseries_times_jacobi(f, mono) for f in mk_basis(w, prec, ring)]
+        cands += [qseries_times_jacobi(f, w, mono) for f in mk_basis(w, prec, ring)]
     if not cands:
         return []
     neg_keys = [(n, r) for n in range(prec + 1)

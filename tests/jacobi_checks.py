@@ -1,8 +1,13 @@
-"""Structural checks of Jacobi forms kept as test oracles.
+"""Structural checks of Jacobi forms kept as test oracles, and the inverse
+of the weak decomposition.
 
-Both read one coefficient at a time through `JacobiFormSeries.c`, so they
-share no code with the vector operations of `siegelcong.jacobi`.
+The two checks read one coefficient at a time through `JacobiFormSeries.c`,
+so they share no code with the vector operations of `siegelcong.jacobi`.
 """
+
+from functools import reduce
+
+from siegelcong.jacobi import jac_mul, qseries_times_jacobi
 
 
 def check_transformation_law(phi):
@@ -23,3 +28,16 @@ def check_holomorphic_support(phi):
     return all(phi.ring.is_zero(phi.c(n, r))
                for n in range(phi.prec + 1)
                for r in range(-phi.rb(n), phi.rb(n) + 1) if 4 * n * m - r * r < 0)
+
+
+def reconstruct_weak(fs, k, gens):
+    """Inverse of `jacobi.weak_decompose`: sum_j f_j w_{-2}^j w_0^{m-j},
+    m = len(fs) - 1 >= 1, for coefficient vectors f_j of weight k + 2j and
+    gens = (w_{-2}, w_0).  The result has weight k and the least precision
+    of its inputs."""
+    m = len(fs) - 1
+    prec = min(min(len(f) for f in fs) - 1, gens[0].prec)
+    w_m2, w_0 = (g.truncate(prec) for g in gens)
+    terms = [qseries_times_jacobi(f, k + 2 * j, reduce(jac_mul, [w_m2] * j + [w_0] * (m - j)))
+             for j, f in enumerate(fs)]
+    return sum(terms[1:], terms[0])

@@ -160,6 +160,32 @@ def test_heat_cycle_flag_mismatch(capsys):
     assert code == 1 and "weight" in err
 
 
+@pytest.mark.parametrize("form", [
+    pytest.param("phi11_1*E4_1", id="unknown-factor"),
+    pytest.param("E4_1^x*phi10_1", id="bad-exponent"),
+    pytest.param("E4_1^-1*phi10_1", id="negative-exponent"),
+    pytest.param("", id="empty"),
+    pytest.param("E4*Delta", id="no-index-1-factor"),
+    pytest.param("E4_1 phi10_1", id="adjacency"),
+])
+def test_heat_cycle_form_errors(capsys, form):
+    code, out, err = run(capsys, "heat-cycle", "--weight", "14", "--index", "2",
+                         "--p", "5", "--form", form)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_heat_cycle_form_grammar():
+    """A factor's '^e' repeats it e times, e = 0 drops it, and spaces around
+    '*' do not matter."""
+    from siegelcong.cli import build_named_jacobi
+    from siegelcong.ring import ring_from_tag
+    fp5 = ring_from_tag("fp:5")
+    want = build_named_jacobi("E4*E4*E4_1*phi10_1", 6, fp5)
+    for form in ("E4^2*E4_1*phi10_1", " E4^2 * E4_1 *phi10_1 ", "E4^2*E6^0*E4_1^1*phi10_1"):
+        got = build_named_jacobi(form, 6, fp5)
+        assert got == want and (got.weight, got.index) == (22, 2), form
+
+
 def test_gens_summary(capsys, tmp_cache):
     code, out, _ = run(capsys, "gens", "--prec", "2")
     assert code == 0

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import filtration_oracle
 from siegelcong import qexp
 from siegelcong.errors import (ArithmeticDomainError, InvalidArgumentError,
                                PrecisionError, RingMismatchError)
+from siegelcong.jacobi import JacobiFormSeries, jac_zero_test, qseries_times_jacobi, weak_generators
 from siegelcong.linalg import FpMatrix, solve
-from siegelcong.qexp import (QSeries, bernoulli, delta_q, eisenstein_q,
-                             elliptic_sturm_zero, eta_pow6, mk_basis, mk_dim)
+from siegelcong.qexp import (bernoulli, convolve_trunc, delta_q, eisenstein_q, eta_pow6,
+                             invert_series, mk_basis, mk_dim)
 from siegelcong.ring import ring_from_tag
 
 INT = ring_from_tag("int")
@@ -20,41 +22,41 @@ FP11 = ring_from_tag("fp:11")
 
 
 def q(ints, ring=INT):
-    return QSeries.from_ints(ring, ints)
+    return np.array([ring.from_int(x) for x in ints], dtype=ring.dtype)
 
 
 # -- arithmetic ---------------------------------------------------------------
 
 def test_mul_truncates():
-    assert (q([1, 1]) * q([1, -1])).coeff_list() == [1, 0]  # N = 1 window
+    assert convolve_trunc(INT, q([1, 1]), q([1, -1]), 2).tolist() == [1, 0]  # N = 1 window
     f = q([1, 1, 0])
     g = q([1, -1, 0])
-    assert (f * g).coeff_list() == [1, 0, -1]
+    assert convolve_trunc(INT, f, g, 3).tolist() == [1, 0, -1]
 
 
 def test_invert_geometric():
     f = q([1, -1, 0, 0])
-    assert f.inverse().coeff_list() == [1, 1, 1, 1]
-    assert (f * f.inverse()).coeff_list() == [1, 0, 0, 0]
+    assert invert_series(INT, f, 4).tolist() == [1, 1, 1, 1]
+    assert convolve_trunc(INT, f, invert_series(INT, f, 4), 4).tolist() == [1, 0, 0, 0]
 
 
 def test_mul_precision_is_min():
-    f = q(list(range(6)))   # N = 5
-    g = q([1, 2, 3, 4])     # N = 3
-    assert (f * g).prec == 3
-    assert (f + g).prec == 3
+    """An elliptic factor times a Jacobi form keeps the smaller precision."""
+    w2 = weak_generators(5, INT)[0]
+    assert qseries_times_jacobi(q([1, 2, 3, 4]), 0, w2).prec == 3
+    assert qseries_times_jacobi(q(range(9)), 0, w2).prec == 5
 
 
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        q([1]) * q([1], ring=FP5)
+        qseries_times_jacobi(eisenstein_q(4, 4, INT), 4, weak_generators(4, FP5)[0])
 
 
 def test_invert_needs_unit():
     with pytest.raises(ArithmeticDomainError):
-        q([0, 1]).inverse()
+        invert_series(INT, q([0, 1]), 2)
     with pytest.raises(ArithmeticDomainError):
-        q([2, 1]).inverse()  # 2 is not a unit in Z
+        invert_series(INT, q([2, 1]), 2)  # 2 is not a unit in Z
 
 
 # -- generators ----------------------------------------------------------------
@@ -75,14 +77,14 @@ def test_eisenstein_coefficients(k, b_k):
     # oracle: -2k/B_k * sigma_{k-1}(n) with the Bernoulli number frozen
     e = eisenstein_q(k, 6, RAT)
     scale = Fraction(-2 * k) / b_k
-    assert e.coeff(0) == 1
+    assert len(e) == 7 and e[0] == 1
     for n in range(1, 7):
-        assert e.coeff(n) == scale * _sigma(k - 1, n)
+        assert e[n] == scale * _sigma(k - 1, n)
 
 
 def test_eisenstein_q1_values():
-    assert eisenstein_q(4, 2, INT).coeff(1) == 240
-    assert eisenstein_q(6, 2, INT).coeff(1) == -504
+    assert eisenstein_q(4, 2, INT)[1] == 240
+    assert eisenstein_q(6, 2, INT)[1] == -504
 
 
 def test_eisenstein_rejects_bad_weight():
@@ -92,7 +94,7 @@ def test_eisenstein_rejects_bad_weight():
 
 
 def _delta_oracle(n):
-    """(E4^3 - E6^2)/1728 via raw Fraction convolution, no QSeries."""
+    """(E4^3 - E6^2)/1728 via raw Fraction convolution, no convolve_trunc."""
     e4 = [Fraction(1)] + [240 * Fraction(_sigma(3, i)) for i in range(1, n + 1)]
     e6 = [Fraction(1)] + [-504 * Fraction(_sigma(5, i)) for i in range(1, n + 1)]
 
@@ -112,37 +114,37 @@ def test_delta_against_oracle():
     oracle = _delta_oracle(8)
     assert oracle[0] == 0 and oracle[1] == 1 and oracle[2] == -24
     d = delta_q(8, INT)
-    assert d.coeff_list() == [int(v) for v in oracle]
+    assert d.tolist() == [int(v) for v in oracle]
 
 
 def test_e4_cubed_minus_e6_squared():
     e4 = eisenstein_q(4, 5, RAT)
     e6 = eisenstein_q(6, 5, RAT)
-    f = e4 * e4 * e4 - e6 * e6
-    assert f.coeff(0) == 0
-    assert f.coeff(1) == 1728
+    f = convolve_trunc(RAT, convolve_trunc(RAT, e4, e4, 6), e4, 6) - convolve_trunc(RAT, e6, e6, 6)
+    assert f[0] == 0
+    assert f[1] == 1728
 
 
 def test_eta_pow6():
     eta6 = eta_pow6(10, INT)
-    assert eta6.coeff(0) == 1
-    inv = eta_pow6(10, FP5).inverse()
-    assert inv.coeff(0) == 1
-    prod = eta_pow6(10, FP5) * inv
-    assert prod.coeff_list() == [1] + [0] * 10
+    assert len(eta6) == 11 and eta6[0] == 1
+    inv = invert_series(FP5, eta_pow6(10, FP5), 11)
+    assert inv[0] == 1
+    prod = convolve_trunc(FP5, eta_pow6(10, FP5), inv, 11)
+    assert prod.tolist() == [1] + [0] * 10
 
 
 # -- monomial bases --------------------------------------------------------------
 
 def test_mk_basis_weight_0():
     basis = mk_basis(0, 3, RAT)
-    assert len(basis) == 1 and basis[0].coeff(0) == 1
+    assert basis.tolist() == [[1, 0, 0, 0]]
 
 
 def test_mk_basis_weight_10():
     basis = mk_basis(10, 4, INT)
     assert len(basis) == 1
-    assert basis[0].coeff(0) == 1  # normalized E4*E6
+    assert basis[0][0] == 1  # normalized E4*E6
 
 
 def test_mk_basis_weight_24():
@@ -150,9 +152,9 @@ def test_mk_basis_weight_24():
     basis = mk_basis(24, 6, FP5)
     assert len(basis) == 3
     for i, f in enumerate(basis):
-        assert f.coeff(i) == 1
+        assert f[i] == 1
         for j in range(i):
-            assert f.coeff(j) == 0
+            assert f[j] == 0
 
 
 def test_mk_dim_matches_classical_formula():
@@ -165,20 +167,20 @@ def test_mk_dim_matches_classical_formula():
 @pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:17", "fp:2097169", "int", "rat"])
 def test_mk_basis_matches_all_monomial_oracle(tag):
     ring = ring_from_tag(tag)
-    for k in range(-2, 41, 2):
+    for k in range(-3, 41):                      # odd weights have the empty basis
         for prec in (k // 12 + 1, k // 12 + 6):
             got = mk_basis(k, prec, ring)
             want = filtration_oracle.mk_basis(k, prec, ring)
-            assert [f.coeff_list() for f in got] == [f.coeff_list() for f in want], (k, prec)
-            assert [type(v) for f in got for v in f.coeff_list()] == \
-                [type(v) for f in want for v in f.coeff_list()]
-            assert all(f.weight == k for f in got)
+            assert got.tolist() == [f.tolist() for f in want], (k, prec)
+            assert [type(v) for f in got.tolist() for v in f] == \
+                [type(v) for f in want for v in f.tolist()]
+            assert got.dtype == ring.dtype and got.shape == (mk_dim(k), prec + 1)
             assert len(got) == mk_dim(k) == mk_dim(k, 7)
 
 
 def test_mk_basis_memoizes_power_chains(monkeypatch):
     weights = range(4, 61, 2)
-    want = {(k, prec): [f.coeff_list() for f in filtration_oracle.mk_basis(k, prec, FP7)]
+    want = {(k, prec): [f.tolist() for f in filtration_oracle.mk_basis(k, prec, FP7)]
             for prec in (20, 13, 5) for k in weights if prec > k // 12}
     calls = []
     for name in ("eisenstein_q", "delta_q"):
@@ -195,9 +197,9 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
     # every weight at a smaller precision is a truncation of the bases at q^20,
     # and a caller cannot write into the memoized basis it is handed
     with pytest.raises(ValueError):
-        mk_basis(24, 20, FP7)[0].coeffs[:] = 0
+        mk_basis(24, 20, FP7)[0][:] = 0
     for (k, prec), rows in want.items():
-        assert [f.coeff_list() for f in mk_basis(k, prec, FP7)] == rows, (k, prec)
+        assert mk_basis(k, prec, FP7).tolist() == rows, (k, prec)
     assert len(calls) == built
     # a larger precision or another ring replaces the single entry once
     mk_basis(12, 21, FP7)
@@ -206,7 +208,7 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
     mk_basis(12, 21, FP11)
     assert calls.count("delta_q") == 3
     tag, prec, chains = qexp._chains
-    assert (tag, prec) == ("fp:11", 21) and not any(f.coeffs.flags.writeable for c in chains for f in c)
+    assert (tag, prec) == ("fp:11", 21) and not any(f.flags.writeable for c in chains for f in c)
 
 
 def _fresh_basis(monkeypatch, k, prec, ring):
@@ -226,13 +228,14 @@ def test_memoized_mk_basis_equals_a_fresh_build(monkeypatch, tag, order):
         for k in range(4, 41, 2):
             got = mk_basis(k, prec, ring)
             want = _fresh_basis(monkeypatch, k, prec, ring)
-            assert [f.coeff_list() for f in got] == [f.coeff_list() for f in want], (k, prec)
-            assert [type(v) for f in got for v in f.coeff_list()] == \
-                [type(v) for f in want for v in f.coeff_list()]
-            assert all(f.prec == prec and f.weight == k for f in got)
-            assert not any(f.coeffs.flags.writeable for f in got)
+            assert got.tolist() == want.tolist(), (k, prec)
+            assert [type(v) for f in got.tolist() for v in f] == \
+                [type(v) for f in want.tolist() for v in f]
+            assert got.shape == (mk_dim(k), prec + 1) and not got.flags.writeable
+            # a smaller precision is a view of the memoized matrix, not a copy
+            assert np.shares_memory(got, qexp._bases.get((tag, k)))
     # one entry per weight, at the largest precision asked
-    assert {key: qexp._bases.get(key)[0].prec for key in list(qexp._bases)} \
+    assert {key: qexp._bases.get(key).shape[1] - 1 for key in list(qexp._bases)} \
         == {(tag, k): 20 for k in range(4, 41, 2)}
 
 
@@ -247,7 +250,7 @@ def test_mk_basis_memo_evicts_to_its_bound(monkeypatch):
     mk_basis(28, 10, FP7)                         # a hit makes 28 the most recent
     mk_basis(6, 20, FP7)
     assert list(memo) == [("fp:7", 28), ("fp:7", 6)] and memo.nbytes == 4 * row
-    assert mk_basis(4, 20, FP7)[0].coeff_list() == _fresh_basis(monkeypatch, 4, 20, FP7)[0].coeff_list()
+    assert mk_basis(4, 20, FP7).tolist() == _fresh_basis(monkeypatch, 4, 20, FP7).tolist()
 
 
 def test_bounded_memo_keeps_recent_entries_within_the_limit():
@@ -278,30 +281,36 @@ def test_products_stay_in_span():
         b1 = mk_basis(k1, prec, FP11)
         b2 = mk_basis(k2, prec, FP11)
         target = mk_basis(k1 + k2, prec, FP11)
-        f = b1[rng.randrange(len(b1))] * b2[rng.randrange(len(b2))]
-        mat = FpMatrix(11, [list(t.coeff_list()) for t in target]).data.T
-        assert solve(FpMatrix(11, mat), f.coeff_list()) is not None
+        f = convolve_trunc(FP11, b1[rng.randrange(len(b1))], b2[rng.randrange(len(b2))], prec + 1)
+        mat = FpMatrix(11, target.tolist()).data.T
+        assert solve(FpMatrix(11, mat), f.tolist()) is not None
 
 
-# -- the level-1 Sturm test -------------------------------------------------------
+# -- the level-1 Sturm test (jac_zero_test on index-0 forms) --------------------------
+
+def _sturm_zero(f, k, ring):
+    """jac_zero_test of the elliptic form f of weight k, as an index-0 Jacobi form."""
+    return jac_zero_test(JacobiFormSeries(ring, k, 0, len(f) - 1, f))
+
 
 def test_sturm_nonzero():
-    assert not elliptic_sturm_zero(eisenstein_q(4, 4, FP5), 4)
+    assert not _sturm_zero(eisenstein_q(4, 4, FP5), 4, FP5)
 
 
 def test_sturm_zero_difference():
     d = delta_q(6, FP7)
-    assert elliptic_sturm_zero(d - d, 12)
+    assert _sturm_zero(FP7.canonical(d - d), 12, FP7)
+    # weight 12 reads q^0 and q^1 only
+    assert _sturm_zero(q([0, 0, 1, 1], FP7), 12, FP7) and not _sturm_zero(q([0, 1, 0, 0], FP7), 12, FP7)
 
 
 def test_sturm_forced_proportionality():
     # dim M_10 = 1 forces E4*E6 to be the normalized basis element
-    e4e6 = eisenstein_q(4, 6, FP11) * eisenstein_q(6, 6, FP11)
+    e4e6 = convolve_trunc(FP11, eisenstein_q(4, 6, FP11), eisenstein_q(6, 6, FP11), 7)
     basis = mk_basis(10, 6, FP11)[0]
-    assert elliptic_sturm_zero(e4e6 - basis, 10)
+    assert _sturm_zero(FP11.canonical(e4e6 - basis), 10, FP11)
 
 
 def test_sturm_needs_precision():
-    f = QSeries.from_ints(FP5, [0])
     with pytest.raises(PrecisionError):
-        elliptic_sturm_zero(f, 24)
+        _sturm_zero(q([0], FP5), 24, FP5)

@@ -178,7 +178,7 @@ def test_fourier_jacobi_slices(int_gens):
             assert slice1.c(n, r) == p12.c(n, r)
     e4_slice = fourier_jacobi(int_gens["E4"], 0)
     ell = eisenstein_q(4, 4, INT)
-    assert [e4_slice.c(n, 0) for n in range(5)] == ell.coeff_list()
+    assert [e4_slice.c(n, 0) for n in range(5)] == ell.tolist()
     assert fourier_jacobi(int_gens["chi10"], 0).is_zero_window()
 
 
@@ -575,6 +575,32 @@ def test_search_shares_small_windows_per_prime(monkeypatch):
     assert n_shared < len(made)
     hit = [c for c in shared if c["p"] == 7 and c["status"] == "congruence"]
     assert [(c["weight"], c["holds_b"]) for c in hit] == [(16, [3, 5, 6])]
+
+
+def test_nonexistence_cells_have_an_empty_small_window_kernel(monkeypatch):
+    """Every cell that `search --max-weight 30 --max-prime 43` excludes by the
+    non-existence criterion (PAPER.md; p > k, p != 2k - 1) has an empty
+    small-window kernel on both Legendre classes, so the search itself would
+    report "none" there without building a full-bound context."""
+    cell = siegel._search_cell
+    monkeypatch.setattr(siegel, "_search_cell", lambda *args: [])
+    marked = siegel.search_congruences(30, 43)
+    assert len(marked) == 69 and {c["status"] for c in marked} == {"excluded-by-nonexistence"}
+    excluded = [(c["weight"], c["p"]) for c in marked]
+    made = []
+    init = GeneratorContext.__init__
+
+    def counting_init(self, ring, prec, cache=None):
+        made.append((ring.p, prec))
+        init(self, ring, prec, cache)
+
+    monkeypatch.setattr(GeneratorContext, "__init__", counting_init)
+    contexts = {}
+    for k, p in excluded:
+        monos = [e for e in weight_monomials(k) if e[2] + e[3] >= 1]
+        cells = cell(k, p, monos, None, contexts)
+        assert [(c["legendre_class"], c["status"]) for c in cells] == [(1, "none"), (-1, "none")], (k, p)
+    assert sorted(made) == sorted((p, box) for p, box in contexts)
 
 
 def test_search_refuses_a_combination_vanishing_on_the_weight_window(monkeypatch):

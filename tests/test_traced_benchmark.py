@@ -3,7 +3,8 @@
 perfbench/spans.py replaces functions by module and name, and its hooks read
 some of their parameters by name (prec, k, m, prec, p, F, G, mat), so a
 rename breaks `perfbench/run.py --trace 1`.  This runs spans.py on small
-commands on each side of the engine and compares it with the plain CLI.
+commands on each side of the engine, one of them with an elliptic factor,
+and compares it with the plain CLI.
 """
 
 import json
@@ -22,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
     (["heat-cycle", "--weight", "10", "--index", "1", "--p", "5", "--form", "phi10_1"],
      "jacobi.holo_basis"),
     (["check", "chi12", "--p", "5", "--b", "1"], "siegel.maass_lift"),
+    (["heat-cycle", "--weight", "14", "--index", "1", "--p", "5", "--form", "E4*phi10_1"],
+     "jacobi.qseries_times_jacobi"),
 ])
 def test_traced_run_matches_the_cli(tmp_path, argv, layer):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -35,4 +38,7 @@ def test_traced_run_matches_the_cli(tmp_path, argv, layer):
     traced = run(str(ROOT / "perfbench" / "spans.py"), str(spans), "--", cache="traced")
     assert plain.returncode == 0 and traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
-    assert json.loads(spans.read_text())["times"][layer]["calls"] > 0
+    times = json.loads(spans.read_text())["times"]
+    assert times[layer]["calls"] > 0
+    if argv[0] == "heat-cycle":
+        assert times["qexp.mk_basis"]["calls"] > 0
