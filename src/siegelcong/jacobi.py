@@ -23,15 +23,16 @@ with residues in [0, p); over Z, Q and larger primes it has dtype object and
 holds Python ints, Fractions or residues.  Every operation is a numpy
 expression on that vector, reduced mod p only over F_p, with the index
 arrays of each (index, precision) built once and shared by every live form
-of that shape (JacobiIndex); the products convolve full rows gathered from
-it.  For holomorphic forms
+of that shape (JacobiIndex); the products multiply padded rows gathered
+from it.  For holomorphic forms
 the entries with 4nm - r^2 < 0 are zero.  Forms are immutable values: every
 operation returns a new form, and memoized forms are read-only.
 
-The finite zero test mod p routes through the weak-form decomposition and a
-level-1 Sturm check on each component.  There is no published Sturm-type
-bound at the Jacobi level; this reduction is this library's own construction
-(see jac_zero_test and zero_test_required_prec).
+The finite zero test and the filtration mod p route through the weak-form
+decomposition and a level-1 Sturm check on each component.  There is no
+published Sturm-type bound at the Jacobi level; this reduction is this
+library's own construction (see jac_zero_test, filtration and
+zero_test_required_prec).
 """
 
 from __future__ import annotations
@@ -92,19 +93,15 @@ class JacobiIndex:
         return _read_only(self.n * (4 * self.m) - self.r * self.r)
 
     @cached_property
-    def _full(self):
-        """The gather index of the full rows and the cuts between them."""
-        width = 2 * self.bound + 1
-        cuts = np.cumsum(width)
-        n = np.repeat(np.arange(len(width)), width)
-        r = np.arange(cuts[-1]) - (cuts - width)[n] - self.bound[n]
-        return self.start[n] + np.abs(r), cuts[:-1]
+    def _padded(self):
+        """Gather index of padded_rows into the vector with one zero appended."""
+        r = np.abs(np.arange(-self.bound[-1], self.bound[-1] + 1))
+        return np.where(r <= self.bound[:, None], self.start[:-1, None] + r, self.size)
 
-    def full_rows(self, vec):
-        """The rows c(n, r), r = -bound[n]..bound[n], of the vector vec, one
-        array per n: the products convolve these."""
-        gather, cuts = self._full
-        return np.split(vec[gather], cuts)
+    def padded_rows(self, vec, ring):
+        """The rows c(n, r), r = -B..B with B = bound[prec], of the vector vec
+        as one matrix, zero where |r| > bound[n]: the products convolve these."""
+        return np.concatenate([vec, ring.zeros(1)])[self._padded]
 
 
 _indexes = weakref.WeakValueDictionary()
@@ -251,9 +248,9 @@ def _combine(a, b, coef_b, weight):
 def jac_mul(a, b):
     """Two-variable Cauchy product; weights and indices add, precision is min.
 
-    Row n of the product is the sum over n1 of the convolutions of the full
-    rows n1 of a and n - n1 of b, all centred at r = 0; only its r >= 0 half
-    is kept.
+    Row n of the product is the sum over n1 of the convolutions of the rows
+    n1 of a and n - n1 of b, centred at r = 0 (_row_products); only its
+    r >= 0 half is kept.
     """
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring.tag} vs {b.ring.tag}")
@@ -261,18 +258,40 @@ def jac_mul(a, b):
     prec = min(a.prec, b.prec)
     m = a.index + b.index
     w = a.weight + b.weight if a.weight is not None and b.weight is not None else None
-    arows, brows = a.idx.full_rows(a.coeffs), b.idx.full_rows(b.coeffs)
-    out = []
+    arows, brows = (f.idx.padded_rows(f.coeffs, ring) for f in (a, b))
+    out = ring.zeros((prec + 1, rbound(m, prec) + 1))
     for n in range(prec + 1):
-        bo = rbound(m, n)
-        acc = ring.zeros(2 * bo + 1)
-        for n1 in range(n + 1):
-            conv = ring.canonical(np.convolve(arows[n1], brows[n - n1]))
-            off = bo - len(conv) // 2     # rbound(a) + rbound(b) <= rbound(a + b)
-            acc[off:off + len(conv)] += conv
-        out.append(acc[bo:])
-    return JacobiFormSeries(ring, w, m, prec, ring.canonical(np.concatenate(out)),
-                            weak=a.weak or b.weak)
+        ba, bb = rbound(a.index, n), rbound(b.index, n)
+        row = _row_products(ring, _band(arows[:n + 1], ba), _band(brows[n::-1], bb))
+        out[n, :rbound(m, n) + 1] = row[ba + bb:ba + bb + rbound(m, n) + 1]
+    idx = jacobi_index(m, prec)
+    return JacobiFormSeries(ring, w, m, prec, out[idx.n, idx.r], weak=a.weak or b.weak)
+
+
+def _band(rows, half):
+    """The columns r = -half..half of padded rows centred at r = 0."""
+    c = rows.shape[1] // 2
+    return rows[:, c - half:c + half + 1]
+
+
+def _row_products(ring, a, b):
+    """sum_i a[i] * b[i], the full convolutions of the rows of two matrices
+    centred at r = 0, summed and canonical; the result is centred at r = 0.
+    Bands of half-width rbound(m, n) lose no entry of a product row at q^n,
+    since rbound(m1, n) + rbound(m2, n) >= rbound(m1 + m2, n).
+
+    M = a^T @ b holds M[x, y] = sum_i a[i, x] b[i, y], and entry s is the
+    sum of M over x + y = s, read by shearing row x of M right by x places.
+    Over F_p M is exact in int64 while L (p - 1)^2 < 2^63, L the number of
+    rows: for every fits64 prime (p < 2^21) below 2^21 rows.  Larger primes,
+    Z and Q multiply Python objects.
+    """
+    prod = ring.canonical(a.T @ b)
+    rows, cols = prod.shape
+    sheared = ring.zeros((rows, cols + rows))
+    sheared[:, :cols] = prod
+    return ring.canonical(sheared.reshape(-1)[:rows * (cols + rows - 1)]
+                          .reshape(rows, cols + rows - 1).sum(axis=0))
 
 
 def qseries_times_jacobi(f, k, phi):
@@ -469,32 +488,37 @@ def _divide_by_weak_m2(psi, w_m2):
     """Exact division by the weight -2 generator; index drops by one.
 
     Row-by-row synthetic division by the leading row zeta - 2 + zeta^{-1} =
-    zeta^{-1} (zeta - 1)^2, on full rows; any residual, or a quotient row
-    wider than the index-(m-1) bound, means the input was not divisible.
+    zeta^{-1} (zeta - 1)^2: row n of psi less sum_{i >= 1} (row i of w_m2)
+    * (quotient row n - i), one _row_products, is the leading row times
+    quotient row n.  Any residual, or a quotient row wider than the
+    index-(m-1) bound, means the input was not divisible.
     """
     ring = psi.ring
     mu = psi.index
     if mu < 1:
         raise DecompositionError("cannot divide an index-0 form by the weak generator")
     prec = min(psi.prec, w_m2.prec)
-    trows, wrows = psi.idx.full_rows(psi.coeffs), w_m2.idx.full_rows(w_m2.coeffs)
-    quot = []
+    trows = psi.idx.padded_rows(psi.coeffs, ring)
+    wrows = w_m2.idx.padded_rows(w_m2.coeffs, ring)
+    bq = rbound(mu - 1, prec)
+    quot = ring.zeros((prec + 1, 2 * bq + 1))
     for n in range(prec + 1):
-        t = trows[n]
-        for i in range(1, n + 1):
-            conv = ring.canonical(np.convolve(wrows[i], quot[n - i]))
-            off = (len(t) - len(conv)) // 2
-            t[off:off + len(conv)] -= conv
-        # t spans r in [-bt, bt]; the quotient row u spans [-bt+1, bt-1]
+        b = rbound(mu, n)
+        t = _band(trows[n:n + 1], b)[0]
+        if n:
+            bw, bu = rbound(1, n), rbound(mu - 1, n)
+            row = _row_products(ring, _band(wrows[1:n + 1], bw), _band(quot[n - 1::-1], bu))
+            t -= row[bw + bu - b:bw + bu + b + 1]
+        # t spans r in [-b, b]; the quotient row u spans [-b+1, b-1]
         u = _div_by_sq(ring, ring.canonical(t))
-        cut = (len(u) - 1) // 2 - rbound(mu - 1, n)
+        cut = b - 1 - rbound(mu - 1, n)
         if np.any(u[:cut]) or np.any(u[len(u) - cut:]):
             raise DecompositionError(
                 f"row q^{n}: quotient support exceeds the index-{mu - 1} bound")
-        quot.append(u[cut:len(u) - cut])
-    vec = np.concatenate([row[len(row) // 2:] for row in quot])
+        quot[n, bq - b + 1 + cut:bq + b - cut] = u[cut:len(u) - cut]
+    idx = jacobi_index(mu - 1, prec)
     return JacobiFormSeries(ring, None if psi.weight is None else psi.weight + 2,
-                            mu - 1, prec, vec, weak=True)
+                            mu - 1, prec, quot[idx.n, bq + idx.r], weak=True)
 
 
 def _div_by_sq(ring, t):
@@ -593,12 +617,14 @@ def jac_zero_test(phi):
     if phi.prec < need:
         raise PrecisionError(f"zero test at weight {k}, index {m} needs precision {need}",
                              required=need, available=phi.prec)
-    for j, f in enumerate(weak_decompose(phi)):
-        w = k + 2 * j
-        upto = w // 12 + 1 if mk_dim(w) else len(f)
-        if np.any(f[:upto]):
-            return False
-    return True
+    return all(not np.any(f[:_sturm_rows(k + 2 * j, len(f))])
+               for j, f in enumerate(weak_decompose(phi)))
+
+
+def _sturm_rows(w, prec_rows):
+    """How many leading coefficients decide if a form of M_w is zero mod p:
+    floor(w/12) + 1 (Sturm), or all prec_rows when M_w = 0."""
+    return w // 12 + 1 if mk_dim(w) else prec_rows
 
 
 @dataclass
@@ -727,7 +753,8 @@ def holo_basis(k, m, prec, p):
     the matrix of those f.  The kernel of C's columns with 4nm - r^2 < 0
     gives the holomorphic combinations (_holomorphic_rows), whose rows are
     row reduced (_echelon).  The echelon rows and pivots are memoized per
-    (k, m, prec, p) in a BoundedMemo, read-only.
+    (k, m, prec, p) in a BoundedMemo, read-only.  filtration does not build
+    these bases; the tests check its decision against membership in them.
 
     Exactness: products of residue matrices run in float64 BLAS while
     L (p - 1)^2 < 2^53, L the inner length, and in int64 otherwise, which is
@@ -805,60 +832,58 @@ def _echelon(a, width, p):
     return red.data[:rank], piv
 
 
-def _filtration_window(kp, m, p):
-    """Rows filtration decides membership on at candidate weight kp: the
-    candidate-space dimension bound plus m + 6, or 0 if that bound is 0."""
-    udim = sum(mk_dim(kp + 2 * j, p) for j in range(m + 1))
-    return udim + m + 1 + 5 if udim else 0
-
-
 def filtration(phi, hint=None):
     """The mod-p filtration: least k' = k mod (p-1), 0 <= k' <= k, whose
     holomorphic space contains phi mod p.  Returns -inf for the zero form.
 
-    Membership is monotone in k' (PAPER.md, "Filtration and heat cycle":
-    E_{p-1} = 1 mod p), so the least member is found by bisection over the
-    candidates k'.  The candidate at or below `hint` is probed first and the
-    one below it second; heat_cycle passes the step-law bound
-    Omega(L^(i-1) phi) + p + 1, which makes a typical step two tests.  Any
-    hint, or none, gives the same result; a wrong one costs only tests.  The
-    top candidate k, whose window and basis are the largest, is tested only
-    when every candidate below it fails.
+    phi is decomposed once, phi = sum_j f_j w_{-2}^j w_0^(m-j), and lies in
+    the weight-k' space iff every f_j lies in M_{k'+2j} mod p (PAPER.md,
+    "Deciding membership"): f_j less its reduction f_j[piv] @ R against the
+    echelon basis R of M_{k'+2j} is a form of M_{k+2j} mod p, zero iff its
+    Sturm rows q^0..q^floor((k+2j)/12) are (_in_weight).  Every basis is
+    asked for at phi.prec.  Membership is monotone in k' (E_{p-1} = 1 mod
+    p), so the least member is found by bisection (_least_member), probing
+    the candidate at or below `hint` first and the one below it second;
+    heat_cycle passes the step-law bound Omega(L^(i-1) phi) + p + 1, which
+    makes a typical step two tests.  Any hint gives the same result.
 
-    Membership at k' is decided on a window widened beyond the
-    candidate-space dimension to guard against truncation false-positives,
-    by reduction against the memoized echelon rows R of holo_basis with
-    pivots piv: the vector v is in the span iff (v - v[piv] @ R) % p is
-    zero.  The product is exact under the int64 bound stated in holo_basis.
-    A candidate whose window exceeds phi's precision ends the search with a
-    PrecisionError, as a scan from the bottom would reach it: the search runs
-    over the candidates below the first such one.
+    Raises PrecisionError below zero_test_required_prec(k, m) rows, and
+    InvalidArgumentError for a form with a nonzero coefficient at D < 0 or
+    in no candidate space (its weight annotation is then wrong).
     """
     if not isinstance(phi.ring, FpRing):
         raise InvalidArgumentError("filtration needs a prime-field form")
-    p = phi.ring.p
+    ring, p = phi.ring, phi.ring.p
+    k, m = phi.weight, phi.index
+    need = zero_test_required_prec(k, m)
+    if phi.prec < need:
+        raise PrecisionError(f"filtration at weight {k}, index {m} needs precision {need}",
+                             required=need, available=phi.prec)
     if phi.is_zero_window():
         return NEG_INF
-    k, m = phi.weight, phi.index
+    if np.any(phi.coeffs[phi.idx.D < 0]):
+        raise InvalidArgumentError(f"form has a nonzero coefficient mod {p} at D < 0")
+    fs = weak_decompose(phi)
     cands = list(range(k % (p - 1), k + 1, p - 1)) or [k]
-    wins = [_filtration_window(kp, m, p) for kp in cands]
-    short = next((i for i, win in enumerate(wins) if win > phi.prec), len(cands))
+    first = _least_member(len(cands), lambda i: _in_weight(fs, k, cands[i], ring),
+                          None if hint is None else sum(kp <= hint for kp in cands) - 1)
+    if first is None:
+        raise InvalidArgumentError(
+            f"form is not in the holomorphic mod-{p} span at any weight <= {k}")
+    return cands[first]
 
-    def member(i):
-        basis = holo_basis(cands[i], m, wins[i], p) if wins[i] else ()
-        if not basis:
+
+def _in_weight(fs, k, kp, ring):
+    """True iff the weak components fs of a holomorphic form of weight k mod
+    p each lie in M_{kp+2j} mod p (see filtration).  f[piv] @ R has at most
+    kp/12 + 1 terms, exact in int64 for every fits64 prime."""
+    for j, f in enumerate(fs):
+        rows = _sturm_rows(k + 2 * j, len(f))
+        basis = mk_basis(kp + 2 * j, len(f) - 1, ring)
+        piv = np.argmax(basis != 0, axis=1)          # unit pivots (mk_basis)
+        if np.any(ring.canonical(f[:rows] - f[piv] @ basis[:, :rows])):
             return False
-        v = phi.at_prec(wins[i])
-        return not np.any((v - v[basis.pivots] @ basis.matrix) % p)
-
-    first = _least_member(short, member, None if hint is None else sum(kp <= hint for kp in cands) - 1)
-    if first is not None:
-        return cands[first]
-    if short < len(cands):
-        raise PrecisionError(f"filtration at candidate weight {cands[short]} needs precision "
-                             f"{wins[short]}", required=wins[short], available=phi.prec)
-    raise InvalidArgumentError(
-        f"form is not in the holomorphic mod-{p} span at any weight <= {k}")
+    return True
 
 
 def _least_member(n, member, hint):
@@ -884,14 +909,6 @@ def _least_member(n, member, hint):
     return hi if n and (known or member(hi)) else None
 
 
-def filtration_required_prec(k, m, p):
-    """Precision sufficient for every filtration call on weights <= k."""
-    best = 0
-    for kp in range(k % (p - 1), k + 1, p - 1):
-        best = max(best, _filtration_window(kp, m, p), m + 1 + 5)
-    return best
-
-
 @dataclass
 class HeatCycleReport:
     """Filtration walk of the p-1 heat iterates of a form."""
@@ -912,10 +929,10 @@ class HeatCycleReport:
 
 
 def heat_cycle_required_prec(k, m, p):
-    need = zero_test_required_prec(k + p + 1, m)
-    for i in range(1, p):
-        need = max(need, filtration_required_prec(k + i * (p + 1), m, p))
-    return need
+    """Rows heat_cycle needs for a form of weight k and index m mod p: the
+    zero test's at the last iterate's weight k + (p - 1)(p + 1), enough for
+    every zero test and filtration of the walk."""
+    return zero_test_required_prec(k + (p - 1) * (p + 1), m)
 
 
 def heat_cycle(phi):
@@ -923,8 +940,8 @@ def heat_cycle(phi):
     (PAPER.md, "Filtration and heat cycle").
 
     Omega(L^i phi) is found by filtration's bisection, probed first at the
-    step-law bound Omega(L^(i-1) phi) + p + 1.  The weak monomials are built
-    once at phi's precision, so every window reads a truncation of them.  At
+    step-law bound Omega(L^(i-1) phi) + p + 1.  Every iterate has phi's
+    precision, so the weak monomials and level-1 bases are built once.  At
     each high point the fall law is checked: Omega(L^(i+1) phi) =
     Omega(L^i phi) + p + 1 - s (p - 1) for a whole s, the fall.
 
@@ -944,9 +961,6 @@ def heat_cycle(phi):
     if jac_zero_test(it):
         rep.status = "degenerate"
         return rep
-    gens = weak_generators(phi.prec, phi.ring)
-    for j in range(m + 1):          # every window's monomials are truncations of these
-        _weak_monomial(gens, j, m - j, phi.prec)
     oms = []
     cur = it
     for i in range(1, p):

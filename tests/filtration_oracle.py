@@ -1,12 +1,15 @@
-"""All-monomial level-1 bases and per-form holomorphic Jacobi bases, kept as test oracles.
+"""All-monomial level-1 bases, per-form holomorphic Jacobi bases and the
+window filtration, kept as test oracles.
 
 `mk_basis` row reduces every monomial E4^a E6^b Delta^c of weight k, not only
 the triangular set `siegelcong.qexp.mk_basis` uses.  `holo_basis` builds each
 candidate f * w_{-2}^j w_0^{m-j} as a form with `qseries_times_jacobi`, reads
 every coefficient one by one, imposes the negative-discriminant conditions
 and assembles the surviving combinations form by form; `filtration` decides
-membership with `linalg.membership`.  None of them uses the packed-key
-matrices of `siegelcong.jacobi`.
+membership with `linalg.membership` on the first `filtration_window` rows, a
+margin beyond the candidate-space dimension that guards against truncation
+but is no theorem.  None of them uses the packed-key matrices of
+`siegelcong.jacobi` or its weak decomposition.
 """
 
 from fractions import Fraction
@@ -14,9 +17,10 @@ from math import isqrt
 
 import numpy as np
 
-from siegelcong.jacobi import JacobiFormSeries, jac_mul, qseries_times_jacobi, rbound, weak_generators
+from siegelcong.jacobi import (JacobiFormSeries, jac_mul, qseries_times_jacobi, rbound,
+                               weak_generators, zero_test_required_prec)
 from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
-from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q
+from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q, mk_dim
 from siegelcong.ring import FpRing, ring_from_tag
 
 
@@ -131,16 +135,33 @@ def holo_basis(k, m, prec, p):
             for vec in red.tolist()[:rank]]
 
 
+def filtration_window(kp, m, p):
+    """Rows the window test reads at candidate weight kp: the candidate-space
+    dimension bound plus m + 6, or 0 if that bound is 0."""
+    udim = sum(mk_dim(kp + 2 * j, p) for j in range(m + 1))
+    return udim + m + 6 if udim else 0
+
+
+def filtration_required_prec(k, m, p):
+    """Rows sufficient for the window test at every candidate weight <= k."""
+    return max([filtration_window(kp, m, p) for kp in range(k % (p - 1), k + 1, p - 1)] + [m + 6])
+
+
+def heat_cycle_window_prec(k, m, p):
+    """Rows sufficient for the window test on every heat iterate of a form of
+    weight k and index m mod p, and for the zero test of its first image."""
+    return max([zero_test_required_prec(k + p + 1, m)]
+               + [filtration_required_prec(k + i * (p + 1), m, p) for i in range(1, p)])
+
+
 def filtration(phi):
-    """Least k' = k mod (p-1), k' <= k, with phi in the weight-k' basis on the
-    window dim + m + 6, or None when there is none."""
+    """Least k' = k mod (p-1), k' <= k, with phi in the weight-k' basis on its
+    window, or None when there is none."""
     p, k, m = phi.ring.p, phi.weight, phi.index
-    ring = phi.ring
     for kp in range(k % (p - 1), k + 1, p - 1):
-        udim = sum(len(mk_basis(w, w // 12 + 2, ring)) for w in range(kp, kp + 2 * m + 1, 2))
-        if udim == 0:
+        win = filtration_window(kp, m, p)
+        if not win:
             continue
-        win = udim + m + 6
         basis = holo_basis(kp, m, win, p)
         if basis and membership(form_vector(phi, win), [form_vector(f, win) for f in basis], p):
             return kp

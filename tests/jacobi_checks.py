@@ -1,11 +1,13 @@
-"""Structural checks of Jacobi forms kept as test oracles, and the inverse
-of the weak decomposition.
+"""Structural checks of Jacobi forms and a product by the definition, kept
+as test oracles, and the inverse of the weak decomposition.
 
-The two checks read one coefficient at a time through `JacobiFormSeries.c`,
-so they share no code with the vector operations of `siegelcong.jacobi`.
+The checks and `jac_mul_loop` read one coefficient at a time through
+`JacobiFormSeries.c`, so they share no code with the vector operations of
+`siegelcong.jacobi`.
 """
 
 from functools import reduce
+from math import isqrt
 
 from siegelcong.jacobi import jac_mul, qseries_times_jacobi
 
@@ -41,3 +43,18 @@ def reconstruct_weak(fs, k, gens):
     terms = [qseries_times_jacobi(f, k + 2 * j, reduce(jac_mul, [w_m2] * j + [w_0] * (m - j)))
              for j, f in enumerate(fs)]
     return sum(terms[1:], terms[0])
+
+
+def jac_mul_loop(a, b):
+    """The product of two Jacobi forms by the definition, one coefficient
+    pair at a time through `JacobiFormSeries.c`: the vector of keys
+    (n, r >= 0) in the order of `JacobiFormSeries.coeffs`."""
+    ring, prec, m = a.ring, min(a.prec, b.prec), a.index + b.index
+    out = {}
+    for n1 in range(prec + 1):
+        for n2 in range(prec + 1 - n1):
+            for r1 in range(-a.rb(n1), a.rb(n1) + 1):
+                for r2 in range(-b.rb(n2), b.rb(n2) + 1):
+                    key = (n1 + n2, r1 + r2)
+                    out[key] = ring.add(out.get(key, ring.zero), ring.mul(a.c(n1, r1), b.c(n2, r2)))
+    return [out.get((n, r), ring.zero) for n in range(prec + 1) for r in range(isqrt(4 * n * m + m * m) + 1)]

@@ -58,6 +58,8 @@ def test_sieve_stdout(capsys, tmp_path, argv, name):
      "heat_cycle_w12_m1_p23.json"),
     (["heat-cycle", "--weight", "14", "--index", "2", "--p", "13", "--form", "E4_1*phi10_1"],
      "heat_cycle_w14_m2_p13.json"),
+    (["heat-cycle", "--weight", "14", "--index", "2", "--p", "23", "--form", "E4_1*phi10_1"],
+     "heat_cycle_w14_m2_p23.json"),
 ])
 def test_heat_cycle_stdout(capsys, tmp_path, argv, name):
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0

@@ -7,7 +7,8 @@ import pytest
 
 import allcolumn_oracle
 import filtration_oracle
-from jacobi_checks import check_holomorphic_support, check_transformation_law, reconstruct_weak
+from jacobi_checks import (check_holomorphic_support, check_transformation_law, jac_mul_loop,
+                           reconstruct_weak)
 import numpy as np
 
 from siegelcong import jacobi, qexp
@@ -234,6 +235,31 @@ def test_jac_mul_examples():
     assert jac_mul(w2, one) == w2
 
 
+def _random_form(rng, ring, m, prec, bound=50):
+    f = JacobiFormSeries.zero(ring, 0, m, prec, weak=True)
+    vals = [ring.from_int(rng.randrange(-bound, bound)) for _ in range(f.idx.size)]
+    return JacobiFormSeries(ring, 0, m, prec, ring.canonical(np.array(vals, dtype=ring.dtype)),
+                            weak=True)
+
+
+@pytest.mark.parametrize("tag", ["fp:7", "fp:2097143", "fp:2097169", "int", "rat"])
+def test_jac_mul_and_division_match_the_definition(tag):
+    """jac_mul's row products equal the product by the definition, and
+    dividing w_{-2} * psi by w_{-2} gives psi back, on int64 and object
+    residues, Z and Q, at indices 0..3 and unequal precisions."""
+    ring = ring_from_tag(tag)
+    rng = random.Random(tag)
+    w_m2 = weak_generators(7, ring)[0]
+    for ma, mb, pa, pb in ((1, 1, 6, 6), (2, 1, 7, 5), (0, 3, 4, 6), (3, 2, 5, 5)):
+        a, b = _random_form(rng, ring, ma, pa), _random_form(rng, ring, mb, pb)
+        prod = jac_mul(a, b)
+        assert (prod.index, prod.prec) == (ma + mb, min(pa, pb))
+        assert prod.coeffs.tolist() == jac_mul_loop(a, b), (ma, mb)
+        assert jacobi._divide_by_weak_m2(jac_mul(w_m2, b), w_m2) == b
+    with pytest.raises(DecompositionError):
+        jacobi._divide_by_weak_m2(_random_form(rng, ring, 2, 5), w_m2)
+
+
 def test_qseries_times_jacobi():
     w2, w0 = weak_generators(8, INT)
     d = delta_q(8, INT)
@@ -440,7 +466,7 @@ def test_filtration_drop_detects_lower_weight():
 def test_holo_basis_matches_per_form_oracle(p):
     for m in (1, 2):
         for k in range(-2, 41):
-            win = jacobi._filtration_window(k, m, p) or m + 6
+            win = filtration_oracle.filtration_window(k, m, p) or m + 6
             got = holo_basis(k, m, win, p)
             want = filtration_oracle.holo_basis(k, m, win, p)
             assert len(got) == len(want), (k, m, p)
@@ -455,16 +481,37 @@ def _oracle_filtration_memoized(monkeypatch):
     return filtration_oracle.filtration
 
 
+def _window_member(phi, kp):
+    """phi lies in the echelon holo_basis of weight kp on the window of
+    filtration_oracle: the membership test the window filtration used."""
+    p = phi.ring.p
+    win = filtration_oracle.filtration_window(kp, phi.index, p)
+    basis = holo_basis(kp, phi.index, win, p) if win else ()
+    if not basis:
+        return False
+    v = phi.at_prec(win)
+    return not np.any((v - v[basis.pivots] @ basis.matrix) % p)
+
+
+def _assert_memberships_agree(phi):
+    """Decomposition membership equals window membership at every candidate."""
+    p, k = phi.ring.p, phi.weight
+    fs = weak_decompose(phi)
+    for kp in range(k % (p - 1), k + 1, p - 1):
+        assert jacobi._in_weight(fs, k, kp, phi.ring) == _window_member(phi, kp), (k, kp, p)
+
+
 @pytest.mark.parametrize("p", [5, 7, 17])
 def test_filtration_matches_oracle_on_random_span_elements(monkeypatch, p):
     """Span elements raised by E_{p-1}^s, s = 0..3, sit s candidates above
-    their filtration; the bisection finds it whatever hint it is given."""
+    their filtration; the bisection finds it whatever hint it is given, and
+    decomposition membership equals window membership at every candidate."""
     oracle = _oracle_filtration_memoized(monkeypatch)
     rng = random.Random(p)
     ring = ring_from_tag(f"fp:{p}")
     for m in (1, 2):
         for k in rng.sample(range(4, 41, 2), 3):
-            prec = jacobi.filtration_required_prec(k + 3 * (p - 1), m, p)
+            prec = filtration_oracle.filtration_required_prec(k + 3 * (p - 1), m, p)
             basis = filtration_oracle.holo_basis(k, m, prec, p)
             phi = JacobiFormSeries.zero(ring, k, m, prec)
             while phi.is_zero_window():
@@ -473,6 +520,7 @@ def test_filtration_matches_oracle_on_random_span_elements(monkeypatch, p):
             ep = eisenstein_q(p - 1, prec, ring)
             for s in range(4):
                 form = qseries_times_jacobi(filtration_oracle.power(ring, ep, s), s * (p - 1), phi)
+                _assert_memberships_agree(form)
                 want = oracle(form)
                 assert form.weight == k + s * (p - 1)
                 for hint in (None, want, want - 2 * (p - 1), -10, want + p - 1,
@@ -493,19 +541,36 @@ def test_least_member_never_tests_the_top_unless_it_is_the_answer():
 
 
 def test_filtration_keeps_the_scan_errors():
-    """Precision short for a candidate below the answer, and no span at all,
-    fail as a scan from the bottom fails."""
+    """Precision below the zero test's at phi's weight, and a form with a
+    coefficient at D < 0, are refused; a form of weight 34 is decided on
+    zero_test_required_prec(34, 1) = 5 rows, below every candidate window."""
     e41 = jacobi_eisenstein(4, 40, FP5)
     raised = qseries_times_jacobi(filtration_oracle.power(FP5, eisenstein_q(4, 40, FP5), 6), 24, heat(e41))
-    raised = JacobiFormSeries(FP5, raised.weight, 1, 9, raised.at_prec(9))
-    # the candidates 2 and 6 fit in 9 rows, the answer 10 needs 10
-    assert [jacobi._filtration_window(kp, 1, 5) for kp in (2, 6, 10)] == [8, 9, 10]
+    assert raised.weight == 34 and zero_test_required_prec(34, 1) == 5
+    assert [filtration_oracle.filtration_window(kp, 1, 5) for kp in (2, 6, 10)] == [8, 9, 10]
+    for hint in (None, raised.weight):
+        assert filtration(raised.truncate(9), hint) == 10
+        assert filtration(raised.truncate(5), hint) == 10
     with pytest.raises(PrecisionError) as err:
-        filtration(raised, hint=raised.weight)
-    assert (err.value.required, err.value.available) == (10, 9)
+        filtration(raised.truncate(4))
+    assert (err.value.required, err.value.available) == (5, 4)
     weak = weak_generators(40, FP5)[1]       # phi_{0,1}: not holomorphic
     with pytest.raises(InvalidArgumentError):
         filtration(JacobiFormSeries(FP5, 8, 1, 40, weak.coeffs))
+
+
+@pytest.mark.parametrize("k,m,p,form", [(14, 2, 11, "E4_1*phi10_1"), (16, 1, 13, "E4*phi12_1"),
+                                        (22, 2, 7, "phi10_1*phi12_1"), (12, 1, 23, "phi12_1"),
+                                        (14, 2, 13, "E4_1*phi10_1")])
+def test_decomposition_membership_matches_the_window_bases(k, m, p, form):
+    """Every heat iterate of the five golden heat-cycle forms, at every
+    candidate weight."""
+    from siegelcong.cli import build_named_jacobi
+    phi = build_named_jacobi(form, filtration_oracle.heat_cycle_window_prec(k, m, p),
+                             ring_from_tag(f"fp:{p}"))
+    for _ in range(1, p):
+        phi = heat(phi)
+        _assert_memberships_agree(phi)
 
 
 @pytest.mark.parametrize("k,m,p,form", [(12, 1, 17, "phi12_1"), (14, 2, 11, "E4_1*phi10_1")])
@@ -513,7 +578,7 @@ def test_heat_cycle_filtrations_match_the_oracle(monkeypatch, k, m, p, form):
     from siegelcong.cli import build_named_jacobi
     oracle = _oracle_filtration_memoized(monkeypatch)
     ring = ring_from_tag(f"fp:{p}")
-    phi = build_named_jacobi(form, heat_cycle_required_prec(k, m, p), ring)
+    phi = build_named_jacobi(form, filtration_oracle.heat_cycle_window_prec(k, m, p), ring)
     rep = heat_cycle(phi)
     assert rep.status == "ok" and len(rep.filtrations) == p - 1
     for om in rep.filtrations:
@@ -522,8 +587,8 @@ def test_heat_cycle_filtrations_match_the_oracle(monkeypatch, k, m, p, form):
 
 
 def test_heat_cycle_builds_each_basis_once(monkeypatch):
-    """On the (12, 1, 17) heat cycle: at most 40 holomorphic bases, and no
-    level-1 basis built twice at one (ring, k, prec)."""
+    """On the (12, 1, 17) heat cycle: no holomorphic basis, and no level-1
+    basis built twice at one (ring, k, prec)."""
     built = []
 
     class Recording(BoundedMemo):
@@ -532,14 +597,13 @@ def test_heat_cycle_builds_each_basis_once(monkeypatch):
             super().__setitem__(key, value)
 
     monkeypatch.setattr(qexp, "_bases", Recording(qexp.MEMO_BYTES, qexp._bases.size))
-    monkeypatch.setattr(jacobi, "_holo_cache", BoundedMemo(qexp.MEMO_BYTES, jacobi._holo_cache.size))
     calls = []
     real = jacobi.holo_basis
     monkeypatch.setattr(jacobi, "holo_basis", lambda k, m, prec, p: calls.append((k, m, prec, p))
                         or real(k, m, prec, p))
     phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, 17), ring_from_tag("fp:17"))
     assert heat_cycle(phi).filtrations[:3] == [30, 48, 66]
-    assert len(set(calls)) <= 40 and len(calls) <= 40
+    assert not calls
     assert built and len(set(built)) == len(built)
 
 
@@ -578,11 +642,11 @@ def test_heat_cycle_filtrations_hold_at_the_original_weight(p):
     phi_{12,1}, where psi is rebuilt from the reduction coordinates v[piv]
     that put phi in the weight-k' span and s = (k - k')/(p - 1)."""
     ring = ring_from_tag(f"fp:{p}")
-    phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, p), ring)
+    phi = jacobi_cusp(12, filtration_oracle.heat_cycle_window_prec(12, 1, p), ring)
     for _ in range(1, p):
         phi = heat(phi)
         k, kp = phi.weight, filtration(phi)
-        win = jacobi._filtration_window(kp, 1, p)
+        win = filtration_oracle.filtration_window(kp, 1, p)
         basis = holo_basis(kp, 1, win, p)
         psi = JacobiFormSeries.zero(ring, kp, 1, win)
         for f, c in zip(basis, phi.at_prec(win)[basis.pivots]):

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv,layer", [
     (["check", "E4*chi12", "--p", "5", "--b", "1"], "siegel.siegel_mul"),
     (["heat-cycle", "--weight", "10", "--index", "1", "--p", "5", "--form", "phi10_1"],
-     "jacobi.holo_basis"),
+     "jacobi.filtration"),
     (["check", "chi12", "--p", "5", "--b", "1"], "siegel.maass_lift"),
     (["heat-cycle", "--weight", "14", "--index", "1", "--p", "5", "--form", "E4*phi10_1"],
      "jacobi.qseries_times_jacobi"),
