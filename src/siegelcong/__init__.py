@@ -13,13 +13,10 @@ from .jacobi import (HeatCycleReport, JacobiCongruence, JacobiFormSeries,
                      index1_columns, jac_zero_test, jacobi_cusp, jacobi_eisenstein,
                      nonexistence_applies, qseries_times_jacobi,
                      weak_decompose, weak_generators)
-from .siegel import (CongruenceCertificate, GeneratorContext, MatrixIndexT,
-                     SiegelFormSeries, congruence_scan, decompose_mod_p,
-                     dyadic_trace, enumerate_reduced, fourier_jacobi,
-                     igusa_generators, maass_lift, reduce_T,
-                     search_congruences, siegel_congruence, siegel_mul,
-                     sieve, sturm_zero, theta_operator,
-                     verify_combination, weight_monomials)
+from .siegel import (CongruenceCertificate, GeneratorContext, SiegelFormSeries,
+                     congruence_scan, fourier_jacobi, igusa_generator, igusa_generators,
+                     maass_lift, search_congruences, siegel_congruence, siegel_mul,
+                     sieve, sturm_zero, weight_monomials)
 from .expr import Expr, evaluate, parse
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
 from .jacobi import (criterion_weight, heat_cycle, heat_cycle_required_prec, jacobi_cusp,
                      jacobi_eisenstein, jac_mul, qseries_times_jacobi)
-from .qexp import convolve_trunc, delta_q, eisenstein_q
+from .qexp import convolve_trunc, level1_series
 from .ring import FpRing, is_prime, ring_from_tag
 from .siegel import (GeneratorContext, congruence_required_prec, congruence_scan,
                      search_congruences, siegel_congruence, sieve as siegel_sieve,
@@ -296,7 +296,7 @@ def build_named_jacobi(name, prec, ring):
             built = (jacobi_eisenstein if k in (4, 6) else jacobi_cusp)(k, prec, ring)
             jac = built if jac is None else jac_mul(jac, built)
         else:
-            built = delta_q(prec, ring) if k == 12 else eisenstein_q(k, prec, ring)
+            built = level1_series(prec, ring)[{4: 1, 6: 2, 12: 3}[k]]    # E4, E6, Delta
             ell = built if ell is None else convolve_trunc(ring, ell, built, prec + 1)
             ell_weight += k
     if jac is None:

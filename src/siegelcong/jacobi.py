@@ -40,7 +40,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -48,9 +48,9 @@ import numpy as np
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
 from .linalg import FpMatrix, rref
-from .qexp import (MEMO_BYTES, BoundedMemo, _read_only, _sigma_table, array_bytes,
-                   convolve_trunc, delta_q, eisenstein_q, eta_pow6, invert_series,
-                   mk_basis, mk_dim)
+from .qexp import (MEMO_BYTES, BoundedMemo, _read_only, array_bytes, convolve_trunc,
+                   eta_pow6, integral_memo, invert_series, level1_series, mk_basis,
+                   mk_dim)
 from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
 
 NEG_INF = float("-inf")
@@ -122,7 +122,7 @@ class JacobiFormSeries:
     coeffs is the half-support vector described in the module docstring.
     """
 
-    __slots__ = ("ring", "weight", "index", "prec", "coeffs", "weak", "idx")
+    __slots__ = ("ring", "weight", "index", "prec", "coeffs", "weak", "idx", "_parts")
 
     def __init__(self, ring, weight, index, prec, coeffs, weak=False):
         if index < 0:
@@ -137,6 +137,7 @@ class JacobiFormSeries:
         self.prec = prec
         self.coeffs = coeffs
         self.weak = weak
+        self._parts = None      # weak_decompose(self), once asked for
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -352,9 +353,12 @@ def _theta_square_column(ring, c, n):
     return np.array([ring.from_int(v) for v in out], dtype=ring.dtype)
 
 
-@lru_cache(maxsize=1)
+_weak_memo = BoundedMemo(MEMO_BYTES, lambda cols: array_bytes([cols]))
+
+
 def _weak_columns(prec, ring):
-    """((h_0, h_1) of phi_{-2,1}, (h_0, h_1) of phi_{0,1}), each of length prec + 1.
+    """The read-only 2 x 2 x (prec + 1) array: (h_0, h_1) of phi_{-2,1} and
+    (h_0, h_1) of phi_{0,1}, built once per ring (qexp.integral_memo).
 
     phi_{-2,1} = zeta theta^2 / eta^6, theta = sum_j (-1)^j q^{j(j+1)/2}
     zeta^j (the fractional q-powers cancel), so its zeta^c column is the
@@ -368,14 +372,12 @@ def _weak_columns(prec, ring):
     modified heat operator maps J^weak_{-2,1} into J^weak_{0,1}, which
     phi_{0,1} spans (M_2 = 0; Eichler-Zagier, The Theory of Jacobi Forms,
     Sec. 9), and the q^0 rows fix the constants.  Column by column,
-    h_r -> -6 (4n - r) h_r - 5 E_2 h_r.  Every coefficient is integral, so
-    Z and F_p compute in themselves and Q casts the columns over Z once
-    (Fraction arithmetic would be the cost).  The last result is kept, so
-    the four generators of one box share it; its columns are read-only.
+    h_r -> -6 (4n - r) h_r - 5 E_2 h_r.  Every coefficient is integral.
     """
-    if isinstance(ring, RatRing):
-        return tuple(tuple(_read_only(ring.from_integers(h, 1)) for h in pair)
-                     for pair in _weak_columns(prec, ring_from_tag("int")))
+    return integral_memo(_weak_memo, _build_weak_columns, prec, ring)
+
+
+def _build_weak_columns(prec, ring):
     n = prec + 1
     inv_eta6 = invert_series(ring, eta_pow6(prec, ring), n)
     cols = [convolve_trunc(ring, _theta_square_column(ring, c - 1, n), inv_eta6, n)
@@ -384,12 +386,11 @@ def _weak_columns(prec, ring):
         if not np.array_equal(cols[k + 1], np.append(ring.zeros(k), cols[k - 1])[:n]):
             raise ArithmeticDomainError(
                 "zeta^2 and zeta^3 columns break the index-1 discriminant law")
-    e2 = np.array([ring.one] + [ring.from_int(-24 * s) for s in _sigma_table(1, prec)[1:]],
-                  dtype=ring.dtype)
-    w0 = (ring.canonical(h * (-6 * (4 * np.arange(n) - r)).astype(ring.dtype)
+    e2 = level1_series(prec, ring)[0]
+    w0 = [ring.canonical(h * (-6 * (4 * np.arange(n) - r)).astype(ring.dtype)
                          - convolve_trunc(ring, e2, h, n) * ring.from_int(5))
-          for r, h in enumerate(cols[:2]))
-    return tuple(_read_only(h) for h in cols[:2]), tuple(_read_only(h) for h in w0)
+          for r, h in enumerate(cols[:2])]
+    return np.array([cols[:2], w0], dtype=ring.dtype)
 
 
 def index1_columns(k, prec, ring):
@@ -409,16 +410,13 @@ def index1_columns(k, prec, ring):
     n = prec + 1
     if k in (-2, 0):
         return wm2 if k == -2 else w0
+    _, e4, e6, delta = level1_series(prec, ring)
     if k in (4, 6):
-        e4, e6 = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring)
         f, g = (e4, e6) if k == 4 else (e6, convolve_trunc(ring, e4, e4, n))
-        twelve = ring.from_int(12)
-        nums = (convolve_trunc(ring, f, h0, n) - convolve_trunc(ring, g, hm2, n)
-                for h0, hm2 in zip(w0, wm2))
-        return tuple(np.array([ring.divexact(v, twelve) for v in ring.canonical(num).tolist()],
-                              dtype=ring.dtype) for num in nums)
-    d = delta_q(prec, ring)
-    return tuple(convolve_trunc(ring, d, h, n) for h in (wm2 if k == 10 else w0))
+        return tuple(ring.divexact_vector(ring.canonical(convolve_trunc(ring, f, h0, n)
+                                                         - convolve_trunc(ring, g, hm2, n)), 12)
+                     for h0, hm2 in zip(w0, wm2))
+    return tuple(convolve_trunc(ring, delta, h, n) for h in (wm2 if k == 10 else w0))
 
 
 def discriminant_series(cols, dmax):
@@ -539,8 +537,16 @@ def weak_decompose(phi):
     the weight 0 one restricts to the constant 12) followed by exact division,
     so each step strips one power of the weight 0 generator.  Integer input is
     promoted to exact rationals; components of an integral form in the span
-    need not be integral, but are always p-integral alongside phi.
+    need not be integral, but are always p-integral alongside phi.  They are
+    computed once per form and kept on it, read-only, so the zero test and
+    the filtration of one heat iterate share them.
     """
+    if phi._parts is None:
+        phi._parts = tuple(_read_only(f.view()) for f in _weak_components(phi))
+    return list(phi._parts)
+
+
+def _weak_components(phi):
     if isinstance(phi.ring, IntRing):
         rat = ring_from_tag("rat")
         phi = JacobiFormSeries(rat, phi.weight, phi.index, phi.prec,
@@ -941,9 +947,11 @@ def heat_cycle(phi):
 
     Omega(L^i phi) is found by filtration's bisection, probed first at the
     step-law bound Omega(L^(i-1) phi) + p + 1.  Every iterate has phi's
-    precision, so the weak monomials and level-1 bases are built once.  At
-    each high point the fall law is checked: Omega(L^(i+1) phi) =
-    Omega(L^i phi) + p + 1 - s (p - 1) for a whole s, the fall.
+    precision, so the weak monomials and level-1 bases are built once, and
+    the zero test of L phi and its filtration share one decomposition (kept
+    on the form by weak_decompose).  At each high point the fall law is
+    checked: Omega(L^(i+1) phi) = Omega(L^i phi) + p + 1 - s (p - 1) for a
+    whole s, the fall.
 
     Refuses to interpret the cycle when p divides the index (the filtration
     step law degenerates there): the report is returned with status

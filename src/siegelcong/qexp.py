@@ -3,7 +3,13 @@
 Provides the generators E4, E6, Delta and the eta-power series used by the
 Jacobi layer, echelonized monomial bases of the weight-k spaces, and
 `BoundedMemo`, the byte-bounded memo that this module and the Jacobi layer
-keep their results in.
+keep their results in.  E2, E4, E6 and Delta come from one memoized,
+read-only source, `level1_series`: one BoundedMemo entry per ring at the
+largest q-precision asked, served to smaller precisions as a prefix view,
+from which the index-1 columns, the weak columns, mk_basis and the CLI's
+elliptic factors all read.  sigma_e comes from a numpy divisor sieve, and
+the exact divisions by 12 and 1728 are one vector operation each
+(`Ring.divexact_vector`).
 
 Storage: a series of precision N is a 1-D numpy vector of the N + 1
 coefficients of q^0..q^N, of dtype `ring.dtype`, as are the Jacobi and
@@ -26,6 +32,9 @@ from math import comb
 import numpy as np
 
 from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
+from .ring import RatRing, ring_from_tag
+
+_INT = ring_from_tag("int")
 
 
 # -- series products -------------------------------------------------------------
@@ -79,14 +88,25 @@ def bernoulli(k):
     return b[k]
 
 
-def _sigma_table(e, n):
-    """sigma_e(1..n) by a divisor sieve; index 0 is unused (zero)."""
-    table = [0] * (n + 1)
-    for d in range(1, n + 1):
-        de = d ** e
-        for mult in range(d, n + 1, d):
-            table[mult] += de
-    return table
+def _sigma(e, n, ring):
+    """sigma_e(0..n) (entry 0 is zero) by a numpy divisor sieve: one term
+    d^e per pair (d, multiple of d), d^e reduced mod p over F_p and a Python
+    int otherwise, summed with one np.add.at; not reduced."""
+    d = np.arange(1, n + 1)
+    count = n // d
+    div = np.repeat(d, count)
+    mult = div * (np.arange(len(div)) - np.repeat(np.cumsum(count) - count, count) + 1)
+    out = np.zeros(n + 1, dtype=ring.dtype)
+    np.add.at(out, mult, np.array([ring.pow(x, e) for x in d.tolist()], dtype=ring.dtype)[div - 1])
+    return out
+
+
+def _eisenstein(k, prec, ring):
+    """1 - (2k/B_k) * sum sigma_{k-1}(n) q^n for an even k >= 2."""
+    out = ring.canonical(ring.canonical(_sigma(k - 1, prec, ring))
+                         * ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
+    out[0] = ring.one
+    return out
 
 
 def eisenstein_q(k, prec, ring):
@@ -97,23 +117,15 @@ def eisenstein_q(k, prec, ring):
     """
     if k % 2 or k < 4:
         raise InvalidArgumentError(f"Eisenstein weight must be even and >= 4, got {k}")
-    scale = Fraction(-2 * k) / bernoulli(k)
-    c = ring.from_rational(scale)
-    sig = _sigma_table(k - 1, prec)
-    return np.array([ring.one] + [ring.mul(c, ring.from_int(s)) for s in sig[1:]],
-                    dtype=ring.dtype)
+    return _eisenstein(k, prec, ring)
 
 
 def delta_q(prec, ring):
-    """The discriminant cusp form Delta = (E4^3 - E6^2)/1728, leading q^1."""
+    """The discriminant cusp form Delta = (E4^3 - E6^2)/1728, leading q^1: a
+    read-only view of level1_series."""
     if prec < 1:
         raise InvalidArgumentError("Delta needs precision >= 1")
-    n = prec + 1
-    e4, e6 = eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring)
-    num = ring.canonical(convolve_trunc(ring, convolve_trunc(ring, e4, e4, n), e4, n)
-                         - convolve_trunc(ring, e6, e6, n))
-    return np.array([ring.divexact(v, ring.from_int(1728)) for v in num.tolist()],
-                    dtype=ring.dtype)
+    return level1_series(prec, ring)[3]
 
 
 def eta_pow6(prec, ring):
@@ -196,6 +208,40 @@ def array_bytes(arrays):
     return sum(a.size * 64 if a.dtype == object else a.nbytes for a in arrays)
 
 
+def integral_memo(memo, build, prec, ring):
+    """build(prec, ring), an array of integral series along its last axis,
+    memoized per ring at the largest precision asked, read-only; a smaller
+    precision is a prefix view.  Q casts the entry of Z once (Fraction
+    arithmetic would be the cost)."""
+    rows = memo.get(ring.tag)
+    if rows is None or rows.shape[-1] <= prec:
+        if isinstance(ring, RatRing):
+            ints = integral_memo(memo, build, prec, _INT)
+            rows = ring.from_integers(ints.reshape(-1), 1).reshape(ints.shape)
+        else:
+            rows = build(prec, ring)
+        rows = memo[ring.tag] = _read_only(rows)
+    return rows[..., :prec + 1]
+
+
+_level1 = BoundedMemo(MEMO_BYTES, lambda rows: array_bytes([rows]))
+
+
+def level1_series(prec, ring):
+    """The read-only 4 x (prec + 1) matrix of E2, E4, E6 and Delta to q^prec,
+    built once per ring (integral_memo).  Delta is (E4^3 - E6^2)/1728,
+    divided as one vector operation."""
+    return integral_memo(_level1, _level1_rows, prec, ring)
+
+
+def _level1_rows(prec, ring):
+    n = prec + 1
+    e2, e4, e6 = (_eisenstein(k, prec, ring) for k in (2, 4, 6))
+    e4_cubed = convolve_trunc(ring, convolve_trunc(ring, e4, e4, n), e4, n)
+    delta = ring.divexact_vector(ring.canonical(e4_cubed - convolve_trunc(ring, e6, e6, n)), 1728)
+    return np.stack([e2, e4, e6, delta])
+
+
 _bases = BoundedMemo(MEMO_BYTES, lambda rows: array_bytes([rows]))
 
 
@@ -260,8 +306,7 @@ def _power_chains(ring, prec, emax):
     if _chains is None or _chains[0] != ring.tag or _chains[1] < prec:
         one = ring.zeros(prec + 1)
         one[0] = ring.one
-        gens = (eisenstein_q(4, prec, ring), eisenstein_q(6, prec, ring), delta_q(prec, ring))
-        _chains = (ring.tag, prec, [[_read_only(one), _read_only(f)] for f in gens])
+        _chains = (ring.tag, prec, [[_read_only(one), f] for f in level1_series(prec, ring)[1:]])
     chains = _chains[2]
     for chain, e in zip(chains, emax):
         while len(chain) <= e:

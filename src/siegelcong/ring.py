@@ -133,6 +133,11 @@ class Ring:
         """a / b when the quotient exists in the ring; domain error otherwise."""
         return self.mul(a, self.inv(b))
 
+    def divexact_vector(self, vec, c):
+        """vec / c for a nonzero integer c, as one vector operation: vec times
+        the inverse of c; domain error when c has none."""
+        return self.canonical(vec * self.inv(self.from_int(c)))
+
     def is_zero(self, a):
         return a == self.zero
 
@@ -202,6 +207,11 @@ class IntRing(Ring):
         if r:
             raise ArithmeticDomainError(f"{a} is not divisible by {b}")
         return q
+
+    def divexact_vector(self, vec, c):
+        if np.any(vec % c):
+            raise ArithmeticDomainError(f"a coefficient is not divisible by {c}")
+        return vec // c
 
     def reduce(self, a, p):
         return a % p

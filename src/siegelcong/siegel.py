@@ -25,6 +25,7 @@ enough for the box, else integer lifts modulo a few primes joined by CRT.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -33,60 +34,12 @@ from math import isqrt, log2, prod
 import numpy as np
 
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
-                     NotInRingError, PrecisionError, RingMismatchError)
+                     PrecisionError, RingMismatchError)
 from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
-from .linalg import FpMatrix, kernel_basis, solve
+from .linalg import FpMatrix, kernel_basis
 from .qexp import bernoulli
 from .ring import FpRing, RatRing, is_prime, legendre, ring_from_tag
-
-
-@dataclass(frozen=True)
-class MatrixIndexT:
-    """The even symmetric matrix [2n, r; r, 2m] indexed by (n, r, m)."""
-
-    n: int
-    r: int
-    m: int
-
-    @property
-    def det(self):
-        return 4 * self.n * self.m - self.r * self.r
-
-    @property
-    def is_reduced(self):
-        if self.n == 0:
-            return self.r == 0 and self.m >= 0
-        return 0 <= self.r <= self.n <= self.m
-
-    def key(self):
-        return (self.n, self.r, self.m)
-
-
-def reduce_T(T):
-    """Gauss-reduce to the representative with 0 <= r <= n <= m.
-
-    Preserves the determinant; raises on indefinite input.  Rank <= 1
-    matrices reduce to (0, 0, m).
-    """
-    n, r, m = (T.n, T.r, T.m) if isinstance(T, MatrixIndexT) else T
-    if n < 0 or m < 0 or 4 * n * m - r * r < 0:
-        raise InvalidArgumentError(f"matrix ({n},{r},{m}) is not semipositive even")
-    # each step swaps n > m or translates r into (-n, n]; n never grows
-    while n and not (-n < r <= n <= m):
-        if n > m:
-            n, m = m, n
-        else:
-            t = (n - r) // (2 * n)
-            m, r = m + r * t + n * t * t, r + 2 * t * n
-    return MatrixIndexT(n, abs(r) if n else 0, m)
-
-
-def dyadic_trace(T):
-    """w(T) = 2n + 2m - |r| for a reduced matrix (2m for rank <= 1, 0 for zero)."""
-    if not T.is_reduced:
-        raise InvalidArgumentError(f"dyadic_trace needs a reduced matrix, got {T.key()}")
-    return 2 * T.n + 2 * T.m - abs(T.r)
 
 
 @lru_cache(maxsize=32)
@@ -104,15 +57,6 @@ def reduced_classes(wmax):
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def enumerate_reduced(wmax):
-    """All reduced classes with dyadic trace <= wmax, rank <= 1 included.
-
-    Sorted by (w, n, r, m); no duplicates.
-    """
-    n, r, m, _ = reduced_classes(wmax)
-    return [MatrixIndexT(*t) for t in zip(n.tolist(), r.tolist(), m.tolist())]
 
 
 class BoxIndex:
@@ -165,11 +109,63 @@ class BoxIndex:
             a.flags.writeable = False
         return out
 
+    @cached_property
+    def divisor_pairs(self):
+        """(d, q, start): one entry per pair (key, d) with d | gcd, for every
+        key but A(0, 0, 0) (the one key with gcd 0), key by key with d
+        rising; q = det // d^2, and the pairs of key i >= 1 begin at
+        start[i - 1].  d and q are int32, half the bytes of int64 (q <= 4N^2
+        < 2^31 below box 23170)."""
+        divisors = [[] for _ in range(self.prec + 1)]
+        for d in range(1, self.prec + 1):
+            for g in range(d, self.prec + 1, d):
+                divisors[g].append(d)
+        flat = np.array([d for ds in divisors for d in ds], dtype=np.int32)
+        count = np.array([len(ds) for ds in divisors])
+        first = np.cumsum(count) - count           # divisors of g begin at flat[first[g]]
+        g = self.gcd[1:]
+        start = np.cumsum(count[g]) - count[g]
+        d = flat[np.repeat(first[g] - start, count[g]) + np.arange(int(count[g].sum()))]
+        out = (d, (np.repeat(self.det[1:], count[g]) // (d * d)).astype(np.int32), start)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
 
 @lru_cache(maxsize=4)
 def box_index(prec):
-    """The BoxIndex of box prec, memoized for the last few boxes."""
+    """The BoxIndex of box prec, memoized for the last few boxes; refused
+    before any allocation when it could not fit in physical memory."""
+    require_box_memory(prec)
     return BoxIndex(prec)
+
+
+def box_bytes(prec, ring=None):
+    """Closed-form estimates (index, columns) of the bytes box N = prec needs.
+
+    The box has sum_{n <= m <= N} (isqrt(4nm) + 1) <= (N+1)^2 + 4(N+1)^3/9
+    keys (sum_{n <= N} sqrt(n) <= (2/3)(N+1)^(3/2)), and BoxIndex holds five
+    int64 arrays of that length.  With a ring, columns counts about the 16
+    series to q^(N^2) that one generator build holds at once and four
+    generator vectors, at 8 bytes an entry, 64 for dtype object (as in
+    qexp.array_bytes).
+    """
+    n = prec + 1
+    keys = n * n + 4 * n ** 3 // 9
+    item = 0 if ring is None else 64 if ring.dtype == object else 8
+    return 40 * keys, (16 * (prec * prec + 1) + 4 * keys) * item
+
+
+def require_box_memory(prec, ring=None):
+    """Refuse (InvalidArgumentError, naming the estimate) a box whose
+    box_bytes exceed the host's physical memory."""
+    index, cols = box_bytes(prec, ring)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if index + cols > have:
+        raise InvalidArgumentError(
+            f"box {prec} needs about {(index + cols) / 2 ** 30:.3g} GiB ({index / 2 ** 30:.3g} "
+            f"GiB of index, {cols / 2 ** 30:.3g} GiB of q^{prec * prec} columns and "
+            f"generators), more than the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _per_det(det, fn, dtype):
@@ -315,9 +311,10 @@ def maass_lift(ring, k, cols, prec):
     An index-1 coefficient depends only on D = 4n - r^2 (Eichler-Zagier,
     The Theory of Jacobi Forms, Thm 2.2), and c(nm/d^2, r/d) has
     D = det/d^2, so A = sum_{d | gcd} d^{k-1} C[det/d^2] with C the
-    discriminant series of the columns: one masked gather per d.
+    discriminant series of the columns: one gather over the box's
+    (key, d) pairs (BoxIndex.divisor_pairs) and one segmented sum.
     A(0,0,0) is set to zero; pinning the constant of a non-cuspidal lift is
-    the caller's concern (see igusa_generators).  Requires columns to
+    the caller's concern (see igusa_generator).  Requires columns to
     q^(prec^2).  PAPER.md, "Index-1 generators and the lift".
     """
     have = min(len(h) for h in cols) - 1
@@ -327,38 +324,44 @@ def maass_lift(ring, k, cols, prec):
     h = np.array([h[:prec * prec + 1] for h in cols], dtype=ring.dtype)
     C = discriminant_series(h, 4 * prec * prec)[1:]
     idx = box_index(prec)
+    d, q, start = idx.divisor_pairs
+    dpow = np.array([ring.pow(ring.from_int(e), k - 1) for e in range(prec + 1)], dtype=ring.dtype)
     out = ring.zeros(idx.size)
-    for d in range(1, prec + 1):
-        keys = np.flatnonzero((idx.gcd % d == 0) & (idx.gcd > 0))
-        dpow = ring.pow(ring.from_int(d), k - 1)
-        out[keys] += dpow * C[idx.det[keys] // (d * d)]
+    if len(start):
+        out[1:] = np.add.reduceat(dpow[d] * C[q], start)
     return SiegelFormSeries(ring, k, prec, ring.canonical(out))
 
 
 _GENERATOR_WEIGHTS = {"E4": 4, "E6": 6, "chi10": 10, "chi12": 12}
 
 
-def igusa_generators(prec, ring):
-    """The four even-weight generators as truncated expansions on the box.
+def igusa_generator(name, prec, ring):
+    """One of the four even-weight generators E4, E6, chi10 and chi12 as a
+    truncated expansion on the box.
 
     chi10 and chi12 are lifts of the index-1 cusp generators, normalized by
     A(1,1,1) = 1; E4 and E6 are (-2k/B_k)-scaled lifts of the index-1
-    Eisenstein series with the constant term pinned to 1.  Each lift reads
+    Eisenstein series with the constant term pinned to 1.  The lift reads
     the generator's two columns to q^(prec^2); no Jacobi form is built.
     Every coefficient is an integer (the columns, the lifts and the scales
-    240 and -504), so over Q they are built over Z and cast once.
+    240 and -504), so over Q it is built over Z and cast once.
     """
+    k = _GENERATOR_WEIGHTS.get(name)
+    if k is None:
+        raise InvalidArgumentError(f"unknown generator {name!r}")
     if isinstance(ring, RatRing):
-        return {name: SiegelFormSeries(ring, F.weight, prec, ring.from_integers(F.coeffs, 1))
-                for name, F in igusa_generators(prec, ring_from_tag("int")).items()}
-    out = {}
-    for name, k in _GENERATOR_WEIGHTS.items():
-        lift = maass_lift(ring, k, index1_columns(k, prec * prec, ring), prec)
-        if name.startswith("E"):
-            lift = SiegelFormSeries.constant(ring, k, prec, 1) \
-                + lift.scale(ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
-        out[name] = lift
-    return out
+        F = igusa_generator(name, prec, ring_from_tag("int"))
+        return SiegelFormSeries(ring, k, prec, ring.from_integers(F.coeffs, 1))
+    lift = maass_lift(ring, k, index1_columns(k, prec * prec, ring), prec)
+    if name.startswith("E"):
+        lift = SiegelFormSeries.constant(ring, k, prec, 1) \
+            + lift.scale(ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
+    return lift
+
+
+def igusa_generators(prec, ring):
+    """The four generators by name (igusa_generator)."""
+    return {name: igusa_generator(name, prec, ring) for name in _GENERATOR_WEIGHTS}
 
 
 def fourier_jacobi(F, m):
@@ -521,22 +524,6 @@ def _fft_len(n):
         n += 1
 
 
-def theta_operator(F, j=1):
-    """The generalized theta operator iterated j times: A(T) -> det(T)^j A(T).
-
-    Over a prime field the weight annotation grows by j(p + 1); over exact
-    rings it is left unchanged.
-    """
-    if j < 0:
-        raise InvalidArgumentError("iterate count must be >= 0")
-    ring = F.ring
-    mult = _per_det(box_index(F.prec).det, lambda d: ring.pow(ring.from_int(d), j), ring.dtype)
-    w = F.weight
-    if w is not None and isinstance(ring, FpRing):
-        w = w + j * (ring.p + 1)
-    return F._derived(F.coeffs * mult, w)
-
-
 # -- the Sturm-type verifier and congruence certificates --------------------------------
 
 @dataclass
@@ -687,43 +674,35 @@ def sieve(F, p, s):
 class GeneratorContext:
     """Shared generator tables at one (ring, box) plus memoized monomials.
 
-    The optional cache object (see siegelcong.cache) persists generator
-    expansions across runs; products are only memoized in-process.  The
-    coefficient vectors of generators and monomials are read-only.
+    Each generator is built on first use, one at a time: read from the
+    optional cache object (see siegelcong.cache) when it holds it, else
+    built by igusa_generator and stored there, so a command that reads only
+    chi12 builds and stores only chi12.  Products are only memoized
+    in-process.  The coefficient vectors of generators and monomials are
+    read-only.  A box whose index and columns could not fit in physical
+    memory is refused before anything is allocated (require_box_memory).
     """
 
     def __init__(self, ring, prec, cache=None):
+        require_box_memory(prec, ring)
         self.ring = ring
         self.prec = prec
         self.cache = cache
-        self._gens = None
+        self._gens = {}
         self._mono = {}
 
-    def generators(self):
-        if self._gens is None:
-            loaded = {}
-            if self.cache is not None:
-                for name in _GENERATOR_WEIGHTS:
-                    form = self.cache.load(name, self.ring, self.prec)
-                    if form is not None:
-                        loaded[name] = form
-            if len(loaded) < len(_GENERATOR_WEIGHTS):
-                computed = igusa_generators(self.prec, self.ring)
-                if self.cache is not None:
-                    for name, form in computed.items():
-                        if name not in loaded:
-                            self.cache.store(name, form)
-                loaded = computed
-            for form in loaded.values():
-                form.coeffs.flags.writeable = False
-            self._gens = loaded
-        return self._gens
-
     def generator(self, name):
-        try:
-            return self.generators()[name]
-        except KeyError:
-            raise InvalidArgumentError(f"unknown generator {name!r}") from None
+        form = self._gens.get(name)
+        if form is None:
+            if self.cache is not None:
+                form = self.cache.load(name, self.ring, self.prec)
+            if form is None:
+                form = igusa_generator(name, self.prec, self.ring)
+                if self.cache is not None:
+                    self.cache.store(name, form)
+            form.coeffs.flags.writeable = False
+            self._gens[name] = form
+        return form
 
     def evaluate(self, poly, weight):
         """sum of coef * monomial(*e) over poly {e: coef}, a form of the given
@@ -768,44 +747,10 @@ def weight_monomials(k):
     return out
 
 
-@dataclass
-class Decomposition:
-    solution: dict      # exponent tuple -> coefficient in [0, p)
-    kernel_dim: int
-    weight: int
-    bound: int
-
-
 def _class_matrix(forms, wmax, mask=None):
     """Column j holds class_values(forms[j], wmax), restricted to mask."""
     cols = [class_values(f, wmax) for f in forms]
     return np.stack(cols if mask is None else [c[mask] for c in cols], axis=1)
-
-
-def decompose_mod_p(F, k, ctx):
-    """One expression of F mod p in the weight-k generator monomials.
-
-    Matches the coefficients on every reduced class within the weight-k
-    Sturm bound.  For p >= 5 the weight-k monomials are linearly independent
-    mod p (Nagaoka, Math. Z. 2000: the kernel of reduction mod p is
-    generated by E_{p-1} - 1, so it holds no nonzero form of a single
-    weight), so the solution is unique and kernel_dim is 0; it is reported
-    as a check.  Raises NotInRingError when no combination matches.
-    """
-    if not isinstance(F.ring, FpRing):
-        raise InvalidArgumentError("decompose_mod_p needs a prime-field form")
-    p = F.ring.p
-    monos = weight_monomials(k)
-    if not monos:
-        raise NotInRingError(f"no generator monomials in weight {k}")
-    bound = _sturm_bound(k, min(F.prec, ctx.prec))
-    mat = FpMatrix(p, _class_matrix([ctx.monomial(*e) for e in monos], bound))
-    sol = solve(mat, class_values(F, bound))
-    if sol is None:
-        raise NotInRingError(f"form is not a weight-{k} monomial combination mod {p}")
-    particular, kernel = sol
-    solution = {e: x for e, x in zip(monos, particular) if x % p}
-    return Decomposition(solution=solution, kernel_dim=len(kernel), weight=k, bound=bound)
 
 
 def monomial_text(e, coef=None):
@@ -880,8 +825,9 @@ def _search_cell(k, p, monos, cache, contexts):
         kern = kernel_basis(FpMatrix(p, _class_matrix(full_cols, full_bound, mask)))
         forms = []
         for vec in kern:
-            # the weight-k monomials are independent mod p (see decompose_mod_p),
-            # so no nonzero combination vanishes on the weight-k window
+            # for p >= 5 the weight-k monomials are independent mod p (Nagaoka,
+            # Math. Z. 2000: the kernel of reduction mod p is generated by
+            # E_{p-1} - 1), so no nonzero combination vanishes on the weight-k window
             if not np.any(ident.dot(vec) % p):
                 raise InconsistentVerdictError(
                     f"a weight-{k} combination vanishes mod {p} on the weight-{k} window")
@@ -894,11 +840,3 @@ def _search_cell(k, p, monos, cache, contexts):
             cell.update(status="none")
         out.append(cell)
     return out
-
-
-def verify_combination(F, combo, k, ctx):
-    """Check a claimed monomial expression of F mod p on the weight-k bound.
-
-    combo maps exponent tuples (a, b, c, d) to integer coefficients.
-    """
-    return sturm_zero(ctx.evaluate(combo, k) - F, k).is_zero

@@ -1,7 +1,7 @@
 import pytest
 
 from siegelcong.ring import ring_from_tag
-from siegelcong.siegel import GeneratorContext
+from siegelcong.siegel import GeneratorContext, igusa_generators
 
 INT = ring_from_tag("int")
 RAT = ring_from_tag("rat")
@@ -22,7 +22,7 @@ def ctx7():
 @pytest.fixture(scope="session")
 def int_gens():
     """Exact-integer generator tables on a small box."""
-    return GeneratorContext(INT, 4).generators()
+    return igusa_generators(4, INT)
 
 
 def holdset(certs):

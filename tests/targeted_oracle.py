@@ -9,9 +9,9 @@ from math import isqrt
 
 import numpy as np
 
+from siegel_checks import MatrixIndexT
 from siegelcong.errors import PrecisionError, RingMismatchError
 from siegelcong.ring import FpRing
-from siegelcong.siegel import MatrixIndexT
 
 
 def dot_overlap(ring, a, ashift, b, bshift, r):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from jacobi_checks import reconstruct_weak
+from siegel_checks import theta_operator, verify_combination
 from siegelcong.expr import evaluate, parse
 from siegelcong.jacobi import (filtration, heat, heat_cycle,
                                heat_cycle_required_prec, heat_iterate,
@@ -25,8 +26,7 @@ from siegelcong.qexp import mk_basis
 from siegelcong.ring import legendre, ring_from_tag
 from siegelcong.siegel import (GeneratorContext, SiegelFormSeries,
                                congruence_required_prec, congruence_scan,
-                               fourier_jacobi, sieve, theta_operator,
-                               verify_combination)
+                               fourier_jacobi, sieve)
 
 FP5 = ring_from_tag("fp:5")
 FP7 = ring_from_tag("fp:7")

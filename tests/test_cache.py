@@ -9,7 +9,7 @@ import pytest
 from siegelcong.cache import _FORMAT, DiskCache
 from siegelcong.errors import CacheIOError
 from siegelcong.ring import ring_from_tag
-from siegelcong.siegel import GeneratorContext, SiegelFormSeries
+from siegelcong.siegel import GeneratorContext, SiegelFormSeries, igusa_generators
 
 
 def _document(name, form):
@@ -52,7 +52,7 @@ def _coeffs_by_accessor(form):
 def test_store_streams_the_reference_bytes(tmp_path, tag, prec):
     ring = ring_from_tag(tag)
     cache = DiskCache(tmp_path)
-    forms = dict(GeneratorContext(ring, prec).generators(),
+    forms = dict(igusa_generators(prec, ring),
                  zero=SiegelFormSeries.zero(ring, 8, prec))
     for name, form in forms.items():
         assert form.to_json()["coeffs"] == _coeffs_by_accessor(form)

@@ -262,10 +262,19 @@ def test_cache_determinism_and_hits(capsys, tmp_path, monkeypatch):
     # warm run reads every generator from the cache and gives the same answer
     def rebuild(*args):
         raise AssertionError("generators rebuilt on a warm cache")
-    monkeypatch.setattr(siegel, "igusa_generators", rebuild)
+    monkeypatch.setattr(siegel, "igusa_generator", rebuild)
     code3, out3, _ = run(capsys, "check", "chi12", "--p", "5", "--b", "1",
                          "--cache-dir", str(d1))
     assert code3 == 0 and out3 == out1
+
+
+def test_an_impossible_box_is_refused_with_its_estimate(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(siegel, "BoxIndex", boom)
+    code, out, err = run(capsys, "scan", "chi12", "--p", "5", "--prec", "100000", "--no-cache")
+    assert code == 1 and out == ""
+    assert err.startswith("error: box 100000 needs about ") and "GiB of physical memory" in err
 
 
 def test_truncated_cache_file_exit_code(capsys, tmp_path):

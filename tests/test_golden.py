@@ -79,6 +79,16 @@ def test_gens_cache_files(capsys, tmp_path, tag, prec):
         assert (tmp_path / name).read_bytes() == (want / name).read_bytes(), name
 
 
+def test_check_writes_only_the_generator_it_reads(capsys, tmp_path):
+    """Generators are built on first use: chi12 alone, byte for byte the file
+    the four-generator build wrote."""
+    assert main(["check", "chi12", "--p", "5", "--b", "1", "--cache-dir", str(tmp_path)]) == 0
+    want = GOLDEN / "check_chi12_p5_b1_cache"
+    assert [p.name for p in tmp_path.iterdir()] == ["chi12__fp_5__N5.v2.json.gz"]
+    assert (tmp_path / "chi12__fp_5__N5.v2.json.gz").read_bytes() == \
+        (want / "chi12__fp_5__N5.v2.json.gz").read_bytes()
+
+
 def jacobi_text(tag):
     """to_json() of E_{4,1}, phi_{-2,1} and the index-2 Fourier-Jacobi slice
     of chi10 over the ring tag, as one JSON text."""

@@ -179,7 +179,7 @@ def test_corrupt_zeta2_column_is_rejected(monkeypatch, tag, gen, row):
 
     monkeypatch.setattr(jacobi, "_theta_square_column", corrupt)
     monkeypatch.setattr(jacobi, "_weak_cache", {})
-    jacobi._weak_columns.cache_clear()
+    monkeypatch.setattr(jacobi, "_weak_memo", {})
     with pytest.raises(ArithmeticDomainError):
         weak_generators(6, ring)
     with pytest.raises(ArithmeticDomainError):
@@ -199,7 +199,7 @@ def test_weak_generator_rows():
 def test_rat_weak_generators_are_the_int_ones_cast(monkeypatch):
     """Over Q the weak columns are built over Z and cast once."""
     monkeypatch.setattr(jacobi, "_weak_cache", {})
-    jacobi._weak_columns.cache_clear()
+    monkeypatch.setattr(jacobi, "_weak_memo", {})
     inverted = []
     invert = jacobi.invert_series
     monkeypatch.setattr(jacobi, "invert_series",
@@ -562,10 +562,13 @@ def test_filtration_keeps_the_scan_errors():
 @pytest.mark.parametrize("k,m,p,form", [(14, 2, 11, "E4_1*phi10_1"), (16, 1, 13, "E4*phi12_1"),
                                         (22, 2, 7, "phi10_1*phi12_1"), (12, 1, 23, "phi12_1"),
                                         (14, 2, 13, "E4_1*phi10_1")])
-def test_decomposition_membership_matches_the_window_bases(k, m, p, form):
+def test_decomposition_membership_matches_the_window_bases(monkeypatch, k, m, p, form):
     """Every heat iterate of the five golden heat-cycle forms, at every
-    candidate weight."""
+    candidate weight.  The window bases go to a dict of this test's own:
+    iterates i and i + p - 1 share candidates, and the bounded memo would
+    evict them in between."""
     from siegelcong.cli import build_named_jacobi
+    monkeypatch.setattr(jacobi, "_holo_cache", {})
     phi = build_named_jacobi(form, filtration_oracle.heat_cycle_window_prec(k, m, p),
                              ring_from_tag(f"fp:{p}"))
     for _ in range(1, p):
@@ -607,8 +610,26 @@ def test_heat_cycle_builds_each_basis_once(monkeypatch):
     assert built and len(set(built)) == len(built)
 
 
+def test_heat_cycle_decomposes_each_iterate_once(monkeypatch):
+    """The zero test of L phi and its filtration share one decomposition:
+    16 decompositions for the 16 filtrations of the (12, 1, 17) cycle."""
+    weights = []
+    real = jacobi._weak_components
+    monkeypatch.setattr(jacobi, "_weak_components",
+                        lambda phi: weights.append(phi.weight) or real(phi))
+    phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, 17), ring_from_tag("fp:17"))
+    assert len(heat_cycle(phi).filtrations) == 16
+    assert weights == [12 + 18 * i for i in range(1, 17)]
+    it = heat(phi)
+    fs = weak_decompose(it)
+    assert all(a is b for a, b in zip(weak_decompose(it), fs)) and len(weights) == 17
+    assert all(not f.flags.writeable for f in fs)
+    assert weak_decompose(it.truncate(it.prec - 1))[0].tolist() == fs[0][:-1].tolist()
+
+
 def test_jacobi_memos_are_bounded():
-    for memo in (jacobi._weak_cache, jacobi._mono_cache, jacobi._holo_cache, qexp._bases):
+    for memo in (jacobi._weak_cache, jacobi._mono_cache, jacobi._holo_cache, jacobi._weak_memo,
+                 qexp._bases, qexp._level1):
         assert isinstance(memo, BoundedMemo) and memo.limit == qexp.MEMO_BYTES
 
 

@@ -125,6 +125,25 @@ def test_e4_cubed_minus_e6_squared():
     assert f[1] == 1728
 
 
+@pytest.mark.parametrize("tag", ["int", "fp:7"])
+def test_sigma_sieve_and_the_discriminant(tag):
+    """sigma_e against divisor sums; E4^3 - E6^2 = 1728 Delta, and Delta = q eta^24
+    from the eta^3 series, which shares no code with the sieve."""
+    ring = ring_from_tag(tag)
+    for e in (0, 1, 3, 5, 11):
+        got = ring.canonical(qexp._sigma(e, 60, ring))
+        assert got.tolist() == [0] + [ring.from_int(_sigma(e, n)) for n in range(1, 61)], e
+    e2, e4, e6, delta = qexp.level1_series(60, ring)
+    assert e2.tolist() == [1] + [ring.from_int(-24 * _sigma(1, n)) for n in range(1, 61)]
+    n = 61
+    lhs = convolve_trunc(ring, convolve_trunc(ring, e4, e4, n), e4, n) \
+        - convolve_trunc(ring, e6, e6, n)
+    assert ring.canonical(lhs).tolist() == ring.canonical(delta * ring.from_int(1728)).tolist()
+    eta12 = convolve_trunc(ring, eta_pow6(59, ring), eta_pow6(59, ring), 60)
+    eta24 = convolve_trunc(ring, eta12, eta12, 60)
+    assert delta.tolist() == [0] + eta24.tolist()
+
+
 def test_eta_pow6():
     eta6 = eta_pow6(10, INT)
     assert len(eta6) == 11 and eta6[0] == 1
@@ -183,32 +202,32 @@ def test_mk_basis_memoizes_power_chains(monkeypatch):
     want = {(k, prec): [f.tolist() for f in filtration_oracle.mk_basis(k, prec, FP7)]
             for prec in (20, 13, 5) for k in weights if prec > k // 12}
     calls = []
-    for name in ("eisenstein_q", "delta_q"):
-        def counted(*args, _fn=getattr(qexp, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(qexp, name, counted)
+    build = qexp._level1_rows
+    monkeypatch.setattr(qexp, "_level1_rows",
+                        lambda prec, ring: calls.append((ring.tag, prec)) or build(prec, ring))
+    monkeypatch.setattr(qexp, "_level1", {})
     monkeypatch.setattr(qexp, "_chains", None)
     monkeypatch.setattr(qexp, "_bases", {})
     for k in weights:
         mk_basis(k, 20, FP7)
-    built = len(calls)
-    assert calls.count("delta_q") == 1 and built > 1
+    assert calls == [("fp:7", 20)]
     # every weight at a smaller precision is a truncation of the bases at q^20,
     # and a caller cannot write into the memoized basis it is handed
     with pytest.raises(ValueError):
         mk_basis(24, 20, FP7)[0][:] = 0
     for (k, prec), rows in want.items():
         assert mk_basis(k, prec, FP7).tolist() == rows, (k, prec)
-    assert len(calls) == built
+    assert calls == [("fp:7", 20)]
     # a larger precision or another ring replaces the single entry once
     mk_basis(12, 21, FP7)
     mk_basis(40, 21, FP7)
-    assert len(calls) == 2 * built and calls.count("delta_q") == 2
+    assert calls == [("fp:7", 20), ("fp:7", 21)]
     mk_basis(12, 21, FP11)
-    assert calls.count("delta_q") == 3
+    assert calls[-1] == ("fp:11", 21) and len(calls) == 3
     tag, prec, chains = qexp._chains
     assert (tag, prec) == ("fp:11", 21) and not any(f.flags.writeable for c in chains for f in c)
+    # the chains start from the rows of the level-1 memo, not from copies
+    assert all(np.shares_memory(c[1], qexp._level1["fp:11"]) for c in chains)
 
 
 def _fresh_basis(monkeypatch, k, prec, ring):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,6 +84,21 @@ def test_int_ring_divexact():
     assert r.divexact(12, 4) == 3
     with pytest.raises(ArithmeticDomainError):
         r.divexact(13, 4)
+
+
+@pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
+def test_divexact_vector_matches_divexact(tag):
+    r = ring_from_tag(tag)
+    vec = np.array([r.from_int(v) for v in (0, 12, -24, 1728 * 5)], dtype=r.dtype)
+    got = r.divexact_vector(vec, 12)
+    assert got.dtype == r.dtype
+    assert got.tolist() == [r.divexact(v, r.from_int(12)) for v in vec.tolist()]
+    if tag == "int":
+        with pytest.raises(ArithmeticDomainError):
+            r.divexact_vector(np.array([12, 13], dtype=object), 12)
+    if tag == "fp:7":
+        with pytest.raises(ArithmeticDomainError):
+            r.divexact_vector(vec, 14)
 
 
 def test_is_prime_spot_checks():

@@ -10,20 +10,19 @@ from siegelcong import siegel
 from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError,
                                NotInRingError, PrecisionError,
                                SiegelCongError)
-from siegelcong import jacobi
+from siegelcong import jacobi, qexp
 from siegelcong.jacobi import heat, index1_columns, jacobi_cusp, jacobi_eisenstein
 from siegelcong.qexp import eisenstein_q
 from siegelcong.ring import FpRing, is_prime, legendre, ring_from_tag
-from siegelcong.siegel import (CongruenceCertificate, GeneratorContext,
-                               MatrixIndexT, SiegelFormSeries,
-                               congruence_scan, decompose_mod_p, dyadic_trace,
-                               enumerate_reduced, fourier_jacobi,
-                               igusa_generators, maass_lift, reduce_T,
-                               siegel_congruence, siegel_mul, sturm_zero,
-                               theta_operator, verify_combination,
+from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext,
+                               SiegelFormSeries, box_bytes, congruence_scan,
+                               fourier_jacobi, igusa_generator, igusa_generators,
+                               maass_lift, siegel_congruence, siegel_mul, sturm_zero,
                                weight_monomials)
 from mul_loop_oracle import mul_loop
-from siegel_checks import check_unimodular_moves, siegel_direct_scan
+from siegel_checks import (MatrixIndexT, check_unimodular_moves, decompose_mod_p, dyadic_trace,
+                           enumerate_reduced, maass_lift_loop, reduce_T, siegel_direct_scan,
+                           theta_operator, verify_combination)
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
@@ -138,6 +137,56 @@ def test_maass_lift_needs_precision():
     with pytest.raises(PrecisionError):
         maass_lift(INT, 10, (h0, h1[:16]), 4)
     assert maass_lift(INT, 10, (h0, h1), 4) == maass_lift(INT, 10, index1_columns(10, 20, INT), 4)
+
+
+@pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:2097169", "int", "rat"])
+def test_one_pass_lift_equals_the_per_divisor_loop(tag):
+    ring = ring_from_tag(tag)
+    for k in (4, 6, 10, 12):
+        cols = index1_columns(k, 144, ring)
+        for box in range(1, 13):
+            got, want = maass_lift(ring, k, cols, box), maass_lift_loop(ring, k, cols, box)
+            assert got == want and got.weight == k, (k, box)
+            assert [type(v) for v in got.coeffs.tolist()] == [type(v) for v in want.coeffs.tolist()]
+
+
+@pytest.mark.parametrize("tag", ["fp:7", "fp:2097169", "int", "rat"])
+def test_each_generator_alone_equals_a_fresh_build_of_all_four(monkeypatch, tag):
+    """A context builds only the generator asked for, and reading the
+    level-1 series as a prefix of a longer memo changes nothing."""
+    ring = ring_from_tag(tag)
+    monkeypatch.setattr(qexp, "_level1", {})
+    monkeypatch.setattr(jacobi, "_weak_memo", {})
+    want = igusa_generators(3, ring)
+    igusa_generator("chi10", 5, ring)            # the memo now reaches q^25
+    for name in ("chi12", "E6", "chi10", "E4"):
+        ctx = GeneratorContext(ring, 3)
+        got = ctx.generator(name)
+        assert got == want[name] and got.weight == want[name].weight, name
+        assert list(ctx._gens) == [name] and not got.coeffs.flags.writeable
+    with pytest.raises(InvalidArgumentError):
+        GeneratorContext(ring, 3).generator("chi8")
+
+
+def test_box_bytes_bounds_the_index():
+    """The closed form is an upper bound on five int64 arrays per key, and
+    tight: within 7.5% at box 30."""
+    for box in range(41):
+        index, cols = box_bytes(box)
+        size = BoxIndex(box).size
+        assert 40 * size <= index and cols == 0, box
+    assert box_bytes(30)[0] <= 1.075 * 40 * siegel.box_index(30).size
+    # an object entry counts 64 bytes, as in qexp.array_bytes
+    assert box_bytes(30, INT)[1] == 8 * box_bytes(30, FP7)[1] > 0
+
+
+def test_an_impossible_box_is_refused_before_allocating(monkeypatch):
+    def boom(*args):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(siegel, "BoxIndex", boom)
+    for make in (lambda: siegel.box_index(100000), lambda: GeneratorContext(FP5, 100000)):
+        with pytest.raises(InvalidArgumentError, match="box 100000 needs about .* GiB"):
+            make()
 
 
 def test_igusa_generators_build_no_jacobi_form(monkeypatch):
@@ -620,7 +669,6 @@ def test_search_refuses_a_combination_vanishing_on_the_weight_window(monkeypatch
 
 def test_monomial_of_one_generator_is_the_generator(monkeypatch):
     ctx = GeneratorContext(FP7, 2)
-    ctx.generators()
     calls = []
     mul = siegel.siegel_mul
     monkeypatch.setattr(siegel, "siegel_mul", lambda F, G: calls.append(1) or mul(F, G))
