@@ -435,13 +435,6 @@ def _index1_form(ring, weight, cols, weak):
     return JacobiFormSeries(ring, weight, 1, prec, vec, weak=weak)
 
 
-def _forms_bytes(forms):
-    return array_bytes(f.coeffs for f in forms)
-
-
-_weak_cache = BoundedMemo(MEMO_BYTES, _forms_bytes)
-
-
 def weak_generators(prec, ring):
     """The weak index-1 generators phi_{-2,1} and phi_{0,1} of weights -2 and 0.
 
@@ -451,18 +444,12 @@ def weak_generators(prec, ring):
     Jacobi Forms, Thm 2.2; the proof uses only the elliptic transformation
     law, so weak forms are covered).  Each generator is therefore built from
     its zeta^0 and zeta^1 columns h_0, h_1 alone (see _weak_columns), as
-    c(n, r) = h_{r mod 2}[n - floor(r^2/4)], the entry with the same D.
-    Results are memoized per ring at the largest precision built, in a
-    BoundedMemo, and read-only; a smaller precision is a truncation.
+    c(n, r) = h_{r mod 2}[n - floor(r^2/4)], the entry with the same D: one
+    read-only gather from the memoized columns for both.
     """
-    hit = _weak_cache.get(ring.tag)
-    if hit is not None and hit[0].prec >= prec:
-        return hit if hit[0].prec == prec else tuple(f.truncate(prec) for f in hit)
-    out = tuple(_index1_form(ring, k, index1_columns(k, prec, ring), weak=True) for k in (-2, 0))
-    for f in out:
-        f.coeffs.flags.writeable = False
-    _weak_cache[ring.tag] = out
-    return out
+    D = jacobi_index(1, prec).D
+    vecs = _read_only(_weak_columns(prec, ring)[:, (D % 4 == 3).astype(int), (D + 1) // 4])
+    return tuple(JacobiFormSeries(ring, k, 1, prec, v, weak=True) for k, v in zip((-2, 0), vecs))
 
 
 def jacobi_eisenstein(k, prec, ring):
@@ -572,7 +559,7 @@ def _weak_components(phi):
     return fs
 
 
-_mono_cache = BoundedMemo(MEMO_BYTES, lambda f: _forms_bytes([f]))
+_mono_cache = BoundedMemo(MEMO_BYTES, lambda f: array_bytes([f.coeffs]))
 
 
 def _weak_monomial(gens, j, i, prec):
@@ -722,17 +709,6 @@ def nonexistence_applies(k, m, p, b, phi):
 
 # -- holomorphic bases, filtrations, heat cycles --------------------------------------
 
-_holo_cache = BoundedMemo(MEMO_BYTES, lambda b: array_bytes([b.matrix]))
-
-
-def _shift_index(idx):
-    """Gather index for q^s times a form, s = 0..prec: entry [s, key] points
-    into the form's vector with one zero appended."""
-    src = idx.n - np.arange(len(idx.bound))[:, None]       # the q-row n - s a key reads
-    ok = (src >= 0) & (idx.r <= idx.bound[src.clip(0)])
-    return np.where(ok, idx.start[src.clip(0)] + idx.r, idx.size)
-
-
 class HoloBasis(Sequence):
     """The echelon basis holo_basis returns: a read-only matrix whose row i is
     the coefficient vector of basis form i, and its pivot columns.  Item i is
@@ -751,91 +727,27 @@ class HoloBasis(Sequence):
 
 
 def holo_basis(k, m, prec, p):
-    """Echelonized mod-p basis of the holomorphic weight-k, index-m space.
+    """Echelonized mod-p basis of the holomorphic weight-k, index-m space, a
+    test reference: filtration decides membership from weak_decompose, and
+    the tests check that decision against membership in these bases.
 
-    The candidates f * w_{-2}^j w_0^{m-j}, f in mk_basis(k + 2j), form one
-    matrix C over the keys (n, r), r >= 0, of the coefficient vector: for
-    each weak monomial, F @ (the monomial moved down s = 0..prec q-rows), F
-    the matrix of those f.  The kernel of C's columns with 4nm - r^2 < 0
-    gives the holomorphic combinations (_holomorphic_rows), whose rows are
-    row reduced (_echelon).  The echelon rows and pivots are memoized per
-    (k, m, prec, p) in a BoundedMemo, read-only.  filtration does not build
-    these bases; the tests check its decision against membership in them.
-
-    Exactness: products of residue matrices run in float64 BLAS while
-    L (p - 1)^2 < 2^53, L the inner length, and in int64 otherwise, which is
-    exact while L (p - 1)^2 < 2^63: for every fits64 prime (p < 2^21) at any
-    window below 2^21 rows.  Larger primes multiply Python ints
-    (dtype=object).  See _mul_mod.
+    The candidates f * w_{-2}^j w_0^{m-j}, f in mk_basis(k + 2j), are the
+    rows of one matrix over the keys (n, r) of the coefficient vector.  In
+    its echelon form with the columns of 4nm - r^2 < 0 ordered first, the
+    rows whose pivot lies past those columns vanish on all of them and span
+    the holomorphic part; one more rref puts them in key order.
     """
-    key = (k, m, prec, p)
-    hit = _holo_cache.get(key)
-    if hit is not None:
-        return hit
     ring = ring_from_tag(f"fp:{p}")
     gens = weak_generators(prec, ring)
-    dtype = ring.dtype
     idx = jacobi_index(m, prec)
-    shift = _shift_index(idx)
-    blocks = []
-    for j in range(m + 1):
-        f = mk_basis(k + 2 * j, prec, ring)
-        if len(f):
-            mono = np.append(_weak_monomial(gens, j, m - j, prec).coeffs, 0)
-            blocks.append(_mul_mod(f, mono[shift], p))
-    out = HoloBasis(ring, k, m, prec, np.zeros((0, idx.size), dtype), [])
-    if blocks:
-        hol = _holomorphic_rows(np.concatenate(blocks), idx.D < 0, p)
-        if len(hol):
-            # the pivots are expected on the rows the zero test reads (_echelon checks)
-            rows = min(zero_test_required_prec(k, m), prec + 1)
-            red, pivots = _echelon(hol, int(idx.start[max(rows, 0)]), p)
-            out = HoloBasis(ring, k, m, prec, red.astype(dtype), pivots)
-    _holo_cache[key] = out
-    return out
-
-
-def _mul_mod(a, b, p):
-    """a @ b mod p for matrices of residues mod p, exactly: in float64 BLAS
-    while L (p - 1)^2 < 2^53 (L the inner length), else in a's dtype."""
-    if a.dtype == object or b.dtype == object or a.shape[1] * (p - 1) ** 2 >= 2 ** 53:
-        return a @ b % p
-    return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
-
-
-def _holomorphic_rows(cand, neg, p):
-    """A basis of the rows x @ cand, x in the kernel of cand's columns neg.
-
-    With R the echelon form of those columns, pivots P and free rows F, the
-    kernel vector of free row f is e_f - sum_i R[i, f] e_{P_i}
-    (linalg.kernel_basis), so the rows are cand[F] - R[:, F]^T @ cand[P]:
-    one product of the constraint rank, not of the row count.
-    """
-    red, rank, piv = rref(FpMatrix(p, cand[:, neg].T))
-    free = np.setdiff1d(np.arange(len(cand)), piv)
-    coef = red.data[:rank][:, free].T
-    return (cand[free] - _mul_mod(coef.astype(cand.dtype), cand[piv], p)) % p
-
-
-def _echelon(a, width, p):
-    """(R, pivots): the reduced echelon form of the residue matrix a, rank rows.
-
-    When the columns outnumber twice width + rows, a pivot prefix is tried
-    first: [a[:, :width] | I] is reduced to [R_w | T], and T @ a is the
-    echelon form of a if its rows past the prefix rank r are zero, since the
-    echelon form of a row space is unique.  Then R is (T @ a)[:r]; otherwise
-    all of a is reduced.
-    """
-    rows, cols = a.shape
-    if 2 * (width + rows) <= cols:
-        aug = np.concatenate([a[:, :width], np.eye(rows, dtype=a.dtype)], axis=1)
-        red, _, piv = rref(FpMatrix(p, aug))
-        r = sum(c < width for c in piv)
-        full = _mul_mod(red.data[:, width:].astype(a.dtype), a, p)
-        if not np.any(full[r:]):
-            return full[:r], piv[:r]
-    red, rank, piv = rref(FpMatrix(p, a))
-    return red.data[:rank], piv
+    cands = [qseries_times_jacobi(f, k + 2 * j, _weak_monomial(gens, j, m - j, prec)).coeffs
+             for j in range(m + 1) for f in mk_basis(k + 2 * j, prec, ring)]
+    order = np.argsort(idx.D >= 0, kind="stable")          # the keys with D < 0 first
+    cands = np.array(cands, dtype=np.int64).reshape(-1, idx.size)
+    red, _, piv = rref(FpMatrix(p, cands[:, order]))
+    past = [i for i, c in enumerate(piv) if idx.D[order[c]] >= 0]
+    red, rank, piv = rref(FpMatrix(p, red.data[past][:, np.argsort(order)]))
+    return HoloBasis(ring, k, m, prec, red.data[:rank].astype(ring.dtype), piv)
 
 
 def filtration(phi, hint=None):

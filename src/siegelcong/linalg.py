@@ -116,15 +116,6 @@ def kernel_basis(mat):
     return _kernel_from_rref(mat.p, a, pivots, mat.cols)
 
 
-def kernel_dim(mat):
-    return mat.cols - rank(mat)
-
-
-def rank(mat):
-    a = mat.data.copy()
-    return len(_rref_inplace(mat.p, a))
-
-
 def membership(v, basis_rows, p):
     """Is the vector v in the F_p row span of basis_rows?"""
     rows = [list(r) for r in basis_rows]

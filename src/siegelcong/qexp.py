@@ -264,8 +264,8 @@ def mk_basis(k, prec, ring):
     BoundedMemo, and a smaller precision is served as a column slice (a
     view) of the stored matrix.  That is exact: the back substitution reads
     and clears only the pivot columns c <= k/12 < prec, and row operations
-    commute with truncation.  jacobi.holo_basis asks for the same bases at
-    many windows.
+    commute with truncation.  jacobi.filtration asks for each basis at one
+    precision per form, phi.prec.
     """
     tri = _triangular_exponents(k)
     if not tri:

@@ -315,9 +315,6 @@ class FpRing(Ring):
             raise RingMismatchError(f"cannot reduce {self.tag} coefficients mod {fp.p}")
         return super().reduce_vector(vec, fp)
 
-    def legendre(self, a):
-        return legendre(a, self.p)
-
 
 _INT = IntRing()
 _RAT = RatRing()

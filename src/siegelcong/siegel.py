@@ -544,11 +544,11 @@ def _sturm_bound(weight, prec):
     return bound
 
 
-def _scan(F, weight, eps=None):
+def sturm_zero(F, weight, eps=None):
     """The zero test mod p behind every verdict: A(T) at the reduced classes
-    T within the Sturm bound of weight (only those with legendre(det T, p)
-    == eps when eps is given), and the first (n, r, m) where it does not
-    vanish."""
+    T with dyadic trace within the Sturm bound weight // 3 (only those with
+    legendre(det T, p) == eps when eps is given), and the first (n, r, m)
+    where it does not vanish."""
     if not isinstance(F.ring, FpRing):
         raise InvalidArgumentError("a Sturm scan needs a prime-field form")
     bound = _sturm_bound(weight, F.prec)
@@ -559,12 +559,6 @@ def _scan(F, weight, eps=None):
     hit = np.flatnonzero(values)
     witness = tuple(int(a[hit[0]]) for a in classes[:3]) if len(hit) else None
     return SturmReport(witness is None, bound, len(values), witness)
-
-
-def sturm_zero(F, k_eff):
-    """Finite zero test mod p at effective weight k_eff: A(T) vanishes on
-    every reduced T with dyadic trace at most k_eff / 3."""
-    return _scan(F, k_eff)
 
 
 @dataclass
@@ -618,7 +612,7 @@ def siegel_congruence(F, p, b, label=""):
         raise InvalidArgumentError("form needs a weight annotation")
     b %= p
     g_weight = criterion_weight(F.weight, p, b)
-    rep = _scan(F, g_weight, legendre(b, p))
+    rep = sturm_zero(F, g_weight, legendre(b, p))
     return CongruenceCertificate(form=label, p=p, b=b,
                                  verdict="holds" if rep.is_zero else "fails",
                                  G_weight=g_weight, sturm_bound=rep.bound,

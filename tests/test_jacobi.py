@@ -149,7 +149,7 @@ def _assert_same_form(got, want):
                          + [(tag, prec) for tag in ("int", "rat") for prec in (1, 2, 5, 12)])
 def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
     ring = ring_from_tag(tag)
-    monkeypatch.setattr(jacobi, "_weak_cache", {})
+    monkeypatch.setattr(jacobi, "_weak_memo", {})
     for got, want in zip(weak_generators(prec, ring),
                          allcolumn_oracle.weak_generators(prec, ring)):
         _assert_same_form(got, want)
@@ -178,7 +178,6 @@ def test_corrupt_zeta2_column_is_rejected(monkeypatch, tag, gen, row):
         return col
 
     monkeypatch.setattr(jacobi, "_theta_square_column", corrupt)
-    monkeypatch.setattr(jacobi, "_weak_cache", {})
     monkeypatch.setattr(jacobi, "_weak_memo", {})
     with pytest.raises(ArithmeticDomainError):
         weak_generators(6, ring)
@@ -198,7 +197,6 @@ def test_weak_generator_rows():
 
 def test_rat_weak_generators_are_the_int_ones_cast(monkeypatch):
     """Over Q the weak columns are built over Z and cast once."""
-    monkeypatch.setattr(jacobi, "_weak_cache", {})
     monkeypatch.setattr(jacobi, "_weak_memo", {})
     inverted = []
     invert = jacobi.invert_series
@@ -462,7 +460,7 @@ def test_filtration_drop_detects_lower_weight():
     assert filtration(f) == 4
 
 
-@pytest.mark.parametrize("p", [5, 7, 17])
+@pytest.mark.parametrize("p", [5, 7, 17, 2097169])
 def test_holo_basis_matches_per_form_oracle(p):
     for m in (1, 2):
         for k in range(-2, 41):
@@ -486,7 +484,7 @@ def _window_member(phi, kp):
     filtration_oracle: the membership test the window filtration used."""
     p = phi.ring.p
     win = filtration_oracle.filtration_window(kp, phi.index, p)
-    basis = holo_basis(kp, phi.index, win, p) if win else ()
+    basis = jacobi.holo_basis(kp, phi.index, win, p) if win else ()
     if not basis:
         return False
     v = phi.at_prec(win)
@@ -564,11 +562,10 @@ def test_filtration_keeps_the_scan_errors():
                                         (14, 2, 13, "E4_1*phi10_1")])
 def test_decomposition_membership_matches_the_window_bases(monkeypatch, k, m, p, form):
     """Every heat iterate of the five golden heat-cycle forms, at every
-    candidate weight.  The window bases go to a dict of this test's own:
-    iterates i and i + p - 1 share candidates, and the bounded memo would
-    evict them in between."""
+    candidate weight.  The window bases are built once per key: iterates i
+    and i + p - 1 share candidates."""
     from siegelcong.cli import build_named_jacobi
-    monkeypatch.setattr(jacobi, "_holo_cache", {})
+    monkeypatch.setattr(jacobi, "holo_basis", lru_cache(None)(jacobi.holo_basis))
     phi = build_named_jacobi(form, filtration_oracle.heat_cycle_window_prec(k, m, p),
                              ring_from_tag(f"fp:{p}"))
     for _ in range(1, p):
@@ -628,8 +625,7 @@ def test_heat_cycle_decomposes_each_iterate_once(monkeypatch):
 
 
 def test_jacobi_memos_are_bounded():
-    for memo in (jacobi._weak_cache, jacobi._mono_cache, jacobi._holo_cache, jacobi._weak_memo,
-                 qexp._bases, qexp._level1):
+    for memo in (jacobi._mono_cache, jacobi._weak_memo, qexp._bases, qexp._level1):
         assert isinstance(memo, BoundedMemo) and memo.limit == qexp.MEMO_BYTES
 
 
@@ -642,11 +638,12 @@ def test_weak_memos_evict_and_rebuild_the_same_forms(monkeypatch):
         for j in range(4):
             assert jacobi._weak_monomial(gens, j, 3 - j, 12) == want[j]
             assert small.nbytes <= small.limit and len(small) <= 2
-    monkeypatch.setattr(jacobi, "_weak_cache", BoundedMemo(1, jacobi._weak_cache.size))
+    monkeypatch.setattr(jacobi, "_weak_memo", BoundedMemo(1, jacobi._weak_memo.size))
     for tag in ("fp:7", "fp:5", "fp:7"):
         w = weak_generators(10, ring_from_tag(tag))
-        assert list(jacobi._weak_cache) == [tag] and w[0].prec == 10
+        assert list(jacobi._weak_memo) == [tag] and w[0].prec == 10
         assert not w[0].coeffs.flags.writeable
+    assert all(f == g.truncate(10) for f, g in zip(w, gens))
 
 
 @pytest.mark.parametrize("p", [2097169, 3037000493])

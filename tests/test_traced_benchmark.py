@@ -4,9 +4,12 @@ perfbench/spans.py replaces functions by module and name, and its hooks read
 some of their parameters by name (prec, k, m, prec, p, F, G, mat), so a
 rename breaks `perfbench/run.py --trace 1`.  This runs spans.py on small
 commands on each side of the engine, one of them with an elliptic factor,
-and compares it with the plain CLI.
+and compares it with the plain CLI.  No command calls jacobi.holo_basis or
+linalg.membership, so the parameter names their hooks read are checked
+directly.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from siegelcong import jacobi, linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +47,8 @@ def test_traced_run_matches_the_cli(tmp_path, argv, layer):
     assert times[layer]["calls"] > 0
     if argv[0] == "heat-cycle":
         assert times["qexp.mk_basis"]["calls"] > 0
+
+
+def test_hooked_parameters_keep_their_names():
+    assert list(inspect.signature(jacobi.holo_basis).parameters) == ["k", "m", "prec", "p"]
+    assert list(inspect.signature(linalg.membership).parameters) == ["v", "basis_rows", "p"]
