@@ -74,6 +74,7 @@ class DiskCache:
             raise CacheIOError(f"unreadable cache file {path}: {exc}") from exc
 
     def store(self, name, form):
+        form.need(form.prec)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

@@ -131,9 +131,9 @@ def _cache(args):
     return None if args.no_cache else DiskCache(args.cache_dir or None)
 
 
-def _context(args, prec, ring):
-    """The generator context over ring at box prec, or at --prec when given."""
-    return GeneratorContext(ring, args.prec or prec, _cache(args))
+def _context(args, prec, ring, bound=None):
+    """The generator context over ring at box prec (or --prec) for a trace bound."""
+    return GeneratorContext(ring, args.prec or prec, _cache(args), bound)
 
 
 def _eval_mod_p(args, text, p, b=0):
@@ -148,7 +148,8 @@ def _eval_mod_p(args, text, p, b=0):
     ring = ring_from_tag(args.ring or f"fp:{p}")
     if isinstance(ring, FpRing) and ring.p != p:
         raise InvalidArgumentError(f"ring {ring.tag} does not match p = {p}")
-    form = exprmod.evaluate(e, _context(args, congruence_required_prec(e.weight, p, b), ring))
+    bound = criterion_weight(e.weight, p, b) // 3
+    form = exprmod.evaluate(e, _context(args, bound // 2, ring, bound))
     if not isinstance(ring, FpRing):
         form = form.reduce_mod(p)
     if sturm_zero(form, e.weight).is_zero:

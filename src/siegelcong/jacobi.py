@@ -732,18 +732,19 @@ def holo_basis(k, m, prec, p):
     the tests check that decision against membership in these bases.
 
     The candidates f * w_{-2}^j w_0^{m-j}, f in mk_basis(k + 2j), are the
-    rows of one matrix over the keys (n, r) of the coefficient vector.  In
-    its echelon form with the columns of 4nm - r^2 < 0 ordered first, the
-    rows whose pivot lies past those columns vanish on all of them and span
-    the holomorphic part; one more rref puts them in key order.
+    rows of one matrix over the keys (n, r), one product mk_basis(k + 2j) @ S_j
+    per monomial (row n1 of S_j is it times q^n1).  In its echelon form with
+    the D < 0 columns first, the rows whose pivot lies past them vanish on
+    them and span the holomorphic part; one more rref puts them in key order.
     """
     ring = ring_from_tag(f"fp:{p}")
     gens = weak_generators(prec, ring)
     idx = jacobi_index(m, prec)
-    cands = [qseries_times_jacobi(f, k + 2 * j, _weak_monomial(gens, j, m - j, prec)).coeffs
-             for j in range(m + 1) for f in mk_basis(k + 2 * j, prec, ring)]
+    below = idx.n - np.arange(prec + 1)[:, None]           # S_j[n1, (n, r)] = c(n - n1, r)
+    at = np.where((below >= 0) & (idx.r <= idx.bound[below]), idx.start[below] + idx.r, idx.size)
+    cands = np.concatenate([mk_basis(k + 2 * j, prec, ring) @ np.append(
+        _weak_monomial(gens, j, m - j, prec).coeffs, 0)[at] % p for j in range(m + 1)])
     order = np.argsort(idx.D >= 0, kind="stable")          # the keys with D < 0 first
-    cands = np.array(cands, dtype=np.int64).reshape(-1, idx.size)
     red, _, piv = rref(FpMatrix(p, cands[:, order]))
     past = [i for i, c in enumerate(piv) if idx.D[order[c]] >= 0]
     red, rank, piv = rref(FpMatrix(p, red.data[past][:, np.argsort(order)]))

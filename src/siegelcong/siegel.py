@@ -16,7 +16,8 @@ coefficients on reduced matrices up to the dyadic-trace Sturm bound without
 ever materializing the auxiliary form G; products of truncated expansions
 are exact on the stored box because the support is semipositive.  Every such
 test reads its coefficients with one gather at the reduced classes
-(class_values).
+(class_values).  A reduced T within trace B has n <= B/3, so a form may
+hold only its slices n <= K, a prefix of its vector (SiegelFormSeries.nmax).
 
 Products (siegel_mul) have one kernel, an exact float64 FFT convolution of
 whole n-slices modulo a prime: the prime p itself over F_p when p is small
@@ -203,6 +204,16 @@ class SiegelFormSeries:
     def rb(n, m):
         return isqrt(4 * n * m)
 
+    @property
+    def nmax(self):
+        """K: the vector holds the keys with n <= K, its first nstart[K + 1]."""
+        return int(np.searchsorted(box_index(self.prec).nstart, len(self.coeffs))) - 1
+
+    def need(self, n):
+        """PrecisionError unless the keys with n' <= n are stored."""
+        if n > self.nmax:
+            raise PrecisionError(f"slice {n} past the stored prefix n <= {self.nmax}", n, self.nmax)
+
     def a(self, n, r, m):
         """Coefficient A(n, r, m); zero outside the semipositive support."""
         if n < 0 or m < 0:
@@ -210,6 +221,7 @@ class SiegelFormSeries:
         if n > self.prec or m > self.prec:
             raise PrecisionError(f"triple ({n},{r},{m}) beyond box {self.prec}",
                                  required=max(n, m), available=self.prec)
+        self.need(min(n, m))
         if abs(r) > self.rb(n, m):
             return self.ring.zero
         v = self.coeffs[box_index(self.prec).offset[n, m] + abs(r)]
@@ -222,11 +234,12 @@ class SiegelFormSeries:
         return (isinstance(other, SiegelFormSeries) and self.ring == other.ring
                 and self.prec == other.prec and np.array_equal(self.coeffs, other.coeffs))
 
-    def at_box(self, prec):
-        """The coefficient vector truncated to box prec <= self.prec."""
-        if prec == self.prec:
-            return self.coeffs
-        return self.coeffs[box_index(self.prec).m <= prec]
+    def at_box(self, prec, nmax=None):
+        """The keys of box prec <= self.prec with n <= nmax (default: all stored)."""
+        nmax = min(prec, self.nmax if nmax is None else nmax)
+        self.need(nmax)
+        vec = self.coeffs[:box_index(self.prec).nstart[nmax + 1]]
+        return vec if prec == self.prec else vec[box_index(self.prec).m[:len(vec)] <= prec]
 
     def _derived(self, vec, weight, prec=None):
         """A form over the same ring from the fresh vector vec."""
@@ -236,8 +249,8 @@ class SiegelFormSeries:
     def _map2(self, other, fn, weight):
         if self.ring != other.ring:
             raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
-        prec = min(self.prec, other.prec)
-        return self._derived(fn(self.at_box(prec), other.at_box(prec)), weight, prec)
+        prec, nmax = min(self.prec, other.prec), min(self.nmax, other.nmax)
+        return self._derived(fn(self.at_box(prec, nmax), other.at_box(prec, nmax)), weight, prec)
 
     def __add__(self, other):
         w = self.weight if self.weight == other.weight else None
@@ -268,12 +281,9 @@ class SiegelFormSeries:
         fp = ring_from_tag(f"fp:{p}")
         return SiegelFormSeries(fp, self.weight, self.prec, self.ring.reduce_vector(self.coeffs, fp))
 
-    def support_dets(self):
-        """Sorted determinants carried by nonzero stored coefficients."""
-        return np.unique(box_index(self.prec).det[self.coeffs != 0]).tolist()
-
     def coeff_rows(self, n):
         """[n, r, m, token] for the nonzero A(n, r, m) with m >= n, r >= 0."""
+        self.need(n)
         idx = box_index(self.prec)
         block = slice(idx.nstart[n], idx.nstart[n + 1])
         nz = np.flatnonzero(self.coeffs[block] != 0)
@@ -296,7 +306,8 @@ def tokens(ring, vec):
 
 def class_values(F, wmax):
     """A(T) at the reduced classes of reduced_classes(wmax), in their order:
-    one gather.  F's box must cover wmax // 2."""
+    one gather.  F's box must cover wmax // 2, its prefix wmax // 3."""
+    F.need(wmax // 3)
     n, r, m, _ = reduced_classes(wmax)
     return F.coeffs[box_index(F.prec).offset[n, m] + r]
 
@@ -370,6 +381,7 @@ def fourier_jacobi(F, m):
     if m < 0 or m > F.prec:
         raise PrecisionError(f"slice index {m} outside box {F.prec}",
                              required=m, available=F.prec)
+    F.need(m)
     idx = jacobi_index(m, F.prec)
     inside = idx.D >= 0
     vec = F.ring.zeros(idx.size)
@@ -389,10 +401,11 @@ def _qmax(prec):
 
 
 def siegel_mul(F, G):
-    """Three-variable Cauchy product, exact on the shared box N.
+    """Three-variable Cauchy product, exact on the shared box N and prefix K.
 
     Semipositivity of the support forces both q- and q'-degrees of the
-    factors below those of the output, so no out-of-box terms are lost.
+    factors below those of the output, so no out-of-box terms are lost, and
+    an output with n <= K reads only keys with min(n, m) <= K.
 
     The one kernel is a float64 FFT product modulo an odd prime q
     (_mul_fft), exact when h^2 T <= 2^40 (q <= _qmax(N)), with residues
@@ -405,7 +418,7 @@ def siegel_mul(F, G):
     (Percival, Math. Comp. 72, 2003); q >= 5 keeps N below 5200 and log2 L
     below 29, so for every modulus the error is under 13 * 29 / 2^13 < 0.05,
     a tenth of what rounding allows (measured at the bound with all-h
-    factors, boxes 4 to 40: 1.2e-4).
+    factors, boxes 4 to 40, K = N, 2N/3 and N/3: 1.5e-4).
 
     The ring decides only the moduli: p itself over F_p with p <= _qmax(N).
     Every other ring lifts both vectors to integers f, g (Ring.to_integers)
@@ -416,10 +429,10 @@ def siegel_mul(F, G):
     """
     if F.ring != G.ring:
         raise RingMismatchError(f"{F.ring.tag} vs {G.ring.tag}")
-    ring, prec = F.ring, min(F.prec, G.prec)
+    ring, prec, nmax = F.ring, min(F.prec, G.prec), min(F.nmax, G.nmax)
     w = F.weight + G.weight if F.weight is not None and G.weight is not None else None
-    f = F.at_box(prec)
-    g = f if G is F else G.at_box(prec)
+    f = F.at_box(prec, nmax)
+    g = f if G is F else G.at_box(prec, nmax)
     if isinstance(ring, FpRing) and ring.p <= _qmax(prec):
         return SiegelFormSeries(ring, w, prec, _mul_fft(f, g, ring.p, prec))
     (a, da), (b, db) = ring.to_integers(f), ring.to_integers(g)
@@ -458,24 +471,26 @@ def _mul_fft(f, g, q, prec):
     """The product of the half vectors f and g, residues mod q at box prec,
     as residues in [0, q); exact when q <= _qmax(prec).  g may be f itself.
 
-    Each n-slice of the full support is packed into an (N+1) x (4N+1) array
-    with r at offset 2N (BoxIndex.slices) and transformed at the least
-    5-smooth sizes (fast for numpy.fft) of at least 2N+1 in m and 4N+1 in
-    r: m1 + m2 <= 2N never wraps, and
-    |r1 + r2| <= 2 sqrt(n1 m1) + 2 sqrt(n2 m2) <= 2 sqrt(nm) <= 2N
-    (Cauchy-Schwarz), so the cyclic wrap in r never lands on a stored
-    coefficient.  The n-convolution is a sum of spectrum products, and
-    each output slice n gives back only its keys with m >= n, r >= 0.  Two
-    slices n1, n2 >= N//2 + 1 never meet in the box (n1 + n2 > N), so the
-    sum runs in three passes (low x low, low x high, high x low) that each
-    hold the spectra of half the slices of each factor; each pass sums a
-    subset of the terms, so the exactness bound covers it.
+    f, g and the product hold the slices n <= K.  Each is packed into an
+    (N+1) x (2R+1) array, R = isqrt(4KN), r at offset R (from BoxIndex.slices),
+    and transformed at the least 5-smooth sizes >= 2N+1 in m and >= 2R+1 in r:
+    m1 + m2 <= 2N never wraps, and in rows m <= N, |r1 + r2| <= 2 sqrt(n1 m1) +
+    2 sqrt(n2 m2) <= 2 sqrt(nm) <= R (Cauchy-Schwarz), so the cyclic wrap in r
+    misses every stored coefficient.  Transforms skip the padding: rfft along r
+    of the N+1 rows, then fft along m; ifft along m, then irfft along r of the
+    rows m >= n that output slice n stores.  The n-convolution is a sum of
+    spectrum products.  Two slices n1, n2 >= K//2 + 1 never meet (n1 + n2 > K),
+    so the sum runs in three passes (low x low, low x high, high x low) that
+    each hold the spectra of half the slices of each factor; each pass sums a
+    subset of the terms, inside the exactness bound.
     """
     big = 2 * prec
     idx = box_index(prec)
+    top = int(np.searchsorted(idx.nstart, len(f))) - 1           # K
+    rad = isqrt(4 * top * prec)                                  # R
     start, pos, src = idx.slices
-    shape = (_fft_len(big + 1), _fft_len(2 * big + 1))
-    out = np.zeros(idx.size, dtype=np.int64)
+    shape = (_fft_len(big + 1), _fft_len(2 * rad + 1))
+    out = np.zeros(len(f), dtype=np.int64)
 
     def spectra(vec, ns):
         centred = np.where(vec > q // 2, vec - q, vec).astype(float)   # residues in [-h, h]
@@ -484,26 +499,27 @@ def _mul_fft(f, g, q, prec):
         for i, n in enumerate(ns):
             packed[:] = 0
             packed[pos[start[n]:start[n + 1]]] = centred[src[start[n]:start[n + 1]]]
-            spec[i] = np.fft.rfft2(packed.reshape(prec + 1, 2 * big + 1), s=shape)
+            rows = np.fft.rfft(packed.reshape(prec + 1, -1)[:, big - rad:big + rad + 1], n=shape[1])
+            spec[i] = np.fft.fft(rows, n=shape[0], axis=0)
         return spec
 
     def add(fs, f0, gs, g0):
         """Add the products of f slices f0 + i and g slices g0 + j into out."""
-        for n in range(f0 + g0, prec + 1):
+        for n in range(f0 + g0, top + 1):
             d = n - f0 - g0
             lo, hi = max(0, d - len(gs) + 1), min(len(fs), d + 1)
             if lo >= hi:
                 continue
             acc = np.einsum("ijk,ijk->jk", fs[lo:hi], gs[d - hi + 1:d - lo + 1][::-1])
-            vals = np.fft.irfft2(acc, s=shape)
-            # the product's r sits at column (4N + r) mod shape[1]
+            vals = np.fft.irfft(np.fft.ifft(acc, axis=0)[n:prec + 1], n=shape[1])
+            # the product's (m, r) sits at row m - n, column (2R + r) mod shape[1]
             keys = slice(idx.nstart[n], idx.nstart[n + 1])
-            cols = (2 * big + idx.r[keys]) % shape[1]
-            out[keys] += np.rint(vals[idx.m[keys], cols]).astype(np.int64)
+            cols = (2 * rad + idx.r[keys]) % shape[1]
+            out[keys] += np.rint(vals[idx.m[keys] - n, cols]).astype(np.int64)
             out[keys] %= q
 
-    half = prec // 2 + 1
-    low, high = range(half), range(half, prec + 1)
+    half = top // 2 + 1
+    low, high = range(half), range(half, top + 1)
     fl = spectra(f, low)
     add(fl, 0, fl if g is f else spectra(g, low), 0)
     add(fl, 0, spectra(g, high), half)
@@ -645,6 +661,7 @@ def sieve(F, p, s):
     """
     if s not in (0, 1, -1):
         raise InvalidArgumentError(f"sieve class must be 0, +1 or -1, got {s}")
+    F.need(F.prec)
     ring = F.ring
     fp = isinstance(ring, FpRing)
     if fp and ring.p != p:
@@ -675,12 +692,15 @@ class GeneratorContext:
     in-process.  The coefficient vectors of generators and monomials are
     read-only.  A box whose index and columns could not fit in physical
     memory is refused before anything is allocated (require_box_memory).
+    Given the trace bound B its caller reads, generators (built and stored
+    on the square box) and their products are served as prefixes K = B // 3.
     """
 
-    def __init__(self, ring, prec, cache=None):
+    def __init__(self, ring, prec, cache=None, bound=None):
         require_box_memory(prec, ring)
         self.ring = ring
         self.prec = prec
+        self.nmax = prec if bound is None else min(prec, bound // 3)
         self.cache = cache
         self._gens = {}
         self._mono = {}
@@ -695,7 +715,8 @@ class GeneratorContext:
                 if self.cache is not None:
                     self.cache.store(name, form)
             form.coeffs.flags.writeable = False
-            self._gens[name] = form
+            form = self._gens[name] = SiegelFormSeries(
+                self.ring, form.weight, self.prec, form.at_box(self.prec, self.nmax))
         return form
 
     def evaluate(self, poly, weight):
@@ -799,7 +820,7 @@ def _search_cell(k, p, monos, cache, contexts):
     box = max(small_bound // 2, 2)
     ctx = contexts.get((p, box))
     if ctx is None:
-        ctx = contexts[(p, box)] = GeneratorContext(ring, box, cache)
+        ctx = contexts[(p, box)] = GeneratorContext(ring, box, cache, 2 * box + 1)
     cols = [ctx.monomial(*e) for e in monos]
     out = []
     full_ctx = None
@@ -812,7 +833,7 @@ def _search_cell(k, p, monos, cache, contexts):
             out.append(cell)
             continue
         if full_ctx is None:
-            full_ctx = GeneratorContext(ring, max(full_bound // 2, 2), cache)
+            full_ctx = GeneratorContext(ring, max(full_bound // 2, 2), cache, full_bound)
             full_cols = [full_ctx.monomial(*e) for e in monos]
             ident = _class_matrix(full_cols, k // 3)
         mask = _legendre_mask(reduced_classes(full_bound)[3], p, eps)

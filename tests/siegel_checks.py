@@ -21,6 +21,11 @@ from siegelcong.siegel import (SiegelFormSeries, _class_matrix, _per_det, _sturm
                                weight_monomials)
 
 
+def support_dets(F):
+    """Sorted determinants carried by F's nonzero stored coefficients."""
+    return np.unique(box_index(F.prec).det[:len(F.coeffs)][F.coeffs != 0]).tolist()
+
+
 def siegel_direct_scan(F, p, b):
     """Exhaustive necessary-condition scan of all stored coefficients.
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from jacobi_checks import reconstruct_weak
-from siegel_checks import theta_operator, verify_combination
+from siegel_checks import support_dets, theta_operator, verify_combination
 from siegelcong.expr import evaluate, parse
 from siegelcong.jacobi import (filtration, heat, heat_cycle,
                                heat_cycle_required_prec, heat_iterate,
@@ -141,11 +141,11 @@ def test_criterion_7_sieve_suite(ctx5):
                 assert (total.a(n, r, m) - F.a(n, r, m)) % 5 == 0
     union = set()
     for s, form in parts.items():
-        dets = set(form.support_dets())
+        dets = set(support_dets(form))
         assert all(legendre(d, 5) == s for d in dets)
         assert not (union & dets)
         union |= dets
-    assert union == set(F.support_dets())
+    assert union == set(support_dets(F))
     assert verify_combination(parts[0], {(5, 0, 0, 2): 3, (4, 1, 1, 1): 2}, 44, ctx5)
     assert verify_combination(parts[1], {(6, 0, 2, 0): 1, (3, 0, 2, 1): 4,
                                          (5, 0, 0, 2): 4, (4, 1, 1, 1): 2,

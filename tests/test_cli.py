@@ -301,3 +301,41 @@ def test_import_builds_nothing_heavy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "0", "0"]
+
+
+def test_certificate_products_cover_only_the_slices_the_bound_reads(capsys, monkeypatch):
+    """Every product behind `check` and `table` holds the slices n <= B // 3
+    of its trace bound B, fewer than the box holds, and the output
+    (classes_checked included) is the one square-box products give; `sieve`
+    keeps square-box products."""
+    from siegelcong.cli import TABLE_ROWS
+    from siegelcong.expr import parse
+    from siegelcong.jacobi import criterion_weight
+    made = []
+    kernel = siegel._mul_fft
+    monkeypatch.setattr(siegel, "_mul_fft",
+                        lambda f, g, q, prec: made.append((prec, len(f))) or kernel(f, g, q, prec))
+    init = siegel.GeneratorContext.__init__
+
+    def square_box(self, ring, prec, cache=None, bound=None):
+        init(self, ring, prec, cache)
+
+    table = [criterion_weight(parse(text).weight, p, 1) // 3
+             for text, primes in TABLE_ROWS for p in primes if p <= 17]
+    for argv, bounds in [(["check", "E4^2*chi10 + 7*E6*chi12", "--p", "17", "--b", "1"],
+                          [criterion_weight(18, 17, 1) // 3]),
+                         (["table", "--max-prime", "17"], table)]:
+        made.clear()
+        code, out, _ = run(capsys, *argv, "--no-cache")
+        cuts = {(b // 2, siegel.box_index(b // 2).nstart[b // 3 + 1]) for b in bounds}
+        assert made and set(made) <= cuts
+        assert all(n < siegel.box_index(prec).size for prec, n in made)
+        with monkeypatch.context() as m:
+            m.setattr(siegel.GeneratorContext, "__init__", square_box)
+            assert run(capsys, *argv, "--no-cache")[:2] == (code, out)
+    assert (30, siegel.box_index(30).nstart[21]) in made
+    assert json.loads(run(capsys, "check", "E4^2*chi10 + 7*E6*chi12", "--p", "17", "--b", "1",
+                          "--no-cache")[1])["classes_checked"] == 899
+    made.clear()
+    assert run(capsys, "sieve", "E4*chi12", "--p", "5", "--s", "+1", "--no-cache")[0] == 0
+    assert made and all(n == siegel.box_index(prec).size for prec, n in made)

@@ -22,7 +22,7 @@ from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext
 from mul_loop_oracle import mul_loop
 from siegel_checks import (MatrixIndexT, check_unimodular_moves, decompose_mod_p, dyadic_trace,
                            enumerate_reduced, maass_lift_loop, reduce_T, siegel_direct_scan,
-                           theta_operator, verify_combination)
+                           support_dets, theta_operator, verify_combination)
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
@@ -550,15 +550,15 @@ def test_sieve_partition_and_support(ctx5):
             for r in range(-b, b + 1):
                 assert (total.a(n, r, m) - F.a(n, r, m)) % 5 == 0
     for s, form in parts.items():
-        for det in form.support_dets():
+        for det in support_dets(form):
             assert legendre(det, 5) == s
     # supports are disjoint and their union is the support of F
     union = set()
     for form in parts.values():
-        dets = set(form.support_dets())
+        dets = set(support_dets(form))
         assert not (union & dets)
         union |= dets
-    assert union == set(F.support_dets())
+    assert union == set(support_dets(F))
 
 
 def test_sieve_exact_ring_partition(int_gens):
@@ -609,9 +609,9 @@ def test_search_shares_small_windows_per_prime(monkeypatch):
     made = []
     init = GeneratorContext.__init__
 
-    def counting_init(self, ring, prec, cache=None):
+    def counting_init(self, ring, prec, cache=None, bound=None):
         made.append((ring.p, prec))
-        init(self, ring, prec, cache)
+        init(self, ring, prec, cache, bound)
 
     monkeypatch.setattr(GeneratorContext, "__init__", counting_init)
     shared = siegel.search_congruences(16, 7)
@@ -639,9 +639,9 @@ def test_nonexistence_cells_have_an_empty_small_window_kernel(monkeypatch):
     made = []
     init = GeneratorContext.__init__
 
-    def counting_init(self, ring, prec, cache=None):
+    def counting_init(self, ring, prec, cache=None, bound=None):
         made.append((ring.p, prec))
-        init(self, ring, prec, cache)
+        init(self, ring, prec, cache, bound)
 
     monkeypatch.setattr(GeneratorContext, "__init__", counting_init)
     contexts = {}
@@ -682,3 +682,91 @@ def test_memoized_forms_are_read_only():
     for form in (ctx.generator("E4"), ctx.monomial(0, 0, 0, 0), ctx.monomial(2, 0, 0, 0)):
         with pytest.raises(ValueError):
             form.coeffs[0] = 3
+
+
+# -- prefix forms: the keys with n <= K, a prefix of the box vector ---------------------
+
+def _prefix(form, nmax):
+    """form cut to the keys with n <= nmax: a view of the first nstart[nmax + 1] entries."""
+    cut = siegel.box_index(form.prec).nstart[nmax + 1]
+    return SiegelFormSeries(form.ring, form.weight, form.prec, form.coeffs[:cut])
+
+
+def _junk_tail(form, nmax, seed):
+    """A copy of form whose keys with n > nmax hold random ring values."""
+    junk = _random_form(form.ring, form.prec, seed, 1.0, False).coeffs
+    cut = siegel.box_index(form.prec).nstart[nmax + 1]
+    return SiegelFormSeries(form.ring, form.weight, form.prec,
+                            np.concatenate([form.coeffs[:cut], junk[cut:]]))
+
+
+# "at-bound" is the largest single-modulus prime of the box with all-h factors;
+# "outside" (past _qmax), int and rat take the CRT path
+PREFIX_RINGS = ["fp:5", "fp:23", "at-bound", "outside", "int", "rat"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tag=st.sampled_from(PREFIX_RINGS), prec=st.integers(0, 10), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 1.0]),
+       extreme=st.booleans())
+def test_prefix_product_is_the_square_product_cut(tag, prec, data, seed, density, extreme):
+    """The product of prefix forms at K is the square-box product's first
+    nstart[K + 1] entries, whatever the factors hold past them."""
+    nmax = data.draw(st.integers(0, prec), label="nmax")
+    if tag == "at-bound":
+        ring = ring_from_tag(f"fp:{_largest_fft_prime(prec)}")
+        F = G = _constant_form(ring, prec, (ring.p - 1) // 2)
+    else:
+        ring = _kernel_ring(tag, prec)
+        F = _random_form(ring, prec, seed, density, extreme)
+        G = _random_form(ring, prec, seed + 1, density, extreme)
+    single = isinstance(ring, FpRing) and ring.p <= siegel._qmax(prec)
+    assert single == (tag in ("fp:5", "fp:23", "at-bound"))
+    cut = siegel.box_index(prec).nstart[nmax + 1]
+    want = mul_loop(F, G, prec)[:cut]
+    _assert_same_vector(siegel_mul(F, G).coeffs[:cut], want, ring)
+    junk_f, junk_g = _junk_tail(F, nmax, seed + 2), _junk_tail(G, nmax, seed + 3)
+    short = _prefix(junk_f, nmax)
+    square = mul_loop(F, F, prec)[:cut]
+    for got, expect in ((siegel_mul(short, junk_g), want), (siegel_mul(junk_g, short), want),
+                        (siegel_mul(short, _prefix(junk_g, nmax)), want),
+                        (siegel_mul(short, short), square)):
+        assert got.prec == prec and got.nmax == nmax
+        _assert_same_vector(got.coeffs, expect, ring)
+
+
+def test_prefix_product_across_boxes():
+    """A prefix at box 8 times a whole box-5 form: the product lives on box 5
+    and the shorter prefix."""
+    F = _random_form(FP7, 8, 11, 1.0, False)
+    G = _random_form(FP7, 5, 12, 1.0, False)
+    got = siegel_mul(_prefix(_junk_tail(F, 3, 13), 3), G)
+    assert got.prec == 5 and got.nmax == 3
+    want = mul_loop(F, G, 5)[:siegel.box_index(5).nstart[4]]
+    _assert_same_vector(got.coeffs, want, FP7)
+    total = _prefix(F, 3) + G
+    assert total.prec == 5 and total.nmax == 3
+    assert np.array_equal(total.coeffs, (F + G).coeffs[:siegel.box_index(5).nstart[4]])
+
+
+def test_prefix_forms_refuse_reads_past_their_slices(tmp_path):
+    """A bounded context serves prefix forms: reads of keys with n <= K agree
+    with the square box, and every read past K raises PrecisionError naming K."""
+    from siegelcong.cache import DiskCache
+    F = GeneratorContext(FP7, 6, bound=8).monomial(1, 0, 0, 1)          # K = 2
+    full = GeneratorContext(FP7, 6).monomial(1, 0, 0, 1)
+    assert F.nmax == 2 and len(F.coeffs) == siegel.box_index(6).nstart[3]
+    assert [F.a(2, 1, 5), F.a(6, 3, 1)] == [full.a(2, 1, 5), full.a(6, 3, 1)]
+    assert np.array_equal(siegel.class_values(F, 8), siegel.class_values(full, 8))
+    assert fourier_jacobi(F, 2).coeffs.tolist() == fourier_jacobi(full, 2).coeffs.tolist()
+    assert F.coeff_rows(2) == full.coeff_rows(2)
+    reads = [lambda: F.a(3, 0, 3), lambda: F.a(6, 0, 4), lambda: siegel.class_values(F, 9),
+             lambda: sturm_zero(F, 27), lambda: siegel._class_matrix([full, F], 9),
+             lambda: F.at_box(6, 3), lambda: F.at_box(4, 4), lambda: fourier_jacobi(F, 3),
+             lambda: F.coeff_rows(3), F.to_json, lambda: siegel.sieve(F, 7, 1),
+             lambda: DiskCache(tmp_path).store("E4chi12", F)]
+    for read in reads:
+        with pytest.raises(PrecisionError, match=r"prefix n <= 2$") as err:
+            read()
+        assert err.value.available == 2
+    assert list(tmp_path.iterdir()) == []
