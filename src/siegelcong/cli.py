@@ -16,6 +16,8 @@ import json
 import sys
 from importlib import resources
 
+import numpy as np
+
 from . import expr as exprmod
 from .cache import DiskCache
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
@@ -149,9 +151,7 @@ def _eval_mod_p(args, text, p, b=0):
     if isinstance(ring, FpRing) and ring.p != p:
         raise InvalidArgumentError(f"ring {ring.tag} does not match p = {p}")
     bound = criterion_weight(e.weight, p, b) // 3
-    form = exprmod.evaluate(e, _context(args, bound // 2, ring, bound))
-    if not isinstance(ring, FpRing):
-        form = form.reduce_mod(p)
+    form = exprmod.evaluate(e, _context(args, bound // 2, ring, bound)).reduce_mod(p)
     if sturm_zero(form, e.weight).is_zero:
         raise InvalidArgumentError(f"{e.text} is zero mod {p} on the Sturm bound of weight "
                                    f"{e.weight}; the congruence criteria assume F != 0 mod p")
@@ -177,7 +177,7 @@ def cmd_gens(args):
     for name in ("E4", "E6", "chi10", "chi12"):
         form = ctx.generator(name)
         doc[name] = {"weight": form.weight, "prec": form.prec,
-                     "nonzero": len(form.to_json()["coeffs"]), "ring": form.ring.tag}
+                     "nonzero": int(np.count_nonzero(form.coeffs)), "ring": form.ring.tag}
     _emit(args, doc)
     return 0
 
@@ -245,10 +245,7 @@ def cmd_sieve(args):
         if target.weight != k_after:
             raise InvalidArgumentError(f"verification target has weight {target.weight}, "
                                        f"the sieve lives in weight {k_after}")
-        diff = part - exprmod.evaluate(target, ctx)
-        if not isinstance(ring, FpRing):
-            diff = diff.reduce_mod(p)
-        rep = sturm_zero(diff, k_after)
+        rep = sturm_zero((part - exprmod.evaluate(target, ctx)).reduce_mod(p), k_after)
         _emit(args, {"form": e.text, "p": p, "s": s, "verify_against": target.text,
                      "weight": k_after, "bound": rep.bound, "match": rep.is_zero})
         return 0

@@ -18,14 +18,12 @@ Storage: c(n, -r) = c(n, r) for every even-weight form, so a form of index
 m and precision N stores only the half support 0 <= n <= N,
 0 <= r <= rbound(m, n) = isqrt(4nm + m^2): one flat vector `coeffs`, ordered
 by n, then r, which is also the order of to_json.  The vector of a smaller
-precision is a prefix of it.  Over F_p with p < 2^21 the vector is int64
-with residues in [0, p); over Z, Q and larger primes it has dtype object and
-holds Python ints, Fractions or residues.  Every operation is a numpy
-expression on that vector, reduced mod p only over F_p, with the index
-arrays of each (index, precision) built once and shared by every live form
-of that shape (JacobiIndex); the products multiply padded rows gathered
-from it.  For holomorphic forms
-the entries with 4nm - r^2 < 0 are zero.  Forms are immutable values: every
+precision is a prefix of it.  Its dtype is `ring.dtype` (siegelcong.ring),
+and every operation is a numpy expression on it, reduced mod p only over
+F_p, with the index arrays of each (index, precision) built once and shared
+by every live form of that shape (JacobiIndex).  The products multiply
+padded rows gathered from it, one ring.exact_product per row.  Holomorphic
+forms are zero at 4nm - r^2 < 0.  Forms are immutable values: every
 operation returns a new form, and memoized forms are read-only.
 
 The finite zero test and the filtration mod p route through the weak-form
@@ -51,7 +49,7 @@ from .linalg import FpMatrix, rref
 from .qexp import (MEMO_BYTES, BoundedMemo, _read_only, array_bytes, convolve_trunc,
                    eta_pow6, integral_memo, invert_series, level1_series, mk_basis,
                    mk_dim)
-from .ring import FpRing, IntRing, RatRing, legendre, ring_from_tag
+from .ring import FpRing, IntRing, RatRing, exact_product, int64_qmax, legendre, ring_from_tag
 
 NEG_INF = float("-inf")
 
@@ -283,11 +281,10 @@ def _row_products(ring, a, b):
 
     M = a^T @ b holds M[x, y] = sum_i a[i, x] b[i, y], and entry s is the
     sum of M over x + y = s, read by shearing row x of M right by x places.
-    Over F_p M is exact in int64 while L (p - 1)^2 < 2^63, L the number of
-    rows: for every fits64 prime (p < 2^21) below 2^21 rows.  Larger primes,
-    Z and Q multiply Python objects.
+    M is one ring.exact_product of an int64 matmul whose entries each sum
+    T = len(a) products (int64_qmax(T)).
     """
-    prod = ring.canonical(a.T @ b)
+    prod = exact_product(ring, a.T, b, lambda x, y, q: x @ y % q, len(a), int64_qmax(len(a)))
     rows, cols = prod.shape
     sheared = ring.zeros((rows, cols + rows))
     sheared[:, :cols] = prod
@@ -310,7 +307,7 @@ def qseries_times_jacobi(f, k, phi):
     for c in range(dense.shape[1]):
         col = dense[:, c]
         if np.any(col):
-            dense[:, c] = ring.canonical(np.convolve(f[:prec + 1], col)[:prec + 1])
+            dense[:, c] = convolve_trunc(ring, f, col, prec + 1)
     return JacobiFormSeries(ring, w, phi.index, prec, dense[idx.n, idx.r], weak=phi.weak)
 
 
@@ -683,15 +680,13 @@ def jac_direct_scan(phi, p, b):
 
     Returns (clean, witness): witness is the first stored (n, r), r >= 0, in
     vector order with discriminant congruent to b and a nonvanishing
-    coefficient mod p.
+    coefficient mod p.  The coefficients are reduced into F_p by
+    Ring.reduce_vector, which refuses p < 5 and a prime-field form of
+    another characteristic.
     """
     idx = phi.idx
     keys = np.flatnonzero(idx.D % p == b % p)
-    vals = phi.coeffs[keys]
-    if isinstance(phi.ring, FpRing):
-        vals = vals % p
-    else:
-        vals = np.array([phi.ring.reduce(v, p) for v in vals.tolist()], dtype=object)
+    vals = phi.ring.reduce_vector(phi.coeffs[keys], ring_from_tag(f"fp:{p}"))
     hit = keys[np.flatnonzero(vals != 0)]
     if not len(hit):
         return True, None
@@ -742,8 +737,9 @@ def holo_basis(k, m, prec, p):
     idx = jacobi_index(m, prec)
     below = idx.n - np.arange(prec + 1)[:, None]           # S_j[n1, (n, r)] = c(n - n1, r)
     at = np.where((below >= 0) & (idx.r <= idx.bound[below]), idx.start[below] + idx.r, idx.size)
-    cands = np.concatenate([mk_basis(k + 2 * j, prec, ring) @ np.append(
-        _weak_monomial(gens, j, m - j, prec).coeffs, 0)[at] % p for j in range(m + 1)])
+    cands = np.concatenate([exact_product(ring, mk_basis(k + 2 * j, prec, ring), np.append(
+        _weak_monomial(gens, j, m - j, prec).coeffs, 0)[at], lambda x, y, q: x @ y % q,
+        prec + 1, int64_qmax(prec + 1)) for j in range(m + 1)])
     order = np.argsort(idx.D >= 0, kind="stable")          # the keys with D < 0 first
     red, _, piv = rref(FpMatrix(p, cands[:, order]))
     past = [i for i, c in enumerate(piv) if idx.D[order[c]] >= 0]
@@ -794,13 +790,15 @@ def filtration(phi, hint=None):
 
 def _in_weight(fs, k, kp, ring):
     """True iff the weak components fs of a holomorphic form of weight k mod
-    p each lie in M_{kp+2j} mod p (see filtration).  f[piv] @ R has at most
-    kp/12 + 1 terms, exact in int64 for every fits64 prime."""
+    p each lie in M_{kp+2j} mod p (see filtration).  f[piv] @ R is one
+    ring.exact_product with T = len(piv) <= kp/12 + 1 terms."""
     for j, f in enumerate(fs):
         rows = _sturm_rows(k + 2 * j, len(f))
         basis = mk_basis(kp + 2 * j, len(f) - 1, ring)
         piv = np.argmax(basis != 0, axis=1)          # unit pivots (mk_basis)
-        if np.any(ring.canonical(f[:rows] - f[piv] @ basis[:, :rows])):
+        red = exact_product(ring, f[piv], basis[:, :rows], lambda x, y, q: x @ y % q,
+                            len(piv), int64_qmax(len(piv)))
+        if np.any(ring.canonical(f[:rows] - red)):
             return False
     return True
 

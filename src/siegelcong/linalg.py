@@ -2,9 +2,12 @@
 
 Plain Gauss-Jordan elimination on numpy int64 matrices with entries kept in
 [0, p).  A product of two residues must fit in int64, so `FpMatrix` refuses
-p > MAX_P = isqrt(2^63 - 1).  Matrices here are at most a few hundred
-rows/columns, so nothing fancier is warranted.  All functions are pure; `FpMatrix` values are treated
-as immutable once built.
+p > MAX_P = isqrt(2^63 - 1).  Matrices here are narrow but may be tall: a
+`search` class matrix has one column per weight-k monomial and one row per
+reduced class of one Legendre class, and at k = 30, p = 43 its Sturm bound
+spans 265,776 reduced classes before the Legendre mask.  Elimination makes
+at most one pass over the rows per column.  All functions are pure;
+`FpMatrix` values are treated as immutable once built.
 """
 
 from __future__ import annotations

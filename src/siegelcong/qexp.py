@@ -11,16 +11,12 @@ elliptic factors all read.  sigma_e comes from a numpy divisor sieve, and
 the exact divisions by 12 and 1728 are one vector operation each
 (`Ring.divexact_vector`).
 
-Storage: a series of precision N is a 1-D numpy vector of the N + 1
-coefficients of q^0..q^N, of dtype `ring.dtype`, as are the Jacobi and
-Siegel coefficient vectors of siegelcong.jacobi and siegelcong.siegel: int64
-over F_p with p < 2^21, holding residues in [0, p), and object over Z, Q and
-larger primes, holding Python ints, Fractions or residues.  Every operation
-is one numpy expression for both dtypes, reduced mod p only over F_p
-(`ring.canonical`).  The series products (convolve_trunc, invert_series)
-serve the Jacobi layer too.  Over F_p they accumulate unreduced in int64
-and reduce once at the end; `FpRing.fits64` guarantees no overflow for the
-lengths used in this package.
+Storage: a series of precision N is the 1-D vector of its N + 1
+coefficients, of dtype `ring.dtype` like every coefficient vector (see
+siegelcong.ring); every operation is one numpy expression for both dtypes,
+reduced mod p only over F_p (`ring.canonical`).  The series product
+convolve_trunc, which the Jacobi layer shares, is one ring.exact_product of
+an int64 np.convolve; invert_series is a loop of dot products.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
-from .ring import RatRing, ring_from_tag
+from .ring import RatRing, exact_product, int64_qmax, ring_from_tag
 
 _INT = ring_from_tag("int")
 
@@ -40,19 +36,15 @@ _INT = ring_from_tag("int")
 # -- series products -------------------------------------------------------------
 
 def convolve_trunc(ring, a, b, n):
-    """First n coefficients of the product of two series vectors."""
+    """First n coefficients of the product of two series vectors: one
+    ring.exact_product of np.convolve, with T = min(len(a), len(b), n) terms
+    per coefficient (int64_qmax(T))."""
     a, b = np.asarray(a[:n], dtype=ring.dtype), np.asarray(b[:n], dtype=ring.dtype)
-    out = ring.zeros(n)
-    if a.dtype == object:
-        # Python-object products are the cost: skip a's zeros (theta series
-        # are sparse) and every product past q^(n-1)
-        for i in np.flatnonzero(a):
-            seg = b[:n - i]
-            out[i:i + len(seg)] += a[i] * seg
-    elif len(a) and len(b):
-        full = np.convolve(a, b)[:n]
+    out, t = ring.zeros(n), min(len(a), len(b))
+    if t:
+        full = exact_product(ring, a, b, lambda x, y, q: np.convolve(x, y)[:n] % q, t, int64_qmax(t))
         out[:len(full)] = full
-    return ring.canonical(out)
+    return out
 
 
 def invert_series(ring, a, n):
@@ -217,7 +209,7 @@ def integral_memo(memo, build, prec, ring):
     if rows is None or rows.shape[-1] <= prec:
         if isinstance(ring, RatRing):
             ints = integral_memo(memo, build, prec, _INT)
-            rows = ring.from_integers(ints.reshape(-1), 1).reshape(ints.shape)
+            rows = ring.from_integers(ints, 1)
         else:
             rows = build(prec, ring)
         rows = memo[ring.tag] = _read_only(rows)

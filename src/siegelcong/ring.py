@@ -5,12 +5,17 @@ Series code throughout the package is generic over a small ring protocol
 rings and `fractions.Fraction` for ``rat``.  Prime-field residues are kept
 canonical in ``[0, p)``.  Rings are stateless, hashable, and compare by tag,
 so they are safe to share between concurrent readers.
+
+Every exact product of the package (series, Jacobi rows, Siegel boxes) is
+one `exact_product`: an int64 kernel modulo p itself over small F_p, else
+modulo a few word-size primes joined by CRT.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import isqrt, lcm, log2, prod
 
 import numpy as np
 
@@ -155,21 +160,21 @@ class Ring:
         return a ** e
 
     # -- reduction into a prime field ---------------------------------------
-    def reduce(self, a, p):
-        """Residue of a in [0, p); the map is a ring homomorphism."""
-        raise NotImplementedError
-
     def reduce_vector(self, vec, fp):
-        """The entries of vec reduced into the prime field fp, as a vector."""
-        return np.array([self.reduce(v, fp.p) for v in vec.tolist()], dtype=fp.dtype)
+        """The entries of vec reduced into the prime field fp: the integer lift
+        mod p over its denominator, which p divides iff an entry is not p-integral."""
+        ints, d = self.to_integers(vec)
+        if d % fp.p == 0:
+            raise ArithmeticDomainError(f"a coefficient is not p-integral for p = {fp.p}")
+        return fp.from_integers(ints % fp.p, d)
 
-    # -- integer lifts of vectors (the exact products of siegel.siegel_mul) --
+    # -- integer lifts of arrays (the lifts of exact_product) -----------------
     def to_integers(self, vec):
-        """(ints, d): ints = d * vec, a vector of integers, for an integer d >= 1."""
+        """(ints, d): ints = d * vec, integers of vec's shape, for an integer d >= 1."""
         return vec, 1
 
     def from_integers(self, ints, d):
-        """The vector ints / d in this ring, of dtype `dtype`."""
+        """The array ints / d in this ring, of dtype `dtype`."""
         return ints
 
     def to_token(self, a):
@@ -213,9 +218,6 @@ class IntRing(Ring):
             raise ArithmeticDomainError(f"a coefficient is not divisible by {c}")
         return vec // c
 
-    def reduce(self, a, p):
-        return a % p
-
 
 class RatRing(Ring):
     tag = "rat"
@@ -234,15 +236,15 @@ class RatRing(Ring):
     def divexact(self, a, b):
         return Fraction(a) / Fraction(b)
 
-    def reduce(self, a, p):
-        return reduce_rational(Fraction(a), p)
-
     def to_integers(self, vec):
-        d = lcm(*(x.denominator for x in vec.tolist()))
-        return np.array([x.numerator * (d // x.denominator) for x in vec.tolist()], dtype=object), d
+        flat = vec.ravel().tolist()
+        d = lcm(*(x.denominator for x in flat))
+        ints = np.array([x.numerator * (d // x.denominator) for x in flat], dtype=object)
+        return ints.reshape(vec.shape), d
 
     def from_integers(self, ints, d):
-        return np.array([Fraction(v, d) for v in ints.tolist()], dtype=object)
+        flat = [Fraction(v, d) for v in ints.ravel().tolist()]
+        return np.array(flat, dtype=object).reshape(ints.shape)
 
     def to_token(self, a):
         a = Fraction(a)
@@ -261,9 +263,7 @@ class FpRing(Ring):
         require_odd_prime(p, minimum=5)
         self.p = p
         self.tag = f"fp:{p}"
-        # numpy int64 rows are safe as long as accumulated convolutions of
-        # residues cannot overflow; tiny table-checking primes always fit.
-        self.fits64 = p < (1 << 21)
+        self.fits64 = p < (1 << 21)      # int64 vectors; each product checks its own bound
         self.dtype = np.int64 if self.fits64 else object
 
     def from_int(self, a):
@@ -305,15 +305,66 @@ class FpRing(Ring):
     def from_integers(self, ints, d):
         return (ints * pow(d, -1, self.p) % self.p).astype(self.dtype)
 
-    def reduce(self, a, p):
-        if p != self.p:
-            raise ArithmeticDomainError(f"cannot reduce F_{self.p} values mod {p}")
-        return a % p
-
     def reduce_vector(self, vec, fp):
         if fp.p != self.p:
             raise RingMismatchError(f"cannot reduce {self.tag} coefficients mod {fp.p}")
-        return super().reduce_vector(vec, fp)
+        return self.canonical(vec)
+
+
+# -- exact products ------------------------------------------------------------------
+
+def exact_product(ring, f, g, kernel, terms, qmax):
+    """The product of the arrays f and g over `ring`, for a bilinear
+    kernel(x, y, q) that multiplies int64 residue arrays into [0, q), exact
+    for every prime q <= qmax when an output entry sums <= `terms` products.
+
+    Over F_p with int64 residues and p <= qmax the kernel runs once, on f
+    and g as given.  Otherwise the integer lifts a, b (Ring.to_integers) are
+    multiplied modulo the largest primes q <= qmax whose product M exceeds
+    2 terms max|a| max|b| (moduli); CRT joins the residues into the centred
+    integers in (-M/2, M/2), the exact products, which Ring.from_integers
+    maps back.  If g is f the kernel sees one array twice.
+    """
+    if isinstance(ring, FpRing) and ring.fits64 and ring.p <= qmax:
+        return kernel(f, g, ring.p)
+    a, da = ring.to_integers(f)
+    b, db = (a, da) if g is f else ring.to_integers(g)
+    primes = moduli(qmax, 2 * terms * int(abs(a).max(initial=0)) * int(abs(b).max(initial=0)))
+    m, x = prod(primes), 0
+    for q in primes:
+        y = (a % q).astype(np.int64)
+        r = kernel(y, y if b is a else (b % q).astype(np.int64), q)
+        x = x + r.astype(object) * (m // q * pow(m // q, -1, q))
+    x %= m
+    return ring.from_integers(np.where(x > m // 2, x - m, x), da * db)
+
+
+def int64_qmax(terms):
+    """The largest q with terms * q^2 < 2^63: sums of that many residue products fit int64."""
+    return isqrt(((1 << 63) - 1) // max(terms, 1))
+
+
+def moduli(qmax, bound):
+    """The largest primes 5 <= q <= qmax, descending, until there is one and
+    their product exceeds bound; InvalidArgumentError if all fall short."""
+    primes, q = [], qmax
+    while prod(primes) <= max(bound, 1):
+        q = _prime_at_most(q)
+        if q < 5:
+            raise InvalidArgumentError(
+                f"an exact product needs {log2(bound):.0f} bits of moduli; the "
+                f"{len(primes)} primes from 5 to {qmax} give {log2(prod(primes)):.0f}")
+        primes.append(q)
+        q -= 1
+    return primes
+
+
+@lru_cache(maxsize=4096)
+def _prime_at_most(q):
+    """The largest prime <= q, or a number below 5 when there is none >= 5."""
+    while q >= 5 and not is_prime(q):
+        q -= 1
+    return q
 
 
 _INT = IntRing()

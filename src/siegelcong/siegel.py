@@ -4,11 +4,10 @@ A form of box N has coefficients A(n, r, m) on the semipositive support
 0 <= n, m <= N, |r| <= isqrt(4nm).  A(n, r, m) = A(m, r, n) = A(n, -r, m)
 for every form here, so only the half support n <= m, 0 <= r <= isqrt(4nm)
 is stored: one flat vector `coeffs`, ordered by n, then m, then r, which is
-the row order of cache format 2.  Over F_p with p < 2^21 the vector is
-int64 with residues in [0, p); over Z, Q and larger primes it has dtype
-object and holds Python ints, Fractions or residues.  Every operation is a
-numpy expression on that vector, reduced mod p only over F_p; the index
-arrays of each box (BoxIndex) are built once and memoized.
+the row order of cache format 2.  Its dtype is `ring.dtype`
+(siegelcong.ring), and every operation is a numpy expression on it, reduced
+mod p only over F_p; the index arrays of each box (BoxIndex) are built once
+and memoized.
 
 Key facts used throughout: the generalized theta operator acts diagonally
 (multiplication by det T), so its congruence criterion reduces to testing
@@ -20,8 +19,9 @@ test reads its coefficients with one gather at the reduced classes
 hold only its slices n <= K, a prefix of its vector (SiegelFormSeries.nmax).
 
 Products (siegel_mul) have one kernel, an exact float64 FFT convolution of
-whole n-slices modulo a prime: the prime p itself over F_p when p is small
-enough for the box, else integer lifts modulo a few primes joined by CRT.
+whole n-slices modulo a prime (_mul_fft), which ring.exact_product runs
+modulo p itself over F_p when p is small enough for the box, else on
+integer lifts modulo a few primes joined by CRT.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, log2, prod
+from math import isqrt
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .errors import (InconsistentVerdictError, InvalidArgumentError,
 from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis
-from .qexp import bernoulli
-from .ring import FpRing, RatRing, is_prime, legendre, ring_from_tag
+from .qexp import _read_only, bernoulli
+from .ring import FpRing, RatRing, exact_product, is_prime, legendre, ring_from_tag
 
 
 @lru_cache(maxsize=32)
@@ -54,10 +54,7 @@ def reduced_classes(wmax):
              for m in range(n, (wmax + r - 2 * n) // 2 + 1)]
     n, r, m = np.array(keys, dtype=np.int64).T
     order = np.lexsort((m, r, n, 2 * n + 2 * m - r))
-    out = tuple(a[order] for a in (n, r, m, 4 * n * m - r * r))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return tuple(_read_only(a[order]) for a in (n, r, m, 4 * n * m - r * r))
 
 
 class BoxIndex:
@@ -85,9 +82,8 @@ class BoxIndex:
         self.r = np.arange(self.size) - np.repeat(starts, self.widths)
         self.det = 4 * self.n * self.m - self.r * self.r
         self.gcd = np.gcd(np.gcd(self.n, self.r), self.m)
-        for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r,
-                  self.det, self.gcd):
-            a.flags.writeable = False
+        for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r, self.det, self.gcd):
+            _read_only(a)
 
     @cached_property
     def slices(self):
@@ -105,10 +101,7 @@ class BoxIndex:
         keep = np.concatenate([r >= 0, r > 0, n != m, (n != m) & (r > 0)])
         order = np.argsort(sl[keep], kind="stable")
         start = np.searchsorted(sl[keep][order], np.arange(self.prec + 2))
-        out = (start, pos[keep][order], src[keep][order])
-        for a in out:
-            a.flags.writeable = False
-        return out
+        return tuple(map(_read_only, (start, pos[keep][order], src[keep][order])))
 
     @cached_property
     def divisor_pairs(self):
@@ -127,10 +120,8 @@ class BoxIndex:
         g = self.gcd[1:]
         start = np.cumsum(count[g]) - count[g]
         d = flat[np.repeat(first[g] - start, count[g]) + np.arange(int(count[g].sum()))]
-        out = (d, (np.repeat(self.det[1:], count[g]) // (d * d)).astype(np.int32), start)
-        for a in out:
-            a.flags.writeable = False
-        return out
+        q = (np.repeat(self.det[1:], count[g]) // (d * d)).astype(np.int32)
+        return tuple(map(_read_only, (d, q, start)))
 
 
 @lru_cache(maxsize=4)
@@ -420,12 +411,8 @@ def siegel_mul(F, G):
     a tenth of what rounding allows (measured at the bound with all-h
     factors, boxes 4 to 40, K = N, 2N/3 and N/3: 1.5e-4).
 
-    The ring decides only the moduli: p itself over F_p with p <= _qmax(N).
-    Every other ring lifts both vectors to integers f, g (Ring.to_integers)
-    and multiplies them modulo the largest primes q <= _qmax(N) until their
-    product M exceeds 2 T max|f| max|g| (_moduli); CRT joins the residues
-    into the centred integers in (-M/2, M/2), which are the exact products,
-    and Ring.from_integers maps them back.
+    The ring decides only the moduli (ring.exact_product with T terms and
+    q <= _qmax(N)): p itself over small F_p, else a few primes joined by CRT.
     """
     if F.ring != G.ring:
         raise RingMismatchError(f"{F.ring.tag} vs {G.ring.tag}")
@@ -433,38 +420,9 @@ def siegel_mul(F, G):
     w = F.weight + G.weight if F.weight is not None and G.weight is not None else None
     f = F.at_box(prec, nmax)
     g = f if G is F else G.at_box(prec, nmax)
-    if isinstance(ring, FpRing) and ring.p <= _qmax(prec):
-        return SiegelFormSeries(ring, w, prec, _mul_fft(f, g, ring.p, prec))
-    (a, da), (b, db) = ring.to_integers(f), ring.to_integers(g)
-    t = (prec + 1) ** 2 * (2 * prec + 1)
-    primes = _moduli(prec, 2 * t * int(np.abs(a).max()) * int(np.abs(b).max()))
-    residues = [_mul_fft(a % q, b % q, q, prec) for q in primes]
-    return SiegelFormSeries(ring, w, prec, ring.from_integers(_crt(residues, primes), da * db))
-
-
-def _moduli(prec, bound):
-    """The largest primes 5 <= q <= _qmax(prec), descending, until there is
-    one and their product exceeds bound; InvalidArgumentError if all fall short."""
-    primes, have, q = [], 1, _qmax(prec)
-    while have <= max(bound, 1):
-        if q < 5:
-            raise InvalidArgumentError(
-                f"an exact product at box {prec} needs {log2(bound):.0f} bits of moduli; the "
-                f"{len(primes)} primes inside the FFT exactness bound give {log2(have):.0f}")
-        if is_prime(q):
-            primes.append(q)
-            have *= q
-        q -= 2
-    return primes
-
-
-def _crt(residues, primes):
-    """The integers x with |x| < M/2, M the product of primes, and
-    x = residues[i] mod primes[i]."""
-    m = prod(primes)
-    x = sum(r.astype(object) * (m // q * pow(m // q, -1, q)) for r, q in zip(residues, primes))
-    x %= m
-    return np.where(x > m // 2, x - m, x)
+    vec = exact_product(ring, f, g, lambda x, y, q: _mul_fft(x, y, q, prec),
+                        (prec + 1) ** 2 * (2 * prec + 1), _qmax(prec))
+    return SiegelFormSeries(ring, w, prec, vec)
 
 
 def _mul_fft(f, g, q, prec):

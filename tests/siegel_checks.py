@@ -15,7 +15,7 @@ import numpy as np
 from siegelcong.errors import InvalidArgumentError, NotInRingError
 from siegelcong.jacobi import discriminant_series
 from siegelcong.linalg import FpMatrix, solve
-from siegelcong.ring import FpRing
+from siegelcong.ring import FpRing, reduce_rational
 from siegelcong.siegel import (SiegelFormSeries, _class_matrix, _per_det, _sturm_bound,
                                box_index, class_values, reduced_classes, sturm_zero,
                                weight_monomials)
@@ -40,7 +40,7 @@ def siegel_direct_scan(F, p, b):
                 if (4 * n * m - r * r) % p != b:
                     continue
                 v = F.a(n, r, m)
-                vv = v % p if isinstance(F.ring, FpRing) else F.ring.reduce(v, p)
+                vv = v % p if isinstance(F.ring, FpRing) else reduce_rational(v, p)
                 if vv:
                     return False, (n, r, m)
     return True, None

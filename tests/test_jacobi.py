@@ -13,7 +13,7 @@ import numpy as np
 
 from siegelcong import jacobi, qexp
 from siegelcong.errors import (ArithmeticDomainError, DecompositionError,
-                               InvalidArgumentError, PrecisionError)
+                               InvalidArgumentError, PrecisionError, RingMismatchError)
 from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, heat,
                                heat_cycle, heat_cycle_required_prec,
                                heat_iterate, holo_basis, jac_congruence,
@@ -743,6 +743,15 @@ def test_jac_direct_scan():
     assert (4 * n - r * r) % 5 == 2 and p12.c(n, r) % 5
     z = JacobiFormSeries.zero(FP5, 12, 1, 8)
     assert jac_direct_scan(z, 5, 3) == (True, None)
+
+
+@pytest.mark.parametrize("p,error", [(7, RingMismatchError), (3, InvalidArgumentError)])
+def test_jac_direct_scan_refuses_another_characteristic(p, error):
+    """Residues mod 5 read mod 7 or mod 3 would give witnesses of nothing."""
+    with pytest.raises(error):
+        jac_direct_scan(jacobi_cusp(12, 20, FP5), p, 1)
+    assert jac_direct_scan(jacobi_cusp(12, 20, INT), 7, 1) == jac_direct_scan(
+        jacobi_cusp(12, 20, FP7), 7, 1)
 
 
 def test_direct_scan_consistent_with_criterion_b0():

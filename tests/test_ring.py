@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from siegelcong.errors import ArithmeticDomainError, InvalidArgumentError
+from siegelcong.errors import ArithmeticDomainError, InvalidArgumentError, RingMismatchError
 from siegelcong.ring import FpRing, is_prime, legendre, reduce_rational, ring_from_tag
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
@@ -58,6 +58,23 @@ def test_reduce_is_ring_homomorphism(p, x, y):
     # sums and products of p-integral rationals stay p-integral
     assert reduce_rational(x + y, p) == (reduce_rational(x, p) + reduce_rational(y, p)) % p
     assert reduce_rational(x * y, p) == reduce_rational(x, p) * reduce_rational(y, p) % p
+
+
+@pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
+def test_reduce_vector_is_reduce_rational_entrywise(tag):
+    ring, fp = ring_from_tag(tag), ring_from_tag("fp:7")
+    vals = [0, 1, -8, 10 ** 30 + 3] + ([Fraction(-5, 3), Fraction(1, 12)] if tag == "rat" else [])
+    vec = np.array([ring.from_rational(v) for v in vals], dtype=ring.dtype)
+    if tag == "fp:2097169":
+        with pytest.raises(RingMismatchError):
+            ring.reduce_vector(vec, fp)
+        return
+    got = ring.reduce_vector(vec, fp)
+    assert got.dtype == fp.dtype
+    assert got.tolist() == [reduce_rational(v, 7) for v in vals]
+    if tag == "rat":
+        with pytest.raises(ArithmeticDomainError):
+            ring.reduce_vector(np.array([Fraction(1, 14), Fraction(1)], dtype=object), fp)
 
 
 def test_ring_from_tag():

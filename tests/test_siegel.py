@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegelcong import siegel
+from siegelcong import ring as ringmod, siegel
 from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError,
                                NotInRingError, PrecisionError,
                                SiegelCongError)
@@ -386,7 +386,7 @@ def test_siegel_mul_outside_bound_lifts_to_integers(fft_calls):
     h = (p - 1) // 2
     F = _constant_form(ring, prec, h)
     prod = siegel_mul(F, F)
-    primes = siegel._moduli(prec, 2 * h * h * (prec + 1) ** 2 * (2 * prec + 1))
+    primes = ringmod.moduli(siegel._qmax(prec), 2 * h * h * (prec + 1) ** 2 * (2 * prec + 1))
     assert len(primes) == 3 and fft_calls == [(q, prec) for q in primes]
     assert all(5 <= q <= siegel._qmax(prec) and is_prime(q) for q in primes)
     _assert_same_vector(prod.coeffs, mul_loop(F, F, prec), ring)
@@ -403,8 +403,8 @@ def test_siegel_mul_at_the_crt_bound(monkeypatch, short):
     """At box 0, T = 1 and the one output is max|f| max|g| T itself: the
     moduli exceed twice it, and a CRT one prime short gets it wrong."""
     if short:
-        moduli = siegel._moduli
-        monkeypatch.setattr(siegel, "_moduli", lambda prec, bound: moduli(prec, bound)[:-1])
+        moduli = ringmod.moduli
+        monkeypatch.setattr(ringmod, "moduli", lambda qmax, bound: moduli(qmax, bound)[:-1])
     F = SiegelFormSeries.constant(INT, 4, 0, 1 << 100)
     G = SiegelFormSeries.constant(INT, 6, 0, -(1 << 100))
     assert (siegel_mul(F, G).a(0, 0, 0) == -(1 << 200)) != short
@@ -420,7 +420,7 @@ def test_siegel_mul_takes_moduli_past_twice_the_output():
         q -= 2
     v = isqrt(3 * prod(primes) // 4)
     F = SiegelFormSeries.constant(INT, 4, 0, v)
-    assert siegel._moduli(0, 2 * v * v)[:10] == primes
+    assert ringmod.moduli(siegel._qmax(0), 2 * v * v)[:10] == primes
     assert siegel_mul(F, -F).a(0, 0, 0) == -v * v
 
 
@@ -428,7 +428,7 @@ def test_siegel_mul_refuses_past_the_prime_supply(monkeypatch):
     monkeypatch.setattr(siegel, "_FFT_LIMIT", 9 * 45)     # box 2 has T = 45, so q <= 7
     assert siegel._qmax(2) == 7
     F = SiegelFormSeries.constant(INT, 4, 2, 1 << 10)
-    with pytest.raises(InvalidArgumentError, match=r"box 2 needs 26 bits.* 2 primes .* give 5$"):
+    with pytest.raises(InvalidArgumentError, match=r"needs 26 bits.* 2 primes from 5 to 7 give 5$"):
         siegel_mul(F, F)
     small = SiegelFormSeries.constant(FP5, 4, 2, 3)
     assert siegel_mul(small, small).a(0, 0, 0) == 4
@@ -437,7 +437,7 @@ def test_siegel_mul_refuses_past_the_prime_supply(monkeypatch):
 @pytest.mark.parametrize("prec,count,bits", [(30, 1075, 12270), (160, 127, 997)])
 def test_prime_supply(prec, count, bits):
     with pytest.raises(InvalidArgumentError, match=fr" {count} primes .* give {bits}$"):
-        siegel._moduli(prec, 1 << 20000)
+        ringmod.moduli(siegel._qmax(prec), 1 << 20000)
 
 
 def test_targeted_mul_matches_full(int_gens):
