@@ -1,47 +1,76 @@
 """Disk cache for generator expansions, keyed by (name, ring, precision).
 
-A file is one gzip-compressed JSON document of format 2, written at gzip
-level 6 with a fixed timestamp and sorted keys, so two cold runs of the same
-computation produce byte-identical files.  The document is
+A file of format 3, `{name}__{tag}__N{prec}.v3.npy`, is the header line
+`{"format":3,"name":...,"prec":N,"ring":tag,"weight":k}` (sorted-key JSON and
+a newline), then np.save(..., allow_pickle=False) of the form's coefficient
+vector (see siegelcong.siegel), of length box_index(N).size: over F_p with
+int64 vectors (p < 2^21) the residues as np.min_scalar_type(p - 1), uint8 for
+p < 256; over the object rings (Z, Q, F_p with p >= 2^21) an `S` array of the
+ring.to_token strings ("-7", "2/3").  It is not compressed: for chi12 at
+box 90 over F_23 the gzip-6 JSON of format 2 took 171 ms to store and 139 ms
+to load, this format 0.9 ms and 0.5 ms, for 335 KB instead of 249 KB (2-vCPU
+host); at box 30 a format-2 load cost about half a build.
 
-    {"format": 2, "name": ..., "prec": N, "ring": tag,
-     "rows": [...], "weight": k}
-
-where "rows" lists, for every (n, m) with n <= m <= N in (n, m) order, the
-dense half row A(n, 0, m), ..., A(n, isqrt(4nm), m) of ring tokens, zeros
-included; the other half and (m, n) follow by symmetry.  Read in order,
-the rows are the form's coefficient vector (see siegelcong.siegel): each
-row is one slice of it, int64 over F_p with p < 2^21 and object otherwise.
-The format is part of the file name (`.v2.json.gz`), so files of another
-format are never opened: they are misses.  The document is streamed one
-n-row at a time, never built whole in memory.  Writes go through a
-temporary file and an atomic rename, and the file gets the mode a plain
-open() would give it under the process umask.
+The format is part of the file name, so files of another format are misses.
+Two cold runs write byte-identical files.  A write goes to a new temporary
+file, created with mode 0o666 so that the process umask applies as for a
+plain open(), and an atomic rename.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
-import tempfile
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CacheIOError
-from .ring import ring_from_tag
 from .siegel import SiegelFormSeries, box_index, tokens
 
 ENV_VAR = "CONGRUENCE_CACHE_DIR"
-_FORMAT = 2
-_LEVEL = 6
-_JSON = {"separators": (",", ":"), "sort_keys": True}
+_FORMAT = 3
 
 
 def default_cache_dir():
     return Path(os.environ.get(ENV_VAR, ".cache"))
+
+
+def _header(name, ring, prec, weight):
+    head = {"format": _FORMAT, "name": name, "prec": prec, "ring": ring.tag, "weight": weight}
+    return json.dumps(head, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+
+
+def _payload(ring, coeffs):
+    if ring.dtype == object:
+        return np.array([str(t) for t in tokens(ring, coeffs)], dtype="S")
+    return coeffs.astype(np.min_scalar_type(ring.p - 1))
+
+
+def _read_coeffs(fh, ring, size):
+    """The coefficient vector of the payload at fh; ValueError unless
+    _payload wrote it.  The npy header must give `size` entries of the kind
+    _payload writes, checked before any data is read, so that neither a
+    pickled array nor a garbled shape is loaded; every residue must be below
+    p, and every token one that to_token writes back exactly."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not an npy 1.0 array")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    if shape != (size,) or dtype.kind != ("S" if ring.dtype == object else "u"):
+        raise ValueError(f"a {dtype} array of shape {shape}, not {size} coefficients")
+    arr = np.fromfile(fh, dtype, size)
+    if arr.size != size or fh.read(1):
+        raise ValueError(f"not {size} coefficients and the end of the file")
+    if ring.dtype != object:
+        if int(arr.max()) >= ring.p:
+            raise ValueError("a residue >= p")
+        return arr.astype(np.int64)
+    strs = arr.astype("U").tolist()                  # UnicodeDecodeError past ASCII
+    parse = type(ring.to_token(ring.zero))           # int, or str over Q
+    vals = list(map(ring.from_token, map(parse, strs)))
+    if list(map(str, map(ring.to_token, vals))) != strs:
+        raise ValueError("a token the writer does not write")
+    return np.array(vals, dtype=object)
 
 
 class DiskCache:
@@ -50,76 +79,39 @@ class DiskCache:
 
     def _path(self, name, ring, prec):
         tag = ring.tag.replace(":", "_")
-        return self.root / f"{name}__{tag}__N{prec}.v{_FORMAT}.json.gz"
+        return self.root / f"{name}__{tag}__N{prec}.v{_FORMAT}.npy"
 
     def load(self, name, ring, prec):
-        """The cached expansion, or None on a miss.
-
-        A file that cannot be read back (truncated, not gzip, not JSON, a
-        header other than the request, a wrong row count or row length, a
-        token that ring.to_token does not write) raises CacheIOError.
-        """
+        """The cached expansion, or None on a miss.  A file that cannot be
+        read back (see _read_coeffs; also a missing or other header line, a
+        weight that is not an int) raises CacheIOError."""
         path = self._path(name, ring, prec)
         if not path.exists():
             return None
         try:
-            with gzip.open(path, "rt", encoding="ascii") as fh:
-                doc = json.load(fh)
-            head = {"format": _FORMAT, "name": name, "prec": prec, "ring": ring.tag}
-            if not isinstance(doc, dict) or any(doc.get(k) != v for k, v in head.items()):
-                raise ValueError("header does not match the request")
-            return _form_from_doc(doc)
-        except (OSError, EOFError, zlib.error, ValueError, KeyError, TypeError,
-                OverflowError, ZeroDivisionError) as exc:
+            with open(path, "rb") as fh:
+                line = fh.readline(4096)
+                weight = json.loads(line)["weight"]
+                if type(weight) is not int or line != _header(name, ring, prec, weight):
+                    raise ValueError("header does not match the request")
+                coeffs = _read_coeffs(fh, ring, box_index(prec).size)
+            return SiegelFormSeries(ring, weight, prec, coeffs)
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise CacheIOError(f"unreadable cache file {path}: {exc}") from exc
 
     def store(self, name, form):
         form.need(form.prec)
+        path = self._path(name, form.ring, form.prec)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
-                umask = os.umask(0)         # os.umask cannot only read: set it back
-                os.umask(umask)
-                os.chmod(tmp, 0o666 & ~umask)
-                with os.fdopen(fd, "wb") as raw:
-                    with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_LEVEL,
-                                       mtime=0) as gz:
-                        _write_doc(gz, name, form)
-                os.replace(tmp, self._path(name, form.ring, form.prec))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(_header(name, form.ring, form.prec, form.weight))
+                    np.save(fh, _payload(form.ring, form.coeffs), allow_pickle=False)
+                os.replace(tmp, path)
             finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                tmp.unlink(missing_ok=True)
         except OSError as exc:
             raise CacheIOError(f"cannot write cache under {self.root}: {exc}") from exc
-
-
-def _write_doc(gz, name, form):
-    """Write the form's JSON document one n-row at a time.
-
-    The bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    of the whole document; "rows" sorts between "ring" and "weight".
-    """
-    idx = box_index(form.prec)
-    head = {"format": _FORMAT, "name": name, "prec": form.prec, "ring": form.ring.tag}
-    gz.write(json.dumps(head, **_JSON)[:-1].encode("ascii") + b',"rows":[')
-    for n in range(form.prec + 1):
-        lo, hi = idx.nstart[n], idx.nstart[n + 1]
-        toks = tokens(form.ring, form.coeffs[lo:hi])
-        cuts = (idx.offset[n, n:] - lo).tolist() + [hi - lo]
-        halves = [toks[a:b] for a, b in zip(cuts, cuts[1:])]
-        gz.write((b"," if n else b"") + json.dumps(halves, **_JSON)[1:-1].encode("ascii"))
-    gz.write(b'],"weight":' + json.dumps(form.weight).encode("ascii") + b"}")
-
-
-def _form_from_doc(doc):
-    ring = ring_from_tag(doc["ring"])
-    prec = doc["prec"]
-    halves = doc["rows"]
-    widths = box_index(prec).widths.tolist()
-    if len(halves) != len(widths):
-        raise ValueError(f"{len(halves)} rows for box {prec}")
-    if any(len(toks) != w for toks, w in zip(halves, widths)):
-        raise ValueError("a row length does not match its (n, m)")
-    toks = [ring.from_token(t) for row in halves for t in row]
-    return SiegelFormSeries(ring, doc["weight"], prec, np.array(toks, dtype=ring.dtype))

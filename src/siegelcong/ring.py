@@ -7,8 +7,8 @@ canonical in ``[0, p)``.  Rings are stateless, hashable, and compare by tag,
 so they are safe to share between concurrent readers.
 
 Every exact product of the package (series, Jacobi rows, Siegel boxes) is
-one `exact_product`: an int64 kernel modulo p itself over small F_p, else
-modulo a few word-size primes joined by CRT.
+one `exact_product`: an int64 kernel modulo p itself over F_p with p within
+the kernel's bound, else modulo a few word-size primes joined by CRT.
 """
 
 from __future__ import annotations
@@ -318,15 +318,19 @@ def exact_product(ring, f, g, kernel, terms, qmax):
     kernel(x, y, q) that multiplies int64 residue arrays into [0, q), exact
     for every prime q <= qmax when an output entry sums <= `terms` products.
 
-    Over F_p with int64 residues and p <= qmax the kernel runs once, on f
-    and g as given.  Otherwise the integer lifts a, b (Ring.to_integers) are
-    multiplied modulo the largest primes q <= qmax whose product M exceeds
+    Over F_p with p <= qmax the kernel runs once, modulo p: on f and g as
+    given when they are int64, else on their residues cast to int64.
+    Otherwise the integer lifts a, b (Ring.to_integers) are multiplied
+    modulo the largest primes q <= qmax whose product M exceeds
     2 terms max|a| max|b| (moduli); CRT joins the residues into the centred
     integers in (-M/2, M/2), the exact products, which Ring.from_integers
     maps back.  If g is f the kernel sees one array twice.
     """
-    if isinstance(ring, FpRing) and ring.fits64 and ring.p <= qmax:
-        return kernel(f, g, ring.p)
+    if isinstance(ring, FpRing) and ring.p <= qmax:
+        if ring.fits64:
+            return kernel(f, g, ring.p)
+        x = f.astype(np.int64)
+        return kernel(x, x if g is f else g.astype(np.int64), ring.p).astype(object)
     a, da = ring.to_integers(f)
     b, db = (a, da) if g is f else ring.to_integers(g)
     primes = moduli(qmax, 2 * terms * int(abs(a).max(initial=0)) * int(abs(b).max(initial=0)))

@@ -4,7 +4,7 @@ A form of box N has coefficients A(n, r, m) on the semipositive support
 0 <= n, m <= N, |r| <= isqrt(4nm).  A(n, r, m) = A(m, r, n) = A(n, -r, m)
 for every form here, so only the half support n <= m, 0 <= r <= isqrt(4nm)
 is stored: one flat vector `coeffs`, ordered by n, then m, then r, which is
-the row order of cache format 2.  Its dtype is `ring.dtype`
+the vector a cache file holds.  Its dtype is `ring.dtype`
 (siegelcong.ring), and every operation is a numpy expression on it, reduced
 mod p only over F_p; the index arrays of each box (BoxIndex) are built once
 and memoized.

@@ -111,3 +111,19 @@ def test_small_prime_fields_pass_their_arrays_to_one_kernel_call():
     assert exact_product(ring_from_tag("fp:17"), f, f, kernel, 3, 13).tolist() == [1, 12, 8, 2, 9]
     assert [q for _, _, q in calls] == [13, 11, 7]
     assert all(x is y and x is not f for x, y, _ in calls)
+
+
+def test_object_residue_fields_within_the_bound_take_one_kernel_call(monkeypatch):
+    """F_p with p >= 2^21 (object residues) but p <= qmax: one kernel call
+    modulo p on the residues cast to int64, no lifts and no CRT."""
+    ring, convolve, calls = ring_from_tag("fp:2097169"), np.convolve, []
+
+    def spy(x, y):
+        calls.append((x.dtype, y.dtype))
+        return convolve(x, y)
+
+    a, b = _values(ring, (12,), 1, False), _values(ring, (9,), 2, False)
+    want = convolve(a, b)[:15] % ring.p
+    monkeypatch.setattr(np, "convolve", spy)
+    _same(convolve_trunc(ring, a, b, 15), want, ring)
+    assert calls == [(np.int64, np.int64)]

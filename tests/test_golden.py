@@ -2,9 +2,11 @@
 
 The files under tests/data/golden cover every coefficient dtype: fp:7 runs
 on int64 vectors, while int, rat and fp:2097169 run on object vectors.  A
-golden file changes only when an output is meant to change.  Regenerate the
-Jacobi files with `python tests/test_golden.py` from the repository root,
-with src on PYTHONPATH.
+golden file changes only when an output is meant to change.  The golden
+generator cache files are of cache format 2, read by tests/cache_v2_oracle.py:
+the files the cache writes must load to their coefficients and weights.
+Regenerate the Jacobi files with `python tests/test_golden.py` from the
+repository root, with src on PYTHONPATH.
 """
 
 import json
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from cache_v2_oracle import read_v2
+from siegelcong.cache import _FORMAT, DiskCache
 from siegelcong.cli import main
 from siegelcong.jacobi import jacobi_eisenstein, weak_generators
 from siegelcong.ring import ring_from_tag
@@ -66,27 +70,48 @@ def test_heat_cycle_stdout(capsys, tmp_path, argv, name):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+def _cold_runs(tmp_path, argv):
+    """The cache directories of two cold runs of the CLI argv, after checking
+    that they hold the same files, byte for byte."""
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        assert main(argv + ["--cache-dir", str(d)]) == 0
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    return dirs[0]
+
+
+def _assert_decodes_to_golden(got, want):
+    """got holds one file for each format-2 golden file in want, named by the
+    current format, that loads to the golden file's coefficients and weight."""
+    goldens = sorted(want.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == \
+        sorted(p.name.replace(".v2.json.gz", f".v{_FORMAT}.npy") for p in goldens)
+    for path in goldens:
+        name, form = read_v2(path)
+        loaded = DiskCache(got).load(name, form.ring, form.prec)
+        assert loaded == form and loaded.weight == form.weight, path.name
+
+
 # box 3 over every ring; the exact rings again at q-precision 100 and 36
 @pytest.mark.parametrize("tag,prec", [pytest.param(tag, 3, id=tag) for tag in RINGS]
                          + [pytest.param("int", 10, id="int-prec10"),
                             pytest.param("rat", 6, id="rat-prec6")])
 def test_gens_cache_files(capsys, tmp_path, tag, prec):
-    assert main(["gens", "--ring", tag, "--prec", str(prec), "--cache-dir", str(tmp_path)]) == 0
+    got = _cold_runs(tmp_path, ["gens", "--ring", tag, "--prec", str(prec)])
     want = GOLDEN / f"gens_prec{prec}_{tag.replace(':', '_')}"
-    got = sorted(p.name for p in tmp_path.iterdir())
-    assert got == sorted(p.name for p in want.iterdir()) and len(got) == 4
-    for name in got:
-        assert (tmp_path / name).read_bytes() == (want / name).read_bytes(), name
+    assert len(list(want.iterdir())) == 4
+    _assert_decodes_to_golden(got, want)
 
 
 def test_check_writes_only_the_generator_it_reads(capsys, tmp_path):
-    """Generators are built on first use: chi12 alone, byte for byte the file
-    the four-generator build wrote."""
-    assert main(["check", "chi12", "--p", "5", "--b", "1", "--cache-dir", str(tmp_path)]) == 0
-    want = GOLDEN / "check_chi12_p5_b1_cache"
-    assert [p.name for p in tmp_path.iterdir()] == ["chi12__fp_5__N5.v2.json.gz"]
-    assert (tmp_path / "chi12__fp_5__N5.v2.json.gz").read_bytes() == \
-        (want / "chi12__fp_5__N5.v2.json.gz").read_bytes()
+    """Generators are built on first use: chi12 alone, with the coefficients
+    of the file the four-generator build wrote."""
+    got = _cold_runs(tmp_path, ["check", "chi12", "--p", "5", "--b", "1"])
+    assert [p.name for p in got.iterdir()] == [f"chi12__fp_5__N5.v{_FORMAT}.npy"]
+    _assert_decodes_to_golden(got, GOLDEN / "check_chi12_p5_b1_cache")
 
 
 def jacobi_text(tag):
