@@ -66,11 +66,12 @@ def _read_coeffs(fh, ring, size):
             raise ValueError("a residue >= p")
         return arr.astype(np.int64)
     strs = arr.astype("U").tolist()                  # UnicodeDecodeError past ASCII
-    parse = type(ring.to_token(ring.zero))           # int, or str over Q
-    vals = list(map(ring.from_token, map(parse, strs)))
-    if list(map(str, map(ring.to_token, vals))) != strs:
+    if type(ring.to_token(ring.zero)) is str:        # Q: from_token refuses other texts
+        return np.array(list(map(ring.from_token, strs)), dtype=object)
+    vals = np.array(list(map(int, strs)), dtype=object)     # Z, F_p: canonical decimals
+    if list(map(str, vals.tolist())) != strs or np.any(ring.canonical(vals) != vals):
         raise ValueError("a token the writer does not write")
-    return np.array(vals, dtype=object)
+    return vals
 
 
 class DiskCache:

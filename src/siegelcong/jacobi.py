@@ -120,9 +120,9 @@ class JacobiFormSeries:
     coeffs is the half-support vector described in the module docstring.
     """
 
-    __slots__ = ("ring", "weight", "index", "prec", "coeffs", "weak", "idx", "_parts")
+    __slots__ = ("ring", "weight", "index", "prec", "coeffs", "idx", "_parts")
 
-    def __init__(self, ring, weight, index, prec, coeffs, weak=False):
+    def __init__(self, ring, weight, index, prec, coeffs):
         if index < 0:
             raise InvalidArgumentError(f"index must be >= 0, got {index}")
         self.idx = jacobi_index(index, prec)
@@ -134,14 +134,12 @@ class JacobiFormSeries:
         self.index = index
         self.prec = prec
         self.coeffs = coeffs
-        self.weak = weak
         self._parts = None      # weak_decompose(self), once asked for
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def zero(cls, ring, weight, index, prec, weak=False):
-        return cls(ring, weight, index, prec, ring.zeros(jacobi_index(index, prec).size),
-                   weak=weak)
+    def zero(cls, ring, weight, index, prec):
+        return cls(ring, weight, index, prec, ring.zeros(jacobi_index(index, prec).size))
 
     # -- access -------------------------------------------------------------
     def rb(self, n):
@@ -169,7 +167,7 @@ class JacobiFormSeries:
 
     def __repr__(self):
         return (f"JacobiFormSeries({self.ring.tag}, k={self.weight}, m={self.index}, "
-                f"N={self.prec}, weak={self.weak})")
+                f"N={self.prec})")
 
     def at_prec(self, prec):
         """The coefficient vector truncated to precision prec <= self.prec: a prefix."""
@@ -179,8 +177,7 @@ class JacobiFormSeries:
         if prec > self.prec:
             raise PrecisionError("cannot extend a truncated form",
                                  required=prec, available=self.prec)
-        return JacobiFormSeries(self.ring, self.weight, self.index, prec,
-                                self.at_prec(prec), weak=self.weak)
+        return JacobiFormSeries(self.ring, self.weight, self.index, prec, self.at_prec(prec))
 
     # -- ring-level arithmetic ------------------------------------------------
     def _check(self, other):
@@ -199,7 +196,7 @@ class JacobiFormSeries:
     def scale(self, c):
         c = self.ring.from_int(c) if isinstance(c, int) else c
         return JacobiFormSeries(self.ring, self.weight, self.index, self.prec,
-                                self.ring.canonical(self.coeffs * c), weak=self.weak)
+                                self.ring.canonical(self.coeffs * c))
 
     def __neg__(self):
         return self.scale(-1)
@@ -222,7 +219,7 @@ class JacobiFormSeries:
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
         return JacobiFormSeries(fp, self.weight, self.index, self.prec,
-                                self.ring.reduce_vector(self.coeffs, fp), weak=self.weak)
+                                self.ring.reduce_vector(self.coeffs, fp))
 
     def to_json(self):
         idx = self.idx
@@ -239,7 +236,7 @@ def _combine(a, b, coef_b, weight):
     ring = a.ring
     cb = ring.from_int(coef_b) if isinstance(coef_b, int) else coef_b
     vec = ring.canonical(a.at_prec(n) + b.at_prec(n) * cb)
-    return JacobiFormSeries(ring, weight, a.index, n, vec, weak=a.weak or b.weak)
+    return JacobiFormSeries(ring, weight, a.index, n, vec)
 
 
 # -- products ---------------------------------------------------------------------
@@ -264,7 +261,7 @@ def jac_mul(a, b):
         row = _row_products(ring, _band(arows[:n + 1], ba), _band(brows[n::-1], bb))
         out[n, :rbound(m, n) + 1] = row[ba + bb:ba + bb + rbound(m, n) + 1]
     idx = jacobi_index(m, prec)
-    return JacobiFormSeries(ring, w, m, prec, out[idx.n, idx.r], weak=a.weak or b.weak)
+    return JacobiFormSeries(ring, w, m, prec, out[idx.n, idx.r])
 
 
 def _band(rows, half):
@@ -308,7 +305,7 @@ def qseries_times_jacobi(f, k, phi):
         col = dense[:, c]
         if np.any(col):
             dense[:, c] = convolve_trunc(ring, f, col, prec + 1)
-    return JacobiFormSeries(ring, w, phi.index, prec, dense[idx.n, idx.r], weak=phi.weak)
+    return JacobiFormSeries(ring, w, phi.index, prec, dense[idx.n, idx.r])
 
 
 def heat(phi):
@@ -323,7 +320,7 @@ def heat(phi):
     w = phi.weight
     if w is not None and isinstance(ring, FpRing):
         w = w + ring.p + 1
-    return JacobiFormSeries(ring, w, phi.index, phi.prec, vec, weak=phi.weak)
+    return JacobiFormSeries(ring, w, phi.index, phi.prec, vec)
 
 
 def heat_iterate(phi, times):
@@ -425,11 +422,11 @@ def discriminant_series(cols, dmax):
     return np.asarray(cols)[(D % 4 == 3).astype(int), (D + 1) // 4]
 
 
-def _index1_form(ring, weight, cols, weak):
+def _index1_form(ring, weight, cols):
     """The index-1 form with zeta^0 and zeta^1 columns cols: one gather by D."""
     prec = len(cols[0]) - 1
     vec = discriminant_series(cols, 4 * prec)[jacobi_index(1, prec).D + 1]
-    return JacobiFormSeries(ring, weight, 1, prec, vec, weak=weak)
+    return JacobiFormSeries(ring, weight, 1, prec, vec)
 
 
 def weak_generators(prec, ring):
@@ -446,7 +443,7 @@ def weak_generators(prec, ring):
     """
     D = jacobi_index(1, prec).D
     vecs = _read_only(_weak_columns(prec, ring)[:, (D % 4 == 3).astype(int), (D + 1) // 4])
-    return tuple(JacobiFormSeries(ring, k, 1, prec, v, weak=True) for k, v in zip((-2, 0), vecs))
+    return tuple(JacobiFormSeries(ring, k, 1, prec, v) for k, v in zip((-2, 0), vecs))
 
 
 def jacobi_eisenstein(k, prec, ring):
@@ -454,14 +451,14 @@ def jacobi_eisenstein(k, prec, ring):
     (see index1_columns)."""
     if k not in (4, 6):
         raise InvalidArgumentError(f"jacobi_eisenstein supports k in (4, 6), got {k}")
-    return _index1_form(ring, k, index1_columns(k, prec, ring), weak=False)
+    return _index1_form(ring, k, index1_columns(k, prec, ring))
 
 
 def jacobi_cusp(k, prec, ring):
     """The index-1 cusp generators Delta*phi_{-2,1} (k=10), Delta*phi_{0,1} (k=12)."""
     if k not in (10, 12):
         raise InvalidArgumentError(f"jacobi_cusp supports k in (10, 12), got {k}")
-    return _index1_form(ring, k, index1_columns(k, prec, ring), weak=False)
+    return _index1_form(ring, k, index1_columns(k, prec, ring))
 
 
 # -- decomposition over the weak generators ----------------------------------------
@@ -500,7 +497,7 @@ def _divide_by_weak_m2(psi, w_m2):
         quot[n, bq - b + 1 + cut:bq + b - cut] = u[cut:len(u) - cut]
     idx = jacobi_index(mu - 1, prec)
     return JacobiFormSeries(ring, None if psi.weight is None else psi.weight + 2,
-                            mu - 1, prec, quot[idx.n, bq + idx.r], weak=True)
+                            mu - 1, prec, quot[idx.n, bq + idx.r])
 
 
 def _div_by_sq(ring, t):
@@ -533,8 +530,7 @@ def weak_decompose(phi):
 def _weak_components(phi):
     if isinstance(phi.ring, IntRing):
         rat = ring_from_tag("rat")
-        phi = JacobiFormSeries(rat, phi.weight, phi.index, phi.prec,
-                               rat.from_integers(phi.coeffs, 1), weak=phi.weak)
+        phi = JacobiFormSeries(rat, phi.weight, phi.index, phi.prec, rat.from_integers(phi.coeffs, 1))
     ring = phi.ring
     if not isinstance(ring, (RatRing, FpRing)):
         raise InvalidArgumentError("weak_decompose needs a field-like ring (rat or fp)")
@@ -546,9 +542,8 @@ def _weak_components(phi):
     gens = weak_generators(phi.prec, ring)
     fs = []
     cur = phi
-    inv12 = ring.inv(ring.from_int(12))
     for mu in range(m, 0, -1):
-        f = ring.canonical(cur.z_restrict() * ring.pow(inv12, mu))
+        f = ring.divexact_vector(cur.z_restrict(), 12 ** mu)
         fs.append(f)
         rem = cur - qseries_times_jacobi(f, cur.weight, _weak_monomial(gens, 0, mu, phi.prec))
         cur = _divide_by_weak_m2(rem, gens[0])

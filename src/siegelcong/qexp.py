@@ -49,8 +49,8 @@ def convolve_trunc(ring, a, b, n):
 
 def invert_series(ring, a, n):
     """First n coefficients of 1/a; a[0] must be a unit."""
-    head = a[:1].tolist()
-    if not head or ring.is_zero(head[0]):
+    head = ring.canonical(a[:1]).tolist()
+    if not head or not head[0]:
         raise ArithmeticDomainError("constant term of series is zero; cannot invert")
     inv0 = ring.inv(head[0])
     out = ring.zeros(n)
@@ -60,7 +60,7 @@ def invert_series(ring, a, n):
     for k in range(1, n):
         lo = max(0, k - la)
         acc = ring.canonical(np.dot(arev[la - k + lo:], out[lo:k]))
-        out[k] = ring.neg(ring.mul(inv0, acc))
+        out[k] = ring.canonical(-inv0 * acc)
     return out
 
 
@@ -82,14 +82,14 @@ def bernoulli(k):
 
 def _sigma(e, n, ring):
     """sigma_e(0..n) (entry 0 is zero) by a numpy divisor sieve: one term
-    d^e per pair (d, multiple of d), d^e reduced mod p over F_p and a Python
-    int otherwise, summed with one np.add.at; not reduced."""
+    d^e per pair (d, multiple of d), the powers from ring.powers (mod p over
+    F_p), summed with one np.add.at; not reduced."""
     d = np.arange(1, n + 1)
     count = n // d
     div = np.repeat(d, count)
     mult = div * (np.arange(len(div)) - np.repeat(np.cumsum(count) - count, count) + 1)
     out = np.zeros(n + 1, dtype=ring.dtype)
-    np.add.at(out, mult, np.array([ring.pow(x, e) for x in d.tolist()], dtype=ring.dtype)[div - 1])
+    np.add.at(out, mult, ring.powers(d.tolist(), e)[div - 1])
     return out
 
 
@@ -311,10 +311,10 @@ def _read_only(a):
     return a
 
 
-def mk_dim(k, p=None):
+def mk_dim(k):
     """Dimension of the weight-k level-1 space: the size of mk_basis's
     triangular basis, one element per c with k - 12c != 2 (Serre, A Course in
     Arithmetic, VII §3.2, Thm 4).  Its unit leading terms make the count the
-    same over Q and over every F_p, so p does not change the result.
+    same over Q and over every F_p.
     """
     return len(_triangular_exponents(k))

@@ -1,10 +1,14 @@
 """Coefficient rings: prime fields F_p, exact integers, exact rationals.
 
-Series code throughout the package is generic over a small ring protocol
-(`Ring`): elements are plain ``int`` values for the ``int`` and ``fp:<p>``
-rings and `fractions.Fraction` for ``rat``.  Prime-field residues are kept
-canonical in ``[0, p)``.  Rings are stateless, hashable, and compare by tag,
-so they are safe to share between concurrent readers.
+A ring is a protocol on coefficient vectors (`Ring`).  Series code holds
+coefficients in numpy arrays of dtype `Ring.dtype` and does its arithmetic
+as numpy expressions on them; the ring supplies only the steps that differ
+between rings: `canonical` (reduction into ``[0, p)`` over F_p, nothing
+elsewhere), `divexact_vector`, `powers`, and the integer lifts
+`to_integers`/`from_integers`.  Entries are ``int`` values for the ``int``
+and ``fp:<p>`` rings and `fractions.Fraction` for ``rat``.  Rings are
+stateless, hashable, and compare by tag, so they are safe to share between
+concurrent readers.
 
 Every exact product of the package (series, Jacobi rows, Siegel boxes) is
 one `exact_product`: an int64 kernel modulo p itself over F_p with p within
@@ -81,13 +85,14 @@ def reduce_rational(x, p):
 
 
 class Ring:
-    """Minimal coefficient-ring protocol used by the series types.
+    """The vector protocol of a coefficient ring.
 
-    Elements are plain ints (int / prime fields) or Fractions (rat); the
-    ring object only carries the operations.  Subclasses are immutable and
-    hashable, equality is by tag.  Coefficient vectors of the series types
-    are numpy arrays of dtype `dtype`: object here, int64 over F_p with
-    p < 2^21.
+    Coefficient vectors are numpy arrays of dtype `dtype`: object here,
+    int64 over F_p with p < 2^21.  Sums, differences and products by scalars
+    are numpy expressions followed by `canonical`; the methods below build
+    vectors, divide them exactly, and lift them to integers and back.  The
+    only scalar operations are the constructors and `inv`.  Subclasses are
+    immutable and hashable, equality is by tag.
     """
 
     tag = "?"
@@ -102,7 +107,7 @@ class Ring:
     def __repr__(self):
         return f"{type(self).__name__}({self.tag!r})"
 
-    # -- element constructors ------------------------------------------------
+    # -- elements ------------------------------------------------------------
     @property
     def zero(self):
         return self.from_int(0)
@@ -118,33 +123,14 @@ class Ring:
         """Image of a rational number, when it exists in this ring."""
         raise NotImplementedError
 
-    # -- arithmetic ----------------------------------------------------------
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         raise NotImplementedError
 
-    def divexact(self, a, b):
-        """a / b when the quotient exists in the ring; domain error otherwise."""
-        return self.mul(a, self.inv(b))
-
+    # -- vectors ---------------------------------------------------------------
     def divexact_vector(self, vec, c):
         """vec / c for a nonzero integer c, as one vector operation: vec times
         the inverse of c; domain error when c has none."""
         return self.canonical(vec * self.inv(self.from_int(c)))
-
-    def is_zero(self, a):
-        return a == self.zero
 
     def canonical(self, vec):
         """A numpy vector of elements in canonical form: vec itself here,
@@ -155,9 +141,9 @@ class Ring:
         """A new array of zeros of dtype `dtype`."""
         return np.full(shape, self.zero, dtype=self.dtype)
 
-    def pow(self, a, e):
-        """a^e for an integer e >= 0."""
-        return a ** e
+    def powers(self, xs, e):
+        """The vector of x^e, e >= 0, for each Python int x in xs."""
+        return self.from_integers(np.array([x ** e for x in xs], dtype=object), 1)
 
     # -- reduction into a prime field ---------------------------------------
     def reduce_vector(self, vec, fp):
@@ -205,14 +191,6 @@ class IntRing(Ring):
             return a
         raise ArithmeticDomainError(f"{a} is not a unit in Z")
 
-    def divexact(self, a, b):
-        if b == 0:
-            raise ArithmeticDomainError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticDomainError(f"{a} is not divisible by {b}")
-        return q
-
     def divexact_vector(self, vec, c):
         if np.any(vec % c):
             raise ArithmeticDomainError(f"a coefficient is not divisible by {c}")
@@ -232,9 +210,6 @@ class RatRing(Ring):
         if a == 0:
             raise ArithmeticDomainError("0 is not invertible in Q")
         return 1 / Fraction(a)
-
-    def divexact(self, a, b):
-        return Fraction(a) / Fraction(b)
 
     def to_integers(self, vec):
         flat = vec.ravel().tolist()
@@ -272,32 +247,18 @@ class FpRing(Ring):
     def from_rational(self, x):
         return reduce_rational(Fraction(x), self.p)
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ArithmeticDomainError(f"0 is not invertible in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def is_zero(self, a):
-        return a % self.p == 0
-
     def canonical(self, vec):
         return vec % self.p
 
-    def pow(self, a, e):
-        return pow(a, e, self.p)
+    def powers(self, xs, e):
+        """Each power mod p (three-argument pow), never the exact integer."""
+        return self.from_integers(np.array([pow(x, e, self.p) for x in xs], dtype=self.dtype), 1)
 
     def to_integers(self, vec):
         return np.where(vec > self.p // 2, vec - self.p, vec), 1     # residues in [-h, h]

@@ -327,7 +327,7 @@ def maass_lift(ring, k, cols, prec):
     C = discriminant_series(h, 4 * prec * prec)[1:]
     idx = box_index(prec)
     d, q, start = idx.divisor_pairs
-    dpow = np.array([ring.pow(ring.from_int(e), k - 1) for e in range(prec + 1)], dtype=ring.dtype)
+    dpow = ring.powers(range(prec + 1), k - 1)
     out = ring.zeros(idx.size)
     if len(start):
         out[1:] = np.add.reduceat(dpow[d] * C[q], start)
@@ -377,7 +377,7 @@ def fourier_jacobi(F, m):
     inside = idx.D >= 0
     vec = F.ring.zeros(idx.size)
     vec[inside] = F.coeffs[box_index(F.prec).offset[idx.n[inside], m] + idx.r[inside]]
-    return JacobiFormSeries(F.ring, F.weight, m, F.prec, vec, weak=False)
+    return JacobiFormSeries(F.ring, F.weight, m, F.prec, vec)
 
 
 # -- products -------------------------------------------------------------------------
@@ -624,18 +624,14 @@ def sieve(F, p, s):
     fp = isinstance(ring, FpRing)
     if fp and ring.p != p:
         raise InvalidArgumentError(f"form lives over {ring.tag}, sieve asked for p={p}")
-
-    def mult(det):
-        dfull = ring.pow(ring.from_int(det), p - 1)
-        if s == 0:
-            return ring.sub(ring.one, dfull)
-        dhalf = ring.pow(ring.from_int(det), (p - 1) // 2)
-        part = ring.add(dfull, dhalf) if s == 1 else ring.sub(dfull, dhalf)
-        return ring.divexact(part, ring.from_int(2))
+    dets, inverse = np.unique(box_index(F.prec).det, return_inverse=True)
+    full = ring.powers(dets.tolist(), p - 1)
+    mult = (ring.divexact_vector(full + s * ring.powers(dets.tolist(), (p - 1) // 2), 2) if s
+            else 1 - full)
     w = F.weight
     if w is not None and fp:
         w = criterion_weight(w, p, 0)
-    return F._derived(F.coeffs * _per_det(box_index(F.prec).det, mult, ring.dtype), w)
+    return F._derived(F.coeffs * mult[inverse], w)
 
 
 # -- monomial evaluation and mod-p decompositions ---------------------------------------

@@ -38,10 +38,8 @@ def _theta_pair_columns(prec, sign, ring):
             q = q1 + q2
             if q > prec:
                 continue
-            col = cols.setdefault(r1 + r2, ring.zeros(prec + 1))
-            col[q] = ring.add(col[q] if not isinstance(ring, FpRing) else int(col[q]),
-                              ring.from_int(s1 * s2))
-    return cols
+            cols.setdefault(r1 + r2, [0] * (prec + 1))[q] += s1 * s2
+    return _reduce_columns(ring, cols)
 
 
 def _theta3_sq_columns(qprec, ring):
@@ -58,10 +56,14 @@ def _theta3_sq_columns(qprec, ring):
             q = q1 + q2
             if q > qprec:
                 continue
-            col = cols.setdefault(r1 + r2, ring.zeros(qprec + 1))
-            col[q] = ring.add(col[q] if not isinstance(ring, FpRing) else int(col[q]),
-                              ring.one)
-    return cols
+            cols.setdefault(r1 + r2, [0] * (qprec + 1))[q] += 1
+    return _reduce_columns(ring, cols)
+
+
+def _reduce_columns(ring, cols):
+    """Columns of Python ints as vectors over ring, one from_rational each."""
+    return {r: np.array([ring.from_rational(v) for v in col], dtype=ring.dtype)
+            for r, col in cols.items()}
 
 
 def _columns_to_form(ring, cols, prec, weight, index):
@@ -71,10 +73,9 @@ def _columns_to_form(ring, cols, prec, weight, index):
     for r, col in cols.items():
         for n in range(prec + 1):
             v = col[n]
-            vz = ring.is_zero(int(v) if isinstance(ring, FpRing) else v)
             b = rbound(index, n)
             if abs(r) > b:
-                if not vz:
+                if v:
                     raise ArithmeticDomainError(
                         f"coefficient at (n={n}, r={r}) violates the weak support bound")
                 continue
@@ -82,7 +83,7 @@ def _columns_to_form(ring, cols, prec, weight, index):
     for n, row in enumerate(rl):
         assert row.tolist() == row[::-1].tolist(), f"row q^{n} is not symmetric"
     half = np.concatenate([row[rbound(index, n):] for n, row in enumerate(rl)])
-    return JacobiFormSeries(ring, weight, index, prec, half, weak=True)
+    return JacobiFormSeries(ring, weight, index, prec, half)
 
 
 def _col_convolve(ring, cols, series_row, prec):
@@ -139,7 +140,7 @@ def _weak_generators_fields(prec, ring):
         par = r % 2
         vals = col.tolist()
         for t, v in enumerate(vals):
-            if (t - par) % 2 and not ring.is_zero(v):
+            if (t - par) % 2 and v:
                 raise ArithmeticDomainError("theta square breaks the parity coupling")
         folded = _pack_row(ring, [vals[2 * t + par] for t in range((qprec - par) // 2 + 1)])
         base = e_q if par == 0 else o_q
@@ -159,14 +160,13 @@ def _weak_generators_fields(prec, ring):
 
 def _cast_form(phi, ring):
     vec = np.array([ring.from_rational(Fraction(v)) for v in phi.coeffs.tolist()], dtype=ring.dtype)
-    return JacobiFormSeries(ring, phi.weight, phi.index, phi.prec, vec, weak=phi.weak)
+    return JacobiFormSeries(ring, phi.weight, phi.index, phi.prec, vec)
 
 
 def _scale_divexact(phi, d, weight):
     ring = phi.ring
-    dd = ring.from_int(d)
-    vec = np.array([ring.divexact(v, dd) for v in phi.coeffs.tolist()], dtype=ring.dtype)
-    return JacobiFormSeries(ring, weight, phi.index, phi.prec, vec, weak=False)
+    vec = np.array([ring.from_rational(Fraction(v, d)) for v in phi.coeffs.tolist()], dtype=ring.dtype)
+    return JacobiFormSeries(ring, weight, phi.index, phi.prec, vec)
 
 
 def weak_generators(prec, ring):
@@ -192,4 +192,4 @@ def jacobi_eisenstein(k, prec, ring):
 def jacobi_cusp(k, prec, ring):
     w_m2, w_0 = weak_generators(prec, ring)
     out = qseries_times_jacobi(delta_q(prec, ring), 12, w_m2 if k == 10 else w_0)
-    return JacobiFormSeries(ring, k, 1, out.prec, out.coeffs, weak=False)
+    return JacobiFormSeries(ring, k, 1, out.prec, out.coeffs)

@@ -138,7 +138,7 @@ def holo_basis(k, m, prec, p):
 def filtration_window(kp, m, p):
     """Rows the window test reads at candidate weight kp: the candidate-space
     dimension bound plus m + 6, or 0 if that bound is 0."""
-    udim = sum(mk_dim(kp + 2 * j, p) for j in range(m + 1))
+    udim = sum(mk_dim(kp + 2 * j) for j in range(m + 1))
     return udim + m + 6 if udim else 0
 
 

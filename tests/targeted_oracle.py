@@ -23,15 +23,12 @@ def dot_overlap(ring, a, ashift, b, bshift, r):
     lo = max(ashift, r - bshift - len(b) + 1)
     hi = min(ashift + len(a) - 1, r - bshift)
     if lo > hi:
-        return ring.zero
+        return 0
     if isinstance(ring, FpRing) and ring.fits64:
         seg_a = a[lo - ashift:hi - ashift + 1]
         seg_b = b[r - hi - bshift:r - lo - bshift + 1][::-1]
         return int(np.dot(seg_a, seg_b)) % ring.p
-    acc = ring.zero
-    for r1 in range(lo, hi + 1):
-        acc = ring.add(acc, ring.mul(a[r1 - ashift], b[r - r1 - bshift]))
-    return acc
+    return sum(a[r1 - ashift] * b[r - r1 - bshift] for r1 in range(lo, hi + 1))
 
 
 def _row(F, n, m):
@@ -56,15 +53,13 @@ def targeted_mul(F, G, targets):
         if n > prec or m > prec:
             raise PrecisionError(f"target ({n},{r},{m}) outside box {prec}",
                                  required=max(n, m), available=prec)
-        acc = ring.zero if not isinstance(ring, FpRing) else 0
+        acc = 0
         for n1 in range(n + 1):
             for m1 in range(m + 1):
                 a = _row(F, n1, m1)
                 b = _row(G, n - n1, m - m1)
                 v = dot_overlap(ring, a, -isqrt(4 * n1 * m1),
                                 b, -isqrt(4 * (n - n1) * (m - m1)), r)
-                acc = ring.add(acc, v)
-        if isinstance(ring, FpRing):
-            acc = acc % ring.p
-        out[(n, r, m)] = acc
+                acc += v
+        out[(n, r, m)] = ring.from_rational(acc)
     return out

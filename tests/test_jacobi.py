@@ -138,8 +138,7 @@ def test_weak_generators_match_oracle():
 # -- the two-column construction against the all-column oracle ---------------------
 
 def _assert_same_form(got, want):
-    assert ((got.weight, got.index, got.prec, got.weak)
-            == (want.weight, want.index, want.prec, want.weak))
+    assert (got.weight, got.index, got.prec) == (want.weight, want.index, want.prec)
     assert got.coeffs.tolist() == want.coeffs.tolist()
 
 
@@ -234,10 +233,9 @@ def test_jac_mul_examples():
 
 
 def _random_form(rng, ring, m, prec, bound=50):
-    f = JacobiFormSeries.zero(ring, 0, m, prec, weak=True)
+    f = JacobiFormSeries.zero(ring, 0, m, prec)
     vals = [ring.from_int(rng.randrange(-bound, bound)) for _ in range(f.idx.size)]
-    return JacobiFormSeries(ring, 0, m, prec, ring.canonical(np.array(vals, dtype=ring.dtype)),
-                            weak=True)
+    return JacobiFormSeries(ring, 0, m, prec, ring.canonical(np.array(vals, dtype=ring.dtype)))
 
 
 @pytest.mark.parametrize("tag", ["fp:7", "fp:2097143", "fp:2097169", "int", "rat"])
@@ -469,7 +467,7 @@ def test_holo_basis_matches_per_form_oracle(p):
             want = filtration_oracle.holo_basis(k, m, win, p)
             assert len(got) == len(want), (k, m, p)
             for f, g in zip(got, want):
-                assert f == g and f.weight == g.weight == k and not f.weak
+                assert f == g and f.weight == g.weight == k
 
 
 def _oracle_filtration_memoized(monkeypatch):

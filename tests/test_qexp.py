@@ -180,7 +180,6 @@ def test_mk_dim_matches_classical_formula():
     for k in range(0, 42, 2):
         want = 0 if k < 0 else k // 12 + (0 if k % 12 == 2 else 1)
         assert mk_dim(k) == want
-        assert mk_dim(k, 7) == want
 
 
 @pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:17", "fp:2097169", "int", "rat"])
@@ -194,7 +193,6 @@ def test_mk_basis_matches_all_monomial_oracle(tag):
             assert [type(v) for f in got.tolist() for v in f] == \
                 [type(v) for f in want for v in f.tolist()]
             assert got.dtype == ring.dtype and got.shape == (mk_dim(k), prec + 1)
-            assert len(got) == mk_dim(k) == mk_dim(k, 7)
 
 
 def test_mk_basis_memoizes_power_chains(monkeypatch):

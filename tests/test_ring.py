@@ -96,26 +96,33 @@ def test_fp_ring_ops():
         ring_from_tag("fp:5").from_rational(Fraction(2, 5))
 
 
-def test_int_ring_divexact():
-    r = ring_from_tag("int")
-    assert r.divexact(12, 4) == 3
-    with pytest.raises(ArithmeticDomainError):
-        r.divexact(13, 4)
-
-
 @pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
 def test_divexact_vector_matches_divexact(tag):
     r = ring_from_tag(tag)
-    vec = np.array([r.from_int(v) for v in (0, 12, -24, 1728 * 5)], dtype=r.dtype)
+    ints = (0, 12, -24, 1728 * 5)
+    vec = np.array([r.from_int(v) for v in ints], dtype=r.dtype)
     got = r.divexact_vector(vec, 12)
     assert got.dtype == r.dtype
-    assert got.tolist() == [r.divexact(v, r.from_int(12)) for v in vec.tolist()]
+    assert got.tolist() == [r.from_rational(Fraction(v, 12)) for v in ints]
     if tag == "int":
         with pytest.raises(ArithmeticDomainError):
             r.divexact_vector(np.array([12, 13], dtype=object), 12)
     if tag == "fp:7":
         with pytest.raises(ArithmeticDomainError):
             r.divexact_vector(vec, 14)
+
+
+@pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
+def test_powers_are_integer_powers_in_the_ring(tag):
+    r = ring_from_tag(tag)
+    xs = [0, 1, 2, -3, 12, 10**6 + 3]
+    for e in (0, 1, 5, 11):
+        got = r.powers(xs, e)
+        want = [r.from_rational(x ** e) for x in xs]
+        assert got.dtype == r.dtype
+        assert got.tolist() == want and list(map(type, got.tolist())) == list(map(type, want))
+    if isinstance(r, FpRing):       # Fermat: each power is taken mod p, never exactly
+        assert r.powers(xs, r.p - 1).tolist() == [0 if x % r.p == 0 else 1 for x in xs]
 
 
 def test_is_prime_spot_checks():

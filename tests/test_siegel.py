@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -17,7 +18,7 @@ from siegelcong.ring import FpRing, is_prime, legendre, ring_from_tag
 from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext,
                                SiegelFormSeries, box_bytes, congruence_scan,
                                fourier_jacobi, igusa_generator, igusa_generators,
-                               maass_lift, siegel_congruence, siegel_mul, sturm_zero,
+                               maass_lift, siegel_congruence, siegel_mul, sieve, sturm_zero,
                                weight_monomials)
 from mul_loop_oracle import mul_loop
 from siegel_checks import (MatrixIndexT, check_unimodular_moves, decompose_mod_p, dyadic_trace,
@@ -568,6 +569,22 @@ def test_sieve_exact_ring_partition(int_gens):
     total = parts[0] + parts[1]
     total = total + parts[2]
     assert total == F
+
+
+@pytest.mark.parametrize("tag,p,name", [("rat", 7, "chi12"), ("fp:2097169", 2097169, "E4")])
+def test_sieve_partition_over_rat_and_object_fp(tag, p, name):
+    """F0 + F+1 + F-1 = F, and mod p each part keeps only its Legendre class
+    of det T, none of them empty.  fp:2097169 has object vectors; each power
+    det^e is taken mod p there, so the three sieves take milliseconds (exact
+    powers of the determinants took 30 s at box 4)."""
+    F = GeneratorContext(ring_from_tag(tag), 4).generator(name)
+    start = time.perf_counter()
+    parts = {s: sieve(F, p, s) for s in (0, 1, -1)}
+    assert time.perf_counter() - start < 1
+    assert parts[0] + parts[1] + parts[-1] == F
+    for s, form in parts.items():
+        dets = support_dets(form.reduce_mod(p) if tag == "rat" else form)
+        assert dets and all(legendre(d, p) == s for d in dets), s
 
 
 # -- mod-p decompositions --------------------------------------------------------------------------
