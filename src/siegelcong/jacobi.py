@@ -337,14 +337,10 @@ def _theta_square_column(ring, c, n):
     The terms j and c - j meet at zeta^c, so this is one sum over j with
     O(sqrt n) terms.
     """
-    out = [0] * n
-    s = (-1) ** (c % 2)
     reach = isqrt(2 * n) + 2
-    for j in range(-reach, reach + 1):
-        e = (j * (j + 1) + (c - j) * (c - j + 1)) // 2
-        if e < n:
-            out[e] += s
-    return np.array([ring.from_int(v) for v in out], dtype=ring.dtype)
+    j = np.arange(-reach, reach + 1)
+    e = (j * (j + 1) + (c - j) * (c - j + 1)) // 2
+    return ring.from_integers(np.bincount(e[e < n], minlength=n) * (-1) ** (c % 2), 1)
 
 
 _weak_memo = BoundedMemo(MEMO_BYTES, lambda cols: array_bytes([cols]))
@@ -722,24 +718,32 @@ def holo_basis(k, m, prec, p):
     the tests check that decision against membership in these bases.
 
     The candidates f * w_{-2}^j w_0^{m-j}, f in mk_basis(k + 2j), are the
-    rows of one matrix over the keys (n, r), one product mk_basis(k + 2j) @ S_j
-    per monomial (row n1 of S_j is it times q^n1).  In its echelon form with
-    the D < 0 columns first, the rows whose pivot lies past them vanish on
-    them and span the holomorphic part; one more rref puts them in key order.
+    rows of one matrix over the keys (n, r) (holo_candidates).  In its
+    echelon form with the D < 0 columns first, the rows whose pivot lies past
+    them vanish on them and span the holomorphic part; one more rref puts
+    them in key order.
     """
     ring = ring_from_tag(f"fp:{p}")
-    gens = weak_generators(prec, ring)
     idx = jacobi_index(m, prec)
-    below = idx.n - np.arange(prec + 1)[:, None]           # S_j[n1, (n, r)] = c(n - n1, r)
-    at = np.where((below >= 0) & (idx.r <= idx.bound[below]), idx.start[below] + idx.r, idx.size)
-    cands = np.concatenate([exact_product(ring, mk_basis(k + 2 * j, prec, ring), np.append(
-        _weak_monomial(gens, j, m - j, prec).coeffs, 0)[at], lambda x, y, q: x @ y % q,
-        prec + 1, int64_qmax(prec + 1)) for j in range(m + 1)])
+    cands = holo_candidates(k, m, prec, ring)
     order = np.argsort(idx.D >= 0, kind="stable")          # the keys with D < 0 first
     red, _, piv = rref(FpMatrix(p, cands[:, order]))
     past = [i for i, c in enumerate(piv) if idx.D[order[c]] >= 0]
     red, rank, piv = rref(FpMatrix(p, red.data[past][:, np.argsort(order)]))
     return HoloBasis(ring, k, m, prec, red.data[:rank].astype(ring.dtype), piv)
+
+
+def holo_candidates(k, m, prec, ring):
+    """The rows f * w_{-2}^j w_0^(m-j), f in mk_basis(k + 2j), j = 0..m, on the
+    keys (n, r) of precision prec: one product mk_basis(k + 2j) @ S_j per
+    weak monomial, row n1 of S_j the monomial times q^n1."""
+    gens = weak_generators(prec, ring)
+    idx = jacobi_index(m, prec)
+    below = idx.n - np.arange(prec + 1)[:, None]           # S_j[n1, (n, r)] = c(n - n1, r)
+    at = np.where((below >= 0) & (idx.r <= idx.bound[below]), idx.start[below] + idx.r, idx.size)
+    return np.concatenate([exact_product(ring, mk_basis(k + 2 * j, prec, ring), np.append(
+        _weak_monomial(gens, j, m - j, prec).coeffs, 0)[at], lambda x, y, q: x @ y % q,
+        prec + 1, int64_qmax(prec + 1)) for j in range(m + 1)])
 
 
 def filtration(phi, hint=None):

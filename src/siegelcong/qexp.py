@@ -16,52 +16,84 @@ coefficients, of dtype `ring.dtype` like every coefficient vector (see
 siegelcong.ring); every operation is one numpy expression for both dtypes,
 reduced mod p only over F_p (`ring.canonical`).  The series product
 convolve_trunc, which the Jacobi layer shares, is one ring.exact_product of
-an int64 np.convolve; invert_series is a loop of dot products.
+either an int64 np.convolve (short series) or a float64 FFT product (long
+ones); invert_series is Newton iteration over convolve_trunc.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
 from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
-from .ring import RatRing, exact_product, int64_qmax, ring_from_tag
+from .ring import (FpRing, RatRing, exact_product, fft_len, fft_qmax, int64_qmax,
+                   ring_from_tag)
 
 _INT = ring_from_tag("int")
 
 
 # -- series products -------------------------------------------------------------
 
+# Shorter-factor lengths from which convolve_trunc multiplies by FFT, the
+# measured crossovers with np.convolve: _FFT_MIN where one modulus serves
+# (F_p, p <= fft_qmax), _FFT_MIN_CRT where either kernel needs CRT (Z, Q,
+# F_p past int64_qmax).  F_p in between keeps np.convolve, which needs no CRT.
+_FFT_MIN = 250
+_FFT_MIN_CRT = 500
+
+
 def convolve_trunc(ring, a, b, n):
     """First n coefficients of the product of two series vectors: one
-    ring.exact_product of np.convolve, with T = min(len(a), len(b), n) terms
-    per coefficient (int64_qmax(T))."""
-    a, b = np.asarray(a[:n], dtype=ring.dtype), np.asarray(b[:n], dtype=ring.dtype)
+    ring.exact_product with T = min(len(a), len(b), n) terms per
+    coefficient, of np.convolve (int64_qmax(T)) for short series and of
+    _convolve_fft (fft_qmax of the longer length) from _FFT_MIN terms on."""
+    square = b is a
+    a = np.asarray(a[:n], dtype=ring.dtype)
+    b = a if square else np.asarray(b[:n], dtype=ring.dtype)
     out, t = ring.zeros(n), min(len(a), len(b))
+    kernel, qmax = (lambda x, y, q: np.convolve(x, y)[:n] % q), int64_qmax(t)
+    if t >= _FFT_MIN:
+        fq = fft_qmax(max(len(a), len(b)))
+        one = isinstance(ring, FpRing) and ring.p <= qmax         # np.convolve needs no CRT
+        if (ring.p <= fq) if one else (t >= _FFT_MIN_CRT):
+            kernel, qmax = (lambda x, y, q: _convolve_fft(x, y, q, n)), fq
     if t:
-        full = exact_product(ring, a, b, lambda x, y, q: np.convolve(x, y)[:n] % q, t, int64_qmax(t))
+        full = exact_product(ring, a, b, kernel, t, qmax)
         out[:len(full)] = full
     return out
 
 
+def _convolve_fft(x, y, q, n):
+    """x * y to n terms, residues mod q in [0, q), by one float64 rfft product
+    of the residues centred in [-h, h]; exact for q <= fft_qmax(max(len(x),
+    len(y))).  The transform length covers the whole product, so nothing wraps."""
+    size = fft_len(len(x) + len(y) - 1)
+    spec = np.fft.rfft(np.where(x > q // 2, x - q, x).astype(float), size)
+    spec = spec * (spec if y is x else np.fft.rfft(np.where(y > q // 2, y - q, y).astype(float), size))
+    return np.rint(np.fft.irfft(spec, size)[:n]).astype(np.int64) % q
+
+
 def invert_series(ring, a, n):
-    """First n coefficients of 1/a; a[0] must be a unit."""
+    """First n coefficients of 1/a; a[0] must be a unit.
+
+    Newton iteration: if a g = 1 + O(q^k), then g' = g (2 - a g) = g - g e,
+    e = a g - 1 = O(q^k), has a g' = 1 + O(q^2k), so g' extends g by the
+    terms k..2k-1 of -g e.  Each step is two convolve_trunc calls, of a by g
+    and of g by the terms e_k.. of e."""
     head = ring.canonical(a[:1]).tolist()
     if not head or not head[0]:
         raise ArithmeticDomainError("constant term of series is zero; cannot invert")
-    inv0 = ring.inv(head[0])
-    out = ring.zeros(n)
-    out[0] = inv0
-    arev = ring.canonical(np.asarray(a[1:n], dtype=ring.dtype)[::-1])
-    la = len(arev)
-    for k in range(1, n):
-        lo = max(0, k - la)
-        acc = ring.canonical(np.dot(arev[la - k + lo:], out[lo:k]))
-        out[k] = ring.canonical(-inv0 * acc)
-    return out
+    g = ring.zeros(1)
+    g[0] = ring.inv(head[0])
+    a = ring.canonical(np.asarray(a[:n], dtype=ring.dtype))
+    while len(g) < n:
+        k = len(g)
+        e = convolve_trunc(ring, a, g, min(2 * k, n))[k:]
+        g = np.concatenate([g, ring.canonical(-convolve_trunc(ring, g, e, len(e)))])
+    return g[:n]
 
 
 # -- standard generators -------------------------------------------------------
@@ -125,11 +157,11 @@ def eta_pow6(prec, ring):
 
     Computed as the square of the eta^3 series sum (-1)^j (2j+1) q^{j(j+1)/2}.
     """
-    cube = ring.zeros(prec + 1)
-    j = 0
-    while j * (j + 1) // 2 <= prec:
-        cube[j * (j + 1) // 2] = ring.from_int((2 * j + 1) * (-1) ** j)
-        j += 1
+    j = np.arange(isqrt(2 * prec) + 1)
+    j = j[j * (j + 1) // 2 <= prec]
+    cube = np.zeros(prec + 1, dtype=np.int64)
+    cube[j * (j + 1) // 2] = np.where(j % 2, -1, 1) * (2 * j + 1)
+    cube = ring.from_integers(cube, 1)
     return convolve_trunc(ring, cube, cube, prec + 1)
 
 

@@ -11,8 +11,10 @@ stateless, hashable, and compare by tag, so they are safe to share between
 concurrent readers.
 
 Every exact product of the package (series, Jacobi rows, Siegel boxes) is
-one `exact_product`: an int64 kernel modulo p itself over F_p with p within
-the kernel's bound, else modulo a few word-size primes joined by CRT.
+one `exact_product`: a kernel modulo p itself over F_p with p within the
+kernel's bound, else modulo a few word-size primes joined by CRT.  The
+kernels are int64 sums (bound `int64_qmax`) or float64 FFT products of
+centred residues (bound `fft_qmax`, transform lengths `fft_len`).
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class Ring:
 
     def from_integers(self, ints, d):
         """The array ints / d in this ring, of dtype `dtype`."""
-        return ints
+        return np.asarray(ints, dtype=self.dtype)
 
     def to_token(self, a):
         """JSON-friendly rendering (ints in decimal, rationals as 'n/d')."""
@@ -307,6 +309,37 @@ def exact_product(ring, f, g, kernel, terms, qmax):
 def int64_qmax(terms):
     """The largest q with terms * q^2 < 2^63: sums of that many residue products fit int64."""
     return isqrt(((1 << 63) - 1) // max(terms, 1))
+
+
+# Bound on h^2 T under which a float64 FFT product of residues in [-h, h] is
+# exact, T bounding ||x||_2 ||y||_2 / h^2 (see fft_qmax).
+_FFT_LIMIT = 1 << 40
+
+
+def fft_qmax(terms):
+    """The largest odd q with ((q-1)/2)^2 terms <= 2^40: the bound of a float64
+    FFT product of residues centred in [-h, h], h = (q-1)/2, whose factors
+    have at most `terms` entries each.
+
+    Then ||x||_2 ||y||_2 <= h^2 terms <= 2^40 bounds every exact output, and
+    the rounding error of the FFT convolution is at most about
+    13 log2(L) 2^-53 ||x||_2 ||y||_2, L the transform size (Percival, Math.
+    Comp. 72, 2003): below 13 * 29 / 2^13 < 0.05 for L < 2^29, a tenth of
+    what rounding to the nearest integer allows.
+    """
+    return 2 * isqrt(_FFT_LIMIT // max(terms, 1)) + 1
+
+
+def fft_len(n):
+    """The least 5-smooth length >= n, a fast size for numpy.fft."""
+    while True:
+        k = n
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return n
+        n += 1
 
 
 def moduli(qmax, bound):

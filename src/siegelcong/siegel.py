@@ -40,7 +40,8 @@ from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis
 from .qexp import _read_only, bernoulli
-from .ring import FpRing, RatRing, exact_product, is_prime, legendre, ring_from_tag
+from .ring import (FpRing, RatRing, exact_product, fft_len, fft_qmax, is_prime, legendre,
+                   ring_from_tag)
 
 
 @lru_cache(maxsize=32)
@@ -84,24 +85,6 @@ class BoxIndex:
         self.gcd = np.gcd(np.gcd(self.n, self.r), self.m)
         for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r, self.det, self.gcd):
             _read_only(a)
-
-    @cached_property
-    def slices(self):
-        """(start, pos, src): n-slice i of the full support, as an
-        (N+1) x (4N+1) array with A(i, r, m) at row m, column 2N + r, takes
-        entry src[k] of the half vector to flat position pos[k] for
-        start[i] <= k < start[i + 1]."""
-        big, width = 2 * self.prec, 4 * self.prec + 1
-        n, r, m = self.n, self.r, self.m
-        # A(n, r, m) sits in slice n at (m, +-r) and in slice m at (n, +-r)
-        sl = np.concatenate([n, n, m, m])
-        pos = np.concatenate([m * width + big + r, m * width + big - r,
-                              n * width + big + r, n * width + big - r])
-        src = np.tile(np.arange(self.size), 4)
-        keep = np.concatenate([r >= 0, r > 0, n != m, (n != m) & (r > 0)])
-        order = np.argsort(sl[keep], kind="stable")
-        start = np.searchsorted(sl[keep][order], np.arange(self.prec + 2))
-        return tuple(map(_read_only, (start, pos[keep][order], src[keep][order])))
 
     @cached_property
     def divisor_pairs(self):
@@ -382,13 +365,15 @@ def fourier_jacobi(F, m):
 
 # -- products -------------------------------------------------------------------------
 
-# Bound on ((q-1)/2)^2 (N+1)^2 (2N+1) under which an FFT product mod q is exact.
-_FFT_LIMIT = 1 << 40
+# Bytes of the summed spectra of one inverse batch of _mul_fft, which the
+# inverse transforms about triple: larger caps raised the peak RSS of box-30
+# commands by up to 1.7 MB, and no cap that of a box-88 check by 27 MB.
+_BATCH_BYTES = 1 << 18
 
 
 def _qmax(prec):
-    """The largest odd q with ((q-1)/2)^2 (N+1)^2 (2N+1) <= _FFT_LIMIT at box N = prec."""
-    return 2 * isqrt(_FFT_LIMIT // ((prec + 1) ** 2 * (2 * prec + 1))) + 1
+    """The FFT bound ring.fft_qmax(T) of box N = prec, T = (N+1)^2 (2N+1)."""
+    return fft_qmax((prec + 1) ** 2 * (2 * prec + 1))
 
 
 def siegel_mul(F, G):
@@ -399,17 +384,13 @@ def siegel_mul(F, G):
     an output with n <= K reads only keys with min(n, m) <= K.
 
     The one kernel is a float64 FFT product modulo an odd prime q
-    (_mul_fft), exact when h^2 T <= 2^40 (q <= _qmax(N)), with residues
-    centred in [-h, h], h = (q-1)/2 and T = (N+1)^2 (2N+1).  T bounds the
-    terms of an output coefficient ((n+1)(m+1) pairs (n1, m1), each meeting
-    in at most 2N+1 values of r1), so every exact output is at most h^2 T in
-    absolute value, and the full support of one factor, so
-    ||F||_2 ||G||_2 <= h^2 T.  The rounding error of an FFT convolution is
-    at most about 13 log2(L) 2^-53 ||F||_2 ||G||_2, L the transform size
-    (Percival, Math. Comp. 72, 2003); q >= 5 keeps N below 5200 and log2 L
-    below 29, so for every modulus the error is under 13 * 29 / 2^13 < 0.05,
-    a tenth of what rounding allows (measured at the bound with all-h
-    factors, boxes 4 to 40, K = N, 2N/3 and N/3: 1.5e-4).
+    (_mul_fft), exact for q <= _qmax(N) = ring.fft_qmax(T),
+    T = (N+1)^2 (2N+1): T bounds the terms of an output coefficient
+    ((n+1)(m+1) pairs (n1, m1), each meeting in at most 2N+1 values of r1)
+    and the full support of one factor, which is what fft_qmax asks (with
+    Percival's error bound; measured at the bound with all-h factors, boxes
+    4 to 40, K = N, 2N/3 and N/3: at most 1.5e-4 from an integer).  q >= 5
+    keeps N below 5200 and the transform sizes below 2^29.
 
     The ring decides only the moduli (ring.exact_product with T terms and
     q <= _qmax(N)): p itself over small F_p, else a few primes joined by CRT.
@@ -429,73 +410,68 @@ def _mul_fft(f, g, q, prec):
     """The product of the half vectors f and g, residues mod q at box prec,
     as residues in [0, q); exact when q <= _qmax(prec).  g may be f itself.
 
-    f, g and the product hold the slices n <= K.  Each is packed into an
-    (N+1) x (2R+1) array, R = isqrt(4KN), r at offset R (from BoxIndex.slices),
-    and transformed at the least 5-smooth sizes >= 2N+1 in m and >= 2R+1 in r:
-    m1 + m2 <= 2N never wraps, and in rows m <= N, |r1 + r2| <= 2 sqrt(n1 m1) +
-    2 sqrt(n2 m2) <= 2 sqrt(nm) <= R (Cauchy-Schwarz), so the cyclic wrap in r
-    misses every stored coefficient.  Transforms skip the padding: rfft along r
-    of the N+1 rows, then fft along m; ifft along m, then irfft along r of the
-    rows m >= n that output slice n stores.  The n-convolution is a sum of
-    spectrum products.  Two slices n1, n2 >= K//2 + 1 never meet (n1 + n2 > K),
-    so the sum runs in three passes (low x low, low x high, high x low) that
-    each hold the spectra of half the slices of each factor; each pass sums a
-    subset of the terms, inside the exactness bound.
+    f, g and the product hold the slices n <= K.  A set of slices is packed
+    from the key arrays into an array of (N+1) x (2R+1) planes, R = isqrt(4KN),
+    A(n, r, m) at (m, R +- r) of plane n and at (n, R +- r) of plane m (four
+    scatters), and transformed by one rfftn at the least 5-smooth sizes
+    >= 2N+1 in m and >= 2R+1 in r: m1 + m2 <= 2N never wraps, and in rows
+    m <= N, |r1 + r2| <= 2 sqrt(n1 m1) + 2 sqrt(n2 m2) <= 2 sqrt(nm) <= R
+    (Cauchy-Schwarz), so the cyclic wrap in r misses every stored coefficient.
+    The n-convolution is a sum of spectrum products.  Two slices
+    n1, n2 >= K//2 + 1 never meet (n1 + n2 > K), so the sum runs in three
+    passes (low x low, low x high, high x low) that each hold the spectra of
+    half the slices of each factor; each pass sums a subset of the terms,
+    inside the exactness bound.  A pass inverts its output slices in batches
+    of at most _BATCH_BYTES of spectra: one ifft along m, one irfft along r
+    of the rows m >= the batch's first slice, and one gather of the batch's
+    keys.
     """
-    big = 2 * prec
     idx = box_index(prec)
     top = int(np.searchsorted(idx.nstart, len(f))) - 1           # K
     rad = isqrt(4 * top * prec)                                  # R
-    start, pos, src = idx.slices
-    shape = (_fft_len(big + 1), _fft_len(2 * rad + 1))
+    shape = (fft_len(2 * prec + 1), fft_len(2 * rad + 1))
+    n, m, r = idx.n[:len(f)], idx.m[:len(f)], idx.r[:len(f)]
     out = np.zeros(len(f), dtype=np.int64)
 
-    def spectra(vec, ns):
-        centred = np.where(vec > q // 2, vec - q, vec).astype(float)   # residues in [-h, h]
-        spec = np.empty((len(ns), shape[0], shape[1] // 2 + 1), dtype=complex)
-        packed = np.zeros((prec + 1) * (2 * big + 1))
-        for i, n in enumerate(ns):
-            packed[:] = 0
-            packed[pos[start[n]:start[n + 1]]] = centred[src[start[n]:start[n + 1]]]
-            rows = np.fft.rfft(packed.reshape(prec + 1, -1)[:, big - rad:big + rad + 1], n=shape[1])
-            spec[i] = np.fft.fft(rows, n=shape[0], axis=0)
-        return spec
+    def centred(vec):
+        return np.where(vec > q // 2, vec - q, vec).astype(float)      # residues in [-h, h]
+
+    def spectra(vals, lo, hi):
+        """The 2-D spectra of slices lo..hi-1 of the full support."""
+        planes = np.zeros((hi - lo, prec + 1, 2 * rad + 1))
+        own, mirror = slice(idx.nstart[lo], idx.nstart[hi]), np.flatnonzero((m >= lo) & (m < hi))
+        for plane, row, keys in ((n, m, own), (m, n, mirror)):
+            planes[plane[keys] - lo, row[keys], rad + r[keys]] = vals[keys]
+            planes[plane[keys] - lo, row[keys], rad - r[keys]] = vals[keys]
+        return np.fft.rfftn(planes, s=shape, axes=(1, 2))
 
     def add(fs, f0, gs, g0):
         """Add the products of f slices f0 + i and g slices g0 + j into out."""
-        for n in range(f0 + g0, top + 1):
-            d = n - f0 - g0
-            lo, hi = max(0, d - len(gs) + 1), min(len(fs), d + 1)
-            if lo >= hi:
-                continue
-            acc = np.einsum("ijk,ijk->jk", fs[lo:hi], gs[d - hi + 1:d - lo + 1][::-1])
-            vals = np.fft.irfft(np.fft.ifft(acc, axis=0)[n:prec + 1], n=shape[1])
-            # the product's (m, r) sits at row m - n, column (2R + r) mod shape[1]
-            keys = slice(idx.nstart[n], idx.nstart[n + 1])
-            cols = (2 * rad + idx.r[keys]) % shape[1]
-            out[keys] += np.rint(vals[idx.m[keys] - n, cols]).astype(np.int64)
-            out[keys] %= q
+        step = max(1, _BATCH_BYTES // (16 * shape[0] * (shape[1] // 2 + 1)))
+        for b0 in range(f0 + g0, top + 1, step):
+            b1 = min(b0 + step, top + 1)
+            acc = np.zeros((b1 - b0,) + fs.shape[1:], dtype=complex)
+            for d in range(b0 - f0 - g0, b1 - f0 - g0):
+                lo, hi = max(0, d - len(gs) + 1), min(len(fs), d + 1)
+                if lo < hi:
+                    np.einsum("ijk,ijk->jk", fs[lo:hi], gs[d - hi + 1:d - lo + 1][::-1],
+                              out=acc[d + f0 + g0 - b0])
+            vals = np.fft.irfft(np.fft.ifft(acc, axis=1)[:, b0:prec + 1], n=shape[1], axis=2)
+            # the product's (m, r) in slice n sits at (n - b0, m - b0, (2R + r) mod shape[1])
+            keys = slice(idx.nstart[b0], idx.nstart[b1])
+            got = vals[n[keys] - b0, m[keys] - b0, (2 * rad + r[keys]) % shape[1]]
+            out[keys] = (out[keys] + np.rint(got).astype(np.int64)) % q
 
+    cf = centred(f)
+    cg = cf if g is f else centred(g)
     half = top // 2 + 1
-    low, high = range(half), range(half, top + 1)
-    fl = spectra(f, low)
-    add(fl, 0, fl if g is f else spectra(g, low), 0)
-    add(fl, 0, spectra(g, high), half)
-    del fl
-    add(spectra(f, high), half, spectra(g, low), 0)
+    fl = spectra(cf, 0, half)
+    add(fl, 0, fl if g is f else spectra(cg, 0, half), 0)
+    if half <= top:
+        add(fl, 0, spectra(cg, half, top + 1), half)
+        del fl
+        add(spectra(cf, half, top + 1), half, spectra(cg, 0, half), 0)
     return out
-
-
-def _fft_len(n):
-    """The least 5-smooth length >= n, a fast size for numpy.fft."""
-    while True:
-        k = n
-        for f in (2, 3, 5):
-            while k % f == 0:
-                k //= f
-        if k == 1:
-            return n
-        n += 1
 
 
 # -- the Sturm-type verifier and congruence certificates --------------------------------

@@ -1,24 +1,32 @@
-"""`ring.exact_product` with each of its three kernels against direct products.
+"""`ring.exact_product` with each of its kernels against direct products.
 
-The kernels are the 1-D series convolution (`qexp.convolve_trunc`), the row
-matmul of the Jacobi products (`jacobi._row_products`) and the Siegel FFT
-(`siegel._mul_fft`).  Each is compared with the same product computed on the
-ring's own elements in object arrays, over Z, Q, fp:2097169 (object residues)
-and the least prime past the kernel's bound, where the lifts and the CRT run;
-fp:7 runs the single-modulus path.  "Extreme" draws put -1 everywhere they can,
-so every residue is q - 1: each modulus meets its bound exactly.
+The kernels are the 1-D series convolutions (`qexp.convolve_trunc`: int64
+`np.convolve` for short series, the float64 FFT `qexp._convolve_fft` for long
+ones), the row matmul of the Jacobi products (`jacobi._row_products`) and the
+Siegel FFT (`siegel._mul_fft`).  Each is compared with the same product
+computed on the ring's own elements in object arrays, over Z, Q, fp:2097169
+(object residues) and the least prime past the kernel's bound, where the lifts
+and the CRT run; fp:7 runs the single-modulus path.  "Extreme" draws put -1
+everywhere they can, so every residue is q - 1: each modulus of an int64
+kernel meets its bound exactly.  The FFT kernels' bound is on centred
+residues, so their extreme draws put h = (p - 1)/2 everywhere over the
+largest prime p within the bound.  Newton inversion (`qexp.invert_series`) is
+compared with the coefficient loop it replaced.
 """
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from invert_loop_oracle import invert_loop
 from mul_loop_oracle import mul_loop
-from siegelcong import jacobi, siegel
-from siegelcong.qexp import convolve_trunc
-from siegelcong.ring import FpRing, exact_product, int64_qmax, is_prime, ring_from_tag
+from siegelcong import jacobi, qexp, siegel
+from siegelcong.qexp import convolve_trunc, invert_series
+from siegelcong.ring import FpRing, exact_product, fft_qmax, int64_qmax, is_prime, ring_from_tag
 from siegelcong.siegel import SiegelFormSeries
 
 TAGS = ["int", "rat", "fp:7", "fp:2097169", "past"]
@@ -52,6 +60,28 @@ def _canonical(ring, vec):
     return vec % ring.p if isinstance(ring, FpRing) else vec
 
 
+def _prime_at_most(q):
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+def _object_convolve(ring, a, b, n):
+    """The first n terms of a * b by an object-dtype np.convolve of the
+    integer numerators over the common denominator (no ring.to_integers)."""
+    want = ring.zeros(n)
+    if ring.tag != "rat":
+        full = np.convolve(a.astype(object), b.astype(object))[:n]
+        want[:len(full)] = _canonical(ring, full)
+        return want
+    da = np.lcm.reduce([v.denominator for v in a.tolist()])
+    db = np.lcm.reduce([v.denominator for v in b.tolist()])
+    num = [np.array([int(v * d) for v in x.tolist()], dtype=object) for x, d in ((a, da), (b, db))]
+    full = np.convolve(*num)[:n]
+    want[:len(full)] = [Fraction(v, int(da) * int(db)) for v in full.tolist()]
+    return want
+
+
 def _same(got, want, ring):
     assert got.dtype == ring.dtype
     assert got.tolist() == want.tolist()
@@ -69,6 +99,106 @@ def test_convolution_kernel_matches_object_product(tag, la, lb, n, seed, extreme
     _same(convolve_trunc(ring, a, b, n), want, ring)
 
 
+# lengths on both sides of the FFT crossovers (qexp._FFT_MIN, qexp._FFT_MIN_CRT)
+LENGTHS = st.one_of(st.integers(1, 40), st.integers(200, 700))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(TAGS + ["at-bound"]), la=LENGTHS, lb=LENGTHS, n=LENGTHS,
+       seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans())
+def test_series_fft_kernel_matches_object_product(tag, la, lb, n, seed, extreme):
+    """convolve_trunc on long and short series, whichever kernel it picks.
+    "past" is the least prime past both single-modulus bounds, so the CRT
+    runs with either kernel; "at-bound" is the largest prime within the FFT
+    bound of the longer factor, and its extreme draws, all h = (p - 1)/2,
+    meet that bound."""
+    t, longer = min(la, lb, n), max(min(la, n), min(lb, n))
+    if tag == "at-bound":
+        ring = ring_from_tag(f"fp:{_prime_at_most(fft_qmax(longer))}")
+    else:
+        ring = _ring(tag, max(int64_qmax(t), fft_qmax(longer)))
+    if extreme and tag == "at-bound":
+        a, b = (np.full(size, (ring.p - 1) // 2, dtype=np.int64) for size in (la, lb))
+    else:
+        a, b = _values(ring, (la,), seed, extreme), _values(ring, (lb,), seed + 1, extreme)
+    calls = []
+    kernel = qexp._convolve_fft
+    with mock.patch.object(qexp, "_convolve_fft", lambda *args: calls.append(1) or kernel(*args)):
+        got = convolve_trunc(ring, a, b, n)
+    _same(got, _object_convolve(ring, a, b, n), ring)
+    if tag in ("fp:7", "at-bound"):
+        assert bool(calls) == (t >= qexp._FFT_MIN)
+    if tag == "fp:2097169" or t < qexp._FFT_MIN:
+        assert not calls
+
+
+# Q stops at 256 terms: the Fraction loop takes about 3 s at 600
+@pytest.mark.parametrize("tag,n", [(tag, n) for tag in ("int", "rat", "fp:7", "fp:2097169")
+                                   for n in (1, 2, 3, 37, 256, 600) if tag != "rat" or n <= 256])
+def test_newton_inverse_matches_the_coefficient_loop(tag, n):
+    """invert_series against the loop it replaced, on a unit-led random
+    series, on 1/eta^6 (the inverse the generators read) and on a series
+    shorter than n."""
+    ring, rng = ring_from_tag(tag), random.Random(n)
+    if tag == "rat":
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+        a[0] = Fraction(-2, 3)
+    else:
+        a = [rng.randint(-99, 99) for _ in range(n)]
+        a[0] = -1
+    for series in (np.array(a, dtype=object).astype(ring.dtype) if tag != "rat"
+                   else np.array(a, dtype=object), qexp.eta_pow6(n - 1, ring)):
+        series = _canonical(ring, series)
+        _same(invert_series(ring, series, n), invert_loop(ring, series, n), ring)
+    short = _canonical(ring, np.array(a[:n // 3 + 1], dtype=object).astype(ring.dtype))
+    _same(invert_series(ring, short, n), invert_loop(ring, short, n), ring)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 901, 26245, (31 ** 2) * 61])
+def test_fft_qmax_is_the_largest_odd_modulus_within_2_to_the_40(terms):
+    q = fft_qmax(terms)
+    assert q % 2 == 1 and ((q - 1) // 2) ** 2 * terms <= 1 << 40 < ((q + 1) // 2) ** 2 * terms
+    assert siegel._qmax(30) == fft_qmax(31 ** 2 * 61)
+
+
+@pytest.mark.parametrize("tag,length,fft", [
+    ("fp:7", qexp._FFT_MIN - 1, False), ("fp:7", qexp._FFT_MIN, True),
+    ("at-bound", 700, True), ("past-fft", 700, False), ("fp:2097169", 700, False),
+    ("int", qexp._FFT_MIN_CRT - 1, False), ("int", qexp._FFT_MIN_CRT, True),
+    ("rat", qexp._FFT_MIN_CRT, True), ("fp:1000000007", qexp._FFT_MIN_CRT, True)])
+def test_series_kernel_choice(monkeypatch, tag, length, fft):
+    """FFT from _FFT_MIN terms where one modulus serves (F_p up to the FFT
+    bound of the longer factor, "at-bound"), from _FFT_MIN_CRT where either
+    kernel needs CRT (Z, Q, F_p past int64_qmax), never for F_p between the
+    two bounds ("past-fft", the least prime past the FFT bound, and
+    fp:2097169)."""
+    longer = length + 3
+    if tag == "at-bound":
+        ring = ring_from_tag(f"fp:{_prime_at_most(fft_qmax(longer))}")
+    else:
+        ring = _ring("past", fft_qmax(longer)) if tag == "past-fft" else ring_from_tag(tag)
+    kernel, calls = qexp._convolve_fft, []
+    monkeypatch.setattr(qexp, "_convolve_fft", lambda *args: calls.append(1) or kernel(*args))
+    a, b = _values(ring, (length,), 5, False), _values(ring, (longer,), 6, False)
+    _same(convolve_trunc(ring, a, b, longer), _object_convolve(ring, a, b, longer), ring)
+    assert bool(calls) == fft
+
+
+def test_short_series_make_one_np_convolve_call(monkeypatch):
+    """Below the crossover a product over F_p is one np.convolve call, as
+    before the FFT kernel; at it, none."""
+    ring, convolve, calls = ring_from_tag("fp:17"), np.convolve, []
+    b = _values(ring, (900,), 4, False)
+    for length, count in ((qexp._FFT_MIN - 1, 1), (qexp._FFT_MIN, 0)):
+        a = _values(ring, (length,), 3, False)
+        want = _object_convolve(ring, a, b, 900)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "convolve", lambda x, y: calls.append(len(x)) or convolve(x, y))
+            _same(convolve_trunc(ring, a, b, 900), want, ring)
+        assert calls == [length] * count
+        calls.clear()
+
+
 @settings(max_examples=100, deadline=None)
 @given(tag=st.sampled_from(TAGS), rows=st.integers(1, 8), wa=st.integers(0, 3),
        wb=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans())
@@ -81,16 +211,44 @@ def test_row_matmul_kernel_matches_object_product(tag, rows, wa, wb, seed, extre
 
 
 @settings(max_examples=60, deadline=None)
-@given(tag=st.sampled_from(TAGS), prec=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
-       extreme=st.booleans(), square=st.booleans())
-def test_siegel_fft_kernel_matches_object_product(tag, prec, seed, extreme, square):
+@given(tag=st.sampled_from(TAGS), prec=st.integers(0, 9), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans(), square=st.booleans(),
+       batch=st.sampled_from([None, 1]))
+def test_siegel_fft_kernel_matches_object_product(tag, prec, data, seed, extreme, square, batch):
+    """Whole boxes and prefixes (the slices n <= K < N), with the module's
+    batch cap and with a cap that inverts every output slice on its own."""
+    nmax = data.draw(st.integers(0, prec), label="nmax")
     ring = _ring(tag, siegel._qmax(prec))
-    shape = (siegel.box_index(prec).size,)
-    F = SiegelFormSeries(ring, None, prec, _values(ring, shape, seed, extreme))
-    G = F if square else SiegelFormSeries(ring, None, prec, _values(ring, shape, seed + 1, extreme))
-    got = exact_product(ring, F.coeffs, G.coeffs, lambda x, y, q: siegel._mul_fft(x, y, q, prec),
-                        (prec + 1) ** 2 * (2 * prec + 1), siegel._qmax(prec))
-    _same(got, mul_loop(F, G, prec), ring)
+    cut = siegel.box_index(prec).nstart[nmax + 1]
+    F = SiegelFormSeries(ring, None, prec, _values(ring, (cut,), seed, extreme))
+    G = F if square else SiegelFormSeries(ring, None, prec, _values(ring, (cut,), seed + 1, extreme))
+    with mock.patch.object(siegel, "_BATCH_BYTES", batch or siegel._BATCH_BYTES):
+        got = exact_product(ring, F.coeffs, G.coeffs, lambda x, y, q: siegel._mul_fft(x, y, q, prec),
+                            (prec + 1) ** 2 * (2 * prec + 1), siegel._qmax(prec))
+    _same(got, _siegel_loop(F, G, prec, cut), ring)
+
+
+def _siegel_loop(F, G, prec, cut):
+    """mul_loop of the factors zero-padded to the whole box, cut to the prefix."""
+    def whole(form):
+        vec = form.ring.zeros(siegel.box_index(prec).size)
+        vec[:cut] = form.coeffs
+        return SiegelFormSeries(form.ring, None, prec, vec)
+    return mul_loop(whole(F), whole(G), prec)[:cut]
+
+
+def test_siegel_batches_split_at_the_byte_cap(monkeypatch):
+    """At box 20 the module's cap splits the inverse of the first pass (21
+    output slices) into two or more batches, one ifft each, and the product
+    is still mul_loop's."""
+    ring, prec = ring_from_tag("fp:13"), 20
+    F = SiegelFormSeries(ring, None, prec, _values(ring, (siegel.box_index(prec).size,), 8, False))
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda x, axis: calls.append(len(x)) or ifft(x, axis=axis))
+    got = siegel._mul_fft(F.coeffs, F.coeffs, ring.p, prec)
+    assert sum(calls) == 21 + 10 + 10                   # outputs n >= 0, >= 11, >= 11
+    assert len(calls) > 3 and max(calls) < 21
+    _same(got, mul_loop(F, F, prec), ring)
 
 
 def test_small_prime_fields_pass_their_arrays_to_one_kernel_call():

@@ -23,6 +23,7 @@ from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, heat,
                                weak_decompose, weak_generators,
                                zero_test_required_prec)
 from siegelcong.qexp import BoundedMemo, delta_q, eisenstein_q, mk_basis
+from siegelcong.linalg import FpMatrix, rref
 from siegelcong.ring import ring_from_tag
 
 INT = ring_from_tag("int")
@@ -477,16 +478,36 @@ def _oracle_filtration_memoized(monkeypatch):
     return filtration_oracle.filtration
 
 
+@pytest.fixture()
+def window_spans():
+    """_window_span memoizes for one test only."""
+    yield
+    _window_span.cache_clear()
+
+
+@lru_cache(None)
+def _window_span(k, m, prec, p):
+    """(R, pivots): the echelon form of jacobi.holo_candidates(k, m, prec)."""
+    red, rank, piv = rref(FpMatrix(p, jacobi.holo_candidates(k, m, prec, ring_from_tag(f"fp:{p}"))))
+    return red.data[:rank], np.array(piv, dtype=np.intp)
+
+
 def _window_member(phi, kp):
-    """phi lies in the echelon holo_basis of weight kp on the window of
-    filtration_oracle: the membership test the window filtration used."""
+    """phi lies in the weight-kp holomorphic space on the window of
+    filtration_oracle: the membership test the window filtration used.
+
+    phi vanishes at every key with D < 0 (asserted), so it lies in the span
+    of holo_basis(kp, m, window, p), the candidate combinations that vanish
+    there, iff it lies in the span of the candidates themselves: one
+    echelon form per window instead of holo_basis's two."""
     p = phi.ring.p
     win = filtration_oracle.filtration_window(kp, phi.index, p)
-    basis = jacobi.holo_basis(kp, phi.index, win, p) if win else ()
-    if not basis:
+    if not win:
         return False
     v = phi.at_prec(win)
-    return not np.any((v - v[basis.pivots] @ basis.matrix) % p)
+    assert not np.any(v[jacobi.jacobi_index(phi.index, win).D < 0])
+    red, piv = _window_span(kp, phi.index, win, p)
+    return bool(len(piv)) and not np.any((v - v[piv] @ red) % p)
 
 
 def _assert_memberships_agree(phi):
@@ -498,7 +519,7 @@ def _assert_memberships_agree(phi):
 
 
 @pytest.mark.parametrize("p", [5, 7, 17])
-def test_filtration_matches_oracle_on_random_span_elements(monkeypatch, p):
+def test_filtration_matches_oracle_on_random_span_elements(monkeypatch, window_spans, p):
     """Span elements raised by E_{p-1}^s, s = 0..3, sit s candidates above
     their filtration; the bisection finds it whatever hint it is given, and
     decomposition membership equals window membership at every candidate."""
@@ -558,12 +579,11 @@ def test_filtration_keeps_the_scan_errors():
 @pytest.mark.parametrize("k,m,p,form", [(14, 2, 11, "E4_1*phi10_1"), (16, 1, 13, "E4*phi12_1"),
                                         (22, 2, 7, "phi10_1*phi12_1"), (12, 1, 23, "phi12_1"),
                                         (14, 2, 13, "E4_1*phi10_1")])
-def test_decomposition_membership_matches_the_window_bases(monkeypatch, k, m, p, form):
+def test_decomposition_membership_matches_the_window_bases(window_spans, k, m, p, form):
     """Every heat iterate of the five golden heat-cycle forms, at every
-    candidate weight.  The window bases are built once per key: iterates i
+    candidate weight.  The window spans are built once per key: iterates i
     and i + p - 1 share candidates."""
     from siegelcong.cli import build_named_jacobi
-    monkeypatch.setattr(jacobi, "holo_basis", lru_cache(None)(jacobi.holo_basis))
     phi = build_named_jacobi(form, filtration_oracle.heat_cycle_window_prec(k, m, p),
                              ring_from_tag(f"fp:{p}"))
     for _ in range(1, p):

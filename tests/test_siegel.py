@@ -426,7 +426,7 @@ def test_siegel_mul_takes_moduli_past_twice_the_output():
 
 
 def test_siegel_mul_refuses_past_the_prime_supply(monkeypatch):
-    monkeypatch.setattr(siegel, "_FFT_LIMIT", 9 * 45)     # box 2 has T = 45, so q <= 7
+    monkeypatch.setattr(ringmod, "_FFT_LIMIT", 9 * 45)    # box 2 has T = 45, so q <= 7
     assert siegel._qmax(2) == 7
     F = SiegelFormSeries.constant(INT, 4, 2, 1 << 10)
     with pytest.raises(InvalidArgumentError, match=r"needs 26 bits.* 2 primes from 5 to 7 give 5$"):
