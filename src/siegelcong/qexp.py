@@ -16,8 +16,8 @@ coefficients, of dtype `ring.dtype` like every coefficient vector (see
 siegelcong.ring); every operation is one numpy expression for both dtypes,
 reduced mod p only over F_p (`ring.canonical`).  The series product
 convolve_trunc, which the Jacobi layer shares, is one ring.exact_product of
-either an int64 np.convolve (short series) or a float64 FFT product (long
-ones); invert_series is Newton iteration over convolve_trunc.
+either an int64 np.convolve or, for long series over small F_p, a float64
+FFT product; invert_series is Newton iteration over convolve_trunc.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
-from .ring import (FpRing, RatRing, exact_product, fft_len, fft_qmax, int64_qmax,
+from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, int64_qmax,
                    ring_from_tag)
 
 _INT = ring_from_tag("int")
@@ -37,28 +37,26 @@ _INT = ring_from_tag("int")
 
 # -- series products -------------------------------------------------------------
 
-# Shorter-factor lengths from which convolve_trunc multiplies by FFT, the
-# measured crossovers with np.convolve: _FFT_MIN where one modulus serves
-# (F_p, p <= fft_qmax), _FFT_MIN_CRT where either kernel needs CRT (Z, Q,
-# F_p past int64_qmax).  F_p in between keeps np.convolve, which needs no CRT.
+# Shorter-factor length from which convolve_trunc multiplies by FFT over
+# F_p with p <= fft_qmax, the measured crossover with np.convolve.  Rings
+# that need CRT (Z, Q, F_p past fft_qmax) keep np.convolve at every length.
 _FFT_MIN = 250
-_FFT_MIN_CRT = 500
 
 
 def convolve_trunc(ring, a, b, n):
     """First n coefficients of the product of two series vectors: one
     ring.exact_product with T = min(len(a), len(b), n) terms per
-    coefficient, of np.convolve (int64_qmax(T)) for short series and of
-    _convolve_fft (fft_qmax of the longer length) from _FFT_MIN terms on."""
+    coefficient, of np.convolve (int64_qmax(T)), or of _convolve_fft
+    (fft_qmax of the longer length) from _FFT_MIN terms on over F_p with p
+    within that bound."""
     square = b is a
     a = np.asarray(a[:n], dtype=ring.dtype)
     b = a if square else np.asarray(b[:n], dtype=ring.dtype)
     out, t = ring.zeros(n), min(len(a), len(b))
     kernel, qmax = (lambda x, y, q: np.convolve(x, y)[:n] % q), int64_qmax(t)
-    if t >= _FFT_MIN:
+    if t >= _FFT_MIN and isinstance(ring, FpRing):
         fq = fft_qmax(max(len(a), len(b)))
-        one = isinstance(ring, FpRing) and ring.p <= qmax         # np.convolve needs no CRT
-        if (ring.p <= fq) if one else (t >= _FFT_MIN_CRT):
+        if ring.p <= fq:
             kernel, qmax = (lambda x, y, q: _convolve_fft(x, y, q, n)), fq
     if t:
         full = exact_product(ring, a, b, kernel, t, qmax)
@@ -68,11 +66,11 @@ def convolve_trunc(ring, a, b, n):
 
 def _convolve_fft(x, y, q, n):
     """x * y to n terms, residues mod q in [0, q), by one float64 rfft product
-    of the residues centred in [-h, h]; exact for q <= fft_qmax(max(len(x),
-    len(y))).  The transform length covers the whole product, so nothing wraps."""
+    of the centred residues; exact for q <= fft_qmax(max(len(x), len(y))).
+    The transform length covers the whole product, so nothing wraps."""
     size = fft_len(len(x) + len(y) - 1)
-    spec = np.fft.rfft(np.where(x > q // 2, x - q, x).astype(float), size)
-    spec = spec * (spec if y is x else np.fft.rfft(np.where(y > q // 2, y - q, y).astype(float), size))
+    spec = np.fft.rfft(centred(x, q).astype(float), size)
+    spec = spec * (spec if y is x else np.fft.rfft(centred(y, q).astype(float), size))
     return np.rint(np.fft.irfft(spec, size)[:n]).astype(np.int64) % q
 
 

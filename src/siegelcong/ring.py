@@ -263,7 +263,7 @@ class FpRing(Ring):
         return self.from_integers(np.array([pow(x, e, self.p) for x in xs], dtype=self.dtype), 1)
 
     def to_integers(self, vec):
-        return np.where(vec > self.p // 2, vec - self.p, vec), 1     # residues in [-h, h]
+        return centred(vec, self.p), 1
 
     def from_integers(self, ints, d):
         return (ints * pow(d, -1, self.p) % self.p).astype(self.dtype)
@@ -328,6 +328,12 @@ def fft_qmax(terms):
     what rounding to the nearest integer allows.
     """
     return 2 * isqrt(_FFT_LIMIT // max(terms, 1)) + 1
+
+
+def centred(vec, q):
+    """Residues mod an odd q from [0, q) to [-h, h], h = (q-1)/2: the lifts
+    that the FFT bound fft_qmax counts."""
+    return np.where(vec > q // 2, vec - q, vec)
 
 
 def fft_len(n):

@@ -40,7 +40,7 @@ from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis
 from .qexp import _read_only, bernoulli
-from .ring import (FpRing, RatRing, exact_product, fft_len, fft_qmax, is_prime, legendre,
+from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, is_prime, legendre,
                    ring_from_tag)
 
 
@@ -433,9 +433,6 @@ def _mul_fft(f, g, q, prec):
     n, m, r = idx.n[:len(f)], idx.m[:len(f)], idx.r[:len(f)]
     out = np.zeros(len(f), dtype=np.int64)
 
-    def centred(vec):
-        return np.where(vec > q // 2, vec - q, vec).astype(float)      # residues in [-h, h]
-
     def spectra(vals, lo, hi):
         """The 2-D spectra of slices lo..hi-1 of the full support."""
         planes = np.zeros((hi - lo, prec + 1, 2 * rad + 1))
@@ -462,8 +459,8 @@ def _mul_fft(f, g, q, prec):
             got = vals[n[keys] - b0, m[keys] - b0, (2 * rad + r[keys]) % shape[1]]
             out[keys] = (out[keys] + np.rint(got).astype(np.int64)) % q
 
-    cf = centred(f)
-    cg = cf if g is f else centred(g)
+    cf = centred(f, q).astype(float)
+    cg = cf if g is f else centred(g, q).astype(float)
     half = top // 2 + 1
     fl = spectra(cf, 0, half)
     add(fl, 0, fl if g is f else spectra(cg, 0, half), 0)

@@ -99,7 +99,7 @@ def test_convolution_kernel_matches_object_product(tag, la, lb, n, seed, extreme
     _same(convolve_trunc(ring, a, b, n), want, ring)
 
 
-# lengths on both sides of the FFT crossovers (qexp._FFT_MIN, qexp._FFT_MIN_CRT)
+# lengths on both sides of the FFT crossover qexp._FFT_MIN
 LENGTHS = st.one_of(st.integers(1, 40), st.integers(200, 700))
 
 
@@ -107,11 +107,11 @@ LENGTHS = st.one_of(st.integers(1, 40), st.integers(200, 700))
 @given(tag=st.sampled_from(TAGS + ["at-bound"]), la=LENGTHS, lb=LENGTHS, n=LENGTHS,
        seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans())
 def test_series_fft_kernel_matches_object_product(tag, la, lb, n, seed, extreme):
-    """convolve_trunc on long and short series, whichever kernel it picks.
-    "past" is the least prime past both single-modulus bounds, so the CRT
-    runs with either kernel; "at-bound" is the largest prime within the FFT
-    bound of the longer factor, and its extreme draws, all h = (p - 1)/2,
-    meet that bound."""
+    """convolve_trunc on long and short series, whichever kernel it picks:
+    the FFT only over fp:7 and "at-bound", the largest prime within the FFT
+    bound of the longer factor, whose extreme draws, all h = (p - 1)/2, meet
+    that bound.  "past" is the least prime past both single-modulus bounds,
+    so np.convolve runs with CRT."""
     t, longer = min(la, lb, n), max(min(la, n), min(lb, n))
     if tag == "at-bound":
         ring = ring_from_tag(f"fp:{_prime_at_most(fft_qmax(longer))}")
@@ -126,10 +126,7 @@ def test_series_fft_kernel_matches_object_product(tag, la, lb, n, seed, extreme)
     with mock.patch.object(qexp, "_convolve_fft", lambda *args: calls.append(1) or kernel(*args)):
         got = convolve_trunc(ring, a, b, n)
     _same(got, _object_convolve(ring, a, b, n), ring)
-    if tag in ("fp:7", "at-bound"):
-        assert bool(calls) == (t >= qexp._FFT_MIN)
-    if tag == "fp:2097169" or t < qexp._FFT_MIN:
-        assert not calls
+    assert bool(calls) == (tag in ("fp:7", "at-bound") and t >= qexp._FFT_MIN)
 
 
 # Q stops at 256 terms: the Fraction loop takes about 3 s at 600
@@ -164,14 +161,11 @@ def test_fft_qmax_is_the_largest_odd_modulus_within_2_to_the_40(terms):
 @pytest.mark.parametrize("tag,length,fft", [
     ("fp:7", qexp._FFT_MIN - 1, False), ("fp:7", qexp._FFT_MIN, True),
     ("at-bound", 700, True), ("past-fft", 700, False), ("fp:2097169", 700, False),
-    ("int", qexp._FFT_MIN_CRT - 1, False), ("int", qexp._FFT_MIN_CRT, True),
-    ("rat", qexp._FFT_MIN_CRT, True), ("fp:1000000007", qexp._FFT_MIN_CRT, True)])
+    ("int", 700, False), ("rat", 700, False), ("fp:1000000007", 700, False)])
 def test_series_kernel_choice(monkeypatch, tag, length, fft):
-    """FFT from _FFT_MIN terms where one modulus serves (F_p up to the FFT
-    bound of the longer factor, "at-bound"), from _FFT_MIN_CRT where either
-    kernel needs CRT (Z, Q, F_p past int64_qmax), never for F_p between the
-    two bounds ("past-fft", the least prime past the FFT bound, and
-    fp:2097169)."""
+    """FFT from _FFT_MIN terms over F_p up to the FFT bound of the longer
+    factor ("at-bound"); never past it ("past-fft", the least prime past the
+    bound, and fp:2097169) nor over Z and Q, where the CRT runs np.convolve."""
     longer = length + 3
     if tag == "at-bound":
         ring = ring_from_tag(f"fp:{_prime_at_most(fft_qmax(longer))}")
