@@ -27,7 +27,8 @@ forms are zero at 4nm - r^2 < 0.  Forms are immutable values: every
 operation returns a new form, and memoized forms are read-only.
 
 The finite zero test and the filtration mod p route through the weak-form
-decomposition and a level-1 Sturm check on each component.  There is no
+decomposition: a level-1 Sturm check on each component for the zero test,
+the level-1 filtration of each component for the filtration.  There is no
 published Sturm-type bound at the Jacobi level; this reduction is this
 library's own construction (see jac_zero_test, filtration and
 zero_test_required_prec).
@@ -46,12 +47,10 @@ import numpy as np
 from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
 from .linalg import FpMatrix, rref
-from .qexp import (MEMO_BYTES, BoundedMemo, _read_only, array_bytes, convolve_trunc,
-                   eta_pow6, integral_memo, invert_series, level1_series, mk_basis,
-                   mk_dim)
+from .qexp import (MEMO_BYTES, NEG_INF, BoundedMemo, _read_only, array_bytes,
+                   convolve_trunc, eta_pow6, integral_memo, invert_series, level1_series,
+                   mk_basis, mk_dim, mod_p_filtration)
 from .ring import FpRing, IntRing, RatRing, exact_product, int64_qmax, legendre, ring_from_tag
-
-NEG_INF = float("-inf")
 
 
 def rbound(index, n):
@@ -292,20 +291,19 @@ def _row_products(ring, a, b):
 def qseries_times_jacobi(f, k, phi):
     """Multiply the coefficient vector f of an elliptic modular form of
     weight k into a Jacobi form (q-direction only): each zeta-power r >= 0 is
-    one q-convolution.  The precision is the smaller of the two."""
+    one q-convolution, all of them one convolve_trunc of f with the columns
+    laid end to end, each padded to the 2N + 1 terms of its product.  The
+    precision N is the smaller of the two."""
     ring = phi.ring
     if f.dtype != ring.dtype:
         raise RingMismatchError(f"a {f.dtype} vector and a {ring.tag} form")
     prec = min(len(f) - 1, phi.prec)
     w = None if phi.weight is None else k + phi.weight
     idx = jacobi_index(phi.index, prec)
-    dense = ring.zeros((prec + 1, int(idx.bound[-1]) + 1))
-    dense[idx.n, idx.r] = phi.at_prec(prec)
-    for c in range(dense.shape[1]):
-        col = dense[:, c]
-        if np.any(col):
-            dense[:, c] = convolve_trunc(ring, f, col, prec + 1)
-    return JacobiFormSeries(ring, w, phi.index, prec, dense[idx.n, idx.r])
+    cols = ring.zeros((int(idx.bound[-1]) + 1, 2 * prec + 1))
+    cols[idx.r, idx.n] = phi.at_prec(prec)
+    cols = convolve_trunc(ring, f[:prec + 1], cols.reshape(-1), cols.size).reshape(cols.shape)
+    return JacobiFormSeries(ring, w, phi.index, prec, cols[idx.r, idx.n])
 
 
 def heat(phi):
@@ -466,13 +464,23 @@ def _divide_by_weak_m2(psi, w_m2):
     zeta^{-1} (zeta - 1)^2: row n of psi less sum_{i >= 1} (row i of w_m2)
     * (quotient row n - i), one _row_products, is the leading row times
     quotient row n.  Any residual, or a quotient row wider than the
-    index-(m-1) bound, means the input was not divisible.
+    index-(m-1) bound, means the input was not divisible.  At index 1 the
+    quotient is a q-series f, and the zeta^1 column of psi is f times that
+    of w_m2, 1 + O(q): one series division, checked by multiplying back.
     """
     ring = psi.ring
     mu = psi.index
     if mu < 1:
         raise DecompositionError("cannot divide an index-0 form by the weak generator")
     prec = min(psi.prec, w_m2.prec)
+    weight = None if psi.weight is None else psi.weight + 2
+    if mu == 1:
+        psi, w_m2 = psi.truncate(prec), w_m2.truncate(prec)
+        col, wcol = (g.coeffs[g.idx.start[:-1] + 1] for g in (psi, w_m2))
+        f = convolve_trunc(ring, col, invert_series(ring, wcol, prec + 1), prec + 1)
+        if qseries_times_jacobi(f, 0, w_m2) != psi:
+            raise DecompositionError("division by the weak generator left a residual")
+        return JacobiFormSeries(ring, weight, 0, prec, f)
     trows = psi.idx.padded_rows(psi.coeffs, ring)
     wrows = w_m2.idx.padded_rows(w_m2.coeffs, ring)
     bq = rbound(mu - 1, prec)
@@ -492,8 +500,7 @@ def _divide_by_weak_m2(psi, w_m2):
                 f"row q^{n}: quotient support exceeds the index-{mu - 1} bound")
         quot[n, bq - b + 1 + cut:bq + b - cut] = u[cut:len(u) - cut]
     idx = jacobi_index(mu - 1, prec)
-    return JacobiFormSeries(ring, None if psi.weight is None else psi.weight + 2,
-                            mu - 1, prec, quot[idx.n, bq + idx.r])
+    return JacobiFormSeries(ring, weight, mu - 1, prec, quot[idx.n, bq + idx.r])
 
 
 def _div_by_sq(ring, t):
@@ -746,20 +753,16 @@ def holo_candidates(k, m, prec, ring):
         prec + 1, int64_qmax(prec + 1)) for j in range(m + 1)])
 
 
-def filtration(phi, hint=None):
+def filtration(phi):
     """The mod-p filtration: least k' = k mod (p-1), 0 <= k' <= k, whose
     holomorphic space contains phi mod p.  Returns -inf for the zero form.
 
     phi is decomposed once, phi = sum_j f_j w_{-2}^j w_0^(m-j), and lies in
     the weight-k' space iff every f_j lies in M_{k'+2j} mod p (PAPER.md,
-    "Deciding membership"): f_j less its reduction f_j[piv] @ R against the
-    echelon basis R of M_{k'+2j} is a form of M_{k+2j} mod p, zero iff its
-    Sturm rows q^0..q^floor((k+2j)/12) are (_in_weight).  Every basis is
-    asked for at phi.prec.  Membership is monotone in k' (E_{p-1} = 1 mod
-    p), so the least member is found by bisection (_least_member), probing
-    the candidate at or below `hint` first and the one below it second;
-    heat_cycle passes the step-law bound Omega(L^(i-1) phi) + p + 1, which
-    makes a typical step two tests.  Any hint gives the same result.
+    "Deciding membership"), that is iff k' + 2j is at least the elliptic
+    filtration w(f_j) (qexp.mod_p_filtration, one valuation per component).
+    So the filtration is max_j (w(f_j) - 2j), clamped to the least
+    candidate weight.
 
     Raises PrecisionError below zero_test_required_prec(k, m) rows, and
     InvalidArgumentError for a form with a nonzero coefficient at D < 0 or
@@ -777,52 +780,11 @@ def filtration(phi, hint=None):
         return NEG_INF
     if np.any(phi.coeffs[phi.idx.D < 0]):
         raise InvalidArgumentError(f"form has a nonzero coefficient mod {p} at D < 0")
-    fs = weak_decompose(phi)
-    cands = list(range(k % (p - 1), k + 1, p - 1)) or [k]
-    first = _least_member(len(cands), lambda i: _in_weight(fs, k, cands[i], ring),
-                          None if hint is None else sum(kp <= hint for kp in cands) - 1)
-    if first is None:
+    ws = [mod_p_filtration(f, k + 2 * j, ring) for j, f in enumerate(weak_decompose(phi))]
+    if None in ws:
         raise InvalidArgumentError(
             f"form is not in the holomorphic mod-{p} span at any weight <= {k}")
-    return cands[first]
-
-
-def _in_weight(fs, k, kp, ring):
-    """True iff the weak components fs of a holomorphic form of weight k mod
-    p each lie in M_{kp+2j} mod p (see filtration).  f[piv] @ R is one
-    ring.exact_product with T = len(piv) <= kp/12 + 1 terms."""
-    for j, f in enumerate(fs):
-        rows = _sturm_rows(k + 2 * j, len(f))
-        basis = mk_basis(kp + 2 * j, len(f) - 1, ring)
-        piv = np.argmax(basis != 0, axis=1)          # unit pivots (mk_basis)
-        red = exact_product(ring, f[piv], basis[:, :rows], lambda x, y, q: x @ y % q,
-                            len(piv), int64_qmax(len(piv)))
-        if np.any(ring.canonical(f[:rows] - red)):
-            return False
-    return True
-
-
-def _least_member(n, member, hint):
-    """Least i < n with member(i), or None, for a monotone predicate member.
-
-    hint, if in range, is probed first and hint - 1 second; then the rest is
-    bisected.  Index n - 1 is tested only when every index below it fails.
-    """
-    lo, hi, known = 0, n - 1, False     # the answer, if any, is in [lo, hi]
-    if hint is not None:
-        for i in (hint, hint - 1):
-            if lo <= i < hi:
-                if member(i):
-                    hi, known = i, True
-                else:
-                    lo = i + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if member(mid):
-            hi, known = mid, True
-        else:
-            lo = mid + 1
-    return hi if n and (known or member(hi)) else None
+    return max(min(k % (p - 1), k), *(w - 2 * j for j, w in enumerate(ws)))
 
 
 @dataclass
@@ -855,10 +817,9 @@ def heat_cycle(phi):
     """Filtrations, high points, low points and fall sizes of the heat cycle
     (PAPER.md, "Filtration and heat cycle").
 
-    Omega(L^i phi) is found by filtration's bisection, probed first at the
-    step-law bound Omega(L^(i-1) phi) + p + 1.  Every iterate has phi's
-    precision, so the weak monomials and level-1 bases are built once, and
-    the zero test of L phi and its filtration share one decomposition (kept
+    Each iterate L^i phi is truncated to the zero test's rows at its own
+    weight, zero_test_required_prec(k + i(p + 1), m), and its filtration is
+    read from that one decomposition; the zero test of L phi shares it (kept
     on the form by weak_decompose).  At each high point the fall law is
     checked: Omega(L^(i+1) phi) = Omega(L^i phi) + p + 1 - s (p - 1) for a
     whole s, the fall.
@@ -875,16 +836,17 @@ def heat_cycle(phi):
     if m % p == 0:
         rep.status = "theory-silent"
         return rep
-    it = heat(phi)
-    if jac_zero_test(it):
-        rep.status = "degenerate"
-        return rep
     oms = []
-    cur = it
+    cur = phi
+    # the weak monomials at phi's precision: each truncated iterate reads a prefix
+    _weak_monomial(weak_generators(phi.prec, phi.ring), 0, m, phi.prec)
     for i in range(1, p):
-        oms.append(filtration(cur, oms[-1] + p + 1 if oms else None))
-        if i < p - 1:
-            cur = heat(cur)
+        cur = heat(cur)
+        it = cur.truncate(min(cur.prec, zero_test_required_prec(cur.weight, m)))
+        if i == 1 and jac_zero_test(it):
+            rep.status = "degenerate"
+            return rep
+        oms.append(filtration(it))
     rep.filtrations = oms
     half = (p + 1) // 2 % p
     for i in range(1, p):

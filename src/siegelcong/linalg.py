@@ -46,28 +46,38 @@ class FpMatrix:
 
 
 def _rref_inplace(p, a):
-    """Reduce `a` (int64 array, entries in [0,p)) in place; return pivot cols."""
+    """Reduce `a` (int64 array, entries in [0,p)) in place; return pivot cols.
+
+    Rows r.. are zero left of column c, so a zero column c is skipped with
+    every zero column after it in one scan of the block a[r:, c:], and the
+    updates touch only the columns from the pivot on."""
     rows, cols = a.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if len(nz) == 0:
-            continue
+    r = c = 0
+    while r < rows and c < cols:
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
+            live = np.flatnonzero(a[r:, c:].any(axis=0))
+            if not len(live):
+                break
+            c += int(live[0])
+            nz = np.flatnonzero(a[r:, c])
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
+        a[r, c:] = a[r, c:] * inv % p
         col = a[:, c].copy()
         col[r] = 0
-        mask = np.nonzero(col)[0]
+        mask = np.flatnonzero(col)
         if len(mask):
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+            sub = a[mask, c:]
+            sub -= np.outer(col[mask], a[r, c:])
+            sub %= p
+            a[mask, c:] = sub
         pivots.append(c)
         r += 1
+        c += 1
     return pivots
 
 

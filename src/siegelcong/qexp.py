@@ -18,6 +18,9 @@ reduced mod p only over F_p (`ring.canonical`).  The series product
 convolve_trunc, which the Jacobi layer shares, is one ring.exact_product of
 either an int64 np.convolve or, for long series over small F_p, a float64
 FFT product; invert_series is Newton iteration over convolve_trunc.
+
+The mod-p filtration of a level-1 form (mod_p_filtration) is a valuation:
+the power of E_{p-1}'s polynomial in E4 and E6 that divides the form's.
 """
 
 from __future__ import annotations
@@ -286,8 +289,7 @@ def mk_basis(k, prec, ring):
     BoundedMemo, and a smaller precision is served as a column slice (a
     view) of the stored matrix.  That is exact: the back substitution reads
     and clears only the pivot columns c <= k/12 < prec, and row operations
-    commute with truncation.  jacobi.filtration asks for each basis at one
-    precision per form, phi.prec.
+    commute with truncation.
     """
     tri = _triangular_exponents(k)
     if not tri:
@@ -348,3 +350,178 @@ def mk_dim(k):
     same over Q and over every F_p.
     """
     return len(_triangular_exponents(k))
+
+
+# -- the mod-p filtration of a level-1 form ------------------------------------------
+
+NEG_INF = float("-inf")
+
+
+def mod_p_filtration(f, k, ring):
+    """The mod-p filtration w(f) of the coefficient vector f of a level-1 form
+    of weight k over F_p: the least weight k' = k mod (p - 1) whose space
+    holds f mod p.  -inf when f is zero on its Sturm rows q^0..q^floor(k/12);
+    None when f is no form of weight k on them, or, at a weight with no
+    forms, when any entry of f is nonzero.
+
+    With f~ = E4^a E6^b G(E4^3, E6^2) the isobaric polynomial of f
+    (isobaric) and A~ that of E_{p-1} (hasse_invariant), w(f) = k - (p - 1) v
+    for v the largest power of A~ dividing f~: A~ - 1 generates the kernel
+    of the map from F_p[E4, E6] to q-expansions mod p, and A~ has no
+    repeated factor (Swinnerton-Dyer, "On l-adic representations and
+    congruences for coefficients of modular forms", §3; Serre,
+    "Formes modulaires et fonctions zêta p-adiques", §1).  A~ is built only
+    at k >= p - 1, where a division is possible.  Its core A divides G as
+    power series (A(0) != 0): the quotient is G/A to deg G - deg A + 1 terms,
+    exact iff it times A is G.
+    """
+    iso = isobaric(f, k, ring)
+    if iso is None:
+        return None if np.any(f) else NEG_INF
+    a, b, core = iso
+    if not len(core):
+        return NEG_INF
+    if k < ring.p - 1:
+        return k
+    alpha, beta, hasse = hasse_invariant(ring)
+    # A~^v divides f~ only if alpha v <= a, beta v <= b and v deg A <= deg G
+    caps = [e // t for e, t in ((a, alpha), (b, beta)) if t]
+    if len(hasse) == 1:
+        return k - (ring.p - 1) * min(caps)
+    top, v = min(caps + [(len(core) - 1) // (len(hasse) - 1)]), 0
+    while v < top:
+        inv = _grown(_hasse_inverse, ring.tag, len(core),
+                     lambda n: (invert_series(ring, hasse, n),))[0]
+        quot = convolve_trunc(ring, core, inv, len(core) - len(hasse) + 1)
+        if np.any(ring.canonical(core - convolve_trunc(ring, quot, hasse, len(core)))):
+            break
+        core, v = quot, v + 1
+    return k - (ring.p - 1) * v
+
+
+def isobaric(f, k, ring):
+    """(a, b, core) with f~ = E4^a E6^b G(E4^3, E6^2) the polynomial over
+    F_p whose q-expansion is f on its Sturm rows, k = 4a + 6b + 12 deg G,
+    and G(X, Y) = sum_i core[i] X^(deg G - i) Y^i divisible by neither X nor
+    Y; core is empty when f is zero there.  None at weights with no forms
+    and when f is no form of weight k on its Sturm rows.
+
+    Write k = 4 a0 + 6 b0 + 12 s with a0 <= 2, b0 <= 1, so the d = s + 1
+    forms E4^(a0 + 3s) E6^b0 u^c, u = Delta/E4^3 = q + O(q^2), c <= s, are a
+    basis of M_k.  The coordinates x of f in it solve
+    h = f E4^-(a0 + 3s) E6^-b0 = sum_c x_c u^c on q^0..q^(d-1), one product
+    with the inverse of the powers of u (_coordinates); the Sturm row past
+    d, when k = 2 mod 12, is checked against them.  Then
+    Delta = (E4^3 - E6^2)/1728 expands f~ into the coefficients of
+    X^(s-i) Y^i, X = E4^3, Y = E6^2, and the powers of X and Y are split off.
+    """
+    split = _weight_split(k)
+    if split is None:
+        return None
+    a0, b0, s = split
+    d, rows = s + 1, k // 12 + 1
+    if len(f) < rows:
+        raise PrecisionError(f"the filtration at weight {k} needs precision {rows - 1}",
+                             required=rows - 1, available=len(f) - 1)
+    inv4, inv6, inv4_cubes, upow, uinv, expand = _grown(
+        _coordinate_memo, ring.tag, rows, lambda n: _coordinates(ring, n))
+    h = convolve_trunc(ring, f, inv4_cubes[s], rows)
+    for g in [inv4] * a0 + [inv6] * b0:
+        h = convolve_trunc(ring, h, g, rows)
+    x = _vec_mat(ring, h[:d], uinv[:d, :d])
+    if rows > d and np.any(ring.canonical(h[d:] - _vec_mat(ring, x, upow[:d, d:rows]))):
+        return None
+    y = _vec_mat(ring, x, expand[:d, :d])
+    nz = np.flatnonzero(y).tolist()
+    if not nz:
+        return a0, b0, y[:0]
+    return a0 + 3 * (s - nz[-1]), b0 + 2 * nz[0], y[nz[0]:nz[-1] + 1]
+
+
+def hasse_invariant(ring):
+    """isobaric of E_{p-1} over F_p: (alpha, beta, A) with
+    A~ = E4^alpha E6^beta A(E4^3, E6^2).  The q-expansion of E_{p-1} is 1
+    mod p, since p divides 2(p - 1)/B_{p-1} (von Staudt-Clausen); its
+    polynomial is not 1."""
+    hit = _hasse.get(ring.tag)
+    if hit is None:
+        k = ring.p - 1
+        one = ring.zeros(k // 12 + 1)
+        one[0] = ring.one
+        alpha, beta, core = isobaric(one, k, ring)
+        hit = _hasse[ring.tag] = (alpha, beta, _read_only(core))
+    return hit
+
+
+_hasse = BoundedMemo(MEMO_BYTES, lambda iso: array_bytes([iso[2]]))
+_hasse_inverse = BoundedMemo(MEMO_BYTES, array_bytes)
+_coordinate_memo = BoundedMemo(MEMO_BYTES, array_bytes)
+
+
+def _weight_split(k):
+    """(a0, b0, s) with k = 4 a0 + 6 b0 + 12 s, a0 <= 2 and b0 <= 1, or None
+    when M_k = 0 (odd, negative and weight 2)."""
+    if k < 0 or k % 2:
+        return None
+    a0, b0 = {0: (0, 0), 4: (1, 0), 8: (2, 0), 6: (0, 1), 10: (1, 1), 2: (2, 1)}[k % 12]
+    s = (k - 4 * a0 - 6 * b0) // 12
+    return (a0, b0, s) if s >= 0 else None
+
+
+def _vec_mat(ring, v, mat):
+    """v @ mat over ring: one exact_product of len(v) terms per entry."""
+    return exact_product(ring, v, mat, lambda x, y, q: x @ y % q, len(v), int64_qmax(len(v)))
+
+
+def _grown(memo, key, n, build):
+    """memo[key], a tuple of read-only arrays whose first has length >= n;
+    when it is shorter or missing, build(size) makes it at
+    size = max(n, twice the old length, _MIN_GROWN)."""
+    hit = memo.get(key)
+    if hit is None or len(hit[0]) < n:
+        size = max(n, 2 * len(hit[0]) if hit else 0, _MIN_GROWN)
+        hit = memo[key] = tuple(map(_read_only, build(size)))
+    return hit
+
+
+# Least size _grown builds: per-call overhead makes a build of 32 rows cost
+# about what one of 4 does, and 32 rows reach weight 383, past the p = 17
+# heat cycle of phi_{12,1} (weight 300)
+_MIN_GROWN = 32
+
+
+def _coordinates(ring, n):
+    """(1/E4, 1/E6, T, U, V, B) over F_p, to n terms and n x n, shared by
+    every weight (isobaric keeps them in _coordinate_memo): T[s] = E4^(-3s);
+    row c of U is u^c, u = Delta/E4^3; V = U^-1; and
+    B[c, i] = (-1)^i binom(c, i) / 1728^c takes coordinates in the
+    u^c = (X - Y)^c / (1728^c X^c), X = E4^3, Y = E6^2, to those in the
+    Y^i/X^i.  U and V are unit upper triangular, so their leading blocks
+    are each other's inverses."""
+    _, e4, e6, delta = level1_series(n - 1, ring)
+    inv4, inv6 = (invert_series(ring, g, n) for g in (e4, e6))
+    inv4_cubes = _powers(ring, convolve_trunc(ring, convolve_trunc(ring, inv4, inv4, n), inv4, n), n)
+    upow = _powers(ring, convolve_trunc(ring, delta, inv4_cubes[1], n), n)
+    # row e of V is w^e for w the compositional inverse of u, u(w(t)) = t;
+    # w is row 1 of V, so w @ U = e_1, solved one column of U at a time
+    w = ring.zeros(n)
+    w[1] = ring.one
+    for c in range(2, n):
+        w[c] = ring.canonical(-_vec_mat(ring, w[:c], upow[:c, c:c + 1]))[0]
+    uinv = _powers(ring, w, n)
+    expand = ring.zeros((n, n))
+    expand[0, 0] = ring.one
+    r = ring.inv(1728)
+    for c in range(1, n):
+        expand[c, 1:] = -expand[c - 1, :-1]
+        expand[c] = ring.canonical((expand[c] + expand[c - 1]) * r)
+    return inv4, inv6, inv4_cubes, upow, uinv, expand
+
+
+def _powers(ring, f, n):
+    """The n x n matrix whose row e is f^e to n terms."""
+    out = ring.zeros((n, n))
+    out[0, 0] = ring.one
+    for e in range(1, n):
+        out[e] = convolve_trunc(ring, out[e - 1], f, n)
+    return out

@@ -169,12 +169,6 @@ class Ring:
         """JSON-friendly rendering (ints in decimal, rationals as 'n/d')."""
         return int(a)
 
-    def from_token(self, t):
-        """The element t stands for; ValueError unless to_token writes t."""
-        if type(t) is not int or self.from_int(t) != t:
-            raise ValueError(f"{t!r} is not a token of {self.tag}")
-        return t
-
 
 class IntRing(Ring):
     tag = "int"

@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from siegelcong.ring import ring_from_tag
+from siegelcong.ring import RatRing, ring_from_tag
 from siegelcong.siegel import SiegelFormSeries
 
 
@@ -32,5 +32,15 @@ def read_v2(path):
     ring, prec = ring_from_tag(doc["ring"]), doc["prec"]
     widths = [isqrt(4 * n * m) + 1 for n in range(prec + 1) for m in range(n, prec + 1)]
     assert [len(row) for row in doc["rows"]] == widths
-    toks = [ring.from_token(t) for row in doc["rows"] for t in row]
+    toks = [from_token(ring, t) for row in doc["rows"] for t in row]
     return doc["name"], SiegelFormSeries(ring, doc["weight"], prec, np.array(toks, dtype=ring.dtype))
+
+
+def from_token(ring, t):
+    """The element the token t stands for: RatRing.from_token over Q, else
+    an int that is its own canonical residue; ValueError otherwise."""
+    if isinstance(ring, RatRing):
+        return ring.from_token(t)
+    if type(t) is not int or ring.from_int(t) != t:
+        raise ValueError(f"{t!r} is not a token of {ring.tag}")
+    return t

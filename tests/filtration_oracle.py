@@ -1,5 +1,5 @@
-"""All-monomial level-1 bases, per-form holomorphic Jacobi bases and the
-window filtration, kept as test oracles.
+"""All-monomial level-1 bases, per-form holomorphic Jacobi bases, the
+window filtration and the bisection filtration, kept as test oracles.
 
 `mk_basis` row reduces every monomial E4^a E6^b Delta^c of weight k, not only
 the triangular set `siegelcong.qexp.mk_basis` uses.  `holo_basis` builds each
@@ -10,6 +10,13 @@ membership with `linalg.membership` on the first `filtration_window` rows, a
 margin beyond the candidate-space dimension that guards against truncation
 but is no theorem.  None of them uses the packed-key matrices of
 `siegelcong.jacobi` or its weak decomposition.
+
+`bisection_filtration` is the Sturm-row filtration that `siegelcong.jacobi`
+computed before the valuation: it shares the weak decomposition and the
+triangular bases of `siegelcong.qexp`, and bisects over the candidate
+weights for the least one holding every component (`least_member`,
+`in_weight`), membership being monotone in the weight since E_{p-1} = 1
+mod p.
 """
 
 from fractions import Fraction
@@ -17,11 +24,14 @@ from math import isqrt
 
 import numpy as np
 
-from siegelcong.jacobi import (JacobiFormSeries, jac_mul, qseries_times_jacobi, rbound,
-                               weak_generators, zero_test_required_prec)
+from siegelcong import qexp
+from siegelcong.errors import InvalidArgumentError, PrecisionError
+from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, _sturm_rows, jac_mul,
+                               qseries_times_jacobi, rbound, weak_decompose, weak_generators,
+                               zero_test_required_prec)
 from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
 from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q, mk_dim
-from siegelcong.ring import FpRing, ring_from_tag
+from siegelcong.ring import FpRing, exact_product, int64_qmax, ring_from_tag
 
 
 def weight_monomials(k):
@@ -166,3 +176,68 @@ def filtration(phi):
         if basis and membership(form_vector(phi, win), [form_vector(f, win) for f in basis], p):
             return kp
     return None
+
+
+def bisection_filtration(phi, hint=None):
+    """The least candidate k' = k mod (p-1), 0 <= k' <= k, with every weak
+    component f_j of phi in M_{k'+2j} mod p, found by bisection; -inf for
+    the zero form.  The candidate at or below `hint` is probed first and
+    the one below it second; any hint gives the same result.  Raises as
+    `siegelcong.jacobi.filtration` does."""
+    ring, p = phi.ring, phi.ring.p
+    k, m = phi.weight, phi.index
+    need = zero_test_required_prec(k, m)
+    if phi.prec < need:
+        raise PrecisionError(f"filtration at weight {k}, index {m} needs precision {need}",
+                             required=need, available=phi.prec)
+    if phi.is_zero_window():
+        return NEG_INF
+    if np.any(phi.coeffs[phi.idx.D < 0]):
+        raise InvalidArgumentError(f"form has a nonzero coefficient mod {p} at D < 0")
+    fs = weak_decompose(phi)
+    cands = list(range(k % (p - 1), k + 1, p - 1)) or [k]
+    first = least_member(len(cands), lambda i: in_weight(fs, k, cands[i], ring),
+                         None if hint is None else sum(kp <= hint for kp in cands) - 1)
+    if first is None:
+        raise InvalidArgumentError(
+            f"form is not in the holomorphic mod-{p} span at any weight <= {k}")
+    return cands[first]
+
+
+def in_weight(fs, k, kp, ring):
+    """True iff the weak components fs of a holomorphic form of weight k mod
+    p each lie in M_{kp+2j} mod p: f_j less its reduction f_j[piv] @ R
+    against the echelon basis R of M_{kp+2j} is a form of M_{k+2j} mod p,
+    zero iff its Sturm rows q^0..q^floor((k+2j)/12) are."""
+    for j, f in enumerate(fs):
+        rows = _sturm_rows(k + 2 * j, len(f))
+        basis = qexp.mk_basis(kp + 2 * j, len(f) - 1, ring)
+        piv = np.argmax(basis != 0, axis=1)          # unit pivots (mk_basis)
+        red = exact_product(ring, f[piv], basis[:, :rows], lambda x, y, q: x @ y % q,
+                            len(piv), int64_qmax(len(piv)))
+        if np.any(ring.canonical(f[:rows] - red)):
+            return False
+    return True
+
+
+def least_member(n, member, hint):
+    """Least i < n with member(i), or None, for a monotone predicate member.
+
+    hint, if in range, is probed first and hint - 1 second; then the rest is
+    bisected.  Index n - 1 is tested only when every index below it fails.
+    """
+    lo, hi, known = 0, n - 1, False     # the answer, if any, is in [lo, hi]
+    if hint is not None:
+        for i in (hint, hint - 1):
+            if lo <= i < hi:
+                if member(i):
+                    hi, known = i, True
+                else:
+                    lo = i + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if member(mid):
+            hi, known = mid, True
+        else:
+            lo = mid + 1
+    return hi if n and (known or member(hi)) else None

@@ -1,9 +1,9 @@
 """Structural checks of Jacobi forms and a product by the definition, kept
 as test oracles, and the inverse of the weak decomposition.
 
-The checks and `jac_mul_loop` read one coefficient at a time through
-`JacobiFormSeries.c`, so they share no code with the vector operations of
-`siegelcong.jacobi`.
+The checks, `jac_mul_loop` and `qseries_times_jacobi_loop` read one
+coefficient at a time through `JacobiFormSeries.c`, so they share no code
+with the vector operations of `siegelcong.jacobi`.
 """
 
 from functools import reduce
@@ -58,3 +58,12 @@ def jac_mul_loop(a, b):
                     key = (n1 + n2, r1 + r2)
                     out[key] = out.get(key, 0) + a.c(n1, r1) * b.c(n2, r2)
     return [ring.from_rational(out.get((n, r), 0)) for n in range(prec + 1) for r in range(isqrt(4 * n * m + m * m) + 1)]
+
+
+def qseries_times_jacobi_loop(f, phi):
+    """The q-series f times the Jacobi form phi by the definition,
+    c(n, r) = sum_{n1} f[n1] phi.c(n - n1, r), to the smaller precision: the
+    vector of keys (n, r >= 0) in the order of `JacobiFormSeries.coeffs`."""
+    ring, prec, m = phi.ring, min(len(f) - 1, phi.prec), phi.index
+    return [ring.from_rational(sum(f[n1] * phi.c(n - n1, r) for n1 in range(n + 1)))
+            for n in range(prec + 1) for r in range(isqrt(4 * n * m + m * m) + 1)]

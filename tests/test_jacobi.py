@@ -8,7 +8,7 @@ import pytest
 import allcolumn_oracle
 import filtration_oracle
 from jacobi_checks import (check_holomorphic_support, check_transformation_law, jac_mul_loop,
-                           reconstruct_weak)
+                           qseries_times_jacobi_loop, reconstruct_weak)
 import numpy as np
 
 from siegelcong import jacobi, qexp
@@ -241,20 +241,25 @@ def _random_form(rng, ring, m, prec, bound=50):
 
 @pytest.mark.parametrize("tag", ["fp:7", "fp:2097143", "fp:2097169", "int", "rat"])
 def test_jac_mul_and_division_match_the_definition(tag):
-    """jac_mul's row products equal the product by the definition, and
-    dividing w_{-2} * psi by w_{-2} gives psi back, on int64 and object
-    residues, Z and Q, at indices 0..3 and unequal precisions."""
+    """jac_mul's row products and qseries_times_jacobi's packed columns
+    equal the products by the definition, and dividing w_{-2} * psi by
+    w_{-2} gives psi back (index 1 by one column division, larger indices
+    row by row), on int64 and object residues, Z and Q, at indices 0..3 and
+    unequal precisions."""
     ring = ring_from_tag(tag)
     rng = random.Random(tag)
     w_m2 = weak_generators(7, ring)[0]
-    for ma, mb, pa, pb in ((1, 1, 6, 6), (2, 1, 7, 5), (0, 3, 4, 6), (3, 2, 5, 5)):
+    for ma, mb, pa, pb in ((1, 1, 6, 6), (2, 1, 7, 5), (0, 3, 4, 6), (3, 2, 5, 5), (1, 0, 5, 7)):
         a, b = _random_form(rng, ring, ma, pa), _random_form(rng, ring, mb, pb)
         prod = jac_mul(a, b)
         assert (prod.index, prod.prec) == (ma + mb, min(pa, pb))
         assert prod.coeffs.tolist() == jac_mul_loop(a, b), (ma, mb)
+        f = a.coeffs[a.idx.start[:-1]]                        # the q-series c(n, 0) of a
+        assert qseries_times_jacobi(f, 0, b).coeffs.tolist() == qseries_times_jacobi_loop(f, b)
         assert jacobi._divide_by_weak_m2(jac_mul(w_m2, b), w_m2) == b
-    with pytest.raises(DecompositionError):
-        jacobi._divide_by_weak_m2(_random_form(rng, ring, 2, 5), w_m2)
+    for m in (1, 2):
+        with pytest.raises(DecompositionError):
+            jacobi._divide_by_weak_m2(_random_form(rng, ring, m, 5), w_m2)
 
 
 def test_qseries_times_jacobi():
@@ -511,18 +516,24 @@ def _window_member(phi, kp):
 
 
 def _assert_memberships_agree(phi):
-    """Decomposition membership equals window membership at every candidate."""
+    """At every candidate weight kp, the valuation (filtration(phi) <= kp),
+    the bisection oracle's Sturm-row membership and window membership
+    agree, and the valuation equals the bisection oracle's filtration."""
     p, k = phi.ring.p, phi.weight
     fs = weak_decompose(phi)
+    om = filtration(phi)
+    assert om == filtration_oracle.bisection_filtration(phi), (k, p)
     for kp in range(k % (p - 1), k + 1, p - 1):
-        assert jacobi._in_weight(fs, k, kp, phi.ring) == _window_member(phi, kp), (k, kp, p)
+        member = filtration_oracle.in_weight(fs, k, kp, phi.ring)
+        assert member == _window_member(phi, kp) == (om <= kp), (k, kp, p, om)
 
 
 @pytest.mark.parametrize("p", [5, 7, 17])
 def test_filtration_matches_oracle_on_random_span_elements(monkeypatch, window_spans, p):
     """Span elements raised by E_{p-1}^s, s = 0..3, sit s candidates above
-    their filtration; the bisection finds it whatever hint it is given, and
-    decomposition membership equals window membership at every candidate."""
+    their filtration; the valuation finds it, the bisection oracle finds it
+    whatever hint it is given, and the valuation, decomposition membership
+    and window membership agree at every candidate."""
     oracle = _oracle_filtration_memoized(monkeypatch)
     rng = random.Random(p)
     ring = ring_from_tag(f"fp:{p}")
@@ -540,9 +551,10 @@ def test_filtration_matches_oracle_on_random_span_elements(monkeypatch, window_s
                 _assert_memberships_agree(form)
                 want = oracle(form)
                 assert form.weight == k + s * (p - 1)
+                assert filtration(form) == want, (k, m, s)
                 for hint in (None, want, want - 2 * (p - 1), -10, want + p - 1,
                              form.weight + 5 * (p - 1), want + 1, want - 1, NEG_INF):
-                    assert filtration(form, hint) == want, (k, m, s, hint)
+                    assert filtration_oracle.bisection_filtration(form, hint) == want, (k, m, s, hint)
 
 
 def test_least_member_never_tests_the_top_unless_it_is_the_answer():
@@ -550,7 +562,8 @@ def test_least_member_never_tests_the_top_unless_it_is_the_answer():
         for first in range(n + 1):               # first == n: no member
             for hint in [None, *range(-2, n + 2)]:
                 tested = []
-                got = jacobi._least_member(n, lambda i: tested.append(i) or i >= first, hint)
+                got = filtration_oracle.least_member(n, lambda i: tested.append(i) or i >= first,
+                                                     hint)
                 assert got == (first if first < n else None), (n, first, hint)
                 assert len(set(tested)) == len(tested)
                 if first < n - 1:
@@ -558,31 +571,39 @@ def test_least_member_never_tests_the_top_unless_it_is_the_answer():
 
 
 def test_filtration_keeps_the_scan_errors():
-    """Precision below the zero test's at phi's weight, and a form with a
-    coefficient at D < 0, are refused; a form of weight 34 is decided on
+    """Precision below the zero test's at phi's weight, a form with a
+    coefficient at D < 0 and a form in no candidate space are refused, by
+    the valuation and by the bisection oracle alike; a form of weight 34 is
+    decided on
     zero_test_required_prec(34, 1) = 5 rows, below every candidate window."""
     e41 = jacobi_eisenstein(4, 40, FP5)
     raised = qseries_times_jacobi(filtration_oracle.power(FP5, eisenstein_q(4, 40, FP5), 6), 24, heat(e41))
     assert raised.weight == 34 and zero_test_required_prec(34, 1) == 5
     assert [filtration_oracle.filtration_window(kp, 1, 5) for kp in (2, 6, 10)] == [8, 9, 10]
+    bisection = filtration_oracle.bisection_filtration
+    assert filtration(raised.truncate(9)) == filtration(raised.truncate(5)) == 10
     for hint in (None, raised.weight):
-        assert filtration(raised.truncate(9), hint) == 10
-        assert filtration(raised.truncate(5), hint) == 10
-    with pytest.raises(PrecisionError) as err:
-        filtration(raised.truncate(4))
-    assert (err.value.required, err.value.available) == (5, 4)
+        assert bisection(raised.truncate(9), hint) == bisection(raised.truncate(5), hint) == 10
     weak = weak_generators(40, FP5)[1]       # phi_{0,1}: not holomorphic
-    with pytest.raises(InvalidArgumentError):
-        filtration(JacobiFormSeries(FP5, 8, 1, 40, weak.coeffs))
+    for filt in (filtration, bisection):
+        with pytest.raises(PrecisionError) as err:
+            filt(raised.truncate(4))
+        assert (err.value.required, err.value.available) == (5, 4)
+        with pytest.raises(InvalidArgumentError, match="D < 0"):
+            filt(JacobiFormSeries(FP5, 8, 1, 40, weak.coeffs))
+        with pytest.raises(InvalidArgumentError, match="at any weight <= 0"):
+            filt(JacobiFormSeries(FP5, 0, 1, 40, e41.coeffs))    # E_{4,1} called weight 0
 
 
 @pytest.mark.parametrize("k,m,p,form", [(14, 2, 11, "E4_1*phi10_1"), (16, 1, 13, "E4*phi12_1"),
                                         (22, 2, 7, "phi10_1*phi12_1"), (12, 1, 23, "phi12_1"),
-                                        (14, 2, 13, "E4_1*phi10_1")])
+                                        (14, 2, 13, "E4_1*phi10_1"), (12, 1, 5, "phi12_1"),
+                                        (12, 1, 17, "phi12_1")])
 def test_decomposition_membership_matches_the_window_bases(window_spans, k, m, p, form):
-    """Every heat iterate of the five golden heat-cycle forms, at every
-    candidate weight.  The window spans are built once per key: iterates i
-    and i + p - 1 share candidates."""
+    """Every heat iterate of five golden heat-cycle forms and of phi_{12,1}
+    at p = 5 and 17 (the benchmark's cycle), at every candidate weight: the
+    valuation, the bisection oracle and the window agree.  The window spans
+    are built once per key: iterates i and i + p - 1 share candidates."""
     from siegelcong.cli import build_named_jacobi
     phi = build_named_jacobi(form, filtration_oracle.heat_cycle_window_prec(k, m, p),
                              ring_from_tag(f"fp:{p}"))
@@ -604,17 +625,41 @@ def test_heat_cycle_filtrations_match_the_oracle(monkeypatch, k, m, p, form):
         assert om == oracle(phi)
 
 
+GOLDEN_CYCLES = [(14, 2, 11, "E4_1*phi10_1"), (16, 1, 13, "E4*phi12_1"), (22, 2, 7, "phi10_1*phi12_1"),
+                 (12, 1, 23, "phi12_1"), (14, 2, 13, "E4_1*phi10_1"), (14, 2, 23, "E4_1*phi10_1"),
+                 (12, 1, 5, "phi12_1"), (12, 1, 17, "phi12_1")]
+
+
+@pytest.mark.parametrize("k,m,p,form", GOLDEN_CYCLES)
+def test_heat_cycle_filtrations_match_the_bisection(k, m, p, form):
+    """heat_cycle's valuations equal the bisection oracle's filtrations, led
+    by the step-law hint as the bisection was, on every heat iterate of the
+    six golden heat-cycle forms and of phi_{12,1} at p = 5 and 17."""
+    from siegelcong.cli import build_named_jacobi
+    phi = build_named_jacobi(form, heat_cycle_required_prec(k, m, p), ring_from_tag(f"fp:{p}"))
+    got, want = heat_cycle(phi).filtrations, []
+    for _ in range(1, p):
+        phi = heat(phi)
+        want.append(filtration_oracle.bisection_filtration(phi, want[-1] + p + 1 if want else None))
+    assert got == want
+
+
 def test_heat_cycle_builds_each_basis_once(monkeypatch):
-    """On the (12, 1, 17) heat cycle: no holomorphic basis, and no level-1
-    basis built twice at one (ring, k, prec)."""
-    built = []
+    """On the (12, 1, 17) heat cycle: no holomorphic basis and no level-1
+    basis at all, since each filtration is a valuation; E_16 mod 17 is
+    solved for once, and the coordinate matrices shared by every weight are
+    rebuilt only at at least twice their size."""
+    built = {}
 
     class Recording(BoundedMemo):
         def __setitem__(self, key, value):
-            built.append((*key, value.shape[1] - 1))
+            built.setdefault(self.name, []).append(value)
             super().__setitem__(key, value)
 
-    monkeypatch.setattr(qexp, "_bases", Recording(qexp.MEMO_BYTES, qexp._bases.size))
+    for name in ("_bases", "_hasse", "_coordinate_memo"):
+        memo = Recording(qexp.MEMO_BYTES, getattr(qexp, name).size)
+        memo.name = name
+        monkeypatch.setattr(qexp, name, memo)
     calls = []
     real = jacobi.holo_basis
     monkeypatch.setattr(jacobi, "holo_basis", lambda k, m, prec, p: calls.append((k, m, prec, p))
@@ -622,7 +667,9 @@ def test_heat_cycle_builds_each_basis_once(monkeypatch):
     phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, 17), ring_from_tag("fp:17"))
     assert heat_cycle(phi).filtrations[:3] == [30, 48, 66]
     assert not calls
-    assert built and len(set(built)) == len(built)
+    assert "_bases" not in built and len(built["_hasse"]) == 1
+    sizes = [len(mats[0]) for mats in built["_coordinate_memo"]]
+    assert all(2 * a <= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_heat_cycle_decomposes_each_iterate_once(monkeypatch):
@@ -642,8 +689,27 @@ def test_heat_cycle_decomposes_each_iterate_once(monkeypatch):
     assert weak_decompose(it.truncate(it.prec - 1))[0].tolist() == fs[0][:-1].tolist()
 
 
+@pytest.mark.parametrize("k,m,p,form,short,weight,need", [
+    (12, 1, 17, "phi12_1", 1, 300, 27), (12, 1, 17, "phi12_1", 6, 246, 22),
+    (12, 1, 17, "phi12_1", 20, 84, 9), (14, 2, 11, "E4_1*phi10_1", 1, 134, 14),
+    (14, 2, 11, "E4_1*phi10_1", 4, 98, 11), (12, 1, 5, "phi12_1", 1, 36, 5)])
+def test_heat_cycle_refuses_a_short_form_at_the_same_iterate(k, m, p, form, short, weight, need):
+    """A form `short` rows below heat_cycle_required_prec is refused by the
+    filtration of the first iterate whose zero test needs more rows, with
+    the message, required and available precision the bisection had; the
+    per-iterate truncation never asks for rows the form lacks."""
+    from siegelcong.cli import build_named_jacobi
+    prec = heat_cycle_required_prec(k, m, p) - short
+    phi = build_named_jacobi(form, prec, ring_from_tag(f"fp:{p}"))
+    with pytest.raises(PrecisionError) as err:
+        heat_cycle(phi)
+    assert str(err.value) == f"filtration at weight {weight}, index {m} needs precision {need}"
+    assert (err.value.required, err.value.available) == (need, prec)
+
+
 def test_jacobi_memos_are_bounded():
-    for memo in (jacobi._mono_cache, jacobi._weak_memo, qexp._bases, qexp._level1):
+    for memo in (jacobi._mono_cache, jacobi._weak_memo, qexp._bases, qexp._level1, qexp._hasse,
+                 qexp._hasse_inverse, qexp._coordinate_memo):
         assert isinstance(memo, BoundedMemo) and memo.limit == qexp.MEMO_BYTES
 
 
@@ -665,7 +731,14 @@ def test_weak_memos_evict_and_rebuild_the_same_forms(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2097169, 3037000493])
-def test_dense_filtration_at_a_list_row_prime(p):
+def test_dense_filtration_at_a_list_row_prime(monkeypatch, p):
+    """Object-dtype primes, where M_{p-1} is far too large to build: every
+    component weight is below p - 1, so the filtration never asks for
+    E_{p-1}'s polynomial."""
+    def refuse(ring):
+        raise AssertionError(f"E_{p - 1} built at {ring.tag}")
+
+    monkeypatch.setattr(qexp, "hasse_invariant", refuse)
     ring = ring_from_tag(f"fp:{p}")
     assert len(holo_basis(10, 1, 14, p)) == 2
     assert filtration(jacobi_cusp(12, 20, ring)) == 12

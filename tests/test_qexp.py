@@ -331,3 +331,105 @@ def test_sturm_forced_proportionality():
 def test_sturm_needs_precision():
     with pytest.raises(PrecisionError):
         _sturm_zero(q([0], FP5), 24, FP5)
+
+
+# -- the mod-p filtration as a valuation -----------------------------------------------
+
+PRIMES_TO_43 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+
+
+def _poly_mod(a, b, p):
+    """The remainder of a by b over F_p; coefficient lists, constant term first."""
+    a, inv = list(a), pow(b[-1], -1, p)
+    while len(a) >= len(b) and any(a):
+        c, shift = a[-1] * inv % p, len(a) - len(b)
+        a = [(x - c * b[i - shift]) % p if i >= shift else x for i, x in enumerate(a)][:-1]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _poly_gcd_degree(a, b, p):
+    while any(b):
+        a, b = b, _poly_mod(a, b, p)
+        while b and not b[-1]:
+            b.pop()
+    return len(a) - 1
+
+
+def _expand(ring, a, b, core, rows):
+    """E4^a E6^b sum_i core[i] E4^(3(g - i)) E6^(2i), g = len(core) - 1, to q^(rows-1)."""
+    e4, e6 = eisenstein_q(4, rows - 1, ring), eisenstein_q(6, rows - 1, ring)
+    g = len(core) - 1
+    out = ring.zeros(rows)
+    for i, c in enumerate(core.tolist()):
+        mono = convolve_trunc(ring, filtration_oracle.power(ring, e4, a + 3 * (g - i)),
+                              filtration_oracle.power(ring, e6, b + 2 * i), rows)
+        out = ring.canonical(out + mono * c)
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_43)
+def test_hasse_invariant(p):
+    """A~, the polynomial of E_{p-1} mod p, expands to 1 on the Sturm rows of
+    weight p - 1 (as E_{p-1} does), its core has no repeated factor, and E4
+    (E6) divides it exactly when p = 2 mod 3 (p = 3 mod 4): the supersingular
+    j = 0 and 1728."""
+    ring = ring_from_tag(f"fp:{p}")
+    alpha, beta, core = qexp.hasse_invariant(ring)
+    rows = (p - 1) // 12 + 1
+    assert 4 * alpha + 6 * beta + 12 * (len(core) - 1) == p - 1
+    assert eisenstein_q(p - 1, rows - 1, ring).tolist() == [1] + [0] * (rows - 1)
+    assert _expand(ring, alpha, beta, core, rows).tolist() == [1] + [0] * (rows - 1)
+    assert (alpha, beta) == (int(p % 3 == 2), int(p % 4 == 3))
+    assert core[0] and core[-1]                    # no factor E4^3 or E6^2 left in the core
+    deriv = [i * c % p for i, c in enumerate(core.tolist())][1:]
+    assert len(core) == 1 or _poly_gcd_degree(core.tolist(), deriv, p) == 0
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_mod_p_filtration_is_the_least_weight_holding_the_form(p):
+    """Random forms of M_K times E_{p-1}^s: the valuation equals the least
+    K' = K mod (p - 1) with the form in M_K' on its Sturm rows, decided
+    with the echelon bases (the bisection oracle's membership test), and
+    isobaric reproduces the form."""
+    ring = ring_from_tag(f"fp:{p}")
+    rng = random.Random(p)
+    prec = 40
+    ep = eisenstein_q(p - 1, prec, ring)
+    for _ in range(12):
+        k = rng.choice([0, 4, 6, 8, 10, 12, 14, 16, 18, 22, 26])
+        basis = mk_basis(k, prec, ring)
+        f = ring.canonical(np.array([rng.randrange(p) for _ in basis], dtype=np.int64) @ basis)
+        for s in range(4):
+            kk = k + s * (p - 1)
+            g = convolve_trunc(ring, f, filtration_oracle.power(ring, ep, s), prec + 1)
+            want = next((kp for kp in range(kk % (p - 1), kk + 1, p - 1)
+                         if filtration_oracle.in_weight([g], kk, kp, ring)), None)
+            got = qexp.mod_p_filtration(g, kk, ring)
+            if not np.any(g[:kk // 12 + 1]):
+                assert got == qexp.NEG_INF
+                continue
+            assert got == want and got <= k, (k, s, got, want)
+            a, b, core = qexp.isobaric(g, kk, ring)
+            assert _expand(ring, a, b, core, kk // 12 + 1).tolist() == g[:kk // 12 + 1].tolist()
+
+
+def test_mod_p_filtration_refusals():
+    """None for a vector that is no form of its weight on its Sturm rows
+    (weight 14: two rows, one basis form) and for a nonzero vector at a
+    weight with no forms; -inf for zero vectors.  E4^2 E6 keeps weight 14
+    mod 13, where 14 - 12 = 2 has no forms, and falls to E4 mod 11."""
+    fp13 = ring_from_tag("fp:13")
+    basis = mk_basis(14, 10, fp13)
+    assert len(basis) == 1 and qexp.mod_p_filtration(basis[0], 14, fp13) == 14
+    assert qexp.mod_p_filtration(mk_basis(14, 10, FP11)[0], 14, FP11) == 4
+    bad = basis[0].copy()
+    bad[1] = (bad[1] + 1) % 13
+    assert qexp.isobaric(bad, 14, fp13) is None and qexp.mod_p_filtration(bad, 14, fp13) is None
+    for k in (2, -4, 7):
+        assert qexp.mod_p_filtration(q([0, 1, 0], fp13), k, fp13) is None
+        assert qexp.mod_p_filtration(q([0, 0, 0], fp13), k, fp13) == qexp.NEG_INF
+    assert qexp.mod_p_filtration(fp13.zeros(11), 24, fp13) == qexp.NEG_INF
+    with pytest.raises(PrecisionError):
+        qexp.isobaric(basis[0][:1], 14, fp13)
