@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -61,7 +61,7 @@ def reduced_classes(wmax):
 class BoxIndex:
     """Read-only index arrays of the half support of one box, in vector order.
 
-    n, r, m, det and gcd = gcd(n, r, m) hold one entry per stored key.
+    n, r, m, det hold one entry per stored key.
     offset[n, m] = offset[m, n] is the position of A(min, 0, max), so
     A(n, r, m) sits at offset[n, m] + |r|; widths lists isqrt(4nm) + 1 for
     the (n, m) pairs with n <= m in vector order, and nstart[n] is where the
@@ -82,29 +82,8 @@ class BoxIndex:
         self.m = np.repeat(hi, self.widths)
         self.r = np.arange(self.size) - np.repeat(starts, self.widths)
         self.det = 4 * self.n * self.m - self.r * self.r
-        self.gcd = np.gcd(np.gcd(self.n, self.r), self.m)
-        for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r, self.det, self.gcd):
+        for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r, self.det):
             _read_only(a)
-
-    @cached_property
-    def divisor_pairs(self):
-        """(d, q, start): one entry per pair (key, d) with d | gcd, for every
-        key but A(0, 0, 0) (the one key with gcd 0), key by key with d
-        rising; q = det // d^2, and the pairs of key i >= 1 begin at
-        start[i - 1].  d and q are int32, half the bytes of int64 (q <= 4N^2
-        < 2^31 below box 23170)."""
-        divisors = [[] for _ in range(self.prec + 1)]
-        for d in range(1, self.prec + 1):
-            for g in range(d, self.prec + 1, d):
-                divisors[g].append(d)
-        flat = np.array([d for ds in divisors for d in ds], dtype=np.int32)
-        count = np.array([len(ds) for ds in divisors])
-        first = np.cumsum(count) - count           # divisors of g begin at flat[first[g]]
-        g = self.gcd[1:]
-        start = np.cumsum(count[g]) - count[g]
-        d = flat[np.repeat(first[g] - start, count[g]) + np.arange(int(count[g].sum()))]
-        q = (np.repeat(self.det[1:], count[g]) // (d * d)).astype(np.int32)
-        return tuple(map(_read_only, (d, q, start)))
 
 
 @lru_cache(maxsize=4)
@@ -119,7 +98,7 @@ def box_bytes(prec, ring=None):
     """Closed-form estimates (index, columns) of the bytes box N = prec needs.
 
     The box has sum_{n <= m <= N} (isqrt(4nm) + 1) <= (N+1)^2 + 4(N+1)^3/9
-    keys (sum_{n <= N} sqrt(n) <= (2/3)(N+1)^(3/2)), and BoxIndex holds five
+    keys (sum_{n <= N} sqrt(n) <= (2/3)(N+1)^(3/2)), and BoxIndex holds four
     int64 arrays of that length.  With a ring, columns counts about the 16
     series to q^(N^2) that one generator build holds at once and four
     generator vectors, at 8 bytes an entry, 64 for dtype object (as in
@@ -128,7 +107,7 @@ def box_bytes(prec, ring=None):
     n = prec + 1
     keys = n * n + 4 * n ** 3 // 9
     item = 0 if ring is None else 64 if ring.dtype == object else 8
-    return 40 * keys, (16 * (prec * prec + 1) + 4 * keys) * item
+    return 32 * keys, (16 * (prec * prec + 1) + 4 * keys) * item
 
 
 def require_box_memory(prec, ring=None):
@@ -296,11 +275,17 @@ def maass_lift(ring, k, cols, prec):
     An index-1 coefficient depends only on D = 4n - r^2 (Eichler-Zagier,
     The Theory of Jacobi Forms, Thm 2.2), and c(nm/d^2, r/d) has
     D = det/d^2, so A = sum_{d | gcd} d^{k-1} C[det/d^2] with C the
-    discriminant series of the columns: one gather over the box's
-    (key, d) pairs (BoxIndex.divisor_pairs) and one segmented sum.
-    A(0,0,0) is set to zero; pinning the constant of a non-cuspidal lift is
-    the caller's concern (see igusa_generator).  Requires columns to
-    q^(prec^2).  PAPER.md, "Index-1 generators and the lift".
+    discriminant series of the columns.  The d = 1 term is one gather,
+    C[det].  The keys divisible by d >= 2 are d times the keys (n', r', m')
+    of box M = N // d, the keys 1 <= i < nstart[M + 1] with m <= M, and
+    det' = det/d^2; so the d sharing one M, N/(M + 1) < d <= N/M, add
+    d^{k-1} C[det'] at offset[dn', dm'] + dr' in one scatter-add.  Its
+    positions are distinct: d m1 = d' m2 with d < d' in one group and
+    1 <= m2 < m1 <= M would make d'/d = m1/m2 >= M/(M - 1), yet
+    d'/d < (M + 1)/M.  A(0,0,0) is set to zero; pinning the constant of a
+    non-cuspidal lift is the caller's concern (see igusa_generator).
+    Requires columns to q^(prec^2).  PAPER.md, "Index-1 generators and
+    the lift".
     """
     have = min(len(h) for h in cols) - 1
     if have < prec * prec:
@@ -309,11 +294,14 @@ def maass_lift(ring, k, cols, prec):
     h = np.array([h[:prec * prec + 1] for h in cols], dtype=ring.dtype)
     C = discriminant_series(h, 4 * prec * prec)[1:]
     idx = box_index(prec)
-    d, q, start = idx.divisor_pairs
     dpow = ring.powers(range(prec + 1), k - 1)
-    out = ring.zeros(idx.size)
-    if len(start):
-        out[1:] = np.add.reduceat(dpow[d] * C[q], start)
+    out = C[idx.det]
+    out[0] = ring.zero
+    for sub in {prec // d for d in range(2, prec + 1)}:
+        ds = np.arange(prec // (sub + 1) + 1, prec // sub + 1)[:, None]
+        keys = np.flatnonzero(idx.m[1:idx.nstart[sub + 1]] <= sub) + 1
+        n, r, m = idx.n[keys], idx.r[keys], idx.m[keys]
+        out[idx.offset[ds * n, ds * m] + ds * r] += dpow[ds] * C[idx.det[keys]]
     return SiegelFormSeries(ring, k, prec, ring.canonical(out))
 
 

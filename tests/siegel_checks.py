@@ -66,9 +66,10 @@ def maass_lift_loop(ring, k, cols, prec):
     C = discriminant_series(np.array([h[:prec * prec + 1] for h in cols], dtype=ring.dtype),
                             4 * prec * prec)[1:]
     idx = box_index(prec)
+    gcd = np.gcd(np.gcd(idx.n, idx.r), idx.m)
     out = ring.zeros(idx.size)
     for d in range(1, prec + 1):
-        keys = np.flatnonzero((idx.gcd % d == 0) & (idx.gcd > 0))
+        keys = np.flatnonzero((gcd % d == 0) & (gcd > 0))
         out[keys] += ring.from_int(d ** (k - 1)) * C[idx.det[keys] // (d * d)]
     return SiegelFormSeries(ring, k, prec, ring.canonical(out))
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -142,13 +143,31 @@ def test_maass_lift_needs_precision():
 
 @pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:2097169", "int", "rat"])
 def test_one_pass_lift_equals_the_per_divisor_loop(tag):
+    """Boxes 0 to 12, and over F_7 and Z boxes 13 to 30, where one scatter
+    serves several d."""
     ring = ring_from_tag(tag)
+    boxes = list(range(13)) + ([13, 17, 24, 30] if tag in ("fp:7", "int") else [])
     for k in (4, 6, 10, 12):
-        cols = index1_columns(k, 144, ring)
-        for box in range(1, 13):
+        cols = index1_columns(k, boxes[-1] ** 2, ring)
+        for box in boxes:
             got, want = maass_lift(ring, k, cols, box), maass_lift_loop(ring, k, cols, box)
             assert got == want and got.weight == k, (k, box)
             assert [type(v) for v in got.coeffs.tolist()] == [type(v) for v in want.coeffs.tolist()]
+
+
+def test_the_lift_peaks_at_a_few_output_vectors():
+    """One lift at box 60 over F_7 allocates under four times its output
+    vector (2.7 times measured): no table of (key, d) pairs."""
+    cols = index1_columns(12, 3600, FP7)
+    siegel.box_index.cache_clear()
+    siegel.box_index(60)
+    tracemalloc.start()
+    try:
+        F = maass_lift(FP7, 12, cols, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * F.coeffs.nbytes, (peak, F.coeffs.nbytes)
 
 
 @pytest.mark.parametrize("tag", ["fp:7", "fp:2097169", "int", "rat"])
@@ -170,13 +189,13 @@ def test_each_generator_alone_equals_a_fresh_build_of_all_four(monkeypatch, tag)
 
 
 def test_box_bytes_bounds_the_index():
-    """The closed form is an upper bound on five int64 arrays per key, and
+    """The closed form is an upper bound on four int64 arrays per key, and
     tight: within 7.5% at box 30."""
     for box in range(41):
         index, cols = box_bytes(box)
         size = BoxIndex(box).size
-        assert 40 * size <= index and cols == 0, box
-    assert box_bytes(30)[0] <= 1.075 * 40 * siegel.box_index(30).size
+        assert 32 * size <= index and cols == 0, box
+    assert box_bytes(30)[0] <= 1.075 * 32 * siegel.box_index(30).size
     # an object entry counts 64 bytes, as in qexp.array_bytes
     assert box_bytes(30, INT)[1] == 8 * box_bytes(30, FP7)[1] > 0
 
