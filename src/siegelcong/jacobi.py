@@ -21,10 +21,11 @@ by n, then r, which is also the order of to_json.  The vector of a smaller
 precision is a prefix of it.  Its dtype is `ring.dtype` (siegelcong.ring),
 and every operation is a numpy expression on it, reduced mod p only over
 F_p, with the index arrays of each (index, precision) built once and shared
-by every live form of that shape (JacobiIndex).  The products multiply
-padded rows gathered from it, one ring.exact_product per row.  Holomorphic
-forms are zero at 4nm - r^2 < 0.  Forms are immutable values: every
-operation returns a new form, and memoized forms are read-only.
+by every live form of that shape (JacobiIndex).  A product, and the
+division by phi_{-2,1}, lay the rows of each full support end to end as one
+series and take one series product (jac_mul, _divide_by_weak_m2).
+Holomorphic forms are zero at 4nm - r^2 < 0.  Forms are immutable values:
+every operation returns a new form, and memoized forms are read-only.
 
 The finite zero test and the filtration mod p route through the weak-form
 decomposition: a level-1 Sturm check on each component for the zero test,
@@ -88,17 +89,6 @@ class JacobiIndex:
     @cached_property
     def D(self):
         return _read_only(self.n * (4 * self.m) - self.r * self.r)
-
-    @cached_property
-    def _padded(self):
-        """Gather index of padded_rows into the vector with one zero appended."""
-        r = np.abs(np.arange(-self.bound[-1], self.bound[-1] + 1))
-        return np.where(r <= self.bound[:, None], self.start[:-1, None] + r, self.size)
-
-    def padded_rows(self, vec, ring):
-        """The rows c(n, r), r = -B..B with B = bound[prec], of the vector vec
-        as one matrix, zero where |r| > bound[n]: the products convolve these."""
-        return np.concatenate([vec, ring.zeros(1)])[self._padded]
 
 
 _indexes = weakref.WeakValueDictionary()
@@ -240,12 +230,25 @@ def _combine(a, b, coef_b, weight):
 
 # -- products ---------------------------------------------------------------------
 
+def _pack(f, prec, offset, stride):
+    """The full support of f to q^prec as one series of (prec + 1) * stride
+    terms, c(n, r) at n * stride + offset + r for |r| <= rbound(f.index, n)."""
+    idx = jacobi_index(f.index, prec)
+    out = f.ring.zeros((prec + 1) * stride)
+    at = idx.n * stride + offset
+    out[at + idx.r] = out[at - idx.r] = f.at_prec(prec)
+    return out
+
+
 def jac_mul(a, b):
     """Two-variable Cauchy product; weights and indices add, precision is min.
 
-    Row n of the product is the sum over n1 of the convolutions of the rows
-    n1 of a and n - n1 of b, centred at r = 0 (_row_products); only its
-    r >= 0 half is kept.
+    Kronecker packing: with B_a, B_b the bounds rbound of a and b at the
+    precision N and stride S = 2(B_a + B_b) + 1, a is packed at offset B_a
+    and b at B_b (_pack), and one convolve_trunc of the two to (N + 1) S
+    terms holds c(n, r) of the product at n S + B_a + B_b + r.  Rows never
+    meet at stride S, since |r| <= B_a + B_b in a product row, and the
+    terms past q^N land at or beyond (N + 1) S, so none is read.
     """
     if a.ring != b.ring:
         raise RingMismatchError(f"{a.ring.tag} vs {b.ring.tag}")
@@ -253,39 +256,12 @@ def jac_mul(a, b):
     prec = min(a.prec, b.prec)
     m = a.index + b.index
     w = a.weight + b.weight if a.weight is not None and b.weight is not None else None
-    arows, brows = (f.idx.padded_rows(f.coeffs, ring) for f in (a, b))
-    out = ring.zeros((prec + 1, rbound(m, prec) + 1))
-    for n in range(prec + 1):
-        ba, bb = rbound(a.index, n), rbound(b.index, n)
-        row = _row_products(ring, _band(arows[:n + 1], ba), _band(brows[n::-1], bb))
-        out[n, :rbound(m, n) + 1] = row[ba + bb:ba + bb + rbound(m, n) + 1]
+    ba, bb = rbound(a.index, prec), rbound(b.index, prec)
+    stride = 2 * (ba + bb) + 1
+    prod = convolve_trunc(ring, _pack(a, prec, ba, stride), _pack(b, prec, bb, stride),
+                          (prec + 1) * stride)
     idx = jacobi_index(m, prec)
-    return JacobiFormSeries(ring, w, m, prec, out[idx.n, idx.r])
-
-
-def _band(rows, half):
-    """The columns r = -half..half of padded rows centred at r = 0."""
-    c = rows.shape[1] // 2
-    return rows[:, c - half:c + half + 1]
-
-
-def _row_products(ring, a, b):
-    """sum_i a[i] * b[i], the full convolutions of the rows of two matrices
-    centred at r = 0, summed and canonical; the result is centred at r = 0.
-    Bands of half-width rbound(m, n) lose no entry of a product row at q^n,
-    since rbound(m1, n) + rbound(m2, n) >= rbound(m1 + m2, n).
-
-    M = a^T @ b holds M[x, y] = sum_i a[i, x] b[i, y], and entry s is the
-    sum of M over x + y = s, read by shearing row x of M right by x places.
-    M is one ring.exact_product of an int64 matmul whose entries each sum
-    T = len(a) products (int64_qmax(T)).
-    """
-    prod = exact_product(ring, a.T, b, lambda x, y, q: x @ y % q, len(a), int64_qmax(len(a)))
-    rows, cols = prod.shape
-    sheared = ring.zeros((rows, cols + rows))
-    sheared[:, :cols] = prod
-    return ring.canonical(sheared.reshape(-1)[:rows * (cols + rows - 1)]
-                          .reshape(rows, cols + rows - 1).sum(axis=0))
+    return JacobiFormSeries(ring, w, m, prec, prod[idx.n * stride + ba + bb + idx.r])
 
 
 def qseries_times_jacobi(f, k, phi):
@@ -460,13 +436,19 @@ def jacobi_cusp(k, prec, ring):
 def _divide_by_weak_m2(psi, w_m2):
     """Exact division by the weight -2 generator; index drops by one.
 
-    Row-by-row synthetic division by the leading row zeta - 2 + zeta^{-1} =
-    zeta^{-1} (zeta - 1)^2: row n of psi less sum_{i >= 1} (row i of w_m2)
-    * (quotient row n - i), one _row_products, is the leading row times
-    quotient row n.  Any residual, or a quotient row wider than the
-    index-(m-1) bound, means the input was not divisible.  At index 1 the
-    quotient is a q-series f, and the zeta^1 column of psi is f times that
-    of w_m2, 1 + O(q): one series division, checked by multiplying back.
+    The packing of jac_mul at every index mu >= 1: with B_w, B_u the bounds
+    of indices 1 and mu - 1 at the precision N and S = 2(B_w + B_u) + 1,
+    psi = w_m2 u packs psi at offset B_w + B_u, w_m2 at B_w and u at B_u.
+    Rows never meet at stride S, and the terms past q^N land at or beyond
+    (N + 1) S, so the packed psi is the packed product to that many terms.
+    The packed w_m2 starts with the zeta^-1 entry 1 of its row
+    zeta - 2 + zeta^-1, at B_w - 1; psi's row q^0 spans |r| <= mu, so its
+    first B_w - 1 entries are zero as well.  Without them, the quotient is
+    one invert_series and one convolve_trunc to L = (N + 1) S - B_w + 1
+    terms, which cover the packed u.  The check is an exact divisibility
+    test: psi is w_m2 times a form of index mu - 1 to q^N iff the quotient
+    is the packing of its own half support, which tests support, symmetry
+    and residual, the last row included.
     """
     ring = psi.ring
     mu = psi.index
@@ -474,42 +456,16 @@ def _divide_by_weak_m2(psi, w_m2):
         raise DecompositionError("cannot divide an index-0 form by the weak generator")
     prec = min(psi.prec, w_m2.prec)
     weight = None if psi.weight is None else psi.weight + 2
-    if mu == 1:
-        psi, w_m2 = psi.truncate(prec), w_m2.truncate(prec)
-        col, wcol = (g.coeffs[g.idx.start[:-1] + 1] for g in (psi, w_m2))
-        f = convolve_trunc(ring, col, invert_series(ring, wcol, prec + 1), prec + 1)
-        if qseries_times_jacobi(f, 0, w_m2) != psi:
-            raise DecompositionError("division by the weak generator left a residual")
-        return JacobiFormSeries(ring, weight, 0, prec, f)
-    trows = psi.idx.padded_rows(psi.coeffs, ring)
-    wrows = w_m2.idx.padded_rows(w_m2.coeffs, ring)
-    bq = rbound(mu - 1, prec)
-    quot = ring.zeros((prec + 1, 2 * bq + 1))
-    for n in range(prec + 1):
-        b = rbound(mu, n)
-        t = _band(trows[n:n + 1], b)[0]
-        if n:
-            bw, bu = rbound(1, n), rbound(mu - 1, n)
-            row = _row_products(ring, _band(wrows[1:n + 1], bw), _band(quot[n - 1::-1], bu))
-            t -= row[bw + bu - b:bw + bu + b + 1]
-        # t spans r in [-b, b]; the quotient row u spans [-b+1, b-1]
-        u = _div_by_sq(ring, ring.canonical(t))
-        cut = b - 1 - rbound(mu - 1, n)
-        if np.any(u[:cut]) or np.any(u[len(u) - cut:]):
-            raise DecompositionError(
-                f"row q^{n}: quotient support exceeds the index-{mu - 1} bound")
-        quot[n, bq - b + 1 + cut:bq + b - cut] = u[cut:len(u) - cut]
+    bw, bu = rbound(1, prec), rbound(mu - 1, prec)
+    stride = 2 * (bw + bu) + 1
+    unit = _pack(w_m2, prec, bw, stride)[bw - 1:]
+    quot = convolve_trunc(ring, _pack(psi, prec, bw + bu, stride)[bw - 1:],
+                          invert_series(ring, unit, len(unit)), len(unit))
     idx = jacobi_index(mu - 1, prec)
-    return JacobiFormSeries(ring, weight, mu - 1, prec, quot[idx.n, bq + idx.r])
-
-
-def _div_by_sq(ring, t):
-    """Divide the centered Laurent row t by [1, -2, 1] = (1 - x)^2, that is,
-    take two running sums; error on any remainder."""
-    u = ring.canonical(np.cumsum(np.cumsum(t)))
-    if np.any(u[-2:]):
+    u = JacobiFormSeries(ring, weight, mu - 1, prec, quot[idx.n * stride + bu + idx.r])
+    if not np.array_equal(quot, _pack(u, prec, bu, stride)[:len(quot)]):
         raise DecompositionError("division by the weak generator left a residual")
-    return u[:-2]
+    return u
 
 
 def weak_decompose(phi):

@@ -2,11 +2,10 @@
 
 The kernels are the 1-D series convolutions (`qexp.convolve_trunc`: int64
 `np.convolve` for short series, the float64 FFT `qexp._convolve_fft` for long
-ones), the row matmul of the Jacobi products (`jacobi._row_products`) and the
-Siegel FFT (`siegel._mul_fft`).  Each is compared with the same product
-computed on the ring's own elements in object arrays, over Z, Q, fp:2097169
-(object residues) and the least prime past the kernel's bound, where the lifts
-and the CRT run; fp:7 runs the single-modulus path.  "Extreme" draws put -1
+ones) and the Siegel FFT (`siegel._mul_fft`).  Each is compared with the same
+product computed on the ring's own elements in object arrays, over Z, Q,
+fp:2097169 (object residues) and the least prime past the kernel's bound, where
+the lifts and the CRT run; fp:7 runs the single-modulus path.  "Extreme" draws put -1
 everywhere they can, so every residue is q - 1: each modulus of an int64
 kernel meets its bound exactly.  The FFT kernels' bound is on centred
 residues, so their extreme draws put h = (p - 1)/2 everywhere over the
@@ -24,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from invert_loop_oracle import invert_loop
 from mul_loop_oracle import mul_loop
-from siegelcong import jacobi, qexp, siegel
+from siegelcong import qexp, siegel
 from siegelcong.qexp import convolve_trunc, invert_series
 from siegelcong.ring import FpRing, exact_product, fft_qmax, int64_qmax, is_prime, ring_from_tag
 from siegelcong.siegel import SiegelFormSeries
@@ -191,17 +190,6 @@ def test_short_series_make_one_np_convolve_call(monkeypatch):
             _same(convolve_trunc(ring, a, b, 900), want, ring)
         assert calls == [length] * count
         calls.clear()
-
-
-@settings(max_examples=100, deadline=None)
-@given(tag=st.sampled_from(TAGS), rows=st.integers(1, 8), wa=st.integers(0, 3),
-       wb=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans())
-def test_row_matmul_kernel_matches_object_product(tag, rows, wa, wb, seed, extreme):
-    ring = _ring(tag, int64_qmax(rows))
-    a = _values(ring, (rows, 2 * wa + 1), seed, extreme)
-    b = _values(ring, (rows, 2 * wb + 1), seed + 1, extreme)
-    want = sum(np.convolve(x, y) for x, y in zip(a.astype(object), b.astype(object)))
-    _same(jacobi._row_products(ring, a, b), _canonical(ring, want), ring)
 
 
 @settings(max_examples=60, deadline=None)

@@ -64,6 +64,11 @@ def test_sieve_stdout(capsys, tmp_path, argv, name):
      "heat_cycle_w14_m2_p13.json"),
     (["heat-cycle", "--weight", "14", "--index", "2", "--p", "23", "--form", "E4_1*phi10_1"],
      "heat_cycle_w14_m2_p23.json"),
+    # the 42-iterate walk at index 2, and a walk at index 3
+    (["heat-cycle", "--weight", "14", "--index", "2", "--p", "43", "--form", "E4_1*phi10_1"],
+     "heat_cycle_w14_m2_p43.json"),
+    (["heat-cycle", "--weight", "22", "--index", "3", "--p", "13", "--form",
+      "E4_1*E6_1*phi12_1"], "heat_cycle_w22_m3_p13.json"),
 ])
 def test_heat_cycle_stdout(capsys, tmp_path, argv, name):
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0

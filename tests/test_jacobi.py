@@ -241,11 +241,13 @@ def _random_form(rng, ring, m, prec, bound=50):
 
 @pytest.mark.parametrize("tag", ["fp:7", "fp:2097143", "fp:2097169", "int", "rat"])
 def test_jac_mul_and_division_match_the_definition(tag):
-    """jac_mul's row products and qseries_times_jacobi's packed columns
+    """jac_mul's packed series and qseries_times_jacobi's packed columns
     equal the products by the definition, and dividing w_{-2} * psi by
-    w_{-2} gives psi back (index 1 by one column division, larger indices
-    row by row), on int64 and object residues, Z and Q, at indices 0..3 and
-    unequal precisions."""
+    w_{-2} gives psi back (one packed series division at every index), on
+    int64 and object residues, Z and Q, at indices 0..3 and unequal
+    precisions.  At precision 20 an index-2 by index-1 product packs to
+    stride 43 and 903 terms, past qexp._FFT_MIN: the FFT over fp:7 and
+    the CRT over Z.  A residual in the last stored row alone is refused."""
     ring = ring_from_tag(tag)
     rng = random.Random(tag)
     w_m2 = weak_generators(7, ring)[0]
@@ -260,6 +262,17 @@ def test_jac_mul_and_division_match_the_definition(tag):
     for m in (1, 2):
         with pytest.raises(DecompositionError):
             jacobi._divide_by_weak_m2(_random_form(rng, ring, m, 5), w_m2)
+        bump = JacobiFormSeries.zero(ring, 0, m, 5)
+        bump.coeffs[bump.idx.start[5]] = ring.one           # c(5, 0): the last row only
+        with pytest.raises(DecompositionError):
+            jacobi._divide_by_weak_m2(jac_mul(w_m2, _random_form(rng, ring, m - 1, 5)) + bump,
+                                      w_m2)
+    w_m2 = weak_generators(20, ring)[0]
+    a, b = _random_form(rng, ring, 2, 20), _random_form(rng, ring, 1, 20)
+    if tag in ("fp:7", "int"):
+        assert jac_mul(a, b).coeffs.tolist() == jac_mul_loop(a, b)
+    for f in (a, b):
+        assert jacobi._divide_by_weak_m2(jac_mul(w_m2, f), w_m2) == f
 
 
 def test_qseries_times_jacobi():
