@@ -18,17 +18,14 @@ from importlib import resources
 
 import numpy as np
 
+from . import cache, siegel      # lazy modules: read their names at call time
 from . import expr as exprmod
-from .cache import DiskCache
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
 from .jacobi import (criterion_weight, heat_cycle, heat_cycle_required_prec, jacobi_cusp,
                      jacobi_eisenstein, jac_mul, qseries_times_jacobi)
 from .qexp import convolve_trunc, level1_series
 from .ring import FpRing, is_prime, ring_from_tag
-from .siegel import (GeneratorContext, congruence_required_prec, congruence_scan,
-                     search_congruences, siegel_congruence, sieve as siegel_sieve,
-                     sturm_zero)
 
 TABLE_MISMATCH = 4
 
@@ -130,12 +127,12 @@ def build_parser():
 
 
 def _cache(args):
-    return None if args.no_cache else DiskCache(args.cache_dir or None)
+    return None if args.no_cache else cache.DiskCache(args.cache_dir or None)
 
 
 def _context(args, prec, ring, bound=None):
     """The generator context over ring at box prec (or --prec) for a trace bound."""
-    return GeneratorContext(ring, args.prec or prec, _cache(args), bound)
+    return siegel.GeneratorContext(ring, args.prec or prec, _cache(args), bound)
 
 
 def _eval_mod_p(args, text, p, b=0):
@@ -152,7 +149,7 @@ def _eval_mod_p(args, text, p, b=0):
         raise InvalidArgumentError(f"ring {ring.tag} does not match p = {p}")
     bound = criterion_weight(e.weight, p, b) // 3
     form = exprmod.evaluate(e, _context(args, bound // 2, ring, bound)).reduce_mod(p)
-    if sturm_zero(form, e.weight).is_zero:
+    if siegel.sturm_zero(form, e.weight).is_zero:
         raise InvalidArgumentError(f"{e.text} is zero mod {p} on the Sturm bound of weight "
                                    f"{e.weight}; the congruence criteria assume F != 0 mod p")
     return e, form
@@ -174,7 +171,7 @@ def _emit(args, doc, csv_rows=None, csv_header=None):
 def cmd_gens(args):
     ctx = _context(args, 4, ring_from_tag(args.ring or "int"))
     doc = {}
-    for name in ("E4", "E6", "chi10", "chi12"):
+    for name in exprmod.GENERATOR_WEIGHTS:
         form = ctx.generator(name)
         doc[name] = {"weight": form.weight, "prec": form.prec,
                      "nonzero": int(np.count_nonzero(form.coeffs)), "ring": form.ring.tag}
@@ -186,7 +183,7 @@ def cmd_check(args):
     p = args.p
     _check_prime(p)
     e, form = _eval_mod_p(args, args.expr, p, b=args.b)
-    cert = siegel_congruence(form, p, args.b, label=e.text)
+    cert = siegel.siegel_congruence(form, p, args.b, label=e.text)
     _emit(args, cert.to_json())
     return 0
 
@@ -195,8 +192,7 @@ def cmd_scan(args):
     p = args.p
     _check_prime(p)
     e, form = _eval_mod_p(args, args.expr, p, b=1 if args.skip_zero else 0)
-    certs = congruence_scan(form, p, label=e.text,
-                            include_zero=not args.skip_zero)
+    certs = siegel.congruence_scan(form, p, label=e.text, include_zero=not args.skip_zero)
     doc = {str(b): c.to_json() for b, c in sorted(certs.items())}
     rows = [(b, c.verdict, "" if not c.witness else " ".join(map(str, c.witness)))
             for b, c in sorted(certs.items())]
@@ -219,7 +215,7 @@ def cmd_table(args):
             if args.max_prime is not None and p > args.max_prime:
                 continue
             _, form = _eval_mod_p(args, text, p, b=1)
-            certs = congruence_scan(form, p, label=text, include_zero=False)
+            certs = siegel.congruence_scan(form, p, label=text, include_zero=False)
             holds = sorted(b for b, c in certs.items() if c.holds)
             want = expected[(text, p)]
             status = "MATCH" if holds == want else "MISMATCH"
@@ -238,14 +234,14 @@ def cmd_sieve(args):
     e = exprmod.parse(args.expr)
     k_after = criterion_weight(e.weight, p, 0)
     ring = ring_from_tag(args.ring or f"fp:{p}")
-    ctx = _context(args, congruence_required_prec(e.weight, p, 0), ring)
-    part = siegel_sieve(exprmod.evaluate(e, ctx), p, s)
+    ctx = _context(args, siegel.congruence_required_prec(e.weight, p, 0), ring)
+    part = siegel.sieve(exprmod.evaluate(e, ctx), p, s)
     if args.verify_against:
         target = exprmod.parse(args.verify_against)
         if target.weight != k_after:
             raise InvalidArgumentError(f"verification target has weight {target.weight}, "
                                        f"the sieve lives in weight {k_after}")
-        rep = sturm_zero((part - exprmod.evaluate(target, ctx)).reduce_mod(p), k_after)
+        rep = siegel.sturm_zero((part - exprmod.evaluate(target, ctx)).reduce_mod(p), k_after)
         _emit(args, {"form": e.text, "p": p, "s": s, "verify_against": target.text,
                      "weight": k_after, "bound": rep.bound, "match": rep.is_zero})
         return 0
@@ -319,8 +315,8 @@ def cmd_heat_cycle(args):
 
 def cmd_search(args):
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    found = search_congruences(args.max_weight, args.max_prime, cache=_cache(args),
-                               progress=progress)
+    found = siegel.search_congruences(args.max_weight, args.max_prime, cache=_cache(args),
+                                      progress=progress)
     hits = [c for c in found if c.get("status") == "congruence"]
     doc = {"max_weight": args.max_weight, "max_prime": args.max_prime,
            "congruences": hits, "cells": found}

@@ -22,9 +22,9 @@ import re
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .siegel import _GENERATOR_WEIGHTS
 
-ATOM_WEIGHTS = dict(_GENERATOR_WEIGHTS)
+# the generators of the expression language and their weights, in exponent order
+GENERATOR_WEIGHTS = {"E4": 4, "E6": 6, "chi10": 10, "chi12": 12}
 _ONE = (0, 0, 0, 0)
 
 
@@ -162,10 +162,10 @@ class _Parser:
     def parse_atom(self):
         kind, val, pos = self.next()
         if kind == "ident":
-            if val not in ATOM_WEIGHTS:
+            if val not in GENERATOR_WEIGHTS:
                 raise ParseError(f"unknown generator {val!r}", pos)
-            e = tuple(int(name == val) for name in ATOM_WEIGHTS)
-            return {e: 1}, ATOM_WEIGHTS[val], val, 4
+            e = tuple(int(name == val) for name in GENERATOR_WEIGHTS)
+            return {e: 1}, GENERATOR_WEIGHTS[val], val, 4
         if kind == "num":
             return ({_ONE: val} if val else {}), 0, str(val), 4
         if kind == "op" and val == "(":

@@ -444,11 +444,12 @@ def _divide_by_weak_m2(psi, w_m2):
     The packed w_m2 starts with the zeta^-1 entry 1 of its row
     zeta - 2 + zeta^-1, at B_w - 1; psi's row q^0 spans |r| <= mu, so its
     first B_w - 1 entries are zero as well.  Without them, the quotient is
-    one invert_series and one convolve_trunc to L = (N + 1) S - B_w + 1
-    terms, which cover the packed u.  The check is an exact divisibility
-    test: psi is w_m2 times a form of index mu - 1 to q^N iff the quotient
-    is the packing of its own half support, which tests support, symmetry
-    and residual, the last row included.
+    one convolve_trunc with the inverse of w_m2 to L = (N + 1) S - B_w + 1
+    terms, which cover the packed u; the bounds of any N' >= N serve, with a
+    prefix of the inverse to q^N' (_weak_m2_inverse).  The check is an exact
+    divisibility test: psi is w_m2 times a form of index mu - 1 to q^N iff
+    the quotient is the packing of its own half support, which tests
+    support, symmetry and residual, the last row included.
     """
     ring = psi.ring
     mu = psi.index
@@ -456,16 +457,32 @@ def _divide_by_weak_m2(psi, w_m2):
         raise DecompositionError("cannot divide an index-0 form by the weak generator")
     prec = min(psi.prec, w_m2.prec)
     weight = None if psi.weight is None else psi.weight + 2
-    bw, bu = rbound(1, prec), rbound(mu - 1, prec)
-    stride = 2 * (bw + bu) + 1
-    unit = _pack(w_m2, prec, bw, stride)[bw - 1:]
-    quot = convolve_trunc(ring, _pack(psi, prec, bw + bu, stride)[bw - 1:],
-                          invert_series(ring, unit, len(unit)), len(unit))
+    bw, bu, stride, inv = _weak_m2_inverse(w_m2, mu, prec)
+    n = (prec + 1) * stride - bw + 1
+    quot = convolve_trunc(ring, _pack(psi, prec, bw + bu, stride)[bw - 1:], inv[:n], n)
     idx = jacobi_index(mu - 1, prec)
     u = JacobiFormSeries(ring, weight, mu - 1, prec, quot[idx.n * stride + bu + idx.r])
-    if not np.array_equal(quot, _pack(u, prec, bu, stride)[:len(quot)]):
+    if not np.array_equal(quot, _pack(u, prec, bu, stride)[:n]):
         raise DecompositionError("division by the weak generator left a residual")
     return u
+
+
+_inverse_memo = BoundedMemo(MEMO_BYTES, lambda hit: array_bytes([hit[-1]]))
+
+
+def _weak_m2_inverse(w_m2, mu, prec):
+    """(B_w, B_u, S, read-only inverse) of _divide_by_weak_m2 at index mu and
+    some N' >= prec, memoized per (ring, mu) at the largest N' built: w_m2 is
+    always phi_{-2,1}, so the key need not name it."""
+    key = (w_m2.ring.tag, mu)
+    hit = _inverse_memo.get(key)
+    if hit is None or hit[0] < prec:
+        bw, bu = rbound(1, prec), rbound(mu - 1, prec)
+        stride = 2 * (bw + bu) + 1
+        unit = _pack(w_m2, prec, bw, stride)[bw - 1:]
+        inv = _read_only(invert_series(w_m2.ring, unit, len(unit)))
+        hit = _inverse_memo[key] = (prec, bw, bu, stride, inv)
+    return hit[1:]
 
 
 def weak_decompose(phi):
@@ -794,8 +811,12 @@ def heat_cycle(phi):
         return rep
     oms = []
     cur = phi
-    # the weak monomials at phi's precision: each truncated iterate reads a prefix
-    _weak_monomial(weak_generators(phi.prec, phi.ring), 0, m, phi.prec)
+    # the weak monomials and division inverses of the last iterate; each iterate reads a prefix
+    top = min(phi.prec, zero_test_required_prec(k + (p - 1) * (p + 1), m))
+    gens = weak_generators(top, phi.ring)
+    _weak_monomial(gens, 0, m, top)
+    for mu in range(1, m + 1):
+        _weak_m2_inverse(gens[0], mu, top)
     for i in range(1, p):
         cur = heat(cur)
         it = cur.truncate(min(cur.prec, zero_test_required_prec(cur.weight, m)))

@@ -26,6 +26,7 @@ integer lifts modulo a few primes joined by CRT.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ import numpy as np
 
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      PrecisionError, RingMismatchError)
+from .expr import GENERATOR_WEIGHTS
 from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis
@@ -305,9 +307,6 @@ def maass_lift(ring, k, cols, prec):
     return SiegelFormSeries(ring, k, prec, ring.canonical(out))
 
 
-_GENERATOR_WEIGHTS = {"E4": 4, "E6": 6, "chi10": 10, "chi12": 12}
-
-
 def igusa_generator(name, prec, ring):
     """One of the four even-weight generators E4, E6, chi10 and chi12 as a
     truncated expansion on the box.
@@ -319,7 +318,7 @@ def igusa_generator(name, prec, ring):
     Every coefficient is an integer (the columns, the lifts and the scales
     240 and -504), so over Q it is built over Z and cast once.
     """
-    k = _GENERATOR_WEIGHTS.get(name)
+    k = GENERATOR_WEIGHTS.get(name)
     if k is None:
         raise InvalidArgumentError(f"unknown generator {name!r}")
     if isinstance(ring, RatRing):
@@ -334,7 +333,7 @@ def igusa_generator(name, prec, ring):
 
 def igusa_generators(prec, ring):
     """The four generators by name (igusa_generator)."""
-    return {name: igusa_generator(name, prec, ring) for name in _GENERATOR_WEIGHTS}
+    return {name: igusa_generator(name, prec, ring) for name in GENERATOR_WEIGHTS}
 
 
 def fourier_jacobi(F, m):
@@ -639,7 +638,7 @@ class GeneratorContext:
         weight (every monomial must have it)."""
         out = SiegelFormSeries.zero(self.ring, weight, self.prec)
         for e, coef in poly.items():
-            if 4 * e[0] + 6 * e[1] + 10 * e[2] + 12 * e[3] != weight:
+            if sum(x * w for x, w in zip(e, GENERATOR_WEIGHTS.values())) != weight:
                 raise InvalidArgumentError(f"monomial {e} does not have weight {weight}")
             out = out + self.monomial(*e).scale(coef)
         return out
@@ -653,7 +652,7 @@ class GeneratorContext:
         if key == (0, 0, 0, 0):
             out = SiegelFormSeries.constant(self.ring, 0, self.prec, 1)
         else:
-            for i, name in enumerate(_GENERATOR_WEIGHTS):
+            for i, name in enumerate(GENERATOR_WEIGHTS):
                 if key[i] > 0:
                     rest = key[:i] + (key[i] - 1,) + key[i + 1:]
                     out = self.generator(name)
@@ -666,15 +665,11 @@ class GeneratorContext:
 
 
 def weight_monomials(k):
-    """Exponent tuples (a, b, c, d) with 4a + 6b + 10c + 12d = k."""
-    out = []
-    for d in range(k // 12 + 1):
-        for c in range((k - 12 * d) // 10 + 1):
-            rem = k - 12 * d - 10 * c
-            for b in range(rem // 6 + 1):
-                if (rem - 6 * b) % 4 == 0:
-                    out.append(((rem - 6 * b) // 4, b, c, d))
-    return out
+    """Exponent tuples (a, b, c, d) with 4a + 6b + 10c + 12d = k, by (d, c, b)."""
+    weights = GENERATOR_WEIGHTS.values()
+    box = itertools.product(*(range(k // w + 1) for w in weights))
+    return sorted((e for e in box if sum(x * w for x, w in zip(e, weights)) == k),
+                  key=lambda e: e[::-1])
 
 
 def _class_matrix(forms, wmax, mask=None):
@@ -684,15 +679,9 @@ def _class_matrix(forms, wmax, mask=None):
 
 
 def monomial_text(e, coef=None):
-    parts = []
-    if coef is not None and coef != 1:
-        parts.append(str(coef))
-    for name, expo in zip(("E4", "E6", "chi10", "chi12"), e):
-        if expo == 1:
-            parts.append(name)
-        elif expo > 1:
-            parts.append(f"{name}^{expo}")
-    return "*".join(parts) if parts else "1"
+    parts = [] if coef is None or coef == 1 else [str(coef)]
+    parts += [name if x == 1 else f"{name}^{x}" for name, x in zip(GENERATOR_WEIGHTS, e) if x]
+    return "*".join(parts) or "1"
 
 
 def search_congruences(max_weight, max_prime, cache=None, progress=None):

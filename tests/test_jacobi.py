@@ -702,6 +702,50 @@ def test_heat_cycle_decomposes_each_iterate_once(monkeypatch):
     assert weak_decompose(it.truncate(it.prec - 1))[0].tolist() == fs[0][:-1].tolist()
 
 
+def _divide_with_a_fresh_inverse(psi, w_m2):
+    """The coefficients of psi / w_m2 packed at psi's own bounds and stride,
+    with the packed w_m2 inverted at that stride."""
+    ring, prec = psi.ring, min(psi.prec, w_m2.prec)
+    bw, bu = jacobi.rbound(1, prec), jacobi.rbound(psi.index - 1, prec)
+    stride = 2 * (bw + bu) + 1
+    unit = jacobi._pack(w_m2, prec, bw, stride)[bw - 1:]
+    quot = qexp.convolve_trunc(ring, jacobi._pack(psi, prec, bw + bu, stride)[bw - 1:],
+                               qexp.invert_series(ring, unit, len(unit)), len(unit))
+    idx = jacobi.jacobi_index(psi.index - 1, prec)
+    return quot[idx.n * stride + bu + idx.r]
+
+
+@pytest.mark.parametrize("k,m,p,form", GOLDEN_CYCLES + [
+    (14, 2, 43, "E4_1*phi10_1"), (22, 3, 13, "E4_1*E6_1*phi12_1"), (14, 2, 5, "E4_1*phi10_1")])
+def test_heat_cycle_shares_one_inverse_per_index(monkeypatch, k, m, p, form):
+    """Every heat iterate of the golden heat-cycle forms, of phi_{12,1} at
+    p = 5 and 17, and of an index-2 form at p = 5: each division by
+    phi_{-2,1} reads a prefix of one inverse per index, built at the cycle's
+    largest precision, and gives the quotient of a fresh inverse at the
+    iterate's own precision and stride.  The inverses are read-only and
+    held in a BoundedMemo under MEMO_BYTES."""
+    from siegelcong.cli import build_named_jacobi
+    assert isinstance(jacobi._inverse_memo, BoundedMemo)
+    assert jacobi._inverse_memo.limit == qexp.MEMO_BYTES
+    memo = BoundedMemo(qexp.MEMO_BYTES, jacobi._inverse_memo.size)
+    monkeypatch.setattr(jacobi, "_inverse_memo", memo)
+    ring = ring_from_tag(f"fp:{p}")
+    phi = build_named_jacobi(form, heat_cycle_required_prec(k, m, p), ring)
+    divisions, inverses = [], []
+    divide, invert = jacobi._divide_by_weak_m2, jacobi.invert_series
+    monkeypatch.setattr(jacobi, "_divide_by_weak_m2",
+                        lambda psi, w: divisions.append((psi, w, divide(psi, w))) or divisions[-1][2])
+    monkeypatch.setattr(jacobi, "invert_series", lambda *a: inverses.append(a) or invert(*a))
+    assert heat_cycle(phi).status == "ok"
+    assert len(inverses) == m and len(divisions) == m * (p - 1)
+    assert len({psi.prec for psi, _, _ in divisions}) > 1
+    for psi, w, u in divisions:
+        assert u.coeffs.tolist() == _divide_with_a_fresh_inverse(psi, w).tolist()
+    assert sorted(memo) == [(ring.tag, mu) for mu in range(1, m + 1)]
+    assert memo.nbytes <= memo.limit
+    assert all(not memo.get(key)[-1].flags.writeable for key in list(memo))
+
+
 @pytest.mark.parametrize("k,m,p,form,short,weight,need", [
     (12, 1, 17, "phi12_1", 1, 300, 27), (12, 1, 17, "phi12_1", 6, 246, 22),
     (12, 1, 17, "phi12_1", 20, 84, 9), (14, 2, 11, "E4_1*phi10_1", 1, 134, 14),
