@@ -49,8 +49,8 @@ from .errors import (ArithmeticDomainError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError)
 from .linalg import FpMatrix, rref
 from .qexp import (MEMO_BYTES, NEG_INF, BoundedMemo, _read_only, array_bytes,
-                   convolve_trunc, eta_pow6, integral_memo, invert_series, level1_series,
-                   mk_basis, mk_dim, mod_p_filtration)
+                   convolve_trunc, coordinate_matrices, eta_pow6, integral_memo, invert_series,
+                   level1_series, mk_basis, mk_dim, mod_p_filtration)
 from .ring import FpRing, IntRing, RatRing, exact_product, int64_qmax, legendre, ring_from_tag
 
 
@@ -811,12 +811,14 @@ def heat_cycle(phi):
         return rep
     oms = []
     cur = phi
-    # the weak monomials and division inverses of the last iterate; each iterate reads a prefix
+    # the weak monomials, division inverses and level-1 coordinate matrices of
+    # the last iterate (top component weight k + (p - 1)(p + 1) + 2m); each iterate reads a prefix
     top = min(phi.prec, zero_test_required_prec(k + (p - 1) * (p + 1), m))
     gens = weak_generators(top, phi.ring)
     _weak_monomial(gens, 0, m, top)
     for mu in range(1, m + 1):
         _weak_m2_inverse(gens[0], mu, top)
+    coordinate_matrices(phi.ring, min(phi.prec, (k + (p - 1) * (p + 1) + 2 * m) // 12) + 1)
     for i in range(1, p):
         cur = heat(cur)
         it = cur.truncate(min(cur.prec, zero_test_required_prec(cur.weight, m)))

@@ -423,8 +423,7 @@ def isobaric(f, k, ring):
     if len(f) < rows:
         raise PrecisionError(f"the filtration at weight {k} needs precision {rows - 1}",
                              required=rows - 1, available=len(f) - 1)
-    inv4, inv6, inv4_cubes, upow, uinv, expand = _grown(
-        _coordinate_memo, ring.tag, rows, lambda n: _coordinates(ring, n))
+    inv4, inv6, inv4_cubes, upow, uinv, expand = coordinate_matrices(ring, rows)
     h = convolve_trunc(ring, f, inv4_cubes[s], rows)
     for g in [inv4] * a0 + [inv6] * b0:
         h = convolve_trunc(ring, h, g, rows)
@@ -488,6 +487,11 @@ def _grown(memo, key, n, build):
 # about what one of 4 does, and 32 rows reach weight 383, past the p = 17
 # heat cycle of phi_{12,1} (weight 300)
 _MIN_GROWN = 32
+
+
+def coordinate_matrices(ring, rows):
+    """_coordinates to at least `rows` terms, kept in _coordinate_memo."""
+    return _grown(_coordinate_memo, ring.tag, rows, lambda n: _coordinates(ring, n))
 
 
 def _coordinates(ring, n):

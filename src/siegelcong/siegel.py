@@ -352,9 +352,8 @@ def fourier_jacobi(F, m):
 
 # -- products -------------------------------------------------------------------------
 
-# Bytes of the summed spectra of one inverse batch of _mul_fft, which the
-# inverse transforms about triple: larger caps raised the peak RSS of box-30
-# commands by up to 1.7 MB, and no cap that of a box-88 check by 27 MB.
+# Bytes of spectra in one chunk of slices of _mul_fft, forward or inverse; a
+# chunk's transforms hold about three times that while they run.
 _BATCH_BYTES = 1 << 18
 
 
@@ -371,13 +370,15 @@ def siegel_mul(F, G):
     an output with n <= K reads only keys with min(n, m) <= K.
 
     The one kernel is a float64 FFT product modulo an odd prime q
-    (_mul_fft), exact for q <= _qmax(N) = ring.fft_qmax(T),
-    T = (N+1)^2 (2N+1): T bounds the terms of an output coefficient
-    ((n+1)(m+1) pairs (n1, m1), each meeting in at most 2N+1 values of r1)
-    and the full support of one factor, which is what fft_qmax asks (with
-    Percival's error bound; measured at the bound with all-h factors, boxes
-    4 to 40, K = N, 2N/3 and N/3: at most 1.5e-4 from an integer).  q >= 5
-    keeps N below 5200 and the transform sizes below 2^29.
+    (_mul_fft: each factor transformed once to half spectra, real-even in
+    r and Hermitian in m, each output slice inverted once), exact for
+    q <= _qmax(N) = ring.fft_qmax(T), T = (N+1)^2 (2N+1): T bounds the
+    terms of an output coefficient ((n+1)(m+1) pairs (n1, m1), each meeting
+    in at most 2N+1 values of r1) and the full support of one factor, which
+    is what fft_qmax asks (with Percival's error bound; measured at the
+    bound with all-h factors, boxes 4 to 40, K = N, 2N/3 and N/3: at most
+    3.1e-4 from an integer).  q >= 5 keeps N below 5200 and the transform
+    sizes below 2^29.
 
     The ring decides only the moduli (ring.exact_product with T terms and
     q <= _qmax(N)): p itself over small F_p, else a few primes joined by CRT.
@@ -397,64 +398,57 @@ def _mul_fft(f, g, q, prec):
     """The product of the half vectors f and g, residues mod q at box prec,
     as residues in [0, q); exact when q <= _qmax(prec).  g may be f itself.
 
-    f, g and the product hold the slices n <= K.  A set of slices is packed
-    from the key arrays into an array of (N+1) x (2R+1) planes, R = isqrt(4KN),
-    A(n, r, m) at (m, R +- r) of plane n and at (n, R +- r) of plane m (four
-    scatters), and transformed by one rfftn at the least 5-smooth sizes
-    >= 2N+1 in m and >= 2R+1 in r: m1 + m2 <= 2N never wraps, and in rows
-    m <= N, |r1 + r2| <= 2 sqrt(n1 m1) + 2 sqrt(n2 m2) <= 2 sqrt(nm) <= R
-    (Cauchy-Schwarz), so the cyclic wrap in r misses every stored coefficient.
-    The n-convolution is a sum of spectrum products.  Two slices
-    n1, n2 >= K//2 + 1 never meet (n1 + n2 > K), so the sum runs in three
-    passes (low x low, low x high, high x low) that each hold the spectra of
-    half the slices of each factor; each pass sums a subset of the terms,
-    inside the exactness bound.  A pass inverts its output slices in batches
-    of at most _BATCH_BYTES of spectra: one ifft along m, one irfft along r
-    of the rows m >= the batch's first slice, and one gather of the batch's
-    keys.
+    f, g and the product hold the slices n <= K.  Plane n of a factor is
+    (N+1) x L_r with A(n, r, m) at (m, +-r mod L_r), the rows m < n read from
+    the stored keys (m, n) (four scatters per chunk of planes); L_m, L_r are
+    the least 5-smooth sizes >= 2N+1 and >= 2R+1, R = isqrt(4KN).
+    m1 + m2 <= 2N never wraps, and in rows m <= N, |r1 + r2| <=
+    2 sqrt(n1 m1) + 2 sqrt(n2 m2) <= 2 sqrt(nm) <= R (Cauchy-Schwarz), so the
+    cyclic wrap in r misses every stored coefficient.  A row is real and even
+    in r, so its rfft along r is real (.real drops only rounding), and the
+    rfft of that along m is Hermitian: a slice's spectrum is the
+    (L_m/2+1) x (L_r/2+1) half.  Each factor is transformed once, a square
+    once in all, into one array; output slice d is sum_i F_i G_(d-i), one
+    einsum, and each chunk of output slices is inverted once (irfft along m,
+    irfft along r of the rows m >= its first slice, one gather at
+    r mod L_r).  Chunks hold at most _BATCH_BYTES of spectra.  The two real
+    passes are the stages of a 2-D transform, so Percival's bound covers
+    each term with |f_i| |g_(d-i)| (2-norms), and sum_i |f_i| |g_(d-i)| <=
+    |f| |g| (Cauchy-Schwarz) keeps the whole sum inside the bound siegel_mul
+    quotes (measured: 3.1e-4 from an integer).
     """
     idx = box_index(prec)
     top = int(np.searchsorted(idx.nstart, len(f))) - 1           # K
-    rad = isqrt(4 * top * prec)                                  # R
-    shape = (fft_len(2 * prec + 1), fft_len(2 * rad + 1))
+    lm, lr = fft_len(2 * prec + 1), fft_len(2 * isqrt(4 * top * prec) + 1)
     n, m, r = idx.n[:len(f)], idx.m[:len(f)], idx.r[:len(f)]
-    out = np.zeros(len(f), dtype=np.int64)
+    step = max(1, _BATCH_BYTES // (16 * (lm // 2 + 1) * (lr // 2 + 1)))
+    chunks = [(b, min(b + step, top + 1)) for b in range(0, top + 1, step)]
 
-    def spectra(vals, lo, hi):
-        """The 2-D spectra of slices lo..hi-1 of the full support."""
-        planes = np.zeros((hi - lo, prec + 1, 2 * rad + 1))
-        own, mirror = slice(idx.nstart[lo], idx.nstart[hi]), np.flatnonzero((m >= lo) & (m < hi))
-        for plane, row, keys in ((n, m, own), (m, n, mirror)):
-            planes[plane[keys] - lo, row[keys], rad + r[keys]] = vals[keys]
-            planes[plane[keys] - lo, row[keys], rad - r[keys]] = vals[keys]
-        return np.fft.rfftn(planes, s=shape, axes=(1, 2))
+    def spectra(vals):
+        """The half spectra of slices 0..K of the full support."""
+        out = np.empty((top + 1, lm // 2 + 1, lr // 2 + 1), dtype=complex)
+        # keys by m: those with m <= K all lie in the prefix, since n <= m
+        by_m = np.argsort(m, kind="stable")
+        mstart = np.searchsorted(m[by_m], np.arange(top + 2))
+        for lo, hi in chunks:
+            planes = np.zeros((hi - lo, prec + 1, lr))
+            own, mirror = slice(idx.nstart[lo], idx.nstart[hi]), by_m[mstart[lo]:mstart[hi]]
+            for plane, row, keys in ((n, m, own), (m, n, mirror)):
+                planes[plane[keys] - lo, row[keys], r[keys]] = vals[keys]
+                planes[plane[keys] - lo, row[keys], -r[keys]] = vals[keys]
+            out[lo:hi] = np.fft.rfft(np.fft.rfft(planes, axis=2).real, n=lm, axis=1)
+        return out
 
-    def add(fs, f0, gs, g0):
-        """Add the products of f slices f0 + i and g slices g0 + j into out."""
-        step = max(1, _BATCH_BYTES // (16 * shape[0] * (shape[1] // 2 + 1)))
-        for b0 in range(f0 + g0, top + 1, step):
-            b1 = min(b0 + step, top + 1)
-            acc = np.zeros((b1 - b0,) + fs.shape[1:], dtype=complex)
-            for d in range(b0 - f0 - g0, b1 - f0 - g0):
-                lo, hi = max(0, d - len(gs) + 1), min(len(fs), d + 1)
-                if lo < hi:
-                    np.einsum("ijk,ijk->jk", fs[lo:hi], gs[d - hi + 1:d - lo + 1][::-1],
-                              out=acc[d + f0 + g0 - b0])
-            vals = np.fft.irfft(np.fft.ifft(acc, axis=1)[:, b0:prec + 1], n=shape[1], axis=2)
-            # the product's (m, r) in slice n sits at (n - b0, m - b0, (2R + r) mod shape[1])
-            keys = slice(idx.nstart[b0], idx.nstart[b1])
-            got = vals[n[keys] - b0, m[keys] - b0, (2 * rad + r[keys]) % shape[1]]
-            out[keys] = (out[keys] + np.rint(got).astype(np.int64)) % q
-
-    cf = centred(f, q).astype(float)
-    cg = cf if g is f else centred(g, q).astype(float)
-    half = top // 2 + 1
-    fl = spectra(cf, 0, half)
-    add(fl, 0, fl if g is f else spectra(cg, 0, half), 0)
-    if half <= top:
-        add(fl, 0, spectra(cg, half, top + 1), half)
-        del fl
-        add(spectra(cf, half, top + 1), half, spectra(cg, 0, half), 0)
+    fs = spectra(centred(f, q).astype(float))
+    gs = fs if g is f else spectra(centred(g, q).astype(float))
+    out, acc = np.empty(len(f), dtype=np.int64), np.empty((step,) + fs.shape[1:], dtype=complex)
+    for b0, b1 in chunks:
+        for d in range(b0, b1):
+            np.einsum("ijk,ijk->jk", fs[:d + 1], gs[d::-1], out=acc[d - b0])
+        vals = np.fft.irfft(np.fft.irfft(acc[:b1 - b0], n=lm, axis=1)[:, b0:prec + 1], n=lr, axis=2)
+        keys = slice(idx.nstart[b0], idx.nstart[b1])
+        out[keys] = np.rint(vals[n[keys] - b0, m[keys] - b0, r[keys]]).astype(np.int64) % q
+        del vals                        # before the next chunk's transforms
     return out
 
 

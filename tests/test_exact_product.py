@@ -220,17 +220,49 @@ def _siegel_loop(F, G, prec, cut):
 
 
 def test_siegel_batches_split_at_the_byte_cap(monkeypatch):
-    """At box 20 the module's cap splits the inverse of the first pass (21
-    output slices) into two or more batches, one ifft each, and the product
-    is still mul_loop's."""
+    """At box 20 every factor's 21 slices are transformed along m once (a
+    square's once in all) and each of the 21 output slices is inverted once,
+    both in two or more chunks of at most _BATCH_BYTES of spectra; the
+    product and the square are mul_loop's."""
     ring, prec = ring_from_tag("fp:13"), 20
-    F = SiegelFormSeries(ring, None, prec, _values(ring, (siegel.box_index(prec).size,), 8, False))
-    calls, ifft = [], np.fft.ifft
-    monkeypatch.setattr(np.fft, "ifft", lambda x, axis: calls.append(len(x)) or ifft(x, axis=axis))
-    got = siegel._mul_fft(F.coeffs, F.coeffs, ring.p, prec)
-    assert sum(calls) == 21 + 10 + 10                   # outputs n >= 0, >= 11, >= 11
-    assert len(calls) > 3 and max(calls) < 21
-    _same(got, mul_loop(F, F, prec), ring)
+    size = siegel.box_index(prec).size
+    F, G = (SiegelFormSeries(ring, None, prec, _values(ring, (size,), seed, False)) for seed in (8, 9))
+    forward, inverse, rfft, irfft = [], [], np.fft.rfft, np.fft.irfft
+
+    def spy(calls, fft, x, n=None, axis=-1):
+        y = fft(x, n=n, axis=axis)
+        if axis == 1:                   # along m, to or from the spectra of one chunk
+            calls.append((len(x), (y if fft is rfft else x).nbytes))
+        return y
+
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: spy(forward, rfft, *a, **k))
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: spy(inverse, irfft, *a, **k))
+    for A, B, builds in ((F, F, 1), (F, G, 2)):
+        forward.clear()
+        inverse.clear()
+        got = siegel._mul_fft(A.coeffs, B.coeffs, ring.p, prec)
+        assert sum(c for c, _ in forward) == 21 * builds and len(forward) >= 2 * builds
+        assert sum(c for c, _ in inverse) == 21 and len(inverse) >= 2
+        assert all(nbytes <= siegel._BATCH_BYTES for _, nbytes in forward + inverse)
+        _same(got, mul_loop(A, B, prec), ring)
+
+
+@pytest.mark.parametrize("prec", [4, 12, 24, 40])
+def test_siegel_fft_rounding_margin_at_the_bound(monkeypatch, prec):
+    """All-h and all-(-h) factors, h = (q - 1)/2, at the largest prime q <=
+    _qmax(N), whole boxes and prefixes K = 2N/3 and N/3, products and
+    squares: every float the kernel rounds is within 0.05 of an integer,
+    the margin ring.fft_qmax promises."""
+    q = _prime_at_most(siegel._qmax(prec))
+    h, worst, rint = (q - 1) // 2, [], np.rint
+    monkeypatch.setattr(np, "rint", lambda x: worst.append(np.max(np.abs(x - rint(x)))) or rint(x))
+    for nmax in (prec, 2 * prec // 3, prec // 3):
+        cut = siegel.box_index(prec).nstart[nmax + 1]
+        plus, minus = np.full(cut, h), np.full(cut, q - h)
+        for f, g in ((plus, plus), (minus, minus), (plus, plus.copy()), (plus, minus),
+                     (minus, minus.copy())):
+            siegel._mul_fft(f, g, q, prec)
+    assert worst and max(worst) < 0.05
 
 
 def test_small_prime_fields_pass_their_arrays_to_one_kernel_call():

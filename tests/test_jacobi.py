@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -683,6 +685,21 @@ def test_heat_cycle_builds_each_basis_once(monkeypatch):
     assert "_bases" not in built and len(built["_hasse"]) == 1
     sizes = [len(mats[0]) for mats in built["_coordinate_memo"]]
     assert all(2 * a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_heat_cycle_builds_the_coordinates_once(monkeypatch):
+    """phi_{12,1} at p = 23 runs to weight 540 (46 Sturm rows, past the 32
+    that a first build covers): from a cold memo the level-1 coordinate
+    matrices are built once, at the last iterate's rows, and the
+    filtrations are the golden file's."""
+    builds, build = [], qexp._coordinates
+    monkeypatch.setattr(qexp, "_coordinate_memo",
+                        BoundedMemo(qexp.MEMO_BYTES, qexp._coordinate_memo.size))
+    monkeypatch.setattr(qexp, "_coordinates", lambda ring, n: builds.append(n) or build(ring, n))
+    phi = jacobi_cusp(12, heat_cycle_required_prec(12, 1, 23), ring_from_tag("fp:23"))
+    golden = Path(__file__).parent / "data" / "golden" / "heat_cycle_w12_m1_p23.json"
+    assert heat_cycle(phi).filtrations == json.loads(golden.read_text())["filtrations"]
+    assert builds == [46]
 
 
 def test_heat_cycle_decomposes_each_iterate_once(monkeypatch):
