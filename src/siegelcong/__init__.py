@@ -14,11 +14,11 @@ import importlib.util
 import sys
 
 from .errors import (ArithmeticDomainError, CacheIOError, DecompositionError,
-                     InvalidArgumentError, NotInRingError, PrecisionError,
-                     RingMismatchError, SiegelCongError)
+                     InvalidArgumentError, PrecisionError, RingMismatchError,
+                     SiegelCongError)
 from .ring import (FpRing, IntRing, RatRing, is_prime, legendre, reduce_rational,
                    ring_from_tag)
-from .qexp import bernoulli, delta_q, eisenstein_q, eta_pow6, mk_basis, mk_dim
+from .qexp import bernoulli, eta_pow6, mk_basis, mk_dim
 from .jacobi import (HeatCycleReport, JacobiCongruence, JacobiFormSeries,
                      filtration, heat, heat_cycle, heat_cycle_required_prec,
                      holo_basis, jac_congruence, jac_direct_scan, jac_mul,

@@ -5,12 +5,24 @@ codes: 0 command completed (individual verdicts may be "fails"), 1 usage or
 parse error, 2 insufficient precision, 3 cache I/O error, 4 `table` found a
 row that differs from the shipped expected table (its report is still
 written to stdout).
+
+Exit path: `entry()`, behind `python -m siegelcong.cli` and the `siegelcong`
+console script, calls `gc.freeze()` once `main()` has returned and its output
+is written, then `sys.exit`.  Finalization's garbage collections then skip
+the objects that importing numpy and this package left tracked, and the
+module-graph cycles are left for the OS to reclaim, which saves the CPU of
+that sweep in every process.  `atexit` handlers and the stdio flush still
+run.  The contract: nothing after `main()` relies on a cyclic-GC finalizer,
+and every file a command opens is closed by `with` before `main()` returns
+(as `DiskCache.store` does).  `main()` itself never freezes, so library
+callers and tests see the usual collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -22,9 +34,9 @@ from . import cache, siegel      # lazy modules: read their names at call time
 from . import expr as exprmod
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
-from .jacobi import (criterion_weight, heat_cycle, heat_cycle_required_prec, jacobi_cusp,
-                     jacobi_eisenstein, jac_mul, qseries_times_jacobi)
-from .qexp import convolve_trunc, level1_series
+from .jacobi import (criterion_weight, heat_cycle, heat_cycle_bytes, heat_cycle_required_prec,
+                     jacobi_cusp, jacobi_eisenstein, jac_mul, qseries_times_jacobi)
+from .qexp import convolve_trunc, level1_series, require_memory
 from .ring import FpRing, is_prime, ring_from_tag
 
 TABLE_MISMATCH = 4
@@ -69,7 +81,7 @@ def build_parser():
                        help="override the auto-derived precision (at least 1)")
         p.add_argument("--out", choices=("json", "csv"), default="json")
         p.add_argument("--cache-dir", default=None,
-                       help=f"cache directory (default: $CONGRUENCE_CACHE_DIR or .cache)")
+                       help="cache directory (default: $CONGRUENCE_CACHE_DIR or .cache)")
         p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("gens", help="build (and cache) the generator expansions")
@@ -301,14 +313,17 @@ def build_named_jacobi(name, prec, ring):
 def cmd_heat_cycle(args):
     p = args.p
     _check_prime(p)
-    ring = ring_from_tag(f"fp:{p}")
-    prec = args.prec or heat_cycle_required_prec(args.weight, args.index, p)
-    form = build_named_jacobi(args.form, prec, ring)
-    if form.weight != args.weight or form.index != args.index:
-        raise InvalidArgumentError(
-            f"form {args.form!r} has weight {form.weight}, index {form.index}; "
-            f"flags said {args.weight}, {args.index}")
-    rep = heat_cycle(form)
+    kinds = [_JACOBI_ATOMS[atom] for atom in _form_factors(args.form)]
+    k, m = sum(w for _, w in kinds), sum(kind == "jac" for kind, _ in kinds)
+    if (k, m) != (args.weight, args.index):
+        raise InvalidArgumentError(f"form {args.form!r} has weight {k}, index {m}; "
+                                   f"flags said {args.weight}, {args.index}")
+    prec = args.prec or heat_cycle_required_prec(k, m, p)
+    form, coords = heat_cycle_bytes(k, m, p, prec)
+    require_memory(f"heat cycle to q^{prec}", form + coords,
+                   f" ({form / 2 ** 30:.3g} GiB per iterate, {coords / 2 ** 30:.3g} GiB of "
+                   f"level-1 coordinate matrices)")
+    rep = heat_cycle(build_named_jacobi(args.form, prec, ring_from_tag(f"fp:{p}")))
     _emit(args, dict(rep.to_json(), form=args.form))
     return 0
 
@@ -351,7 +366,11 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """Run main() on sys.argv and exit with its code, freezing the heap in
+    between so that finalization does not sweep it (module docstring)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -36,8 +36,9 @@ class DecompositionError(SiegelCongError):
     """Input is not in the weak span: division left a residual."""
 
 
-class NotInRingError(SiegelCongError):
-    """A coefficient vector is not expressible in the requested monomial span."""
+class InexactProductError(SiegelCongError, ArithmeticError):
+    """A float64 FFT product strayed from the integers: its modulus was past
+    the kernel's exactness bound."""
 
 
 class CacheIOError(SiegelCongError, OSError):

@@ -786,6 +786,29 @@ def heat_cycle_required_prec(k, m, p):
     return zero_test_required_prec(k + (p - 1) * (p + 1), m)
 
 
+def form_bytes(m, prec):
+    """At least the bytes of one int64 form of index m >= 0 to q^prec: its
+    sum_{n <= N} (isqrt(4nm + m^2) + 1) keys are at most
+    (N+1)(m+1) + (4/3) sqrt(m) (N+1)^(3/2), as sqrt(4nm + m^2) <= 2 sqrt(nm) + m
+    and sum_{n <= N} sqrt(n) <= (2/3)(N+1)^(3/2)."""
+    n = prec + 1
+    return 8 * (n * (m + 1) + isqrt(16 * m * n ** 3) // 3 + 1)
+
+
+def _coordinate_rows(k, m, p, prec):
+    """Rows of the level-1 coordinate matrices a heat cycle of weight k and
+    index m mod p builds for a form to q^prec: the Sturm rows of its top
+    component weight k + (p - 1)(p + 1) + 2m, capped at the form's."""
+    return min(prec, (k + (p - 1) * (p + 1) + 2 * m) // 12) + 1
+
+
+def heat_cycle_bytes(k, m, p, prec):
+    """At least the bytes a heat cycle of weight k and index m mod p holds for
+    a form to q^prec, as (one iterate, coordinates): form_bytes, and the four
+    n x n int64 matrices of qexp.coordinate_matrices that heat_cycle builds."""
+    return form_bytes(m, prec), 32 * _coordinate_rows(k, m, p, prec) ** 2
+
+
 def heat_cycle(phi):
     """Filtrations, high points, low points and fall sizes of the heat cycle
     (PAPER.md, "Filtration and heat cycle").
@@ -818,7 +841,7 @@ def heat_cycle(phi):
     _weak_monomial(gens, 0, m, top)
     for mu in range(1, m + 1):
         _weak_m2_inverse(gens[0], mu, top)
-    coordinate_matrices(phi.ring, min(phi.prec, (k + (p - 1) * (p + 1) + 2 * m) // 12) + 1)
+    coordinate_matrices(phi.ring, _coordinate_rows(k, m, p, phi.prec))
     for i in range(1, p):
         cur = heat(cur)
         it = cur.truncate(min(cur.prec, zero_test_required_prec(cur.weight, m)))

@@ -25,6 +25,7 @@ the power of E_{p-1}'s polynomial in E4 and E6 that divides the form's.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
 from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, int64_qmax,
-                   ring_from_tag)
+                   ring_from_tag, rint_residues)
 
 _INT = ring_from_tag("int")
 
@@ -69,12 +70,13 @@ def convolve_trunc(ring, a, b, n):
 
 def _convolve_fft(x, y, q, n):
     """x * y to n terms, residues mod q in [0, q), by one float64 rfft product
-    of the centred residues; exact for q <= fft_qmax(max(len(x), len(y))).
-    The transform length covers the whole product, so nothing wraps."""
+    of the centred residues; exact for q <= fft_qmax(max(len(x), len(y))),
+    refused past it as far as the floats show (ring.rint_residues).  The
+    transform length covers the whole product, so nothing wraps."""
     size = fft_len(len(x) + len(y) - 1)
     spec = np.fft.rfft(centred(x, q).astype(float), size)
     spec = spec * (spec if y is x else np.fft.rfft(centred(y, q).astype(float), size))
-    return np.rint(np.fft.irfft(spec, size)[:n]).astype(np.int64) % q
+    return rint_residues(np.fft.irfft(spec, size)[:n], q)
 
 
 def invert_series(ring, a, n):
@@ -132,25 +134,6 @@ def _eisenstein(k, prec, ring):
                          * ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
     out[0] = ring.one
     return out
-
-
-def eisenstein_q(k, prec, ring):
-    """Normalized Eisenstein series of even weight k >= 4.
-
-    E_k = 1 - (2k/B_k) * sum sigma_{k-1}(n) q^n; the scaling is integral for
-    k = 4 and 6 (240 and -504).
-    """
-    if k % 2 or k < 4:
-        raise InvalidArgumentError(f"Eisenstein weight must be even and >= 4, got {k}")
-    return _eisenstein(k, prec, ring)
-
-
-def delta_q(prec, ring):
-    """The discriminant cusp form Delta = (E4^3 - E6^2)/1728, leading q^1: a
-    read-only view of level1_series."""
-    if prec < 1:
-        raise InvalidArgumentError("Delta needs precision >= 1")
-    return level1_series(prec, ring)[3]
 
 
 def eta_pow6(prec, ring):
@@ -231,6 +214,15 @@ def array_bytes(arrays):
     """Bytes held by numpy arrays, counting an object entry as 64 bytes (its
     pointer and a small Python number), so bounds over Z and Q are rough."""
     return sum(a.size * 64 if a.dtype == object else a.nbytes for a in arrays)
+
+
+def require_memory(what, need, parts=""):
+    """Refuse (InvalidArgumentError) what, estimated at `need` bytes (parts
+    names the estimate's terms), when that exceeds the host's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise InvalidArgumentError(f"{what} needs about {need / 2 ** 30:.3g} GiB{parts}, more "
+                                   f"than the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def integral_memo(memo, build, prec, ring):

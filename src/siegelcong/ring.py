@@ -14,7 +14,8 @@ Every exact product of the package (series, Jacobi rows, Siegel boxes) is
 one `exact_product`: a kernel modulo p itself over F_p with p within the
 kernel's bound, else modulo a few word-size primes joined by CRT.  The
 kernels are int64 sums (bound `int64_qmax`) or float64 FFT products of
-centred residues (bound `fft_qmax`, transform lengths `fft_len`).
+centred residues (bound `fft_qmax`, transform lengths `fft_len`), rounded
+back by `rint_residues`, which refuses outputs that show a slip of the bound.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from math import isqrt, lcm, log2, prod
 
 import numpy as np
 
-from .errors import ArithmeticDomainError, InvalidArgumentError, RingMismatchError
+from .errors import (ArithmeticDomainError, InexactProductError, InvalidArgumentError,
+                     RingMismatchError)
 
 # Witness set sufficient for deterministic Miller-Rabin below 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -328,6 +330,24 @@ def centred(vec, q):
     """Residues mod an odd q from [0, q) to [-h, h], h = (q-1)/2: the lifts
     that the FFT bound fft_qmax counts."""
     return np.where(vec > q // 2, vec - q, vec)
+
+
+def rint_residues(vals, q):
+    """The float64 outputs of an FFT product as residues mod q in [0, q).
+
+    Refused (InexactProductError) when the floats show that q was past the
+    kernel's fft_qmax bound: an output lies 0.25 or more from an integer
+    (five times the margin fft_qmax promises), or exceeds the 2^40 that
+    bounds every exact output (past 2^52 every float is whole, so only the
+    size can show a slip there)."""
+    ints = np.rint(vals)
+    off = vals - ints
+    err, top = (max(-x.min(initial=0), x.max(initial=0)) for x in (off, ints))
+    if err >= 0.25 or top > _FFT_LIMIT:
+        raise InexactProductError(f"a float64 FFT product mod {q} has outputs up to {top:.3g}, "
+                                  f"up to {err:.3g} from an integer: {q} is past the "
+                                  f"kernel's exactness bound")
+    return ints.astype(np.int64) % q
 
 
 def fft_len(n):

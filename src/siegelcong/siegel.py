@@ -27,7 +27,6 @@ integer lifts modulo a few primes joined by CRT.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,9 +40,9 @@ from .expr import GENERATOR_WEIGHTS
 from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
                      index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis
-from .qexp import _read_only, bernoulli
+from .qexp import _read_only, bernoulli, require_memory
 from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, is_prime, legendre,
-                   ring_from_tag)
+                   ring_from_tag, rint_residues)
 
 
 @lru_cache(maxsize=32)
@@ -116,12 +115,9 @@ def require_box_memory(prec, ring=None):
     """Refuse (InvalidArgumentError, naming the estimate) a box whose
     box_bytes exceed the host's physical memory."""
     index, cols = box_bytes(prec, ring)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if index + cols > have:
-        raise InvalidArgumentError(
-            f"box {prec} needs about {(index + cols) / 2 ** 30:.3g} GiB ({index / 2 ** 30:.3g} "
-            f"GiB of index, {cols / 2 ** 30:.3g} GiB of q^{prec * prec} columns and "
-            f"generators), more than the {have / 2 ** 30:.3g} GiB of physical memory")
+    require_memory(f"box {prec}", index + cols,
+                   f" ({index / 2 ** 30:.3g} GiB of index, {cols / 2 ** 30:.3g} GiB of "
+                   f"q^{prec * prec} columns and generators)")
 
 
 def _per_det(det, fn, dtype):
@@ -415,7 +411,8 @@ def _mul_fft(f, g, q, prec):
     passes are the stages of a 2-D transform, so Percival's bound covers
     each term with |f_i| |g_(d-i)| (2-norms), and sum_i |f_i| |g_(d-i)| <=
     |f| |g| (Cauchy-Schwarz) keeps the whole sum inside the bound siegel_mul
-    quotes (measured: 3.1e-4 from an integer).
+    quotes (measured: 3.1e-4 from an integer); ring.rint_residues refuses
+    each chunk's outputs when they show a slip of it.
     """
     idx = box_index(prec)
     top = int(np.searchsorted(idx.nstart, len(f))) - 1           # K
@@ -447,7 +444,7 @@ def _mul_fft(f, g, q, prec):
             np.einsum("ijk,ijk->jk", fs[:d + 1], gs[d::-1], out=acc[d - b0])
         vals = np.fft.irfft(np.fft.irfft(acc[:b1 - b0], n=lm, axis=1)[:, b0:prec + 1], n=lr, axis=2)
         keys = slice(idx.nstart[b0], idx.nstart[b1])
-        out[keys] = np.rint(vals[n[keys] - b0, m[keys] - b0, r[keys]]).astype(np.int64) % q
+        out[keys] = rint_residues(vals[n[keys] - b0, m[keys] - b0, r[keys]], q)
         del vals                        # before the next chunk's transforms
     return out
 

@@ -18,8 +18,10 @@ import numpy as np
 
 from siegelcong.errors import ArithmeticDomainError
 from siegelcong.jacobi import JacobiFormSeries, qseries_times_jacobi, rbound
-from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q, eta_pow6, invert_series
+from siegelcong.qexp import convolve_trunc, eta_pow6, invert_series
 from siegelcong.ring import FpRing, IntRing, ring_from_tag
+
+from qexp_checks import delta_q, eisenstein_q
 
 
 def _theta_pair_columns(prec, sign, ring):

@@ -30,8 +30,10 @@ from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, _sturm_rows, jac_mul,
                                qseries_times_jacobi, rbound, weak_decompose, weak_generators,
                                zero_test_required_prec)
 from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
-from siegelcong.qexp import convolve_trunc, delta_q, eisenstein_q, mk_dim
+from siegelcong.qexp import convolve_trunc, mk_dim
 from siegelcong.ring import FpRing, exact_product, int64_qmax, ring_from_tag
+
+from qexp_checks import delta_q, eisenstein_q
 
 
 def weight_monomials(k):

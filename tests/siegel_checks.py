@@ -12,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from siegelcong.errors import InvalidArgumentError, NotInRingError
+from siegelcong.errors import InvalidArgumentError, SiegelCongError
 from siegelcong.jacobi import discriminant_series
 from siegelcong.linalg import FpMatrix, solve
 from siegelcong.ring import FpRing, reduce_rational
 from siegelcong.siegel import (SiegelFormSeries, _class_matrix, _per_det, _sturm_bound,
                                box_index, class_values, reduced_classes, sturm_zero,
                                weight_monomials)
+
+
+class NotInRingError(SiegelCongError):
+    """A coefficient vector is not expressible in the requested monomial span."""
 
 
 def support_dets(F):

@@ -1,9 +1,13 @@
+import gc
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from siegelcong import siegel
+from siegelcong import cli, siegel
 from siegelcong.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_cache")
@@ -277,6 +281,19 @@ def test_an_impossible_box_is_refused_with_its_estimate(capsys, monkeypatch):
     assert err.startswith("error: box 100000 needs about ") and "GiB of physical memory" in err
 
 
+def test_a_heat_cycle_that_cannot_fit_is_refused_up_front(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(cli, "build_named_jacobi", boom)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "heat-cycle", "--weight", "12", "--index", "1",
+                         "--p", "2097169", "--form", "phi12_1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: heat cycle to q^366509817883 needs about ")
+    assert "GiB of physical memory" in err
+
+
 def test_truncated_cache_file_exit_code(capsys, tmp_path):
     d = tmp_path / "c"
     argv = ("check", "chi12", "--p", "5", "--b", "1", "--cache-dir", str(d))
@@ -339,3 +356,37 @@ def test_certificate_products_cover_only_the_slices_the_bound_reads(capsys, monk
     made.clear()
     assert run(capsys, "sieve", "E4*chi12", "--p", "5", "--s", "+1", "--no-cache")[0] == 0
     assert made and all(n == siegel.box_index(prec).size for prec, n in made)
+
+
+def test_the_module_entry_keeps_exit_codes_stdout_and_the_cache(capsys, tmp_path):
+    """`python -m siegelcong.cli` (entry(), which freezes the heap after
+    main()) exits with main()'s code, writes the whole of its stdout, and
+    leaves a successful check's cache file complete, with no temporary."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    cases = [(0, ["check", "chi12", "--p", "13", "--b", "0", "--cache-dir", str(tmp_path / "c")]),
+             (1, ["check", "chi12", "--b", "0"]),
+             (2, ["check", "chi12", "--p", "5", "--b", "1", "--prec", "1"]),
+             (3, ["check", "chi12", "--p", "5", "--b", "1", "--cache-dir", str(blocker / "c")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for code, argv in cases:
+        done = subprocess.run([sys.executable, "-m", "siegelcong.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == code
+        if code:
+            assert done.stdout == "" and done.stderr
+        else:
+            assert done.stdout == run(capsys, *argv[:-2], "--no-cache")[1]
+    assert [f.name for f in (tmp_path / "c").iterdir()] == ["chi12__fp_13__N30.v3.npy"]
+
+
+def test_only_entry_freezes_the_heap(capsys, monkeypatch):
+    assert gc.get_freeze_count() == 0                 # after `import siegelcong.cli`
+    assert run(capsys, "check", "chi12", "--p", "5", "--b", "1")[0] == 0
+    assert gc.get_freeze_count() == 0
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 3 and calls == ["main", "freeze"]

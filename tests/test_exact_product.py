@@ -24,9 +24,10 @@ from hypothesis import given, settings, strategies as st
 from invert_loop_oracle import invert_loop
 from mul_loop_oracle import mul_loop
 from siegelcong import qexp, siegel
+from siegelcong.errors import InexactProductError
 from siegelcong.qexp import convolve_trunc, invert_series
 from siegelcong.ring import FpRing, exact_product, fft_qmax, int64_qmax, is_prime, ring_from_tag
-from siegelcong.siegel import SiegelFormSeries
+from siegelcong.siegel import SiegelFormSeries, siegel_mul
 
 TAGS = ["int", "rat", "fp:7", "fp:2097169", "past"]
 
@@ -299,3 +300,23 @@ def test_object_residue_fields_within_the_bound_take_one_kernel_call(monkeypatch
     monkeypatch.setattr(np, "convolve", spy)
     _same(convolve_trunc(ring, a, b, 15), want, ring)
     assert calls == [(np.int64, np.int64)]
+
+
+@pytest.mark.parametrize("slip", [2, 64, 1 << 20])
+def test_fft_kernels_refuse_a_modulus_past_their_bound(monkeypatch, slip):
+    """With siegel._qmax and the series FFT bound patched past their limit,
+    all-h factors at the largest prime <= slip times the true bound make
+    both float kernels raise InexactProductError instead of returning
+    residues.  At 64 times the bound the outputs stray from the integers; at
+    2 and 2^20 times only their size shows the slip (past 2^52 every float
+    is whole)."""
+    monkeypatch.setattr(siegel, "_qmax", lambda prec: 1 << 62)
+    monkeypatch.setattr(qexp, "fft_qmax", lambda terms: 1 << 62)
+    prec, n = 8, 300
+    for bound, size, product in (
+            (fft_qmax((prec + 1) ** 2 * (2 * prec + 1)), siegel.box_index(prec).size,
+             lambda ring, x: siegel_mul(*[SiegelFormSeries(ring, 10, prec, x)] * 2)),
+            (fft_qmax(n), n, lambda ring, x: convolve_trunc(ring, x, x, n))):
+        ring = ring_from_tag(f"fp:{_prime_at_most(slip * bound)}")
+        with pytest.raises(InexactProductError, match="past the kernel's exactness bound"):
+            product(ring, np.full(size, (ring.p - 1) // 2))

@@ -9,6 +9,7 @@ import pytest
 
 import allcolumn_oracle
 import filtration_oracle
+from qexp_checks import delta_q, eisenstein_q
 from jacobi_checks import (check_holomorphic_support, check_transformation_law, jac_mul_loop,
                            qseries_times_jacobi_loop, reconstruct_weak)
 import numpy as np
@@ -16,15 +17,15 @@ import numpy as np
 from siegelcong import jacobi, qexp
 from siegelcong.errors import (ArithmeticDomainError, DecompositionError,
                                InvalidArgumentError, PrecisionError, RingMismatchError)
-from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, heat,
-                               heat_cycle, heat_cycle_required_prec,
+from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, form_bytes, heat,
+                               heat_cycle, heat_cycle_bytes, heat_cycle_required_prec,
                                heat_iterate, holo_basis, jac_congruence,
                                jac_direct_scan, jac_mul, jac_zero_test,
                                jacobi_cusp, jacobi_eisenstein,
                                nonexistence_applies, qseries_times_jacobi,
                                weak_decompose, weak_generators,
                                zero_test_required_prec)
-from siegelcong.qexp import BoundedMemo, delta_q, eisenstein_q, mk_basis
+from siegelcong.qexp import BoundedMemo, mk_basis
 from siegelcong.linalg import FpMatrix, rref
 from siegelcong.ring import ring_from_tag
 
@@ -685,6 +686,21 @@ def test_heat_cycle_builds_each_basis_once(monkeypatch):
     assert "_bases" not in built and len(built["_hasse"]) == 1
     sizes = [len(mats[0]) for mats in built["_coordinate_memo"]]
     assert all(2 * a <= b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_heat_cycle_bytes_bound_an_iterate_and_the_coordinates():
+    """The estimates behind the heat-cycle refusal: form_bytes is at least
+    the bytes of an int64 form of index m to q^N and at most twice them, and
+    the coordinate term is at most what the matrices of the p = 23 cycle
+    (46 rows) hold."""
+    for m in range(6):
+        for prec in [*range(40), 200, 787, 3000]:
+            have = 8 * jacobi.jacobi_index(m, prec).size
+            assert have <= form_bytes(m, prec) <= 2 * have
+    prec = heat_cycle_required_prec(12, 1, 23)
+    assert heat_cycle_bytes(12, 1, 23, prec) == (form_bytes(1, prec), 32 * 46 ** 2)
+    held = sum(a.nbytes for a in qexp.coordinate_matrices(ring_from_tag("fp:23"), 46))
+    assert 32 * 46 ** 2 <= held
 
 
 def test_heat_cycle_builds_the_coordinates_once(monkeypatch):

@@ -18,11 +18,10 @@ import siegelcong
 # every name `siegelcong` exports, by defining module
 EXPORTS = {
     "errors": ["ArithmeticDomainError", "CacheIOError", "DecompositionError",
-               "InvalidArgumentError", "NotInRingError", "PrecisionError", "RingMismatchError",
-               "SiegelCongError"],
+               "InvalidArgumentError", "PrecisionError", "RingMismatchError", "SiegelCongError"],
     "ring": ["FpRing", "IntRing", "RatRing", "is_prime", "legendre", "reduce_rational",
              "ring_from_tag"],
-    "qexp": ["bernoulli", "delta_q", "eisenstein_q", "eta_pow6", "mk_basis", "mk_dim"],
+    "qexp": ["bernoulli", "eta_pow6", "mk_basis", "mk_dim"],
     "jacobi": ["HeatCycleReport", "JacobiCongruence", "JacobiFormSeries", "filtration", "heat",
                "heat_cycle", "heat_cycle_required_prec", "holo_basis", "index1_columns",
                "jac_congruence", "jac_direct_scan", "jac_mul", "jac_zero_test", "jacobi_cusp",

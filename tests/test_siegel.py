@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegelcong import ring as ringmod, siegel
-from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError,
-                               NotInRingError, PrecisionError,
+from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError, PrecisionError,
                                SiegelCongError)
 from siegelcong import jacobi, qexp
 from siegelcong.jacobi import heat, index1_columns, jacobi_cusp, jacobi_eisenstein
-from siegelcong.qexp import eisenstein_q
 from siegelcong.ring import FpRing, is_prime, legendre, ring_from_tag
 from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext,
                                SiegelFormSeries, box_bytes, congruence_scan,
@@ -22,9 +20,10 @@ from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext
                                maass_lift, siegel_congruence, siegel_mul, sieve, sturm_zero,
                                weight_monomials)
 from mul_loop_oracle import mul_loop
-from siegel_checks import (MatrixIndexT, check_unimodular_moves, decompose_mod_p, dyadic_trace,
-                           enumerate_reduced, maass_lift_loop, reduce_T, siegel_direct_scan,
-                           support_dets, theta_operator, verify_combination)
+from qexp_checks import eisenstein_q
+from siegel_checks import (MatrixIndexT, NotInRingError, check_unimodular_moves, decompose_mod_p,
+                           dyadic_trace, enumerate_reduced, maass_lift_loop, reduce_T,
+                           siegel_direct_scan, support_dets, theta_operator, verify_combination)
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
