@@ -1,13 +1,19 @@
 """Exact truncated expansions of Jacobi and degree-2 Siegel modular forms,
 with decision procedures for Ramanujan-type congruences mod p >= 5.
 
-Layering: the package loads the Jacobi layer and expr.  `siegel` and
-`cache` are lazy modules (importlib.util.LazyLoader) whose code runs on
-first attribute access, so a Jacobi-only command never runs them; callers
-read their names at call time (`siegel.sturm_zero(...)`).  Their module
-objects exist once `import siegelcong.cli` returns, because a tool that
-wraps functions by identity in the modules loaded then (perfbench/spans.py)
-must wrap the Siegel functions the CLI calls.
+Layering: the package loads errors, ring, qexp and expr.  `jacobi`,
+`siegel` and `cache` are lazy modules (importlib.util.LazyLoader) whose code
+runs on first attribute access.  The paper's two halves load disjoint
+layers: a heat cycle runs `jacobi` and never `siegel` or `cache`, and the
+Siegel commands (check, scan, table, sieve, search, gens) run `siegel` and
+`cache` and never `jacobi`, because what both halves read, the index-1
+columns and criterion_weight, lives in qexp.  So a process compiles and runs
+only the layer its command uses.  Callers read a lazy module's names at call
+time (`siegel.sturm_zero(...)`, `jacobi.heat_cycle(...)`), and the package's
+exports from them resolve on first use (__getattr__).  The module objects
+exist once `import siegelcong.cli` returns, because a tool that wraps
+functions by identity in the modules loaded then (perfbench/spans.py) must
+wrap the functions the CLI calls.
 """
 
 import importlib.util
@@ -18,13 +24,7 @@ from .errors import (ArithmeticDomainError, CacheIOError, DecompositionError,
                      SiegelCongError)
 from .ring import (FpRing, IntRing, RatRing, is_prime, legendre, reduce_rational,
                    ring_from_tag)
-from .qexp import bernoulli, eta_pow6, mk_basis, mk_dim
-from .jacobi import (HeatCycleReport, JacobiCongruence, JacobiFormSeries,
-                     filtration, heat, heat_cycle, heat_cycle_required_prec,
-                     holo_basis, jac_congruence, jac_direct_scan, jac_mul,
-                     index1_columns, jac_zero_test, jacobi_cusp, jacobi_eisenstein,
-                     nonexistence_applies, qseries_times_jacobi,
-                     weak_decompose, weak_generators)
+from .qexp import bernoulli, eta_pow6, index1_columns, mk_basis, mk_dim
 from .expr import Expr, evaluate, parse
 
 __version__ = "0.1.0"
@@ -38,13 +38,18 @@ def _lazy(name):
     return module
 
 
-siegel, cache = _lazy("siegel"), _lazy("cache")
-_SIEGEL_NAMES = set("""CongruenceCertificate GeneratorContext SiegelFormSeries congruence_scan
-    fourier_jacobi igusa_generator igusa_generators maass_lift search_congruences
-    siegel_congruence siegel_mul sieve sturm_zero weight_monomials""".split())
+jacobi, siegel, cache = _lazy("jacobi"), _lazy("siegel"), _lazy("cache")
+_LAZY_NAMES = {
+    **dict.fromkeys("""HeatCycleReport JacobiFormSeries filtration heat heat_cycle
+        heat_cycle_required_prec holo_basis jac_mul jac_zero_test jacobi_cusp
+        jacobi_eisenstein qseries_times_jacobi weak_decompose weak_generators""".split(), jacobi),
+    **dict.fromkeys("""CongruenceCertificate GeneratorContext SiegelFormSeries congruence_scan
+        igusa_generator igusa_generators maass_lift search_congruences siegel_congruence
+        siegel_mul sieve sturm_zero weight_monomials""".split(), siegel),
+}
 
 
 def __getattr__(name):
-    if name in _SIEGEL_NAMES:
-        return getattr(siegel, name)
+    if name in _LAZY_NAMES:
+        return getattr(_LAZY_NAMES[name], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

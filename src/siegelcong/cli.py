@@ -30,13 +30,11 @@ from importlib import resources
 
 import numpy as np
 
-from . import cache, siegel      # lazy modules: read their names at call time
+from . import cache, jacobi, siegel      # lazy modules: read their names at call time
 from . import expr as exprmod
 from .errors import (CacheIOError, InvalidArgumentError, PrecisionError,
                      SiegelCongError)
-from .jacobi import (criterion_weight, heat_cycle, heat_cycle_bytes, heat_cycle_required_prec,
-                     jacobi_cusp, jacobi_eisenstein, jac_mul, qseries_times_jacobi)
-from .qexp import convolve_trunc, level1_series, require_memory
+from .qexp import convolve_trunc, criterion_weight, level1_series, require_memory
 from .ring import FpRing, is_prime, ring_from_tag
 
 TABLE_MISMATCH = 4
@@ -267,10 +265,11 @@ _JACOBI_ATOMS = {"E4_1": ("jac", 4), "E6_1": ("jac", 6),
 
 
 def _form_factors(text):
-    """The atoms of a --form product, each repeated by its exponent.
+    """The (atom, exponent) pairs of a --form product, in order.
 
     Grammar: factor ('*' factor)*, factor := atom ('^' uint)?, over the
-    tokens of the expression language (expr.tokenize).
+    tokens of the expression language (expr.tokenize).  Exponents are not
+    expanded, so a weight check on their sums comes before any work.
     """
     toks = iter(exprmod.tokenize(text))
     out = []
@@ -285,7 +284,7 @@ def _form_factors(text):
             if kind != "num":
                 raise exprmod.ParseError("expected an unsigned exponent after '^'", pos)
             kind, tok, pos = next(toks)
-        out += [atom] * exp
+        out.append((atom, exp))
         if kind == "end":
             return out
         if tok != "*":
@@ -296,34 +295,37 @@ def build_named_jacobi(name, prec, ring):
     """Build the Jacobi form named by a --form product (see _form_factors)."""
     jac = ell = None
     ell_weight = 0
-    for atom in _form_factors(name):
+    for atom, exp in _form_factors(name):
         kind, k = _JACOBI_ATOMS[atom]
-        if kind == "jac":
-            built = (jacobi_eisenstein if k in (4, 6) else jacobi_cusp)(k, prec, ring)
-            jac = built if jac is None else jac_mul(jac, built)
-        else:
-            built = level1_series(prec, ring)[{4: 1, 6: 2, 12: 3}[k]]    # E4, E6, Delta
-            ell = built if ell is None else convolve_trunc(ring, ell, built, prec + 1)
-            ell_weight += k
+        for _ in range(exp):
+            if kind == "jac":
+                built = (jacobi.jacobi_eisenstein if k in (4, 6) else jacobi.jacobi_cusp)(
+                    k, prec, ring)
+                jac = built if jac is None else jacobi.jac_mul(jac, built)
+            else:
+                built = level1_series(prec, ring)[{4: 1, 6: 2, 12: 3}[k]]    # E4, E6, Delta
+                ell = built if ell is None else convolve_trunc(ring, ell, built, prec + 1)
+                ell_weight += k
     if jac is None:
         raise InvalidArgumentError("form must contain at least one index-1 factor")
-    return jac if ell is None else qseries_times_jacobi(ell, ell_weight, jac)
+    return jac if ell is None else jacobi.qseries_times_jacobi(ell, ell_weight, jac)
 
 
 def cmd_heat_cycle(args):
     p = args.p
     _check_prime(p)
-    kinds = [_JACOBI_ATOMS[atom] for atom in _form_factors(args.form)]
-    k, m = sum(w for _, w in kinds), sum(kind == "jac" for kind, _ in kinds)
+    factors = [(_JACOBI_ATOMS[atom], exp) for atom, exp in _form_factors(args.form)]
+    k = sum(w * exp for (_, w), exp in factors)
+    m = sum(exp for (kind, _), exp in factors if kind == "jac")
     if (k, m) != (args.weight, args.index):
         raise InvalidArgumentError(f"form {args.form!r} has weight {k}, index {m}; "
                                    f"flags said {args.weight}, {args.index}")
-    prec = args.prec or heat_cycle_required_prec(k, m, p)
-    form, coords = heat_cycle_bytes(k, m, p, prec)
+    prec = args.prec or jacobi.heat_cycle_required_prec(k, m, p)
+    form, coords = jacobi.heat_cycle_bytes(k, m, p, prec)
     require_memory(f"heat cycle to q^{prec}", form + coords,
                    f" ({form / 2 ** 30:.3g} GiB per iterate, {coords / 2 ** 30:.3g} GiB of "
                    f"level-1 coordinate matrices)")
-    rep = heat_cycle(build_named_jacobi(args.form, prec, ring_from_tag(f"fp:{p}")))
+    rep = jacobi.heat_cycle(build_named_jacobi(args.form, prec, ring_from_tag(f"fp:{p}")))
     _emit(args, dict(rep.to_json(), form=args.form))
     return 0
 

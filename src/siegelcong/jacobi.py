@@ -1,18 +1,19 @@
 """Jacobi forms of even weight as truncated two-variable (q, zeta) series.
 
-Covers the index-1 generators, products, the heat operator, mod-p
-filtrations and heat cycles, and the finite congruence criteria.
+Covers the index-1 generators, products, the heat operator, the finite
+zero test, mod-p filtrations and heat cycles.
 
 Index-1 generators: the coefficients of an index-1 form, weak or holomorphic,
 depend only on D = 4n - r^2 (Eichler-Zagier, The Theory of Jacobi Forms,
 Thm 2.2).  So phi_{-2,1}, phi_{0,1}, E_{4,1}, E_{6,1}, phi_{10,1} and
 phi_{12,1} are each computed as two q-series, their zeta^0 and zeta^1
-columns (index1_columns): phi_{-2,1} from the theta quotient
+columns (qexp.index1_columns): phi_{-2,1} from the theta quotient
 zeta theta^2 / eta^6, with a runtime guard that its zeta^2 and zeta^3
 columns agree with them, phi_{0,1} as the heat image of phi_{-2,1}, and the
-holomorphic four from those two (see _weak_columns).  A form's coefficient
-vector is gathered from its columns once; the Maass lift reads the columns
-directly (siegel.maass_lift).
+holomorphic four from those two (see qexp._weak_columns).  The columns live
+in qexp because the Siegel layer reads them too, without loading this
+module: the Maass lift reads them directly (siegel.maass_lift).  Here a
+form's coefficient vector is gathered from its columns once.
 
 Storage: c(n, -r) = c(n, r) for every even-weight form, so a form of index
 m and precision N stores only the half support 0 <= n <= N,
@@ -45,13 +46,12 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import (ArithmeticDomainError, DecompositionError,
-                     InvalidArgumentError, PrecisionError, RingMismatchError)
+from .errors import DecompositionError, InvalidArgumentError, PrecisionError, RingMismatchError
 from .linalg import FpMatrix, rref
-from .qexp import (MEMO_BYTES, NEG_INF, BoundedMemo, _read_only, array_bytes,
-                   convolve_trunc, coordinate_matrices, eta_pow6, integral_memo, invert_series,
-                   level1_series, mk_basis, mk_dim, mod_p_filtration)
-from .ring import FpRing, IntRing, RatRing, exact_product, int64_qmax, legendre, ring_from_tag
+from .qexp import (MEMO_BYTES, NEG_INF, BoundedMemo, _read_only, _weak_columns, array_bytes,
+                   convolve_trunc, coordinate_matrices, discriminant_series, index1_columns,
+                   invert_series, mk_basis, mk_dim, mod_p_filtration)
+from .ring import FpRing, IntRing, RatRing, exact_product, int64_qmax, ring_from_tag
 
 
 def rbound(index, n):
@@ -297,100 +297,7 @@ def heat(phi):
     return JacobiFormSeries(ring, w, phi.index, phi.prec, vec)
 
 
-def heat_iterate(phi, times):
-    for _ in range(times):
-        phi = heat(phi)
-    return phi
-
-
 # -- index-1 generators -------------------------------------------------------------
-
-def _theta_square_column(ring, c, n):
-    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} (-1)^j x^{j(j+1)/2} zeta^j)^2.
-
-    The terms j and c - j meet at zeta^c, so this is one sum over j with
-    O(sqrt n) terms.
-    """
-    reach = isqrt(2 * n) + 2
-    j = np.arange(-reach, reach + 1)
-    e = (j * (j + 1) + (c - j) * (c - j + 1)) // 2
-    return ring.from_integers(np.bincount(e[e < n], minlength=n) * (-1) ** (c % 2), 1)
-
-
-_weak_memo = BoundedMemo(MEMO_BYTES, lambda cols: array_bytes([cols]))
-
-
-def _weak_columns(prec, ring):
-    """The read-only 2 x 2 x (prec + 1) array: (h_0, h_1) of phi_{-2,1} and
-    (h_0, h_1) of phi_{0,1}, built once per ring (qexp.integral_memo).
-
-    phi_{-2,1} = zeta theta^2 / eta^6, theta = sum_j (-1)^j q^{j(j+1)/2}
-    zeta^j (the fractional q-powers cancel), so its zeta^c column is the
-    zeta^(c-1) column of theta^2 over eta^6.  Guard: the zeta^2 and zeta^3
-    columns are built the same way and must be h_0 and h_1 moved down one
-    and two rows with zeros above, since c(n, 2) = c(n - 1, 0) and
-    c(n, 3) = c(n - 2, 1); that also checks c = 0 at D < -1 there.
-
-    phi_{0,1} is the heat image -6 L phi_{-2,1} - 5 E_2 phi_{-2,1}, with L
-    the heat operator of `heat` and E_2 = 1 - 24 sum sigma_1(n) q^n: the
-    modified heat operator maps J^weak_{-2,1} into J^weak_{0,1}, which
-    phi_{0,1} spans (M_2 = 0; Eichler-Zagier, The Theory of Jacobi Forms,
-    Sec. 9), and the q^0 rows fix the constants.  Column by column,
-    h_r -> -6 (4n - r) h_r - 5 E_2 h_r.  Every coefficient is integral.
-    """
-    return integral_memo(_weak_memo, _build_weak_columns, prec, ring)
-
-
-def _build_weak_columns(prec, ring):
-    n = prec + 1
-    inv_eta6 = invert_series(ring, eta_pow6(prec, ring), n)
-    cols = [convolve_trunc(ring, _theta_square_column(ring, c - 1, n), inv_eta6, n)
-            for c in range(4)]
-    for k in (1, 2):
-        if not np.array_equal(cols[k + 1], np.append(ring.zeros(k), cols[k - 1])[:n]):
-            raise ArithmeticDomainError(
-                "zeta^2 and zeta^3 columns break the index-1 discriminant law")
-    e2 = level1_series(prec, ring)[0]
-    w0 = [ring.canonical(h * (-6 * (4 * np.arange(n) - r)).astype(ring.dtype)
-                         - convolve_trunc(ring, e2, h, n) * ring.from_int(5))
-          for r, h in enumerate(cols[:2])]
-    return np.array([cols[:2], w0], dtype=ring.dtype)
-
-
-def index1_columns(k, prec, ring):
-    """The zeta^0 and zeta^1 columns (h_0, h_1), each of length prec + 1, of
-    the index-1 generator of weight k: phi_{-2,1} (k = -2), phi_{0,1} (0),
-    E_{4,1} (4), E_{6,1} (6), phi_{10,1} (10) or phi_{12,1} (12).
-
-    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1})/12,
-    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1})/12, phi_{10,1} = Delta
-    phi_{-2,1} and phi_{12,1} = Delta phi_{0,1}, each taken column by
-    column.  The weak columns are read-only.  PAPER.md, "Index-1 generators
-    and the lift".
-    """
-    if k not in (-2, 0, 4, 6, 10, 12):
-        raise InvalidArgumentError(f"no index-1 generator of weight {k}")
-    wm2, w0 = _weak_columns(prec, ring)
-    n = prec + 1
-    if k in (-2, 0):
-        return wm2 if k == -2 else w0
-    _, e4, e6, delta = level1_series(prec, ring)
-    if k in (4, 6):
-        f, g = (e4, e6) if k == 4 else (e6, convolve_trunc(ring, e4, e4, n))
-        return tuple(ring.divexact_vector(ring.canonical(convolve_trunc(ring, f, h0, n)
-                                                         - convolve_trunc(ring, g, hm2, n)), 12)
-                     for h0, hm2 in zip(w0, wm2))
-    return tuple(convolve_trunc(ring, delta, h, n) for h in (wm2 if k == 10 else w0))
-
-
-def discriminant_series(cols, dmax):
-    """C[D + 1] for D = -1..dmax, where C[D] is the coefficient at
-    discriminant D = 4n - r^2 of the index-1 form with zeta^0 and zeta^1
-    columns cols: c(n, r) with r in {0, 1}, one gather.  Entries at
-    D = 1, 2 mod 4, which no key has, are junk."""
-    D = np.arange(-1, dmax + 1)
-    return np.asarray(cols)[(D % 4 == 3).astype(int), (D + 1) // 4]
-
 
 def _index1_form(ring, weight, cols):
     """The index-1 form with zeta^0 and zeta^1 columns cols: one gather by D."""
@@ -586,91 +493,6 @@ def _sturm_rows(w, prec_rows):
     """How many leading coefficients decide if a form of M_w is zero mod p:
     floor(w/12) + 1 (Sturm), or all prec_rows when M_w = 0."""
     return w // 12 + 1 if mk_dim(w) else prec_rows
-
-
-@dataclass
-class JacobiCongruence:
-    """Outcome of the heat-operator congruence criterion for one (p, b)."""
-    p: int
-    b: int
-    holds: bool
-    witness: tuple | None
-    criterion_weight: int
-    method: str
-
-    def to_json(self):
-        return {"p": self.p, "b": self.b,
-                "verdict": "holds" if self.holds else "fails",
-                "witness": list(self.witness) if self.witness else None,
-                "criterion_weight": self.criterion_weight, "method": self.method}
-
-
-def criterion_weight(k, p, b):
-    """Weight of the form whose vanishing mod p decides the congruence of a
-    weight-k form at b: k + (p+1)^2/2 for b != 0 mod p (heat and theta
-    criteria), k + p^2 - 1 for b = 0 (heat-cycle closure, sieve identity).
-    PAPER.md, "One criterion weight"."""
-    return k + (p + 1) * (p + 1) // 2 if b % p else k + p * p - 1
-
-
-def jac_congruence(phi, b):
-    """Decide the Ramanujan-type congruence of phi at b mod p.
-
-    For b not divisible by p this tests the (p+1)/2-fold heat iterate against
-    the Legendre-signed single iterate; for b == 0 it compares the (p-1)-fold
-    iterate with phi itself (PAPER.md, "Heat criterion").
-    """
-    if not isinstance(phi.ring, FpRing):
-        raise InvalidArgumentError("jac_congruence needs a prime-field form")
-    p = phi.ring.p
-    k, m = phi.weight, phi.index
-    b %= p
-    kz = criterion_weight(k, p, b)
-    method = "heat-criterion" if b else "heat-cycle-closure"
-    need = zero_test_required_prec(kz, m)
-    if phi.prec < need:
-        raise PrecisionError(f"congruence test needs precision {need}",
-                             required=need, available=phi.prec)
-    if b:
-        l1 = heat(phi)
-        lh = heat_iterate(l1, (p + 1) // 2 - 1)
-        combo = _combine(lh, l1, legendre(b, p), kz)
-    else:
-        lp = heat_iterate(phi, p - 1)
-        combo = _combine(lp, phi, p - 1, kz)  # lp - phi
-    holds = jac_zero_test(combo)
-    witness = None
-    if not holds:
-        _, witness = jac_direct_scan(phi, p, b)
-    return JacobiCongruence(p=p, b=b, holds=holds, witness=witness,
-                            criterion_weight=kz, method=method)
-
-
-def jac_direct_scan(phi, p, b):
-    """Necessary-condition scan of the stored window.
-
-    Returns (clean, witness): witness is the first stored (n, r), r >= 0, in
-    vector order with discriminant congruent to b and a nonvanishing
-    coefficient mod p.  The coefficients are reduced into F_p by
-    Ring.reduce_vector, which refuses p < 5 and a prime-field form of
-    another characteristic.
-    """
-    idx = phi.idx
-    keys = np.flatnonzero(idx.D % p == b % p)
-    vals = phi.ring.reduce_vector(phi.coeffs[keys], ring_from_tag(f"fp:{p}"))
-    hit = keys[np.flatnonzero(vals != 0)]
-    if not len(hit):
-        return True, None
-    return False, (int(idx.n[hit[0]]), int(idx.r[hit[0]]))
-
-
-def nonexistence_applies(k, m, p, b, phi):
-    """Hypotheses of the non-existence criterion: k >= 4, b != 0, p > k, p ∤ m,
-    and the heat image of phi is nonzero mod p.  When true, jac_congruence
-    must report a failure (PAPER.md, "Non-existence criterion")."""
-    if k < 4 or b % p == 0 or p <= k or m % p == 0:
-        return False
-    return not jac_zero_test(heat(phi))
 
 
 # -- holomorphic bases, filtrations, heat cycles --------------------------------------

@@ -1,13 +1,19 @@
 """Truncated q-expansions of level-1 elliptic modular forms.
 
-Provides the generators E4, E6, Delta and the eta-power series used by the
-Jacobi layer, echelonized monomial bases of the weight-k spaces, and
-`BoundedMemo`, the byte-bounded memo that this module and the Jacobi layer
-keep their results in.  E2, E4, E6 and Delta come from one memoized,
-read-only source, `level1_series`: one BoundedMemo entry per ring at the
-largest q-precision asked, served to smaller precisions as a prefix view,
-from which the index-1 columns, the weak columns, mk_basis and the CLI's
-elliptic factors all read.  sigma_e comes from a numpy divisor sieve, and
+Provides the generators E4, E6, Delta and the eta-power series, the
+zeta^0 and zeta^1 columns of the index-1 Jacobi generators, echelonized
+monomial bases of the weight-k spaces, and `BoundedMemo`, the byte-bounded
+memo that this module and the Jacobi layer keep their results in.  E2, E4,
+E6 and Delta come from one memoized, read-only source, `level1_series`: one
+BoundedMemo entry per ring at the largest q-precision asked, served to
+smaller precisions as a prefix view, from which the index-1 columns, the
+weak columns, mk_basis and the CLI's elliptic factors all read.
+
+The index-1 columns (index1_columns, _weak_columns) are q-series, and both
+halves read them: the Jacobi layer gathers its index-1 forms from them and
+the Siegel layer lifts them (siegel.maass_lift).  They live here, with
+criterion_weight, so the Siegel layer never loads the Jacobi layer (see the
+siegelcong docstring).  sigma_e comes from a numpy divisor sieve, and
 the exact divisions by 12 and 1728 are one vector operation each
 (`Ring.divexact_vector`).
 
@@ -257,6 +263,103 @@ def _level1_rows(prec, ring):
     e4_cubed = convolve_trunc(ring, convolve_trunc(ring, e4, e4, n), e4, n)
     delta = ring.divexact_vector(ring.canonical(e4_cubed - convolve_trunc(ring, e6, e6, n)), 1728)
     return np.stack([e2, e4, e6, delta])
+
+
+# -- index-1 columns --------------------------------------------------------------
+
+def _theta_square_column(ring, c, n):
+    """x^0..x^{n-1} at zeta^c of (sum_{j in Z} (-1)^j x^{j(j+1)/2} zeta^j)^2.
+
+    The terms j and c - j meet at zeta^c, so this is one sum over j with
+    O(sqrt n) terms.
+    """
+    reach = isqrt(2 * n) + 2
+    j = np.arange(-reach, reach + 1)
+    e = (j * (j + 1) + (c - j) * (c - j + 1)) // 2
+    return ring.from_integers(np.bincount(e[e < n], minlength=n) * (-1) ** (c % 2), 1)
+
+
+_weak_memo = BoundedMemo(MEMO_BYTES, lambda cols: array_bytes([cols]))
+
+
+def _weak_columns(prec, ring):
+    """The read-only 2 x 2 x (prec + 1) array: (h_0, h_1) of phi_{-2,1} and
+    (h_0, h_1) of phi_{0,1}, built once per ring (integral_memo).
+
+    phi_{-2,1} = zeta theta^2 / eta^6, theta = sum_j (-1)^j q^{j(j+1)/2}
+    zeta^j (the fractional q-powers cancel), so its zeta^c column is the
+    zeta^(c-1) column of theta^2 over eta^6.  Guard: the zeta^2 and zeta^3
+    columns are built the same way and must be h_0 and h_1 moved down one
+    and two rows with zeros above, since c(n, 2) = c(n - 1, 0) and
+    c(n, 3) = c(n - 2, 1); that also checks c = 0 at D < -1 there.
+
+    phi_{0,1} is the heat image -6 L phi_{-2,1} - 5 E_2 phi_{-2,1}, with L
+    the heat operator of `jacobi.heat` and E_2 = 1 - 24 sum sigma_1(n) q^n:
+    the modified heat operator maps J^weak_{-2,1} into J^weak_{0,1}, which
+    phi_{0,1} spans (M_2 = 0; Eichler-Zagier, The Theory of Jacobi Forms,
+    Sec. 9), and the q^0 rows fix the constants.  Column by column,
+    h_r -> -6 (4n - r) h_r - 5 E_2 h_r.  Every coefficient is integral.
+    """
+    return integral_memo(_weak_memo, _build_weak_columns, prec, ring)
+
+
+def _build_weak_columns(prec, ring):
+    n = prec + 1
+    inv_eta6 = invert_series(ring, eta_pow6(prec, ring), n)
+    cols = [convolve_trunc(ring, _theta_square_column(ring, c - 1, n), inv_eta6, n)
+            for c in range(4)]
+    for k in (1, 2):
+        if not np.array_equal(cols[k + 1], np.append(ring.zeros(k), cols[k - 1])[:n]):
+            raise ArithmeticDomainError(
+                "zeta^2 and zeta^3 columns break the index-1 discriminant law")
+    e2 = level1_series(prec, ring)[0]
+    w0 = [ring.canonical(h * (-6 * (4 * np.arange(n) - r)).astype(ring.dtype)
+                         - convolve_trunc(ring, e2, h, n) * ring.from_int(5))
+          for r, h in enumerate(cols[:2])]
+    return np.array([cols[:2], w0], dtype=ring.dtype)
+
+
+def index1_columns(k, prec, ring):
+    """The zeta^0 and zeta^1 columns (h_0, h_1), each of length prec + 1, of
+    the index-1 generator of weight k: phi_{-2,1} (k = -2), phi_{0,1} (0),
+    E_{4,1} (4), E_{6,1} (6), phi_{10,1} (10) or phi_{12,1} (12).
+
+    E_{4,1} = (E4 phi_{0,1} - E6 phi_{-2,1})/12,
+    E_{6,1} = (E6 phi_{0,1} - E4^2 phi_{-2,1})/12, phi_{10,1} = Delta
+    phi_{-2,1} and phi_{12,1} = Delta phi_{0,1}, each taken column by
+    column.  The weak columns are read-only.  PAPER.md, "Index-1 generators
+    and the lift".
+    """
+    if k not in (-2, 0, 4, 6, 10, 12):
+        raise InvalidArgumentError(f"no index-1 generator of weight {k}")
+    wm2, w0 = _weak_columns(prec, ring)
+    n = prec + 1
+    if k in (-2, 0):
+        return wm2 if k == -2 else w0
+    _, e4, e6, delta = level1_series(prec, ring)
+    if k in (4, 6):
+        f, g = (e4, e6) if k == 4 else (e6, convolve_trunc(ring, e4, e4, n))
+        return tuple(ring.divexact_vector(ring.canonical(convolve_trunc(ring, f, h0, n)
+                                                         - convolve_trunc(ring, g, hm2, n)), 12)
+                     for h0, hm2 in zip(w0, wm2))
+    return tuple(convolve_trunc(ring, delta, h, n) for h in (wm2 if k == 10 else w0))
+
+
+def discriminant_series(cols, dmax):
+    """C[D + 1] for D = -1..dmax, where C[D] is the coefficient at
+    discriminant D = 4n - r^2 of the index-1 form with zeta^0 and zeta^1
+    columns cols: c(n, r) with r in {0, 1}, one gather.  Entries at
+    D = 1, 2 mod 4, which no key has, are junk."""
+    D = np.arange(-1, dmax + 1)
+    return np.asarray(cols)[(D % 4 == 3).astype(int), (D + 1) // 4]
+
+
+def criterion_weight(k, p, b):
+    """Weight of the form whose vanishing mod p decides the congruence of a
+    weight-k form at b: k + (p+1)^2/2 for b != 0 mod p (heat and theta
+    criteria), k + p^2 - 1 for b = 0 (heat-cycle closure, sieve identity).
+    PAPER.md, "One criterion weight"."""
+    return k + (p + 1) * (p + 1) // 2 if b % p else k + p * p - 1
 
 
 _bases = BoundedMemo(MEMO_BYTES, lambda rows: array_bytes([rows]))

@@ -37,10 +37,9 @@ import numpy as np
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      PrecisionError, RingMismatchError)
 from .expr import GENERATOR_WEIGHTS
-from .jacobi import (JacobiFormSeries, criterion_weight, discriminant_series,
-                     index1_columns, jacobi_index)
 from .linalg import FpMatrix, kernel_basis
-from .qexp import _read_only, bernoulli, require_memory
+from .qexp import (_read_only, bernoulli, criterion_weight, discriminant_series, index1_columns,
+                   require_memory)
 from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, is_prime, legendre,
                    ring_from_tag, rint_residues)
 
@@ -267,7 +266,7 @@ def class_values(F, wmax):
 
 def maass_lift(ring, k, cols, prec):
     """Lift the index-1 Jacobi form of weight k with zeta^0 and zeta^1
-    columns cols (jacobi.index1_columns) to box prec:
+    columns cols (qexp.index1_columns) to box prec:
     A(n,r,m) = sum_{d | (n,r,m)} d^{k-1} c(nm/d^2, r/d).
 
     An index-1 coefficient depends only on D = 4n - r^2 (Eichler-Zagier,
@@ -330,20 +329,6 @@ def igusa_generator(name, prec, ring):
 def igusa_generators(prec, ring):
     """The four generators by name (igusa_generator)."""
     return {name: igusa_generator(name, prec, ring) for name in GENERATOR_WEIGHTS}
-
-
-def fourier_jacobi(F, m):
-    """The index-m slice: a Jacobi form with c(n, r) = A(n, r, m), zero where
-    4nm - r^2 < 0; one gather from F's vector."""
-    if m < 0 or m > F.prec:
-        raise PrecisionError(f"slice index {m} outside box {F.prec}",
-                             required=m, available=F.prec)
-    F.need(m)
-    idx = jacobi_index(m, F.prec)
-    inside = idx.D >= 0
-    vec = F.ring.zeros(idx.size)
-    vec[inside] = F.coeffs[box_index(F.prec).offset[idx.n[inside], m] + idx.r[inside]]
-    return JacobiFormSeries(F.ring, F.weight, m, F.prec, vec)
 
 
 # -- products -------------------------------------------------------------------------

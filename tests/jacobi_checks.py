@@ -1,15 +1,28 @@
 """Structural checks of Jacobi forms and a product by the definition, kept
-as test oracles, and the inverse of the weak decomposition.
+as test oracles, the inverse of the weak decomposition, and the Jacobi
+congruence criteria that only tests call.
 
 The checks, `jac_mul_loop` and `qseries_times_jacobi_loop` read one
 coefficient at a time through `JacobiFormSeries.c`, so they share no code
-with the vector operations of `siegelcong.jacobi`.
+with the vector operations of `siegelcong.jacobi`.  The criteria
+(`jac_congruence`, `jac_direct_scan`, `nonexistence_applies`) encode
+PAPER.md's "Heat criterion" and "Non-existence criterion" on top of the
+package's heat operator and zero test.
 """
 
+from __future__ import annotations
+
+from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
 
-from siegelcong.jacobi import jac_mul, qseries_times_jacobi
+import numpy as np
+
+from siegelcong.errors import InvalidArgumentError, PrecisionError
+from siegelcong.jacobi import (_combine, heat, jac_mul, jac_zero_test, qseries_times_jacobi,
+                               zero_test_required_prec)
+from siegelcong.qexp import criterion_weight
+from siegelcong.ring import FpRing, legendre, ring_from_tag
 
 
 def check_transformation_law(phi):
@@ -67,3 +80,86 @@ def qseries_times_jacobi_loop(f, phi):
     ring, prec, m = phi.ring, min(len(f) - 1, phi.prec), phi.index
     return [ring.from_rational(sum(f[n1] * phi.c(n - n1, r) for n1 in range(n + 1)))
             for n in range(prec + 1) for r in range(isqrt(4 * n * m + m * m) + 1)]
+
+
+def heat_iterate(phi, times):
+    for _ in range(times):
+        phi = heat(phi)
+    return phi
+
+
+@dataclass
+class JacobiCongruence:
+    """Outcome of the heat-operator congruence criterion for one (p, b)."""
+    p: int
+    b: int
+    holds: bool
+    witness: tuple | None
+    criterion_weight: int
+    method: str
+
+    def to_json(self):
+        return {"p": self.p, "b": self.b,
+                "verdict": "holds" if self.holds else "fails",
+                "witness": list(self.witness) if self.witness else None,
+                "criterion_weight": self.criterion_weight, "method": self.method}
+
+
+def jac_congruence(phi, b):
+    """Decide the Ramanujan-type congruence of phi at b mod p.
+
+    For b not divisible by p this tests the (p+1)/2-fold heat iterate against
+    the Legendre-signed single iterate; for b == 0 it compares the (p-1)-fold
+    iterate with phi itself (PAPER.md, "Heat criterion").
+    """
+    if not isinstance(phi.ring, FpRing):
+        raise InvalidArgumentError("jac_congruence needs a prime-field form")
+    p = phi.ring.p
+    k, m = phi.weight, phi.index
+    b %= p
+    kz = criterion_weight(k, p, b)
+    method = "heat-criterion" if b else "heat-cycle-closure"
+    need = zero_test_required_prec(kz, m)
+    if phi.prec < need:
+        raise PrecisionError(f"congruence test needs precision {need}",
+                             required=need, available=phi.prec)
+    if b:
+        l1 = heat(phi)
+        lh = heat_iterate(l1, (p + 1) // 2 - 1)
+        combo = _combine(lh, l1, legendre(b, p), kz)
+    else:
+        lp = heat_iterate(phi, p - 1)
+        combo = _combine(lp, phi, p - 1, kz)  # lp - phi
+    holds = jac_zero_test(combo)
+    witness = None
+    if not holds:
+        _, witness = jac_direct_scan(phi, p, b)
+    return JacobiCongruence(p=p, b=b, holds=holds, witness=witness,
+                            criterion_weight=kz, method=method)
+
+
+def jac_direct_scan(phi, p, b):
+    """Necessary-condition scan of the stored window.
+
+    Returns (clean, witness): witness is the first stored (n, r), r >= 0, in
+    vector order with discriminant congruent to b and a nonvanishing
+    coefficient mod p.  The coefficients are reduced into F_p by
+    Ring.reduce_vector, which refuses p < 5 and a prime-field form of
+    another characteristic.
+    """
+    idx = phi.idx
+    keys = np.flatnonzero(idx.D % p == b % p)
+    vals = phi.ring.reduce_vector(phi.coeffs[keys], ring_from_tag(f"fp:{p}"))
+    hit = keys[np.flatnonzero(vals != 0)]
+    if not len(hit):
+        return True, None
+    return False, (int(idx.n[hit[0]]), int(idx.r[hit[0]]))
+
+
+def nonexistence_applies(k, m, p, b, phi):
+    """Hypotheses of the non-existence criterion: k >= 4, b != 0, p > k, p ∤ m,
+    and the heat image of phi is nonzero mod p.  When true, jac_congruence
+    must report a failure (PAPER.md, "Non-existence criterion")."""
+    if k < 4 or b % p == 0 or p <= k or m % p == 0:
+        return False
+    return not jac_zero_test(heat(phi))

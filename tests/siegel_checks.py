@@ -5,16 +5,18 @@ they share no code with the vector operations of `siegelcong.siegel`;
 `maass_lift_loop` is the lift's former per-divisor loop.  Matrix reduction
 (`MatrixIndexT`, `reduce_T`, `dyadic_trace`, `enumerate_reduced`), the
 theta operator and the monomial decomposition check the vector code from
-the outside.
+the outside.  `fourier_jacobi` takes a Jacobi slice of a Siegel form, so
+tests can hold the two halves against each other.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from siegelcong.errors import InvalidArgumentError, SiegelCongError
-from siegelcong.jacobi import discriminant_series
+from siegelcong.errors import InvalidArgumentError, PrecisionError, SiegelCongError
+from siegelcong.jacobi import JacobiFormSeries, jacobi_index
 from siegelcong.linalg import FpMatrix, solve
+from siegelcong.qexp import discriminant_series
 from siegelcong.ring import FpRing, reduce_rational
 from siegelcong.siegel import (SiegelFormSeries, _class_matrix, _per_det, _sturm_bound,
                                box_index, class_values, reduced_classes, sturm_zero,
@@ -149,6 +151,20 @@ def theta_operator(F, j=1):
     if w is not None and isinstance(ring, FpRing):
         w = w + j * (ring.p + 1)
     return F._derived(F.coeffs * mult, w)
+
+
+def fourier_jacobi(F, m):
+    """The index-m slice: a Jacobi form with c(n, r) = A(n, r, m), zero where
+    4nm - r^2 < 0; one gather from F's vector."""
+    if m < 0 or m > F.prec:
+        raise PrecisionError(f"slice index {m} outside box {F.prec}",
+                             required=m, available=F.prec)
+    F.need(m)
+    idx = jacobi_index(m, F.prec)
+    inside = idx.D >= 0
+    vec = F.ring.zeros(idx.size)
+    vec[inside] = F.coeffs[box_index(F.prec).offset[idx.n[inside], m] + idx.r[inside]]
+    return JacobiFormSeries(F.ring, F.weight, m, F.prec, vec)
 
 
 @dataclass

@@ -13,20 +13,16 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from jacobi_checks import reconstruct_weak
-from siegel_checks import support_dets, theta_operator, verify_combination
+from jacobi_checks import heat_iterate, jac_congruence, jac_direct_scan, reconstruct_weak
+from siegel_checks import fourier_jacobi, support_dets, theta_operator, verify_combination
 from siegelcong.expr import evaluate, parse
-from siegelcong.jacobi import (filtration, heat, heat_cycle,
-                               heat_cycle_required_prec, heat_iterate,
-                               holo_basis, jac_congruence, jac_direct_scan,
-                               jac_zero_test, jacobi_cusp, jacobi_eisenstein,
-                               weak_decompose, weak_generators,
-                               zero_test_required_prec)
+from siegelcong.jacobi import (filtration, heat, heat_cycle, heat_cycle_required_prec,
+                               holo_basis, jac_zero_test, jacobi_cusp, jacobi_eisenstein,
+                               weak_decompose, weak_generators, zero_test_required_prec)
 from siegelcong.qexp import mk_basis
 from siegelcong.ring import legendre, ring_from_tag
 from siegelcong.siegel import (GeneratorContext, SiegelFormSeries,
-                               congruence_required_prec, congruence_scan,
-                               fourier_jacobi, sieve)
+                               congruence_required_prec, congruence_scan, sieve)
 
 FP5 = ring_from_tag("fp:5")
 FP7 = ring_from_tag("fp:7")
@@ -297,7 +293,7 @@ def test_criterion_10_round_trips(ctx5):
             assert [g.tolist() for g in back] == [f.tolist() for f in fs]
             done += 1
     # 2. slice-of-lift identity at m = 1 for all four index-1 generators
-    from siegelcong.jacobi import index1_columns
+    from siegelcong.qexp import index1_columns
     from siegelcong.siegel import maass_lift
     for k, builder in ((4, jacobi_eisenstein), (6, jacobi_eisenstein),
                        (10, jacobi_cusp), (12, jacobi_cusp)):

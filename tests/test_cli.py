@@ -164,6 +164,25 @@ def test_heat_cycle_flag_mismatch(capsys):
     assert code == 1 and "weight" in err
 
 
+def test_a_huge_form_exponent_is_refused_before_any_work(capsys, monkeypatch):
+    """Weight and index are summed from the exponents, never expanded: a
+    mismatch is refused by the flag check and a match by the memory estimate."""
+    def boom(*args):
+        raise AssertionError("built")
+    monkeypatch.setattr(cli, "build_named_jacobi", boom)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "heat-cycle", "--weight", "12", "--index", "1",
+                         "--p", "17", "--form", "phi12_1^1000000000000")
+    assert code == 1 and out == ""
+    assert err == ("error: form 'phi12_1^1000000000000' has weight 12000000000000, "
+                   "index 1000000000000; flags said 12, 1\n")
+    code, out, err = run(capsys, "heat-cycle", "--weight", "12000000000000",
+                         "--index", "1000000000000", "--p", "17",
+                         "--form", "phi12_1^1000000000000")
+    assert code == 1 and out == "" and err.startswith("error: heat cycle to q^")
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("form", [
     pytest.param("phi11_1*E4_1", id="unknown-factor"),
     pytest.param("E4_1^x*phi10_1", id="bad-exponent"),
@@ -327,7 +346,7 @@ def test_certificate_products_cover_only_the_slices_the_bound_reads(capsys, monk
     keeps square-box products."""
     from siegelcong.cli import TABLE_ROWS
     from siegelcong.expr import parse
-    from siegelcong.jacobi import criterion_weight
+    from siegelcong.qexp import criterion_weight
     made = []
     kernel = siegel._mul_fft
     monkeypatch.setattr(siegel, "_mul_fft",

@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 from cache_v2_oracle import read_v2
+from siegel_checks import fourier_jacobi
 from siegelcong.cache import _FORMAT, DiskCache
 from siegelcong.cli import main
 from siegelcong.jacobi import jacobi_eisenstein, weak_generators
 from siegelcong.ring import ring_from_tag
-from siegelcong.siegel import fourier_jacobi, igusa_generators
+from siegelcong.siegel import igusa_generators
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 RINGS = ["int", "rat", "fp:7", "fp:2097169"]

@@ -10,7 +10,8 @@ import pytest
 import allcolumn_oracle
 import filtration_oracle
 from qexp_checks import delta_q, eisenstein_q
-from jacobi_checks import (check_holomorphic_support, check_transformation_law, jac_mul_loop,
+from jacobi_checks import (check_holomorphic_support, check_transformation_law, heat_iterate,
+                           jac_congruence, jac_direct_scan, jac_mul_loop, nonexistence_applies,
                            qseries_times_jacobi_loop, reconstruct_weak)
 import numpy as np
 
@@ -19,12 +20,9 @@ from siegelcong.errors import (ArithmeticDomainError, DecompositionError,
                                InvalidArgumentError, PrecisionError, RingMismatchError)
 from siegelcong.jacobi import (NEG_INF, JacobiFormSeries, filtration, form_bytes, heat,
                                heat_cycle, heat_cycle_bytes, heat_cycle_required_prec,
-                               heat_iterate, holo_basis, jac_congruence,
-                               jac_direct_scan, jac_mul, jac_zero_test,
-                               jacobi_cusp, jacobi_eisenstein,
-                               nonexistence_applies, qseries_times_jacobi,
-                               weak_decompose, weak_generators,
-                               zero_test_required_prec)
+                               holo_basis, jac_mul, jac_zero_test, jacobi_cusp,
+                               jacobi_eisenstein, qseries_times_jacobi, weak_decompose,
+                               weak_generators, zero_test_required_prec)
 from siegelcong.qexp import BoundedMemo, mk_basis
 from siegelcong.linalg import FpMatrix, rref
 from siegelcong.ring import ring_from_tag
@@ -152,7 +150,7 @@ def _assert_same_form(got, want):
                          + [(tag, prec) for tag in ("int", "rat") for prec in (1, 2, 5, 12)])
 def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
     ring = ring_from_tag(tag)
-    monkeypatch.setattr(jacobi, "_weak_memo", {})
+    monkeypatch.setattr(qexp, "_weak_memo", {})
     for got, want in zip(weak_generators(prec, ring),
                          allcolumn_oracle.weak_generators(prec, ring)):
         _assert_same_form(got, want)
@@ -171,7 +169,7 @@ def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
 @pytest.mark.parametrize("row", [0, 6])
 def test_corrupt_zeta2_column_is_rejected(monkeypatch, tag, gen, row):
     ring = ring_from_tag(tag)
-    build = jacobi._theta_square_column
+    build = qexp._theta_square_column
 
     def corrupt(ring, c, n):
         col = build(ring, c, n)
@@ -180,8 +178,8 @@ def test_corrupt_zeta2_column_is_rejected(monkeypatch, tag, gen, row):
             col = ring.canonical(col + bump)
         return col
 
-    monkeypatch.setattr(jacobi, "_theta_square_column", corrupt)
-    monkeypatch.setattr(jacobi, "_weak_memo", {})
+    monkeypatch.setattr(qexp, "_theta_square_column", corrupt)
+    monkeypatch.setattr(qexp, "_weak_memo", {})
     with pytest.raises(ArithmeticDomainError):
         weak_generators(6, ring)
     with pytest.raises(ArithmeticDomainError):
@@ -200,10 +198,10 @@ def test_weak_generator_rows():
 
 def test_rat_weak_generators_are_the_int_ones_cast(monkeypatch):
     """Over Q the weak columns are built over Z and cast once."""
-    monkeypatch.setattr(jacobi, "_weak_memo", {})
+    monkeypatch.setattr(qexp, "_weak_memo", {})
     inverted = []
-    invert = jacobi.invert_series
-    monkeypatch.setattr(jacobi, "invert_series",
+    invert = qexp.invert_series
+    monkeypatch.setattr(qexp, "invert_series",
                         lambda ring, a, n: inverted.append(ring.tag) or invert(ring, a, n))
     got = weak_generators(30, RAT)
     assert inverted == ["int"]
@@ -798,7 +796,7 @@ def test_heat_cycle_refuses_a_short_form_at_the_same_iterate(k, m, p, form, shor
 
 
 def test_jacobi_memos_are_bounded():
-    for memo in (jacobi._mono_cache, jacobi._weak_memo, qexp._bases, qexp._level1, qexp._hasse,
+    for memo in (jacobi._mono_cache, qexp._weak_memo, qexp._bases, qexp._level1, qexp._hasse,
                  qexp._hasse_inverse, qexp._coordinate_memo):
         assert isinstance(memo, BoundedMemo) and memo.limit == qexp.MEMO_BYTES
 
@@ -812,10 +810,10 @@ def test_weak_memos_evict_and_rebuild_the_same_forms(monkeypatch):
         for j in range(4):
             assert jacobi._weak_monomial(gens, j, 3 - j, 12) == want[j]
             assert small.nbytes <= small.limit and len(small) <= 2
-    monkeypatch.setattr(jacobi, "_weak_memo", BoundedMemo(1, jacobi._weak_memo.size))
+    monkeypatch.setattr(qexp, "_weak_memo", BoundedMemo(1, qexp._weak_memo.size))
     for tag in ("fp:7", "fp:5", "fp:7"):
         w = weak_generators(10, ring_from_tag(tag))
-        assert list(jacobi._weak_memo) == [tag] and w[0].prec == 10
+        assert list(qexp._weak_memo) == [tag] and w[0].prec == 10
         assert not w[0].coeffs.flags.writeable
     assert all(f == g.truncate(10) for f, g in zip(w, gens))
 

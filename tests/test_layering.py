@@ -1,9 +1,10 @@
 """The package's layers and public names.
 
-A Jacobi-only command loads only the Jacobi layer: `siegel` and `cache`
-are lazy modules (see the siegelcong docstring), present in sys.modules
-but executed on first use.  Every name the package exports (EXPORTS)
-resolves to its submodule's object, the Siegel names included.
+`jacobi`, `siegel` and `cache` are lazy modules (see the siegelcong
+docstring), present in sys.modules but executed on first use: a heat cycle
+runs only the Jacobi layer, and a Siegel command never runs it.  Every name
+the package exports (EXPORTS) resolves to its submodule's object, the lazy
+modules' names included.
 """
 
 import importlib
@@ -15,20 +16,20 @@ import pytest
 
 import siegelcong
 
-# every name `siegelcong` exports, by defining module
+# every name `siegelcong` exports, by the submodule it is read from; index1_columns
+# is defined in qexp, and the check holds jacobi's name for it to the same object
 EXPORTS = {
     "errors": ["ArithmeticDomainError", "CacheIOError", "DecompositionError",
                "InvalidArgumentError", "PrecisionError", "RingMismatchError", "SiegelCongError"],
     "ring": ["FpRing", "IntRing", "RatRing", "is_prime", "legendre", "reduce_rational",
              "ring_from_tag"],
     "qexp": ["bernoulli", "eta_pow6", "mk_basis", "mk_dim"],
-    "jacobi": ["HeatCycleReport", "JacobiCongruence", "JacobiFormSeries", "filtration", "heat",
-               "heat_cycle", "heat_cycle_required_prec", "holo_basis", "index1_columns",
-               "jac_congruence", "jac_direct_scan", "jac_mul", "jac_zero_test", "jacobi_cusp",
-               "jacobi_eisenstein", "nonexistence_applies", "qseries_times_jacobi",
+    "jacobi": ["HeatCycleReport", "JacobiFormSeries", "filtration", "heat", "heat_cycle",
+               "heat_cycle_required_prec", "holo_basis", "index1_columns", "jac_mul",
+               "jac_zero_test", "jacobi_cusp", "jacobi_eisenstein", "qseries_times_jacobi",
                "weak_decompose", "weak_generators"],
     "siegel": ["CongruenceCertificate", "GeneratorContext", "SiegelFormSeries",
-               "congruence_scan", "fourier_jacobi", "igusa_generator", "igusa_generators",
+               "congruence_scan", "igusa_generator", "igusa_generators",
                "maass_lift", "search_congruences", "siegel_congruence", "siegel_mul", "sieve",
                "sturm_zero", "weight_monomials"],
     "expr": ["Expr", "evaluate", "parse"],
@@ -76,3 +77,33 @@ print(code, ran())
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["[False, False]", "0 [False, False]", "0 [True, True]"]
+
+
+def test_siegel_commands_run_no_jacobi_code(tmp_path):
+    """The mirror of the test above: in a fresh interpreter, `check`, `table`
+    and a small `search` leave the Jacobi layer's module unrun, since the
+    Siegel layer reads the index-1 columns from qexp, and a heat cycle then
+    runs it."""
+    code = f"""
+import contextlib, io, sys
+import siegelcong.cli as cli
+
+def ran():
+    return "heat_cycle" in object.__getattribute__(sys.modules["siegelcong.jacobi"], "__dict__")
+
+cache = ["--cache-dir", {str(tmp_path)!r}]
+codes = []
+for argv in (["check", "chi12", "--p", "5", "--b", "1"], ["table", "--max-prime", "5"],
+             ["search", "--max-weight", "12", "--max-prime", "7", "--quiet"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv + cache))
+print(codes, ran())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["heat-cycle", "--weight", "10", "--index", "1", "--p", "5",
+                     "--form", "phi10_1"] + cache)
+print(code, ran())
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[0, 0, 0] False", "0 True"]

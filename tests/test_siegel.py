@@ -12,18 +12,20 @@ from siegelcong import ring as ringmod, siegel
 from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError, PrecisionError,
                                SiegelCongError)
 from siegelcong import jacobi, qexp
-from siegelcong.jacobi import heat, index1_columns, jacobi_cusp, jacobi_eisenstein
+from siegelcong.jacobi import jacobi_cusp, jacobi_eisenstein
+from siegelcong.qexp import index1_columns
 from siegelcong.ring import FpRing, is_prime, legendre, ring_from_tag
 from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext,
                                SiegelFormSeries, box_bytes, congruence_scan,
-                               fourier_jacobi, igusa_generator, igusa_generators,
+                               igusa_generator, igusa_generators,
                                maass_lift, siegel_congruence, siegel_mul, sieve, sturm_zero,
                                weight_monomials)
 from mul_loop_oracle import mul_loop
 from qexp_checks import eisenstein_q
 from siegel_checks import (MatrixIndexT, NotInRingError, check_unimodular_moves, decompose_mod_p,
-                           dyadic_trace, enumerate_reduced, maass_lift_loop, reduce_T,
-                           siegel_direct_scan, support_dets, theta_operator, verify_combination)
+                           dyadic_trace, enumerate_reduced, fourier_jacobi, maass_lift_loop,
+                           reduce_T, siegel_direct_scan, support_dets, theta_operator,
+                           verify_combination)
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
@@ -175,7 +177,7 @@ def test_each_generator_alone_equals_a_fresh_build_of_all_four(monkeypatch, tag)
     level-1 series as a prefix of a longer memo changes nothing."""
     ring = ring_from_tag(tag)
     monkeypatch.setattr(qexp, "_level1", {})
-    monkeypatch.setattr(jacobi, "_weak_memo", {})
+    monkeypatch.setattr(qexp, "_weak_memo", {})
     want = igusa_generators(3, ring)
     igusa_generator("chi10", 5, ring)            # the memo now reaches q^25
     for name in ("chi12", "E6", "chi10", "E4"):
