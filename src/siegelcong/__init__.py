@@ -2,18 +2,19 @@
 with decision procedures for Ramanujan-type congruences mod p >= 5.
 
 Layering: the package loads errors, ring, qexp and expr.  `jacobi`,
-`siegel` and `cache` are lazy modules (importlib.util.LazyLoader) whose code
-runs on first attribute access.  The paper's two halves load disjoint
-layers: a heat cycle runs `jacobi` and never `siegel` or `cache`, and the
-Siegel commands (check, scan, table, sieve, search, gens) run `siegel` and
-`cache` and never `jacobi`, because what both halves read, the index-1
-columns and criterion_weight, lives in qexp.  So a process compiles and runs
-only the layer its command uses.  Callers read a lazy module's names at call
-time (`siegel.sturm_zero(...)`, `jacobi.heat_cycle(...)`), and the package's
-exports from them resolve on first use (__getattr__).  The module objects
-exist once `import siegelcong.cli` returns, because a tool that wraps
-functions by identity in the modules loaded then (perfbench/spans.py) must
-wrap the functions the CLI calls.
+`siegel`, `cache` and `linalg` are lazy modules (importlib.util.LazyLoader)
+whose code runs on first attribute access.  The paper's two halves load
+disjoint layers: a heat cycle runs `jacobi` and never `siegel` or `cache`,
+and the Siegel commands (check, scan, table, sieve, search, gens) run
+`siegel` and `cache` and never `jacobi`, because what both halves read, the
+index-1 columns and criterion_weight, lives in qexp.  Of the CLI's commands
+only `search` runs `linalg`, for its kernels mod p.  So a process compiles
+and runs only the layers its command uses.  Callers read a lazy module's
+names at call time (`siegel.sturm_zero(...)`, `linalg.kernel_basis(...)`),
+and the package's exports from them resolve on first use (__getattr__).
+The module objects exist once `import siegelcong.cli` returns, because a
+tool that wraps functions by identity in the modules loaded then
+(perfbench/spans.py) must wrap the functions the CLI calls.
 """
 
 import importlib.util
@@ -38,7 +39,7 @@ def _lazy(name):
     return module
 
 
-jacobi, siegel, cache = _lazy("jacobi"), _lazy("siegel"), _lazy("cache")
+jacobi, siegel, cache, linalg = _lazy("jacobi"), _lazy("siegel"), _lazy("cache"), _lazy("linalg")
 _LAZY_NAMES = {
     **dict.fromkeys("""HeatCycleReport JacobiFormSeries filtration heat heat_cycle
         heat_cycle_required_prec holo_basis jac_mul jac_zero_test jacobi_cusp

@@ -7,21 +7,20 @@ row that differs from the shipped expected table (its report is still
 written to stdout).
 
 Exit path: `entry()`, behind `python -m siegelcong.cli` and the `siegelcong`
-console script, calls `gc.freeze()` once `main()` has returned and its output
-is written, then `sys.exit`.  Finalization's garbage collections then skip
-the objects that importing numpy and this package left tracked, and the
-module-graph cycles are left for the OS to reclaim, which saves the CPU of
-that sweep in every process.  `atexit` handlers and the stdio flush still
-run.  The contract: nothing after `main()` relies on a cyclic-GC finalizer,
-and every file a command opens is closed by `with` before `main()` returns
-(as `DiskCache.store` does).  `main()` itself never freezes, so library
-callers and tests see the usual collector.
+console script, calls `gc.freeze()` before `main()`, so that main's garbage
+collections skip the objects that importing numpy and this package left
+tracked, and again once `main()` has returned and its output is written, so
+that finalization's collections skip everything; then `sys.exit`.  The
+module-graph cycles are left for the OS to reclaim.  `atexit` handlers and
+the stdio flush still run.  The contract is unchanged: nothing after `main()`
+relies on a cyclic-GC finalizer, and every file a command opens is closed by
+`with` before `main()` returns (as `DiskCache.store` does).  `main()` itself
+never freezes, so library callers and tests see the usual collector.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -71,13 +70,13 @@ def build_parser():
                                       "Siegel modular forms and Jacobi forms")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True):
+    def common(p, ring=True, csv=False):
         if ring:
             p.add_argument("--ring", default=None,
                            help="coefficient ring: int, rat, or fp:<p>")
         p.add_argument("--prec", type=_prec, default=None,
                        help="override the auto-derived precision (at least 1)")
-        p.add_argument("--out", choices=("json", "csv"), default="json")
+        p.add_argument("--out", choices=("json", "csv") if csv else ("json",), default="json")
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: $CONGRUENCE_CACHE_DIR or .cache)")
         p.add_argument("--no-cache", action="store_true")
@@ -98,7 +97,7 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--skip-zero", action="store_true",
                    help="skip b = 0 (its Sturm bound is the largest)")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("table", help="regenerate the standard table and diff "
@@ -131,7 +130,7 @@ def build_parser():
     p.add_argument("--max-weight", type=int, default=20)
     p.add_argument("--max-prime", type=int, default=43)
     p.add_argument("--quiet", action="store_true")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(func=cmd_search)
     return top
 
@@ -166,7 +165,8 @@ def _eval_mod_p(args, text, p, b=0):
 
 
 def _emit(args, doc, csv_rows=None, csv_header=None):
-    if args.out == "csv" and csv_rows is not None:
+    if args.out == "csv":
+        import csv                  # on demand: only scan and search offer --out csv
         buf = io.StringIO()
         w = csv.writer(buf)
         if csv_header:
@@ -368,8 +368,9 @@ def main(argv=None):
 
 
 def entry():
-    """Run main() on sys.argv and exit with its code, freezing the heap in
-    between so that finalization does not sweep it (module docstring)."""
+    """Run main() on sys.argv and exit with its code, freezing the heap before
+    and after it, so that no collection sweeps what came before (module docstring)."""
+    gc.freeze()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -19,7 +19,6 @@ sum, stay in parentheses), so parse(e.text) == e.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 
@@ -38,11 +37,30 @@ class WeightMismatchError(InvalidArgumentError):
     pass
 
 
-@dataclass(frozen=True)
-class Expr:
-    poly: dict       # {(a, b, c, d): nonzero int}, the coefficient of E4^a E6^b chi10^c chi12^d
-    weight: int
-    text: str
+class Record:
+    """Base of the package's record classes: equal when of one class with equal
+    __slots__ values, unhashable, and shown as Name(value, ...)."""
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class Expr(Record):
+    __slots__ = ("poly", "weight", "text")
+
+    def __init__(self, poly, weight, text):
+        # poly: {(a, b, c, d): nonzero int}, the coefficient of E4^a E6^b chi10^c chi12^d
+        self.poly, self.weight, self.text = poly, weight, text
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)"

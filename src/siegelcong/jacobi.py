@@ -40,14 +40,14 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
 
 import numpy as np
 
+from . import linalg        # lazy module: read its names at call time
 from .errors import DecompositionError, InvalidArgumentError, PrecisionError, RingMismatchError
-from .linalg import FpMatrix, rref
+from .expr import Record
 from .qexp import (MEMO_BYTES, NEG_INF, BoundedMemo, _read_only, _weak_columns, array_bytes,
                    convolve_trunc, coordinate_matrices, discriminant_series, index1_columns,
                    invert_series, mk_basis, mk_dim, mod_p_filtration)
@@ -529,9 +529,9 @@ def holo_basis(k, m, prec, p):
     idx = jacobi_index(m, prec)
     cands = holo_candidates(k, m, prec, ring)
     order = np.argsort(idx.D >= 0, kind="stable")          # the keys with D < 0 first
-    red, _, piv = rref(FpMatrix(p, cands[:, order]))
+    red, _, piv = linalg.rref(linalg.FpMatrix(p, cands[:, order]))
     past = [i for i, c in enumerate(piv) if idx.D[order[c]] >= 0]
-    red, rank, piv = rref(FpMatrix(p, red.data[past][:, np.argsort(order)]))
+    red, rank, piv = linalg.rref(linalg.FpMatrix(p, red.data[past][:, np.argsort(order)]))
     return HoloBasis(ring, k, m, prec, red.data[:rank].astype(ring.dtype), piv)
 
 
@@ -582,17 +582,18 @@ def filtration(phi):
     return max(min(k % (p - 1), k), *(w - 2 * j for j, w in enumerate(ws)))
 
 
-@dataclass
-class HeatCycleReport:
+class HeatCycleReport(Record):
     """Filtration walk of the p-1 heat iterates of a form."""
-    p: int
-    weight: int
-    index: int
-    status: str                      # "ok" | "degenerate" | "theory-silent"
-    filtrations: list = field(default_factory=list)   # Omega(L^i phi), i = 1..p-1
-    high_points: list = field(default_factory=list)   # iterate indices i
-    low_points: list = field(default_factory=list)
-    falls: dict = field(default_factory=dict)         # i -> fall size s
+    __slots__ = ("p", "weight", "index", "status", "filtrations", "high_points", "low_points",
+                 "falls")
+
+    def __init__(self, p, weight, index, status):
+        self.p, self.weight, self.index = p, weight, index
+        self.status = status                 # "ok" | "degenerate" | "theory-silent"
+        self.filtrations = []                # Omega(L^i phi), i = 1..p-1
+        self.high_points = []                # iterate indices i
+        self.low_points = []
+        self.falls = {}                      # i -> fall size s
 
     def to_json(self):
         return {"p": self.p, "weight": self.weight, "index": self.index,

@@ -27,17 +27,16 @@ integer lifts modulo a few primes joined by CRT.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
+from . import linalg        # lazy module: read its names at call time
 from .errors import (InconsistentVerdictError, InvalidArgumentError,
                      PrecisionError, RingMismatchError)
-from .expr import GENERATOR_WEIGHTS
-from .linalg import FpMatrix, kernel_basis
+from .expr import GENERATOR_WEIGHTS, Record
 from .qexp import (_read_only, bernoulli, criterion_weight, discriminant_series, index1_columns,
                    require_memory)
 from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, is_prime, legendre,
@@ -436,12 +435,12 @@ def _mul_fft(f, g, q, prec):
 
 # -- the Sturm-type verifier and congruence certificates --------------------------------
 
-@dataclass
-class SturmReport:
-    is_zero: bool
-    bound: int
-    classes_checked: int
-    witness: tuple | None
+class SturmReport(Record):
+    __slots__ = ("is_zero", "bound", "classes_checked", "witness")    # witness: tuple | None
+
+    def __init__(self, is_zero, bound, classes_checked, witness):
+        self.is_zero, self.bound, self.classes_checked, self.witness = (
+            is_zero, bound, classes_checked, witness)
 
 
 def _sturm_bound(weight, prec):
@@ -471,19 +470,17 @@ def sturm_zero(F, weight, eps=None):
     return SturmReport(witness is None, bound, len(values), witness)
 
 
-@dataclass
-class CongruenceCertificate:
-    """Machine-checkable verdict for one Ramanujan-type congruence."""
+class CongruenceCertificate(Record):
+    """Machine-checkable verdict for one Ramanujan-type congruence; verdict is
+    "holds" | "fails" and method "theta-criterion" | "sieve-identity"."""
+    __slots__ = ("form", "p", "b", "verdict", "G_weight", "sturm_bound", "classes_checked",
+                 "witness", "method")
 
-    form: str
-    p: int
-    b: int
-    verdict: str                 # "holds" | "fails"
-    G_weight: int
-    sturm_bound: int
-    classes_checked: int
-    witness: tuple | None
-    method: str                  # "theta-criterion" | "sieve-identity"
+    def __init__(self, form, p, b, verdict, G_weight, sturm_bound, classes_checked, witness,
+                 method):
+        self.form, self.p, self.b, self.verdict, self.G_weight = form, p, b, verdict, G_weight
+        self.sturm_bound, self.classes_checked, self.witness, self.method = (
+            sturm_bound, classes_checked, witness, method)
 
     @property
     def holds(self):
@@ -708,7 +705,7 @@ def _search_cell(k, p, monos, cache, contexts):
         cell = {"weight": k, "p": p, "legendre_class": eps,
                 "holds_b": sorted(b for b in range(1, p) if legendre(b, p) == eps)}
         mask = _legendre_mask(reduced_classes(small_bound)[3], p, eps)
-        if not kernel_basis(FpMatrix(p, _class_matrix(cols, small_bound, mask))):
+        if not linalg.kernel_basis(linalg.FpMatrix(p, _class_matrix(cols, small_bound, mask))):
             cell.update(status="none")
             out.append(cell)
             continue
@@ -717,7 +714,7 @@ def _search_cell(k, p, monos, cache, contexts):
             full_cols = [full_ctx.monomial(*e) for e in monos]
             ident = _class_matrix(full_cols, k // 3)
         mask = _legendre_mask(reduced_classes(full_bound)[3], p, eps)
-        kern = kernel_basis(FpMatrix(p, _class_matrix(full_cols, full_bound, mask)))
+        kern = linalg.kernel_basis(linalg.FpMatrix(p, _class_matrix(full_cols, full_bound, mask)))
         forms = []
         for vec in kern:
             # for p >= 5 the weight-k monomials are independent mod p (Nagaoka,

@@ -50,6 +50,26 @@ def test_scan_csv(capsys):
     assert sorted(b for b, v in verdicts.items() if v == "holds") == [3, 5, 6]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gens", "--prec", "2"],
+    ["check", "chi12", "--p", "5", "--b", "1"],
+    ["table", "--max-prime", "5"],
+    ["sieve", "chi12", "--p", "5", "--s", "+1"],
+    ["heat-cycle", "--weight", "10", "--index", "1", "--p", "5", "--form", "phi10_1"],
+])
+def test_out_csv_is_refused_where_there_is_no_csv_form(capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", "csv")
+    assert code == 1 and out == "" and err.startswith("usage error: ") and "'csv'" in err
+    code, out, _ = run(capsys, *argv, "--out", "json")
+    assert code == 0 and isinstance(json.loads(out), dict)
+
+
+def test_search_csv(capsys):
+    code, out, _ = run(capsys, "search", "--max-weight", "12", "--max-prime", "7", "--quiet",
+                       "--out", "csv")
+    assert code == 0 and out.splitlines() == ["weight,p,class,forms", "12,5,1,chi12"]
+
+
 def test_table_small(capsys):
     code, out, err = run(capsys, "table", "--max-prime", "5")
     assert code == 0
@@ -408,4 +428,4 @@ def test_only_entry_freezes_the_heap(capsys, monkeypatch):
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     with pytest.raises(SystemExit) as exc:
         cli.entry()
-    assert exc.value.code == 3 and calls == ["main", "freeze"]
+    assert exc.value.code == 3 and calls == ["freeze", "main", "freeze"]

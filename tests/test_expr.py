@@ -82,6 +82,15 @@ def test_round_trip_random():
         assert parse(e.text) == e
 
 
+def test_expr_is_a_value_record():
+    e = parse("E4*chi12 - E6*chi10")
+    assert parse(e.text) == e and e == Expr(dict(e.poly), 16, e.text)
+    assert e != Expr(e.poly, 16, "E4 chi12 - E6 chi10") and e != (e.poly, 16, e.text)
+    assert repr(e) == f"Expr({e.poly!r}, 16, {e.text!r})"
+    with pytest.raises(TypeError):
+        hash(e)
+
+
 def test_round_trip_table_expressions():
     for text in ("chi12", "E4*chi12", "E4*chi12 - E6*chi10",
                  "E4^2*chi10 + 7*E6*chi12",

@@ -867,6 +867,20 @@ def test_heat_cycle_phi12_mod5():
     assert sum(rep.falls.values()) == 6  # p + 1
 
 
+def test_heat_cycle_reports_share_no_list_or_dict():
+    a, b = jacobi.HeatCycleReport(5, 12, 1, "ok"), jacobi.HeatCycleReport(5, 12, 1, "ok")
+    assert a == b
+    for name in ("filtrations", "high_points", "low_points", "falls"):
+        assert getattr(a, name) is not getattr(b, name)
+    a.filtrations.append(18)
+    a.high_points.append(1)
+    a.low_points.append(2)
+    a.falls[1] = 3
+    assert a != b and b.to_json() == {"p": 5, "weight": 12, "index": 1, "status": "ok",
+                                      "filtrations": [], "high_points": [], "low_points": [],
+                                      "falls": {}}
+
+
 def test_heat_cycle_fermat_closure():
     prec = heat_cycle_required_prec(12, 1, 5)
     phi = jacobi_cusp(12, prec, FP5)

@@ -1,10 +1,10 @@
 """The package's layers and public names.
 
-`jacobi`, `siegel` and `cache` are lazy modules (see the siegelcong
-docstring), present in sys.modules but executed on first use: a heat cycle
-runs only the Jacobi layer, and a Siegel command never runs it.  Every name
-the package exports (EXPORTS) resolves to its submodule's object, the lazy
-modules' names included.
+`jacobi`, `siegel`, `cache` and `linalg` are lazy modules (see the
+siegelcong docstring), present in sys.modules but executed on first use: a
+heat cycle runs only the Jacobi layer, a Siegel command never runs it, and
+only `search` runs `linalg`.  Every name the package exports (EXPORTS)
+resolves to its submodule's object, the lazy modules' names included.
 """
 
 import importlib
@@ -107,3 +107,32 @@ print(code, ran())
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["[0, 0, 0] False", "0 True"]
+
+
+def test_each_command_loads_only_what_it_uses(tmp_path):
+    """In a fresh interpreter: `check`, `table` and a heat cycle leave
+    `linalg` unrun and `search` runs it; no command imports `dataclasses`;
+    and `csv` is imported by the first `--out csv` run, not before."""
+    code = f"""
+import contextlib, io, sys
+import siegelcong.cli as cli
+
+def state():
+    linalg = object.__getattribute__(sys.modules["siegelcong.linalg"], "__dict__")
+    return ["kernel_basis" in linalg, "dataclasses" in sys.modules, "csv" in sys.modules]
+
+cache = ["--cache-dir", {str(tmp_path)!r}]
+for argv in (["check", "chi12", "--p", "5", "--b", "1"], ["table", "--max-prime", "5"],
+             ["heat-cycle", "--weight", "10", "--index", "1", "--p", "5", "--form", "phi10_1"],
+             ["search", "--max-weight", "12", "--max-prime", "7", "--quiet"],
+             ["scan", "chi12", "--p", "5", "--out", "csv"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + cache)
+    print(argv[0], code, state())
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["check 0 [False, False, False]", "table 0 [False, False, False]",
+                                "heat-cycle 0 [False, False, False]",
+                                "search 0 [True, False, False]", "scan 0 [True, False, True]"]

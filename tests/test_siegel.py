@@ -548,6 +548,17 @@ def test_scan_rejects_split_legendre_class(monkeypatch):
     assert isinstance(info.value, SiegelCongError)
 
 
+def test_certificates_compare_by_value(ctx5):
+    c12 = ctx5.generator("chi12")
+    a, b = siegel_congruence(c12, 5, 1, label="chi12"), siegel_congruence(c12, 5, 1, label="chi12")
+    assert a is not b and a == b and a.to_json() == b.to_json()
+    assert a != siegel_congruence(c12, 5, 2, label="chi12")
+    assert a != siegel_congruence(c12, 5, 1, label="x")
+    assert sturm_zero(c12, 30, 1) == sturm_zero(c12, 30, 1)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_criterion_agrees_with_direct_scan(ctx5):
     c12 = ctx5.generator("chi12")
     for b in range(5):

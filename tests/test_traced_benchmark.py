@@ -4,7 +4,8 @@ perfbench/spans.py replaces functions by module and name, and its hooks read
 some of their parameters by name (prec, k, m, prec, p, F, G, mat), so a
 rename breaks `perfbench/run.py --trace 1`.  This runs spans.py on small
 commands on each side of the engine, one of them with an elliptic factor,
-and compares it with the plain CLI.  No command calls jacobi.holo_basis or
+and on a small search, whose kernels mod p are read from the lazy `linalg`
+module, and compares it with the plain CLI.  No command calls jacobi.holo_basis or
 linalg.membership, so the parameter names their hooks read are checked
 directly.  No command builds a level-1 basis (qexp.mk_basis) either: the
 heat cycle's filtrations are valuations, which read no basis.
@@ -31,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
     (["check", "chi12", "--p", "5", "--b", "1"], "siegel.maass_lift"),
     (["heat-cycle", "--weight", "14", "--index", "1", "--p", "5", "--form", "E4*phi10_1"],
      "jacobi.qseries_times_jacobi"),
+    (["search", "--max-weight", "12", "--max-prime", "7", "--quiet"], "linalg.kernel_basis"),
 ])
 def test_traced_run_matches_the_cli(tmp_path, argv, layer):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
