@@ -23,8 +23,7 @@ import sys
 from .errors import (ArithmeticDomainError, CacheIOError, DecompositionError,
                      InvalidArgumentError, PrecisionError, RingMismatchError,
                      SiegelCongError)
-from .ring import (FpRing, IntRing, RatRing, is_prime, legendre, reduce_rational,
-                   ring_from_tag)
+from .ring import FpRing, IntRing, is_prime, legendre, reduce_rational, ring_from_tag
 from .qexp import bernoulli, eta_pow6, index1_columns, mk_basis, mk_dim
 from .expr import Expr, evaluate, parse
 

@@ -5,8 +5,8 @@ A file of format 3, `{name}__{tag}__N{prec}.v3.npy`, is the header line
 a newline), then np.save(..., allow_pickle=False) of the form's coefficient
 vector (see siegelcong.siegel), of length box_index(N).size: over F_p with
 int64 vectors (p < 2^21) the residues as np.min_scalar_type(p - 1), uint8 for
-p < 256; over the object rings (Z, Q, F_p with p >= 2^21) an `S` array of the
-ring.to_token strings ("-7", "2/3").  It is not compressed: for chi12 at
+p < 256; over the object rings (Z, F_p with p >= 2^21) an `S` array of the
+coefficients' decimal strings ("-7", "240").  It is not compressed: for chi12 at
 box 90 over F_23 the gzip-6 JSON of format 2 took 171 ms to store and 139 ms
 to load, this format 0.9 ms and 0.5 ms, for 335 KB instead of 249 KB (2-vCPU
 host); at box 30 a format-2 load cost about half a build.
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheIOError
-from .siegel import SiegelFormSeries, box_index, tokens
+from .siegel import SiegelFormSeries, box_index
 
 ENV_VAR = "CONGRUENCE_CACHE_DIR"
 _FORMAT = 3
@@ -43,7 +43,7 @@ def _header(name, ring, prec, weight):
 
 def _payload(ring, coeffs):
     if ring.dtype == object:
-        return np.array([str(t) for t in tokens(ring, coeffs)], dtype="S")
+        return np.array(list(map(str, coeffs.tolist())), dtype="S")
     return coeffs.astype(np.min_scalar_type(ring.p - 1))
 
 
@@ -52,7 +52,7 @@ def _read_coeffs(fh, ring, size):
     _payload wrote it.  The npy header must give `size` entries of the kind
     _payload writes, checked before any data is read, so that neither a
     pickled array nor a garbled shape is loaded; every residue must be below
-    p, and every token one that to_token writes back exactly."""
+    p, and every token the canonical decimal of an element of the ring."""
     if np.lib.format.read_magic(fh) != (1, 0):
         raise ValueError("not an npy 1.0 array")
     shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
@@ -66,9 +66,7 @@ def _read_coeffs(fh, ring, size):
             raise ValueError("a residue >= p")
         return arr.astype(np.int64)
     strs = arr.astype("U").tolist()                  # UnicodeDecodeError past ASCII
-    if type(ring.to_token(ring.zero)) is str:        # Q: from_token refuses other texts
-        return np.array(list(map(ring.from_token, strs)), dtype=object)
-    vals = np.array(list(map(int, strs)), dtype=object)     # Z, F_p: canonical decimals
+    vals = np.array(list(map(int, strs)), dtype=object)
     if list(map(str, vals.tolist())) != strs or np.any(ring.canonical(vals) != vals):
         raise ValueError("a token the writer does not write")
     return vals
@@ -97,7 +95,7 @@ class DiskCache:
                     raise ValueError("header does not match the request")
                 coeffs = _read_coeffs(fh, ring, box_index(prec).size)
             return SiegelFormSeries(ring, weight, prec, coeffs)
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CacheIOError(f"unreadable cache file {path}: {exc}") from exc
 
     def store(self, name, form):

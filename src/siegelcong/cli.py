@@ -70,12 +70,12 @@ def build_parser():
                                       "Siegel modular forms and Jacobi forms")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True, csv=False):
+    def common(p, ring=True, prec=True, csv=False):
         if ring:
-            p.add_argument("--ring", default=None,
-                           help="coefficient ring: int, rat, or fp:<p>")
-        p.add_argument("--prec", type=_prec, default=None,
-                       help="override the auto-derived precision (at least 1)")
+            p.add_argument("--ring", default=None, help="coefficient ring: int or fp:<p>")
+        if prec:
+            p.add_argument("--prec", type=_prec, default=None,
+                           help="override the auto-derived precision (at least 1)")
         p.add_argument("--out", choices=("json", "csv") if csv else ("json",), default="json")
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: $CONGRUENCE_CACHE_DIR or .cache)")
@@ -130,7 +130,7 @@ def build_parser():
     p.add_argument("--max-weight", type=int, default=20)
     p.add_argument("--max-prime", type=int, default=43)
     p.add_argument("--quiet", action="store_true")
-    common(p, csv=True)
+    common(p, ring=False, prec=False, csv=True)
     p.set_defaults(func=cmd_search)
     return top
 

@@ -20,7 +20,8 @@ class RingMismatchError(SiegelCongError, TypeError):
 
 
 class ArithmeticDomainError(SiegelCongError, ArithmeticError):
-    """Inversion of a non-unit, or reduction of a non-p-integral rational."""
+    """Inversion of a non-unit, an inexact division over Z, or the image of a
+    rational (a Bernoulli scale) in a ring that does not hold it."""
 
 
 class PrecisionError(SiegelCongError):

@@ -51,7 +51,7 @@ from .expr import Record
 from .qexp import (MEMO_BYTES, NEG_INF, BoundedMemo, _read_only, _weak_columns, array_bytes,
                    convolve_trunc, coordinate_matrices, discriminant_series, index1_columns,
                    invert_series, mk_basis, mk_dim, mod_p_filtration)
-from .ring import FpRing, IntRing, RatRing, exact_product, int64_qmax, ring_from_tag
+from .ring import FpRing, exact_product, int64_qmax, ring_from_tag
 
 
 def rbound(index, n):
@@ -213,8 +213,8 @@ class JacobiFormSeries:
     def to_json(self):
         idx = self.idx
         nz = np.flatnonzero(self.coeffs != 0)
-        toks = [self.ring.to_token(v) for v in self.coeffs[nz].tolist()]
-        coeffs = [[n, r, t] for n, r, t in zip(idx.n[nz].tolist(), idx.r[nz].tolist(), toks)]
+        coeffs = [[n, r, t] for n, r, t in zip(idx.n[nz].tolist(), idx.r[nz].tolist(),
+                                                self.coeffs[nz].tolist())]
         return {"kind": "jacobi", "ring": self.ring.tag, "weight": self.weight,
                 "index": self.index, "prec": self.prec, "coeffs": coeffs}
 
@@ -399,11 +399,11 @@ def weak_decompose(phi):
 
     Uses the z = 0 specialization (the weight -2 generator vanishes there and
     the weight 0 one restricts to the constant 12) followed by exact division,
-    so each step strips one power of the weight 0 generator.  Integer input is
-    promoted to exact rationals; components of an integral form in the span
-    need not be integral, but are always p-integral alongside phi.  They are
-    computed once per form and kept on it, read-only, so the zero test and
-    the filtration of one heat iterate share them.
+    so each step strips one power of the weight 0 generator.  phi must lie
+    over a prime field fp:<p> (InvalidArgumentError otherwise), since the
+    components of an integral form need not be integral (f_0 of E_{4,1} is
+    E4/12).  They are computed once per form and kept on it, read-only, so
+    the zero test and the filtration of one heat iterate share them.
     """
     if phi._parts is None:
         phi._parts = tuple(_read_only(f.view()) for f in _weak_components(phi))
@@ -411,12 +411,9 @@ def weak_decompose(phi):
 
 
 def _weak_components(phi):
-    if isinstance(phi.ring, IntRing):
-        rat = ring_from_tag("rat")
-        phi = JacobiFormSeries(rat, phi.weight, phi.index, phi.prec, rat.from_integers(phi.coeffs, 1))
     ring = phi.ring
-    if not isinstance(ring, (RatRing, FpRing)):
-        raise InvalidArgumentError("weak_decompose needs a field-like ring (rat or fp)")
+    if not isinstance(ring, FpRing):
+        raise InvalidArgumentError(f"weak_decompose needs a prime field fp:<p>, not {ring.tag}")
     m = phi.index
     if phi.weight is None:
         raise InvalidArgumentError("weak_decompose needs a weight annotation")

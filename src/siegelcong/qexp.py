@@ -39,17 +39,14 @@ from math import comb, isqrt
 import numpy as np
 
 from .errors import ArithmeticDomainError, InvalidArgumentError, PrecisionError
-from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, int64_qmax,
-                   ring_from_tag, rint_residues)
-
-_INT = ring_from_tag("int")
+from .ring import FpRing, centred, exact_product, fft_len, fft_qmax, int64_qmax, rint_residues
 
 
 # -- series products -------------------------------------------------------------
 
 # Shorter-factor length from which convolve_trunc multiplies by FFT over
 # F_p with p <= fft_qmax, the measured crossover with np.convolve.  Rings
-# that need CRT (Z, Q, F_p past fft_qmax) keep np.convolve at every length.
+# that need CRT (Z, F_p past fft_qmax) keep np.convolve at every length.
 _FFT_MIN = 250
 
 
@@ -151,7 +148,7 @@ def eta_pow6(prec, ring):
     j = j[j * (j + 1) // 2 <= prec]
     cube = np.zeros(prec + 1, dtype=np.int64)
     cube[j * (j + 1) // 2] = np.where(j % 2, -1, 1) * (2 * j + 1)
-    cube = ring.from_integers(cube, 1)
+    cube = ring.from_integers(cube)
     return convolve_trunc(ring, cube, cube, prec + 1)
 
 
@@ -218,7 +215,7 @@ MEMO_BYTES = 16 << 20
 
 def array_bytes(arrays):
     """Bytes held by numpy arrays, counting an object entry as 64 bytes (its
-    pointer and a small Python number), so bounds over Z and Q are rough."""
+    pointer and a small Python number), so bounds over Z are rough."""
     return sum(a.size * 64 if a.dtype == object else a.nbytes for a in arrays)
 
 
@@ -234,16 +231,10 @@ def require_memory(what, need, parts=""):
 def integral_memo(memo, build, prec, ring):
     """build(prec, ring), an array of integral series along its last axis,
     memoized per ring at the largest precision asked, read-only; a smaller
-    precision is a prefix view.  Q casts the entry of Z once (Fraction
-    arithmetic would be the cost)."""
+    precision is a prefix view."""
     rows = memo.get(ring.tag)
     if rows is None or rows.shape[-1] <= prec:
-        if isinstance(ring, RatRing):
-            ints = integral_memo(memo, build, prec, _INT)
-            rows = ring.from_integers(ints, 1)
-        else:
-            rows = build(prec, ring)
-        rows = memo[ring.tag] = _read_only(rows)
+        rows = memo[ring.tag] = _read_only(build(prec, ring))
     return rows[..., :prec + 1]
 
 
@@ -276,7 +267,7 @@ def _theta_square_column(ring, c, n):
     reach = isqrt(2 * n) + 2
     j = np.arange(-reach, reach + 1)
     e = (j * (j + 1) + (c - j) * (c - j + 1)) // 2
-    return ring.from_integers(np.bincount(e[e < n], minlength=n) * (-1) ** (c % 2), 1)
+    return ring.from_integers(np.bincount(e[e < n], minlength=n) * (-1) ** (c % 2))
 
 
 _weak_memo = BoundedMemo(MEMO_BYTES, lambda cols: array_bytes([cols]))
@@ -374,7 +365,7 @@ def mk_basis(k, prec, ring):
     and a minimal.  Each has integer coefficients and leading term 1*q^c, so
     the set is a basis of M_k (Serre, A Course in Arithmetic, VII §3.2, Thm 4)
     whose Z-span holds every monomial E4^a E6^b Delta^c of weight k; its
-    reduced echelon form is the one of all those monomials, over Q and over
+    reduced echelon form is the one of all those monomials, over Z and over
     every F_p.  Unit leading terms make the reduction a back substitution
     without division.  Pivot columns strictly increase and pivots equal 1;
     the number of rows is the dimension of the space, 0 at odd, negative
@@ -442,7 +433,7 @@ def mk_dim(k):
     """Dimension of the weight-k level-1 space: the size of mk_basis's
     triangular basis, one element per c with k - 12c != 2 (Serre, A Course in
     Arithmetic, VII §3.2, Thm 4).  Its unit leading terms make the count the
-    same over Q and over every F_p.
+    same over Z and over every F_p.
     """
     return len(_triangular_exponents(k))
 

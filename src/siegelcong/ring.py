@@ -1,13 +1,14 @@
-"""Coefficient rings: prime fields F_p, exact integers, exact rationals.
+"""Coefficient rings: prime fields F_p and the exact integers.
 
 A ring is a protocol on coefficient vectors (`Ring`).  Series code holds
 coefficients in numpy arrays of dtype `Ring.dtype` and does its arithmetic
 as numpy expressions on them; the ring supplies only the steps that differ
 between rings: `canonical` (reduction into ``[0, p)`` over F_p, nothing
-elsewhere), `divexact_vector`, `powers`, and the integer lifts
-`to_integers`/`from_integers`.  Entries are ``int`` values for the ``int``
-and ``fp:<p>`` rings and `fractions.Fraction` for ``rat``.  Rings are
-stateless, hashable, and compare by tag, so they are safe to share between
+over Z), `divexact_vector`, `powers`, and the integer lifts
+`to_integers`/`from_integers`, which need no denominator: every generator
+of the package is integral.  Entries are Python ``int`` values in object
+arrays, or int64 residues over F_p with p < 2^21.  Rings are stateless,
+hashable, and compare by tag, so they are safe to share between
 concurrent readers.
 
 Every exact product of the package (series, Jacobi rows, Siegel boxes) is
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, log2, prod
+from math import isqrt, log2, prod
 
 import numpy as np
 
@@ -147,29 +148,21 @@ class Ring:
 
     def powers(self, xs, e):
         """The vector of x^e, e >= 0, for each Python int x in xs."""
-        return self.from_integers(np.array([x ** e for x in xs], dtype=object), 1)
+        return self.from_integers(np.array([x ** e for x in xs], dtype=object))
 
     # -- reduction into a prime field ---------------------------------------
     def reduce_vector(self, vec, fp):
-        """The entries of vec reduced into the prime field fp: the integer lift
-        mod p over its denominator, which p divides iff an entry is not p-integral."""
-        ints, d = self.to_integers(vec)
-        if d % fp.p == 0:
-            raise ArithmeticDomainError(f"a coefficient is not p-integral for p = {fp.p}")
-        return fp.from_integers(ints % fp.p, d)
+        """The entries of vec reduced into the prime field fp: the integer lift mod p."""
+        return fp.from_integers(self.to_integers(vec))
 
     # -- integer lifts of arrays (the lifts of exact_product) -----------------
     def to_integers(self, vec):
-        """(ints, d): ints = d * vec, integers of vec's shape, for an integer d >= 1."""
-        return vec, 1
+        """Integers of vec's shape that represent vec's entries."""
+        return vec
 
-    def from_integers(self, ints, d):
-        """The array ints / d in this ring, of dtype `dtype`."""
+    def from_integers(self, ints):
+        """The array of the integers ints in this ring, of dtype `dtype`."""
         return np.asarray(ints, dtype=self.dtype)
-
-    def to_token(self, a):
-        """JSON-friendly rendering (ints in decimal, rationals as 'n/d')."""
-        return int(a)
 
 
 class IntRing(Ring):
@@ -193,40 +186,6 @@ class IntRing(Ring):
         if np.any(vec % c):
             raise ArithmeticDomainError(f"a coefficient is not divisible by {c}")
         return vec // c
-
-
-class RatRing(Ring):
-    tag = "rat"
-
-    def from_int(self, a):
-        return Fraction(a)
-
-    def from_rational(self, x):
-        return Fraction(x)
-
-    def inv(self, a):
-        if a == 0:
-            raise ArithmeticDomainError("0 is not invertible in Q")
-        return 1 / Fraction(a)
-
-    def to_integers(self, vec):
-        flat = vec.ravel().tolist()
-        d = lcm(*(x.denominator for x in flat))
-        ints = np.array([x.numerator * (d // x.denominator) for x in flat], dtype=object)
-        return ints.reshape(vec.shape), d
-
-    def from_integers(self, ints, d):
-        flat = [Fraction(v, d) for v in ints.ravel().tolist()]
-        return np.array(flat, dtype=object).reshape(ints.shape)
-
-    def to_token(self, a):
-        a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-
-    def from_token(self, t):
-        if type(t) is not str or self.to_token(Fraction(t)) != t:
-            raise ValueError(f"{t!r} is not a token of {self.tag}")
-        return Fraction(t)
 
 
 class FpRing(Ring):
@@ -256,13 +215,13 @@ class FpRing(Ring):
 
     def powers(self, xs, e):
         """Each power mod p (three-argument pow), never the exact integer."""
-        return self.from_integers(np.array([pow(x, e, self.p) for x in xs], dtype=self.dtype), 1)
+        return self.from_integers(np.array([pow(x, e, self.p) for x in xs], dtype=self.dtype))
 
     def to_integers(self, vec):
-        return centred(vec, self.p), 1
+        return centred(vec, self.p)
 
-    def from_integers(self, ints, d):
-        return (ints * pow(d, -1, self.p) % self.p).astype(self.dtype)
+    def from_integers(self, ints):
+        return (ints % self.p).astype(self.dtype)
 
     def reduce_vector(self, vec, fp):
         if fp.p != self.p:
@@ -290,8 +249,8 @@ def exact_product(ring, f, g, kernel, terms, qmax):
             return kernel(f, g, ring.p)
         x = f.astype(np.int64)
         return kernel(x, x if g is f else g.astype(np.int64), ring.p).astype(object)
-    a, da = ring.to_integers(f)
-    b, db = (a, da) if g is f else ring.to_integers(g)
+    a = ring.to_integers(f)
+    b = a if g is f else ring.to_integers(g)
     primes = moduli(qmax, 2 * terms * int(abs(a).max(initial=0)) * int(abs(b).max(initial=0)))
     m, x = prod(primes), 0
     for q in primes:
@@ -299,7 +258,7 @@ def exact_product(ring, f, g, kernel, terms, qmax):
         r = kernel(y, y if b is a else (b % q).astype(np.int64), q)
         x = x + r.astype(object) * (m // q * pow(m // q, -1, q))
     x %= m
-    return ring.from_integers(np.where(x > m // 2, x - m, x), da * db)
+    return ring.from_integers(np.where(x > m // 2, x - m, x))
 
 
 def int64_qmax(terms):
@@ -386,19 +345,16 @@ def _prime_at_most(q):
 
 
 _INT = IntRing()
-_RAT = RatRing()
 
 
 def ring_from_tag(tag):
-    """Resolve a CLI ring selector: 'int', 'rat', or 'fp:<p>'."""
+    """Resolve a CLI ring selector: 'int' or 'fp:<p>'."""
     if tag == "int":
         return _INT
-    if tag == "rat":
-        return _RAT
     if tag.startswith("fp:"):
         try:
             p = int(tag[3:])
         except ValueError:
             raise InvalidArgumentError(f"bad ring tag {tag!r}") from None
         return FpRing(p)
-    raise InvalidArgumentError(f"unknown ring tag {tag!r} (expected int, rat, or fp:<p>)")
+    raise InvalidArgumentError(f"unknown ring tag {tag!r} (expected int or fp:<p>)")

@@ -39,7 +39,7 @@ from .errors import (InconsistentVerdictError, InvalidArgumentError,
 from .expr import GENERATOR_WEIGHTS, Record
 from .qexp import (_read_only, bernoulli, criterion_weight, discriminant_series, index1_columns,
                    require_memory)
-from .ring import (FpRing, RatRing, centred, exact_product, fft_len, fft_qmax, is_prime, legendre,
+from .ring import (FpRing, centred, exact_product, fft_len, fft_qmax, is_prime, legendre,
                    ring_from_tag, rint_residues)
 
 
@@ -236,7 +236,7 @@ class SiegelFormSeries:
         idx = box_index(self.prec)
         block = slice(idx.nstart[n], idx.nstart[n + 1])
         nz = np.flatnonzero(self.coeffs[block] != 0)
-        toks = tokens(self.ring, self.coeffs[block][nz])
+        toks = self.coeffs[block][nz].tolist()
         return [[n, r, m, t] for r, m, t in zip(idx.r[block][nz].tolist(),
                                                  idx.m[block][nz].tolist(), toks)]
 
@@ -244,13 +244,6 @@ class SiegelFormSeries:
         coeffs = [c for n in range(self.prec + 1) for c in self.coeff_rows(n)]
         return {"kind": "siegel", "ring": self.ring.tag, "weight": self.weight,
                 "prec": self.prec, "coeffs": coeffs}
-
-
-def tokens(ring, vec):
-    """The entries of a coefficient vector as JSON tokens (ring.to_token)."""
-    if vec.dtype == object:
-        return [ring.to_token(v) for v in vec]
-    return vec.tolist()
 
 
 def class_values(F, wmax):
@@ -310,14 +303,11 @@ def igusa_generator(name, prec, ring):
     Eisenstein series with the constant term pinned to 1.  The lift reads
     the generator's two columns to q^(prec^2); no Jacobi form is built.
     Every coefficient is an integer (the columns, the lifts and the scales
-    240 and -504), so over Q it is built over Z and cast once.
+    240 and -504), so the form lies over Z and over every F_p.
     """
     k = GENERATOR_WEIGHTS.get(name)
     if k is None:
         raise InvalidArgumentError(f"unknown generator {name!r}")
-    if isinstance(ring, RatRing):
-        F = igusa_generator(name, prec, ring_from_tag("int"))
-        return SiegelFormSeries(ring, k, prec, ring.from_integers(F.coeffs, 1))
     lift = maass_lift(ring, k, index1_columns(k, prec * prec, ring), prec)
     if name.startswith("E"):
         lift = SiegelFormSeries.constant(ring, k, prec, 1) \

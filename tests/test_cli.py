@@ -64,6 +64,32 @@ def test_out_csv_is_refused_where_there_is_no_csv_form(capsys, argv):
     assert code == 0 and isinstance(json.loads(out), dict)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gens", "--prec", "2"],
+    ["check", "chi12", "--p", "5", "--b", "1"],
+    ["scan", "chi12", "--p", "5"],
+    ["table", "--max-prime", "5"],
+    ["sieve", "chi12", "--p", "5", "--s", "+1"],
+])
+def test_ring_rat_is_refused(capsys, tmp_cache, argv):
+    """Two rings are left, int and fp:<p>: --ring rat exits 1 naming them,
+    before anything is printed or cached."""
+    code, out, err = run(capsys, *argv, "--ring", "rat")
+    assert code == 1 and out == ""
+    assert err == "error: unknown ring tag 'rat' (expected int or fp:<p>)\n"
+    assert not tmp_cache.exists() or not any(tmp_cache.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--ring", "int"], ["--ring", "rat"], ["--prec", "1"]])
+def test_search_offers_neither_ring_nor_prec(capsys, flag):
+    """search always runs mod p at the boxes its cells need, so --ring and
+    --prec are usage errors there rather than flags it would ignore."""
+    code, out, err = run(capsys, "search", "--max-weight", "12", "--max-prime", "7", "--quiet",
+                         *flag)
+    assert code == 1 and out == ""
+    assert err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+
+
 def test_search_csv(capsys):
     code, out, _ = run(capsys, "search", "--max-weight", "12", "--max-prime", "7", "--quiet",
                        "--out", "csv")

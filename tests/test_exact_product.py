@@ -3,7 +3,7 @@
 The kernels are the 1-D series convolutions (`qexp.convolve_trunc`: int64
 `np.convolve` for short series, the float64 FFT `qexp._convolve_fft` for long
 ones) and the Siegel FFT (`siegel._mul_fft`).  Each is compared with the same
-product computed on the ring's own elements in object arrays, over Z, Q,
+product computed on the ring's own elements in object arrays, over Z,
 fp:2097169 (object residues) and the least prime past the kernel's bound, where
 the lifts and the CRT run; fp:7 runs the single-modulus path.  "Extreme" draws put -1
 everywhere they can, so every residue is q - 1: each modulus of an int64
@@ -14,7 +14,6 @@ compared with the coefficient loop it replaced.
 """
 
 import random
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,7 @@ from siegelcong.qexp import convolve_trunc, invert_series
 from siegelcong.ring import FpRing, exact_product, fft_qmax, int64_qmax, is_prime, ring_from_tag
 from siegelcong.siegel import SiegelFormSeries, siegel_mul
 
-TAGS = ["int", "rat", "fp:7", "fp:2097169", "past"]
+TAGS = ["int", "fp:7", "fp:2097169", "past"]
 
 
 def _ring(tag, qmax):
@@ -43,7 +42,7 @@ def _ring(tag, qmax):
 
 def _values(ring, shape, seed, extreme):
     """Ring elements of the given shape: residues over F_p, integers up to
-    2^80 in absolute value over Z, over small denominators over Q."""
+    2^80 in absolute value over Z."""
     rng = random.Random(seed)
     size = int(np.prod(shape))
     if isinstance(ring, FpRing):
@@ -51,8 +50,6 @@ def _values(ring, shape, seed, extreme):
     else:
         big = 1 << 80
         vals = [-1 if extreme else rng.randint(-big, big) for _ in range(size)]
-        if ring.tag == "rat":
-            vals = [Fraction(v, 1 if extreme else rng.randint(1, 40)) for v in vals]
     return np.array(vals, dtype=object).reshape(shape).astype(ring.dtype)
 
 
@@ -68,17 +65,10 @@ def _prime_at_most(q):
 
 def _object_convolve(ring, a, b, n):
     """The first n terms of a * b by an object-dtype np.convolve of the
-    integer numerators over the common denominator (no ring.to_integers)."""
+    ring's elements (no ring.to_integers)."""
     want = ring.zeros(n)
-    if ring.tag != "rat":
-        full = np.convolve(a.astype(object), b.astype(object))[:n]
-        want[:len(full)] = _canonical(ring, full)
-        return want
-    da = np.lcm.reduce([v.denominator for v in a.tolist()])
-    db = np.lcm.reduce([v.denominator for v in b.tolist()])
-    num = [np.array([int(v * d) for v in x.tolist()], dtype=object) for x, d in ((a, da), (b, db))]
-    full = np.convolve(*num)[:n]
-    want[:len(full)] = [Fraction(v, int(da) * int(db)) for v in full.tolist()]
+    full = np.convolve(a.astype(object), b.astype(object))[:n]
+    want[:len(full)] = _canonical(ring, full)
     return want
 
 
@@ -129,22 +119,16 @@ def test_series_fft_kernel_matches_object_product(tag, la, lb, n, seed, extreme)
     assert bool(calls) == (tag in ("fp:7", "at-bound") and t >= qexp._FFT_MIN)
 
 
-# Q stops at 256 terms: the Fraction loop takes about 3 s at 600
-@pytest.mark.parametrize("tag,n", [(tag, n) for tag in ("int", "rat", "fp:7", "fp:2097169")
-                                   for n in (1, 2, 3, 37, 256, 600) if tag != "rat" or n <= 256])
+@pytest.mark.parametrize("tag,n", [(tag, n) for tag in ("int", "fp:7", "fp:2097169")
+                                   for n in (1, 2, 3, 37, 256, 600)])
 def test_newton_inverse_matches_the_coefficient_loop(tag, n):
     """invert_series against the loop it replaced, on a unit-led random
     series, on 1/eta^6 (the inverse the generators read) and on a series
     shorter than n."""
     ring, rng = ring_from_tag(tag), random.Random(n)
-    if tag == "rat":
-        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
-        a[0] = Fraction(-2, 3)
-    else:
-        a = [rng.randint(-99, 99) for _ in range(n)]
-        a[0] = -1
-    for series in (np.array(a, dtype=object).astype(ring.dtype) if tag != "rat"
-                   else np.array(a, dtype=object), qexp.eta_pow6(n - 1, ring)):
+    a = [rng.randint(-99, 99) for _ in range(n)]
+    a[0] = -1
+    for series in (np.array(a, dtype=object).astype(ring.dtype), qexp.eta_pow6(n - 1, ring)):
         series = _canonical(ring, series)
         _same(invert_series(ring, series, n), invert_loop(ring, series, n), ring)
     short = _canonical(ring, np.array(a[:n // 3 + 1], dtype=object).astype(ring.dtype))
@@ -161,11 +145,11 @@ def test_fft_qmax_is_the_largest_odd_modulus_within_2_to_the_40(terms):
 @pytest.mark.parametrize("tag,length,fft", [
     ("fp:7", qexp._FFT_MIN - 1, False), ("fp:7", qexp._FFT_MIN, True),
     ("at-bound", 700, True), ("past-fft", 700, False), ("fp:2097169", 700, False),
-    ("int", 700, False), ("rat", 700, False), ("fp:1000000007", 700, False)])
+    ("int", 700, False), ("fp:1000000007", 700, False)])
 def test_series_kernel_choice(monkeypatch, tag, length, fft):
     """FFT from _FFT_MIN terms over F_p up to the FFT bound of the longer
     factor ("at-bound"); never past it ("past-fft", the least prime past the
-    bound, and fp:2097169) nor over Z and Q, where the CRT runs np.convolve."""
+    bound, and fp:2097169) nor over Z, where the CRT runs np.convolve."""
     longer = length + 3
     if tag == "at-bound":
         ring = ring_from_tag(f"fp:{_prime_at_most(fft_qmax(longer))}")

@@ -28,7 +28,6 @@ from siegelcong.linalg import FpMatrix, rref
 from siegelcong.ring import ring_from_tag
 
 INT = ring_from_tag("int")
-RAT = ring_from_tag("rat")
 FP5 = ring_from_tag("fp:5")
 FP7 = ring_from_tag("fp:7")
 
@@ -130,7 +129,7 @@ def _oracle_weak_generators(nmax):
 def test_weak_generators_match_oracle():
     nmax = 8
     om2, o0 = _oracle_weak_generators(nmax)
-    w2, w0 = weak_generators(nmax, RAT)
+    w2, w0 = weak_generators(nmax, INT)
     for n in range(nmax + 1):
         for r in range(-w2.rb(n), w2.rb(n) + 1):
             assert w2.c(n, r) == om2.get((n, r), 0), (n, r)
@@ -147,7 +146,7 @@ def _assert_same_form(got, want):
 @pytest.mark.parametrize("tag,prec", [(tag, prec)
                                       for tag in ("fp:5", "fp:7", "fp:2097143", "fp:2097169")
                                       for prec in (1, 2, 5, 40)]
-                         + [(tag, prec) for tag in ("int", "rat") for prec in (1, 2, 5, 12)])
+                         + [("int", prec) for prec in (1, 2, 5, 12)])
 def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
     ring = ring_from_tag(tag)
     monkeypatch.setattr(qexp, "_weak_memo", {})
@@ -164,7 +163,7 @@ def test_generators_match_all_column_oracle(monkeypatch, tag, prec):
 
 # gen 0 is phi_{-2,1}, the one generator whose zeta^2 column is built (phi_{0,1}
 # is its heat image); the parameter keeps the ids of the cases
-@pytest.mark.parametrize("tag", ["fp:7", "rat"])
+@pytest.mark.parametrize("tag", ["fp:7", "int"])
 @pytest.mark.parametrize("gen", [0])
 @pytest.mark.parametrize("row", [0, 6])
 def test_corrupt_zeta2_column_is_rejected(monkeypatch, tag, gen, row):
@@ -194,20 +193,6 @@ def test_weak_generator_rows():
     assert [w0.c(1, r) for r in (-2, -1, 0, 1, 2)] == [10, -64, 108, -64, 10]
     for r in (2, -2, 3, -3):
         assert w2.c(0, r) == 0 and w0.c(0, r) == 0
-
-
-def test_rat_weak_generators_are_the_int_ones_cast(monkeypatch):
-    """Over Q the weak columns are built over Z and cast once."""
-    monkeypatch.setattr(qexp, "_weak_memo", {})
-    inverted = []
-    invert = qexp.invert_series
-    monkeypatch.setattr(qexp, "invert_series",
-                        lambda ring, a, n: inverted.append(ring.tag) or invert(ring, a, n))
-    got = weak_generators(30, RAT)
-    assert inverted == ["int"]
-    for f, g in zip(got, weak_generators(30, INT)):
-        assert f.coeffs.tolist() == g.coeffs.tolist() and not f.coeffs.flags.writeable
-        assert {type(v) for v in f.coeffs.tolist()} == {Fraction}
 
 
 def test_weak_generator_invariants():
@@ -240,12 +225,12 @@ def _random_form(rng, ring, m, prec, bound=50):
     return JacobiFormSeries(ring, 0, m, prec, ring.canonical(np.array(vals, dtype=ring.dtype)))
 
 
-@pytest.mark.parametrize("tag", ["fp:7", "fp:2097143", "fp:2097169", "int", "rat"])
+@pytest.mark.parametrize("tag", ["fp:7", "fp:2097143", "fp:2097169", "int"])
 def test_jac_mul_and_division_match_the_definition(tag):
     """jac_mul's packed series and qseries_times_jacobi's packed columns
     equal the products by the definition, and dividing w_{-2} * psi by
     w_{-2} gives psi back (one packed series division at every index), on
-    int64 and object residues, Z and Q, at indices 0..3 and unequal
+    int64 and object residues and Z, at indices 0..3 and unequal
     precisions.  At precision 20 an index-2 by index-1 product packs to
     stride 43 and 903 terms, past qexp._FFT_MIN: the FFT over fp:7 and
     the CRT over Z.  A residual in the last stored row alone is refused."""
@@ -357,20 +342,30 @@ def test_weak_decompose_cusp():
     assert f1.tolist() == delta_q(8, FP7).tolist()
 
 
-def test_weak_decompose_eisenstein_rat():
-    e41 = jacobi_eisenstein(4, 8, RAT)
-    f0, f1 = weak_decompose(e41)
-    e4 = eisenstein_q(4, 8, RAT)
-    e6 = eisenstein_q(6, 8, RAT)
-    assert f0.tolist() == [v / 12 for v in e4.tolist()]
-    assert f1.tolist() == [-v / 12 for v in e6.tolist()]
+# weak_decompose runs mod p; a large p keeps the check close to the identity over Q
+FP_LARGE = ring_from_tag("fp:2097143")
+
+
+def test_weak_decompose_eisenstein():
+    """E_{4,1} = (E4 w_0 - E6 w_{-2}) / 12: f0 = E4 / 12 and f1 = -E6 / 12."""
+    f0, f1 = weak_decompose(jacobi_eisenstein(4, 8, FP_LARGE))
+    twelfth, p = FP_LARGE.inv(12), FP_LARGE.p
+    assert f0.tolist() == [v * twelfth % p for v in eisenstein_q(4, 8, INT).tolist()]
+    assert f1.tolist() == [-v * twelfth % p for v in eisenstein_q(6, 8, INT).tolist()]
 
 
 def test_weak_decompose_identity():
-    _, w0 = weak_generators(8, RAT)
+    _, w0 = weak_generators(8, FP_LARGE)
     f0, f1 = weak_decompose(w0)
     assert f0.tolist() == [1] + [0] * 8
     assert not np.any(f1)
+
+
+def test_weak_decompose_refuses_the_integers():
+    """Over Z the components need not be integral (f0 of E_{4,1} is E4/12)."""
+    for phi in (jacobi_eisenstein(4, 8, INT), weak_generators(8, INT)[1]):
+        with pytest.raises(InvalidArgumentError, match="fp:<p>"):
+            weak_decompose(phi)
 
 
 def test_weak_decompose_round_trip():

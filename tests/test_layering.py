@@ -4,13 +4,17 @@
 siegelcong docstring), present in sys.modules but executed on first use: a
 heat cycle runs only the Jacobi layer, a Siegel command never runs it, and
 only `search` runs `linalg`.  Every name the package exports (EXPORTS)
-resolves to its submodule's object, the lazy modules' names included.
+resolves to its submodule's object, the lazy modules' names included.  The
+sources know two coefficient rings, int and fp:<p>, and no Q.
 """
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +25,7 @@ import siegelcong
 EXPORTS = {
     "errors": ["ArithmeticDomainError", "CacheIOError", "DecompositionError",
                "InvalidArgumentError", "PrecisionError", "RingMismatchError", "SiegelCongError"],
-    "ring": ["FpRing", "IntRing", "RatRing", "is_prime", "legendre", "reduce_rational",
-             "ring_from_tag"],
+    "ring": ["FpRing", "IntRing", "is_prime", "legendre", "reduce_rational", "ring_from_tag"],
     "qexp": ["bernoulli", "eta_pow6", "mk_basis", "mk_dim"],
     "jacobi": ["HeatCycleReport", "JacobiFormSeries", "filtration", "heat", "heat_cycle",
                "heat_cycle_required_prec", "holo_basis", "index1_columns", "jac_mul",
@@ -41,6 +44,46 @@ def test_exported_names_resolve_to_their_submodule_objects(module, name):
     namespace = {}
     exec(f"from siegelcong import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"siegelcong.{module}"), name)
+
+
+# the only places that hold a fractions.Fraction: Bernoulli numbers, the E_k
+# scales -2k/B_k, and their images in a ring
+FRACTION_SITES = {("qexp", "bernoulli"), ("qexp", "_eisenstein"), ("siegel", "igusa_generator"),
+                  ("ring", "reduce_rational"), ("ring", "IntRing.from_rational"),
+                  ("ring", "FpRing.from_rational")}
+
+
+def _names_by_scope(tree):
+    """(qualified name of the enclosing def or class, node) for every node."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            out.append((scope, child))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else None
+            walk(child, f"{scope}.{inner}".lstrip(".") if inner else scope)
+    walk(tree, "")
+    return out
+
+
+def test_src_has_two_rings_and_fractions_only_for_bernoulli():
+    """No module under src names RatRing or holds a "rat" tag in any string,
+    and Fraction is imported and called only at the Bernoulli sites."""
+    root = Path(siegelcong.__file__).parent
+    fraction_uses = set()
+    for path in sorted(root.glob("*.py")):
+        module = path.stem
+        for scope, node in _names_by_scope(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            assert "RatRing" not in names, (path.name, scope)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not re.search(r"\brat\b", node.value), (path.name, node.lineno)
+            if "Fraction" in names or getattr(node, "module", None) == "fractions":
+                fraction_uses.add((module, "<import>" if isinstance(
+                    node, (ast.alias, ast.ImportFrom, ast.Import)) else scope))
+    imports = {m for m, scope in fraction_uses if scope == "<import>"}
+    assert imports == {m for m, _ in FRACTION_SITES}
+    assert fraction_uses - {(m, "<import>") for m in imports} <= FRACTION_SITES
 
 
 def test_unknown_names_raise_attribute_error():

@@ -60,10 +60,10 @@ def test_reduce_is_ring_homomorphism(p, x, y):
     assert reduce_rational(x * y, p) == reduce_rational(x, p) * reduce_rational(y, p) % p
 
 
-@pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
+@pytest.mark.parametrize("tag", ["int", "fp:7", "fp:2097169"])
 def test_reduce_vector_is_reduce_rational_entrywise(tag):
     ring, fp = ring_from_tag(tag), ring_from_tag("fp:7")
-    vals = [0, 1, -8, 10 ** 30 + 3] + ([Fraction(-5, 3), Fraction(1, 12)] if tag == "rat" else [])
+    vals = [0, 1, -8, 10 ** 30 + 3]
     vec = np.array([ring.from_rational(v) for v in vals], dtype=ring.dtype)
     if tag == "fp:2097169":
         with pytest.raises(RingMismatchError):
@@ -72,17 +72,17 @@ def test_reduce_vector_is_reduce_rational_entrywise(tag):
     got = ring.reduce_vector(vec, fp)
     assert got.dtype == fp.dtype
     assert got.tolist() == [reduce_rational(v, 7) for v in vals]
-    if tag == "rat":
-        with pytest.raises(ArithmeticDomainError):
-            ring.reduce_vector(np.array([Fraction(1, 14), Fraction(1)], dtype=object), fp)
 
 
 def test_ring_from_tag():
     assert ring_from_tag("int").tag == "int"
-    assert ring_from_tag("rat").tag == "rat"
     assert isinstance(ring_from_tag("fp:11"), FpRing)
-    for bad in ("fp:6", "fp:3", "fp:9", "gf2"):
+    for bad in ("fp:6", "fp:3", "fp:9"):
         with pytest.raises(InvalidArgumentError):
+            ring_from_tag(bad)
+    # two rings only: Q has no tag, and the refusal names the two there are
+    for bad in ("rat", "gf2"):
+        with pytest.raises(InvalidArgumentError, match=r"expected int or fp:<p>"):
             ring_from_tag(bad)
 
 
@@ -96,7 +96,7 @@ def test_fp_ring_ops():
         ring_from_tag("fp:5").from_rational(Fraction(2, 5))
 
 
-@pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
+@pytest.mark.parametrize("tag", ["int", "fp:7", "fp:2097169"])
 def test_divexact_vector_matches_divexact(tag):
     r = ring_from_tag(tag)
     ints = (0, 12, -24, 1728 * 5)
@@ -112,7 +112,7 @@ def test_divexact_vector_matches_divexact(tag):
             r.divexact_vector(vec, 14)
 
 
-@pytest.mark.parametrize("tag", ["int", "rat", "fp:7", "fp:2097169"])
+@pytest.mark.parametrize("tag", ["int", "fp:7", "fp:2097169"])
 def test_powers_are_integer_powers_in_the_ring(tag):
     r = ring_from_tag(tag)
     xs = [0, 1, 2, -3, 12, 10**6 + 3]

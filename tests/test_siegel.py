@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from fractions import Fraction
 from math import isqrt, prod
 
 import numpy as np
@@ -142,7 +141,7 @@ def test_maass_lift_needs_precision():
     assert maass_lift(INT, 10, (h0, h1), 4) == maass_lift(INT, 10, index1_columns(10, 20, INT), 4)
 
 
-@pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:2097169", "int", "rat"])
+@pytest.mark.parametrize("tag", ["fp:5", "fp:7", "fp:2097169", "int"])
 def test_one_pass_lift_equals_the_per_divisor_loop(tag):
     """Boxes 0 to 12, and over F_7 and Z boxes 13 to 30, where one scatter
     serves several d."""
@@ -171,7 +170,7 @@ def test_the_lift_peaks_at_a_few_output_vectors():
     assert peak < 4 * F.coeffs.nbytes, (peak, F.coeffs.nbytes)
 
 
-@pytest.mark.parametrize("tag", ["fp:7", "fp:2097169", "int", "rat"])
+@pytest.mark.parametrize("tag", ["fp:7", "fp:2097169", "int"])
 def test_each_generator_alone_equals_a_fresh_build_of_all_four(monkeypatch, tag):
     """A context builds only the generator asked for, and reading the
     level-1 series as a prefix of a longer memo changes nothing."""
@@ -306,7 +305,7 @@ def test_e4_squared_constant(int_gens):
 
 # fp:2097143 is inside the exactness bound only at box 0, fp:2097169 at no box,
 # and "outside" is the least prime past the bound at the drawn box
-KERNEL_RINGS = ["fp:5", "fp:7", "fp:23", "fp:2097143", "fp:2097169", "int", "rat", "outside"]
+KERNEL_RINGS = ["fp:5", "fp:7", "fp:23", "fp:2097143", "fp:2097169", "int", "outside"]
 
 
 def _kernel_ring(tag, prec):
@@ -320,8 +319,7 @@ def _kernel_ring(tag, prec):
 
 def _random_form(ring, prec, seed, density, extreme):
     """Random coefficients on the stored half support, some (n, m) rows zero:
-    residues over F_p, integers up to 2^80 in absolute value over Z, and
-    such integers over random denominators over Q."""
+    residues over F_p, integers up to 2^80 in absolute value over Z."""
     rng = random.Random(seed)
     size = siegel.box_index(prec).size
     if isinstance(ring, FpRing):
@@ -331,8 +329,6 @@ def _random_form(ring, prec, seed, density, extreme):
         big = 1 << 80
         lo, hi, pool = -big, big, [0, 1, -1, big, -big]
     vals = [rng.choice(pool) if extreme else rng.randint(lo, hi) for _ in range(size)]
-    if ring.tag == "rat":
-        vals = [Fraction(v, rng.randint(1, 60)) for v in vals]
     # one draw per (n, m) row
     widths = siegel.box_index(prec).widths
     keep = np.repeat([rng.random() < density for _ in widths], widths)
@@ -602,8 +598,8 @@ def test_sieve_exact_ring_partition(int_gens):
     assert total == F
 
 
-@pytest.mark.parametrize("tag,p,name", [("rat", 7, "chi12"), ("fp:2097169", 2097169, "E4")])
-def test_sieve_partition_over_rat_and_object_fp(tag, p, name):
+@pytest.mark.parametrize("tag,p,name", [("int", 7, "chi12"), ("fp:2097169", 2097169, "E4")])
+def test_sieve_partition_over_int_and_object_fp(tag, p, name):
     """F0 + F+1 + F-1 = F, and mod p each part keeps only its Legendre class
     of det T, none of them empty.  fp:2097169 has object vectors; each power
     det^e is taken mod p there, so the three sieves take milliseconds (exact
@@ -614,7 +610,7 @@ def test_sieve_partition_over_rat_and_object_fp(tag, p, name):
     assert time.perf_counter() - start < 1
     assert parts[0] + parts[1] + parts[-1] == F
     for s, form in parts.items():
-        dets = support_dets(form.reduce_mod(p) if tag == "rat" else form)
+        dets = support_dets(form.reduce_mod(p) if tag == "int" else form)
         assert dets and all(legendre(d, p) == s for d in dets), s
 
 
@@ -749,8 +745,8 @@ def _junk_tail(form, nmax, seed):
 
 
 # "at-bound" is the largest single-modulus prime of the box with all-h factors;
-# "outside" (past _qmax), int and rat take the CRT path
-PREFIX_RINGS = ["fp:5", "fp:23", "at-bound", "outside", "int", "rat"]
+# "outside" (past _qmax) and int take the CRT path
+PREFIX_RINGS = ["fp:5", "fp:23", "at-bound", "outside", "int"]
 
 
 @settings(max_examples=60, deadline=None)
