@@ -30,14 +30,23 @@ import numpy as np
 from .errors import (ArithmeticDomainError, InexactProductError, InvalidArgumentError,
                      RingMismatchError)
 
-# Witness set sufficient for deterministic Miller-Rabin below 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the prime bases 2..41 proves primality below MR_BOUND, the
+# least strong pseudoprime to all of them, 1287836182261 * 2575672364521
+# (Sorenson and Webster, Math. Comp. 86, 2017).  The bases 2..37 alone prove
+# it only below 318665857834031151167461 = 399165290221 * 798330580441,
+# which passes all twelve and fails base 41.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, a proof for n < MR_BOUND;
+    n >= MR_BOUND is refused (InvalidArgumentError naming the bound)."""
     if not isinstance(n, int) or n < 2:
         return False
+    if n >= MR_BOUND:
+        raise InvalidArgumentError(f"cannot prove {n} prime: the primality test is a proof "
+                                   f"only below {MR_BOUND}")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -221,7 +230,9 @@ class FpRing(Ring):
         return centred(vec, self.p)
 
     def from_integers(self, ints):
-        return (ints % self.p).astype(self.dtype)
+        if self.dtype == object:        # p may be past int64: reduce Python ints
+            return np.asarray(ints, dtype=object) % self.p
+        return (ints % self.p).astype(np.int64)
 
     def reduce_vector(self, vec, fp):
         if fp.p != self.p:

@@ -6,8 +6,8 @@ for every form here, so only the half support n <= m, 0 <= r <= isqrt(4nm)
 is stored: one flat vector `coeffs`, ordered by n, then m, then r, which is
 the vector a cache file holds.  Its dtype is `ring.dtype`
 (siegelcong.ring), and every operation is a numpy expression on it, reduced
-mod p only over F_p; the index arrays of each box (BoxIndex) are built once
-and memoized.
+mod p only over F_p; the index arrays of each box (BoxIndex: int32 per key,
+int64 per (n, m) pair) are built once and memoized.
 
 Key facts used throughout: the generalized theta operator acts diagonally
 (multiplication by det T), so its congruence criterion reduces to testing
@@ -57,32 +57,68 @@ def reduced_classes(wmax):
     return tuple(_read_only(a[order]) for a in (n, r, m, 4 * n * m - r * r))
 
 
+# The largest box whose index fits int32: its 2,145,439,873 keys stay below
+# 2^31 (box 1690 has 2,149,250,500), and det <= 4N^2 < 2^31 up to box 23,170.
+MAX_INDEX_BOX = 1689
+
+
+def _pair_widths(ns, ms):
+    """isqrt(4nm) + 1 for the pairs (n, m) of the int arrays ns, ms, as int32."""
+    return np.array([isqrt(4 * a * b) + 1 for a, b in zip(ns.tolist(), ms.tolist())],
+                    dtype=np.int32)
+
+
 class BoxIndex:
     """Read-only index arrays of the half support of one box, in vector order.
 
-    n, r, m, det hold one entry per stored key.
-    offset[n, m] = offset[m, n] is the position of A(min, 0, max), so
-    A(n, r, m) sits at offset[n, m] + |r|; widths lists isqrt(4nm) + 1 for
-    the (n, m) pairs with n <= m in vector order, and nstart[n] is where the
-    keys of q-degree n begin (nstart[N + 1] is the length).  The keys of a
-    smaller box M are the keys with m <= M, in the same order.
+    n, r, m, det (int32) hold one entry per stored key.
+    offset[n, m] = offset[m, n] (int64) is the position of A(min, 0, max), so
+    A(n, r, m) sits at offset[n, m] + |r|; widths (int32) lists isqrt(4nm) + 1
+    for the (n, m) pairs with n <= m in vector order, and nstart[n] (int64) is
+    where the keys of q-degree n begin (nstart[N + 1] is the length).  The keys
+    of a smaller box M are the keys with m <= M, in the same order.  Boxes past
+    MAX_INDEX_BOX are refused before anything is allocated: their key
+    positions would leave int32.
     """
 
     def __init__(self, prec):
+        if prec > MAX_INDEX_BOX:
+            raise InvalidArgumentError(
+                f"box {prec} is past box {MAX_INDEX_BOX}, the largest whose index fits int32: "
+                f"its key positions would reach 2^31")
         self.prec = prec
         lo, hi = np.triu_indices(prec + 1)
-        self.widths = np.array([isqrt(4 * a * b) + 1 for a, b in zip(lo.tolist(), hi.tolist())])
-        starts = np.cumsum(self.widths) - self.widths
-        self.size = int(self.widths.sum())
+        self.widths = _pair_widths(lo, hi)
+        starts = np.cumsum(self.widths, dtype=np.int64) - self.widths
+        self.size = int(starts[-1] + self.widths[-1])
         self.offset = np.zeros((prec + 1, prec + 1), dtype=np.int64)
         self.offset[lo, hi] = self.offset[hi, lo] = starts
         self.nstart = np.append(np.diagonal(self.offset), self.size)
-        self.n = np.repeat(lo, self.widths)
-        self.m = np.repeat(hi, self.widths)
-        self.r = np.arange(self.size) - np.repeat(starts, self.widths)
-        self.det = 4 * self.n * self.m - self.r * self.r
+        # int32 from the start, one key-length temporary at a time
+        self.r = np.arange(self.size, dtype=np.int32)
+        self.r -= np.repeat(starts.astype(np.int32), self.widths)
+        self.det = np.repeat((4 * lo * hi).astype(np.int32), self.widths)
+        self.det -= self.r * self.r
+        self.n = np.repeat(lo.astype(np.int32), self.widths)
+        self.m = np.repeat(hi.astype(np.int32), self.widths)
         for a in (self.widths, self.offset, self.nstart, self.n, self.m, self.r, self.det):
             _read_only(a)
+        self._by_m = {}
+
+    def by_m(self, top):
+        """(order, mstart) of the keys with m <= top, which all lie in the
+        prefix n <= top: their positions (int32) ordered by m, then n and r,
+        and where each m = 0..top + 1 begins in order; built once per top."""
+        hit = self._by_m.get(top)
+        if hit is None:
+            m, n = np.tril_indices(top + 1)               # the pairs by m, then n
+            w = _pair_widths(n, m)
+            ends = np.cumsum(w, dtype=np.int64)
+            order = np.arange(ends[-1], dtype=np.int32)
+            order += np.repeat((self.offset[n, m] - ends + w).astype(np.int32), w)
+            mstart = np.append(0, ends)[np.arange(top + 2) * np.arange(1, top + 3) // 2]
+            hit = self._by_m[top] = (_read_only(order), _read_only(mstart))
+        return hit
 
 
 @lru_cache(maxsize=4)
@@ -98,7 +134,9 @@ def box_bytes(prec, ring=None):
 
     The box has sum_{n <= m <= N} (isqrt(4nm) + 1) <= (N+1)^2 + 4(N+1)^3/9
     keys (sum_{n <= N} sqrt(n) <= (2/3)(N+1)^(3/2)), and BoxIndex holds four
-    int64 arrays of that length.  With a ring, columns counts about the 16
+    int32 arrays of that length, 16 bytes a key: int32 holds det <= 4N^2 up
+    to box 23,170 and the key positions up to box MAX_INDEX_BOX = 1689, past
+    which BoxIndex refuses.  With a ring, columns counts about the 16
     series to q^(N^2) that one generator build holds at once and four
     generator vectors, at 8 bytes an entry, 64 for dtype object (as in
     qexp.array_bytes).
@@ -106,7 +144,7 @@ def box_bytes(prec, ring=None):
     n = prec + 1
     keys = n * n + 4 * n ** 3 // 9
     item = 0 if ring is None else 64 if ring.dtype == object else 8
-    return 32 * keys, (16 * (prec * prec + 1) + 4 * keys) * item
+    return 16 * keys, (16 * (prec * prec + 1) + 4 * keys) * item
 
 
 def require_box_memory(prec, ring=None):
@@ -392,15 +430,13 @@ def _mul_fft(f, g, q, prec):
     top = int(np.searchsorted(idx.nstart, len(f))) - 1           # K
     lm, lr = fft_len(2 * prec + 1), fft_len(2 * isqrt(4 * top * prec) + 1)
     n, m, r = idx.n[:len(f)], idx.m[:len(f)], idx.r[:len(f)]
+    by_m, mstart = idx.by_m(top)
     step = max(1, _BATCH_BYTES // (16 * (lm // 2 + 1) * (lr // 2 + 1)))
     chunks = [(b, min(b + step, top + 1)) for b in range(0, top + 1, step)]
 
     def spectra(vals):
         """The half spectra of slices 0..K of the full support."""
         out = np.empty((top + 1, lm // 2 + 1, lr // 2 + 1), dtype=complex)
-        # keys by m: those with m <= K all lie in the prefix, since n <= m
-        by_m = np.argsort(m, kind="stable")
-        mstart = np.searchsorted(m[by_m], np.arange(top + 2))
         for lo, hi in chunks:
             planes = np.zeros((hi - lo, prec + 1, lr))
             own, mirror = slice(idx.nstart[lo], idx.nstart[hi]), by_m[mstart[lo]:mstart[hi]]
@@ -598,13 +634,15 @@ class GeneratorContext:
 
     def evaluate(self, poly, weight):
         """sum of coef * monomial(*e) over poly {e: coef}, a form of the given
-        weight (every monomial must have it)."""
-        out = SiegelFormSeries.zero(self.ring, weight, self.prec)
+        weight (every monomial must have it).  No zero vector is held while
+        the first monomial is built."""
+        out = None
         for e, coef in poly.items():
             if sum(x * w for x, w in zip(e, GENERATOR_WEIGHTS.values())) != weight:
                 raise InvalidArgumentError(f"monomial {e} does not have weight {weight}")
-            out = out + self.monomial(*e).scale(coef)
-        return out
+            term = self.monomial(*e).scale(coef)
+            out = term if out is None else out + term
+        return SiegelFormSeries.zero(self.ring, weight, self.prec) if out is None else out
 
     def monomial(self, a, b, c, d):
         """E4^a E6^b chi10^c chi12^d, memoized by exponent."""

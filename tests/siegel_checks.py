@@ -2,14 +2,16 @@
 
 The scans read one coefficient at a time through `SiegelFormSeries.a`, so
 they share no code with the vector operations of `siegelcong.siegel`;
-`maass_lift_loop` is the lift's former per-divisor loop.  Matrix reduction
-(`MatrixIndexT`, `reduce_T`, `dyadic_trace`, `enumerate_reduced`), the
-theta operator and the monomial decomposition check the vector code from
+`maass_lift_loop` is the lift's former per-divisor loop, and
+`box_index_reference` the former all-int64 build of a box's index.  Matrix
+reduction (`MatrixIndexT`, `reduce_T`, `dyadic_trace`, `enumerate_reduced`),
+the theta operator and the monomial decomposition check the vector code from
 the outside.  `fourier_jacobi` takes a Jacobi slice of a Siegel form, so
 tests can hold the two halves against each other.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -78,6 +80,29 @@ def maass_lift_loop(ring, k, cols, prec):
         keys = np.flatnonzero((gcd % d == 0) & (gcd > 0))
         out[keys] += ring.from_int(d ** (k - 1)) * C[idx.det[keys] // (d * d)]
     return SiegelFormSeries(ring, k, prec, ring.canonical(out))
+
+
+def box_index_reference(prec):
+    """The arrays of BoxIndex(prec) by name, built the former way, all int64,
+    and the by-m order of each prefix top by argsort: {top: (order, mstart)}."""
+    lo, hi = np.triu_indices(prec + 1)
+    widths = np.array([isqrt(4 * a * b) + 1 for a, b in zip(lo.tolist(), hi.tolist())])
+    starts = np.cumsum(widths) - widths
+    size = int(widths.sum())
+    offset = np.zeros((prec + 1, prec + 1), dtype=np.int64)
+    offset[lo, hi] = offset[hi, lo] = starts
+    nstart = np.append(np.diagonal(offset), size)
+    n, m = np.repeat(lo, widths), np.repeat(hi, widths)
+    r = np.arange(size) - np.repeat(starts, widths)
+    arrays = {"widths": widths, "offset": offset, "nstart": nstart, "n": n, "m": m, "r": r,
+              "det": 4 * n * m - r * r}
+    by_m = {}
+    for top in range(prec + 1):
+        prefix = m[:nstart[top + 1]]
+        order = np.argsort(prefix, kind="stable")
+        mstart = np.searchsorted(prefix[order], np.arange(top + 2))
+        by_m[top] = (order[:mstart[top + 1]], mstart)
+    return arrays, by_m
 
 
 @dataclass(frozen=True)

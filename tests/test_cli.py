@@ -164,6 +164,24 @@ def test_ring_of_another_prime_is_refused(capsys):
     assert code == 1 and out == "" and "does not match p = 5" in err
 
 
+def test_a_prime_field_past_int64_gives_the_generators(capsys):
+    """fp:<p> with p >= 2^63 holds Python ints and reduces them as such."""
+    code, out, _ = run(capsys, "gens", "--ring", "fp:9223372036854775837", "--prec", "1",
+                       "--no-cache")
+    doc = json.loads(out)
+    assert code == 0 and [doc[g]["nonzero"] for g in ("E4", "E6", "chi10", "chi12")] == [5, 5, 2, 2]
+    assert {v["ring"] for v in doc.values()} == {"fp:9223372036854775837"}
+
+
+@pytest.mark.parametrize("n,error", [
+    (318665857834031151167461, "expected an odd prime >= 5"),       # passes bases 2..37
+    (3317044064679887385961981, "only below 3317044064679887385961981"),
+])
+def test_a_composite_that_passes_the_bases_2_to_37_is_not_a_field(capsys, n, error):
+    code, out, err = run(capsys, "gens", "--ring", f"fp:{n}", "--prec", "1", "--no-cache")
+    assert code == 1 and out == "" and error in err
+
+
 def test_form_zero_mod_another_prime_gets_a_certificate(capsys):
     code, out, _ = run(capsys, "check", "5*E4*chi12", "--p", "7", "--b", "1")
     doc = json.loads(out)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from siegelcong.errors import ArithmeticDomainError, InvalidArgumentError, RingMismatchError
-from siegelcong.ring import FpRing, is_prime, legendre, reduce_rational, ring_from_tag
+from siegelcong.ring import (MR_BOUND, FpRing, is_prime, legendre, reduce_rational,
+                             require_odd_prime, ring_from_tag)
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
 
@@ -129,3 +130,42 @@ def test_is_prime_spot_checks():
     assert all(is_prime(p) for p in PRIMES)
     assert not any(is_prime(n) for n in (0, 1, 4, 21, 91, 561, 1105))
     assert is_prime(2 ** 31 - 1)
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n passes one Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    for _ in range(s):
+        if x in (1, n - 1):
+            return True
+        x = x * x % n
+    return False
+
+
+def test_is_prime_is_a_proof_below_its_bound_and_refuses_past_it():
+    """399165290221 * 798330580441 passes the bases 2..37 and fails 41;
+    MR_BOUND = 1287836182261 * 2575672364521 passes 2..41 and is refused."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    c = 399165290221 * 798330580441
+    assert all(_strong_probable_prime(c, a) for a in bases) and not _strong_probable_prime(c, 41)
+    assert not is_prime(c)
+    assert MR_BOUND == 1287836182261 * 2575672364521
+    assert all(_strong_probable_prime(MR_BOUND, a) for a in bases + (41,))
+    assert is_prime(2 ** 63 + 29) and is_prime(2 ** 64 - 59)
+    for bad in (MR_BOUND, MR_BOUND + 2):
+        for check in (is_prime, require_odd_prime):
+            with pytest.raises(InvalidArgumentError, match=f"only below {MR_BOUND}"):
+                check(bad)
+    with pytest.raises(InvalidArgumentError, match="expected an odd prime"):
+        ring_from_tag(f"fp:{c}")
+
+
+def test_a_field_past_int64_reduces_integers_as_python_ints():
+    p = 2 ** 63 + 29
+    fp = ring_from_tag(f"fp:{p}")
+    got = fp.from_integers(np.array([-1, 0, 5, 2 ** 62], dtype=np.int64))
+    assert got.dtype == object and got.tolist() == [p - 1, 0, 5, 2 ** 62]
+    assert all(type(v) is int for v in got.tolist())

@@ -21,10 +21,10 @@ from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext
                                weight_monomials)
 from mul_loop_oracle import mul_loop
 from qexp_checks import eisenstein_q
-from siegel_checks import (MatrixIndexT, NotInRingError, check_unimodular_moves, decompose_mod_p,
-                           dyadic_trace, enumerate_reduced, fourier_jacobi, maass_lift_loop,
-                           reduce_T, siegel_direct_scan, support_dets, theta_operator,
-                           verify_combination)
+from siegel_checks import (MatrixIndexT, NotInRingError, box_index_reference,
+                           check_unimodular_moves, decompose_mod_p, dyadic_trace,
+                           enumerate_reduced, fourier_jacobi, maass_lift_loop, reduce_T,
+                           siegel_direct_scan, support_dets, theta_operator, verify_combination)
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
@@ -189,15 +189,72 @@ def test_each_generator_alone_equals_a_fresh_build_of_all_four(monkeypatch, tag)
 
 
 def test_box_bytes_bounds_the_index():
-    """The closed form is an upper bound on four int64 arrays per key, and
+    """The closed form is an upper bound on four int32 arrays per key, and
     tight: within 7.5% at box 30."""
     for box in range(41):
         index, cols = box_bytes(box)
         size = BoxIndex(box).size
-        assert 32 * size <= index and cols == 0, box
-    assert box_bytes(30)[0] <= 1.075 * 32 * siegel.box_index(30).size
+        assert 16 * size <= index and cols == 0, box
+    assert box_bytes(30)[0] <= 1.075 * 16 * siegel.box_index(30).size
     # an object entry counts 64 bytes, as in qexp.array_bytes
     assert box_bytes(30, INT)[1] == 8 * box_bytes(30, FP7)[1] > 0
+
+
+@pytest.mark.parametrize("box", list(range(41)) + [88])
+def test_the_index_equals_the_int64_build(box):
+    """Every index array holds the values of the former all-int64 build: the
+    per-key ones and widths as int32, offset and nstart as int64, all
+    read-only; and so does the by-m order of each prefix."""
+    idx = BoxIndex(box)
+    arrays, by_m = box_index_reference(box)
+    assert idx.size == len(arrays["n"])
+    for name, want in arrays.items():
+        got = getattr(idx, name)
+        assert np.array_equal(got, want), name
+        assert got.dtype == (np.int64 if name in ("offset", "nstart") else np.int32), name
+        assert not got.flags.writeable, name
+    for top in (range(box + 1) if box <= 40 else (0, 1, 29, 58, 88)):
+        order, mstart = idx.by_m(top)
+        assert np.array_equal(order, by_m[top][0]) and np.array_equal(mstart, by_m[top][1]), top
+        assert order.dtype == np.int32 and not order.flags.writeable, top
+        assert idx.by_m(top)[0] is order, top            # built once per prefix
+
+
+@pytest.mark.parametrize("box", [30, 88])
+def test_the_key_arrays_hold_at_most_16_bytes_a_key(box):
+    idx = siegel.box_index(box)
+    assert sum(getattr(idx, a).nbytes for a in ("n", "m", "r", "det")) <= 16 * idx.size
+
+
+def _box_size(prec):
+    """sum_{n <= m <= prec} (isqrt(4nm) + 1), counted row by row."""
+    total = 0
+    for n in range(prec + 1):
+        x = 4 * n * np.arange(n, prec + 1, dtype=np.int64)
+        s = np.floor(np.sqrt(x)).astype(np.int64)
+        s -= s * s > x
+        s += (s + 1) ** 2 <= x
+        total += int(s.sum()) + len(s)
+    return total
+
+
+def test_max_index_box_is_the_last_whose_positions_fit_int32():
+    assert _box_size(siegel.MAX_INDEX_BOX) < 2 ** 31 <= _box_size(siegel.MAX_INDEX_BOX + 1)
+    assert all(_box_size(box) == BoxIndex(box).size for box in (0, 1, 7, 30))
+    assert 4 * 23170 ** 2 < 2 ** 31 <= 4 * 23171 ** 2          # det <= 4N^2
+
+
+@pytest.mark.parametrize("box", [siegel.MAX_INDEX_BOX + 1, 23171])
+def test_a_box_past_int32_is_refused_before_allocating(box):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match=f"box {box} is past box 1689, the "
+                                                       f"largest whose index fits int32"):
+            BoxIndex(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 def test_an_impossible_box_is_refused_before_allocating(monkeypatch):
