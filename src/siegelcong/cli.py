@@ -251,7 +251,9 @@ def cmd_sieve(args):
         if target.weight != k_after:
             raise InvalidArgumentError(f"verification target has weight {target.weight}, "
                                        f"the sieve lives in weight {k_after}")
-        rep = siegel.sturm_zero((part - exprmod.evaluate(target, ctx)).reduce_mod(p), k_after)
+        fp = ring_from_tag(f"fp:{p}")
+        diff = fp.from_integers(part.coeffs - exprmod.evaluate(target, ctx).coeffs)
+        rep = siegel.sturm_zero(siegel.SiegelFormSeries(fp, k_after, part.prec, diff), k_after)
         _emit(args, {"form": e.text, "p": p, "s": s, "verify_against": target.text,
                      "weight": k_after, "bound": rep.bound, "match": rep.is_zero})
         return 0

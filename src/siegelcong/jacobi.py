@@ -25,8 +25,8 @@ F_p, with the index arrays of each (index, precision) built once and shared
 by every live form of that shape (JacobiIndex).  A product, and the
 division by phi_{-2,1}, lay the rows of each full support end to end as one
 series and take one series product (jac_mul, _divide_by_weak_m2).
-Holomorphic forms are zero at 4nm - r^2 < 0.  Forms are immutable values:
-every operation returns a new form, and memoized forms are read-only.
+Holomorphic forms are zero at 4nm - r^2 < 0.  A form is a record with no
+arithmetic: sums are numpy on coeffs, and memoized forms are read-only.
 
 The finite zero test and the filtration mod p route through the weak-form
 decomposition: a level-1 Sturm check on each component for the zero test,
@@ -168,35 +168,6 @@ class JacobiFormSeries:
                                  required=prec, available=self.prec)
         return JacobiFormSeries(self.ring, self.weight, self.index, prec, self.at_prec(prec))
 
-    # -- ring-level arithmetic ------------------------------------------------
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
-        if self.index != other.index:
-            raise InvalidArgumentError(f"index mismatch: {self.index} vs {other.index}")
-        return min(self.prec, other.prec)
-
-    def __add__(self, other):
-        return _combine(self, other, 1, self.weight if self.weight == other.weight else None)
-
-    def __sub__(self, other):
-        return _combine(self, other, -1, self.weight if self.weight == other.weight else None)
-
-    def scale(self, c):
-        c = self.ring.from_int(c) if isinstance(c, int) else c
-        return JacobiFormSeries(self.ring, self.weight, self.index, self.prec,
-                                self.ring.canonical(self.coeffs * c))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, JacobiFormSeries):
-            return jac_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     # -- specializations --------------------------------------------------------
     def z_restrict(self):
         """The coefficient vector of the weight-k modular form
@@ -205,11 +176,6 @@ class JacobiFormSeries:
         twice = np.where(idx.r > 0, 2, 1).astype(self.ring.dtype)
         return self.ring.canonical(np.add.reduceat(self.coeffs * twice, idx.start[:-1]))
 
-    def reduce_mod(self, p):
-        fp = ring_from_tag(f"fp:{p}")
-        return JacobiFormSeries(fp, self.weight, self.index, self.prec,
-                                self.ring.reduce_vector(self.coeffs, fp))
-
     def to_json(self):
         idx = self.idx
         nz = np.flatnonzero(self.coeffs != 0)
@@ -217,15 +183,6 @@ class JacobiFormSeries:
                                                 self.coeffs[nz].tolist())]
         return {"kind": "jacobi", "ring": self.ring.tag, "weight": self.weight,
                 "index": self.index, "prec": self.prec, "coeffs": coeffs}
-
-
-def _combine(a, b, coef_b, weight):
-    """a + coef_b * b with an explicit result weight (mod-p cross-weight sums)."""
-    n = a._check(b)
-    ring = a.ring
-    cb = ring.from_int(coef_b) if isinstance(coef_b, int) else coef_b
-    vec = ring.canonical(a.at_prec(n) + b.at_prec(n) * cb)
-    return JacobiFormSeries(ring, weight, a.index, n, vec)
 
 
 # -- products ---------------------------------------------------------------------
@@ -425,8 +382,9 @@ def _weak_components(phi):
     for mu in range(m, 0, -1):
         f = ring.divexact_vector(cur.z_restrict(), 12 ** mu)
         fs.append(f)
-        rem = cur - qseries_times_jacobi(f, cur.weight, _weak_monomial(gens, 0, mu, phi.prec))
-        cur = _divide_by_weak_m2(rem, gens[0])
+        sub = qseries_times_jacobi(f, cur.weight, _weak_monomial(gens, 0, mu, phi.prec))
+        rem = ring.canonical(cur.coeffs - sub.coeffs)
+        cur = _divide_by_weak_m2(JacobiFormSeries(ring, cur.weight, mu, cur.prec, rem), gens[0])
     fs.append(cur.coeffs)   # index 0: c(n, 0) only
     return fs
 

@@ -237,7 +237,7 @@ class FpRing(Ring):
     def reduce_vector(self, vec, fp):
         if fp.p != self.p:
             raise RingMismatchError(f"cannot reduce {self.tag} coefficients mod {fp.p}")
-        return self.canonical(vec)
+        return vec                      # canonical already: no copy
 
 
 # -- exact products ------------------------------------------------------------------

@@ -5,9 +5,10 @@ A form of box N has coefficients A(n, r, m) on the semipositive support
 for every form here, so only the half support n <= m, 0 <= r <= isqrt(4nm)
 is stored: one flat vector `coeffs`, ordered by n, then m, then r, which is
 the vector a cache file holds.  Its dtype is `ring.dtype`
-(siegelcong.ring), and every operation is a numpy expression on it, reduced
-mod p only over F_p; the index arrays of each box (BoxIndex: int32 per key,
-int64 per (n, m) pair) are built once and memoized.
+(siegelcong.ring).  A form is a record of (ring, weight, prec, coeffs) with
+no arithmetic: the few places that combine forms do so with numpy on fresh
+vectors, reduced in place over F_p; the index arrays of each box (BoxIndex:
+int32 per key, int64 per (n, m) pair) are built once and memoized.
 
 Key facts used throughout: the generalized theta operator acts diagonally
 (multiplication by det T), so its congruence criterion reduces to testing
@@ -49,10 +50,10 @@ def reduced_classes(wmax):
     <= wmax, rank <= 1 included, sorted by (w, n, r, m)."""
     if wmax < 0:
         raise InvalidArgumentError("wmax must be >= 0")
-    keys = [(0, 0, m) for m in range(wmax // 2 + 1)]
-    keys += [(n, r, m) for n in range(1, wmax // 3 + 1) for r in range(n + 1)
-             for m in range(n, (wmax + r - 2 * n) // 2 + 1)]
-    n, r, m = np.array(keys, dtype=np.int64).T
+    nb, rb = np.tril_indices(wmax // 3 + 1)          # the blocks (n, r), 0 <= r <= n
+    size = np.maximum((wmax + rb - 2 * nb) // 2 - nb + 1, 0)     # m = n..(wmax + r - 2n) // 2
+    n, r = np.repeat(nb, size), np.repeat(rb, size)
+    m = np.arange(len(n)) - np.repeat(np.cumsum(size) - size - nb, size)
     order = np.lexsort((m, r, n, 2 * n + 2 * m - r))
     return tuple(_read_only(a[order]) for a in (n, r, m, 4 * n * m - r * r))
 
@@ -156,6 +157,13 @@ def require_box_memory(prec, ring=None):
                    f"q^{prec * prec} columns and generators)")
 
 
+def _reduce(ring, vec):
+    """The fresh vector vec in canonical form: reduced in place over F_p, not copied."""
+    if isinstance(ring, FpRing):
+        vec %= ring.p
+    return vec
+
+
 def _per_det(det, fn, dtype):
     """fn(d) at each entry d of det, evaluated once per distinct value."""
     values, inverse = np.unique(det, return_inverse=True)
@@ -228,42 +236,6 @@ class SiegelFormSeries:
         vec = self.coeffs[:box_index(self.prec).nstart[nmax + 1]]
         return vec if prec == self.prec else vec[box_index(self.prec).m[:len(vec)] <= prec]
 
-    def _derived(self, vec, weight, prec=None):
-        """A form over the same ring from the fresh vector vec."""
-        prec = self.prec if prec is None else prec
-        return SiegelFormSeries(self.ring, weight, prec, self.ring.canonical(vec))
-
-    def _map2(self, other, fn, weight):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring.tag} vs {other.ring.tag}")
-        prec, nmax = min(self.prec, other.prec), min(self.nmax, other.nmax)
-        return self._derived(fn(self.at_box(prec, nmax), other.at_box(prec, nmax)), weight, prec)
-
-    def __add__(self, other):
-        w = self.weight if self.weight == other.weight else None
-        return self._map2(other, np.add, w)
-
-    def __sub__(self, other):
-        w = self.weight if self.weight == other.weight else None
-        return self._map2(other, np.subtract, w)
-
-    def scale(self, c):
-        c = self.ring.from_int(c) if isinstance(c, int) else c
-        return self._derived(self.coeffs * c, self.weight)
-
-    def __neg__(self):
-        return self._derived(-self.coeffs, self.weight)
-
-    def __mul__(self, other):
-        if isinstance(other, SiegelFormSeries):
-            return siegel_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def is_zero_window(self):
-        return not np.any(self.coeffs != 0)
-
     def reduce_mod(self, p):
         fp = ring_from_tag(f"fp:{p}")
         return SiegelFormSeries(fp, self.weight, self.prec, self.ring.reduce_vector(self.coeffs, fp))
@@ -329,7 +301,7 @@ def maass_lift(ring, k, cols, prec):
         keys = np.flatnonzero(idx.m[1:idx.nstart[sub + 1]] <= sub) + 1
         n, r, m = idx.n[keys], idx.r[keys], idx.m[keys]
         out[idx.offset[ds * n, ds * m] + ds * r] += dpow[ds] * C[idx.det[keys]]
-    return SiegelFormSeries(ring, k, prec, ring.canonical(out))
+    return SiegelFormSeries(ring, k, prec, _reduce(ring, out))
 
 
 def igusa_generator(name, prec, ring):
@@ -348,8 +320,9 @@ def igusa_generator(name, prec, ring):
         raise InvalidArgumentError(f"unknown generator {name!r}")
     lift = maass_lift(ring, k, index1_columns(k, prec * prec, ring), prec)
     if name.startswith("E"):
-        lift = SiegelFormSeries.constant(ring, k, prec, 1) \
-            + lift.scale(ring.from_rational(Fraction(-2 * k) / bernoulli(k)))
+        lift.coeffs *= ring.from_rational(Fraction(-2 * k) / bernoulli(k))
+        _reduce(ring, lift.coeffs)
+        lift.coeffs[0] = ring.one
     return lift
 
 
@@ -590,7 +563,7 @@ def sieve(F, p, s):
     w = F.weight
     if w is not None and fp:
         w = criterion_weight(w, p, 0)
-    return F._derived(F.coeffs * mult[inverse], w)
+    return SiegelFormSeries(ring, w, F.prec, _reduce(ring, F.coeffs * mult[inverse]))
 
 
 # -- monomial evaluation and mod-p decompositions ---------------------------------------
@@ -634,15 +607,18 @@ class GeneratorContext:
 
     def evaluate(self, poly, weight):
         """sum of coef * monomial(*e) over poly {e: coef}, a form of the given
-        weight (every monomial must have it).  No zero vector is held while
-        the first monomial is built."""
+        weight (every monomial must have it, and so the same prefix), summed
+        into one fresh vector and reduced once: over int64 F_p a term is below
+        p^2 < 2^42.  No zero vector is held while the first monomial is built."""
         out = None
         for e, coef in poly.items():
             if sum(x * w for x, w in zip(e, GENERATOR_WEIGHTS.values())) != weight:
                 raise InvalidArgumentError(f"monomial {e} does not have weight {weight}")
-            term = self.monomial(*e).scale(coef)
-            out = term if out is None else out + term
-        return SiegelFormSeries.zero(self.ring, weight, self.prec) if out is None else out
+            term = self.monomial(*e).coeffs * self.ring.from_int(coef)
+            out = term if out is None else np.add(out, term, out=out)
+        if out is None:
+            return SiegelFormSeries.zero(self.ring, weight, self.prec)
+        return SiegelFormSeries(self.ring, weight, self.prec, _reduce(self.ring, out))
 
     def monomial(self, a, b, c, d):
         """E4^a E6^b chi10^c chi12^d, memoized by exponent."""

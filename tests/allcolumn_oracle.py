@@ -21,6 +21,7 @@ from siegelcong.jacobi import JacobiFormSeries, qseries_times_jacobi, rbound
 from siegelcong.qexp import convolve_trunc, eta_pow6, invert_series
 from siegelcong.ring import FpRing, IntRing, ring_from_tag
 
+from jacobi_checks import combine
 from qexp_checks import delta_q, eisenstein_q
 
 
@@ -191,10 +192,10 @@ def jacobi_eisenstein(k, prec, ring):
     e4 = eisenstein_q(4, prec, ring)
     e6 = eisenstein_q(6, prec, ring)
     if k == 4:
-        num = qseries_times_jacobi(e4, 4, w_0) - qseries_times_jacobi(e6, 6, w_m2)
+        num = combine(qseries_times_jacobi(e4, 4, w_0), qseries_times_jacobi(e6, 6, w_m2), -1)
     else:
         e4sq = convolve_trunc(ring, e4, e4, prec + 1)
-        num = qseries_times_jacobi(e6, 6, w_0) - qseries_times_jacobi(e4sq, 8, w_m2)
+        num = combine(qseries_times_jacobi(e6, 6, w_0), qseries_times_jacobi(e4sq, 8, w_m2), -1)
     return _scale_divexact(num, 12, k)
 
 

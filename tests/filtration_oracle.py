@@ -33,6 +33,7 @@ from siegelcong.linalg import FpMatrix, kernel_basis, membership, rref
 from siegelcong.qexp import convolve_trunc, mk_dim
 from siegelcong.ring import FpRing, exact_product, int64_qmax, ring_from_tag
 
+from jacobi_checks import combine
 from qexp_checks import delta_q, eisenstein_q
 
 
@@ -139,7 +140,7 @@ def holo_basis(k, m, prec, p):
     for combo in combos:
         acc = JacobiFormSeries.zero(ring, k, m, prec)
         for x, cand in zip(combo, cands):
-            acc = acc + cand.scale(x)
+            acc = combine(acc, cand, x)
         vecs.append(form_vector(acc, prec))
     red, rank, _ = rref(FpMatrix(p, vecs))
     # form_vector lists the keys (n, r >= 0) in the order of JacobiFormSeries.coeffs

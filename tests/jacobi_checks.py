@@ -7,7 +7,8 @@ coefficient at a time through `JacobiFormSeries.c`, so they share no code
 with the vector operations of `siegelcong.jacobi`.  The criteria
 (`jac_congruence`, `jac_direct_scan`, `nonexistence_applies`) encode
 PAPER.md's "Heat criterion" and "Non-existence criterion" on top of the
-package's heat operator and zero test.
+package's heat operator and zero test.  `combine` sums two forms, possibly
+of different weights mod p, which only the criteria and tests need.
 """
 
 from __future__ import annotations
@@ -18,11 +19,26 @@ from math import isqrt
 
 import numpy as np
 
-from siegelcong.errors import InvalidArgumentError, PrecisionError
-from siegelcong.jacobi import (_combine, heat, jac_mul, jac_zero_test, qseries_times_jacobi,
-                               zero_test_required_prec)
+from siegelcong.errors import InvalidArgumentError, PrecisionError, RingMismatchError
+from siegelcong.jacobi import (JacobiFormSeries, heat, jac_mul, jac_zero_test,
+                               qseries_times_jacobi, zero_test_required_prec)
 from siegelcong.qexp import criterion_weight
 from siegelcong.ring import FpRing, legendre, ring_from_tag
+
+
+def combine(a, b, coef_b=1, weight=None):
+    """a + coef_b * b at the smaller precision, numpy on the coefficient
+    vectors; weight names the result's weight (a cross-weight sum mod p),
+    else it is the common weight of a and b, or None when they differ."""
+    if a.ring != b.ring:
+        raise RingMismatchError(f"{a.ring.tag} vs {b.ring.tag}")
+    if a.index != b.index:
+        raise InvalidArgumentError(f"index mismatch: {a.index} vs {b.index}")
+    ring, prec = a.ring, min(a.prec, b.prec)
+    if weight is None and a.weight == b.weight:
+        weight = a.weight
+    vec = ring.canonical(a.at_prec(prec) + b.at_prec(prec) * ring.from_int(coef_b))
+    return JacobiFormSeries(ring, weight, a.index, prec, vec)
 
 
 def check_transformation_law(phi):
@@ -55,7 +71,7 @@ def reconstruct_weak(fs, k, gens):
     w_m2, w_0 = (g.truncate(prec) for g in gens)
     terms = [qseries_times_jacobi(f, k + 2 * j, reduce(jac_mul, [w_m2] * j + [w_0] * (m - j)))
              for j, f in enumerate(fs)]
-    return sum(terms[1:], terms[0])
+    return reduce(combine, terms)
 
 
 def jac_mul_loop(a, b):
@@ -126,10 +142,10 @@ def jac_congruence(phi, b):
     if b:
         l1 = heat(phi)
         lh = heat_iterate(l1, (p + 1) // 2 - 1)
-        combo = _combine(lh, l1, legendre(b, p), kz)
+        combo = combine(lh, l1, legendre(b, p), kz)
     else:
         lp = heat_iterate(phi, p - 1)
-        combo = _combine(lp, phi, p - 1, kz)  # lp - phi
+        combo = combine(lp, phi, p - 1, kz)  # lp - phi
     holds = jac_zero_test(combo)
     witness = None
     if not holds:

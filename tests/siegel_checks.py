@@ -2,8 +2,10 @@
 
 The scans read one coefficient at a time through `SiegelFormSeries.a`, so
 they share no code with the vector operations of `siegelcong.siegel`;
-`maass_lift_loop` is the lift's former per-divisor loop, and
-`box_index_reference` the former all-int64 build of a box's index.  Matrix
+`maass_lift_loop` is the lift's former per-divisor loop,
+`box_index_reference` the former all-int64 build of a box's index, and
+`reduced_classes_reference` the former tuple-list build of the reduced
+classes.  `combine` sums two forms, which the package itself never needs.  Matrix
 reduction (`MatrixIndexT`, `reduce_T`, `dyadic_trace`, `enumerate_reduced`),
 the theta operator and the monomial decomposition check the vector code from
 the outside.  `fourier_jacobi` takes a Jacobi slice of a Siegel form, so
@@ -15,7 +17,8 @@ from math import isqrt
 
 import numpy as np
 
-from siegelcong.errors import InvalidArgumentError, PrecisionError, SiegelCongError
+from siegelcong.errors import (InvalidArgumentError, PrecisionError, RingMismatchError,
+                               SiegelCongError)
 from siegelcong.jacobi import JacobiFormSeries, jacobi_index
 from siegelcong.linalg import FpMatrix, solve
 from siegelcong.qexp import discriminant_series
@@ -27,6 +30,28 @@ from siegelcong.siegel import (SiegelFormSeries, _class_matrix, _per_det, _sturm
 
 class NotInRingError(SiegelCongError):
     """A coefficient vector is not expressible in the requested monomial span."""
+
+
+def combine(F, G, c=1):
+    """F + c G on the smaller box and prefix, numpy on the coefficient
+    vectors; the weight is the common weight of F and G, or None."""
+    if F.ring != G.ring:
+        raise RingMismatchError(f"{F.ring.tag} vs {G.ring.tag}")
+    prec, nmax = min(F.prec, G.prec), min(F.nmax, G.nmax)
+    vec = F.at_box(prec, nmax) + G.at_box(prec, nmax) * F.ring.from_int(c)
+    return SiegelFormSeries(F.ring, F.weight if F.weight == G.weight else None, prec,
+                            F.ring.canonical(vec))
+
+
+def reduced_classes_reference(wmax):
+    """The arrays n, r, m, det of reduced_classes(wmax), built from a list of
+    (n, r, m) tuples and sorted by (w, n, r, m)."""
+    keys = [(0, 0, m) for m in range(wmax // 2 + 1)]
+    keys += [(n, r, m) for n in range(1, wmax // 3 + 1) for r in range(n + 1)
+             for m in range(n, (wmax + r - 2 * n) // 2 + 1)]
+    n, r, m = np.array(keys, dtype=np.int64).T
+    order = np.lexsort((m, r, n, 2 * n + 2 * m - r))
+    return tuple(a[order] for a in (n, r, m, 4 * n * m - r * r))
 
 
 def support_dets(F):
@@ -175,7 +200,7 @@ def theta_operator(F, j=1):
     w = F.weight
     if w is not None and isinstance(ring, FpRing):
         w = w + j * (ring.p + 1)
-    return F._derived(F.coeffs * mult, w)
+    return SiegelFormSeries(ring, w, F.prec, ring.canonical(F.coeffs * mult))
 
 
 def fourier_jacobi(F, m):
@@ -231,4 +256,4 @@ def verify_combination(F, combo, k, ctx):
 
     combo maps exponent tuples (a, b, c, d) to integer coefficients.
     """
-    return sturm_zero(ctx.evaluate(combo, k) - F, k).is_zero
+    return sturm_zero(combine(ctx.evaluate(combo, k), F, -1), k).is_zero

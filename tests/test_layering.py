@@ -86,6 +86,21 @@ def test_src_has_two_rings_and_fractions_only_for_bernoulli():
     assert fraction_uses - {(m, "<import>") for m in imports} <= FRACTION_SITES
 
 
+def test_forms_are_records_without_arithmetic():
+    """Neither form class defines an arithmetic operator or scale: the few
+    places that combine forms do so with numpy on their coefficient vectors."""
+    root = Path(siegelcong.__file__).parent
+    banned = {"__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "scale"}
+    for module, cls in (("siegel", "SiegelFormSeries"), ("jacobi", "JacobiFormSeries")):
+        tree = ast.parse((root / f"{module}.py").read_text())
+        body = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name == cls).body
+        defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        defined |= {t.id for node in body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        assert defined and not defined & banned, (cls, defined & banned)
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         siegelcong.no_such_name

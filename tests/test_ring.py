@@ -73,6 +73,7 @@ def test_reduce_vector_is_reduce_rational_entrywise(tag):
     got = ring.reduce_vector(vec, fp)
     assert got.dtype == fp.dtype
     assert got.tolist() == [reduce_rational(v, 7) for v in vals]
+    assert (got is vec) == (ring == fp)         # canonical already: no copy into its own field
 
 
 def test_ring_from_tag():

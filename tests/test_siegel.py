@@ -11,6 +11,7 @@ from siegelcong import ring as ringmod, siegel
 from siegelcong.errors import (InconsistentVerdictError, InvalidArgumentError, PrecisionError,
                                SiegelCongError)
 from siegelcong import jacobi, qexp
+from siegelcong.expr import parse
 from siegelcong.jacobi import jacobi_cusp, jacobi_eisenstein
 from siegelcong.qexp import index1_columns
 from siegelcong.ring import FpRing, is_prime, legendre, ring_from_tag
@@ -22,9 +23,9 @@ from siegelcong.siegel import (BoxIndex, CongruenceCertificate, GeneratorContext
 from mul_loop_oracle import mul_loop
 from qexp_checks import eisenstein_q
 from siegel_checks import (MatrixIndexT, NotInRingError, box_index_reference,
-                           check_unimodular_moves, decompose_mod_p, dyadic_trace,
+                           check_unimodular_moves, combine, decompose_mod_p, dyadic_trace,
                            enumerate_reduced, fourier_jacobi, maass_lift_loop, reduce_T,
-                           siegel_direct_scan, support_dets, theta_operator, verify_combination)
+                           reduced_classes_reference, siegel_direct_scan, support_dets, theta_operator, verify_combination)
 from targeted_oracle import targeted_mul
 
 INT = ring_from_tag("int")
@@ -121,6 +122,16 @@ def test_enumerate_reduced_vs_oracle():
         assert sorted(t.key() for t in enumerate_reduced(wmax)) == _enumerate_oracle(wmax)
 
 
+def test_reduced_classes_match_the_tuple_list_build():
+    """The per-block np.repeat build gives the arrays, order and dtypes of a
+    build from a list of (n, r, m) tuples, and they are read-only."""
+    for wmax in [*range(61), 324]:
+        got, want = siegel.reduced_classes(wmax), reduced_classes_reference(wmax)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), wmax
+            assert not a.flags.writeable
+
+
 # -- the Maass lift ------------------------------------------------------------------
 
 def test_maass_lift_formula():
@@ -168,6 +179,24 @@ def test_the_lift_peaks_at_a_few_output_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 4 * F.coeffs.nbytes, (peak, F.coeffs.nbytes)
+
+
+def test_evaluate_peaks_at_two_output_vectors():
+    """evaluate sums its terms into one fresh vector and reduces it in place:
+    with its monomials built, E4^2*chi10 + 7*E6*chi12 over F_7 at box 60
+    allocates at most 2.5 output vectors (2.0 measured: the sum and one term)."""
+    ctx = GeneratorContext(FP7, 60)
+    e = parse("E4^2*chi10 + 7*E6*chi12")
+    for exps in e.poly:
+        ctx.monomial(*exps)
+    tracemalloc.start()
+    try:
+        F = ctx.evaluate(e.poly, e.weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.weight == 18 and len(F.coeffs) == siegel.box_index(60).size
+    assert peak <= 2.5 * F.coeffs.nbytes, (peak, F.coeffs.nbytes)
 
 
 @pytest.mark.parametrize("tag", ["fp:7", "fp:2097169", "int"])
@@ -495,7 +524,7 @@ def test_siegel_mul_takes_moduli_past_twice_the_output():
     v = isqrt(3 * prod(primes) // 4)
     F = SiegelFormSeries.constant(INT, 4, 0, v)
     assert ringmod.moduli(siegel._qmax(0), 2 * v * v)[:10] == primes
-    assert siegel_mul(F, -F).a(0, 0, 0) == -v * v
+    assert siegel_mul(F, SiegelFormSeries(INT, 4, 0, -F.coeffs)).a(0, 0, 0) == -v * v
 
 
 def test_siegel_mul_refuses_past_the_prime_supply(monkeypatch):
@@ -539,7 +568,7 @@ def test_theta_operator(int_gens):
 
 def test_theta_operator_e4_mod7(ctx7):
     d = theta_operator(ctx7.generator("E4"), 1)
-    assert d.is_zero_window()
+    assert not np.any(d.coeffs)
     assert d.weight == 4 + 8
 
 
@@ -577,8 +606,8 @@ def test_certificate_json_schema(ctx5):
 
 
 def test_scan_constant_on_legendre_classes(ctx7):
-    F = siegel_mul(ctx7.generator("E4"), ctx7.generator("chi12")) \
-        - siegel_mul(ctx7.generator("E6"), ctx7.generator("chi10"))
+    F = combine(siegel_mul(ctx7.generator("E4"), ctx7.generator("chi12")),
+                siegel_mul(ctx7.generator("E6"), ctx7.generator("chi10")), -1)
     F.weight = 16
     certs = congruence_scan(F, 7, include_zero=False)
     for b1 in range(1, 7):
@@ -627,8 +656,7 @@ def test_sieve_partition_and_support(ctx5):
     F = ctx5.monomial(0, 0, 2, 0)
     F.weight = 20
     parts = {s: sieve(F, 5, s) for s in (0, 1, -1)}
-    total = parts[0] + parts[1]
-    total = total + parts[-1]
+    total = combine(combine(parts[0], parts[1]), parts[-1])
     for n in range(8):
         for m in range(8):
             b = isqrt(4 * n * m)
@@ -650,9 +678,7 @@ def test_sieve_exact_ring_partition(int_gens):
     F = siegel_mul(int_gens["chi10"], int_gens["chi10"])
     from siegelcong.siegel import sieve
     parts = [sieve(F, 5, s) for s in (0, 1, -1)]
-    total = parts[0] + parts[1]
-    total = total + parts[2]
-    assert total == F
+    assert combine(combine(parts[0], parts[1]), parts[2]) == F
 
 
 @pytest.mark.parametrize("tag,p,name", [("int", 7, "chi12"), ("fp:2097169", 2097169, "E4")])
@@ -665,7 +691,7 @@ def test_sieve_partition_over_int_and_object_fp(tag, p, name):
     start = time.perf_counter()
     parts = {s: sieve(F, p, s) for s in (0, 1, -1)}
     assert time.perf_counter() - start < 1
-    assert parts[0] + parts[1] + parts[-1] == F
+    assert combine(combine(parts[0], parts[1]), parts[-1]) == F
     for s, form in parts.items():
         dets = support_dets(form.reduce_mod(p) if tag == "int" else form)
         assert dets and all(legendre(d, p) == s for d in dets), s
@@ -845,9 +871,9 @@ def test_prefix_product_across_boxes():
     assert got.prec == 5 and got.nmax == 3
     want = mul_loop(F, G, 5)[:siegel.box_index(5).nstart[4]]
     _assert_same_vector(got.coeffs, want, FP7)
-    total = _prefix(F, 3) + G
+    total = combine(_prefix(F, 3), G)
     assert total.prec == 5 and total.nmax == 3
-    assert np.array_equal(total.coeffs, (F + G).coeffs[:siegel.box_index(5).nstart[4]])
+    assert np.array_equal(total.coeffs, combine(F, G).coeffs[:siegel.box_index(5).nstart[4]])
 
 
 def test_prefix_forms_refuse_reads_past_their_slices(tmp_path):
